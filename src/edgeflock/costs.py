@@ -253,18 +253,18 @@ def measure_host_profile(repeat: int = 3) -> DeviceProfile:
 
     rng = np.random.default_rng(0)
     x = rng.uniform(-1, 1, 4096).astype(np.float32)
-    fcp = engine.LayerParams(
+    fcp = engine.freeze(engine.LayerParams(
         w=rng.uniform(-0.05, 0.05, (2048, 4096)).astype(np.float32),
         b=np.zeros(2048, np.float32),
-    )
+    ))
     fc_ops = 2.0 * 2048 * 4096
     best_fc = min(_time_once(lambda: engine.forward_fc(x, fcp)) for _ in range(repeat))
 
     img = rng.uniform(-1, 1, (32, 32, 64)).astype(np.float32)
-    convp = engine.LayerParams(
+    convp = engine.freeze(engine.LayerParams(
         w=rng.uniform(-0.05, 0.05, (64, 3, 3, 64)).astype(np.float32),
         b=np.zeros(64, np.float32),
-    )
+    ))
     conv_ops = 2.0 * 32 * 32 * 64 * 3 * 3 * 64
     best_conv = min(_time_once(lambda: engine.forward_conv(img, convp)) for _ in range(repeat))
 

@@ -1,22 +1,38 @@
 """Deterministic forward-pass execution of every layer kind.
 
-All math is float32 with a pinned accumulation order: weighted sums
-accumulate strictly in ascending input index (products first, then an
-ordered running sum), so an output row computed on one worker is
-bit-identical to the same row computed anywhere else.  That makes
-distributed-vs-reference comparisons exact rather than tolerance-based,
-including when a dense layer is sharded row-wise across devices.
+All math is float32 with a pinned accumulation order: every weighted
+sum starts from +0.0 and adds its rounded products strictly in
+ascending input index, bias last, exactly as a scalar loop does.  So an
+output row computed on one worker is bit-identical to the same row
+computed anywhere else, which makes distributed-vs-reference
+comparisons exact rather than tolerance-based, including when a dense
+layer is sharded row-wise across devices.
+
+The conv and fc kernels pin that order with numpy alone (no BLAS,
+``matmul`` or ``einsum``, none of which fixes an order).  Weights are
+laid out tap-major once per layer: (taps, filters) for conv in
+(dy, dx, channel) tap order, (inputs, outputs) for fc.  A kernel
+multiplies a cache-sized block of taps against every output at once
+and reduces the products along the tap axis.  numpy runs such a
+reduction as one running sum per output element, adding the tap rows
+in ascending order, as long as each row holds at least two elements.
+With a single output element (a one-row fc shard, one filter at one
+position) numpy instead sums the lone column pairwise, so that case
+takes an explicit running sum (``np.add.accumulate``).
 
 The streaming ``TaskExecutor`` consumes tagged items and drives layers
 ordered by the graph topology; windowed layers (flow stacking, temporal
 pyramids) buffer items through ``SlidingWindow``.  The single-process
 reference oracle is just a ``TaskExecutor`` that owns the whole graph.
+Generated parameters are shared read-only by every executor of a graph
+(``shared_params``).
 """
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -43,6 +59,8 @@ class LayerParams:
     var: Optional[np.ndarray] = None
     gamma: Optional[np.ndarray] = None
     beta: Optional[np.ndarray] = None
+    # (w, w in tap-major layout), kept while w is the same read-only array.
+    _tap_major_w: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
 
 def params_for(graph: ir.ModelGraph, name: str) -> LayerParams:
@@ -76,15 +94,129 @@ def params_for(graph: ir.ModelGraph, name: str) -> LayerParams:
     return LayerParams()
 
 
-def _ordered_sum(products: np.ndarray) -> np.ndarray:
-    """Sum over the last axis in strictly ascending index order (float32)."""
-    return np.add.accumulate(products, axis=-1)[..., -1]
+def shared_params(graph: ir.ModelGraph, name: str) -> LayerParams:
+    """``params_for(graph, name)``, generated on first use and then shared.
+
+    The result is cached on the graph, keyed by the graph seed, so every
+    executor of one graph reads the same read-only arrays; the kernels'
+    tap-major weight layout is derived once with it.
+    """
+    key = (graph.seed, name)
+    p = graph.params_cache.get(key)
+    if p is None:
+        p = freeze(params_for(graph, name))
+        if p.w is not None:
+            _tap_major(p)
+        p = graph.params_cache.setdefault(key, p)
+    return p
 
 
-# Above this product-matrix size, sequential sums run as a column loop
-# with a running accumulator instead of materializing the cumsum; the
-# float32 add sequence per output is identical either way.
-_ORDERED_SUM_MATERIALIZE_LIMIT = 4_000_000
+def freeze(params: LayerParams) -> LayerParams:
+    """Mark every array of ``params`` read-only and return it.
+
+    Kernels cache derived weight layouts only for read-only weights, which
+    cannot change behind the cache.
+    """
+    for name in ("w", "b", "mean", "var", "gamma", "beta"):
+        arr = getattr(params, name)
+        if arr is not None:
+            arr.setflags(write=False)
+    return params
+
+
+def _tap_major(params: LayerParams) -> np.ndarray:
+    """``w`` as a C-contiguous (taps, outputs) matrix.
+
+    fc weights (out, in) become (in, out); conv weights (f, kh, kw, c)
+    become (kh*kw*c, f) in (dy, dx, c) tap order.  The matrix is cached
+    on ``params`` while ``w`` is the same read-only array.
+    """
+    w = params.w
+    cached = params._tap_major_w
+    if cached is not None and cached[0] is w and not w.flags.writeable:
+        return cached[1]
+    wt = np.ascontiguousarray(w.reshape(w.shape[0], -1).T)
+    if not w.flags.writeable:
+        wt.setflags(write=False)
+        params._tap_major_w = (w, wt)
+    return wt
+
+
+_ZERO = np.float32(0)
+
+# Upper bounds, in float32 elements, of one block of products (1 MiB) and
+# of the conv sums it is added into (256 KiB); both stay in a core's L2.
+# Chosen from timings of every conv and fc shape of the stock models at
+# scale 1/8 on a 2-vCPU Xeon with 2 MiB of L2 per core: each shape ran
+# within 10% of its best over blocks of 1/2-4 MiB and sums of 64 KiB-1 MiB.
+_BLOCK = 1 << 18
+_ACC = 1 << 16
+
+# numpy copies broadcast operands through its ufunc buffer whenever an
+# output row is shorter than about a third of that buffer (8192 elements
+# by default).  Conv product rows are output positions, 169 or more in
+# every stock model, so with a 256-element buffer the products run
+# straight from the operands: 2-3x faster on rows of 169-3000 positions.
+# fc product rows are the output rows of a shard, often short, and there
+# the default buffer is faster.
+_CONV_BUFSIZE = 256
+
+
+def _running_sum(products: np.ndarray) -> np.ndarray:
+    """Sum of a 1-D float32 vector from +0.0 in ascending index, as a
+    one-element array; ``products`` is overwritten."""
+    products[0] += _ZERO
+    return np.add.accumulate(products)[-1:]
+
+
+def _conv_rows(patches: np.ndarray, wt: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """(positions, filters) conv outputs: the sum over taps t of
+    ``patches[t, m] * wt[t, f]``, plus ``bias[f]``.
+
+    Every sum starts from +0.0 and adds its rounded products in ascending
+    t, as a scalar loop does.  Blocks of taps are multiplied at once and
+    reduced along the tap axis, which numpy adds row after row: one
+    running sum per output element, so ascending order holds.  That
+    holds only while a reduced row has at least two elements: with one,
+    numpy sums the single column pairwise, which is not ordered.  A
+    single filter at a single position therefore takes an explicit
+    running sum (``np.add.accumulate``) instead.
+    """
+    taps, positions = patches.shape
+    filters = wt.shape[1]
+    out = np.empty((positions, filters), dtype=np.float32)
+    if filters * positions == 1:
+        np.add(_running_sum(patches[:, 0] * wt[:, 0]), bias, out=out[0])
+        return out
+    # Even position blocks of at least four positions, so that no block
+    # has fewer than two elements per tap.
+    n_blocks = -(-positions // max(4, _ACC // filters))
+    width = -(-positions // n_blocks)
+    tap_block = max(1, _BLOCK // (filters * width))
+    buf = np.empty(min(tap_block, taps) * filters * width, dtype=np.float32)
+    a, b = patches[:, None, :], wt[:, :, None]
+    for i in range(n_blocks):
+        m0, m1 = positions * i // n_blocks, positions * (i + 1) // n_blocks
+        # Contiguous blocks and sums: numpy would otherwise stage short
+        # rows of a strided operand through its buffer.
+        acc = np.empty((filters, m1 - m0), dtype=np.float32)
+        for t0 in range(0, taps, tap_block):
+            rows = min(tap_block, taps - t0)
+            block = buf[:rows * acc.size].reshape(rows, filters, m1 - m0)
+            prior = np.setbufsize(_CONV_BUFSIZE)
+            try:
+                np.multiply(a[t0:t0 + rows, :, m0:m1], b[t0:t0 + rows], out=block)
+            finally:
+                np.setbufsize(prior)
+            if t0:
+                np.add(block[0], acc, out=block[0])
+            # Each block's sums start from an explicit +0.0, not from
+            # numpy's choice of identity.  A later block restarts from the
+            # running sums plus its first products, which adding +0.0
+            # leaves unchanged: a sum started at +0.0 is never -0.0.
+            np.add.reduce(block, axis=0, out=acc, initial=_ZERO)
+        np.add(acc.T, bias, out=out[m0:m1])
+    return out
 
 
 def forward_fc(x: np.ndarray, params: LayerParams, rows: Optional[tuple[int, int]] = None) -> np.ndarray:
@@ -92,22 +224,27 @@ def forward_fc(x: np.ndarray, params: LayerParams, rows: Optional[tuple[int, int
 
     Accumulation runs in ascending j, so any row subset (``rows``) of a
     sharded layer reproduces the corresponding rows of the full layer
-    exactly.
+    exactly.  Input-major products, a block of inputs at a time, are
+    reduced along the input axis as in ``_conv_rows``; a one-row shard
+    takes the explicit running sum.
     """
     x = np.asarray(x, dtype=np.float32).reshape(-1)
-    w, b = params.w, params.b
+    wt, b = _tap_major(params), params.b
     if rows is not None:
-        w, b = w[rows[0]:rows[1]], b[rows[0]:rows[1]]
-    if w.shape[1] != x.size:
-        raise EngineError(f"fc input size {x.size} != weight columns {w.shape[1]}")
-    if w.size <= _ORDERED_SUM_MATERIALIZE_LIMIT:
-        return _ordered_sum(w * x) + b
-    acc = np.zeros(w.shape[0], dtype=np.float32)
-    tmp = np.empty_like(acc)
-    for j in range(w.shape[1]):
-        np.multiply(w[:, j], x[j], out=tmp)
-        np.add(acc, tmp, out=acc)
-    return acc + b
+        wt, b = wt[:, rows[0]:rows[1]], b[rows[0]:rows[1]]
+    if wt.shape[0] != x.size:
+        raise EngineError(f"fc input size {x.size} != weight columns {wt.shape[0]}")
+    if wt.shape[1] == 1:
+        return _running_sum(wt[:, 0] * x) + b
+    step = max(1, _BLOCK // wt.shape[1])
+    x = x[:, None]
+    sums = None
+    for j0 in range(0, x.shape[0], step):
+        products = np.multiply(wt[j0:j0 + step], x[j0:j0 + step])
+        if sums is not None:
+            np.add(products[0], sums, out=products[0])
+        sums = np.add.reduce(products, axis=0, initial=_ZERO)
+    return sums + b
 
 
 def _pad_same(h, w, kh, kw, stride):
@@ -116,8 +253,9 @@ def _pad_same(h, w, kh, kw, stride):
     return ph // 2, ph - ph // 2, pw // 2, pw - pw // 2
 
 
-def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: str) -> np.ndarray:
-    """Patch matrix of shape (out_h*out_w, kh*kw*c), tap order (dy, dx, c)."""
+def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: str) -> tuple[np.ndarray, tuple[int, int]]:
+    """Tap-major patch matrix of shape (kh*kw*c, out_h*out_w), tap order
+    (dy, dx, c), and the output extent (out_h, out_w)."""
     h, w, c = x.shape
     if padding == "same":
         pt, pb, pl, pr = _pad_same(h, w, kh, kw, stride)
@@ -126,9 +264,12 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: str) -> np.nda
         raise EngineError(f"unknown padding {padding!r}")
     if kh > x.shape[0] or kw > x.shape[1]:
         raise EngineError(f"kernel {kh}x{kw} exceeds padded input {x.shape[:2]}")
-    view = np.lib.stride_tricks.sliding_window_view(x, (kh, kw, c))[::stride, ::stride, 0]
-    oh, ow = view.shape[0], view.shape[1]
-    return np.ascontiguousarray(view).reshape(oh * ow, kh * kw * c), (oh, ow)
+    oh, ow = (x.shape[0] - kh) // stride + 1, (x.shape[1] - kw) // stride + 1
+    planes = np.ascontiguousarray(x.transpose(2, 0, 1))
+    sc, sy, sx = planes.strides
+    view = np.lib.stride_tricks.as_strided(
+        planes, (kh, kw, c, oh, ow), (sy, sx, sc, sy * stride, sx * stride), writeable=False)
+    return np.ascontiguousarray(view).reshape(kh * kw * c, oh * ow), (oh, ow)
 
 
 def forward_conv(x: np.ndarray, params: LayerParams, stride: int = 1, padding: str = "same") -> np.ndarray:
@@ -140,25 +281,11 @@ def forward_conv(x: np.ndarray, params: LayerParams, stride: int = 1, padding: s
     x = np.asarray(x, dtype=np.float32)
     if x.ndim != 3:
         raise EngineError(f"conv input must be rank 3, got shape {x.shape}")
-    w, b = params.w, params.b
-    f, kh, kw, c = w.shape
+    f, kh, kw, c = params.w.shape
     if c != x.shape[2]:
         raise EngineError(f"conv input channels {x.shape[2]} != kernel channels {c}")
     patches, (oh, ow) = im2col(x, kh, kw, stride, padding)
-    taps = kh * kw * c
-    positions = patches.shape[0]
-    wflat = w.reshape(f, taps)
-    if positions * f * taps <= _ORDERED_SUM_MATERIALIZE_LIMIT:
-        out = _ordered_sum(patches[:, None, :] * wflat[None, :, :])
-    else:
-        out = np.zeros((positions, f), dtype=np.float32)
-        tmp = np.empty_like(out)
-        wt = np.ascontiguousarray(wflat.T)
-        for j in range(taps):
-            np.multiply(patches[:, j, None], wt[j], out=tmp)
-            np.add(out, tmp, out=out)
-    out = out + b
-    return out.reshape(oh, ow, f)
+    return _conv_rows(patches, _tap_major(params), params.b).reshape(oh, ow, f)
 
 
 def forward_relu(x: np.ndarray) -> np.ndarray:
@@ -338,9 +465,9 @@ class TaskExecutor:
     def params(self, name: str) -> LayerParams:
         p = self._params.get(name)
         if p is None:
-            p = params_for(self.graph, name)
+            p = shared_params(self.graph, name)
             if self._param_override is not None:
-                p = self._param_override(name, p)
+                p = self._param_override(name, copy.copy(p))
             self._params[name] = p
         return p
 

@@ -87,13 +87,13 @@ class _Node:
             threading.Thread(target=self._reader, args=(conn,), daemon=True).start()
 
     def _reader(self, conn: socket.socket):
-        while self.alive:
-            frame = _recv_frame(conn)
-            if frame is None:
-                conn.close()
-                return
-            # Blocking put = sender-side hold; occupancy stays bounded.
-            self.queue.put(decode(frame))
+        with conn:
+            while self.alive:
+                frame = _recv_frame(conn)
+                if frame is None:
+                    return
+                # Blocking put = sender-side hold; occupancy stays bounded.
+                self.queue.put(decode(frame))
 
     def _process_loop(self):
         while self.alive:
@@ -104,10 +104,15 @@ class _Node:
             self.cluster.handle(self.worker, msg)
 
     def stop(self):
+        """End the node's threads: the processor takes the bye straight
+        from its queue, the acceptor wakes when the listener shuts down."""
         self.alive = False
         try:
-            _send_frame_to(("127.0.0.1", self.port),
-                           encode(Message(kind=Kind.HEARTBEAT, body={"bye": 1})))
+            self.queue.put_nowait(Message(kind=Kind.HEARTBEAT, body={"bye": 1}))
+        except queue.Full:
+            pass  # the processor is busy, and sees alive is False once done
+        try:
+            self.server.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
         try:
@@ -165,16 +170,17 @@ class LoopbackCluster:
 
     def _collect_loop(self):
         conn, _ = self.collector.accept()
-        while True:
-            frame = _recv_frame(conn)
-            if frame is None:
-                return
-            msg = decode(frame)
-            if msg.kind == Kind.HEARTBEAT:
-                return
-            self.outputs[msg.tag] = msg.tensor
-            if self.expected is not None and len(self.outputs) >= self.expected:
-                self._done.set()
+        with conn:
+            while True:
+                frame = _recv_frame(conn)
+                if frame is None:
+                    return
+                msg = decode(frame)
+                if msg.kind == Kind.HEARTBEAT:
+                    return
+                self.outputs[msg.tag] = msg.tensor
+                if self.expected is not None and len(self.outputs) >= self.expected:
+                    self._done.set()
 
     def _connection(self, device: int) -> socket.socket:
         with self._conn_lock:

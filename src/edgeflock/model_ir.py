@@ -117,6 +117,9 @@ class ModelGraph:
     # first_valid[n]: lowest tag layer n can ever emit, given the window
     # lags accumulated along its ancestry (sources start at tag 0).
     first_valid: dict[str, int] = field(default_factory=dict)
+    # Generated layer parameters keyed by (seed, layer), filled lazily by
+    # engine.shared_params and shared read-only by every executor.
+    params_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def layer(self, name: str) -> LayerSpec:
         return self.layers[name]

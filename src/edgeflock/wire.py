@@ -11,6 +11,7 @@ UTF-8 JSON bodies.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -79,25 +80,32 @@ def encode_tensor(arr: np.ndarray, layer: str) -> bytes:
     return head + dims + arr.astype("<f4").tobytes()
 
 
+def _text(raw: bytes, what: str) -> str:
+    try:
+        return raw.decode()
+    except UnicodeDecodeError as exc:
+        raise WireError(f"{what} is not UTF-8: {exc}") from None
+
+
 def decode_tensor(buf: bytes) -> tuple[np.ndarray, str]:
+    """Inverse of ``encode_tensor``; raises only ``WireError``."""
     if not buf:
         raise WireError("empty tensor payload")
-    nlen = buf[0]
-    name = buf[1:1 + nlen].decode()
-    off = 1 + nlen
+    off = 1 + buf[0]
+    if len(buf) <= off:
+        raise WireError("tensor payload truncated in its name or rank")
+    name = _text(buf[1:off], "tensor name")
     rank = buf[off]
     off += 1
-    dims = []
-    for _ in range(rank):
-        (d,) = struct.unpack_from(">I", buf, off)
-        dims.append(d)
-        off += 4
-    count = 1
-    for d in dims:
-        count *= d
-    data = np.frombuffer(buf, dtype="<f4", count=count, offset=off)
-    if data.size != count:
-        raise WireError("tensor payload truncated")
+    if len(buf) < off + 4 * rank:
+        raise WireError("tensor payload truncated in its dims")
+    dims = struct.unpack_from(f">{rank}I", buf, off)
+    off += 4 * rank
+    count = math.prod(dims)
+    if len(buf) - off != 4 * count:
+        raise WireError(f"tensor payload holds {len(buf) - off} value bytes, "
+                        f"dims {dims} need {4 * count}")
+    data = np.frombuffer(buf, dtype="<f4", count=count, offset=off) if count else np.empty(0)
     return data.reshape(dims).astype(np.float32), name
 
 
@@ -114,6 +122,7 @@ def encode(msg: Message) -> bytes:
 
 
 def decode(frame: bytes) -> Message:
+    """Inverse of ``encode``; raises only ``WireError``."""
     if len(frame) < HEADER_LEN:
         raise WireError(f"frame too short: {len(frame)} bytes")
     version, kind, stream_id, tag, source, dest_role, plen = _HEADER.unpack_from(frame)
@@ -122,13 +131,25 @@ def decode(frame: bytes) -> Message:
     payload = frame[HEADER_LEN:]
     if len(payload) != plen:
         raise WireError(f"payload length mismatch: header {plen}, got {len(payload)}")
-    kind = Kind(kind)
+    try:
+        kind = Kind(kind)
+    except ValueError:
+        raise WireError(f"unknown message kind {kind}") from None
     if kind == Kind.DATA:
         tensor, layer = decode_tensor(payload)
         return Message(kind=kind, tag=tag, source=source, dest_role=dest_role,
                        stream_id=stream_id, layer=layer, tensor=tensor)
-    body = json.loads(payload.decode()) if payload else {}
+    body = {}
+    if payload:
+        try:
+            body = json.loads(_text(payload, "control body"))
+        except ValueError as exc:
+            raise WireError(f"control body is not JSON: {exc}") from None
+    if not isinstance(body, dict):
+        raise WireError(f"control body is a {type(body).__name__}, not an object")
     layer = body.pop("layer", "")
+    if not isinstance(layer, str):
+        raise WireError(f"control body names layer {layer!r}, not a string")
     return Message(kind=kind, tag=tag, source=source, dest_role=dest_role,
                    stream_id=stream_id, layer=layer, body=body)
 

@@ -4,9 +4,11 @@ The dense/conv oracles below are scalar loops accumulating in float32
 in ascending index order; kernel outputs must match them bit for bit.
 """
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import edgeflock.engine as engine
 from edgeflock.engine import (
@@ -20,6 +22,7 @@ from edgeflock.engine import (
     forward_norm,
     forward_relu,
     forward_softmax,
+    freeze,
     pyramid_ranges,
     run_reference,
     temporal_pyramid,
@@ -67,6 +70,60 @@ def conv_oracle(x, w, b, stride, padding):
     return out
 
 
+def with_zeros(r, values, share, neg):
+    """float32 copy of ``values`` with about ``share`` of it set to zero;
+    each zero is -0.0 with probability ``neg``, else +0.0."""
+    out = np.asarray(values, np.float32).copy()
+    hit = r.random(out.shape) < share
+    out[hit] = np.where(r.random(out.shape) < neg, -0.0, 0.0)[hit]
+    return out
+
+
+@contextmanager
+def blocks(block, acc):
+    """Run the kernels with product blocks of ``block`` elements and
+    accumulators of ``acc`` elements, so small shapes span several blocks."""
+    saved = engine._BLOCK, engine._ACC
+    engine._BLOCK, engine._ACC = block, acc
+    try:
+        yield
+    finally:
+        engine._BLOCK, engine._ACC = saved
+
+
+# Block sizes: one element, small enough to split every test shape, and
+# the kernels' own.
+BLOCK_SIZES = st.sampled_from([1, 7, 64, engine._BLOCK])
+ACC_SIZES = st.sampled_from([1, 5, 16, engine._ACC])
+ZERO_SHARES = st.sampled_from([0.0, 0.3, 1.0])
+# Weights take zeros of the opposite sign to inputs and biases, so at 0.0
+# and 1.0 every product of two zeros is -0.0, and at 1.0 every zero bias
+# is too: a sum must still start at +0.0.
+NEG_ZEROS = st.sampled_from([0.0, 0.5, 1.0])
+
+
+@st.composite
+def fc_cases(draw):
+    out = draw(st.integers(1, 12))
+    inp = draw(st.integers(1, 40))
+    r0 = draw(st.integers(0, out - 1))
+    r1 = draw(st.integers(r0 + 1, out))
+    return (out, inp, (r0, r1), draw(st.integers(0, 2**31 - 1)), draw(ZERO_SHARES),
+            draw(NEG_ZEROS), draw(st.integers(0, out - 1)), draw(BLOCK_SIZES), draw(ACC_SIZES))
+
+
+@st.composite
+def conv_cases(draw):
+    padding = draw(st.sampled_from(["same", "valid"]))
+    h, wd = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    top = (h, wd) if padding == "valid" else (4, 4)
+    kh, kw = draw(st.integers(1, min(4, top[0]))), draw(st.integers(1, min(4, top[1])))
+    return (h, wd, draw(st.integers(1, 3)), draw(st.integers(1, 4)), kh, kw,
+            draw(st.integers(1, 3)), padding, draw(st.integers(0, 2**31 - 1)),
+            draw(ZERO_SHARES), draw(NEG_ZEROS), draw(st.integers(0, h)), draw(BLOCK_SIZES),
+            draw(ACC_SIZES))
+
+
 class TestDense:
     def test_identity_weights(self):
         p = LayerParams(w=np.eye(3, dtype=np.float32), b=np.zeros(3, np.float32))
@@ -85,13 +142,23 @@ class TestDense:
         got = forward_fc(x, LayerParams(w=w, b=b))
         assert np.array_equal(got, fc_oracle(w, b, x))
 
-    def test_loop_path_matches_materialized_path(self, monkeypatch):
-        w = rng.uniform(-0.05, 0.05, (32, 130)).astype(np.float32)
-        b = rng.uniform(-0.05, 0.05, 32).astype(np.float32)
-        x = rng.uniform(-1, 1, 130).astype(np.float32)
-        full = forward_fc(x, LayerParams(w=w, b=b))
-        monkeypatch.setattr(engine, "_ORDERED_SUM_MATERIALIZE_LIMIT", 1)
-        assert np.array_equal(forward_fc(x, LayerParams(w=w, b=b)), full)
+    @given(fc_cases())
+    @example((1, 30, (0, 1), 0, 0.0, 1.0, 0, engine._BLOCK, engine._ACC))
+    @example((9, 30, (4, 5), 3, 0.3, 0.5, 5, engine._BLOCK, engine._ACC))
+    @example((6, 5, (0, 6), 1, 1.0, 1.0, 0, 7, 1))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_oracle_on_any_shard(self, case):
+        out, inp, (r0, r1), seed, zeros, neg, zero_row, block, acc = case
+        r = np.random.default_rng(seed)
+        w = with_zeros(r, r.uniform(-0.05, 0.05, (out, inp)), zeros, 1 - neg)
+        b = with_zeros(r, r.uniform(-0.05, 0.05, out), zeros, neg)
+        x = with_zeros(r, r.uniform(-1, 1, inp), zeros, neg)
+        w[zero_row % out] = np.where(r.random(inp) < 0.5, -0.0, 0.0)
+        with blocks(block, acc):
+            for p in (LayerParams(w=w, b=b), freeze(LayerParams(w=w.copy(), b=b.copy()))):
+                got = forward_fc(x, p, rows=(r0, r1))
+                assert got.tobytes() == fc_oracle(w[r0:r1], b[r0:r1], x).tobytes()
+                assert forward_fc(x, p).tobytes() == fc_oracle(w, b, x).tobytes()
 
     def test_row_slice_reproduces_full_rows(self):
         w = rng.uniform(-0.05, 0.05, (10, 33)).astype(np.float32)
@@ -134,13 +201,22 @@ class TestConv:
         got = forward_conv(x, LayerParams(w=w, b=b), stride=2, padding="valid")
         assert np.array_equal(got, conv_oracle(x, w, b, 2, "valid"))
 
-    def test_loop_path_bitwise_equal(self, monkeypatch):
-        x = rng.uniform(-1, 1, (9, 7, 3)).astype(np.float32)
-        w = rng.uniform(-0.05, 0.05, (5, 3, 3, 3)).astype(np.float32)
-        b = rng.uniform(-0.05, 0.05, 5).astype(np.float32)
-        full = forward_conv(x, LayerParams(w=w, b=b))
-        monkeypatch.setattr(engine, "_ORDERED_SUM_MATERIALIZE_LIMIT", 1)
-        assert np.array_equal(forward_conv(x, LayerParams(w=w, b=b)), full)
+    @given(conv_cases())
+    @example((4, 4, 3, 1, 4, 4, 1, "valid", 0, 0.0, 0.5, 0, engine._BLOCK, engine._ACC))
+    @example((1, 1, 2, 1, 3, 3, 2, "same", 1, 1.0, 1.0, 1, engine._BLOCK, engine._ACC))
+    @example((9, 7, 2, 3, 3, 3, 2, "valid", 2, 0.2, 0.5, 1, 5, 3))
+    @example((9, 7, 3, 1, 4, 4, 1, "same", 3, 0.0, 0.5, 0, 64, 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_oracle_on_any_shape(self, case):
+        h, wd, c, f, kh, kw, stride, padding, seed, zeros, neg, zero_rows, block, acc = case
+        r = np.random.default_rng(seed)
+        x = with_zeros(r, r.uniform(-1, 1, (h, wd, c)), zeros, neg)
+        x[:zero_rows] = -0.0 if neg else 0.0
+        w = with_zeros(r, r.uniform(-0.05, 0.05, (f, kh, kw, c)), zeros, 1 - neg)
+        b = with_zeros(r, r.uniform(-0.05, 0.05, f), zeros, neg)
+        with blocks(block, acc):
+            got = forward_conv(x, LayerParams(w=w, b=b), stride=stride, padding=padding)
+        assert got.tobytes() == conv_oracle(x, w, b, stride, padding).tobytes()
 
     def test_channel_mismatch(self):
         p = LayerParams(w=np.zeros((1, 3, 3, 4), np.float32), b=np.zeros(1, np.float32))

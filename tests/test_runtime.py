@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import edgeflock.engine as engine
 from edgeflock.costs import CommModel, DeviceProfile
 from edgeflock.engine import run_reference
 from edgeflock.harness import make_clip
@@ -91,6 +92,69 @@ class TestExactness:
         outs, _ = run_stream(cluster, frames)
         diffs = {t: float(np.max(np.abs(outs[t] - ref[t]))) for t in ref}
         assert max(diffs.values()) > 0
+
+
+class TestSharedParams:
+    def test_generated_once_per_graph_and_never_at_setup(self, monkeypatch):
+        calls = []
+        generate = engine.params_for
+        monkeypatch.setattr(engine, "params_for",
+                            lambda graph, name: calls.append(name) or generate(graph, name))
+        graph = build_model("two_stream", 1 / 32, seed=4)
+        aset = task_assign(graph, 8, CommModel(), DeviceProfile().scaled_mem(1 / 32))
+        clusters = [start_cluster(aset, n) for n in (1, 5, 8)]
+        assert calls == []
+        frames = make_clip(graph, 26, 4)
+        ref = run_reference(graph, {"camera": frames})["out"]
+        for cluster in clusters:
+            assert_exact(run_stream(cluster, frames)[0], ref)
+        assert sorted(calls) == sorted(set(calls))
+        for p in graph.params_cache.values():
+            for arr in (p.w, p.b, p.mean, p.var, p.gamma, p.beta):
+                assert arr is None or not arr.flags.writeable
+
+    def test_override_applies_to_its_own_executors_only(self, ts):
+        graph, aset, frames, ref = ts
+
+        def shift(name, params):
+            if name == "fc_d3":
+                params.b = params.b + np.float32(1.0)
+            return params
+        outs, _ = run_stream(start_cluster(aset, 5, param_override=shift), frames)
+        assert all(not np.array_equal(outs[t], ref[t]) for t in ref)
+        assert_exact(run_stream(start_cluster(aset, 5), frames)[0], ref)
+        assert_exact(run_reference(graph, {"camera": frames})["out"], ref)
+
+    def test_concurrent_first_use_yields_one_copy(self):
+        import sys
+        import threading
+        graph = build_model("two_stream", 1 / 32, seed=6)
+        names = [n for n in graph.topo_order if engine.params_for(graph, n).w is not None]
+        seen: list[dict] = []
+        start = threading.Barrier(8)
+
+        def use():
+            start.wait()
+            seen.append({n: engine.shared_params(graph, n) for n in names})
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=use) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and len(seen) == 8
+        for n in names:
+            assert len({id(s[n]) for s in seen}) == 1, n
+
+    def test_shared_arrays_reject_writes(self, ts):
+        p = engine.shared_params(ts[0], "fc_d3")
+        assert p is engine.shared_params(ts[0], "fc_d3")
+        with pytest.raises(ValueError):
+            p.b[0] = 1.0
 
 
 class TestBackpressure:
@@ -261,3 +325,26 @@ class TestLoopback:
         finally:
             cluster.close()
         assert_exact(outs, ref)
+
+    def test_close_ends_every_thread(self):
+        import threading
+        import time
+        from edgeflock.loopback import LoopbackCluster
+        graph = build_model("alexnet", SCALE, seed=2)
+        aset = task_assign(graph, 4, CommModel(), DeviceProfile().scaled_mem(SCALE))
+        frames = make_clip(graph, 4, 2)
+        before = set(threading.enumerate())
+        cluster = LoopbackCluster(aset, 4)
+        try:
+            outs = cluster.feed(frames, expected_outputs=4, timeout=90.0)
+        finally:
+            cluster.close()
+        ref = run_reference(graph, {graph.inputs[0]: frames})[graph.outputs[0]]
+        assert_exact(outs, ref)
+        deadline = time.monotonic() + 10.0
+        while True:
+            left = [t for t in threading.enumerate() if t not in before and t.is_alive()]
+            if not left or time.monotonic() > deadline:
+                break
+            time.sleep(0.05)
+        assert left == []

@@ -167,6 +167,70 @@ class TestWire:
         assert np.array_equal(back.tensor, arr)
 
 
+def _valid_frames():
+    rng = np.random.default_rng(3)
+    table = IPTable(4, {0: RoleEntry("127.0.0.1:9000", "t0", master=True),
+                        1: RoleEntry("127.0.0.1:9001", "t1", recorder=True)})
+    return [
+        encode(Message(kind=Kind.DATA, tag=9, source=2, layer="fc_d1#p0",
+                       tensor=rng.uniform(-1, 1, (3, 4)).astype(np.float32))),
+        encode(Message(kind=Kind.DATA, layer="out", tensor=np.float32(0.5).reshape(()))),
+        encode(Message(kind=Kind.SKIP, layer="flow", body={"next_tag": 12})),
+        encode(Message(kind=Kind.ROLE_UPDATE, body={"table": table.to_body()})),
+        encode(Message(kind=Kind.ALMOST_FULL, body={"device": 3})),
+        encode(Message(kind=Kind.HEARTBEAT)),
+    ]
+
+
+VALID_FRAMES = _valid_frames()
+
+
+class TestWireDecodingIsTotal:
+    """Any byte string decodes to a Message or raises WireError, nothing else."""
+
+    @given(st.sampled_from(VALID_FRAMES),
+           st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 255)), min_size=1, max_size=3),
+           st.integers(-3, 3))
+    @settings(max_examples=400, deadline=None)
+    def test_mutated_frames(self, frame, edits, resize):
+        buf = bytearray(frame)
+        for pos, value in edits:
+            buf[pos % len(buf)] = value
+        if resize < 0:
+            del buf[resize:]
+        else:
+            buf += bytes(resize)
+        try:
+            decode(bytes(buf))
+        except WireError:
+            pass
+
+    @given(st.binary(max_size=64))
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_tensor_payloads(self, payload):
+        try:
+            decode_tensor(payload)
+        except WireError:
+            pass
+
+    @pytest.mark.parametrize("kind, payload", [
+        (Kind.DATA, b"\x02\xff\xfe\x00"),             # name is not UTF-8
+        (Kind.DATA, b"\x01v\x01\x00\x00"),            # dims truncated
+        (Kind.DATA, b"\x01v\x01\xff\xff\xff\xff"),  # far more values than bytes
+        (Kind.DATA, b"\x01v\x00\x00\x00\x80?\x00"),  # trailing byte after the values
+        (Kind.SKIP, b"{\"next_tag\": 1"),          # truncated JSON
+        (Kind.SKIP, b"[1, 2]"),                     # JSON that is not an object
+        (Kind.SKIP, b"{\"layer\": 7}"),             # layer that is not a string
+        (Kind.HEARTBEAT, b"\xc3\x28"),             # not UTF-8
+        (99, b""),                                  # unknown kind
+    ])
+    def test_each_malformation_is_a_wire_error(self, kind, payload):
+        from edgeflock.wire import _HEADER, WIRE_VERSION
+        frame = _HEADER.pack(WIRE_VERSION, int(kind), 0, 0, 0, 0, len(payload)) + payload
+        with pytest.raises(WireError):
+            decode(frame)
+
+
 class TestIPTable:
     def _table(self):
         return IPTable(version=1, entries={
