@@ -93,15 +93,6 @@ class CommModel:
             raise ValueError("comm coefficients must be >= 0")
 
 
-@dataclass
-class CostEstimate:
-    compute_seconds: float = 0.0
-    memory_bytes: int = 0
-    load_seconds: float = 0.0
-    comm_in_bytes: int = 0
-    comm_out_bytes: int = 0
-
-
 def comm_latency(n_bytes: int, model: CommModel) -> float:
     """Seconds to move n_bytes one way, per the fitted line."""
     if n_bytes < 0:
@@ -162,14 +153,20 @@ def weight_bytes(graph: ir.ModelGraph, names: Iterable[str]) -> int:
     return BYTES_PER_VALUE * sum(weight_count(graph, n) for n in names)
 
 
+def activation_elements(graph: ir.ModelGraph, name: str) -> int:
+    """Values live while one layer runs: its output, its inputs and,
+    for a windowed layer, the window it holds."""
+    spec = graph.layer(name)
+    elems = graph.shapes[name].size + sum(graph.shapes[i].size for i in spec.inputs)
+    if spec.kind in ir.WINDOWED_KINDS:
+        elems += spec.window * graph.shapes[spec.inputs[0]].size
+    return elems
+
+
 def peak_activation_bytes(graph: ir.ModelGraph, names: Iterable[str]) -> int:
     peak = 0
     for n in names:
-        spec = graph.layer(n)
-        elems = graph.shapes[n].size + sum(graph.shapes[i].size for i in spec.inputs)
-        if spec.kind in ir.WINDOWED_KINDS:
-            elems += spec.window * graph.shapes[spec.inputs[0]].size
-        peak = max(peak, elems * BYTES_PER_VALUE)
+        peak = max(peak, activation_elements(graph, n) * BYTES_PER_VALUE)
     return peak
 
 

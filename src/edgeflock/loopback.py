@@ -88,12 +88,15 @@ class _Node:
 
     def _reader(self, conn: socket.socket):
         with conn:
-            while self.alive:
-                frame = _recv_frame(conn)
-                if frame is None:
-                    return
-                # Blocking put = sender-side hold; occupancy stays bounded.
-                self.queue.put(decode(frame))
+            try:
+                while self.alive:
+                    frame = _recv_frame(conn)
+                    if frame is None:
+                        return
+                    # Blocking put = sender-side hold; occupancy stays bounded.
+                    self.queue.put(decode(frame))
+            except Exception as exc:  # the thread's boundary: report, never die silently
+                self.cluster.fail(exc)
 
     def _process_loop(self):
         while self.alive:
@@ -101,7 +104,12 @@ class _Node:
             if msg.kind == Kind.HEARTBEAT and msg.body.get("bye"):
                 self.alive = False
                 return
-            self.cluster.handle(self.worker, msg)
+            if self.cluster.fault is not None:
+                continue  # the run has failed; drain so that senders never block
+            try:
+                self.cluster.handle(self.worker, msg)
+            except Exception as exc:  # the thread's boundary: report, never die silently
+                self.cluster.fail(exc)
 
     def stop(self):
         """End the node's threads: the processor takes the bye straight
@@ -155,6 +163,8 @@ class LoopbackCluster:
         self.collector.listen(4)
         self.outputs: dict[int, np.ndarray] = {}
         self._done = threading.Event()
+        self._fault_lock = threading.Lock()
+        self.fault: Optional[Exception] = None
         self.expected: Optional[int] = None
         threading.Thread(target=self._collect_loop, daemon=True).start()
         for node in self.nodes.values():
@@ -181,6 +191,13 @@ class LoopbackCluster:
                 self.outputs[msg.tag] = msg.tensor
                 if self.expected is not None and len(self.outputs) >= self.expected:
                     self._done.set()
+
+    def fail(self, exc: Exception) -> None:
+        """Keep the first exception of a node thread and wake ``feed``."""
+        with self._fault_lock:
+            if self.fault is None:
+                self.fault = exc
+        self._done.set()
 
     def _connection(self, device: int) -> socket.socket:
         with self._conn_lock:
@@ -242,6 +259,11 @@ class LoopbackCluster:
 
     def feed(self, frames: Iterable[np.ndarray], expected_outputs: int,
              timeout: float = 60.0) -> dict[int, np.ndarray]:
+        """Send frames to the source devices and wait for the outputs.
+
+        Raises ``RuntimeFault`` on timeout, or as soon as a node thread
+        has failed, chained from that thread's first exception.
+        """
         self.expected = expected_outputs
         self._done.clear()
         sources = []
@@ -253,15 +275,19 @@ class LoopbackCluster:
         if not sources:
             raise RuntimeFault("no source-owning device")
         for tag, frame in enumerate(frames):
+            if self.fault is not None:
+                break
             for d, idx, count in sources:
                 if count > 1 and tag % count != idx:
                     continue
                 src_layer = self.nodes[d].worker.source_name()
                 self.send(Message(kind=Kind.DATA, tag=tag, layer=src_layer,
                                   tensor=np.asarray(frame, np.float32)), d)
-        if not self._done.wait(timeout):
+        if self.fault is None and not self._done.wait(timeout):
             raise RuntimeFault(
                 f"loopback run timed out with {len(self.outputs)}/{expected_outputs} outputs")
+        if self.fault is not None:
+            raise RuntimeFault(f"loopback worker thread failed: {self.fault!r}") from self.fault
         return dict(self.outputs)
 
     def metrics(self) -> RunMetrics:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from typing import Iterable, Optional
 
 from edgeflock import model_ir as ir
@@ -287,23 +287,51 @@ def find_min_load_tasks(graph: ir.ModelGraph, groups: list[list[str]],
 # -- working representation for stages 3 and 4 ----------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Work:
-    """Mutable planning view of one pipeline stage."""
+    """Planning view of one pipeline stage.
 
-    layers: list[str]
+    A value, like the tuple of works that makes a state, so that the
+    costs below can be memoised on the works and states they depend on.
+    """
+
+    layers: tuple[str, ...]
     order: int
     split: Optional[ModelSplitInfo] = None
     part_local: tuple[str, ...] = ()        # glue computed on shard rows
     replicas: int = 1
-    resident_groups: list[list[str]] = field(default_factory=list)
+    resident_groups: tuple[tuple[str, ...], ...] = ()
     reload_seconds: float = 0.0
-
-    def devices(self) -> int:
-        return self.replicas
 
     def stateless(self, graph: ir.ModelGraph) -> bool:
         return all(graph.layer(n).kind not in ir.WINDOWED_KINDS for n in self.layers)
+
+
+class _Costs:
+    """The fixed inputs of one planning call and its memo tables.
+
+    Each table maps a key to a pure function of that key and of the
+    fixed inputs, so a hit returns the very float that the first
+    evaluation computed, and the plan cannot depend on what was
+    memoised.  Every call makes its own instance and drops it on
+    return.
+    """
+
+    def __init__(self, graph: ir.ModelGraph, device: DeviceProfile, comm: CommModel,
+                 tasks: tuple[tuple[str, ...], ...], mem_bytes: int, overhead_factor: float):
+        self.graph = graph
+        self.device = device
+        self.comm = comm
+        self.tasks = tasks                  # stage-2 tasks, which bucket spans index
+        self.mem_bytes = mem_bytes
+        self.overhead_factor = overhead_factor
+        self.layer: dict[str, tuple[float, float, int, int]] = {}
+        self.compute: dict[tuple, float] = {}
+        self.inbound: dict[tuple, tuple[tuple[str, int], ...]] = {}
+        self.stage: dict[tuple, float] = {}
+        self.bucket: dict[tuple[int, int], _Work] = {}
+        self.predict: dict[tuple[_Work, ...], tuple[float, float]] = {}
+        self.candidates: dict[tuple[_Work, ...], list[Candidate]] = {}
 
 
 def _split_fraction(graph: ir.ModelGraph, work: _Work) -> Optional[float]:
@@ -314,9 +342,29 @@ def _split_fraction(graph: ir.ModelGraph, work: _Work) -> Optional[float]:
     return (hi - lo) / out
 
 
-def _work_compute(graph: ir.ModelGraph, work: _Work, device: DeviceProfile) -> float:
+def _splits(state: tuple[_Work, ...]) -> tuple[ModelSplitInfo, ...]:
+    return tuple(w.split for w in state if w.split is not None)
+
+
+def _layer_cost(c: _Costs, name: str) -> tuple[float, float, int, int]:
+    """(ops, rate, weight count, activation elements) of one layer."""
+    cost = c.layer.get(name)
+    if cost is None:
+        kind = c.graph.layer(name).kind
+        rate = c.device.conv_flops_per_sec if kind == ir.CONV else c.device.flops_per_sec
+        cost = c.layer[name] = (costs.layer_ops(c.graph, name), rate,
+                                costs.weight_count(c.graph, name),
+                                costs.activation_elements(c.graph, name))
+    return cost
+
+
+def _work_compute(c: _Costs, work: _Work) -> float:
     """Per-item compute seconds, swap multiplier included."""
-    frac = _split_fraction(graph, work)
+    key = (work.layers, work.split, work.part_local)
+    seconds = c.compute.get(key)
+    if seconds is not None:
+        return seconds
+    frac = _split_fraction(c.graph, work)
     scaled = {}
     if frac is not None:
         scaled[work.split.origin] = frac
@@ -324,26 +372,44 @@ def _work_compute(graph: ir.ModelGraph, work: _Work, device: DeviceProfile) -> f
             scaled[n] = frac
     seconds = 0.0
     raw_weights = 0
+    peak = 0
     for n in work.layers:
-        spec = graph.layer(n)
-        ops = costs.layer_ops(graph, n) * scaled.get(n, 1.0)
-        rate = device.conv_flops_per_sec if spec.kind == ir.CONV else device.flops_per_sec
-        seconds += ops / rate
-        raw_weights += int(costs.weight_count(graph, n) * scaled.get(n, 1.0))
-    raw = raw_weights * BYTES_PER_VALUE + costs.peak_activation_bytes(graph, work.layers)
-    if raw > device.swap_threshold:
-        seconds *= device.swap_penalty
+        ops, rate, weights, elems = _layer_cost(c, n)
+        seconds += ops * scaled.get(n, 1.0) / rate
+        raw_weights += int(weights * scaled.get(n, 1.0))
+        peak = max(peak, elems * BYTES_PER_VALUE)
+    raw = raw_weights * BYTES_PER_VALUE + peak
+    if raw > c.device.swap_threshold:
+        seconds *= c.device.swap_penalty
+    c.compute[key] = seconds
     return seconds
 
 
-def _external_inputs(graph: ir.ModelGraph, work: _Work, state: list[_Work]) -> list[tuple[str, int]]:
-    """(value name, payload bytes) for each inbound boundary edge."""
+def _reload_compute(c: _Costs, work: _Work) -> float:
+    """Compute seconds for a reloading bucket: per-subset swap checks."""
+    total = 0.0
+    for subset in work.resident_groups:
+        total += _work_compute(c, _Work(layers=subset, order=work.order))
+    return total
+
+
+def _external_inputs(c: _Costs, work: _Work,
+                     splits: tuple[ModelSplitInfo, ...]) -> tuple[tuple[str, int], ...]:
+    """(value name, payload bytes) for each inbound boundary edge.
+
+    ``splits`` holds the shard info of every sharded stage in the state,
+    the only part of the state that the edges depend on.
+    """
+    key = (work.layers, work.split, splits)
+    edges = c.inbound.get(key)
+    if edges is not None:
+        return edges
+    graph = c.graph
     owned = set(work.layers)
     seen: dict[str, int] = {}
-    split_by_terminal = {}
-    for other in state:
-        if other.split is not None:
-            split_by_terminal.setdefault(other.split.terminal, []).append(other)
+    split_by_terminal: dict[str, list[ModelSplitInfo]] = {}
+    for s in splits:
+        split_by_terminal.setdefault(s.terminal, []).append(s)
     for n in work.layers:
         spec = graph.layer(n)
         for inp in spec.inputs:
@@ -352,44 +418,52 @@ def _external_inputs(graph: ir.ModelGraph, work: _Work, state: list[_Work]) -> l
             if inp in seen:
                 continue
             seen[inp] = graph.shapes[inp].size * BYTES_PER_VALUE
-    edges: list[tuple[str, int]] = []
+    out: list[tuple[str, int]] = []
     for name, nbytes in seen.items():
         parts = split_by_terminal.get(name)
         if parts:
-            for p in sorted(parts, key=lambda w: w.split.index):
-                if work.split is not None and p.split == work.split:
+            for p in sorted(parts, key=lambda s: s.index):
+                if work.split is not None and p == work.split:
                     continue  # own shard is local
-                lo, hi = p.split.rows
-                edges.append((name, (hi - lo) * BYTES_PER_VALUE))
+                lo, hi = p.rows
+                out.append((name, (hi - lo) * BYTES_PER_VALUE))
         else:
-            edges.append((name, nbytes))
+            out.append((name, nbytes))
+    edges = c.inbound[key] = tuple(out)
     return edges
 
 
-def _work_stage(graph: ir.ModelGraph, work: _Work, state: list[_Work],
-                device: DeviceProfile, comm: CommModel) -> float:
+def _work_stage(c: _Costs, work: _Work, splits: tuple[ModelSplitInfo, ...]) -> float:
     """Full per-item stage seconds for one device of this stage."""
-    if len(work.resident_groups) > 1:
-        t = _reload_compute(graph, work, device) + work.reload_seconds
-    else:
-        t = _work_compute(graph, work, device) + work.reload_seconds
-    for _, nbytes in _external_inputs(graph, work, state):
-        t += comm_latency(nbytes, comm)
+    key = (work, splits)
+    t = c.stage.get(key)
+    if t is None:
+        if len(work.resident_groups) > 1:
+            t = _reload_compute(c, work) + work.reload_seconds
+        else:
+            t = _work_compute(c, work) + work.reload_seconds
+        for _, nbytes in _external_inputs(c, work, splits):
+            t += comm_latency(nbytes, c.comm)
+        c.stage[key] = t
     return t
 
 
-def _effective_stage(graph, work, state, device, comm) -> float:
-    return _work_stage(graph, work, state, device, comm) / work.replicas
+def _effective_stage(c: _Costs, work: _Work, splits: tuple[ModelSplitInfo, ...]) -> float:
+    return _work_stage(c, work, splits) / work.replicas
 
 
-def _bottleneck(graph, state, device, comm) -> float:
-    return max(_effective_stage(graph, w, state, device, comm) for w in state)
+def _bottleneck(c: _Costs, state: tuple[_Work, ...]) -> float:
+    splits = _splits(state)
+    return max(_effective_stage(c, w, splits) for w in state)
 
 
-def _predict(graph: ir.ModelGraph, state: list[_Work], device: DeviceProfile,
-             comm: CommModel) -> tuple[float, float]:
+def _predict(c: _Costs, state: tuple[_Work, ...]) -> tuple[float, float]:
     """(ips, t_forward): pipeline bound and critical-path latency."""
-    ips = 1.0 / _bottleneck(graph, state, device, comm)
+    hit = c.predict.get(state)
+    if hit is not None:
+        return hit
+    splits = _splits(state)
+    ips = 1.0 / _bottleneck(c, state)
     produced = {}
     for i, w in enumerate(state):
         for n in w.layers:
@@ -398,14 +472,15 @@ def _predict(graph: ir.ModelGraph, state: list[_Work], device: DeviceProfile,
             produced[w.split.terminal] = i
     longest: dict[int, float] = {}
     for i, w in enumerate(state):  # state holds topological stage order
-        stage = _work_stage(graph, w, state, device, comm)
+        stage = _work_stage(c, w, splits)
         best_in = 0.0
-        for name, _ in _external_inputs(graph, w, state):
+        for name, _ in _external_inputs(c, w, splits):
             j = produced.get(name)
             if j is not None and j != i and j in longest:
                 best_in = max(best_in, longest[j])
         longest[i] = best_in + stage
-    return ips, max(longest.values())
+    hit = c.predict[state] = (ips, max(longest.values()))
+    return hit
 
 
 # -- stage 3: fewer devices than tasks ------------------------------------
@@ -417,45 +492,41 @@ def _compositions(n_items: int, n_buckets: int):
         yield [(bounds[i], bounds[i + 1]) for i in range(n_buckets)]
 
 
-def _bucketize(graph, tasks, span, mem_bytes, overhead_factor, device):
-    """Build one bucket work item from tasks[span[0]:span[1]]."""
-    members = tasks[span[0]:span[1]]
-    layers = [n for t in members for n in t]
-    mem = costs.estimate_memory(graph, layers, overhead_factor)
-    work = _Work(layers=layers, order=span[0])
-    if mem <= mem_bytes:
-        work.resident_groups = [layers]
+def _bucketize(c: _Costs, span: tuple[int, int]) -> _Work:
+    """Build one bucket work item from c.tasks[span[0]:span[1]]."""
+    work = c.bucket.get(span)
+    if work is not None:
         return work
-    # Reloading bucket: pack member tasks into consecutive resident
-    # subsets, each fitting memory; every inference pays each subset's
-    # load time.
-    subsets: list[list[str]] = []
-    cur: list[str] = []
-    for t in members:
-        if cur and costs.estimate_memory(graph, cur + t, overhead_factor) > mem_bytes:
+    graph = c.graph
+    members = c.tasks[span[0]:span[1]]
+    layers = tuple(n for t in members for n in t)
+    mem = costs.estimate_memory(graph, layers, c.overhead_factor)
+    if mem <= c.mem_bytes:
+        work = _Work(layers=layers, order=span[0], resident_groups=(layers,))
+    else:
+        # Reloading bucket: pack member tasks into consecutive resident
+        # subsets, each fitting memory; every inference pays each
+        # subset's load time.
+        subsets: list[tuple[str, ...]] = []
+        cur: tuple[str, ...] = ()
+        for t in members:
+            if cur and costs.estimate_memory(graph, cur + t, c.overhead_factor) > c.mem_bytes:
+                subsets.append(cur)
+                cur = t
+            else:
+                cur += t
+        if cur:
             subsets.append(cur)
-            cur = list(t)
-        else:
-            cur.extend(t)
-    if cur:
-        subsets.append(cur)
-    work.resident_groups = subsets
-    work.reload_seconds = sum(costs.estimate_load_time(graph, s, device) for s in subsets)
+        work = _Work(layers=layers, order=span[0], resident_groups=tuple(subsets),
+                     reload_seconds=sum(costs.estimate_load_time(graph, s, c.device)
+                                        for s in subsets))
+    c.bucket[span] = work
     return work
-
-
-def _reload_compute(graph, work, device) -> float:
-    """Compute seconds for a reloading bucket: per-subset swap checks."""
-    total = 0.0
-    for subset in work.resident_groups:
-        sub = _Work(layers=list(subset), order=work.order)
-        total += _work_compute(graph, sub, device)
-    return total
 
 
 def minimize_load_time(graph: ir.ModelGraph, tasks: list[list[str]], mem_bytes: int,
                        n: int, device: DeviceProfile, comm: CommModel,
-                       overhead_factor: float = 2.0) -> list[_Work]:
+                       overhead_factor: float = 2.0) -> tuple[_Work, ...]:
     """Pack |tasks| > n stages into n contiguous buckets.
 
     Exhaustive over contiguous compositions up to MAX_EXHAUSTIVE_TASKS
@@ -463,36 +534,42 @@ def minimize_load_time(graph: ir.ModelGraph, tasks: list[list[str]], mem_bytes: 
     per-inference reload seconds, then the bottleneck stage, then
     critical-path latency.
     """
+    base = tuple(tuple(t) for t in tasks)
+    return _pack(_Costs(graph, device, comm, base, mem_bytes, overhead_factor), n)
+
+
+def _pack(c: _Costs, n: int) -> tuple[_Work, ...]:
+    """``minimize_load_time`` of c.tasks into n buckets."""
 
     def evaluate(spans):
-        works = [_bucketize(graph, tasks, s, mem_bytes, overhead_factor, device) for s in spans]
+        works = tuple(_bucketize(c, s) for s in spans)
         reload_total = sum(w.reload_seconds for w in works)
         stages = []
         for w in works:
             if len(w.resident_groups) > 1:
-                t = _reload_compute(graph, w, device) + w.reload_seconds
+                t = _reload_compute(c, w) + w.reload_seconds
             else:
-                t = _work_compute(graph, w, device)
-            for _, nbytes in _external_inputs(graph, w, works):
-                t += comm_latency(nbytes, comm)
+                t = _work_compute(c, w)
+            for _, nbytes in _external_inputs(c, w, ()):
+                t += comm_latency(nbytes, c.comm)
             stages.append(t)
         return (reload_total, max(stages), sum(stages)), works
 
     best = None
-    if len(tasks) <= MAX_EXHAUSTIVE_TASKS:
-        for spans in _compositions(len(tasks), n):
+    if len(c.tasks) <= MAX_EXHAUSTIVE_TASKS:
+        for spans in _compositions(len(c.tasks), n):
             key, works = evaluate(spans)
             if best is None or key < best[0]:
                 best = (key, works)
     else:
-        spans = [(i, i + 1) for i in range(len(tasks))]
+        spans = [(i, i + 1) for i in range(len(c.tasks))]
         while len(spans) > n:
             candidates = []
             for i in range(len(spans) - 1):
                 merged = spans[:i] + [(spans[i][0], spans[i + 1][1])] + spans[i + 2:]
                 key, works = evaluate(merged)
                 candidates.append((key, merged, works))
-            key, spans, works = min(candidates, key=lambda c: c[0])
+            key, spans, works = min(candidates, key=lambda m: m[0])
             best = (key, works)
         if best is None:
             _, works = evaluate(spans)
@@ -505,7 +582,7 @@ def minimize_load_time(graph: ir.ModelGraph, tasks: list[list[str]], mem_bytes: 
 
 @dataclass
 class Candidate:
-    kind: str                   # "data_replica" | "model_split" | "conv_split"
+    kind: str                   # "data_replica" | "model_split"
     target: int                 # index into state
     extra_devices: int
     gain: float                 # local stage-time ratio old/new
@@ -514,7 +591,6 @@ class Candidate:
     target_stage: float
     order: int
     fc_layer: Optional[str] = None
-    realizable: bool = True
 
 
 def split_fc_rows(out_size: int, k: int) -> list[tuple[int, int]]:
@@ -547,8 +623,14 @@ def _glue_chain(graph: ir.ModelGraph, owned: set[str], fc: str) -> list[str]:
     return chain
 
 
-def _apply_model_split(graph: ir.ModelGraph, state: list[_Work], idx: int, fc: str,
-                       k: int = 2) -> Optional[list[_Work]]:
+def _with_replica(state: tuple[_Work, ...], idx: int) -> tuple[_Work, ...]:
+    """The state with one more round-robin replica of state[idx]."""
+    work = replace(state[idx], replicas=state[idx].replicas + 1)
+    return state[:idx] + (work,) + state[idx + 1:]
+
+
+def _apply_model_split(graph: ir.ModelGraph, state: tuple[_Work, ...], idx: int, fc: str,
+                       k: int = 2) -> Optional[tuple[_Work, ...]]:
     """Shard ``fc`` of state[idx] k ways; returns the new state or None.
 
     The shard tasks own the fc plus its elementwise glue; upstream
@@ -559,7 +641,7 @@ def _apply_model_split(graph: ir.ModelGraph, state: list[_Work], idx: int, fc: s
     if work.split is not None or work.replicas > 1:
         return None
     owned = set(work.layers)
-    glue = _glue_chain(graph, owned, fc)
+    glue = tuple(_glue_chain(graph, owned, fc))
     terminal = glue[-1] if glue else fc
     part_set = {fc, *glue}
     ancestors = set()
@@ -569,8 +651,8 @@ def _apply_model_split(graph: ir.ModelGraph, state: list[_Work], idx: int, fc: s
         if a in owned and a not in ancestors:
             ancestors.add(a)
             frontier.extend(graph.layer(a).inputs)
-    suffix = [n for n in work.layers if n not in part_set and n not in ancestors]
-    prefix = [n for n in work.layers if n in ancestors]
+    suffix = tuple(n for n in work.layers if n not in part_set and n not in ancestors)
+    prefix = tuple(n for n in work.layers if n in ancestors)
     out_size = graph.shapes[fc].size
     if out_size < k:
         return None
@@ -582,33 +664,33 @@ def _apply_model_split(graph: ir.ModelGraph, state: list[_Work], idx: int, fc: s
         new_state.insert(insert_at, _Work(layers=prefix, order=work.order))
         insert_at += 1
     for p in range(k):
-        layers = [fc] + glue + (suffix if p == k - 1 else [])
+        layers = (fc, *glue, *(suffix if p == k - 1 else ()))
         info = ModelSplitInfo(origin=fc, terminal=terminal, index=p, count=k, rows=rows[p])
         new_state.insert(insert_at, _Work(layers=layers, order=work.order, split=info,
-                                          part_local=tuple(glue)))
+                                          part_local=glue))
         insert_at += 1
-    return new_state
+    return tuple(new_state)
 
 
-def model_vs_data(graph: ir.ModelGraph, state: list[_Work], idx: int,
-                  device: DeviceProfile, comm: CommModel, budget: int) -> list[Candidate]:
+def model_vs_data(c: _Costs, state: tuple[_Work, ...], idx: int) -> list[Candidate]:
     """Candidate parallelizations of one stage with their predicted merit."""
+    graph = c.graph
     work = state[idx]
-    old_bneck = _bottleneck(graph, state, device, comm)
-    old_eff = _effective_stage(graph, work, state, device, comm)
+    splits = _splits(state)
+    old_bneck = _bottleneck(c, state)
+    old_eff = _effective_stage(c, work, splits)
     out: list[Candidate] = []
 
     # Replication duplicates a whole task round-robin; shard tasks are
     # excluded (each shard must see every tag to recombine).
     if work.stateless(graph) and work.split is None:
-        k = work.replicas + 1
-        trial = [w if i != idx else _replicated(w, k) for i, w in enumerate(state)]
-        new_bneck = _bottleneck(graph, trial, device, comm)
+        trial = _with_replica(state, idx)
+        new_bneck = _bottleneck(c, trial)
         delta = (1.0 / new_bneck - 1.0 / old_bneck)
-        _, t_fwd = _predict(graph, trial, device, comm)
+        _, t_fwd = _predict(c, trial)
         out.append(Candidate(
             kind="data_replica", target=idx, extra_devices=1,
-            gain=old_eff / (_effective_stage(graph, trial[idx], trial, device, comm)),
+            gain=old_eff / (_effective_stage(c, trial[idx], splits)),
             delta_ips_per_device=delta, t_forward_new=t_fwd,
             target_stage=old_eff, order=work.order,
         ))
@@ -619,17 +701,16 @@ def model_vs_data(graph: ir.ModelGraph, state: list[_Work], idx: int,
             if trial is None:
                 continue
             extra = len(trial) - len(state)
-            if extra > budget:
-                continue
-            new_bneck = _bottleneck(graph, trial, device, comm)
+            new_bneck = _bottleneck(c, trial)
             rel = (old_bneck - new_bneck) / old_bneck
             if rel < MIN_SPLIT_GAIN:
                 continue
+            trial_splits = _splits(trial)
             shard_stage = max(
-                _effective_stage(graph, w, trial, device, comm)
+                _effective_stage(c, w, trial_splits)
                 for w in trial if w.split is not None and w.split.origin == fc
             )
-            _, t_fwd = _predict(graph, trial, device, comm)
+            _, t_fwd = _predict(c, trial)
             out.append(Candidate(
                 kind="model_split", target=idx, extra_devices=extra,
                 gain=old_eff / shard_stage,
@@ -637,28 +718,21 @@ def model_vs_data(graph: ir.ModelGraph, state: list[_Work], idx: int,
                 t_forward_new=t_fwd, target_stage=old_eff, order=work.order,
                 fc_layer=fc,
             ))
-
-    # Filter-sharded convolution is evaluated for completeness but is
-    # dominated here: shards duplicate the full input transfer while a
-    # replica splits both compute and traffic.
-    conv_ops = [n for n in work.layers if graph.layer(n).kind == ir.CONV]
-    if conv_ops and work.split is None:
-        dup_comm = sum(comm_latency(b, comm) for _, b in _external_inputs(graph, work, state))
-        half = _work_compute(graph, work, device) / 2 + work.reload_seconds + dup_comm
-        out.append(Candidate(
-            kind="conv_split", target=idx, extra_devices=1,
-            gain=old_eff / max(half, 1e-12),
-            delta_ips_per_device=0.0, t_forward_new=float("inf"),
-            target_stage=old_eff, order=work.order,
-            realizable=False,
-        ))
     return out
 
 
-def _replicated(work: _Work, k: int) -> _Work:
-    return _Work(layers=list(work.layers), order=work.order, split=work.split,
-                 part_local=work.part_local, replicas=k,
-                 resident_groups=work.resident_groups, reload_seconds=work.reload_seconds)
+def _candidates(c: _Costs, state: tuple[_Work, ...]) -> list[Candidate]:
+    """Every stage's candidates, scored once per state.
+
+    No candidate depends on the device budget (``choose_best`` filters
+    on it), so the greedy for n + 1 devices reuses each state that the
+    greedy for n scored.
+    """
+    cands = c.candidates.get(state)
+    if cands is None:
+        cands = c.candidates[state] = [cand for i in range(len(state))
+                                       for cand in model_vs_data(c, state, i)]
+    return cands
 
 
 def choose_best(candidates: list[Candidate], budget: int) -> Optional[Candidate]:
@@ -671,7 +745,7 @@ def choose_best(candidates: list[Candidate], budget: int) -> Optional[Candidate]
     position.
     """
     feasible = [c for c in candidates
-                if c.realizable and c.extra_devices <= budget
+                if c.extra_devices <= budget
                 and (c.kind != "data_replica" or c.delta_ips_per_device >= 0)]
     if not feasible:
         return None
@@ -691,8 +765,9 @@ def _window_specs(graph: ir.ModelGraph, layers: Iterable[str]) -> tuple[tuple[st
     return tuple(specs)
 
 
-def _materialize(graph: ir.ModelGraph, state: list[_Work], n: int,
-                 device: DeviceProfile, comm: CommModel, notes: list[str]) -> Assignment:
+def _materialize(c: _Costs, state: tuple[_Work, ...], n: int, notes: list[str]) -> Assignment:
+    graph = c.graph
+    splits = _splits(state)
     tasks: dict[int, Task] = {}
     dev = 0
     work_devices: dict[int, list[int]] = {}
@@ -702,10 +777,9 @@ def _materialize(graph: ir.ModelGraph, state: list[_Work], n: int,
             split = w.split
             replica = DataReplicaInfo(group=f"g{i}", index=r, count=w.replicas) if w.replicas > 1 else None
             tid = f"t{i}" + (f".p{split.index}" if split else "") + (f".r{r}" if w.replicas > 1 else "")
-            resident = tuple(tuple(g) for g in (w.resident_groups or [list(w.layers)]))
             tasks[dev] = Task(
-                task_id=tid, device=dev, layers=tuple(w.layers), split=split,
-                replica=replica, resident_groups=resident,
+                task_id=tid, device=dev, layers=w.layers, split=split,
+                replica=replica, resident_groups=w.resident_groups or (w.layers,),
                 window_specs=_window_specs(graph, w.layers),
             )
             ids.append(dev)
@@ -722,22 +796,23 @@ def _materialize(graph: ir.ModelGraph, state: list[_Work], n: int,
     edges: list[Edge] = []
     seen = set()
     for i, w in enumerate(state):
-        for name, _ in _external_inputs(graph, w, state):
+        for name, _ in _external_inputs(c, w, splits):
             for src in sorted(set(produced_by.get(name, []))):
                 for dst in work_devices[i]:
                     if src != dst and (src, dst, name) not in seen:
                         seen.add((src, dst, name))
                         edges.append(Edge(src, dst, name))
 
-    ips, t_fwd = _predict(graph, state, device, comm)
+    ips, t_fwd = _predict(c, state)
     stage_map = {}
     load_map = {}
     for i, w in enumerate(state):
-        st = _work_stage(graph, w, state, device, comm)
+        st = _work_stage(c, w, splits)
+        load = sum(costs.estimate_load_time(graph, g, c.device)
+                   for g in w.resident_groups or (w.layers,))
         for d in work_devices[i]:
             stage_map[d] = st
-            groups = w.resident_groups or [list(w.layers)]
-            load_map[d] = sum(costs.estimate_load_time(graph, g, device) for g in groups)
+            load_map[d] = load
     reload_total = sum(w.reload_seconds for w in state)
     predicted = Predicted(ips=ips, t_forward_seconds=t_fwd, stage_seconds=stage_map,
                           load_seconds=load_map, reload_seconds_per_inference=reload_total)
@@ -749,47 +824,45 @@ def task_assign(graph: ir.ModelGraph, n_max: int,
                 comm: Optional[CommModel] = None,
                 device: Optional[DeviceProfile] = None,
                 overhead_factor: float = 2.0) -> AssignmentSet:
-    """Plan assignments for every device count 1..n_max."""
+    """Plan assignments for every device count 1..n_max.
+
+    Each pure cost is computed once per call and memoised in a
+    ``_Costs`` that the call drops on return.
+    """
     if n_max < 1:
         raise PlanError("n_max must be >= 1")
     comm = comm or CommModel()
     device = device or DeviceProfile()
     groups = model_to_layers(graph)
-    base = find_min_load_tasks(graph, groups, device.mem_bytes, overhead_factor)
+    base = tuple(tuple(t) for t in
+                 find_min_load_tasks(graph, groups, device.mem_bytes, overhead_factor))
+    c = _Costs(graph, device, comm, base, device.mem_bytes, overhead_factor)
+    whole = tuple(_Work(layers=t, order=i, resident_groups=(t,)) for i, t in enumerate(base))
 
     assignments = {}
     for n in range(1, n_max + 1):
         notes: list[str] = []
+        state = whole
         if len(base) > n:
-            state = minimize_load_time(graph, base, device.mem_bytes, n, device, comm,
-                                       overhead_factor)
+            state = _pack(c, n)
             if any(len(w.resident_groups) > 1 for w in state):
                 notes.append(
                     "reload cycling required at full accuracy; a reduced dense "
                     "variant (see build_model dense_scale) would avoid it"
                 )
-        elif len(base) == n:
-            state = [_Work(layers=list(t), order=i, resident_groups=[list(t)])
-                     for i, t in enumerate(base)]
-        else:
-            state = [_Work(layers=list(t), order=i, resident_groups=[list(t)])
-                     for i, t in enumerate(base)]
-            used = len(state)
-            while used < n:
-                budget = n - used
-                cands: list[Candidate] = []
-                for i in range(len(state)):
-                    cands.extend(model_vs_data(graph, state, i, device, comm, budget))
-                pick = choose_best(cands, budget)
-                if pick is None:
-                    notes.append(f"no beneficial split for {n - used} remaining device(s); left idle")
-                    break
-                if pick.kind == "data_replica":
-                    state[pick.target] = _replicated(state[pick.target], state[pick.target].replicas + 1)
-                elif pick.kind == "model_split":
-                    state = _apply_model_split(graph, state, pick.target, pick.fc_layer, k=2)
-                used = sum(w.devices() for w in state)
-        assignments[n] = _materialize(graph, state, n, device, comm, notes)
+        used = len(state)
+        while used < n:
+            budget = n - used
+            pick = choose_best(_candidates(c, state), budget)
+            if pick is None:
+                notes.append(f"no beneficial split for {n - used} remaining device(s); left idle")
+                break
+            if pick.kind == "data_replica":
+                state = _with_replica(state, pick.target)
+            else:
+                state = _apply_model_split(graph, state, pick.target, pick.fc_layer, k=2)
+            used = sum(w.replicas for w in state)
+        assignments[n] = _materialize(c, state, n, notes)
     return AssignmentSet(graph, device, comm, overhead_factor, assignments)
 
 

@@ -1,12 +1,16 @@
 """Task assignment: grouping, memory packing, and split selection."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from edgeflock import model_ir as ir
 from edgeflock import costs
 from edgeflock.costs import CommModel, DeviceProfile
+from edgeflock import planner
 from edgeflock.engine import LayerParams, forward_fc
+from edgeflock.harness import load_model, plan_for
 from edgeflock.model_ir import LayerSpec, ModelGraph, build_model, validate_graph
 from edgeflock.planner import (
     AssignmentSet,
@@ -257,3 +261,61 @@ class TestImageModels:
         assert len(shards) == 2
         tail = [t for t in a.tasks.values() if "fc_2" in t.layers]
         assert len(tail) == 1 and "fc_3" in tail[0].layers
+
+
+# sha256 of plan_for(load_model(model, scale, 0), 12, scale=scale).to_json(),
+# recorded before the planner memoised its costs; the plans must not move.
+GOLDEN_PLANS = {
+    ("two_stream", 1.0): "838d257e8ce8f6a36e0a95cd3c6bd8880d74419317b42fe1b18d5b6e03e8e8ab",
+    ("two_stream", 0.125): "ddb44e582019f534d1e1b9fc2f43855fac9af09c733ab1157ce09f97bb91c65e",
+    ("alexnet", 1.0): "deb64744152dd51aa2b8d653dcce89a7f69bd2c3813467af9b7092aa95402e84",
+    ("alexnet", 0.125): "ea252033b8c55c71f047aca04efc46ac5d152b8213517bf339961227fef56d05",
+    ("vgg16", 1.0): "2a73dac743b0899b095e21181899aa6ab4a67245a21f1b83c74f77ebc8bd55af",
+    ("vgg16", 0.125): "1f13036b27d6e7a93b2241663362415779f1ff036770213bc2e1a78584eee774",
+}
+
+
+def stock_plan(model, scale):
+    return plan_for(load_model(model, scale, 0), 12, scale=scale)
+
+
+class TestGoldenPlans:
+    @pytest.mark.parametrize("model,scale", sorted(GOLDEN_PLANS))
+    def test_plan_json_unchanged(self, model, scale):
+        text = stock_plan(model, scale).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_PLANS[(model, scale)]
+
+    def test_no_state_carries_between_calls(self):
+        first = stock_plan("two_stream", 0.125).to_json()
+        stock_plan("vgg16", 0.125)
+        assert stock_plan("two_stream", 0.125).to_json() == first
+
+    def test_planner_compute_matches_runtime(self):
+        """The planner's per-item compute equals the runtime's per-layer
+        charge summed over the task, for every task of the golden plans."""
+        from edgeflock.runtime import VirtualCluster, Worker, split_part_local
+        checked = 0
+        for model, scale in sorted(GOLDEN_PLANS):
+            aset = stock_plan(model, scale)
+            graph = aset.graph
+            memo = planner._Costs(graph, aset.device, aset.comm, (),
+                                  aset.device.mem_bytes, aset.overhead_factor)
+            for n, a in aset.assignments.items():
+                parts = VirtualCluster._index_parts(a)
+                for task in a.tasks.values():
+                    worker = Worker(task.device, task, graph, aset.device, aset.comm, parts)
+                    charged = sum(worker._layer_seconds(name) for name in task.layers)
+                    glue = ()
+                    if task.split is not None:
+                        local = split_part_local(graph, task) - {task.split.origin}
+                        glue = tuple(name for name in task.layers if name in local)
+                    work = planner._Work(layers=task.layers, order=0, split=task.split,
+                                         part_local=glue, resident_groups=task.resident_groups)
+                    if task.reloads:
+                        planned = planner._reload_compute(memo, work)
+                    else:
+                        planned = planner._work_compute(memo, work)
+                    assert planned == pytest.approx(charged, rel=1e-12, abs=0.0), \
+                        (model, scale, n, task.task_id)
+                    checked += 1
+        assert checked == 468

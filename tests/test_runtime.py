@@ -326,9 +326,20 @@ class TestLoopback:
             cluster.close()
         assert_exact(outs, ref)
 
-    def test_close_ends_every_thread(self):
+    @staticmethod
+    def threads_left(before):
+        """Threads started since ``before`` still alive after 10 s."""
         import threading
         import time
+        deadline = time.monotonic() + 10.0
+        while True:
+            left = [t for t in threading.enumerate() if t not in before and t.is_alive()]
+            if not left or time.monotonic() > deadline:
+                return left
+            time.sleep(0.05)
+
+    def test_close_ends_every_thread(self):
+        import threading
         from edgeflock.loopback import LoopbackCluster
         graph = build_model("alexnet", SCALE, seed=2)
         aset = task_assign(graph, 4, CommModel(), DeviceProfile().scaled_mem(SCALE))
@@ -341,10 +352,29 @@ class TestLoopback:
             cluster.close()
         ref = run_reference(graph, {graph.inputs[0]: frames})[graph.outputs[0]]
         assert_exact(outs, ref)
-        deadline = time.monotonic() + 10.0
-        while True:
-            left = [t for t in threading.enumerate() if t not in before and t.is_alive()]
-            if not left or time.monotonic() > deadline:
-                break
-            time.sleep(0.05)
-        assert left == []
+        assert self.threads_left(before) == []
+
+    def test_worker_exception_fails_feed_promptly(self):
+        import threading
+        import time
+        from edgeflock.loopback import LoopbackCluster
+        graph = build_model("alexnet", SCALE, seed=2)
+        aset = task_assign(graph, 4, CommModel(), DeviceProfile().scaled_mem(SCALE))
+        frames = make_clip(graph, 4, 2)
+
+        def broken(name, params):
+            if name == "fc_2":
+                raise ValueError("fc_2 weights unreadable")
+            return params
+
+        before = set(threading.enumerate())
+        cluster = LoopbackCluster(aset, 4, param_override=broken)
+        t0 = time.monotonic()
+        try:
+            with pytest.raises(RuntimeFault, match="fc_2 weights unreadable") as info:
+                cluster.feed(frames, expected_outputs=4, timeout=60.0)
+        finally:
+            cluster.close()
+        assert time.monotonic() - t0 < 10.0
+        assert isinstance(info.value.__cause__, ValueError)
+        assert self.threads_left(before) == []
