@@ -15,7 +15,7 @@ import click
 from edgeflock import harness
 from edgeflock.costs import CommModel, DeviceProfile, measure_host_profile, profiles_from_json, profiles_to_json
 from edgeflock.planner import AssignmentSet, PlanError, render_plan
-from edgeflock.runtime import RuntimeFault, run_stream, start_cluster
+from edgeflock.runtime import TRANSPORTS, RuntimeFault, run_stream, start_cluster
 
 EXIT_VERIFY_FAILED = 1
 EXIT_PLAN_INFEASIBLE = 2
@@ -82,7 +82,7 @@ def plan(model, n_max, mem, scale, seed, profile_file, out, table):
 @click.option("--scale", type=float, default=harness.DESK_SCALE, show_default=True)
 @click.option("--seed", "seeds", multiple=True, type=int, default=(1, 2, 3), show_default=True)
 @click.option("--frames", type=int, default=None, help="frames per run")
-@click.option("--transport", type=click.Choice(["in_process", "loopback_sockets"]),
+@click.option("--transport", type=click.Choice(TRANSPORTS),
               default="in_process", show_default=True)
 @click.option("--profile-file", type=click.Path(exists=True), default=None)
 def verify(model, devices, scale, seeds, frames, transport, profile_file):
@@ -106,7 +106,7 @@ def verify(model, devices, scale, seeds, frames, transport, profile_file):
 @main.command()
 @click.option("--plan", "plan_file", required=True, type=click.Path(exists=True))
 @click.option("--devices", type=int, required=True)
-@click.option("--transport", type=click.Choice(["in_process", "loopback", "loopback_sockets"]),
+@click.option("--transport", type=click.Choice(TRANSPORTS),
               default="in_process", show_default=True)
 @click.option("--fps", type=float, default=30.0, show_default=True)
 @click.option("--frames", type=int, default=60, show_default=True)
@@ -119,11 +119,10 @@ def run(plan_file, devices, transport, fps, frames, seed, simulate_latency):
         aset = AssignmentSet.from_json(Path(plan_file).read_text())
         graph = aset.graph
         clip = harness.make_clip(graph, max(frames, harness.frames_needed(graph, 4)), seed)
-        if transport in ("loopback", "loopback_sockets"):
-            from edgeflock.loopback import LoopbackCluster
+        if transport == "loopback_sockets":
             from edgeflock.engine import run_reference
             expected = len(run_reference(graph, {graph.inputs[0]: clip})[graph.outputs[0]])
-            cluster = LoopbackCluster(aset, devices)
+            cluster = start_cluster(aset, devices, transport)
             try:
                 outputs = cluster.feed(clip, expected_outputs=expected)
                 metrics = cluster.metrics()

@@ -149,8 +149,19 @@ def layer_ops(graph: ir.ModelGraph, name: str) -> float:
     return 0.0
 
 
+def _terms(graph: ir.ModelGraph, name: str) -> tuple[float, int, int, bool]:
+    """(ops, weight count, activation bytes, runs at the conv rate) of one
+    layer, computed once per graph."""
+    terms = graph.costs_cache.get(name)
+    if terms is None:
+        terms = graph.costs_cache[name] = (
+            layer_ops(graph, name), weight_count(graph, name),
+            activation_elements(graph, name) * BYTES_PER_VALUE, graph.layer(name).kind == ir.CONV)
+    return terms
+
+
 def weight_bytes(graph: ir.ModelGraph, names: Iterable[str]) -> int:
-    return BYTES_PER_VALUE * sum(weight_count(graph, n) for n in names)
+    return BYTES_PER_VALUE * sum(_terms(graph, n)[1] for n in names)
 
 
 def activation_elements(graph: ir.ModelGraph, name: str) -> int:
@@ -166,7 +177,7 @@ def activation_elements(graph: ir.ModelGraph, name: str) -> int:
 def peak_activation_bytes(graph: ir.ModelGraph, names: Iterable[str]) -> int:
     peak = 0
     for n in names:
-        peak = max(peak, activation_elements(graph, n) * BYTES_PER_VALUE)
+        peak = max(peak, _terms(graph, n)[2])
     return peak
 
 
@@ -181,32 +192,84 @@ def estimate_memory(graph: ir.ModelGraph, names: Iterable[str], overhead_factor:
     return int(weight_bytes(graph, names) * overhead_factor) + peak_activation_bytes(graph, names)
 
 
-def estimate_compute(graph: ir.ModelGraph, names: Iterable[str], device: DeviceProfile,
-                     fc_fraction: dict[str, float] | None = None) -> float:
-    """Per-item compute seconds for a task on one device.
+def row_local_layers(graph: ir.ModelGraph, owned: Iterable[str], origin: str) -> tuple[str, ...]:
+    """The layers a row shard of fc ``origin`` computes on its rows only.
 
-    Dense and convolution work run at their respective profiled rates;
-    the whole task slows by ``swap_penalty`` once its raw footprint
-    (overhead factor 1.0) crosses the swap threshold.  ``fc_fraction``
-    optionally scales named fc layers' work, for row shards.
+    That is ``origin`` and the elementwise glue (relu, norm) directly
+    downstream of it within ``owned``, up to the first layer with other
+    than one owned consumer.  The last of them is the value that the
+    shards' consumers assemble.
     """
-    names = list(names)
-    seconds = 0.0
-    for n in names:
-        spec = graph.layer(n)
-        ops = layer_ops(graph, n)
-        if fc_fraction and n in fc_fraction:
-            ops *= fc_fraction[n]
-        rate = device.conv_flops_per_sec if spec.kind == ir.CONV else device.flops_per_sec
-        seconds += ops / rate
-    if estimate_memory(graph, names, 1.0) > device.swap_threshold:
-        seconds *= device.swap_penalty
-    return seconds
+    owned = set(owned)
+    chain = [origin]
+    while True:
+        consumers = [c for c in graph.consumers(chain[-1]) if c in owned]
+        if len(consumers) != 1 or graph.layer(consumers[0]).kind not in (ir.RELU, ir.NORM):
+            return tuple(chain)
+        chain.append(consumers[0])
 
 
-def estimate_load_time(graph: ir.ModelGraph, names: Iterable[str], device: DeviceProfile) -> float:
-    """Seconds to bring a task's weights into memory from local storage."""
-    return weight_bytes(graph, names) / device.load_bandwidth + device.load_setup_seconds
+@dataclass(frozen=True)
+class TaskPrice:
+    """What one task costs on one device, resident group by resident group.
+
+    ``layer_seconds`` holds each layer's per-item seconds before any swap
+    slowdown: its ops, times the shard's row fraction on row-local
+    layers, over the rate of its kind.  Resident group g (the layers held
+    in memory at once) runs ``swap[g]`` times slower and takes
+    ``load_seconds[g]`` to bring into memory from local storage.
+    """
+
+    groups: tuple[tuple[str, ...], ...]
+    layer_seconds: dict[str, float]
+    swap: tuple[float, ...]
+    load_seconds: tuple[float, ...]
+
+    def compute_seconds(self) -> float:
+        """Per-item seconds of the whole task, summed group by group."""
+        total = 0.0
+        for group, mult in zip(self.groups, self.swap):
+            seconds = 0.0
+            for n in group:
+                seconds += self.layer_seconds[n]
+            total += seconds * mult
+        return total
+
+
+def price_task(graph: ir.ModelGraph, groups: Iterable[Iterable[str]], device: DeviceProfile,
+               part: Optional[tuple[str, int, int]] = None) -> TaskPrice:
+    """Price a task held as ``groups`` of resident layers on one device.
+
+    ``part`` = (fc layer, first row, end row) makes the task a row shard
+    of that layer: its row-local layers do that fraction of the work and
+    hold that fraction of the weights.  A group runs at ``swap_penalty``
+    once its raw footprint (weights at overhead factor 1.0 plus peak
+    activations) crosses the swap threshold.
+    """
+    groups = tuple(tuple(g) for g in groups)
+    local: tuple[str, ...] = ()
+    frac = 1.0
+    if part is not None:
+        origin, lo, hi = part
+        local = row_local_layers(graph, (n for g in groups for n in g), origin)
+        frac = (hi - lo) / graph.shapes[origin].size
+    layer_seconds: dict[str, float] = {}
+    swap = []
+    load = []
+    for group in groups:
+        raw = 0
+        for n in group:
+            ops, weights, _act, conv = _terms(graph, n)
+            if n in local:
+                ops *= frac
+                weights = int(weights * frac)
+            layer_seconds[n] = ops / (device.conv_flops_per_sec if conv else device.flops_per_sec)
+            raw += weights
+        raw_bytes = raw * BYTES_PER_VALUE
+        over = raw_bytes + peak_activation_bytes(graph, group) > device.swap_threshold
+        swap.append(device.swap_penalty if over else 1.0)
+        load.append(raw_bytes / device.load_bandwidth + device.load_setup_seconds)
+    return TaskPrice(groups, layer_seconds, tuple(swap), tuple(load))
 
 
 def energy(wall_seconds: float, busy_seconds: dict[int, float],

@@ -111,15 +111,13 @@ def verify(model: str, n_list: Iterable[int], scale: float = DESK_SCALE,
         frames = make_clip(graph, n_frames or frames_needed(graph, 4), seed)
         ref = run_reference(graph, {graph.inputs[0]: frames})[graph.outputs[0]]
         for n in n_list:
+            cluster = start_cluster(aset, n, transport, param_override=param_override)
             if transport == "loopback_sockets":
-                from edgeflock.loopback import LoopbackCluster
-                cluster = LoopbackCluster(aset, n, param_override=param_override)
                 try:
                     outs = cluster.feed(frames, expected_outputs=len(ref))
                 finally:
                     cluster.close()
             else:
-                cluster = start_cluster(aset, n, param_override=param_override)
                 outs, _ = run_stream(cluster, frames)
             exact = set(outs) == set(ref)
             max_diff = 0.0

@@ -1,11 +1,14 @@
-"""Loopback-socket transport: the same workers over real TCP frames.
+"""Loopback-socket transport: the cluster core over real TCP frames.
 
-Each device runs as a thread pair (acceptor + processor) listening on
-an ephemeral 127.0.0.1 port; every message crosses a socket in the
-length-prefixed wire format.  Outputs funnel to a collector socket
-owned by the harness.  Wall-clock timing replaces the virtual clock, so
-this transport is for protocol/integration coverage; throughput and
-latency modeling live in the in-process transport.
+``runtime.ClusterCore`` decides what every message yields; this module
+only moves frames.  Each device listens on an ephemeral 127.0.0.1 port
+with an acceptor thread, a reader thread per inbound connection and one
+processor thread that hands each message to the core; every message
+crosses a socket in the length-prefixed wire format.  Senders keep one
+connection and one send lock per destination.  Outputs funnel to a
+collector socket owned by the harness.  Wall-clock timing replaces the
+virtual clock, so this transport is for protocol/integration coverage;
+throughput and latency modeling live in the in-process transport.
 """
 
 from __future__ import annotations
@@ -18,15 +21,14 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from edgeflock import model_ir as ir
 from edgeflock.costs import DeviceProfile, CommModel
 from edgeflock.planner import AssignmentSet
 from edgeflock.runtime import (
     DEFAULT_INBOX_CAPACITY,
+    ClusterCore,
     RunMetrics,
     RuntimeFault,
     Worker,
-    shard_wire_name,
 )
 from edgeflock.wire import Kind, Message, decode, encode
 
@@ -134,8 +136,14 @@ def _send_frame_to(addr, frame: bytes) -> None:
         _send_frame(s, frame)
 
 
-class LoopbackCluster:
-    """Workers on localhost sockets; one worker per device."""
+class LoopbackCluster(ClusterCore):
+    """Workers on localhost sockets; one worker per device.
+
+    The core in ``runtime`` decides what each message yields; this class
+    only moves frames.  Each destination has its own connection and send
+    lock, so a sender blocked on one full peer never keeps another
+    sender from reaching a different peer.
+    """
 
     def __init__(self, aset: AssignmentSet, n: int,
                  inbox_capacity: int = DEFAULT_INBOX_CAPACITY,
@@ -143,20 +151,9 @@ class LoopbackCluster:
                  param_override=None, flow_fn=None,
                  profile: Optional[DeviceProfile] = None,
                  comm: Optional[CommModel] = None):
-        self.aset = aset
-        self.assignment = aset.for_devices(n)
-        self.graph = aset.graph
-        self.profile = profile or aset.device
-        self.comm = comm or aset.comm
-        from edgeflock.runtime import VirtualCluster
-        self.part_specs = VirtualCluster._index_parts(self.assignment)
-        self.nodes: dict[int, _Node] = {}
-        for d, task in self.assignment.tasks.items():
-            w = Worker(d, task, self.graph, self.profile, self.comm, self.part_specs,
-                       inbox_capacity, param_override, flow_fn)
-            self.nodes[d] = _Node(self, w)
-        self._routes = self._build_routes()
-        self._conn_lock = threading.Lock()
+        super().__init__(aset, n, inbox_capacity, param_override, flow_fn, profile, comm)
+        self.nodes = {d: _Node(self, w) for d, w in self.workers.items()}
+        self._send_locks = {d: threading.Lock() for d in (*self.nodes, COLLECTOR_DEVICE)}
         self._conns: dict[int, socket.socket] = {}
         self.collector = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self.collector.bind(("127.0.0.1", 0))
@@ -169,14 +166,6 @@ class LoopbackCluster:
         threading.Thread(target=self._collect_loop, daemon=True).start()
         for node in self.nodes.values():
             node.start()
-
-    def _build_routes(self):
-        routes: dict[int, dict[str, list[tuple[int, int, int]]]] = {d: {} for d in self.nodes}
-        for e in self.assignment.edges:
-            rep = self.assignment.tasks[e.consumer_device].replica
-            entry = (e.consumer_device, rep.index if rep else 0, rep.count if rep else 1)
-            routes.setdefault(e.producer_device, {}).setdefault(e.layer, []).append(entry)
-        return routes
 
     def _collect_loop(self):
         conn, _ = self.collector.accept()
@@ -199,61 +188,33 @@ class LoopbackCluster:
                 self.fault = exc
         self._done.set()
 
-    def _connection(self, device: int) -> socket.socket:
-        with self._conn_lock:
-            sock = self._conns.get(device)
+    def send(self, msg: Message, dst: int) -> None:
+        """Frame ``msg`` onto the connection to ``dst``, opening it first if
+        needed; only senders to the same destination wait for each other."""
+        frame = encode(msg)
+        with self._send_locks[dst]:
+            sock = self._conns.get(dst)
             if sock is None:
-                if device == COLLECTOR_DEVICE:
+                if dst == COLLECTOR_DEVICE:
                     addr = self.collector.getsockname()
                 else:
-                    addr = ("127.0.0.1", self.nodes[device].port)
-                sock = socket.create_connection(addr, timeout=10.0)
-                self._conns[device] = sock
-            return sock
-
-    def send(self, msg: Message, dst: int) -> None:
-        frame = encode(msg)
-        sock = self._connection(dst)
-        with self._conn_lock:
+                    addr = ("127.0.0.1", self.nodes[dst].port)
+                sock = self._conns[dst] = socket.create_connection(addr, timeout=10.0)
             _send_frame(sock, frame)
 
-    # -- worker message handling (called on node processor threads) --------
+    def _send(self, src: int, msg: Message, dst: int, t: float) -> None:
+        self.send(msg, dst)
+
+    def _output(self, w: Worker, em, path: dict, t: float) -> None:
+        self.send(Message(kind=Kind.DATA, tag=em.tag, layer=em.layer, tensor=em.value),
+                  COLLECTOR_DEVICE)
 
     def handle(self, w: Worker, msg: Message) -> None:
+        """Handle one message on a node's processor thread."""
         if msg.kind == Kind.DATA:
-            emissions, notices, compute, reload = w.consume_data(msg)
-            w.busy_seconds += compute + reload
-            self._dispatch(w, emissions, notices)
+            self._on_data(w, msg)
         elif msg.kind == Kind.SKIP:
-            self._notices(w, w.consume_skip(msg))
-
-    def _dispatch(self, w: Worker, emissions, notices) -> None:
-        for em in emissions:
-            if em.layer in self.graph.outputs:
-                out = Message(kind=Kind.DATA, tag=em.tag, layer=em.layer, tensor=em.value)
-                self.send(out, COLLECTOR_DEVICE)
-                continue
-            is_shard = w.task.split is not None and em.layer == w.task.split.terminal
-            if is_shard and em.layer in self.part_specs and any(
-                    em.layer in self.graph.layer(n).inputs for n in w.task.layers):
-                local = Message(kind=Kind.DATA, tag=em.tag,
-                                layer=shard_wire_name(em.layer, w.task.split.index),
-                                tensor=em.value)
-                sub_em, sub_no, c2, r2 = w.consume_data(local)
-                w.busy_seconds += c2 + r2
-                self._dispatch(w, sub_em, sub_no)
-            name = shard_wire_name(em.layer, w.task.split.index) if is_shard else em.layer
-            for dst, rep_idx, rep_count in self._routes.get(w.device, {}).get(em.layer, []):
-                if rep_count > 1 and em.tag % rep_count != rep_idx:
-                    continue
-                self.send(Message(kind=Kind.DATA, tag=em.tag, layer=name, tensor=em.value), dst)
-        self._notices(w, notices)
-
-    def _notices(self, w: Worker, notices) -> None:
-        for no in notices:
-            for dst, _i, _c in self._routes.get(w.device, {}).get(no.layer, []):
-                self.send(Message(kind=Kind.SKIP, layer=no.layer,
-                                  body={"next_tag": no.next_tag}), dst)
+            self._on_skip(w, msg, w.free_at)
 
     # -- driving -------------------------------------------------------------
 
@@ -261,28 +222,24 @@ class LoopbackCluster:
              timeout: float = 60.0) -> dict[int, np.ndarray]:
         """Send frames to the source devices and wait for the outputs.
 
-        Raises ``RuntimeFault`` on timeout, or as soon as a node thread
-        has failed, chained from that thread's first exception.
+        Raises ``RuntimeFault`` on timeout, when a frame cannot be sent,
+        or as soon as a node thread has failed, chained from that
+        thread's first exception.
         """
         self.expected = expected_outputs
         self._done.clear()
-        sources = []
-        for d in sorted(self.assignment.tasks):
-            t = self.assignment.tasks[d]
-            if any(self.graph.layer(nm).kind == ir.SOURCE for nm in t.layers):
-                rep = t.replica
-                sources.append((d, rep.index if rep else 0, rep.count if rep else 1))
-        if not sources:
-            raise RuntimeFault("no source-owning device")
         for tag, frame in enumerate(frames):
             if self.fault is not None:
                 break
-            for d, idx, count in sources:
-                if count > 1 and tag % count != idx:
-                    continue
-                src_layer = self.nodes[d].worker.source_name()
-                self.send(Message(kind=Kind.DATA, tag=tag, layer=src_layer,
-                                  tensor=np.asarray(frame, np.float32)), d)
+            value = np.asarray(frame, np.float32)
+            for d in self._source_targets(tag):
+                msg = Message(kind=Kind.DATA, tag=tag, layer=self.workers[d].source_name(),
+                              tensor=value)
+                try:
+                    self.send(msg, d)
+                except OSError as exc:
+                    raise RuntimeFault(f"loopback feed of frame {tag} to device {d} "
+                                       f"failed: {exc!r}") from exc
         if self.fault is None and not self._done.wait(timeout):
             raise RuntimeFault(
                 f"loopback run timed out with {len(self.outputs)}/{expected_outputs} outputs")
@@ -293,18 +250,17 @@ class LoopbackCluster:
     def metrics(self) -> RunMetrics:
         m = RunMetrics()
         m.outputs = len(self.outputs)
-        m.per_device_busy_seconds = {d: n.worker.busy_seconds for d, n in self.nodes.items()}
+        m.per_device_busy_seconds = {d: w.busy_seconds for d, w in self.workers.items()}
         return m
 
     def close(self) -> None:
         for node in self.nodes.values():
             node.stop()
-        with self._conn_lock:
-            for sock in self._conns.values():
-                try:
-                    sock.close()
-                except OSError:
-                    pass
+        for sock in list(self._conns.values()):
+            try:
+                sock.close()
+            except OSError:
+                pass
         try:
             _send_frame_to(self.collector.getsockname(),
                            encode(Message(kind=Kind.HEARTBEAT, body={"bye": 1})))

@@ -120,6 +120,9 @@ class ModelGraph:
     # Generated layer parameters keyed by (seed, layer), filled lazily by
     # engine.shared_params and shared read-only by every executor.
     params_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # Each layer's cost terms (ops, weights, activation bytes) keyed by
+    # layer, filled lazily by costs and read by planner and workers alike.
+    costs_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def layer(self, name: str) -> LayerSpec:
         return self.layers[name]

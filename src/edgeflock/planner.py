@@ -298,7 +298,6 @@ class _Work:
     layers: tuple[str, ...]
     order: int
     split: Optional[ModelSplitInfo] = None
-    part_local: tuple[str, ...] = ()        # glue computed on shard rows
     replicas: int = 1
     resident_groups: tuple[tuple[str, ...], ...] = ()
     reload_seconds: float = 0.0
@@ -325,8 +324,7 @@ class _Costs:
         self.tasks = tasks                  # stage-2 tasks, which bucket spans index
         self.mem_bytes = mem_bytes
         self.overhead_factor = overhead_factor
-        self.layer: dict[str, tuple[float, float, int, int]] = {}
-        self.compute: dict[tuple, float] = {}
+        self.price: dict[tuple, costs.TaskPrice] = {}
         self.inbound: dict[tuple, tuple[tuple[str, int], ...]] = {}
         self.stage: dict[tuple, float] = {}
         self.bucket: dict[tuple[int, int], _Work] = {}
@@ -334,63 +332,19 @@ class _Costs:
         self.candidates: dict[tuple[_Work, ...], list[Candidate]] = {}
 
 
-def _split_fraction(graph: ir.ModelGraph, work: _Work) -> Optional[float]:
-    if work.split is None:
-        return None
-    out = graph.shapes[work.split.origin].size
-    lo, hi = work.split.rows
-    return (hi - lo) / out
-
-
 def _splits(state: tuple[_Work, ...]) -> tuple[ModelSplitInfo, ...]:
     return tuple(w.split for w in state if w.split is not None)
 
 
-def _layer_cost(c: _Costs, name: str) -> tuple[float, float, int, int]:
-    """(ops, rate, weight count, activation elements) of one layer."""
-    cost = c.layer.get(name)
-    if cost is None:
-        kind = c.graph.layer(name).kind
-        rate = c.device.conv_flops_per_sec if kind == ir.CONV else c.device.flops_per_sec
-        cost = c.layer[name] = (costs.layer_ops(c.graph, name), rate,
-                                costs.weight_count(c.graph, name),
-                                costs.activation_elements(c.graph, name))
-    return cost
-
-
-def _work_compute(c: _Costs, work: _Work) -> float:
-    """Per-item compute seconds, swap multiplier included."""
-    key = (work.layers, work.split, work.part_local)
-    seconds = c.compute.get(key)
-    if seconds is not None:
-        return seconds
-    frac = _split_fraction(c.graph, work)
-    scaled = {}
-    if frac is not None:
-        scaled[work.split.origin] = frac
-        for n in work.part_local:
-            scaled[n] = frac
-    seconds = 0.0
-    raw_weights = 0
-    peak = 0
-    for n in work.layers:
-        ops, rate, weights, elems = _layer_cost(c, n)
-        seconds += ops * scaled.get(n, 1.0) / rate
-        raw_weights += int(weights * scaled.get(n, 1.0))
-        peak = max(peak, elems * BYTES_PER_VALUE)
-    raw = raw_weights * BYTES_PER_VALUE + peak
-    if raw > c.device.swap_threshold:
-        seconds *= c.device.swap_penalty
-    c.compute[key] = seconds
-    return seconds
-
-
-def _reload_compute(c: _Costs, work: _Work) -> float:
-    """Compute seconds for a reloading bucket: per-subset swap checks."""
-    total = 0.0
-    for subset in work.resident_groups:
-        total += _work_compute(c, _Work(layers=subset, order=work.order))
-    return total
+def _price(c: _Costs, work: _Work) -> costs.TaskPrice:
+    """The work's ``costs.price_task``, as a worker running it prices it."""
+    groups = work.resident_groups or (work.layers,)
+    key = (groups, work.split)
+    price = c.price.get(key)
+    if price is None:
+        part = (work.split.origin, *work.split.rows) if work.split else None
+        price = c.price[key] = costs.price_task(c.graph, groups, c.device, part)
+    return price
 
 
 def _external_inputs(c: _Costs, work: _Work,
@@ -438,10 +392,7 @@ def _work_stage(c: _Costs, work: _Work, splits: tuple[ModelSplitInfo, ...]) -> f
     key = (work, splits)
     t = c.stage.get(key)
     if t is None:
-        if len(work.resident_groups) > 1:
-            t = _reload_compute(c, work) + work.reload_seconds
-        else:
-            t = _work_compute(c, work) + work.reload_seconds
+        t = _price(c, work).compute_seconds() + work.reload_seconds
         for _, nbytes in _external_inputs(c, work, splits):
             t += comm_latency(nbytes, c.comm)
         c.stage[key] = t
@@ -517,9 +468,8 @@ def _bucketize(c: _Costs, span: tuple[int, int]) -> _Work:
                 cur += t
         if cur:
             subsets.append(cur)
-        work = _Work(layers=layers, order=span[0], resident_groups=tuple(subsets),
-                     reload_seconds=sum(costs.estimate_load_time(graph, s, c.device)
-                                        for s in subsets))
+        work = _Work(layers=layers, order=span[0], resident_groups=tuple(subsets))
+        work = replace(work, reload_seconds=sum(_price(c, work).load_seconds))
     c.bucket[span] = work
     return work
 
@@ -544,15 +494,7 @@ def _pack(c: _Costs, n: int) -> tuple[_Work, ...]:
     def evaluate(spans):
         works = tuple(_bucketize(c, s) for s in spans)
         reload_total = sum(w.reload_seconds for w in works)
-        stages = []
-        for w in works:
-            if len(w.resident_groups) > 1:
-                t = _reload_compute(c, w) + w.reload_seconds
-            else:
-                t = _work_compute(c, w)
-            for _, nbytes in _external_inputs(c, w, ()):
-                t += comm_latency(nbytes, c.comm)
-            stages.append(t)
+        stages = [_work_stage(c, w, ()) for w in works]
         return (reload_total, max(stages), sum(stages)), works
 
     best = None
@@ -585,7 +527,6 @@ class Candidate:
     kind: str                   # "data_replica" | "model_split"
     target: int                 # index into state
     extra_devices: int
-    gain: float                 # local stage-time ratio old/new
     delta_ips_per_device: float
     t_forward_new: float
     target_stage: float
@@ -607,22 +548,6 @@ def split_fc_rows(out_size: int, k: int) -> list[tuple[int, int]]:
     return rows
 
 
-def _glue_chain(graph: ir.ModelGraph, owned: set[str], fc: str) -> list[str]:
-    """Elementwise glue directly downstream of fc, safe to keep on shards."""
-    chain = []
-    cur = fc
-    while True:
-        consumers = [c for c in graph.consumers(cur) if c in owned]
-        if len(consumers) != 1:
-            break
-        nxt = consumers[0]
-        if graph.layer(nxt).kind not in (ir.RELU, ir.NORM):
-            break
-        chain.append(nxt)
-        cur = nxt
-    return chain
-
-
 def _with_replica(state: tuple[_Work, ...], idx: int) -> tuple[_Work, ...]:
     """The state with one more round-robin replica of state[idx]."""
     work = replace(state[idx], replicas=state[idx].replicas + 1)
@@ -641,9 +566,9 @@ def _apply_model_split(graph: ir.ModelGraph, state: tuple[_Work, ...], idx: int,
     if work.split is not None or work.replicas > 1:
         return None
     owned = set(work.layers)
-    glue = tuple(_glue_chain(graph, owned, fc))
-    terminal = glue[-1] if glue else fc
-    part_set = {fc, *glue}
+    local = costs.row_local_layers(graph, owned, fc)
+    terminal = local[-1]
+    part_set = set(local)
     ancestors = set()
     frontier = [i for i in graph.layer(fc).inputs]
     while frontier:
@@ -664,10 +589,9 @@ def _apply_model_split(graph: ir.ModelGraph, state: tuple[_Work, ...], idx: int,
         new_state.insert(insert_at, _Work(layers=prefix, order=work.order))
         insert_at += 1
     for p in range(k):
-        layers = (fc, *glue, *(suffix if p == k - 1 else ()))
+        layers = (*local, *(suffix if p == k - 1 else ()))
         info = ModelSplitInfo(origin=fc, terminal=terminal, index=p, count=k, rows=rows[p])
-        new_state.insert(insert_at, _Work(layers=layers, order=work.order, split=info,
-                                          part_local=glue))
+        new_state.insert(insert_at, _Work(layers=layers, order=work.order, split=info))
         insert_at += 1
     return tuple(new_state)
 
@@ -690,7 +614,6 @@ def model_vs_data(c: _Costs, state: tuple[_Work, ...], idx: int) -> list[Candida
         _, t_fwd = _predict(c, trial)
         out.append(Candidate(
             kind="data_replica", target=idx, extra_devices=1,
-            gain=old_eff / (_effective_stage(c, trial[idx], splits)),
             delta_ips_per_device=delta, t_forward_new=t_fwd,
             target_stage=old_eff, order=work.order,
         ))
@@ -705,15 +628,9 @@ def model_vs_data(c: _Costs, state: tuple[_Work, ...], idx: int) -> list[Candida
             rel = (old_bneck - new_bneck) / old_bneck
             if rel < MIN_SPLIT_GAIN:
                 continue
-            trial_splits = _splits(trial)
-            shard_stage = max(
-                _effective_stage(c, w, trial_splits)
-                for w in trial if w.split is not None and w.split.origin == fc
-            )
             _, t_fwd = _predict(c, trial)
             out.append(Candidate(
                 kind="model_split", target=idx, extra_devices=extra,
-                gain=old_eff / shard_stage,
                 delta_ips_per_device=(1.0 / new_bneck - 1.0 / old_bneck) / extra,
                 t_forward_new=t_fwd, target_stage=old_eff, order=work.order,
                 fc_layer=fc,
@@ -808,8 +725,7 @@ def _materialize(c: _Costs, state: tuple[_Work, ...], n: int, notes: list[str]) 
     load_map = {}
     for i, w in enumerate(state):
         st = _work_stage(c, w, splits)
-        load = sum(costs.estimate_load_time(graph, g, c.device)
-                   for g in w.resident_groups or (w.layers,))
+        load = sum(_price(c, w).load_seconds)
         for d in work_devices[i]:
             stage_map[d] = st
             load_map[d] = load

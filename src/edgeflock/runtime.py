@@ -7,7 +7,12 @@ a deterministic discrete-event virtual clock: tensor math executes for
 real (so outputs are exact), while compute, reload and link times are
 modeled from the device/communication profiles and advance virtual
 time.  A loopback-socket transport (``edgeflock.loopback``) runs the
-same workers over real TCP frames.
+same workers over real TCP frames.  Both transports share
+``ClusterCore``: the plan index (shard parts, routes, predecessors,
+source devices) and the handling of data and skip frames (shard
+self-assembly, emission routing, skip notices); a transport only moves
+frames.  A worker prices its task with ``costs.price_task``, as the
+planner does.
 
 Dynamic behavior follows the planned assignment set: a master-versioned
 role table routes values; when the recording viewpoint moves, the
@@ -30,7 +35,7 @@ import numpy as np
 
 from edgeflock import model_ir as ir
 from edgeflock import costs
-from edgeflock.costs import DeviceProfile, CommModel, comm_latency, BYTES_PER_VALUE
+from edgeflock.costs import DeviceProfile, CommModel, comm_latency
 from edgeflock.engine import TaskExecutor
 from edgeflock.planner import Assignment, AssignmentSet, Edge, Task
 from edgeflock.windows import BoundedInbox
@@ -130,27 +135,11 @@ class Worker:
         )
         if handoff:
             self.executor.mark_handoff()
-        self._shard_scaled = split_part_local(self.graph, task) if split else set()
-        self._shard_frac = 1.0
-        if split:
-            lo, hi = split.rows
-            self._shard_frac = (hi - lo) / self.graph.shapes[split.origin].size
-        self.group_of: dict[str, int] = {}
-        self.group_load: list[float] = []
-        self.group_swap: list[float] = []
-        for gi, group in enumerate(task.resident_groups):
-            raw = 0
-            for n in group:
-                self.group_of[n] = gi
-                wc = costs.weight_count(self.graph, n)
-                if n in self._shard_scaled:
-                    wc = int(wc * self._shard_frac)
-                raw += wc
-            raw_bytes = raw * BYTES_PER_VALUE + costs.peak_activation_bytes(self.graph, group)
-            self.group_swap.append(
-                self.profile.swap_penalty if raw_bytes > self.profile.swap_threshold else 1.0)
-            self.group_load.append(raw * BYTES_PER_VALUE / self.profile.load_bandwidth
-                                   + self.profile.load_setup_seconds)
+        # A shard that owns a consumer of its own terminal assembles it too.
+        self.assembles_own_shard = bool(external)
+        self.price = costs.price_task(self.graph, task.resident_groups or (task.layers,),
+                                      self.profile, part)
+        self.group_of = {n: gi for gi, group in enumerate(self.price.groups) for n in group}
         self.resident_now = 0
         self._assembly.clear()
         self.path_state.clear()
@@ -166,19 +155,12 @@ class Worker:
         return None
 
     def setup_load_seconds(self) -> float:
-        return self.group_load[0] if self.group_load else 0.0
+        return self.price.load_seconds[0]
 
     # -- modeled costs ---------------------------------------------------
 
     def _layer_seconds(self, name: str) -> float:
-        spec = self.graph.layer(name)
-        ops = costs.layer_ops(self.graph, name)
-        if name in self._shard_scaled:
-            ops *= self._shard_frac
-        rate = self.profile.conv_flops_per_sec if spec.kind == ir.CONV else self.profile.flops_per_sec
-        gi = self.group_of.get(name, 0)
-        mult = self.group_swap[gi] if gi < len(self.group_swap) else 1.0
-        return ops / rate * mult
+        return self.price.layer_seconds[name] * self.price.swap[self.group_of[name]]
 
     def _charge(self, fired: list[str]) -> tuple[float, float]:
         """(compute_seconds, reload_seconds) for one processed item."""
@@ -187,9 +169,9 @@ class Worker:
         cycling = len(self.task.resident_groups) > 1
         for name in fired:
             compute += self._layer_seconds(name)
-            gi = self.group_of.get(name, 0)
+            gi = self.group_of[name]
             if cycling and gi != self.resident_now:
-                reload += self.group_load[gi]
+                reload += self.price.load_seconds[gi]
                 self.reload_count += 1
                 self.resident_now = gi
         return compute, reload
@@ -271,38 +253,35 @@ class Worker:
         self.sample_cooldown_until = now + SAMPLING_COOLDOWN_SECONDS
 
 
-def split_part_local(graph: ir.ModelGraph, task: Task) -> set[str]:
-    """Layers of a shard task operating on the shard's rows."""
-    if task.split is None:
-        return set()
-    names = {task.split.origin}
-    cur = task.split.origin
-    while cur != task.split.terminal:
-        nxt = [c for c in graph.consumers(cur) if c in task.layers]
-        if not nxt:
-            break
-        cur = nxt[0]
-        names.add(cur)
-    return names
+def _replica_slot(task: Task) -> tuple[int, int]:
+    """(replica index, replica count) of a task; (0, 1) when not replicated."""
+    rep = task.replica
+    return (rep.index, rep.count) if rep else (0, 1)
 
 
-@dataclass(order=True)
-class _Event:
-    time: float
-    seq: int
-    fn: Callable = field(compare=False)
-    args: tuple = field(compare=False)
+class ClusterCore:
+    """One worker per device of an assignment, and all that a transport
+    does with a message short of moving it.
 
+    The core indexes the assignment: the shard parts each terminal is
+    assembled from, every device's routes (value name -> consumers, with
+    their replica slots) and predecessors, and the devices that own a
+    source.  ``_on_data`` consumes one data frame on a worker and routes
+    what it yields: graph outputs to ``_output``; a shard's own terminal
+    back into the same worker when that worker also consumes it; every
+    other emission to each consumer whose replica slot takes the tag; and
+    skip notices to every consumer of the skipped value.  Each
+    consumption adds the modeled compute and reload seconds to the
+    worker's busy time, its clock ``free_at`` and the item's path.
 
-class VirtualCluster:
-    """Deterministic in-process cluster under a virtual clock."""
+    A transport subclass moves the messages: ``_send(src, msg, dst, t)``
+    and ``_output(worker, emission, path, t)``, where ``t`` is the
+    sender's clock.
+    """
 
-    def __init__(self, aset: AssignmentSet, n: int,
-                 inbox_capacity: int = DEFAULT_INBOX_CAPACITY,
-                 master_seed: Optional[int] = None,
-                 param_override=None, flow_fn=None,
-                 profile: Optional[DeviceProfile] = None,
-                 comm: Optional[CommModel] = None):
+    def __init__(self, aset: AssignmentSet, n: int, inbox_capacity: int,
+                 param_override, flow_fn, profile: Optional[DeviceProfile],
+                 comm: Optional[CommModel]):
         self.aset = aset
         self.assignment = aset.for_devices(n)
         self.graph = aset.graph
@@ -314,15 +293,128 @@ class VirtualCluster:
             raise RuntimeFault("duplicate task ids in assignment")
         if devices and devices[-1] >= n:
             raise RuntimeFault("assignment device ids must be < n")
-
-        self.part_specs = self._index_parts(self.assignment)
         self.workers: dict[int, Worker] = {
-            d: Worker(d, task, self.graph, self.profile, self.comm, self.part_specs,
+            d: Worker(d, task, self.graph, self.profile, self.comm, {},
                       inbox_capacity, param_override, flow_fn)
             for d, task in self.assignment.tasks.items()
         }
         if not self.workers:
             raise RuntimeFault("assignment has no tasks")
+        self._index()
+
+    def _index(self) -> None:
+        """Derive parts, routes, predecessors and sources from the assignment."""
+        a = self.assignment
+        parts: dict[str, list[tuple[int, tuple[int, int], int]]] = {}
+        for d, t in a.tasks.items():
+            if t.split is not None:
+                parts.setdefault(t.split.terminal, []).append((t.split.index, t.split.rows, d))
+        self.part_specs = {k: sorted(v) for k, v in parts.items()}
+        for w in self.workers.values():
+            w.part_specs = self.part_specs
+        # device -> value name -> [(dst_device, replica_index, replica_count)]
+        routes: dict[int, dict[str, list[tuple[int, int, int]]]] = {d: {} for d in self.workers}
+        preds: dict[int, set[int]] = {d: set() for d in self.workers}
+        for e in a.edges:
+            entry = (e.consumer_device, *_replica_slot(a.tasks[e.consumer_device]))
+            routes.setdefault(e.producer_device, {}).setdefault(e.layer, []).append(entry)
+            preds.setdefault(e.consumer_device, set()).add(e.producer_device)
+        self._routes = {d: {name: sorted(v) for name, v in by.items()} for d, by in routes.items()}
+        self._dests = {d: sorted({dst for v in by.values() for dst, _i, _c in v})
+                       for d, by in self._routes.items()}
+        self._preds = {d: sorted(p for p in ps if p in self.workers) for d, ps in preds.items()}
+        self.sources = [(d, *_replica_slot(a.tasks[d])) for d in sorted(a.tasks)
+                        if self.workers[d].owns_source]
+        if not self.sources:
+            raise RuntimeFault("no device owns a source layer")
+
+    def _source_targets(self, tag: int) -> list[int]:
+        """Source devices that take frame ``tag``: replicas in turn."""
+        return [d for d, idx, count in self.sources if count == 1 or tag % count == idx]
+
+    # -- message handling ------------------------------------------------------
+
+    def _send(self, src: int, msg: Message, dst: int, t: float) -> None:
+        raise NotImplementedError
+
+    def _output(self, w: Worker, em, path: dict, t: float) -> None:
+        raise NotImplementedError
+
+    @staticmethod
+    def _charge(w: Worker, path: dict, compute: float, reload: float) -> dict:
+        """Charge one consumption to the worker; returns the item's new path.
+
+        Paths are replaced, never changed in place, so that messages can
+        share them.
+        """
+        dur = compute + reload
+        w.free_at += dur
+        w.busy_seconds += dur
+        return {"compute": path["compute"] + compute, "comm": path["comm"],
+                "reload": path["reload"] + reload, "total": path["total"] + dur}
+
+    def _on_data(self, w: Worker, msg: Message) -> None:
+        """Consume one data frame on ``w`` and route all that it yields."""
+        emissions, notices, compute, reload = w.consume_data(msg)
+        path = self._charge(w, w.path_state.get(msg.tag, _zero_path()), compute, reload)
+        self._dispatch(w, emissions, notices, path)
+
+    def _dispatch(self, w: Worker, emissions, notices, path: dict) -> None:
+        split = w.task.split
+        routes = self._routes[w.device]
+        for em in emissions:
+            if em.layer in self.graph.outputs:
+                self._output(w, em, path, w.free_at)
+                continue
+            name = em.layer
+            if split is not None and em.layer == split.terminal:
+                name = shard_wire_name(em.layer, split.index)
+                if w.assembles_own_shard:
+                    local = Message(kind=Kind.DATA, tag=em.tag, layer=name,
+                                    tensor=em.value, meta={"path": path})
+                    sub_em, sub_no, compute, reload = w.consume_data(local)
+                    path = self._charge(w, path, compute, reload)
+                    self._dispatch(w, sub_em, sub_no, path)
+            for dst, idx, count in routes.get(em.layer, ()):
+                if count == 1 or em.tag % count == idx:
+                    msg = Message(kind=Kind.DATA, tag=em.tag, layer=name,
+                                  tensor=em.value, meta={"path": path})
+                    self._send(w.device, msg, dst, w.free_at)
+        self._notices(w, notices, w.free_at)
+
+    def _on_skip(self, w: Worker, msg: Message, t: float) -> None:
+        self._notices(w, w.consume_skip(msg), t)
+
+    def _notices(self, w: Worker, notices, t: float) -> None:
+        for no in notices:
+            for dst, _i, _c in self._routes[w.device].get(no.layer, ()):
+                msg = Message(kind=Kind.SKIP, layer=no.layer, body={"next_tag": no.next_tag})
+                self._send(w.device, msg, dst, t)
+
+
+@dataclass(order=True)
+class _Event:
+    time: float
+    seq: int
+    fn: Callable = field(compare=False)
+    args: tuple = field(compare=False)
+
+
+class VirtualCluster(ClusterCore):
+    """Deterministic in-process cluster under a virtual clock.
+
+    On top of the core it keeps the event heap, modeled link latency,
+    blocking sends into bounded inboxes with almost-full signals, and
+    master-driven role rotation.
+    """
+
+    def __init__(self, aset: AssignmentSet, n: int,
+                 inbox_capacity: int = DEFAULT_INBOX_CAPACITY,
+                 master_seed: Optional[int] = None,
+                 param_override=None, flow_fn=None,
+                 profile: Optional[DeviceProfile] = None,
+                 comm: Optional[CommModel] = None):
+        super().__init__(aset, n, inbox_capacity, param_override, flow_fn, profile, comm)
         if master_seed is None:
             master = min(self.workers)
         else:
@@ -353,55 +445,17 @@ class VirtualCluster:
         self.vnow = 0.0
         self.outputs: dict[str, dict[int, np.ndarray]] = {s: {} for s in self.graph.outputs}
         self.completions: list[tuple[float, int, dict]] = []
-        self.total_reload_seconds = 0.0
-        self.total_comm_seconds = 0.0
         # Blocking-send discipline: frames bound for a full inbox wait in
         # the sender's outbound queue; the sender stalls until the
         # destination drains.
         self._waiting: dict[int, list] = {d: [] for d in self.workers}
         self._stalled: dict[int, set[int]] = {}
-        self._routes = self._build_routes()
-
-    # -- static routing ------------------------------------------------------
-
-    @staticmethod
-    def _index_parts(assignment: Assignment) -> dict[str, list[tuple[int, tuple[int, int], int]]]:
-        specs: dict[str, list] = {}
-        for d, t in assignment.tasks.items():
-            if t.split is not None:
-                specs.setdefault(t.split.terminal, []).append((t.split.index, t.split.rows, d))
-        return {k: sorted(v) for k, v in specs.items()}
-
-    def _build_routes(self) -> dict[int, dict[str, list[tuple[int, int, int]]]]:
-        """device -> value name -> [(dst_device, replica_index, replica_count)]"""
-        routes: dict[int, dict[str, list[tuple[int, int, int]]]] = {d: {} for d in self.workers}
-        for e in self.assignment.edges:
-            dst_task = self.assignment.tasks[e.consumer_device]
-            rep = dst_task.replica
-            entry = (e.consumer_device, rep.index if rep else 0, rep.count if rep else 1)
-            routes.setdefault(e.producer_device, {}).setdefault(e.layer, []).append(entry)
-        for d in routes:
-            for layer in routes[d]:
-                routes[d][layer].sort()
-        return routes
 
     def _task_by_id(self, task_id: str) -> Task:
         for t in self.assignment.tasks.values():
             if t.task_id == task_id:
                 return t
         raise RuntimeFault(f"unknown task id {task_id!r}")
-
-    def _source_devices(self) -> list[tuple[int, int, int]]:
-        """(device, replica_index, replica_count) for source-owning tasks."""
-        out = []
-        for d in sorted(self.assignment.tasks):
-            t = self.assignment.tasks[d]
-            if any(self.graph.layer(n).kind == ir.SOURCE for n in t.layers):
-                rep = t.replica
-                out.append((d, rep.index if rep else 0, rep.count if rep else 1))
-        if not out:
-            raise RuntimeFault("no device owns a source layer")
-        return out
 
     # -- event loop --------------------------------------------------------------
 
@@ -443,8 +497,11 @@ class VirtualCluster:
         path["comm"] += latency
         path["total"] += latency
         msg.meta["path"] = path
-        self.total_comm_seconds += latency
         self._schedule(t + latency, self._deliver, dst, msg)
+
+    def _output(self, w: Worker, em, path: dict, t: float) -> None:
+        self.outputs[em.layer][em.tag] = em.value
+        self.completions.append((t, em.tag, path))
 
     def _deliver(self, t: float, dst: int, msg: Message) -> None:
         w = self.workers.get(dst)
@@ -461,15 +518,14 @@ class VirtualCluster:
             return
         w.inbox.offer((msg, t))
         if w.inbox.should_signal():
-            for pred in self._predecessors(dst):
-                note = Message(kind=Kind.ALMOST_FULL, source=dst)
-                self._schedule(t + comm_latency(note.payload_bytes(), self.comm),
-                               self._control, pred, note)
+            self._signal_almost_full(t, dst)
         self._schedule(max(t, w.free_at), self._process, dst)
 
-    def _predecessors(self, device: int) -> list[int]:
-        preds = {e.producer_device for e in self.assignment.edges if e.consumer_device == device}
-        return sorted(p for p in preds if p in self.workers)
+    def _signal_almost_full(self, t: float, device: int) -> None:
+        for pred in self._preds[device]:
+            note = Message(kind=Kind.ALMOST_FULL, source=device)
+            self._schedule(t + comm_latency(note.payload_bytes(), self.comm),
+                           self._control, pred, note)
 
     def _control(self, t: float, dst: int, msg: Message) -> None:
         w = self.workers.get(dst)
@@ -481,15 +537,9 @@ class VirtualCluster:
             else:
                 w.throttled_until = max(w.throttled_until, t + THROTTLE_SECONDS)
         elif msg.kind == Kind.SKIP:
-            self._emit_notices(w, w.consume_skip(msg), t)
+            self._on_skip(w, msg, t)
         elif msg.kind == Kind.ROLE_UPDATE:
             self._apply_role_update(t, dst, msg)
-
-    def _route_dests(self, device: int) -> list[int]:
-        dests = set()
-        for entries in self._routes.get(device, {}).values():
-            dests.update(d for d, _i, _c in entries)
-        return sorted(dests)
 
     def _process(self, t: float, device: int) -> None:
         w = self.workers.get(device)
@@ -503,27 +553,15 @@ class VirtualCluster:
             return
         # Blocking sends: stall while any downstream inbox is full, so
         # pressure cascades upstream instead of losing tagged data.
-        for dst in self._route_dests(device):
+        for dst in self._dests[device]:
             dw = self.workers.get(dst)
             if dw is not None and dw.inbox.full:
                 self._stalled.setdefault(dst, set()).add(device)
                 return
         msg, _arrival = w.inbox.take()
         self._after_take(t, device)
-        emissions, notices, compute, reload = w.consume_data(msg)
-        start = max(t, w.free_at)
-        dur = compute + reload
-        w.free_at = start + dur
-        w.busy_seconds += dur
-        self.total_reload_seconds += reload
-        base = w.path_state.get(msg.tag, _zero_path())
-        path = {
-            "compute": base["compute"] + compute,
-            "comm": base["comm"],
-            "reload": base["reload"] + reload,
-            "total": base["total"] + dur,
-        }
-        self._dispatch(w, emissions, notices, path, w.free_at)
+        w.free_at = max(t, w.free_at)
+        self._on_data(w, msg)
         if w.inbox.occupancy > 0:
             self._schedule(w.free_at, self._process, device)
 
@@ -534,53 +572,12 @@ class VirtualCluster:
             held = self._waiting[device].pop(0)
             w.inbox.offer((held, t))
             if w.inbox.should_signal():
-                for pred in self._predecessors(device):
-                    note = Message(kind=Kind.ALMOST_FULL, source=device)
-                    self._schedule(t + comm_latency(note.payload_bytes(), self.comm),
-                                   self._control, pred, note)
+                self._signal_almost_full(t, device)
         if not w.inbox.full:
             for src in sorted(self._stalled.pop(device, ())):
                 sw = self.workers.get(src)
                 if sw is not None and sw.inbox.occupancy > 0:
                     self._schedule(max(t, sw.free_at), self._process, src)
-
-    def _dispatch(self, w: Worker, emissions, notices, path: dict, t: float) -> None:
-        for em in emissions:
-            if em.layer in self.outputs:
-                self.outputs[em.layer][em.tag] = em.value
-                self.completions.append((t, em.tag, dict(path)))
-                continue
-            is_shard = w.task.split is not None and em.layer == w.task.split.terminal
-            # A shard that also owns downstream layers assembles itself.
-            if is_shard and em.layer in self.part_specs and any(
-                    em.layer in self.graph.layer(n).inputs for n in w.task.layers):
-                local = Message(kind=Kind.DATA, tag=em.tag,
-                                layer=shard_wire_name(em.layer, w.task.split.index),
-                                tensor=em.value, meta={"path": dict(path)})
-                sub_em, sub_no, comp2, rel2 = w.consume_data(local)
-                if comp2 or rel2:
-                    w.free_at += comp2 + rel2
-                    w.busy_seconds += comp2 + rel2
-                    path = dict(path)
-                    path["compute"] += comp2
-                    path["reload"] += rel2
-                    path["total"] += comp2 + rel2
-                    t = w.free_at
-                self._dispatch(w, sub_em, sub_no, path, t)
-            name = shard_wire_name(em.layer, w.task.split.index) if is_shard else em.layer
-            for dst, rep_idx, rep_count in self._routes.get(w.device, {}).get(em.layer, []):
-                if rep_count > 1 and em.tag % rep_count != rep_idx:
-                    continue
-                msg = Message(kind=Kind.DATA, tag=em.tag, layer=name,
-                              tensor=em.value, meta={"path": dict(path)})
-                self._send(w.device, msg, dst, t)
-        self._emit_notices(w, notices, t)
-
-    def _emit_notices(self, w: Worker, notices, t: float) -> None:
-        for no in notices:
-            for dst, _ri, _rc in self._routes.get(w.device, {}).get(no.layer, []):
-                msg = Message(kind=Kind.SKIP, layer=no.layer, body={"next_tag": no.next_tag})
-                self._send(w.device, msg, dst, t)
 
     # -- role rotation ---------------------------------------------------------------
 
@@ -669,7 +666,6 @@ class VirtualCluster:
             load = w.setup_load_seconds()
             w.free_at = max(w.free_at, t) + load
             w.busy_seconds += load
-            self.total_reload_seconds += load
             self.last_reassign_reloads += 1
         self._acks.add(device)
         if self._pending_table is not None and self._acks == set(self.workers):
@@ -688,7 +684,6 @@ class VirtualCluster:
                             resident_groups=src.resident_groups,
                             window_specs=src.window_specs)
         edges = []
-        old_dev_of = {t.task_id: d for d, t in old_tasks.items()}
         for e in self.assignment.edges:
             src_tid = old_tasks[e.producer_device].task_id
             dst_tid = old_tasks[e.consumer_device].task_id
@@ -698,10 +693,7 @@ class VirtualCluster:
             predicted=self.assignment.predicted, notes=self.assignment.notes,
         )
         self.iptable = table.validate()
-        self.part_specs = self._index_parts(self.assignment)
-        for ww in self.workers.values():
-            ww.part_specs = self.part_specs
-        self._routes = self._build_routes()
+        self._index()
 
     # -- driving ---------------------------------------------------------------------
 
@@ -711,11 +703,10 @@ class VirtualCluster:
         self._schedule(t, self._camera_arrival, np.asarray(value, dtype=np.float32))
 
     def _camera_arrival(self, t: float, value: np.ndarray) -> None:
-        sources = self._source_devices()
-        if len(sources) == 1 and sources[0][2] == 1:
+        if len(self.sources) == 1 and self.sources[0][2] == 1:
             # Single recorder: sampling decides at capture time whether
             # the frame is tagged at all.
-            d = sources[0][0]
+            d = self.sources[0][0]
             w = self.workers[d]
             tag = w.admit_raw(t)
             if tag is None:
@@ -728,16 +719,17 @@ class VirtualCluster:
         # tags and round-robins frames; sampling does not apply.
         tag = self.raw_cursor
         self.raw_cursor += 1
-        for d, rep_idx, rep_count in sources:
-            if rep_count > 1 and tag % rep_count != rep_idx:
-                continue
+        for d in self._source_targets(tag):
             w = self.workers[d]
             msg = Message(kind=Kind.DATA, tag=tag, layer=w.source_name(),
                           tensor=value, meta={"path": _zero_path()})
             self._deliver(t, d, msg)
 
     def source_free_at(self) -> float:
-        return max(self.workers[d].free_at for d, _i, _c in self._source_devices())
+        return max(self.workers[d].free_at for d, _i, _c in self.sources)
+
+
+TRANSPORTS = ("in_process", "loopback_sockets")
 
 
 def start_cluster(aset: AssignmentSet, n: int, transport: str = "in_process", **kw):

@@ -34,7 +34,6 @@ class Kind(IntEnum):
     ROLE_UPDATE = 2
     HEARTBEAT = 3
     SKIP = 4
-    ACK = 5
 
 
 @dataclass

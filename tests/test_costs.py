@@ -9,10 +9,9 @@ from edgeflock.costs import (
     PowerProfile,
     comm_latency,
     energy,
-    estimate_compute,
-    estimate_load_time,
     estimate_memory,
     measure_host_profile,
+    price_task,
     profiles_from_json,
     profiles_to_json,
 )
@@ -72,22 +71,31 @@ class TestMemory:
                     >= estimate_memory(two_stream, DENSE[:i], 2.0))
 
 
+def compute(graph, names, dev):
+    return price_task(graph, [names], dev).compute_seconds()
+
+
+def load_time(graph, names, dev):
+    return price_task(graph, [names], dev).load_seconds[0]
+
+
 class TestCompute:
     def test_fc_mac_count(self, two_stream):
         dev = DeviceProfile(swap_threshold=10**12)  # isolate the pure rate
-        got = estimate_compute(two_stream, ["fc_d1"], dev)
+        got = compute(two_stream, ["fc_d1"], dev)
         assert got == pytest.approx(2 * 62_914_560 / dev.flops_per_sec, rel=1e-12)
 
     def test_relu_element_count(self, two_stream):
         dev = DeviceProfile()
-        got = estimate_compute(two_stream, ["act_d1"], dev)
+        got = compute(two_stream, ["act_d1"], dev)
         assert got == pytest.approx(8192 / dev.flops_per_sec, rel=1e-12)
 
     def test_swap_multiplier_is_exact(self, two_stream):
         below = DeviceProfile(swap_threshold=10**12)
         above = DeviceProfile(swap_threshold=1)
-        base = estimate_compute(two_stream, ["fc_d1"], below)
-        assert estimate_compute(two_stream, ["fc_d1"], above) == pytest.approx(
+        base = compute(two_stream, ["fc_d1"], below)
+        assert price_task(two_stream, [["fc_d1"]], above).swap == (above.swap_penalty,)
+        assert compute(two_stream, ["fc_d1"], above) == pytest.approx(
             base * above.swap_penalty, rel=1e-12)
 
     def test_split_regime_speedup_exceeds_two(self):
@@ -104,38 +112,60 @@ class TestCompute:
         dev = DeviceProfile()
         assert costs.weight_bytes(g, ["big"]) > dev.swap_threshold
         assert costs.weight_bytes(g, ["half"]) < dev.swap_threshold
-        assert (estimate_compute(g, ["big"], dev)
-                > 2 * estimate_compute(g, ["half"], dev))
+        assert (compute(g, ["big"], dev)
+                > 2 * compute(g, ["half"], dev))
 
     def test_monotone_under_layer_addition(self, two_stream):
         dev = DeviceProfile()
         for i in range(1, len(DENSE)):
-            assert (estimate_compute(two_stream, DENSE[: i + 1], dev)
-                    >= estimate_compute(two_stream, DENSE[:i], dev))
+            assert (compute(two_stream, DENSE[: i + 1], dev)
+                    >= compute(two_stream, DENSE[:i], dev))
+
+    def test_each_resident_group_swaps_on_its_own(self, two_stream):
+        dev = DeviceProfile()
+        price = price_task(two_stream, [["fc_d1", "act_d1"], ["fc_d2", "act_d2"]], dev)
+        assert price.swap == tuple(
+            price_task(two_stream, [g], dev).swap[0] for g in price.groups)
+        assert price.compute_seconds() == (compute(two_stream, ["fc_d1", "act_d1"], dev)
+                                           + compute(two_stream, ["fc_d2", "act_d2"], dev))
 
 
 class TestLoadTime:
     def test_empty_task_costs_setup_only(self, two_stream):
         dev = DeviceProfile()
-        assert estimate_load_time(two_stream, [], dev) == dev.load_setup_seconds
+        assert load_time(two_stream, [], dev) == dev.load_setup_seconds
 
     def test_dense_group_at_50_mbps(self, two_stream):
         dev = DeviceProfile(load_bandwidth=50e6)
-        got = estimate_load_time(two_stream, DENSE, dev)
+        got = load_time(two_stream, DENSE, dev)
         assert got == pytest.approx(11.44, abs=0.05)
 
     def test_doubling_bandwidth_halves_variable_term(self, two_stream):
         slow = DeviceProfile(load_bandwidth=50e6)
         fast = DeviceProfile(load_bandwidth=100e6)
-        tv = estimate_load_time(two_stream, DENSE, slow) - slow.load_setup_seconds
-        tf = estimate_load_time(two_stream, DENSE, fast) - fast.load_setup_seconds
+        tv = load_time(two_stream, DENSE, slow) - slow.load_setup_seconds
+        tf = load_time(two_stream, DENSE, fast) - fast.load_setup_seconds
         assert tv == pytest.approx(2 * tf, rel=1e-9)
 
     def test_monotone(self, two_stream):
         dev = DeviceProfile()
         for i in range(1, len(DENSE)):
-            assert (estimate_load_time(two_stream, DENSE[: i + 1], dev)
-                    >= estimate_load_time(two_stream, DENSE[:i], dev))
+            assert (load_time(two_stream, DENSE[: i + 1], dev)
+                    >= load_time(two_stream, DENSE[:i], dev))
+
+    def test_row_shard_loads_and_computes_its_rows(self, two_stream):
+        # rows [0, 4096) of fc_d1's 8192: half its weights and work; the
+        # relu after it runs on the shard's rows, fc_d2 on the whole value
+        dev = DeviceProfile()
+        layers = ["fc_d1", "act_d1", "fc_d2"]
+        assert costs.row_local_layers(two_stream, layers, "fc_d1") == ("fc_d1", "act_d1")
+        whole = price_task(two_stream, [layers], dev)
+        shard = price_task(two_stream, [layers], dev, part=("fc_d1", 0, 4096))
+        for name in ("fc_d1", "act_d1"):
+            assert shard.layer_seconds[name] == whole.layer_seconds[name] * 0.5
+        assert shard.layer_seconds["fc_d2"] == whole.layer_seconds["fc_d2"]
+        weights = (7680 * 8192 + 8192) // 2 + costs.weight_count(two_stream, "fc_d2")
+        assert shard.load_seconds == (weights * 4 / dev.load_bandwidth + dev.load_setup_seconds,)
 
 
 class TestEnergy:

@@ -110,6 +110,12 @@ class TestCli:
         assert result.exit_code == 0, result.output
         assert "tagged results" in result.output
 
+    def test_run_and_verify_take_the_same_transports(self):
+        from edgeflock.runtime import TRANSPORTS
+        for name in ("run", "verify"):
+            (opt,) = [p for p in main.commands[name].params if p.name == "transport"]
+            assert tuple(opt.type.choices) == TRANSPORTS == ("in_process", "loopback_sockets")
+
     def test_bench_writes_report(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         result = CliRunner().invoke(main, [

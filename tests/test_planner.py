@@ -163,8 +163,7 @@ def coverage(graph, assignment):
     for t in assignment.tasks.values():
         part_local = set()
         if t.split is not None:
-            from edgeflock.runtime import split_part_local
-            part_local = split_part_local(graph, t)
+            part_local = set(costs.row_local_layers(graph, t.layers, t.split.origin))
         rep_key = t.replica.group if t.replica else t.task_id
         for n in t.layers:
             key = (n, t.split.index if (t.split and n in part_local) else None)
@@ -263,14 +262,15 @@ class TestImageModels:
         assert len(tail) == 1 and "fc_3" in tail[0].layers
 
 
-# sha256 of plan_for(load_model(model, scale, 0), 12, scale=scale).to_json(),
-# recorded before the planner memoised its costs; the plans must not move.
+# sha256 of plan_for(load_model(model, scale, 0), 12, scale=scale).to_json().
+# Planning must not move them.  (Last re-recorded when a row shard's
+# predicted.load_seconds came to count only its rows' weights.)
 GOLDEN_PLANS = {
-    ("two_stream", 1.0): "838d257e8ce8f6a36e0a95cd3c6bd8880d74419317b42fe1b18d5b6e03e8e8ab",
-    ("two_stream", 0.125): "ddb44e582019f534d1e1b9fc2f43855fac9af09c733ab1157ce09f97bb91c65e",
-    ("alexnet", 1.0): "deb64744152dd51aa2b8d653dcce89a7f69bd2c3813467af9b7092aa95402e84",
-    ("alexnet", 0.125): "ea252033b8c55c71f047aca04efc46ac5d152b8213517bf339961227fef56d05",
-    ("vgg16", 1.0): "2a73dac743b0899b095e21181899aa6ab4a67245a21f1b83c74f77ebc8bd55af",
+    ("two_stream", 1.0): "473ab2abc040a2353258dec7f651f10b939c1a8181c92f95a075d2bc2c166e81",
+    ("two_stream", 0.125): "5a8faa47868c359e1d8672bfe230064adfd4286f7f4befcfcfa78840930fb793",
+    ("alexnet", 1.0): "8ac032ea6d053ea619403b2aedca78284e9f06c12106815c08f36b2df3a1e41b",
+    ("alexnet", 0.125): "c0211cdbfc3a491b6abb4b8d8879117595f5737c9ec7297ea34bbc5a41896156",
+    ("vgg16", 1.0): "e6c78bdb2a80558ac6b2994f4d1289cb5a03bd5b832d680ac801810bc00d3289",
     ("vgg16", 0.125): "1f13036b27d6e7a93b2241663362415779f1ff036770213bc2e1a78584eee774",
 }
 
@@ -291,31 +291,44 @@ class TestGoldenPlans:
         assert stock_plan("two_stream", 0.125).to_json() == first
 
     def test_planner_compute_matches_runtime(self):
-        """The planner's per-item compute equals the runtime's per-layer
-        charge summed over the task, for every task of the golden plans."""
-        from edgeflock.runtime import VirtualCluster, Worker, split_part_local
+        """Planner and worker price every task of the golden plans alike:
+        the planner's per-item compute equals the worker's per-layer
+        charges summed per resident group, and the planned load equals
+        what the worker loads."""
+        from edgeflock.runtime import Worker
         checked = 0
         for model, scale in sorted(GOLDEN_PLANS):
             aset = stock_plan(model, scale)
             graph = aset.graph
+            # A power of two: scaling each layer or a group's sum by it
+            # gives the same float.
+            assert aset.device.swap_penalty == 4.0
             memo = planner._Costs(graph, aset.device, aset.comm, (),
                                   aset.device.mem_bytes, aset.overhead_factor)
             for n, a in aset.assignments.items():
-                parts = VirtualCluster._index_parts(a)
                 for task in a.tasks.values():
-                    worker = Worker(task.device, task, graph, aset.device, aset.comm, parts)
-                    charged = sum(worker._layer_seconds(name) for name in task.layers)
-                    glue = ()
-                    if task.split is not None:
-                        local = split_part_local(graph, task) - {task.split.origin}
-                        glue = tuple(name for name in task.layers if name in local)
+                    worker = Worker(task.device, task, graph, aset.device, aset.comm, {})
+                    charged = 0.0
+                    for group in task.resident_groups:
+                        seconds = 0.0
+                        for name in group:
+                            seconds += worker._layer_seconds(name)
+                        charged += seconds
                     work = planner._Work(layers=task.layers, order=0, split=task.split,
-                                         part_local=glue, resident_groups=task.resident_groups)
-                    if task.reloads:
-                        planned = planner._reload_compute(memo, work)
-                    else:
-                        planned = planner._work_compute(memo, work)
-                    assert planned == pytest.approx(charged, rel=1e-12, abs=0.0), \
-                        (model, scale, n, task.task_id)
+                                         resident_groups=task.resident_groups)
+                    planned = planner._price(memo, work).compute_seconds()
+                    assert planned == charged, (model, scale, n, task.task_id)
+                    assert a.predicted.load_seconds[task.device] == sum(
+                        worker.price.load_seconds), (model, scale, n, task.task_id)
                     checked += 1
         assert checked == 468
+
+    def test_row_shard_load_counts_its_rows(self):
+        # t4.p0 holds rows [0, 4096) of fc_d2 (8192 -> 8192) and its relu:
+        # half the layer's 67.1M weights, 3.68 s where the whole layer
+        # would take 6.37 s
+        a = stock_plan("two_stream", 1.0).assignments[6]
+        (d, task), = [(d, t) for d, t in a.tasks.items() if t.task_id == "t4.p0"]
+        assert task.layers == ("fc_d2", "act_d2") and task.split.rows == (0, 4096)
+        weights = (8192 * 8192 + 8192) // 2
+        assert a.predicted.load_seconds[d] == weights * 4 / 50e6 + 1.0

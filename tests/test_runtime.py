@@ -326,6 +326,63 @@ class TestLoopback:
             cluster.close()
         assert_exact(outs, ref)
 
+    @pytest.mark.parametrize("model,n", [("two_stream", 1), ("two_stream", 8),
+                                         ("two_stream", 12), ("alexnet", 5)])
+    def test_both_transports_agree(self, ts, model, n):
+        """One plan and one clip on both clusters: oracle-equal outputs and
+        the same modeled busy seconds per device, up to summation order."""
+        from edgeflock.loopback import LoopbackCluster
+        if model == "two_stream":
+            graph, aset, frames, ref = ts
+        else:
+            graph = build_model(model, SCALE, seed=3)
+            aset = task_assign(graph, n, CommModel(), DeviceProfile().scaled_mem(SCALE))
+            frames = make_clip(graph, 6, 3)
+            ref = run_reference(graph, {graph.inputs[0]: frames})[graph.outputs[0]]
+        outs, metrics = run_stream(start_cluster(aset, n), frames)
+        assert_exact(outs, ref)
+        cluster = LoopbackCluster(aset, n)
+        try:
+            assert_exact(cluster.feed(frames, expected_outputs=len(ref), timeout=90.0), ref)
+        finally:
+            cluster.close()
+        virtual = metrics.per_device_busy_seconds
+        sockets = cluster.metrics().per_device_busy_seconds
+        assert set(sockets) == set(virtual) == set(aset.assignments[n].tasks)
+        for d, busy in virtual.items():
+            assert busy > 0
+            assert sockets[d] == pytest.approx(busy, rel=1e-12, abs=0.0), d
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_full_inboxes_do_not_deadlock(self, n):
+        """Inboxes of one: the feeder blocks on a full node while that
+        node's processor sends to the collector; neither waits for the
+        other's connection."""
+        from edgeflock.loopback import LoopbackCluster
+        graph = build_model("alexnet", SCALE, seed=2)
+        aset = task_assign(graph, 4, CommModel(), DeviceProfile().scaled_mem(SCALE))
+        frames = make_clip(graph, 40, 2)
+        ref = run_reference(graph, {graph.inputs[0]: frames})[graph.outputs[0]]
+        cluster = LoopbackCluster(aset, n, inbox_capacity=1)
+        try:
+            outs = cluster.feed(frames, expected_outputs=len(ref), timeout=60.0)
+        finally:
+            cluster.close()
+        assert_exact(outs, ref)
+
+    def test_failed_feed_send_is_a_runtime_fault(self):
+        from edgeflock.loopback import LoopbackCluster
+        graph = build_model("alexnet", SCALE, seed=2)
+        aset = task_assign(graph, 4, CommModel(), DeviceProfile().scaled_mem(SCALE))
+        cluster = LoopbackCluster(aset, 4)
+        try:
+            cluster.nodes[0].stop()  # the source device no longer listens
+            with pytest.raises(RuntimeFault, match="feed of frame 0 to device 0") as info:
+                cluster.feed(make_clip(graph, 4, 2), expected_outputs=4, timeout=10.0)
+        finally:
+            cluster.close()
+        assert isinstance(info.value.__cause__, OSError)
+
     @staticmethod
     def threads_left(before):
         """Threads started since ``before`` still alive after 10 s."""

@@ -223,6 +223,7 @@ class TestWireDecodingIsTotal:
         (Kind.SKIP, b"{\"layer\": 7}"),             # layer that is not a string
         (Kind.HEARTBEAT, b"\xc3\x28"),             # not UTF-8
         (99, b""),                                  # unknown kind
+        (5, b""),                                   # kind 5, no longer defined
     ])
     def test_each_malformation_is_a_wire_error(self, kind, payload):
         from edgeflock.wire import _HEADER, WIRE_VERSION
