@@ -18,13 +18,18 @@ reduction as one running sum per output element, adding the tap rows
 in ascending order, as long as each row holds at least two elements.
 With a single output element (a one-row fc shard, one filter at one
 position) numpy instead sums the lone column pairwise, so that case
-takes an explicit running sum (``np.add.accumulate``).
+takes an explicit running sum (``np.add.accumulate``).  ``im2col``
+writes each conv input into a zero-filled buffer that holds its
+padding, so every padded tap is +0.0.
 
 The streaming ``TaskExecutor`` consumes tagged items and drives layers
 ordered by the graph topology; windowed layers (flow stacking, temporal
 pyramids) buffer items through ``SlidingWindow``.  The single-process
 reference oracle is just a ``TaskExecutor`` that owns the whole graph.
-Generated parameters are shared read-only by every executor of a graph
+An executor computes the flow field of each consecutive frame pair once
+and reuses it in every flow stack window holding that pair, so a
+``flow_fn`` must be a pure function of its two frames.  Generated
+parameters are shared read-only by every executor of a graph
 (``shared_params``).
 """
 
@@ -195,27 +200,29 @@ def _conv_rows(patches: np.ndarray, wt: np.ndarray, bias: np.ndarray) -> np.ndar
     tap_block = max(1, _BLOCK // (filters * width))
     buf = np.empty(min(tap_block, taps) * filters * width, dtype=np.float32)
     a, b = patches[:, None, :], wt[:, :, None]
-    for i in range(n_blocks):
-        m0, m1 = positions * i // n_blocks, positions * (i + 1) // n_blocks
-        # Contiguous blocks and sums: numpy would otherwise stage short
-        # rows of a strided operand through its buffer.
-        acc = np.empty((filters, m1 - m0), dtype=np.float32)
-        for t0 in range(0, taps, tap_block):
-            rows = min(tap_block, taps - t0)
-            block = buf[:rows * acc.size].reshape(rows, filters, m1 - m0)
-            prior = np.setbufsize(_CONV_BUFSIZE)
-            try:
+    # The buffer size decides only how numpy stages operands, never the
+    # order of a sum, so one setting serves the whole call.
+    prior = np.setbufsize(_CONV_BUFSIZE)
+    try:
+        for i in range(n_blocks):
+            m0, m1 = positions * i // n_blocks, positions * (i + 1) // n_blocks
+            # Contiguous blocks and sums: numpy would otherwise stage short
+            # rows of a strided operand through its buffer.
+            acc = np.empty((filters, m1 - m0), dtype=np.float32)
+            for t0 in range(0, taps, tap_block):
+                rows = min(tap_block, taps - t0)
+                block = buf[:rows * acc.size].reshape(rows, filters, m1 - m0)
                 np.multiply(a[t0:t0 + rows, :, m0:m1], b[t0:t0 + rows], out=block)
-            finally:
-                np.setbufsize(prior)
-            if t0:
-                np.add(block[0], acc, out=block[0])
-            # Each block's sums start from an explicit +0.0, not from
-            # numpy's choice of identity.  A later block restarts from the
-            # running sums plus its first products, which adding +0.0
-            # leaves unchanged: a sum started at +0.0 is never -0.0.
-            np.add.reduce(block, axis=0, out=acc, initial=_ZERO)
-        np.add(acc.T, bias, out=out[m0:m1])
+                if t0:
+                    np.add(block[0], acc, out=block[0])
+                # Each block's sums start from an explicit +0.0, not from
+                # numpy's choice of identity.  A later block restarts from
+                # the running sums plus its first products, which adding
+                # +0.0 leaves unchanged: a sum started at +0.0 is never -0.0.
+                np.add.reduce(block, axis=0, out=acc, initial=_ZERO)
+            np.add(acc.T, bias, out=out[m0:m1])
+    finally:
+        np.setbufsize(prior)
     return out
 
 
@@ -255,17 +262,25 @@ def _pad_same(h, w, kh, kw, stride):
 
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: str) -> tuple[np.ndarray, tuple[int, int]]:
     """Tap-major patch matrix of shape (kh*kw*c, out_h*out_w), tap order
-    (dy, dx, c), and the output extent (out_h, out_w)."""
+    (dy, dx, c), and the output extent (out_h, out_w).
+
+    The input is written once, channel-major, into a zero-filled plane
+    buffer that already holds the "same" padding, so padded taps read
+    +0.0 exactly as from ``np.pad``.
+    """
     h, w, c = x.shape
     if padding == "same":
         pt, pb, pl, pr = _pad_same(h, w, kh, kw, stride)
-        x = np.pad(x, ((pt, pb), (pl, pr), (0, 0)))
-    elif padding != "valid":
+    elif padding == "valid":
+        pt = pb = pl = pr = 0
+    else:
         raise EngineError(f"unknown padding {padding!r}")
-    if kh > x.shape[0] or kw > x.shape[1]:
-        raise EngineError(f"kernel {kh}x{kw} exceeds padded input {x.shape[:2]}")
-    oh, ow = (x.shape[0] - kh) // stride + 1, (x.shape[1] - kw) // stride + 1
-    planes = np.ascontiguousarray(x.transpose(2, 0, 1))
+    ph, pw = h + pt + pb, w + pl + pr
+    if kh > ph or kw > pw:
+        raise EngineError(f"kernel {kh}x{kw} exceeds padded input {(ph, pw)}")
+    oh, ow = (ph - kh) // stride + 1, (pw - kw) // stride + 1
+    planes = np.zeros((c, ph, pw), dtype=x.dtype)
+    planes[:, pt:pt + h, pl:pl + w] = x.transpose(2, 0, 1)
     sc, sy, sx = planes.strides
     view = np.lib.stride_tricks.as_strided(
         planes, (kh, kw, c, oh, ow), (sy, sx, sc, sy * stride, sx * stride), writeable=False)
@@ -372,18 +387,14 @@ def flow_stack(frames: list[np.ndarray], window_len: int, flow_fn: Optional[Flow
     """Stack per-pair flow fields of window_len consecutive frame pairs.
 
     Takes window_len + 1 frames and emits an (H, W, 2*window_len) tensor;
-    channels 2t and 2t+1 hold the (dx, dy) field of pair t.
+    channels 2t and 2t+1 hold the (dx, dy) field of pair t.  ``flow_fn``
+    is called once per pair, in ascending pair order.
     """
     if len(frames) != window_len + 1:
         raise EngineError(f"flow stack needs {window_len + 1} frames, got {len(frames)}")
     fn = flow_fn or flow_diff_stub
     fields = [fn(frames[t], frames[t + 1]) for t in range(window_len)]
-    h, w, _ = fields[0].shape
-    out = np.empty((h, w, 2 * window_len), dtype=np.float32)
-    for t, fld in enumerate(fields):
-        out[:, :, 2 * t] = fld[:, :, 0]
-        out[:, :, 2 * t + 1] = fld[:, :, 1]
-    return out
+    return np.concatenate(fields, axis=-1, dtype=np.float32)
 
 
 @dataclass
@@ -452,11 +463,15 @@ class TaskExecutor:
         self._windows: dict[str, SlidingWindow] = {}
         self._joins: dict[str, dict[int, dict[int, np.ndarray]]] = {}
         self._skip: dict[str, int] = {}
+        # flowstack layer -> {tag of a pair's later frame: that pair's field}
+        self._flows: dict[str, dict[int, np.ndarray]] = {}
         for n in self.owned:
             spec = graph.layer(n)
             if spec.kind in ir.WINDOWED_KINDS:
                 start = graph.first_valid[spec.inputs[0]]
                 self._windows[n] = SlidingWindow(length=spec.window, next_tag=start)
+            if spec.kind == ir.FLOWSTACK:
+                self._flows[n] = {}
             if len(spec.inputs) > 1:
                 self._joins[n] = {}
         self.fired_log: list[str] = []
@@ -508,8 +523,32 @@ class TaskExecutor:
         if spec.kind == ir.PYRAMID:
             return temporal_pyramid(items, int(spec.attrs["levels"]))
         if spec.kind == ir.FLOWSTACK:
-            return flow_stack(items, int(spec.attrs["window_len"]), self.flow_fn)
+            return self._flow_stack(name, end_tag, items, int(spec.attrs["window_len"]))
         raise EngineError(f"layer {name!r} is not windowed")
+
+    def _flow_stack(self, name: str, end_tag: int, items: list[np.ndarray], window_len: int) -> np.ndarray:
+        """``flow_stack`` over the window ending at ``end_tag``, computing
+        the field of each frame pair once.
+
+        Windows hold consecutive tags, and a tag's frame never changes
+        once it sits in a window, so a pair's field is keyed by its later
+        tag and reused by every overlapping window.  Fields of pairs that
+        left the window are dropped.
+        """
+        fields = self._flows[name]
+        first = end_tag - window_len
+        for t in [t for t in fields if t <= first]:
+            del fields[t]
+        later_tags = iter(range(first + 1, end_tag + 1))
+
+        def pair_field(prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
+            t = next(later_tags)
+            fld = fields.get(t)
+            if fld is None:
+                fld = fields[t] = self.flow_fn(prev, cur)
+            return fld
+
+        return flow_stack(items, window_len, pair_field)
 
     # -- streaming ------------------------------------------------------
 

@@ -86,14 +86,13 @@ class Worker:
     """One device: a streaming task executor plus assembly state."""
 
     def __init__(self, device: int, task: Task, graph: ir.ModelGraph,
-                 profile: DeviceProfile, comm: CommModel,
+                 profile: DeviceProfile,
                  part_specs: dict[str, list[tuple[int, tuple[int, int], int]]],
                  inbox_capacity: int = DEFAULT_INBOX_CAPACITY,
                  param_override=None, flow_fn=None):
         self.device = device
         self.graph = graph
         self.profile = profile
-        self.comm = comm
         self.inbox = BoundedInbox(capacity=inbox_capacity)
         self.param_override = param_override
         self.flow_fn = flow_fn
@@ -294,8 +293,8 @@ class ClusterCore:
         if devices and devices[-1] >= n:
             raise RuntimeFault("assignment device ids must be < n")
         self.workers: dict[int, Worker] = {
-            d: Worker(d, task, self.graph, self.profile, self.comm, {},
-                      inbox_capacity, param_override, flow_fn)
+            d: Worker(d, task, self.graph, self.profile, {}, inbox_capacity,
+                      param_override, flow_fn)
             for d, task in self.assignment.tasks.items()
         }
         if not self.workers:
@@ -392,14 +391,6 @@ class ClusterCore:
                 self._send(w.device, msg, dst, t)
 
 
-@dataclass(order=True)
-class _Event:
-    time: float
-    seq: int
-    fn: Callable = field(compare=False)
-    args: tuple = field(compare=False)
-
-
 class VirtualCluster(ClusterCore):
     """Deterministic in-process cluster under a virtual clock.
 
@@ -440,7 +431,9 @@ class VirtualCluster(ClusterCore):
         self._acks: set[int] = set()
         self._pending_table: Optional[IPTable] = None
 
-        self._heap: list[_Event] = []
+        # (time, seq, fn, args) events; seq is unique, so ties in time
+        # run in scheduling order and fn is never compared.
+        self._heap: list[tuple[float, int, Callable, tuple]] = []
         self._seq = 0
         self.vnow = 0.0
         self.outputs: dict[str, dict[int, np.ndarray]] = {s: {} for s in self.graph.outputs}
@@ -460,29 +453,29 @@ class VirtualCluster(ClusterCore):
     # -- event loop --------------------------------------------------------------
 
     def _schedule(self, t: float, fn: Callable, *args) -> None:
-        heapq.heappush(self._heap, _Event(t, self._seq, fn, args))
+        heapq.heappush(self._heap, (t, self._seq, fn, args))
         self._seq += 1
 
     def drain(self) -> None:
         while self._heap:
-            ev = heapq.heappop(self._heap)
-            self.vnow = max(self.vnow, ev.time)
-            ev.fn(ev.time, *ev.args)
+            t, _seq, fn, args = heapq.heappop(self._heap)
+            self.vnow = max(self.vnow, t)
+            fn(t, *args)
 
     def drain_until(self, t: float) -> None:
         """Run events scheduled at or before virtual time t."""
-        while self._heap and self._heap[0].time <= t:
-            ev = heapq.heappop(self._heap)
-            self.vnow = max(self.vnow, ev.time)
-            ev.fn(ev.time, *ev.args)
+        while self._heap and self._heap[0][0] <= t:
+            te, _seq, fn, args = heapq.heappop(self._heap)
+            self.vnow = max(self.vnow, te)
+            fn(te, *args)
 
     def step_event(self) -> bool:
         """Run the single earliest pending event; False when idle."""
         if not self._heap:
             return False
-        ev = heapq.heappop(self._heap)
-        self.vnow = max(self.vnow, ev.time)
-        ev.fn(ev.time, *ev.args)
+        t, _seq, fn, args = heapq.heappop(self._heap)
+        self.vnow = max(self.vnow, t)
+        fn(t, *args)
         return True
 
     # -- transport ----------------------------------------------------------------

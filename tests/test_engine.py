@@ -4,6 +4,7 @@ The dense/conv oracles below are scalar loops accumulating in float32
 in ascending index order; kernel outputs must match them bit for bit.
 """
 
+import hashlib
 from contextlib import contextmanager
 
 import numpy as np
@@ -23,10 +24,12 @@ from edgeflock.engine import (
     forward_relu,
     forward_softmax,
     freeze,
+    im2col,
     pyramid_ranges,
     run_reference,
     temporal_pyramid,
 )
+from edgeflock.harness import frames_needed, make_clip
 from edgeflock.model_ir import build_model
 
 rng = np.random.default_rng(20240811)
@@ -79,6 +82,18 @@ def with_zeros(r, values, share, neg):
     return out
 
 
+def zero_borders(x, borders):
+    """Set the outer rows and columns of an (h, w, c) input to signed
+    zeros: ``borders`` is ((top, bottom, left, right) counts, and a
+    negative flag per side), sides written in that order."""
+    counts, negative = borders
+    sides = (np.s_[:counts[0]], np.s_[x.shape[0] - counts[1]:],
+             np.s_[:, :counts[2]], np.s_[:, x.shape[1] - counts[3]:])
+    for count, neg, side in zip(counts, negative, sides):
+        if count:
+            x[side] = -0.0 if neg else 0.0
+
+
 @contextmanager
 def blocks(block, acc):
     """Run the kernels with product blocks of ``block`` elements and
@@ -100,6 +115,8 @@ ZERO_SHARES = st.sampled_from([0.0, 0.3, 1.0])
 # and 1.0 every product of two zeros is -0.0, and at 1.0 every zero bias
 # is too: a sum must still start at +0.0.
 NEG_ZEROS = st.sampled_from([0.0, 0.5, 1.0])
+# zero_borders argument that leaves the input as it is
+NO_BORDERS = ((0, 0, 0, 0), (False,) * 4)
 
 
 @st.composite
@@ -118,9 +135,11 @@ def conv_cases(draw):
     h, wd = draw(st.integers(1, 9)), draw(st.integers(1, 9))
     top = (h, wd) if padding == "valid" else (4, 4)
     kh, kw = draw(st.integers(1, min(4, top[0]))), draw(st.integers(1, min(4, top[1])))
+    borders = (tuple(draw(st.integers(0, n)) for n in (h, h, wd, wd)),
+               tuple(draw(st.booleans()) for _ in range(4)))
     return (h, wd, draw(st.integers(1, 3)), draw(st.integers(1, 4)), kh, kw,
             draw(st.integers(1, 3)), padding, draw(st.integers(0, 2**31 - 1)),
-            draw(ZERO_SHARES), draw(NEG_ZEROS), draw(st.integers(0, h)), draw(BLOCK_SIZES),
+            draw(ZERO_SHARES), draw(NEG_ZEROS), borders, draw(BLOCK_SIZES),
             draw(ACC_SIZES))
 
 
@@ -202,16 +221,25 @@ class TestConv:
         assert np.array_equal(got, conv_oracle(x, w, b, 2, "valid"))
 
     @given(conv_cases())
-    @example((4, 4, 3, 1, 4, 4, 1, "valid", 0, 0.0, 0.5, 0, engine._BLOCK, engine._ACC))
-    @example((1, 1, 2, 1, 3, 3, 2, "same", 1, 1.0, 1.0, 1, engine._BLOCK, engine._ACC))
-    @example((9, 7, 2, 3, 3, 3, 2, "valid", 2, 0.2, 0.5, 1, 5, 3))
-    @example((9, 7, 3, 1, 4, 4, 1, "same", 3, 0.0, 0.5, 0, 64, 1))
+    @example((4, 4, 3, 1, 4, 4, 1, "valid", 0, 0.0, 0.5, NO_BORDERS, engine._BLOCK, engine._ACC))
+    @example((1, 1, 2, 1, 3, 3, 2, "same", 1, 1.0, 1.0, ((1, 0, 0, 0), (True,) * 4),
+              engine._BLOCK, engine._ACC))
+    @example((9, 7, 2, 3, 3, 3, 2, "valid", 2, 0.2, 0.5, ((1, 0, 0, 0), (True,) * 4), 5, 3))
+    @example((9, 7, 3, 1, 4, 4, 1, "same", 3, 0.0, 0.5, NO_BORDERS, 64, 1))
+    # -0.0 on every border, +0.0 padding around it, and a mixed ring
+    @example((5, 6, 2, 2, 3, 3, 1, "same", 4, 0.0, 1.0, ((1, 1, 1, 1), (True,) * 4),
+              engine._BLOCK, engine._ACC))
+    @example((7, 5, 2, 2, 4, 3, 2, "same", 5, 0.3, 0.5, ((2, 1, 1, 2), (True, False, False, True)),
+              7, 5))
+    # stride-4 "valid" with an 11x11 kernel, the shape class of alexnet conv_1
+    @example((15, 19, 3, 2, 11, 11, 4, "valid", 6, 0.3, 0.5, ((1, 2, 2, 1), (True, True, False, True)),
+              engine._BLOCK, engine._ACC))
     @settings(max_examples=60, deadline=None)
     def test_matches_oracle_on_any_shape(self, case):
-        h, wd, c, f, kh, kw, stride, padding, seed, zeros, neg, zero_rows, block, acc = case
+        h, wd, c, f, kh, kw, stride, padding, seed, zeros, neg, borders, block, acc = case
         r = np.random.default_rng(seed)
         x = with_zeros(r, r.uniform(-1, 1, (h, wd, c)), zeros, neg)
-        x[:zero_rows] = -0.0 if neg else 0.0
+        zero_borders(x, borders)
         w = with_zeros(r, r.uniform(-0.05, 0.05, (f, kh, kw, c)), zeros, 1 - neg)
         b = with_zeros(r, r.uniform(-0.05, 0.05, f), zeros, neg)
         with blocks(block, acc):
@@ -222,6 +250,29 @@ class TestConv:
         p = LayerParams(w=np.zeros((1, 3, 3, 4), np.float32), b=np.zeros(1, np.float32))
         with pytest.raises(EngineError):
             forward_conv(np.zeros((8, 8, 3), np.float32), p)
+
+    @pytest.mark.parametrize("shape,k,stride,padding", [
+        ((23, 27, 3), 11, 4, "valid"),   # the shape class of alexnet conv_1
+        ((9, 8, 2), 5, 2, "same"),
+    ])
+    def test_im2col_matches_padded_patches(self, shape, k, stride, padding):
+        x = rng.uniform(-1, 1, shape).astype(np.float32)
+        zero_borders(x, ((1, 1, 1, 1), (True,) * 4))
+        patches, (oh, ow) = im2col(x, k, k, stride, padding)
+        if padding == "same":
+            ph = (-(-shape[0] // stride) - 1) * stride + k - shape[0]
+            pw = (-(-shape[1] // stride) - 1) * stride + k - shape[1]
+            xp = np.pad(x, ((ph // 2, ph - ph // 2), (pw // 2, pw - pw // 2), (0, 0)))
+        else:
+            xp = x
+        assert (oh, ow) == ((xp.shape[0] - k) // stride + 1, (xp.shape[1] - k) // stride + 1)
+        want = np.empty_like(patches)
+        for y in range(oh):
+            for xx in range(ow):
+                window = xp[y * stride:y * stride + k, xx * stride:xx * stride + k]
+                want[:, y * ow + xx] = window.reshape(-1)    # (dy, dx, c) tap order
+        # byte equality: the -0.0 borders survive, the padding is +0.0
+        assert patches.tobytes() == want.tobytes()
 
 
 class TestPointwise:
@@ -334,6 +385,74 @@ class TestFlowStack:
             flow_diff_stub(np.zeros((2, 2)), np.zeros((3, 2)))
 
 
+class CountingFlow:
+    """``flow_diff_stub`` that records the frame pairs it is called on."""
+
+    def __init__(self):
+        self.pairs = []
+
+    def __call__(self, prev, cur):
+        self.pairs.append((prev, cur))
+        return flow_diff_stub(prev, cur)
+
+
+def flow_executor(flow_fn):
+    """Executor owning two_stream's camera and flow stack."""
+    g = build_model("two_stream", 0.125, seed=1)
+    return engine.TaskExecutor(g, owned=["camera", "flow"], emit=["flow"], flow_fn=flow_fn)
+
+
+def push_flows(ex, frames, tags):
+    """Push ``frames[t]`` for each tag; returns {end tag: flow stack}."""
+    out = {}
+    for t in tags:
+        for em in ex.push("camera", t, frames[t]):
+            out[em.tag] = em.value
+    return out
+
+
+class TestFlowCache:
+    frames = rng.uniform(0, 1, (48, 16, 12, 3)).astype(np.float32)
+
+    def test_reference_computes_each_pair_once(self):
+        g = build_model("two_stream", 0.125, seed=1)
+        n = 30
+        counting = CountingFlow()
+        got = run_reference(g, {"camera": self.frames[:n]}, flow_fn=counting)["out"]
+        assert len(counting.pairs) == n - 1
+        for t, (prev, cur) in enumerate(counting.pairs):
+            assert np.array_equal(prev, self.frames[t])
+            assert np.array_equal(cur, self.frames[t + 1])
+        want = run_reference(g, {"camera": self.frames[:n]})["out"]
+        assert sorted(got) == sorted(want)
+        assert all(got[t].tobytes() == want[t].tobytes() for t in want)
+
+    def test_stacks_equal_flow_stack(self):
+        stacks = push_flows(flow_executor(None), self.frames, range(20))
+        assert sorted(stacks) == list(range(10, 20))
+        for end, value in stacks.items():
+            assert value.tobytes() == flow_stack(list(self.frames[end - 10:end + 1]), 10).tobytes()
+
+    @pytest.mark.parametrize("gap", ["handoff", "skip"])
+    def test_no_field_survives_a_gap(self, gap):
+        counting = CountingFlow()
+        ex = flow_executor(counting)
+        before = push_flows(ex, self.frames, range(15))
+        assert len(before) == 5 and len(counting.pairs) == 14
+        if gap == "handoff":
+            ex.mark_handoff()
+        else:
+            ex.skip("camera", 20)
+        counting.pairs.clear()
+        after = push_flows(ex, self.frames, range(20, 36))
+        # windows restart at tag 20: every pair after the gap is computed
+        # once, and none from before it is reused
+        assert sorted(after) == list(range(30, 36))
+        assert len(counting.pairs) == 15
+        for end, value in after.items():
+            assert value.tobytes() == flow_stack(list(self.frames[end - 10:end + 1]), 10).tobytes()
+
+
 class TestReference:
     def test_two_stream_clip_gives_normalized_distributions(self):
         g = build_model("two_stream", 0.125, seed=1)
@@ -374,3 +493,28 @@ class TestReference:
         doc = json.loads(dump_weights(g, ["fc_d3"]))
         back = np.array(doc["fc_d3"]["w"], np.float32)
         assert np.array_equal(back, params_for(g, "fc_d3").w)
+
+
+# sha256 of run_reference's outputs (sink, tag, dtype, shape, bytes) for
+# build_model(model, scale, seed=7) over make_clip(graph, frames_needed(graph,
+# outputs), seed=11).  Kernel changes must not move them.
+GOLDEN_OUTPUTS = {
+    ("two_stream", 0.125, 4): "4cbc8eb73559839e313d12dffde9d913a8afccf8921b74367b68d93e372d15c5",
+    ("two_stream", 0.03125, 4): "a6b475fe4ad6c4e5d83c4f5096baa4f34b007998ad9944124671574e646b1d60",
+    ("alexnet", 0.125, 2): "313d22662a53b749c22083b88313def153efaeb76e72dd03ddc32690883c3783",
+    ("vgg16", 0.125, 2): "a1c1e9d2afa0e9b85c2a1c9f5ac0d36345fc579509b59cf3d3bc49fbad465f2d",
+}
+
+
+class TestGoldenOutputs:
+    @pytest.mark.parametrize("model,scale,outputs", sorted(GOLDEN_OUTPUTS))
+    def test_reference_outputs_unchanged(self, model, scale, outputs):
+        g = build_model(model, scale, seed=7)
+        frames = make_clip(g, frames_needed(g, outputs), seed=11)
+        digest = hashlib.sha256()
+        for sink, by_tag in sorted(run_reference(g, {g.inputs[0]: frames}).items()):
+            assert len(by_tag) == outputs
+            for tag, value in sorted(by_tag.items()):
+                digest.update(f"{sink}:{tag}:{value.dtype}:{value.shape}".encode())
+                digest.update(value.tobytes())
+        assert digest.hexdigest() == GOLDEN_OUTPUTS[(model, scale, outputs)]
