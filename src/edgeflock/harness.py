@@ -197,8 +197,8 @@ class BenchReport:
 
 def bench(model: str, n_list: Iterable[int], scale: float = DESK_SCALE,
           n_frames: int = 40, fps: float = 30.0, seed: int = 1,
-          device: Optional[DeviceProfile] = None, comm: Optional[CommModel] = None,
-          paced: bool = True) -> BenchReport:
+          device: Optional[DeviceProfile] = None,
+          comm: Optional[CommModel] = None) -> BenchReport:
     """Simulated-latency benchmark across device counts."""
     graph = load_model(model, scale, seed)
     n_list = sorted(set(n_list))
@@ -214,7 +214,7 @@ def bench(model: str, n_list: Iterable[int], scale: float = DESK_SCALE,
         )
         try:
             cluster = start_cluster(aset, n)
-            outputs, metrics = run_stream(cluster, frames, fps=fps, paced=paced)
+            outputs, metrics = run_stream(cluster, frames, fps=fps)
             wall = max([metrics.wall_seconds] + [w.free_at for w in cluster.workers.values()])
             metrics.wall_seconds = wall
             entry.simulated = metrics

@@ -147,7 +147,6 @@ class LoopbackCluster(ClusterCore):
 
     def __init__(self, aset: AssignmentSet, n: int,
                  inbox_capacity: int = DEFAULT_INBOX_CAPACITY,
-                 master_seed: Optional[int] = None,
                  param_override=None, flow_fn=None,
                  profile: Optional[DeviceProfile] = None,
                  comm: Optional[CommModel] = None):

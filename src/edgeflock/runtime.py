@@ -14,21 +14,24 @@ self-assembly, emission routing, skip notices); a transport only moves
 frames.  A worker prices its task with ``costs.price_task``, as the
 planner does.
 
-Dynamic behavior follows the planned assignment set: a master-versioned
-role table routes values; when the recording viewpoint moves, the
-master rotates tasks while keeping every unaffected device on its
-current task, bumps the table version, and only devices whose task
-changed reload weights.  Nearly full inboxes signal their upstream
-devices: the recorder halves its raw sampling rate for a cooldown
-period (frames are dropped before tagging, so tagged streams stay
-gap-free and pending windows are never disturbed), while mid-pipeline
-senders hold instead of dropping tagged data.
+Dynamic behavior follows the planned assignment set.  The
+master-versioned role table is derived from the assignment and the
+master.  When the recording viewpoint moves, the master swaps the
+recorder's task with the target device's and commits the new binding in
+one step: only devices whose task changed adopt it and reload weights,
+the plan is re-indexed, and the table is rebuilt at the next version.
+Nearly full inboxes signal their upstream devices: the recorder halves
+its raw sampling rate for a cooldown period (frames are dropped before
+tagging, so tagged streams stay gap-free and pending windows are never
+disturbed), while mid-pipeline senders hold instead of dropping tagged
+data.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -37,7 +40,7 @@ from edgeflock import model_ir as ir
 from edgeflock import costs
 from edgeflock.costs import DeviceProfile, CommModel, comm_latency
 from edgeflock.engine import TaskExecutor
-from edgeflock.planner import Assignment, AssignmentSet, Edge, Task
+from edgeflock.planner import AssignmentSet, Edge, Task
 from edgeflock.windows import BoundedInbox
 from edgeflock.wire import Message, Kind, IPTable, RoleEntry
 
@@ -407,29 +410,17 @@ class VirtualCluster(ClusterCore):
                  comm: Optional[CommModel] = None):
         super().__init__(aset, n, inbox_capacity, param_override, flow_fn, profile, comm)
         if master_seed is None:
-            master = min(self.workers)
+            self.master = min(self.workers)
         else:
             ids = sorted(self.workers)
-            master = ids[int(np.random.default_rng(master_seed).integers(0, len(ids)))]
-        entries = {}
-        for d in range(n):
-            task = self.assignment.tasks.get(d)
-            entries[d] = RoleEntry(
-                address=f"virtual:{d}",
-                task_id=task.task_id if task else "",
-                master=(d == master),
-                recorder=bool(task and self.workers[d].owns_source
-                              and (task.replica is None or task.replica.index == 0)),
-            )
-        self.iptable = IPTable(version=1, entries=entries).validate()
+            self.master = ids[int(np.random.default_rng(master_seed).integers(0, len(ids)))]
+        self.iptable = self._role_table(version=1)
         self.master_writes = 0
         self.rejected_updates = 0
         self.routing_drops = 0
         self.raw_cursor = 0
         self.setup_seconds = max(w.setup_load_seconds() for w in self.workers.values())
         self.last_reassign_reloads = 0
-        self._acks: set[int] = set()
-        self._pending_table: Optional[IPTable] = None
 
         # (time, seq, fn, args) events; seq is unique, so ties in time
         # run in scheduling order and fn is never compared.
@@ -444,12 +435,6 @@ class VirtualCluster(ClusterCore):
         self._waiting: dict[int, list] = {d: [] for d in self.workers}
         self._stalled: dict[int, set[int]] = {}
 
-    def _task_by_id(self, task_id: str) -> Task:
-        for t in self.assignment.tasks.values():
-            if t.task_id == task_id:
-                return t
-        raise RuntimeFault(f"unknown task id {task_id!r}")
-
     # -- event loop --------------------------------------------------------------
 
     def _schedule(self, t: float, fn: Callable, *args) -> None:
@@ -457,10 +442,7 @@ class VirtualCluster(ClusterCore):
         self._seq += 1
 
     def drain(self) -> None:
-        while self._heap:
-            t, _seq, fn, args = heapq.heappop(self._heap)
-            self.vnow = max(self.vnow, t)
-            fn(t, *args)
+        self.drain_until(math.inf)
 
     def drain_until(self, t: float) -> None:
         """Run events scheduled at or before virtual time t."""
@@ -531,8 +513,6 @@ class VirtualCluster(ClusterCore):
                 w.throttled_until = max(w.throttled_until, t + THROTTLE_SECONDS)
         elif msg.kind == Kind.SKIP:
             self._on_skip(w, msg, t)
-        elif msg.kind == Kind.ROLE_UPDATE:
-            self._apply_role_update(t, dst, msg)
 
     def _process(self, t: float, device: int) -> None:
         w = self.workers.get(device)
@@ -582,111 +562,73 @@ class VirtualCluster(ClusterCore):
         devices reload.
         """
         self.drain()
-        master = self.iptable.master_device()
-        sender = master if from_device is None else from_device
-        if sender != master:
+        sender = self.master if from_device is None else from_device
+        if sender != self.master:
             self.rejected_updates += 1
             raise RuntimeFault(f"role update from non-master device {sender} rejected")
         kind, dev = trigger
         if kind == "motion_on":
-            recs = [d for d in self.iptable.recorder_devices() if d in self.workers]
-            if not recs:
-                raise RuntimeFault("no recorder role present")
-            cur = recs[0]
-            mapping = {d: e.task_id for d, e in self.iptable.entries.items()}
-            if dev != cur:
+            recorder = next(d for d, idx, _count in self.sources if idx == 0)
+            tasks = dict(self.assignment.tasks)
+            if dev != recorder:
                 if dev not in self.workers:
                     raise RuntimeFault(f"device {dev} is not part of the cluster")
-                mapping[dev], mapping[cur] = mapping[cur], mapping[dev]
+                tasks[dev], tasks[recorder] = tasks[recorder], tasks[dev]
         elif kind == "device_lost":
-            if dev == master:
+            if dev == self.master:
                 raise RuntimeFault("master device lost; halting run")
             raise RuntimeFault("device loss requires restarting on the smaller plan entry")
         else:
             raise RuntimeFault(f"unknown trigger {kind!r}")
-
-        new_table = self.iptable.copy()
-        new_table.version += 1
-        for d, tid in mapping.items():
-            e = new_table.entries[d]
-            e.task_id = tid
-            if tid:
-                task = self._task_by_id(tid)
-                e.recorder = bool(any(self.graph.layer(nm).kind == ir.SOURCE for nm in task.layers)
-                                  and (task.replica is None or task.replica.index == 0))
-            else:
-                e.recorder = False
         self.master_writes += 1
-        self.last_reassign_reloads = 0
-        self._acks = set()
-        self._pending_table = new_table
-        body = new_table.to_body()
-        # The stream's tag cursor rides along so a new recorder keeps
-        # the tag sequence monotone across the handoff.
-        old_rec = self.workers.get(cur if kind == "motion_on" else -1)
-        if old_rec is not None:
-            body["resume_tag"] = old_rec.kept_counter
-            body["resume_raw"] = old_rec.raw_index
-        for d in sorted(self.workers):
-            msg = Message(kind=Kind.ROLE_UPDATE, source=master, body=dict(body))
-            self._schedule(self.vnow, self._control, d, msg)
-        self.drain()
-        if self._acks != set(self.workers):
-            # retry with the same version until every live worker acked
-            for d in sorted(set(self.workers) - self._acks):
-                msg = Message(kind=Kind.ROLE_UPDATE, source=master, body=dict(body))
-                self._schedule(self.vnow, self._control, d, msg)
-            self.drain()
-        return self.iptable.version
+        return self._commit(tasks, self.workers[recorder])
 
-    def _apply_role_update(self, t: float, device: int, msg: Message) -> None:
-        w = self.workers[device]
-        if msg.source != self.iptable.master_device():
-            self.rejected_updates += 1
-            return
-        table = IPTable.from_body(msg.body)
-        if table.version <= w.table_version:
-            self._acks.add(device)
-            return
-        w.table_version = table.version
-        new_tid = table.entries[device].task_id
-        if new_tid and new_tid != w.task.task_id:
-            new_task = self._task_by_id(new_tid)
-            w.adopt(new_task, handoff=True)
+    def _commit(self, tasks: dict[int, Task], recorder: Worker) -> int:
+        """Bind every device to ``tasks[device]``; returns the new version.
+
+        At ``vnow``, in ascending device order, a device whose task
+        changed adopts it, pays its load, and, if the task owns a source,
+        resumes the stream's tag cursor from the old ``recorder`` so tags
+        stay monotone across the handoff.  Every other device keeps its
+        task and state.  The edges follow their tasks, the plan is
+        re-indexed and the role table is rebuilt at the next version.
+        """
+        old = self.assignment
+        version = self.iptable.version + 1
+        cursor = (recorder.kept_counter, recorder.raw_index)
+        rebound = {d: replace(t, device=d) for d, t in tasks.items()}
+        self.last_reassign_reloads = 0
+        for d in sorted(self.workers):
+            w = self.workers[d]
+            w.table_version = version
+            if rebound[d].task_id == w.task.task_id:
+                continue
+            w.adopt(rebound[d], handoff=True)
             if w.owns_source:
-                w.kept_counter = int(msg.body.get("resume_tag", w.kept_counter))
-                w.raw_index = int(msg.body.get("resume_raw", w.raw_index))
+                w.kept_counter, w.raw_index = cursor
             load = w.setup_load_seconds()
-            w.free_at = max(w.free_at, t) + load
+            w.free_at = max(w.free_at, self.vnow) + load
             w.busy_seconds += load
             self.last_reassign_reloads += 1
-        self._acks.add(device)
-        if self._pending_table is not None and self._acks == set(self.workers):
-            self._commit_table(self._pending_table)
-            self._pending_table = None
-
-    def _commit_table(self, table: IPTable) -> None:
-        old_tasks = dict(self.assignment.tasks)
-        dev_for_task = {table.entries[d].task_id: d for d in self.workers}
-        remap: dict[int, Task] = {}
-        for d in self.workers:
-            tid = table.entries[d].task_id
-            src = next(tk for tk in old_tasks.values() if tk.task_id == tid)
-            remap[d] = Task(task_id=src.task_id, device=d, layers=src.layers,
-                            split=src.split, replica=src.replica,
-                            resident_groups=src.resident_groups,
-                            window_specs=src.window_specs)
-        edges = []
-        for e in self.assignment.edges:
-            src_tid = old_tasks[e.producer_device].task_id
-            dst_tid = old_tasks[e.consumer_device].task_id
-            edges.append(Edge(dev_for_task[src_tid], dev_for_task[dst_tid], e.layer))
-        self.assignment = Assignment(
-            device_count=self.assignment.device_count, tasks=remap, edges=edges,
-            predicted=self.assignment.predicted, notes=self.assignment.notes,
-        )
-        self.iptable = table.validate()
+        device_of = {t.task_id: d for d, t in rebound.items()}
+        edges = [Edge(device_of[old.tasks[e.producer_device].task_id],
+                      device_of[old.tasks[e.consumer_device].task_id], e.layer)
+                 for e in old.edges]
+        self.assignment = replace(old, tasks=rebound, edges=edges)
         self._index()
+        self.iptable = self._role_table(version)
+        return version
+
+    def _role_table(self, version: int) -> IPTable:
+        """The role table of the current assignment: recorders are the
+        source devices in replica slot 0."""
+        recorders = {d for d, idx, _count in self.sources if idx == 0}
+        entries = {}
+        for d in range(self.n):
+            task = self.assignment.tasks.get(d)
+            entries[d] = RoleEntry(address=f"virtual:{d}", task_id=task.task_id if task else "",
+                                   master=(d == self.master), recorder=(d in recorders))
+        return IPTable(version=version, entries=entries).validate()
 
     # -- driving ---------------------------------------------------------------------
 
@@ -788,31 +730,3 @@ def run_stream(cluster: VirtualCluster, frames: Iterable[np.ndarray], fps: float
             span = tail[-1][0] - tail[0][0]
             metrics.ips = (len(tail) - 1) / span if span > 0 else 0.0
     return outputs, metrics
-
-
-def activate_streams(n_devices: int, stream_ids: list[int],
-                     min_per_stream: int = 2) -> tuple[dict[int, list[int]], list[int]]:
-    """Partition devices into disjoint per-stream sets.
-
-    Earlier streams have priority; a stream that cannot get
-    ``min_per_stream`` devices is deferred.  Active streams share the
-    devices evenly, earlier streams taking any remainder.
-    """
-    active: list[int] = []
-    deferred: list[int] = []
-    capacity = n_devices
-    for s in stream_ids:
-        if capacity >= min_per_stream:
-            active.append(s)
-            capacity -= min_per_stream
-        else:
-            deferred.append(s)
-    sets: dict[int, list[int]] = {}
-    if active:
-        share, extra = divmod(n_devices, len(active))
-        pos = 0
-        for i, s in enumerate(active):
-            take = share + (1 if i < extra else 0)
-            sets[s] = list(range(pos, pos + take))
-            pos += take
-    return sets, deferred

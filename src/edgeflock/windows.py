@@ -17,7 +17,7 @@ class WindowError(ValueError):
 
 @dataclass
 class SlidingWindow:
-    """Emits contiguous tag runs of fixed length, advancing by ``stride``.
+    """Emits contiguous tag runs of fixed length, advancing one tag at a time.
 
     Out-of-order arrivals are buffered; a window [next_tag, next_tag +
     length) is emitted (tagged by its newest item) once every member tag
@@ -28,7 +28,6 @@ class SlidingWindow:
     """
 
     length: int
-    stride: int = 1
     next_tag: int = 0
     pending: dict[int, Any] = field(default_factory=dict)
     late_drops: int = 0
@@ -39,8 +38,8 @@ class SlidingWindow:
     last_resync: int = -1
 
     def __post_init__(self):
-        if self.length < 1 or self.stride < 1:
-            raise WindowError("window length and stride must be >= 1")
+        if self.length < 1:
+            raise WindowError("window length must be >= 1")
 
     @property
     def occupancy(self) -> int:
@@ -64,9 +63,8 @@ class SlidingWindow:
         while all((self.next_tag + i) in self.pending for i in range(self.length)):
             run = [self.pending[self.next_tag + i] for i in range(self.length)]
             emitted.append((self.next_tag + self.length - 1, run))
-            for i in range(self.stride):
-                self.pending.pop(self.next_tag + i, None)
-            self.next_tag += self.stride
+            del self.pending[self.next_tag]
+            self.next_tag += 1
         return emitted
 
     def skip_below(self, tag: int) -> None:

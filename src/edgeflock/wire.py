@@ -208,8 +208,3 @@ class IPTable:
                 int(d): RoleEntry(**e) for d, e in body["entries"].items()
             },
         ).validate()
-
-    def copy(self) -> "IPTable":
-        return IPTable(self.version,
-                       {d: RoleEntry(e.address, e.task_id, e.master, e.recorder)
-                        for d, e in self.entries.items()})

@@ -110,6 +110,24 @@ class TestCli:
         assert result.exit_code == 0, result.output
         assert "tagged results" in result.output
 
+    def test_loopback_run_counts_outputs_without_the_reference(self, tmp_path, monkeypatch):
+        import edgeflock.engine as engine
+
+        def no_reference(*args, **kwargs):
+            raise AssertionError("run must not compute the reference")
+
+        monkeypatch.setattr(engine, "run_reference", no_reference)
+        out = tmp_path / "plan.json"
+        CliRunner().invoke(main, [
+            "plan", "--model", "two_stream", "--devices", "3",
+            "--scale", "0.03125", "--out", str(out), "--no-table"])
+        result = CliRunner().invoke(main, [
+            "run", "--plan", str(out), "--devices", "3", "--frames", "30",
+            "--transport", "loopback_sockets"])
+        assert result.exit_code == 0, result.output
+        first = load_model("two_stream", 0.03125, 1).first_valid["out"]
+        assert f"outputs: {30 - first} tagged results" in result.output
+
     def test_run_and_verify_take_the_same_transports(self):
         from edgeflock.runtime import TRANSPORTS
         for name in ("run", "verify"):

@@ -1,5 +1,7 @@
 """Cluster runtime: exactness, backpressure, role rotation, transports."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from edgeflock.model_ir import build_model
 from edgeflock.planner import task_assign
 from edgeflock.runtime import (
     RuntimeFault,
-    activate_streams,
     run_stream,
     start_cluster,
 )
@@ -212,7 +213,70 @@ class TestBackpressure:
         assert recorder.sample_interval <= max(1, before // 2)
 
 
+# sha256 of a recorder rotation's modeled plane: outputs, completion
+# times and paths, each worker's task, table version, clock, busy
+# seconds, reload count and tag cursor, the committed tasks and edges,
+# and the role table.  Keyed by
+# (model, n, target) where target "swap" moves the recorder to another
+# device and "identity" names the current recorder.
+GOLDEN_ROTATIONS = {
+    ("two_stream", 5, "swap"):
+        "e1ed92e40dd532c2f0a34e38bb16de90b800464c2c6616d6aba7abed87b683c5",
+    ("two_stream", 5, "identity"):
+        "96f283f9fb300b8e9a8e0c50847d01a7b359bc29a1c5b43c93356bb63e09d8d0",
+    ("two_stream", 8, "swap"):
+        "6da4e3d2a6b8080028b0cf1375d6c3689b0bee9097fd3e5e8b1f69690b3343f5",
+    ("two_stream", 12, "swap"):
+        "104d56096cbe38090ecf80ddace3be4fb772bf0757ff2b52df8abcce96283a1f",
+    ("alexnet", 4, "swap"):
+        "0f75f27d97f9ec9c368a7aa0dc031625116f27657b14dec2902534a956e3a004",
+}
+
+
+def rotation_digest(cluster, produced) -> str:
+    digest = hashlib.sha256()
+
+    def put(*items):
+        digest.update(repr(items).encode())
+
+    for tag, value in sorted(produced.items()):
+        put("out", tag, value.dtype.str, value.shape)
+        digest.update(value.tobytes())
+    for t, tag, path in cluster.completions:
+        put("done", float(t).hex(), tag,
+            *(float(path[k]).hex() for k in ("compute", "comm", "reload", "total")))
+    for d, w in sorted(cluster.workers.items()):
+        put("worker", d, w.task.task_id, w.table_version, float(w.free_at).hex(),
+            float(w.busy_seconds).hex(), w.reload_count, w.kept_counter, w.raw_index)
+    for d, task in sorted(cluster.assignment.tasks.items()):
+        put("task", d, task.task_id, task.device)
+    for e in cluster.assignment.edges:
+        put("edge", e.producer_device, e.consumer_device, e.layer)
+    put("table", cluster.iptable.version)
+    for d, e in sorted(cluster.iptable.entries.items()):
+        put("role", d, e.address, e.task_id, e.master, e.recorder)
+    return digest.hexdigest()
+
+
 class TestRoleRotation:
+    @pytest.mark.parametrize("model,n,target", sorted(GOLDEN_ROTATIONS))
+    def test_rotation_keeps_modeled_plane(self, ts, model, n, target):
+        if model == "two_stream":
+            graph, aset = ts[0], ts[1]
+            frames, before = make_clip(graph, 60, 4), 30
+        else:
+            graph = build_model(model, SCALE, seed=1)
+            aset = task_assign(graph, n, CommModel(), DeviceProfile().scaled_mem(SCALE))
+            frames, before = make_clip(graph, 8, 4), 4
+        cluster = start_cluster(aset, n)
+        out1, _ = run_stream(cluster, frames[:before])
+        rec = cluster.iptable.recorder_devices()[0]
+        dev = rec if target == "identity" else next(
+            d for d in sorted(cluster.workers, reverse=True) if d != rec)
+        cluster.reassign(("motion_on", dev))
+        out2, _ = run_stream(cluster, frames[before:])
+        assert rotation_digest(cluster, {**out1, **out2}) == GOLDEN_ROTATIONS[(model, n, target)]
+
     def test_recorder_swap_keeps_outputs_oracle_equal(self, ts):
         graph, aset, _, _ = ts
         frames = make_clip(graph, 60, 4)
@@ -279,30 +343,6 @@ class TestRoleRotation:
         cluster._send(0, ghost, 99, cluster.vnow)  # unknown destination
         cluster.drain()
         assert cluster.routing_drops == drops0 + 1
-
-
-class TestMultiStream:
-    def test_twelve_devices_two_streams(self):
-        sets, deferred = activate_streams(12, [0, 1])
-        assert deferred == []
-        assert sets == {0: [0, 1, 2, 3, 4, 5], 1: [6, 7, 8, 9, 10, 11]}
-
-    def test_insufficient_devices_defers(self):
-        sets, deferred = activate_streams(3, [0, 1])
-        assert deferred == [1]
-        assert sets == {0: [0, 1, 2]}
-
-    def test_single_stream_takes_all(self):
-        sets, deferred = activate_streams(5, [7])
-        assert sets == {7: [0, 1, 2, 3, 4]} and deferred == []
-
-    def test_independent_streams_stay_oracle_equal(self, ts):
-        graph, aset, frames, ref = ts
-        sets, _ = activate_streams(12, [0, 1])
-        for sid, devices in sets.items():
-            cluster = start_cluster(aset, len(devices))
-            outs, _ = run_stream(cluster, frames)
-            assert_exact(outs, ref)
 
 
 class TestLoopback:

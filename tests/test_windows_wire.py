@@ -47,13 +47,6 @@ class TestSlidingWindow:
         assert w.push(0, "stale") == []
         assert w.late_drops == 1
 
-    def test_stride_advances_in_steps(self):
-        w = SlidingWindow(length=2, stride=2)
-        out = []
-        for t in range(6):
-            out += w.push(t, t)
-        assert [end for end, _ in out] == [1, 3, 5]
-
     def test_skip_below_advances_past_gap(self):
         w = SlidingWindow(length=3)
         w.push(0, 0)
