@@ -31,6 +31,22 @@ and reuses it in every flow stack window holding that pair, so a
 ``flow_fn`` must be a pure function of its two frames.  Generated
 parameters are shared read-only by every executor of a graph
 (``shared_params``).
+
+An executor takes a run of consecutive tags from one origin at once
+(``push_run``; ``push`` is a run of one) and fires each owned layer
+once over every tag of the run that became ready.  conv, relu, norm and
+maxpool take the run as one (tags, ...) batch.  ``im2col`` lays the
+positions of several frames side by side in one patch matrix, at most
+``PATCH_BYTES`` of it per matrix; since every output element keeps its
+own ascending running sum, a frame's outputs do not depend on the
+frames beside it, and with two or more frames no reduced row has a
+single element.  fc and softmax still run once per tag: over 16 frames
+of the two_stream fc shapes, an (inputs, frames, outputs) product block
+ran 0.5x to 1.8x as fast as per-frame calls, depending on the shape.  Windows still take their items one tag at a time and fire once
+per window, and a concat joins the inputs of each tag.
+``run_reference`` feeds its inputs in runs of up to ``RUN_TAGS`` tags,
+fewer where one layer's outputs over a run would exceed ``RUN_BYTES``;
+a distributed worker pushes one item at a time.
 """
 
 from __future__ import annotations
@@ -38,7 +54,8 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from itertools import islice
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -149,6 +166,20 @@ def _tap_major(params: LayerParams) -> np.ndarray:
 
 _ZERO = np.float32(0)
 
+# run_reference feeds runs of at most RUN_TAGS tags, and fewer when one
+# layer's outputs over a run would exceed RUN_BYTES (never fewer than
+# one); a conv lays a batch of frames into patch matrices of at most
+# PATCH_BYTES (a matrix of a single frame may exceed it).  On two_stream
+# at 1/32 and 1/8, runs of 16 tags and 2 MiB matrices made the reference
+# about 1.5x faster and grew peak RSS by under 2 MiB; the whole clip in
+# one uncapped run was no faster and grew it from 46 to 120 MiB and from
+# 63 to 85 MiB.  Without RUN_BYTES, runs of vgg16 and alexnet at 1/8,
+# whose layer outputs reach 1.6 and 0.6 MB a frame, grew peak RSS by 12
+# and 9 MiB.
+RUN_TAGS = 16
+RUN_BYTES = 2 << 20
+PATCH_BYTES = 2 << 20
+
 # Upper bounds, in float32 elements, of one block of products (1 MiB) and
 # of the conv sums it is added into (256 KiB); both stay in a core's L2.
 # Chosen from timings of every conv and fc shape of the stock models at
@@ -174,14 +205,15 @@ def _running_sum(products: np.ndarray) -> np.ndarray:
     return np.add.accumulate(products)[-1:]
 
 
-def _conv_rows(patches: np.ndarray, wt: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """(positions, filters) conv outputs: the sum over taps t of
-    ``patches[t, m] * wt[t, f]``, plus ``bias[f]``.
+def _conv_rows(patches: np.ndarray, wt: np.ndarray, bias: np.ndarray, out: np.ndarray) -> None:
+    """Write the (positions, filters) conv outputs into ``out``: the sum
+    over taps t of ``patches[t, m] * wt[t, f]``, plus ``bias[f]``.
 
     Every sum starts from +0.0 and adds its rounded products in ascending
     t, as a scalar loop does.  Blocks of taps are multiplied at once and
     reduced along the tap axis, which numpy adds row after row: one
-    running sum per output element, so ascending order holds.  That
+    running sum per output element, so ascending order holds, and an
+    element's sum does not depend on the positions beside it.  That
     holds only while a reduced row has at least two elements: with one,
     numpy sums the single column pairwise, which is not ordered.  A
     single filter at a single position therefore takes an explicit
@@ -189,10 +221,9 @@ def _conv_rows(patches: np.ndarray, wt: np.ndarray, bias: np.ndarray) -> np.ndar
     """
     taps, positions = patches.shape
     filters = wt.shape[1]
-    out = np.empty((positions, filters), dtype=np.float32)
     if filters * positions == 1:
         np.add(_running_sum(patches[:, 0] * wt[:, 0]), bias, out=out[0])
-        return out
+        return
     # Even position blocks of at least four positions, so that no block
     # has fewer than two elements per tap.
     n_blocks = -(-positions // max(4, _ACC // filters))
@@ -223,7 +254,6 @@ def _conv_rows(patches: np.ndarray, wt: np.ndarray, bias: np.ndarray) -> np.ndar
             np.add(acc.T, bias, out=out[m0:m1])
     finally:
         np.setbufsize(prior)
-    return out
 
 
 def forward_fc(x: np.ndarray, params: LayerParams, rows: Optional[tuple[int, int]] = None) -> np.ndarray:
@@ -254,53 +284,72 @@ def forward_fc(x: np.ndarray, params: LayerParams, rows: Optional[tuple[int, int
     return sums + b
 
 
-def _pad_same(h, w, kh, kw, stride):
-    ph = max((-(-h // stride) - 1) * stride + kh - h, 0)
-    pw = max((-(-w // stride) - 1) * stride + kw - w, 0)
-    return ph // 2, ph - ph // 2, pw // 2, pw - pw // 2
+def _conv_extent(h: int, w: int, kh: int, kw: int, stride: int, padding: str):
+    """((top, bottom, left, right) padding, (out_h, out_w)) of a conv."""
+    if padding == "same":
+        ph = max((-(-h // stride) - 1) * stride + kh - h, 0)
+        pw = max((-(-w // stride) - 1) * stride + kw - w, 0)
+        pads = (ph // 2, ph - ph // 2, pw // 2, pw - pw // 2)
+    elif padding == "valid":
+        pads = (0, 0, 0, 0)
+    else:
+        raise EngineError(f"unknown padding {padding!r}")
+    ph, pw = h + pads[0] + pads[1], w + pads[2] + pads[3]
+    if kh > ph or kw > pw:
+        raise EngineError(f"kernel {kh}x{kw} exceeds padded input {(ph, pw)}")
+    return pads, ((ph - kh) // stride + 1, (pw - kw) // stride + 1)
 
 
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: str) -> tuple[np.ndarray, tuple[int, int]]:
-    """Tap-major patch matrix of shape (kh*kw*c, out_h*out_w), tap order
-    (dy, dx, c), and the output extent (out_h, out_w).
+    """Tap-major patch matrix of shape (kh*kw*c, frames*out_h*out_w), tap
+    order (dy, dx, c), and the output extent (out_h, out_w).
 
-    The input is written once, channel-major, into a zero-filled plane
-    buffer that already holds the "same" padding, so padded taps read
-    +0.0 exactly as from ``np.pad``.
+    ``x`` is one (h, w, c) frame or a (frames, h, w, c) batch; the
+    positions of a batch lie side by side, frame after frame.  The input
+    is written once, channel-major, into a zero-filled plane buffer that
+    already holds the "same" padding, so padded taps read +0.0 exactly as
+    from ``np.pad``.
     """
-    h, w, c = x.shape
-    if padding == "same":
-        pt, pb, pl, pr = _pad_same(h, w, kh, kw, stride)
-    elif padding == "valid":
-        pt = pb = pl = pr = 0
-    else:
-        raise EngineError(f"unknown padding {padding!r}")
-    ph, pw = h + pt + pb, w + pl + pr
-    if kh > ph or kw > pw:
-        raise EngineError(f"kernel {kh}x{kw} exceeds padded input {(ph, pw)}")
-    oh, ow = (ph - kh) // stride + 1, (pw - kw) // stride + 1
-    planes = np.zeros((c, ph, pw), dtype=x.dtype)
-    planes[:, pt:pt + h, pl:pl + w] = x.transpose(2, 0, 1)
-    sc, sy, sx = planes.strides
+    if x.ndim == 3:
+        x = x[None]
+    n, h, w, c = x.shape
+    (pt, pb, pl, pr), (oh, ow) = _conv_extent(h, w, kh, kw, stride, padding)
+    planes = np.zeros((c, n, h + pt + pb, w + pl + pr), dtype=x.dtype)
+    planes[:, :, pt:pt + h, pl:pl + w] = x.transpose(3, 0, 1, 2)
+    sc, sn, sy, sx = planes.strides
     view = np.lib.stride_tricks.as_strided(
-        planes, (kh, kw, c, oh, ow), (sy, sx, sc, sy * stride, sx * stride), writeable=False)
-    return np.ascontiguousarray(view).reshape(kh * kw * c, oh * ow), (oh, ow)
+        planes, (kh, kw, c, n, oh, ow), (sy, sx, sc, sn, sy * stride, sx * stride), writeable=False)
+    return np.ascontiguousarray(view).reshape(kh * kw * c, n * oh * ow), (oh, ow)
 
 
 def forward_conv(x: np.ndarray, params: LayerParams, stride: int = 1, padding: str = "same") -> np.ndarray:
     """2-D cross-correlation per filter plus bias, zero same-padding.
 
-    Matches a naive six-loop implementation bit-for-bit: taps accumulate
-    in (dy, dx, channel) order, bias added last.
+    ``x`` is one (h, w, c) frame or a (frames, h, w, c) batch, and the
+    result has the same rank.  A batch is laid into as few patch
+    matrices of even numbers of frames as keep each within
+    ``PATCH_BYTES`` (or holding one frame).  Matches a
+    naive six-loop implementation on each frame bit-for-bit: taps
+    accumulate in (dy, dx, channel) order, bias added last.
     """
     x = np.asarray(x, dtype=np.float32)
-    if x.ndim != 3:
-        raise EngineError(f"conv input must be rank 3, got shape {x.shape}")
-    f, kh, kw, c = params.w.shape
-    if c != x.shape[2]:
-        raise EngineError(f"conv input channels {x.shape[2]} != kernel channels {c}")
-    patches, (oh, ow) = im2col(x, kh, kw, stride, padding)
-    return _conv_rows(patches, _tap_major(params), params.b).reshape(oh, ow, f)
+    if x.ndim not in (3, 4):
+        raise EngineError(f"conv input must be rank 3 or a batch of rank 3, got shape {x.shape}")
+    batch = x if x.ndim == 4 else x[None]
+    n, h, w, c = batch.shape
+    f, kh, kw, kc = params.w.shape
+    if kc != c:
+        raise EngineError(f"conv input channels {c} != kernel channels {kc}")
+    _pads, (oh, ow) = _conv_extent(h, w, kh, kw, stride, padding)
+    # Even groups of frames, each within the cap.
+    groups = -(-n // max(1, PATCH_BYTES // (kh * kw * c * oh * ow * 4)))
+    wt = _tap_major(params)
+    out = np.empty((n, oh, ow, f), dtype=np.float32)
+    for g in range(groups):
+        i0, i1 = n * g // groups, n * (g + 1) // groups
+        patches, _extent = im2col(batch[i0:i1], kh, kw, stride, padding)
+        _conv_rows(patches, wt, params.b, out[i0:i1].reshape(-1, f))
+    return out if x.ndim == 4 else out[0]
 
 
 def forward_relu(x: np.ndarray) -> np.ndarray:
@@ -324,12 +373,14 @@ def forward_softmax(x: np.ndarray) -> np.ndarray:
 
 
 def forward_maxpool(x: np.ndarray, window: int, stride: int) -> np.ndarray:
+    """Max over each window x window patch, per channel; ``x`` is one
+    (h, w, c) item or a (frames, h, w, c) batch."""
     x = np.asarray(x, dtype=np.float32)
-    h, w, c = x.shape
+    h, w, c = x.shape[-3:]
     if window > h or window > w:
         raise EngineError(f"pool window {window} exceeds input {h}x{w}")
-    view = np.lib.stride_tricks.sliding_window_view(x, (window, window, c))[::stride, ::stride, 0]
-    return view.max(axis=(2, 3)).reshape(view.shape[0], view.shape[1], c)
+    view = np.lib.stride_tricks.sliding_window_view(x, (window, window, c), axis=(-3, -2, -1))
+    return view[..., ::stride, ::stride, 0, :, :, :].max(axis=(-3, -2))
 
 
 def pyramid_ranges(n_items: int, n_ranges: int) -> list[tuple[int, int]]:
@@ -397,6 +448,13 @@ def flow_stack(frames: list[np.ndarray], window_len: int, flow_fn: Optional[Flow
     return np.concatenate(fields, axis=-1, dtype=np.float32)
 
 
+def _stacked(vals: Sequence) -> np.ndarray:
+    """A run's values as one (tags, ...) array."""
+    if isinstance(vals, np.ndarray):
+        return vals
+    return np.asarray(vals[0])[None] if len(vals) == 1 else np.stack(vals)
+
+
 @dataclass
 class Emission:
     """One boundary output of a task executor."""
@@ -417,11 +475,12 @@ class SkipNotice:
 class TaskExecutor:
     """Streams tagged items through an owned slice of a validated graph.
 
-    ``push`` feeds one tagged value produced by ``origin`` (an external
-    producer or a source) and returns every owned boundary emission that
-    becomes ready.  Windowed layers buffer items in sliding windows and
-    emit at the newest contributing tag, so tags stay aligned across
-    parallel branches.
+    ``push_run`` feeds the values of a run of consecutive tags produced
+    by ``origin`` (an external producer or a source) and returns every
+    owned boundary emission that becomes ready; ``push`` feeds a run of
+    one.  Windowed layers buffer items in sliding windows and emit at the
+    newest contributing tag, so tags stay aligned across parallel
+    branches.
 
     ``part`` restricts one fc layer to an output-row slice, for model
     parallelism; elementwise layers downstream of it operate on the
@@ -472,7 +531,7 @@ class TaskExecutor:
                 self._windows[n] = SlidingWindow(length=spec.window, next_tag=start)
             if spec.kind == ir.FLOWSTACK:
                 self._flows[n] = {}
-            if len(spec.inputs) > 1:
+            if spec.kind == ir.CONCAT or len(spec.inputs) > 1:
                 self._joins[n] = {}
         self.fired_log: list[str] = []
         self.pending_notices: list[SkipNotice] = []
@@ -488,34 +547,42 @@ class TaskExecutor:
 
     # -- computation ----------------------------------------------------
 
-    def _apply(self, name: str, tag: int, inputs: list[np.ndarray]) -> np.ndarray:
+    def _apply(self, name: str, vals: Sequence) -> Sequence:
+        """Outputs of a layer that is not windowed, one per value of a run.
+
+        conv, relu, norm and maxpool take the run as one batch; fc and
+        softmax run once per value.  A concat's values are the lists of
+        inputs it joined.
+        """
         spec = self.graph.layer(name)
         k = spec.kind
         if k in (ir.SOURCE, ir.SINK):
-            return inputs[0] if inputs else None
-        if k == ir.FC:
-            rows = None
-            if self.part is not None and self.part[0] == name:
-                rows = (self.part[1], self.part[2])
-            return forward_fc(inputs[0], self.params(name), rows=rows)
+            return vals
         if k == ir.CONV:
             return forward_conv(
-                inputs[0],
+                _stacked(vals),
                 self.params(name),
                 stride=int(spec.attrs.get("stride", 1)),
                 padding=spec.attrs.get("padding", "same"),
             )
         if k == ir.RELU:
-            return forward_relu(inputs[0])
+            return forward_relu(_stacked(vals))
         if k == ir.NORM:
-            return forward_norm(inputs[0], self.params(name))
-        if k == ir.SOFTMAX:
-            return forward_softmax(inputs[0])
+            return forward_norm(_stacked(vals), self.params(name))
         if k == ir.MAXPOOL:
-            return forward_maxpool(inputs[0], int(spec.attrs["window"]), int(spec.attrs.get("stride", spec.attrs["window"])))
+            return forward_maxpool(_stacked(vals), int(spec.attrs["window"]),
+                                   int(spec.attrs.get("stride", spec.attrs["window"])))
+        if k == ir.FC:
+            rows = None
+            if self.part is not None and self.part[0] == name:
+                rows = (self.part[1], self.part[2])
+            params = self.params(name)
+            return [forward_fc(v, params, rows=rows) for v in vals]
+        if k == ir.SOFTMAX:
+            return [forward_softmax(v) for v in vals]
         if k == ir.CONCAT:
             axis = int(spec.attrs.get("axis", 0))
-            return np.concatenate(inputs, axis=axis)
+            return [np.concatenate(inputs, axis=axis) for inputs in vals]
         raise EngineError(f"layer {name!r}: kind {k!r} is windowed or unknown here")
 
     def _fire_windowed(self, name: str, end_tag: int, items: list[np.ndarray]) -> np.ndarray:
@@ -553,66 +620,88 @@ class TaskExecutor:
     # -- streaming ------------------------------------------------------
 
     def push(self, origin: str, tag: int, value: np.ndarray) -> list[Emission]:
-        """Feed one tagged item produced by ``origin``; returns emissions.
+        """Feed one tagged item produced by ``origin``: a run of one."""
+        return self.push_run(origin, tag, [value])
 
-        A push for an owned source layer counts as that layer firing (it
-        is emitted if on the boundary).  Any other push supplies an
-        externally produced value: it feeds owned consumers but is never
-        re-emitted, and it is how assembled shard values reach layers
-        marked ``external``.
+    def push_run(self, origin: str, first_tag: int, values: Sequence) -> list[Emission]:
+        """Feed ``values[i]``, produced by ``origin``, at tag ``first_tag + i``;
+        returns emissions.
+
+        ``values`` is a list of items or an array with one item per
+        leading index.  Each owned layer fires once over the tags of the
+        run that became ready at it.  A push for an owned source layer
+        counts as that layer firing (it is emitted if on the boundary).
+        Any other push supplies an externally produced value: it feeds
+        owned consumers but is never re-emitted, and it is how assembled
+        shard values reach layers marked ``external``.
 
         Side channels read by callers after each push: ``fired_log``
-        lists owned layers that computed, ``pending_notices`` collects
-        skip notices raised by window resyncs.
+        lists owned layers that computed, once per tag, and
+        ``pending_notices`` collects skip notices raised by window
+        resyncs.  A run fans out to a layer's consumers one consumer at a
+        time, so over a run of several tags these lists and the
+        emissions hold the same entries as over single pushes, in another
+        order.
         """
         out: list[Emission] = []
         self.fired_log: list[str] = []
         self.pending_notices: list[SkipNotice] = []
+        tags = range(int(first_tag), int(first_tag) + len(values))
         local = origin in self._owned_set and self.graph.layer(origin).kind == ir.SOURCE
         if local:
-            self.fired_log.append(origin)
-        queue: list[tuple[str, int, np.ndarray, bool]] = [(origin, int(tag), value, local)]
+            self.fired_log.extend([origin] * len(tags))
+        queue: list[tuple[str, Sequence[int], Sequence, bool]] = [(origin, tags, values, local)]
         while queue:
-            layer, t, val, is_local = queue.pop(0)
+            layer, ts, vals, is_local = queue.pop(0)
             if is_local and layer in self.emit:
-                out.append(Emission(layer, t, val))
+                out.extend(Emission(layer, t, v) for t, v in zip(ts, vals))
             if not is_local or layer not in self.external:
                 for consumer in self.consumers.get(layer, ()):  # deterministic order
-                    for fired, ft, fv in self._feed(consumer, layer, t, val):
-                        queue.append((fired, ft, fv, True))
+                    fired_tags, fired = self._feed(consumer, layer, ts, vals)
+                    if fired_tags:
+                        queue.append((consumer, fired_tags, fired, True))
         return out
 
-    def _feed(self, consumer: str, via: str, tag: int, value: np.ndarray) -> list[tuple[str, int, np.ndarray]]:
-        spec = self.graph.layer(consumer)
+    def _feed(self, consumer: str, via: str, tags: Sequence[int],
+              vals: Sequence) -> tuple[Sequence[int], Sequence]:
+        """Feed a run from ``via`` to ``consumer``; returns the tags it
+        fired at and their values."""
         if consumer in self._windows:
             win = self._windows[consumer]
-            pre = win.resync_on_next
-            fired = win.push(tag, value)
-            if pre and not win.resync_on_next and win.last_resync == tag:
-                # Buffer was lost in a handoff; declare the resulting
-                # output gap so downstream windows advance too.
-                self.pending_notices.extend(
-                    self._skip_from(consumer, win.last_resync + win.length - 1)
-                )
-            out = []
-            for end, items in fired:
-                self.fired_log.append(consumer)
-                out.append((consumer, end, self._fire_windowed(consumer, end, items)))
-            return out
+            fired_tags, fired = [], []
+            for tag, value in zip(tags, vals):
+                pre = win.resync_on_next
+                ready = win.push(tag, value)
+                if pre and not win.resync_on_next and win.last_resync == tag:
+                    # Buffer was lost in a handoff; declare the resulting
+                    # output gap so downstream windows advance too.
+                    self.pending_notices.extend(
+                        self._skip_from(consumer, win.last_resync + win.length - 1)
+                    )
+                for end, items in ready:
+                    self.fired_log.append(consumer)
+                    fired_tags.append(end)
+                    fired.append(self._fire_windowed(consumer, end, items))
+            return fired_tags, fired
         if consumer in self._joins:
-            pend = self._joins[consumer].setdefault(tag, {})
-            for slot, inp in enumerate(spec.inputs):
-                if inp == via and slot not in pend:
-                    pend[slot] = value
-                    break
-            if len(pend) == len(spec.inputs):
-                del self._joins[consumer][tag]
-                inputs = [pend[i] for i in range(len(spec.inputs))]
-                self.fired_log.append(consumer)
-                return [(consumer, tag, self._apply(consumer, tag, inputs))]
-            return []
-        self.fired_log.append(consumer)
-        return [(consumer, tag, self._apply(consumer, tag, [value]))]
+            spec = self.graph.layer(consumer)
+            joins = self._joins[consumer]
+            fired_tags, joined = [], []
+            for tag, value in zip(tags, vals):
+                pend = joins.setdefault(tag, {})
+                for slot, inp in enumerate(spec.inputs):
+                    if inp == via and slot not in pend:
+                        pend[slot] = value
+                        break
+                if len(pend) == len(spec.inputs):
+                    del joins[tag]
+                    inputs = [pend[i] for i in range(len(spec.inputs))]
+                    self.fired_log.append(consumer)
+                    fired_tags.append(tag)
+                    joined.append(inputs if spec.kind == ir.CONCAT else inputs[0])
+            return fired_tags, (self._apply(consumer, joined) if joined else joined)
+        self.fired_log.extend([consumer] * len(tags))
+        return tags, self._apply(consumer, vals)
 
     def skip(self, origin: str, next_tag: int) -> list[SkipNotice]:
         """Propagate a declared tag gap; returns boundary skip notices.
@@ -680,20 +769,27 @@ def run_reference(graph: ir.ModelGraph, inputs: dict[str, Iterable[np.ndarray]],
     """Execute the whole graph in-process over tagged input sequences.
 
     ``inputs`` maps each source name to an ordered iterable of items
-    (tags are assigned 0, 1, ...).  Returns, per sink, the map from tag
-    to output value.  Deterministic: identical (graph, seed, inputs)
-    produce bit-identical outputs.
+    (tags are assigned 0, 1, ...), fed in runs of up to ``RUN_TAGS``
+    tags, fewer when one layer's outputs over a run would exceed
+    ``RUN_BYTES``.  Returns, per sink, the map from tag to output value.
+    Deterministic: identical (graph, seed, inputs) produce bit-identical
+    outputs.
     """
     missing = [s for s in graph.inputs if s not in inputs]
     if missing:
         raise EngineError(f"missing input streams: {missing}")
     ex = TaskExecutor(graph, flow_fn=flow_fn)
+    item_bytes = 4 * max(shape.size for shape in graph.shapes.values())
+    run_tags = max(1, min(RUN_TAGS, RUN_BYTES // item_bytes))
     results: dict[str, dict[int, np.ndarray]] = {s: {} for s in graph.outputs}
     for source, frames in inputs.items():
         if source not in graph.layers or graph.layer(source).kind != ir.SOURCE:
             raise EngineError(f"{source!r} is not a source layer")
-        for tag, frame in enumerate(frames):
-            for em in ex.push(source, tag, np.asarray(frame, dtype=np.float32)):
+        items = iter(frames)
+        tag = 0
+        while run := [np.asarray(f, dtype=np.float32) for f in islice(items, run_tags)]:
+            for em in ex.push_run(source, tag, np.stack(run)):
                 if em.layer in results:
                     results[em.layer][em.tag] = em.value
+            tag += len(run)
     return results

@@ -100,7 +100,6 @@ class Worker:
         self.param_override = param_override
         self.flow_fn = flow_fn
         self.part_specs = part_specs
-        self.table_version = 1
         self.free_at = 0.0
         self.busy_seconds = 0.0
         self.throttled_until = 0.0
@@ -600,7 +599,6 @@ class VirtualCluster(ClusterCore):
         self.last_reassign_reloads = 0
         for d in sorted(self.workers):
             w = self.workers[d]
-            w.table_version = version
             if rebound[d].task_id == w.task.task_id:
                 continue
             w.adopt(rebound[d], handoff=True)
@@ -683,11 +681,17 @@ def run_stream(cluster: VirtualCluster, frames: Iterable[np.ndarray], fps: float
 
     ``paced`` throttles the camera to the recording device's service
     rate (the default for verification and benchmarking); unpaced
-    feeding follows the fps schedule strictly and lets backpressure
-    reduce the recorder's sampling rate.
+    feeding follows the fps schedule strictly, frame i at ``vnow + i /
+    fps``, and lets backpressure reduce the recorder's sampling rate.
+    With a single recorder, ``kept_raw_indices`` lists the frames it
+    admitted, as indices into ``frames``.
     """
     frames = list(frames)
     completions_before = len(cluster.completions)
+    # A single recorder samples raw frames; its raw cursor and kept count
+    # before this call make kept_raw_indices index into this call's frames.
+    recorder = cluster.workers[cluster.sources[0][0]] if len(cluster.sources) == 1 else None
+    base, n_kept = (recorder.raw_index, len(recorder.kept_raw)) if recorder else (0, 0)
 
     if paced:
         # Camera paced to the recorder's service rate; downstream stages
@@ -703,8 +707,9 @@ def run_stream(cluster: VirtualCluster, frames: Iterable[np.ndarray], fps: float
                     break
         cluster.drain()
     else:
+        start = cluster.vnow
         for i, f in enumerate(frames):
-            cluster.feed_frame(f, t=i / fps)
+            cluster.feed_frame(f, t=start + i / fps)
         cluster.drain()
 
     sink = cluster.graph.outputs[0]
@@ -717,9 +722,8 @@ def run_stream(cluster: VirtualCluster, frames: Iterable[np.ndarray], fps: float
     metrics.per_device_busy_seconds = {d: w.busy_seconds for d, w in cluster.workers.items()}
     metrics.drops = sum(w.sample_drops for w in cluster.workers.values())
     metrics.routing_drops = cluster.routing_drops
-    recorders = [w for w in cluster.workers.values() if w.owns_source and w.kept_raw]
-    if len(recorders) == 1:
-        metrics.kept_raw_indices = list(recorders[0].kept_raw)
+    if recorder is not None:
+        metrics.kept_raw_indices = [i - base for i in recorder.kept_raw[n_kept:]]
     if completions:
         paths = [p for _t, _tag, p in completions]
         metrics.t_forward_seconds = sum(p["total"] for p in paths) / len(paths)

@@ -5,6 +5,7 @@ in ascending index order; kernel outputs must match them bit for bit.
 """
 
 import hashlib
+from collections import Counter
 from contextlib import contextmanager
 
 import numpy as np
@@ -246,6 +247,47 @@ class TestConv:
             got = forward_conv(x, LayerParams(w=w, b=b), stride=stride, padding=padding)
         assert got.tobytes() == conv_oracle(x, w, b, stride, padding).tobytes()
 
+    @given(conv_cases(), st.integers(1, 4), st.sampled_from([1, 200, engine.PATCH_BYTES]))
+    # -0.0 borders on every frame around +0.0 padding
+    @example((5, 6, 2, 2, 3, 3, 1, "same", 4, 0.0, 1.0, ((1, 1, 1, 1), (True,) * 4),
+              engine._BLOCK, engine._ACC), 3, engine.PATCH_BYTES)
+    # stride-4 "valid" with an 11x11 kernel, split into one frame per matrix
+    @example((15, 19, 3, 2, 11, 11, 4, "valid", 6, 0.3, 0.5, ((1, 2, 2, 1), (True, True, False, True)),
+              engine._BLOCK, engine._ACC), 4, 200)
+    # one filter with a 1x1 output: a running sum alone, a reduction in a batch
+    @example((4, 4, 3, 1, 4, 4, 1, "valid", 0, 0.0, 0.5, NO_BORDERS, engine._BLOCK, engine._ACC),
+             1, engine.PATCH_BYTES)
+    @example((4, 4, 3, 1, 4, 4, 1, "valid", 0, 0.0, 0.5, NO_BORDERS, engine._BLOCK, engine._ACC),
+             4, engine.PATCH_BYTES)
+    @settings(max_examples=40, deadline=None)
+    def test_batch_matches_oracle_on_each_frame(self, case, frames, patch_bytes):
+        h, wd, c, f, kh, kw, stride, padding, seed, zeros, neg, borders, block, acc = case
+        r = np.random.default_rng(seed)
+        x = with_zeros(r, r.uniform(-1, 1, (frames, h, wd, c)), zeros, neg)
+        for frame in x:
+            zero_borders(frame, borders)
+        w = with_zeros(r, r.uniform(-0.05, 0.05, (f, kh, kw, c)), zeros, 1 - neg)
+        b = with_zeros(r, r.uniform(-0.05, 0.05, f), zeros, neg)
+        saved = engine.PATCH_BYTES
+        engine.PATCH_BYTES = patch_bytes
+        try:
+            with blocks(block, acc):
+                got = forward_conv(x, LayerParams(w=w, b=b), stride=stride, padding=padding)
+        finally:
+            engine.PATCH_BYTES = saved
+        assert got.shape[0] == frames
+        for frame, out in zip(x, got):
+            assert out.tobytes() == conv_oracle(frame, w, b, stride, padding).tobytes()
+
+    def test_batch_im2col_lays_frames_side_by_side(self):
+        x = rng.uniform(-1, 1, (3, 9, 8, 2)).astype(np.float32)
+        zero_borders(x[1], ((1, 1, 1, 1), (True,) * 4))
+        patches, (oh, ow) = im2col(x, 3, 3, 2, "same")
+        for i, frame in enumerate(x):
+            one, extent = im2col(frame, 3, 3, 2, "same")
+            assert extent == (oh, ow)
+            assert patches[:, i * oh * ow:(i + 1) * oh * ow].tobytes() == one.tobytes()
+
     def test_channel_mismatch(self):
         p = LayerParams(w=np.zeros((1, 3, 3, 4), np.float32), b=np.zeros(1, np.float32))
         with pytest.raises(EngineError):
@@ -300,6 +342,19 @@ class TestPointwise:
     def test_relu(self):
         x = np.array([-1, 0, 2], np.float32)
         assert np.array_equal(forward_relu(x), np.array([0, 0, 2], np.float32))
+
+    @pytest.mark.parametrize("window,stride", [(2, 2), (3, 2), (3, 1)])
+    def test_batch_equals_each_frame(self, window, stride):
+        x = with_zeros(rng, rng.uniform(-1, 1, (4, 7, 6, 3)), 0.5, 0.5)
+        p = LayerParams(mean=rng.uniform(-0.05, 0.05, 3).astype(np.float32),
+                        var=rng.uniform(0.9, 1.1, 3).astype(np.float32),
+                        gamma=rng.uniform(0.95, 1.05, 3).astype(np.float32),
+                        beta=np.array([0.0, -0.0, 0.01], np.float32))
+        for kernel in (lambda v: forward_maxpool(v, window, stride), forward_relu,
+                       lambda v: forward_norm(v, p)):
+            got = kernel(x)
+            for frame, out in zip(x, got):
+                assert out.tobytes() == kernel(frame).tobytes()
 
     @given(st.lists(st.floats(min_value=-100, max_value=100, width=32),
                     min_size=1, max_size=512))
@@ -493,6 +548,90 @@ class TestReference:
         doc = json.loads(dump_weights(g, ["fc_d3"]))
         back = np.array(doc["fc_d3"]["w"], np.float32)
         assert np.array_equal(back, params_for(g, "fc_d3").w)
+
+
+def replay(ex, script, run_lengths):
+    """Drive ``ex`` through ``script`` and collect what it reports.
+
+    ``script`` holds ("push", first tag, frames), ("skip", next tag) and
+    ("handoff",) steps.  A push step's frames go in runs whose lengths
+    cycle through ``run_lengths``.  Returns the emissions as sorted
+    (layer, tag, dtype, shape, bytes), and the fired_log and skip
+    notices as Counters.
+    """
+    emitted, fired, notices = [], Counter(), Counter()
+    lengths = iter(run_lengths * 100)
+    for step in script:
+        if step[0] == "skip":
+            notices.update((no.layer, no.next_tag) for no in ex.skip("camera", step[1]))
+            continue
+        if step[0] == "handoff":
+            ex.mark_handoff()
+            continue
+        _, first, frames = step
+        i = 0
+        while i < len(frames):
+            k = min(next(lengths), len(frames) - i)
+            ems = (ex.push("camera", first + i, frames[i]) if k == 1
+                   else ex.push_run("camera", first + i, frames[i:i + k]))
+            emitted += [(em.layer, em.tag, em.value.dtype.str, em.value.shape, em.value.tobytes())
+                        for em in ems]
+            fired.update(ex.fired_log)
+            notices.update((no.layer, no.next_tag) for no in ex.pending_notices)
+            i += k
+    return sorted(emitted), fired, notices
+
+
+class TestRuns:
+    graph = build_model("two_stream", 1 / 32, seed=3)
+    frames = make_clip(graph, 100, 3)
+    # windows fill, a declared gap, more tags, a handoff, more tags
+    script = [("push", 0, frames[:40]), ("skip", 45), ("push", 45, frames[45:70]),
+              ("handoff",), ("push", 75, frames[75:100])]
+
+    @pytest.mark.parametrize("run_lengths", [[16], [3, 1, 7], [2, 16, 5, 1]])
+    def test_runs_equal_single_pushes(self, run_lengths):
+        def executor():
+            return engine.TaskExecutor(self.graph, emit=self.graph.topo_order)
+        want = replay(executor(), self.script, [1])
+        got = replay(executor(), self.script, run_lengths)
+        assert got == want
+        layers = {e[0] for e in want[0]}
+        assert {"flow", "pyr_s", "pyr_t", "fuse", "out"} <= layers
+        assert want[2], "the gap and the handoff declare skips"
+
+    def test_reference_runs_and_patch_matrices_stay_under_their_caps(self, monkeypatch):
+        runs, calls = [], []
+        push_run, lay_out = engine.TaskExecutor.push_run, engine.im2col
+
+        def push_run_spy(ex, origin, first_tag, values):
+            runs.append(len(values))
+            return push_run(ex, origin, first_tag, values)
+
+        def im2col_spy(x, *args):
+            patches, extent = lay_out(x, *args)
+            calls.append((x.shape[0] if x.ndim == 4 else 1, patches.nbytes))
+            return patches, extent
+        monkeypatch.setattr(engine.TaskExecutor, "push_run", push_run_spy)
+        monkeypatch.setattr(engine, "im2col", im2col_spy)
+        # layer outputs of at most 24 KiB, 0.6 MB and 1.6 MB a frame
+        for model, scale, n, longest in (("two_stream", 1 / 8, 40, engine.RUN_TAGS),
+                                         ("alexnet", 1 / 8, 8, 3), ("vgg16", 1 / 8, 2, 1)):
+            g = build_model(model, scale, seed=1)
+            item_bytes = 4 * max(s.size for s in g.shapes.values())
+            runs.clear()
+            run_reference(g, {g.inputs[0]: make_clip(g, n, 1)})
+            assert max(runs) == longest and sum(runs) == n
+            assert all(tags == 1 or tags * item_bytes <= engine.RUN_BYTES for tags in runs)
+        assert all(frames == 1 or nbytes <= engine.PATCH_BYTES for frames, nbytes in calls)
+        assert max(frames for frames, _ in calls) == engine.RUN_TAGS
+
+    def test_iterable_input_equals_array_input(self):
+        frames = self.frames[:40]
+        want = run_reference(self.graph, {"camera": frames})["out"]
+        got = run_reference(self.graph, {"camera": (f.tolist() for f in frames)})["out"]
+        assert sorted(got) == sorted(want)
+        assert all(got[t].tobytes() == want[t].tobytes() for t in want)
 
 
 # sha256 of run_reference's outputs (sink, tag, dtype, shape, bytes) for

@@ -199,6 +199,31 @@ class TestBackpressure:
         for t in ref:
             assert np.array_equal(outs[t], ref[t])
 
+    def test_kept_indices_index_each_calls_frames(self):
+        graph, cluster, frames = self._pressured(400, 7)
+        admitted, drops = [], 0
+        for clip in (frames[:200], frames[200:]):
+            outs, metrics = run_stream(cluster, clip, fps=2000.0, paced=False)
+            kept = metrics.kept_raw_indices
+            assert len(kept) == len(clip) - (metrics.drops - drops)
+            assert kept == sorted(set(kept)) and 0 <= kept[0] and kept[-1] < len(clip)
+            admitted.append(clip[kept])
+            drops = metrics.drops
+        assert drops > 0
+        ref = run_reference(graph, {"camera": np.concatenate(admitted)})["out"]
+        assert_exact(outs, ref)
+
+    def test_second_unpaced_call_is_not_backdated(self):
+        _graph, cluster, frames = self._pressured(100, 7)
+        run_stream(cluster, frames[:50], fps=2000.0, paced=False)
+        now = cluster.vnow
+        due = []
+        feed = cluster.feed_frame
+        cluster.feed_frame = lambda value, t=None: due.append(t) or feed(value, t)
+        run_stream(cluster, frames[50:], fps=2000.0, paced=False)
+        assert now > 0 and len(due) == 50
+        assert min(due) == now
+
     def test_almost_full_throttles_then_recovers(self):
         graph, cluster, frames = self._pressured(400, 7)
         run_stream(cluster, frames, fps=2000.0, paced=False)
@@ -246,7 +271,7 @@ def rotation_digest(cluster, produced) -> str:
         put("done", float(t).hex(), tag,
             *(float(path[k]).hex() for k in ("compute", "comm", "reload", "total")))
     for d, w in sorted(cluster.workers.items()):
-        put("worker", d, w.task.task_id, w.table_version, float(w.free_at).hex(),
+        put("worker", d, w.task.task_id, cluster.iptable.version, float(w.free_at).hex(),
             float(w.busy_seconds).hex(), w.reload_count, w.kept_counter, w.raw_index)
     for d, task in sorted(cluster.assignment.tasks.items()):
         put("task", d, task.task_id, task.device)
@@ -293,8 +318,7 @@ class TestRoleRotation:
         assert cluster.master_writes == writes0 + 1
         assert cluster.last_reassign_reloads == 2
         assert cluster.iptable.recorder_devices() == [target]
-        # table versions seen by every worker are the committed one
-        assert all(w.table_version == new_version for w in cluster.workers.values())
+        assert cluster.iptable.version == new_version
 
         out2, _ = run_stream(cluster, frames[18:])
         produced = {**out1, **out2}
@@ -305,6 +329,19 @@ class TestRoleRotation:
         assert max(produced) == len(frames) - 1
         gap = sorted(set(ref) - set(produced))
         assert gap == list(range(min(gap), max(gap) + 1)), "handoff gap is contiguous"
+
+    def test_kept_indices_after_rotation(self, ts):
+        graph, aset, _, _ = ts
+        frames = make_clip(graph, 60, 4)
+        cluster = start_cluster(aset, 5)
+        _, first = run_stream(cluster, frames[:30])
+        rec = cluster.iptable.recorder_devices()[0]
+        cluster.reassign(("motion_on", 3 if rec != 3 else 2))
+        _, second = run_stream(cluster, frames[30:])
+        for metrics, drops_before in ((first, 0), (second, first.drops)):
+            kept = metrics.kept_raw_indices
+            assert len(kept) == 30 - (metrics.drops - drops_before)
+            assert kept == sorted(set(kept)) and 0 <= kept[0] and kept[-1] < 30
 
     def test_identical_mapping_bumps_version_without_reloads(self, ts):
         _, aset, frames, _ = ts
