@@ -32,30 +32,34 @@ and reuses it in every flow stack window holding that pair, so a
 parameters are shared read-only by every executor of a graph
 (``shared_params``).
 
-An executor takes a run of consecutive tags from one origin at once
-(``push_run``; ``push`` is a run of one) and fires each owned layer
-once over every tag of the run that became ready.  conv, relu, norm and
-maxpool take the run as one (tags, ...) batch.  ``im2col`` lays the
-positions of several frames side by side in one patch matrix, at most
+Pushing an item only schedules the math.  Each firing becomes a
+``Pending`` value in a ``Batch``: its layer, tag, inputs and a static
+shape, which is all that tag alignment, routing and cost accounting
+read.  ``Batch.flush`` computes the pending firings layer by layer in
+graph topological order, one group per (executor, layer), whatever tags
+a group holds.  conv, relu, norm and maxpool take a group as one
+(tags, ...) batch; fc, softmax, concat and shard assembly run once per
+tag; windows run once per window.  ``im2col`` lays the positions of
+several frames side by side in one patch matrix, at most
 ``PATCH_BYTES`` of it per matrix; since every output element keeps its
 own ascending running sum, a frame's outputs do not depend on the
 frames beside it, and with two or more frames no reduced row has a
-single element.  fc and softmax still run once per tag: over 16 frames
-of the two_stream fc shapes, an (inputs, frames, outputs) product block
-ran 0.5x to 1.8x as fast as per-frame calls, depending on the shape.  Windows still take their items one tag at a time and fire once
-per window, and a concat joins the inputs of each tag.
-``run_reference`` feeds its inputs in runs of up to ``RUN_TAGS`` tags,
-fewer where one layer's outputs over a run would exceed ``RUN_BYTES``;
-a distributed worker pushes one item at a time.
+single element.  fc stays per tag: over 16 frames of the two_stream fc
+shapes, an (inputs, frames, outputs) product block ran 0.5x to 1.8x as
+fast as per-frame calls, depending on the shape.  A batch flushes
+itself before a group would pass ``RUN_TAGS`` firings or a layer
+``RUN_BYTES``; ``run_reference`` pushes one tag at a time and flushes
+once more at the end.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import math
+from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional
 
 import numpy as np
 
@@ -166,16 +170,16 @@ def _tap_major(params: LayerParams) -> np.ndarray:
 
 _ZERO = np.float32(0)
 
-# run_reference feeds runs of at most RUN_TAGS tags, and fewer when one
-# layer's outputs over a run would exceed RUN_BYTES (never fewer than
-# one); a conv lays a batch of frames into patch matrices of at most
-# PATCH_BYTES (a matrix of a single frame may exceed it).  On two_stream
-# at 1/32 and 1/8, runs of 16 tags and 2 MiB matrices made the reference
-# about 1.5x faster and grew peak RSS by under 2 MiB; the whole clip in
-# one uncapped run was no faster and grew it from 46 to 120 MiB and from
-# 63 to 85 MiB.  Without RUN_BYTES, runs of vgg16 and alexnet at 1/8,
-# whose layer outputs reach 1.6 and 0.6 MB a frame, grew peak RSS by 12
-# and 9 MiB.
+# A batch computes at most RUN_TAGS firings of one (executor, layer) in
+# one group, and fewer when one layer's outputs (or stacked inputs) over
+# all executors would exceed RUN_BYTES (never fewer than one); a conv lays a batch of frames into patch matrices of
+# at most PATCH_BYTES (a matrix of a single frame may exceed it).  On
+# two_stream at 1/32 and 1/8, groups of 16 tags and 2 MiB matrices made
+# the reference about 1.5x faster and grew peak RSS by under 2 MiB; the
+# whole clip in one uncapped group was no faster and grew it from 46 to
+# 120 MiB and from 63 to 85 MiB.  Without RUN_BYTES, groups of vgg16 and
+# alexnet at 1/8, whose layer outputs reach 1.6 and 0.6 MB a frame, grew
+# peak RSS by 12 and 9 MiB.
 RUN_TAGS = 16
 RUN_BYTES = 2 << 20
 PATCH_BYTES = 2 << 20
@@ -400,24 +404,32 @@ def pyramid_ranges(n_items: int, n_ranges: int) -> list[tuple[int, int]]:
     return out
 
 
+@functools.lru_cache(maxsize=256)
+def _pyramid_rows(n_items: int, levels: int) -> tuple[tuple[int, int], ...]:
+    """Every level's ranges, level-major: the rows of a pyramid."""
+    return tuple(r for k in range(levels) for r in pyramid_ranges(n_items, 2 ** k))
+
+
 def temporal_pyramid(frames: list[np.ndarray], levels: int) -> np.ndarray:
     """Multi-resolution max pooling over an ordered item sequence.
 
     Level k (k = 0..levels-1) splits the sequence into 2**k contiguous
     ranges and emits one elementwise max per range; rows are ordered
-    level-major then range-major, giving 2**levels - 1 rows.
+    level-major then range-major, giving 2**levels - 1 rows.  Each row
+    is one ``np.maximum.reduce`` over its range, as ``max`` does;
+    ``np.maximum.reduceat`` would be faster but does not keep the sign
+    of a zero that ``max`` keeps.
     """
     if not frames:
         raise EngineError("temporal pyramid needs a nonempty frame list")
     if levels < 1:
         raise EngineError("pyramid levels must be >= 1")
-    flat = [np.asarray(f, dtype=np.float32).reshape(-1) for f in frames]
-    stack = np.stack(flat)
-    rows = []
-    for k in range(levels):
-        for start, end in pyramid_ranges(len(flat), 2 ** k):
-            rows.append(stack[start:end].max(axis=0))
-    return np.stack(rows)
+    stack = np.stack([np.asarray(f, dtype=np.float32).reshape(-1) for f in frames])
+    ranges = _pyramid_rows(len(frames), levels)
+    out = np.empty((len(ranges), stack.shape[1]), dtype=np.float32)
+    for row, (start, end) in zip(out, ranges):
+        np.maximum.reduce(stack[start:end], axis=0, out=row)
+    return out
 
 
 def flow_diff_stub(prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
@@ -448,20 +460,104 @@ def flow_stack(frames: list[np.ndarray], window_len: int, flow_fn: Optional[Flow
     return np.concatenate(fields, axis=-1, dtype=np.float32)
 
 
-def _stacked(vals: Sequence) -> np.ndarray:
-    """A run's values as one (tags, ...) array."""
-    if isinstance(vals, np.ndarray):
-        return vals
-    return np.asarray(vals[0])[None] if len(vals) == 1 else np.stack(vals)
+class Pending:
+    """The output of one firing, scheduled but perhaps not yet computed.
+
+    Its ``shape`` is fixed when the layer fires; its ``value`` is set when
+    the batch holding it is flushed, and its inputs (``args``) are then
+    let go.  Like the array it stands for it has ``shape``, ``ndim`` and
+    ``size``, and ``np.asarray`` turns it into that array once computed.
+    """
+
+    __slots__ = ("shape", "size", "tag", "args", "value")
+
+    def __init__(self, shape: tuple, size: int, tag: int, args: Any):
+        self.shape = shape
+        self.size = size
+        self.tag = tag
+        self.args = args
+        self.value: Optional[np.ndarray] = None
+
+    @property
+    def ndim(self) -> int:
+        return len(self.shape)
+
+    def __array__(self, dtype=None, copy=None):
+        value = value_of(self)
+        return value if dtype is None else value.astype(dtype, copy=False)
+
+
+def value_of(x):
+    """The array a computed ``Pending`` stands for; any other value as it is."""
+    if not isinstance(x, Pending):
+        return x
+    if x.value is None:
+        raise EngineError(f"value at tag {x.tag} read before its batch was flushed")
+    return x.value
+
+
+class Batch:
+    """Pending firings of one or more executors of a graph.
+
+    Firings are grouped by (layer, executor); ``flush`` computes the
+    groups in the graph's topological order, so every input is computed
+    before the firings that read it, and each shard assembly after the
+    shards of its layer.  A group never holds more than ``RUN_TAGS``
+    firings, and the firings of one layer, over every executor, never
+    hold more than ``RUN_BYTES`` unless there is only one of them: a
+    firing that would pass a cap flushes the batch first.  A firing
+    counts the bytes of its output, or of its input where that is larger
+    and the flush stacks the group's inputs into one array.  So a flush
+    keeps the outputs of a few layers alive at a time, however many
+    replicas run a layer.  Values do not depend on where the flushes
+    fall.
+    """
+
+    def __init__(self):
+        # (topological rank, 0 for a layer or 1 for its shard assembly,
+        # executor) -> firings in the order they fired
+        self.groups: dict[tuple[int, int, "TaskExecutor"], list[Pending]] = {}
+        # (rank, 0 or 1) -> bytes of that layer's firings
+        self.layer_bytes: dict[tuple[int, int], int] = {}
+
+    def __len__(self) -> int:
+        return sum(len(g) for g in self.groups.values())
+
+    def add(self, key: tuple, pending: Pending, nbytes: int) -> Pending:
+        group = self.groups.get(key)
+        held = self.layer_bytes.get(key[:2], 0)
+        if (group is not None and len(group) >= RUN_TAGS) or (held and held + nbytes > RUN_BYTES):
+            self.flush()
+            group, held = None, 0
+        if group is None:
+            group = self.groups[key] = []
+        group.append(pending)
+        self.layer_bytes[key[:2]] = held + nbytes
+        return pending
+
+    def flush(self) -> None:
+        """Compute every pending firing."""
+        groups, self.groups, self.layer_bytes = self.groups, {}, {}
+        for key in sorted(groups, key=lambda k: k[:2]):
+            rank, assembly, executor = key
+            # Popped, so that each group's outputs can be freed as soon
+            # as their consumers have read them.
+            executor._compute(executor.graph.topo_order[rank], bool(assembly), groups.pop(key))
+
+
+def _stacked(vals: list[np.ndarray]) -> np.ndarray:
+    """A group's inputs as one (tags, ...) array; a single input is not copied."""
+    return vals[0][None] if len(vals) == 1 else np.stack(vals)
 
 
 @dataclass
 class Emission:
-    """One boundary output of a task executor."""
+    """One boundary output of a task executor; ``value`` is a ``Pending``
+    for a layer the executor fired."""
 
     layer: str
     tag: int
-    value: np.ndarray
+    value: Any
 
 
 @dataclass
@@ -472,21 +568,30 @@ class SkipNotice:
     next_tag: int
 
 
+# Kinds that a flush computes as one (tags, ...) batch per group.
+_BATCHED_KINDS = {ir.CONV, ir.RELU, ir.NORM, ir.MAXPOOL}
+# Output shapes that follow the input: the input's shape, or its size.
+_SAME = object()
+_FLAT = object()
+
+
 class TaskExecutor:
     """Streams tagged items through an owned slice of a validated graph.
 
-    ``push_run`` feeds the values of a run of consecutive tags produced
-    by ``origin`` (an external producer or a source) and returns every
-    owned boundary emission that becomes ready; ``push`` feeds a run of
-    one.  Windowed layers buffer items in sliding windows and emit at the
-    newest contributing tag, so tags stay aligned across parallel
-    branches.
+    ``push`` feeds one tagged item produced by ``origin`` (an external
+    producer or a source) and returns every owned boundary emission that
+    becomes ready.  The firings it causes are recorded in ``batch`` and
+    computed when the batch is flushed; until then an emission's value
+    is a ``Pending``.  Windowed layers buffer items in sliding windows
+    and emit at the newest contributing tag, so tags stay aligned across
+    parallel branches.
 
     ``part`` restricts one fc layer to an output-row slice, for model
     parallelism; elementwise layers downstream of it operate on the
     partial rows.  ``external`` marks owned-layer inputs whose values
     arrive via ``push`` anyway (assembled shards), overriding the local
-    partial value.
+    partial value.  ``batch`` may be shared by several executors of the
+    graph; by default the executor has its own.
     """
 
     def __init__(
@@ -498,6 +603,7 @@ class TaskExecutor:
         external: Optional[Iterable[str]] = None,
         flow_fn: Optional[FlowFn] = None,
         param_override: Optional[Callable[[str, LayerParams], LayerParams]] = None,
+        batch: Optional[Batch] = None,
     ):
         self.graph = graph
         self.owned = list(owned) if owned is not None else list(graph.topo_order)
@@ -510,9 +616,14 @@ class TaskExecutor:
         self.part = part
         self.external = set(external or ())
         self.flow_fn = flow_fn or flow_diff_stub
+        self.batch = batch if batch is not None else Batch()
         self._params: dict[str, LayerParams] = {}
         self._param_override = param_override
         self._owned_set = owned_set
+        self._rank = {n: i for i, n in enumerate(graph.topo_order)}
+        # owned layer -> (batch key, output shape, size, stacked), or None
+        # for a layer that passes its input through; see _plan
+        self._plans: dict[str, Optional[tuple]] = {}
         # consumers[x] = owned layers reading x inside the executor
         self.consumers: dict[str, list[str]] = {}
         for n in self.owned:
@@ -520,7 +631,7 @@ class TaskExecutor:
                 self.consumers.setdefault(inp, []).append(n)
         # Windows for flowstack/pyramid; join buffers for multi-input layers.
         self._windows: dict[str, SlidingWindow] = {}
-        self._joins: dict[str, dict[int, dict[int, np.ndarray]]] = {}
+        self._joins: dict[str, dict[int, dict[int, Any]]] = {}
         self._skip: dict[str, int] = {}
         # flowstack layer -> {tag of a pair's later frame: that pair's field}
         self._flows: dict[str, dict[int, np.ndarray]] = {}
@@ -533,6 +644,7 @@ class TaskExecutor:
                 self._flows[n] = {}
             if spec.kind == ir.CONCAT or len(spec.inputs) > 1:
                 self._joins[n] = {}
+            self._plans[n] = self._plan(n)
         self.fired_log: list[str] = []
         self.pending_notices: list[SkipNotice] = []
 
@@ -545,53 +657,100 @@ class TaskExecutor:
             self._params[name] = p
         return p
 
+    # -- scheduling -----------------------------------------------------
+
+    def _plan(self, name: str) -> Optional[tuple]:
+        """(batch key, output shape, output size, whether a flush stacks
+        its inputs) of an owned layer.  An elementwise layer, which also
+        runs on a shard's rows, and softmax take their shape from the
+        input: the shape is ``_SAME`` or ``_FLAT`` and the size None.
+        None for a source or a sink."""
+        k = self.graph.layer(name).kind
+        if k in (ir.SOURCE, ir.SINK):
+            return None
+        if k in (ir.RELU, ir.NORM):
+            shape = _SAME
+        elif k == ir.SOFTMAX:
+            shape = _FLAT
+        elif k == ir.FC and self.part is not None and self.part[0] == name:
+            shape = (self.part[2] - self.part[1],)
+        else:
+            shape = self.graph.shapes[name].dims
+        size = None if shape is _SAME or shape is _FLAT else math.prod(shape)
+        return (self._rank[name], 0, self), shape, size, k in _BATCHED_KINDS
+
+    def _fire(self, name: str, tag: int, args: Any) -> Any:
+        """Record one firing of ``name`` at ``tag`` on ``args`` (its input,
+        a concat's list of inputs, or a window's items); returns its
+        ``Pending`` output.  A sink passes its input through."""
+        plan = self._plans[name]
+        if plan is None:
+            return args
+        key, shape, size, stacked = plan
+        if size is None:
+            size = args.size
+            shape = args.shape if shape is _SAME else (size,)
+        pending = Pending(shape, size, tag, args)
+        return self.batch.add(key, pending, 4 * (max(size, args.size) if stacked else size))
+
+    def join_rows(self, layer: str, tag: int, parts: list) -> Pending:
+        """Record the assembly of ``layer`` at ``tag`` from its row shards
+        ``parts``, in row order, into one flat value."""
+        size = sum(p.size for p in parts)
+        return self.batch.add((self._rank[layer], 1, self), Pending((size,), size, tag, parts),
+                              4 * size)
+
     # -- computation ----------------------------------------------------
 
-    def _apply(self, name: str, vals: Sequence) -> Sequence:
-        """Outputs of a layer that is not windowed, one per value of a run.
+    def _compute(self, name: str, assembly: bool, firings: list[Pending]) -> None:
+        """Compute one group of firings of ``name`` (or of its shard
+        assembly) whose inputs are all computed.
 
-        conv, relu, norm and maxpool take the run as one batch; fc and
-        softmax run once per value.  A concat's values are the lists of
-        inputs it joined.
+        conv, relu, norm and maxpool take the group as one batch; every
+        other kind runs once per firing.  Each kernel is looked up in
+        this module's globals at the call.
         """
         spec = self.graph.layer(name)
         k = spec.kind
-        if k in (ir.SOURCE, ir.SINK):
-            return vals
-        if k == ir.CONV:
-            return forward_conv(
-                _stacked(vals),
-                self.params(name),
-                stride=int(spec.attrs.get("stride", 1)),
-                padding=spec.attrs.get("padding", "same"),
-            )
-        if k == ir.RELU:
-            return forward_relu(_stacked(vals))
-        if k == ir.NORM:
-            return forward_norm(_stacked(vals), self.params(name))
-        if k == ir.MAXPOOL:
-            return forward_maxpool(_stacked(vals), int(spec.attrs["window"]),
-                                   int(spec.attrs.get("stride", spec.attrs["window"])))
-        if k == ir.FC:
+        if assembly:
+            values = [np.concatenate([np.asarray(value_of(v), np.float32).reshape(-1)
+                                      for v in p.args]) for p in firings]
+        elif k in _BATCHED_KINDS:
+            x = _stacked([value_of(p.args) for p in firings])
+            if k == ir.CONV:
+                values = forward_conv(x, self.params(name),
+                                      stride=int(spec.attrs.get("stride", 1)),
+                                      padding=spec.attrs.get("padding", "same"))
+            elif k == ir.RELU:
+                values = forward_relu(x)
+            elif k == ir.NORM:
+                values = forward_norm(x, self.params(name))
+            else:
+                values = forward_maxpool(x, int(spec.attrs["window"]),
+                                         int(spec.attrs.get("stride", spec.attrs["window"])))
+        elif k == ir.FC:
             rows = None
             if self.part is not None and self.part[0] == name:
                 rows = (self.part[1], self.part[2])
             params = self.params(name)
-            return [forward_fc(v, params, rows=rows) for v in vals]
-        if k == ir.SOFTMAX:
-            return [forward_softmax(v) for v in vals]
-        if k == ir.CONCAT:
+            values = [forward_fc(value_of(p.args), params, rows=rows) for p in firings]
+        elif k == ir.SOFTMAX:
+            values = [forward_softmax(value_of(p.args)) for p in firings]
+        elif k == ir.CONCAT:
             axis = int(spec.attrs.get("axis", 0))
-            return [np.concatenate(inputs, axis=axis) for inputs in vals]
-        raise EngineError(f"layer {name!r}: kind {k!r} is windowed or unknown here")
-
-    def _fire_windowed(self, name: str, end_tag: int, items: list[np.ndarray]) -> np.ndarray:
-        spec = self.graph.layer(name)
-        if spec.kind == ir.PYRAMID:
-            return temporal_pyramid(items, int(spec.attrs["levels"]))
-        if spec.kind == ir.FLOWSTACK:
-            return self._flow_stack(name, end_tag, items, int(spec.attrs["window_len"]))
-        raise EngineError(f"layer {name!r} is not windowed")
+            values = [np.concatenate([value_of(v) for v in p.args], axis=axis) for p in firings]
+        elif k == ir.PYRAMID:
+            levels = int(spec.attrs["levels"])
+            values = [temporal_pyramid([value_of(v) for v in p.args], levels) for p in firings]
+        else:  # flowstack; sources and sinks never fire into a batch
+            window_len = int(spec.attrs["window_len"])
+            values = [self._flow_stack(name, p.tag, [value_of(v) for v in p.args], window_len)
+                      for p in firings]
+        for p, v in zip(firings, values):
+            if v.shape != p.shape:
+                raise EngineError(f"layer {name!r} at tag {p.tag}: computed shape {v.shape}, "
+                                  f"scheduled as {p.shape}")
+            p.value, p.args = v, None
 
     def _flow_stack(self, name: str, end_tag: int, items: list[np.ndarray], window_len: int) -> np.ndarray:
         """``flow_stack`` over the window ending at ``end_tag``, computing
@@ -600,7 +759,8 @@ class TaskExecutor:
         Windows hold consecutive tags, and a tag's frame never changes
         once it sits in a window, so a pair's field is keyed by its later
         tag and reused by every overlapping window.  Fields of pairs that
-        left the window are dropped.
+        left the window are dropped.  A flush computes an executor's
+        windows in the order they fired, so this holds across flushes.
         """
         fields = self._flows[name]
         first = end_tag - window_len
@@ -619,89 +779,72 @@ class TaskExecutor:
 
     # -- streaming ------------------------------------------------------
 
-    def push(self, origin: str, tag: int, value: np.ndarray) -> list[Emission]:
-        """Feed one tagged item produced by ``origin``: a run of one."""
-        return self.push_run(origin, tag, [value])
+    def push(self, origin: str, tag: int, value: Any) -> list[Emission]:
+        """Feed one tagged item produced by ``origin``; returns emissions.
 
-    def push_run(self, origin: str, first_tag: int, values: Sequence) -> list[Emission]:
-        """Feed ``values[i]``, produced by ``origin``, at tag ``first_tag + i``;
-        returns emissions.
-
-        ``values`` is a list of items or an array with one item per
-        leading index.  Each owned layer fires once over the tags of the
-        run that became ready at it.  A push for an owned source layer
-        counts as that layer firing (it is emitted if on the boundary).
-        Any other push supplies an externally produced value: it feeds
+        A push for an owned source layer counts as that layer firing (it
+        is emitted if on the boundary).  Any other push supplies an
+        externally produced value (an array or a ``Pending``): it feeds
         owned consumers but is never re-emitted, and it is how assembled
         shard values reach layers marked ``external``.
 
         Side channels read by callers after each push: ``fired_log``
-        lists owned layers that computed, once per tag, and
+        lists owned layers that fired, once per tag, and
         ``pending_notices`` collects skip notices raised by window
-        resyncs.  A run fans out to a layer's consumers one consumer at a
-        time, so over a run of several tags these lists and the
-        emissions hold the same entries as over single pushes, in another
-        order.
+        resyncs.  Layers are visited breadth first, item by item.
         """
         out: list[Emission] = []
         self.fired_log: list[str] = []
         self.pending_notices: list[SkipNotice] = []
-        tags = range(int(first_tag), int(first_tag) + len(values))
         local = origin in self._owned_set and self.graph.layer(origin).kind == ir.SOURCE
         if local:
-            self.fired_log.extend([origin] * len(tags))
-        queue: list[tuple[str, Sequence[int], Sequence, bool]] = [(origin, tags, values, local)]
+            self.fired_log.append(origin)
+        queue = deque([(origin, int(tag), value, local)])
         while queue:
-            layer, ts, vals, is_local = queue.pop(0)
+            layer, t, val, is_local = queue.popleft()
             if is_local and layer in self.emit:
-                out.extend(Emission(layer, t, v) for t, v in zip(ts, vals))
+                out.append(Emission(layer, t, val))
             if not is_local or layer not in self.external:
                 for consumer in self.consumers.get(layer, ()):  # deterministic order
-                    fired_tags, fired = self._feed(consumer, layer, ts, vals)
-                    if fired_tags:
-                        queue.append((consumer, fired_tags, fired, True))
+                    for fired_tag, fired in self._feed(consumer, layer, t, val):
+                        queue.append((consumer, fired_tag, fired, True))
         return out
 
-    def _feed(self, consumer: str, via: str, tags: Sequence[int],
-              vals: Sequence) -> tuple[Sequence[int], Sequence]:
-        """Feed a run from ``via`` to ``consumer``; returns the tags it
-        fired at and their values."""
+    def _feed(self, consumer: str, via: str, tag: int, value: Any) -> list[tuple[int, Any]]:
+        """Feed one item from ``via`` to ``consumer``; returns the tags it
+        fired at with their outputs."""
         if consumer in self._windows:
             win = self._windows[consumer]
-            fired_tags, fired = [], []
-            for tag, value in zip(tags, vals):
-                pre = win.resync_on_next
-                ready = win.push(tag, value)
-                if pre and not win.resync_on_next and win.last_resync == tag:
-                    # Buffer was lost in a handoff; declare the resulting
-                    # output gap so downstream windows advance too.
-                    self.pending_notices.extend(
-                        self._skip_from(consumer, win.last_resync + win.length - 1)
-                    )
-                for end, items in ready:
-                    self.fired_log.append(consumer)
-                    fired_tags.append(end)
-                    fired.append(self._fire_windowed(consumer, end, items))
-            return fired_tags, fired
+            pre = win.resync_on_next
+            ready = win.push(tag, value)
+            if pre and not win.resync_on_next and win.last_resync == tag:
+                # Buffer was lost in a handoff; declare the resulting
+                # output gap so downstream windows advance too.
+                self.pending_notices.extend(
+                    self._skip_from(consumer, win.last_resync + win.length - 1)
+                )
+            fired = []
+            for end, items in ready:
+                self.fired_log.append(consumer)
+                fired.append((end, self._fire(consumer, end, items)))
+            return fired
         if consumer in self._joins:
             spec = self.graph.layer(consumer)
             joins = self._joins[consumer]
-            fired_tags, joined = [], []
-            for tag, value in zip(tags, vals):
-                pend = joins.setdefault(tag, {})
-                for slot, inp in enumerate(spec.inputs):
-                    if inp == via and slot not in pend:
-                        pend[slot] = value
-                        break
-                if len(pend) == len(spec.inputs):
-                    del joins[tag]
-                    inputs = [pend[i] for i in range(len(spec.inputs))]
-                    self.fired_log.append(consumer)
-                    fired_tags.append(tag)
-                    joined.append(inputs if spec.kind == ir.CONCAT else inputs[0])
-            return fired_tags, (self._apply(consumer, joined) if joined else joined)
-        self.fired_log.extend([consumer] * len(tags))
-        return tags, self._apply(consumer, vals)
+            pend = joins.setdefault(tag, {})
+            for slot, inp in enumerate(spec.inputs):
+                if inp == via and slot not in pend:
+                    pend[slot] = value
+                    break
+            if len(pend) < len(spec.inputs):
+                return []
+            del joins[tag]
+            inputs = [pend[i] for i in range(len(spec.inputs))]
+            self.fired_log.append(consumer)
+            args = inputs if spec.kind == ir.CONCAT else inputs[0]
+            return [(tag, self._fire(consumer, tag, args))]
+        self.fired_log.append(consumer)
+        return [(tag, self._fire(consumer, tag, value))]
 
     def skip(self, origin: str, next_tag: int) -> list[SkipNotice]:
         """Propagate a declared tag gap; returns boundary skip notices.
@@ -769,9 +912,9 @@ def run_reference(graph: ir.ModelGraph, inputs: dict[str, Iterable[np.ndarray]],
     """Execute the whole graph in-process over tagged input sequences.
 
     ``inputs`` maps each source name to an ordered iterable of items
-    (tags are assigned 0, 1, ...), fed in runs of up to ``RUN_TAGS``
-    tags, fewer when one layer's outputs over a run would exceed
-    ``RUN_BYTES``.  Returns, per sink, the map from tag to output value.
+    (tags are assigned 0, 1, ...), pushed one at a time into one
+    executor whose batch computes each layer over up to ``RUN_TAGS``
+    tags at once.  Returns, per sink, the map from tag to output value.
     Deterministic: identical (graph, seed, inputs) produce bit-identical
     outputs.
     """
@@ -779,17 +922,13 @@ def run_reference(graph: ir.ModelGraph, inputs: dict[str, Iterable[np.ndarray]],
     if missing:
         raise EngineError(f"missing input streams: {missing}")
     ex = TaskExecutor(graph, flow_fn=flow_fn)
-    item_bytes = 4 * max(shape.size for shape in graph.shapes.values())
-    run_tags = max(1, min(RUN_TAGS, RUN_BYTES // item_bytes))
-    results: dict[str, dict[int, np.ndarray]] = {s: {} for s in graph.outputs}
+    results: dict[str, dict[int, Any]] = {s: {} for s in graph.outputs}
     for source, frames in inputs.items():
         if source not in graph.layers or graph.layer(source).kind != ir.SOURCE:
             raise EngineError(f"{source!r} is not a source layer")
-        items = iter(frames)
-        tag = 0
-        while run := [np.asarray(f, dtype=np.float32) for f in islice(items, run_tags)]:
-            for em in ex.push_run(source, tag, np.stack(run)):
+        for tag, frame in enumerate(frames):
+            for em in ex.push(source, tag, np.asarray(frame, dtype=np.float32)):
                 if em.layer in results:
                     results[em.layer][em.tag] = em.value
-            tag += len(run)
-    return results
+    ex.batch.flush()
+    return {s: {t: value_of(v) for t, v in by_tag.items()} for s, by_tag in results.items()}

@@ -1,7 +1,7 @@
 """Verification and benchmarking over the planned cluster.
 
 ``verify`` runs identical seeded inputs through the single-process
-reference and the distributed runtime and demands exact equality, tag
+reference and the distributed runtime and demands bitwise equality, tag
 by tag.  ``bench`` drives simulated-latency runs per device count and
 reports throughput, latency breakdown and energy next to the planner's
 predictions.  Desk-scale defaults (hidden dimensions at 1/8, memory
@@ -32,6 +32,15 @@ DESK_SCALE = 0.125
 class VerifyMismatch(RuntimeError):
     """Distributed output differed from the reference (device count,
     tag and max abs difference in the message)."""
+
+
+def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    """Whether two arrays hold the same dtype, shape and bytes.
+
+    Stricter than ``==``, which takes -0.0 for +0.0, and looser on NaN,
+    which ``==`` never takes for itself.
+    """
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def load_model(spec: str, scale: float, seed: int) -> ir.ModelGraph:
@@ -101,7 +110,8 @@ def verify(model: str, n_list: Iterable[int], scale: float = DESK_SCALE,
            device: Optional[DeviceProfile] = None, comm: Optional[CommModel] = None,
            transport: str = "in_process", param_override=None,
            raise_on_mismatch: bool = False) -> VerifyReport:
-    """Exact-equality check of distributed vs reference execution."""
+    """Bitwise check of distributed vs reference execution; the largest
+    absolute difference is reported, not judged."""
     n_list = sorted(set(n_list))
     report = VerifyReport()
     t0 = time.perf_counter()
@@ -125,12 +135,10 @@ def verify(model: str, n_list: Iterable[int], scale: float = DESK_SCALE,
             for tag in sorted(ref):
                 got = outs.get(tag)
                 if got is None or got.shape != ref[tag].shape:
-                    exact = False
-                    first_bad = first_bad if first_bad is not None else tag
-                    max_diff = float("inf")
-                    continue
-                d = float(np.max(np.abs(got - ref[tag]))) if got.size else 0.0
-                if d != 0.0:
+                    d = float("inf")
+                else:
+                    d = float(np.max(np.abs(got - ref[tag]))) if got.size else 0.0
+                if got is None or not same_bits(got, ref[tag]):
                     exact = False
                     first_bad = first_bad if first_bad is not None else tag
                 max_diff = max(max_diff, d)

@@ -201,6 +201,13 @@ class LoopbackCluster(ClusterCore):
                 sock = self._conns[dst] = socket.create_connection(addr, timeout=10.0)
             _send_frame(sock, frame)
 
+    def _consume(self, w: Worker, msg: Message):
+        """Consume a message and compute what it fired: the wire needs
+        bytes.  Each worker has its own batch, flushed on its own thread."""
+        consumed = w.consume_data(msg)
+        w.batch.flush()
+        return consumed
+
     def _send(self, src: int, msg: Message, dst: int, t: float) -> None:
         self.send(msg, dst)
 

@@ -3,15 +3,22 @@
 Workers exchange tagged one-way messages; each worker is a single
 logical event loop over one bounded inbox, with no shared state between
 workers.  The default transport runs every worker in one process under
-a deterministic discrete-event virtual clock: tensor math executes for
-real (so outputs are exact), while compute, reload and link times are
-modeled from the device/communication profiles and advance virtual
-time.  A loopback-socket transport (``edgeflock.loopback``) runs the
-same workers over real TCP frames.  Both transports share
-``ClusterCore``: the plan index (shard parts, routes, predecessors,
-source devices) and the handling of data and skip frames (shard
-self-assembly, emission routing, skip notices); a transport only moves
-frames.  A worker prices its task with ``costs.price_task``, as the
+a deterministic discrete-event virtual clock: compute, reload and link
+times are modeled from the device/communication profiles and advance
+virtual time, while tensor math executes for real (so outputs are
+exact).  Nothing the clock decides reads a tensor value, only shapes,
+so the math is deferred: a worker's firings are ``engine.Pending``
+values in one ``engine.Batch`` shared by the cluster, and messages,
+windows and outputs hold them.  The batch computes each layer over many
+firings at once when it reaches its caps (``engine.RUN_TAGS``,
+``engine.RUN_BYTES``), before a role rotation and at the end of
+``run_stream``.  A loopback-socket transport (``edgeflock.loopback``)
+runs the same workers over real TCP frames; each of its workers flushes
+its own batch after every message, since the wire needs bytes.  Both
+transports share ``ClusterCore``: the plan index (shard parts, routes,
+predecessors, source devices) and the handling of data and skip frames
+(shard self-assembly, emission routing, skip notices); a transport only
+moves frames.  A worker prices its task with ``costs.price_task``, as the
 planner does.
 
 Dynamic behavior follows the planned assignment set.  The
@@ -39,7 +46,7 @@ import numpy as np
 from edgeflock import model_ir as ir
 from edgeflock import costs
 from edgeflock.costs import DeviceProfile, CommModel, comm_latency
-from edgeflock.engine import TaskExecutor
+from edgeflock.engine import Batch, TaskExecutor, value_of
 from edgeflock.planner import AssignmentSet, Edge, Task
 from edgeflock.windows import BoundedInbox
 from edgeflock.wire import Message, Kind, IPTable, RoleEntry
@@ -92,7 +99,7 @@ class Worker:
                  profile: DeviceProfile,
                  part_specs: dict[str, list[tuple[int, tuple[int, int], int]]],
                  inbox_capacity: int = DEFAULT_INBOX_CAPACITY,
-                 param_override=None, flow_fn=None):
+                 param_override=None, flow_fn=None, batch: Optional[Batch] = None):
         self.device = device
         self.graph = graph
         self.profile = profile
@@ -100,6 +107,9 @@ class Worker:
         self.param_override = param_override
         self.flow_fn = flow_fn
         self.part_specs = part_specs
+        # Where the executor records its firings; every task this worker
+        # adopts records into the same batch.
+        self.batch = batch if batch is not None else Batch()
         self.free_at = 0.0
         self.busy_seconds = 0.0
         self.throttled_until = 0.0
@@ -132,7 +142,7 @@ class Worker:
                 external = [split.terminal]
         self.executor = TaskExecutor(
             self.graph, owned=task.layers, emit=emit, part=part, external=external,
-            flow_fn=self.flow_fn, param_override=self.param_override,
+            flow_fn=self.flow_fn, param_override=self.param_override, batch=self.batch,
         )
         if handoff:
             self.executor.mark_handoff()
@@ -184,7 +194,8 @@ class Worker:
 
         Shard payloads (wire name ``layer#pN``) park in a per-tag
         assembly buffer until every row range arrived, then enter the
-        executor as the assembled full value.
+        executor as the assembled full value.  The emissions' values are
+        ``Pending`` until the worker's batch is flushed.
         """
         tag = msg.tag
         inc = msg.meta.get("path", _zero_path())
@@ -207,7 +218,7 @@ class Worker:
         compute, reload = self._charge(self.executor.fired_log)
         return emissions, notices, compute, reload
 
-    def _assemble(self, layer: str, tag: int, part_index: int, value: np.ndarray):
+    def _assemble(self, layer: str, tag: int, part_index: int, value):
         spec = self.part_specs.get(layer)
         if spec is None:
             raise RuntimeFault(f"device {self.device}: unexpected shard for {layer!r}")
@@ -218,7 +229,7 @@ class Worker:
             return None
         del self._assembly[key]
         ordered = [slot[idx] for idx, _rows, _dev in sorted(spec, key=lambda e: e[0])]
-        return np.concatenate([np.asarray(v, np.float32).reshape(-1) for v in ordered])
+        return self.executor.join_rows(layer, tag, ordered)
 
     def consume_skip(self, msg: Message):
         layer, _ = parse_wire_name(msg.layer)
@@ -277,12 +288,14 @@ class ClusterCore:
 
     A transport subclass moves the messages: ``_send(src, msg, dst, t)``
     and ``_output(worker, emission, path, t)``, where ``t`` is the
-    sender's clock.
+    sender's clock.  Every worker records its firings in ``batch``, or
+    in its own batch when ``batch`` is None; ``_consume`` is where a
+    transport that needs the values at once flushes.
     """
 
     def __init__(self, aset: AssignmentSet, n: int, inbox_capacity: int,
                  param_override, flow_fn, profile: Optional[DeviceProfile],
-                 comm: Optional[CommModel]):
+                 comm: Optional[CommModel], batch: Optional[Batch] = None):
         self.aset = aset
         self.assignment = aset.for_devices(n)
         self.graph = aset.graph
@@ -296,7 +309,7 @@ class ClusterCore:
             raise RuntimeFault("assignment device ids must be < n")
         self.workers: dict[int, Worker] = {
             d: Worker(d, task, self.graph, self.profile, {}, inbox_capacity,
-                      param_override, flow_fn)
+                      param_override, flow_fn, batch)
             for d, task in self.assignment.tasks.items()
         }
         if not self.workers:
@@ -341,6 +354,10 @@ class ClusterCore:
     def _output(self, w: Worker, em, path: dict, t: float) -> None:
         raise NotImplementedError
 
+    def _consume(self, w: Worker, msg: Message):
+        """``w.consume_data(msg)``: (emissions, notices, compute_s, reload_s)."""
+        return w.consume_data(msg)
+
     @staticmethod
     def _charge(w: Worker, path: dict, compute: float, reload: float) -> dict:
         """Charge one consumption to the worker; returns the item's new path.
@@ -356,7 +373,7 @@ class ClusterCore:
 
     def _on_data(self, w: Worker, msg: Message) -> None:
         """Consume one data frame on ``w`` and route all that it yields."""
-        emissions, notices, compute, reload = w.consume_data(msg)
+        emissions, notices, compute, reload = self._consume(w, msg)
         path = self._charge(w, w.path_state.get(msg.tag, _zero_path()), compute, reload)
         self._dispatch(w, emissions, notices, path)
 
@@ -373,7 +390,7 @@ class ClusterCore:
                 if w.assembles_own_shard:
                     local = Message(kind=Kind.DATA, tag=em.tag, layer=name,
                                     tensor=em.value, meta={"path": path})
-                    sub_em, sub_no, compute, reload = w.consume_data(local)
+                    sub_em, sub_no, compute, reload = self._consume(w, local)
                     path = self._charge(w, path, compute, reload)
                     self._dispatch(w, sub_em, sub_no, path)
             for dst, idx, count in routes.get(em.layer, ()):
@@ -398,7 +415,9 @@ class VirtualCluster(ClusterCore):
 
     On top of the core it keeps the event heap, modeled link latency,
     blocking sends into bounded inboxes with almost-full signals, and
-    master-driven role rotation.
+    master-driven role rotation.  All workers record their firings in
+    one ``batch``; ``outputs`` holds ``Pending`` values until it is
+    flushed.
     """
 
     def __init__(self, aset: AssignmentSet, n: int,
@@ -407,7 +426,9 @@ class VirtualCluster(ClusterCore):
                  param_override=None, flow_fn=None,
                  profile: Optional[DeviceProfile] = None,
                  comm: Optional[CommModel] = None):
-        super().__init__(aset, n, inbox_capacity, param_override, flow_fn, profile, comm)
+        self.batch = Batch()
+        super().__init__(aset, n, inbox_capacity, param_override, flow_fn, profile, comm,
+                         self.batch)
         if master_seed is None:
             self.master = min(self.workers)
         else:
@@ -426,7 +447,7 @@ class VirtualCluster(ClusterCore):
         self._heap: list[tuple[float, int, Callable, tuple]] = []
         self._seq = 0
         self.vnow = 0.0
-        self.outputs: dict[str, dict[int, np.ndarray]] = {s: {} for s in self.graph.outputs}
+        self.outputs: dict[str, dict[int, object]] = {s: {} for s in self.graph.outputs}
         self.completions: list[tuple[float, int, dict]] = []
         # Blocking-send discipline: frames bound for a full inbox wait in
         # the sender's outbound queue; the sender stalls until the
@@ -442,6 +463,10 @@ class VirtualCluster(ClusterCore):
 
     def drain(self) -> None:
         self.drain_until(math.inf)
+
+    def flush(self) -> None:
+        """Compute every pending firing of every worker."""
+        self.batch.flush()
 
     def drain_until(self, t: float) -> None:
         """Run events scheduled at or before virtual time t."""
@@ -561,6 +586,7 @@ class VirtualCluster(ClusterCore):
         devices reload.
         """
         self.drain()
+        self.flush()
         sender = self.master if from_device is None else from_device
         if sender != self.master:
             self.rejected_updates += 1
@@ -677,14 +703,16 @@ def start_cluster(aset: AssignmentSet, n: int, transport: str = "in_process", **
 
 def run_stream(cluster: VirtualCluster, frames: Iterable[np.ndarray], fps: float = 30.0,
                paced: bool = True) -> tuple[dict[int, np.ndarray], RunMetrics]:
-    """Feed a frame sequence and collect tagged outputs plus metrics.
+    """Feed a frame sequence; returns the outputs this call completed, by
+    tag, and its metrics.
 
     ``paced`` throttles the camera to the recording device's service
     rate (the default for verification and benchmarking); unpaced
     feeding follows the fps schedule strictly, frame i at ``vnow + i /
     fps``, and lets backpressure reduce the recorder's sampling rate.
     With a single recorder, ``kept_raw_indices`` lists the frames it
-    admitted, as indices into ``frames``.
+    admitted, as indices into ``frames``.  The math runs as the cluster's
+    batch fills and once more after the last event.
     """
     frames = list(frames)
     completions_before = len(cluster.completions)
@@ -711,10 +739,11 @@ def run_stream(cluster: VirtualCluster, frames: Iterable[np.ndarray], fps: float
         for i, f in enumerate(frames):
             cluster.feed_frame(f, t=start + i / fps)
         cluster.drain()
+    cluster.flush()
 
-    sink = cluster.graph.outputs[0]
-    outputs = dict(cluster.outputs[sink])
     completions = cluster.completions[completions_before:]
+    produced = cluster.outputs[cluster.graph.outputs[0]]
+    outputs = {tag: value_of(produced[tag]) for _t, tag, _p in completions if tag in produced}
     metrics = RunMetrics()
     metrics.outputs = len(completions)
     metrics.wall_seconds = cluster.vnow

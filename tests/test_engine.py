@@ -5,7 +5,6 @@ in ascending index order; kernel outputs must match them bit for bit.
 """
 
 import hashlib
-from collections import Counter
 from contextlib import contextmanager
 
 import numpy as np
@@ -402,6 +401,18 @@ class TestPyramid:
         with pytest.raises(EngineError):
             temporal_pyramid([], 4)
 
+    @pytest.mark.parametrize("n", range(1, 18))
+    def test_signed_zeros_match_oracle_bytes(self, n):
+        """Ranges of mixed +0.0 and -0.0 keep the sign max keeps."""
+        r = np.random.default_rng(n)
+        for neg in (0.0, 0.5, 1.0):
+            frames = [with_zeros(r, r.uniform(-1, 1, (3, 4)), 0.8, neg) for _ in range(n)]
+            for levels in (1, 4):
+                got = temporal_pyramid(frames, levels)
+                want = pyramid_oracle(frames, levels)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (neg, levels)
+
     @given(st.integers(min_value=1, max_value=64), st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=40, deadline=None)
     def test_row_zero_dominates_everything(self, n, seed):
@@ -458,12 +469,14 @@ def flow_executor(flow_fn):
 
 
 def push_flows(ex, frames, tags):
-    """Push ``frames[t]`` for each tag; returns {end tag: flow stack}."""
+    """Push ``frames[t]`` for each tag and flush; returns {end tag: flow
+    stack}."""
     out = {}
     for t in tags:
         for em in ex.push("camera", t, frames[t]):
             out[em.tag] = em.value
-    return out
+    ex.batch.flush()
+    return {t: engine.value_of(v) for t, v in out.items()}
 
 
 class TestFlowCache:
@@ -554,32 +567,45 @@ def replay(ex, script, run_lengths):
     """Drive ``ex`` through ``script`` and collect what it reports.
 
     ``script`` holds ("push", first tag, frames), ("skip", next tag) and
-    ("handoff",) steps.  A push step's frames go in runs whose lengths
-    cycle through ``run_lengths``.  Returns the emissions as sorted
-    (layer, tag, dtype, shape, bytes), and the fired_log and skip
-    notices as Counters.
+    ("handoff",) steps.  The pushes go in runs whose lengths cycle
+    through ``run_lengths``, and the batch is flushed after each run and
+    at the end; after a length of 0 only the batch's own caps flush it.
+    Returns the emissions as (layer, tag, dtype, shape, bytes), the
+    fired_log and the skip notices, each in the order they came.
     """
-    emitted, fired, notices = [], Counter(), Counter()
-    lengths = iter(run_lengths * 100)
+    emitted, fired, notices = [], [], []
+    lengths = iter(run_lengths * 1000)
+    left = next(lengths)
     for step in script:
         if step[0] == "skip":
-            notices.update((no.layer, no.next_tag) for no in ex.skip("camera", step[1]))
+            notices += [(no.layer, no.next_tag) for no in ex.skip("camera", step[1])]
             continue
         if step[0] == "handoff":
             ex.mark_handoff()
             continue
         _, first, frames = step
-        i = 0
-        while i < len(frames):
-            k = min(next(lengths), len(frames) - i)
-            ems = (ex.push("camera", first + i, frames[i]) if k == 1
-                   else ex.push_run("camera", first + i, frames[i:i + k]))
-            emitted += [(em.layer, em.tag, em.value.dtype.str, em.value.shape, em.value.tobytes())
-                        for em in ems]
-            fired.update(ex.fired_log)
-            notices.update((no.layer, no.next_tag) for no in ex.pending_notices)
-            i += k
-    return sorted(emitted), fired, notices
+        for i, frame in enumerate(frames):
+            emitted += ex.push("camera", first + i, frame)
+            fired += ex.fired_log
+            notices += [(no.layer, no.next_tag) for no in ex.pending_notices]
+            left -= 1
+            if left == 0:
+                ex.batch.flush()
+                left = next(lengths)
+    ex.batch.flush()
+    values = [(em.layer, em.tag, np.asarray(em.value)) for em in emitted]
+    return [(layer, tag, v.dtype.str, v.shape, v.tobytes()) for layer, tag, v in values], fired, notices
+
+
+@contextmanager
+def caps(run_tags, run_bytes):
+    """Run with batch caps of ``run_tags`` firings and ``run_bytes`` bytes."""
+    saved = engine.RUN_TAGS, engine.RUN_BYTES
+    engine.RUN_TAGS, engine.RUN_BYTES = run_tags, run_bytes
+    try:
+        yield
+    finally:
+        engine.RUN_TAGS, engine.RUN_BYTES = saved
 
 
 class TestRuns:
@@ -589,40 +615,60 @@ class TestRuns:
     script = [("push", 0, frames[:40]), ("skip", 45), ("push", 45, frames[45:70]),
               ("handoff",), ("push", 75, frames[75:100])]
 
+    def executor(self):
+        return engine.TaskExecutor(self.graph, emit=self.graph.topo_order)
+
+    @pytest.fixture(scope="class")
+    def single(self):
+        """The script flushed after every push."""
+        return replay(self.executor(), self.script, [1])
+
     @pytest.mark.parametrize("run_lengths", [[16], [3, 1, 7], [2, 16, 5, 1]])
-    def test_runs_equal_single_pushes(self, run_lengths):
-        def executor():
-            return engine.TaskExecutor(self.graph, emit=self.graph.topo_order)
-        want = replay(executor(), self.script, [1])
-        got = replay(executor(), self.script, run_lengths)
-        assert got == want
-        layers = {e[0] for e in want[0]}
+    def test_runs_equal_single_pushes(self, single, run_lengths):
+        got = replay(self.executor(), self.script, run_lengths)
+        assert got == single
+        layers = {e[0] for e in single[0]}
         assert {"flow", "pyr_s", "pyr_t", "fuse", "out"} <= layers
-        assert want[2], "the gap and the handoff declare skips"
+        assert single[2], "the gap and the handoff declare skips"
+
+    @given(st.lists(st.integers(0, 20), min_size=1, max_size=8), st.integers(1, 16),
+           st.sampled_from([1, 5000, 2 << 20]))
+    @settings(max_examples=15, deadline=None)
+    def test_any_flush_points_give_the_same_values(self, single, run_lengths, run_tags,
+                                                     run_bytes):
+        with caps(run_tags, run_bytes):
+            got = replay(self.executor(), self.script, run_lengths)
+        assert got == single
 
     def test_reference_runs_and_patch_matrices_stay_under_their_caps(self, monkeypatch):
-        runs, calls = [], []
-        push_run, lay_out = engine.TaskExecutor.push_run, engine.im2col
+        groups, calls = [], []
+        compute, lay_out = engine.TaskExecutor._compute, engine.im2col
 
-        def push_run_spy(ex, origin, first_tag, values):
-            runs.append(len(values))
-            return push_run(ex, origin, first_tag, values)
+        def compute_spy(ex, name, assembly, firings):
+            # a batched group counts its stacked inputs too
+            nbytes = 4 * sum(max(p.size, np.asarray(p.args).size) for p in firings) \
+                if g.layer(name).kind in ("conv", "relu", "norm", "maxpool") \
+                else 4 * sum(p.size for p in firings)
+            groups.append((name, len(firings), nbytes))
+            return compute(ex, name, assembly, firings)
 
         def im2col_spy(x, *args):
             patches, extent = lay_out(x, *args)
             calls.append((x.shape[0] if x.ndim == 4 else 1, patches.nbytes))
             return patches, extent
-        monkeypatch.setattr(engine.TaskExecutor, "push_run", push_run_spy)
+        monkeypatch.setattr(engine.TaskExecutor, "_compute", compute_spy)
         monkeypatch.setattr(engine, "im2col", im2col_spy)
-        # layer outputs of at most 24 KiB, 0.6 MB and 1.6 MB a frame
+        # layer inputs or outputs of at most 24 KiB, 0.6 MB and 1.6 MB a frame
         for model, scale, n, longest in (("two_stream", 1 / 8, 40, engine.RUN_TAGS),
                                          ("alexnet", 1 / 8, 8, 3), ("vgg16", 1 / 8, 2, 1)):
             g = build_model(model, scale, seed=1)
-            item_bytes = 4 * max(s.size for s in g.shapes.values())
-            runs.clear()
+            groups.clear()
             run_reference(g, {g.inputs[0]: make_clip(g, n, 1)})
-            assert max(runs) == longest and sum(runs) == n
-            assert all(tags == 1 or tags * item_bytes <= engine.RUN_BYTES for tags in runs)
+            assert max(size for _, size, _ in groups) == longest
+            first = g.consumers(g.inputs[0])[0]
+            assert sum(size for name, size, _ in groups if name == first) == n
+            assert all(size <= engine.RUN_TAGS for _, size, _ in groups)
+            assert all(size == 1 or nbytes <= engine.RUN_BYTES for _, size, nbytes in groups)
         assert all(frames == 1 or nbytes <= engine.PATCH_BYTES for frames, nbytes in calls)
         assert max(frames for frames, _ in calls) == engine.RUN_TAGS
 
@@ -632,6 +678,20 @@ class TestRuns:
         got = run_reference(self.graph, {"camera": (f.tolist() for f in frames)})["out"]
         assert sorted(got) == sorted(want)
         assert all(got[t].tobytes() == want[t].tobytes() for t in want)
+
+    def test_pending_values_have_their_shapes_before_the_flush(self):
+        ex = self.executor()
+        with caps(64, 2 << 20):
+            emitted = [em for t in range(30) for em in ex.push("camera", t, self.frames[t])]
+        pending = [em for em in emitted if isinstance(em.value, engine.Pending)]
+        assert {em.layer for em in pending} >= {"conv_1s", "flow", "pyr_s", "fuse", "smax"}
+        with pytest.raises(EngineError, match="before its batch was flushed"):
+            np.asarray(pending[0].value)
+        shapes = [(em.value.shape, em.value.ndim, em.value.size) for em in pending]
+        ex.batch.flush()
+        assert len(ex.batch) == 0
+        assert shapes == [(np.asarray(em.value).shape, np.asarray(em.value).ndim,
+                           np.asarray(em.value).size) for em in pending]
 
 
 # sha256 of run_reference's outputs (sink, tag, dtype, shape, bytes) for

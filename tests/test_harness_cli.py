@@ -30,6 +30,25 @@ class TestHarness:
             verify("two_stream", [2], scale=0.125, seeds=(1,), n_frames=26,
                    param_override=corrupt, raise_on_mismatch=True)
 
+    @pytest.mark.parametrize("ref_value,got_value,exact", [
+        (0.0, -0.0, False),
+        (-0.0, 0.0, False),
+        (np.nan, np.nan, True),
+        (0.0, 0.0, True),
+    ])
+    def test_verify_compares_bits(self, monkeypatch, ref_value, got_value, exact):
+        """A signed zero that == takes for the reference's is a mismatch;
+        a NaN with the reference's bits is not."""
+        sink = load_model("two_stream", 0.125, 1).outputs[0]
+        want = np.array([ref_value, 0.5], np.float32)
+        got = np.array([got_value, 0.5], np.float32)
+        monkeypatch.setattr(harness, "run_reference", lambda graph, inputs: {sink: {0: want}})
+        monkeypatch.setattr(harness, "run_stream", lambda cluster, frames: ({0: got}, None))
+        rep = verify("two_stream", [1], scale=0.125, seeds=(1,), n_frames=26)
+        assert [e.exact for e in rep.entries] == [exact]
+        assert harness.same_bits(got, want) == exact
+        assert not harness.same_bits(got.astype(np.float64), want)
+
     def test_bench_energy_consistency_and_pipelining(self):
         rep = bench("two_stream", [1, 5], scale=0.125, n_frames=36, seed=1)
         by_n = {e.devices: e for e in rep.entries}

@@ -8,7 +8,7 @@ import pytest
 import edgeflock.engine as engine
 from edgeflock.costs import CommModel, DeviceProfile
 from edgeflock.engine import run_reference
-from edgeflock.harness import make_clip
+from edgeflock.harness import make_clip, same_bits
 from edgeflock.model_ir import build_model
 from edgeflock.planner import task_assign
 from edgeflock.runtime import (
@@ -33,7 +33,16 @@ def ts():
 def assert_exact(outs, ref):
     assert set(outs) == set(ref)
     for t in ref:
-        assert np.array_equal(outs[t], ref[t]), f"tag {t}"
+        assert same_bits(outs[t], ref[t]), f"tag {t}"
+
+
+def test_assert_exact_compares_bits():
+    ref = {0: np.array([0.0, np.nan], np.float32)}
+    assert_exact({0: ref[0].copy()}, ref)
+    with pytest.raises(AssertionError, match="tag 0"):
+        assert_exact({0: np.array([-0.0, np.nan], np.float32)}, ref)
+    with pytest.raises(AssertionError, match="tag 0"):
+        assert_exact({0: ref[0].astype(np.float64)}, ref)
 
 
 class TestExactness:
@@ -81,6 +90,56 @@ class TestExactness:
                                   window_specs=())
         with pytest.raises(RuntimeFault):
             start_cluster(broken, 2)
+
+    @pytest.mark.parametrize("n", [10, 12])
+    def test_shard_assembly_stays_exact(self, ts, monkeypatch, n):
+        graph, aset, frames, ref = ts
+        joined = []
+        join_rows = engine.TaskExecutor.join_rows
+        monkeypatch.setattr(engine.TaskExecutor, "join_rows",
+                            lambda ex, *a: joined.append(a[0]) or join_rows(ex, *a))
+        outs, _ = run_stream(start_cluster(aset, n), frames)
+        assert_exact(outs, ref)
+        assert len(joined) >= len(ref), "each output passes an assembled shard"
+
+    def test_conv_runs_once_per_batch_of_firings(self, ts, monkeypatch):
+        """A paced run at n=1 computes each conv over several tags at once."""
+        graph, aset, frames, ref = ts
+        calls, fired = [], []
+        conv, push = engine.forward_conv, engine.TaskExecutor.push
+        monkeypatch.setattr(engine, "forward_conv", lambda x, *a, **k: calls.append(
+            x.shape[0] if x.ndim == 4 else 1) or conv(x, *a, **k))
+
+        def push_spy(ex, *args):
+            out = push(ex, *args)
+            fired.extend(n for n in ex.fired_log if graph.layer(n).kind == "conv")
+            return out
+        monkeypatch.setattr(engine.TaskExecutor, "push", push_spy)
+        outs, _ = run_stream(start_cluster(aset, 1), frames)
+        assert_exact(outs, ref)
+        assert sum(calls) == len(fired)
+        assert len(calls) < len(fired) and max(calls) > 1
+
+    def test_batches_stay_under_their_caps(self, ts, monkeypatch):
+        graph, aset, frames, ref = ts
+        seen = []
+        add = engine.Batch.add
+
+        def add_spy(batch, key, pending, nbytes):
+            out = add(batch, key, pending, nbytes)
+            seen.append(max(len(g) for g in batch.groups.values()))
+            for group in batch.groups.values():
+                assert len(group) <= engine.RUN_TAGS
+            for layer, held in batch.layer_bytes.items():
+                firings = sum(len(g) for k, g in batch.groups.items() if k[:2] == layer)
+                assert firings == 1 or held <= engine.RUN_BYTES
+            return out
+        monkeypatch.setattr(engine.Batch, "add", add_spy)
+        for n in (1, 5, 12):
+            cluster = start_cluster(aset, n)
+            assert_exact(run_stream(cluster, frames)[0], ref)
+            assert len(cluster.batch) == 0
+        assert max(seen) == engine.RUN_TAGS
 
     def test_corrupt_weight_detected(self, ts):
         graph, aset, frames, ref = ts
@@ -158,6 +217,11 @@ class TestSharedParams:
             p.b[0] = 1.0
 
 
+# sha256 of TestBackpressure.test_open_loop_keeps_modeled_plane: two_stream
+# 1/32 at n=5, inboxes of 10, 300 frames at 2000 fps, seed 5.
+OPEN_LOOP_DIGEST = "19b6888eec993d8820f0ad979159381b3d9d165921c88c5c62db3e2a82c53a38"
+
+
 class TestBackpressure:
     SCALE = 1 / 32
 
@@ -201,9 +265,10 @@ class TestBackpressure:
 
     def test_kept_indices_index_each_calls_frames(self):
         graph, cluster, frames = self._pressured(400, 7)
-        admitted, drops = [], 0
+        admitted, produced, drops = [], {}, 0
         for clip in (frames[:200], frames[200:]):
             outs, metrics = run_stream(cluster, clip, fps=2000.0, paced=False)
+            produced.update(outs)
             kept = metrics.kept_raw_indices
             assert len(kept) == len(clip) - (metrics.drops - drops)
             assert kept == sorted(set(kept)) and 0 <= kept[0] and kept[-1] < len(clip)
@@ -211,7 +276,16 @@ class TestBackpressure:
             drops = metrics.drops
         assert drops > 0
         ref = run_reference(graph, {"camera": np.concatenate(admitted)})["out"]
-        assert_exact(outs, ref)
+        assert_exact(produced, ref)
+
+    def test_each_call_returns_its_own_outputs(self):
+        _graph, cluster, frames = self._pressured(60, 7)
+        first, _ = run_stream(cluster, frames[:30])
+        done = len(cluster.completions)
+        second, metrics = run_stream(cluster, frames[30:])
+        assert sorted(second) == sorted(tag for _t, tag, _p in cluster.completions[done:])
+        assert len(second) == metrics.outputs > 0
+        assert first and not set(first) & set(second)
 
     def test_second_unpaced_call_is_not_backdated(self):
         _graph, cluster, frames = self._pressured(100, 7)
@@ -223,6 +297,30 @@ class TestBackpressure:
         run_stream(cluster, frames[50:], fps=2000.0, paced=False)
         assert now > 0 and len(due) == 50
         assert min(due) == now
+
+    def test_open_loop_keeps_modeled_plane(self):
+        """sha256 of an open-loop run's modeled plane: outputs, completion
+        times and paths, each worker's clock, busy seconds, inbox peak and
+        rejections, the sample drops and the admitted frames."""
+        _graph, cluster, frames = self._pressured(300, 5)
+        outs, metrics = run_stream(cluster, frames, fps=2000.0, paced=False)
+        digest = hashlib.sha256()
+
+        def put(*items):
+            digest.update(repr(items).encode())
+
+        for tag, value in sorted(outs.items()):
+            put("out", tag, value.dtype.str, value.shape)
+            digest.update(value.tobytes())
+        for t, tag, path in cluster.completions:
+            put("done", float(t).hex(), tag,
+                *(float(path[k]).hex() for k in ("compute", "comm", "reload", "total")))
+        for d, w in sorted(cluster.workers.items()):
+            put("worker", d, float(w.free_at).hex(), float(w.busy_seconds).hex(),
+                w.inbox.peak_occupancy, w.inbox.rejected, w.sample_drops, w.kept_raw)
+        put("metrics", metrics.outputs, metrics.drops, metrics.kept_raw_indices)
+        assert metrics.drops > 0 and metrics.outputs > 0
+        assert digest.hexdigest() == OPEN_LOOP_DIGEST
 
     def test_almost_full_throttles_then_recovers(self):
         graph, cluster, frames = self._pressured(400, 7)
