@@ -26,6 +26,9 @@ The streaming ``TaskExecutor`` consumes tagged items and drives layers
 ordered by the graph topology; windowed layers (flow stacking, temporal
 pyramids) buffer items through ``SlidingWindow``.  The single-process
 reference oracle is just a ``TaskExecutor`` that owns the whole graph.
+A row-shard executor computes some output rows of one dense layer and
+emits them; ``push_part`` parks the shards of such a value per tag and
+pushes their assembly once they hold all of its rows.
 An executor computes the flow field of each consecutive frame pair once
 and reuses it in every flow stack window holding that pair, so a
 ``flow_fn`` must be a pure function of its two frames.  Generated
@@ -63,6 +66,7 @@ from typing import Any, Callable, Iterable, Optional
 
 import numpy as np
 
+from edgeflock import costs
 from edgeflock import model_ir as ir
 from edgeflock.windows import SlidingWindow
 
@@ -418,7 +422,9 @@ def temporal_pyramid(frames: list[np.ndarray], levels: int) -> np.ndarray:
     level-major then range-major, giving 2**levels - 1 rows.  Each row
     is one ``np.maximum.reduce`` over its range, as ``max`` does;
     ``np.maximum.reduceat`` would be faster but does not keep the sign
-    of a zero that ``max`` keeps.
+    of a zero that ``max`` keeps.  Neither does ``reduce`` over items of
+    one element, which it takes out of order as one column, so those
+    take an explicit running max (``np.maximum.accumulate``).
     """
     if not frames:
         raise EngineError("temporal pyramid needs a nonempty frame list")
@@ -428,7 +434,10 @@ def temporal_pyramid(frames: list[np.ndarray], levels: int) -> np.ndarray:
     ranges = _pyramid_rows(len(frames), levels)
     out = np.empty((len(ranges), stack.shape[1]), dtype=np.float32)
     for row, (start, end) in zip(out, ranges):
-        np.maximum.reduce(stack[start:end], axis=0, out=row)
+        if stack.shape[1] == 1:
+            row[0] = np.maximum.accumulate(stack[start:end, 0])[-1]
+        else:
+            np.maximum.reduce(stack[start:end], axis=0, out=row)
     return out
 
 
@@ -570,9 +579,6 @@ class SkipNotice:
 
 # Kinds that a flush computes as one (tags, ...) batch per group.
 _BATCHED_KINDS = {ir.CONV, ir.RELU, ir.NORM, ir.MAXPOOL}
-# Output shapes that follow the input: the input's shape, or its size.
-_SAME = object()
-_FLAT = object()
 
 
 class TaskExecutor:
@@ -586,12 +592,13 @@ class TaskExecutor:
     and emit at the newest contributing tag, so tags stay aligned across
     parallel branches.
 
-    ``part`` restricts one fc layer to an output-row slice, for model
-    parallelism; elementwise layers downstream of it operate on the
-    partial rows.  ``external`` marks owned-layer inputs whose values
-    arrive via ``push`` anyway (assembled shards), overriding the local
-    partial value.  ``batch`` may be shared by several executors of the
-    graph; by default the executor has its own.
+    ``part = (fc, lo, hi)`` makes the executor a row shard, for model
+    parallelism: fc and its row-local glue (``costs.row_local_layers``)
+    compute output rows [lo, hi) only.  The last of those layers, the
+    terminal, is always emitted and never fed to the executor's own
+    consumers: they read the whole value, which ``push_part`` assembles
+    from the row shards of every device.  ``batch`` may be shared by
+    several executors of the graph; by default the executor has its own.
     """
 
     def __init__(
@@ -600,7 +607,6 @@ class TaskExecutor:
         owned: Optional[Iterable[str]] = None,
         emit: Optional[Iterable[str]] = None,
         part: Optional[tuple[str, int, int]] = None,
-        external: Optional[Iterable[str]] = None,
         flow_fn: Optional[FlowFn] = None,
         param_override: Optional[Callable[[str, LayerParams], LayerParams]] = None,
         batch: Optional[Batch] = None,
@@ -614,7 +620,12 @@ class TaskExecutor:
             or any(c not in owned_set for c in graph.consumers(n))
         }
         self.part = part
-        self.external = set(external or ())
+        # A shard's row-local layers; the last is its partial terminal.
+        self._row_local, self._terminal = (), None
+        if part:
+            self._row_local = costs.row_local_layers(graph, owned_set, part[0])
+            self._terminal = self._row_local[-1]
+            self.emit.add(self._terminal)
         self.flow_fn = flow_fn or flow_diff_stub
         self.batch = batch if batch is not None else Batch()
         self._params: dict[str, LayerParams] = {}
@@ -633,6 +644,8 @@ class TaskExecutor:
         self._windows: dict[str, SlidingWindow] = {}
         self._joins: dict[str, dict[int, dict[int, Any]]] = {}
         self._skip: dict[str, int] = {}
+        # (layer, tag) -> {part index: row shard} until all rows arrived
+        self._parts: dict[tuple[str, int], dict[int, Any]] = {}
         # flowstack layer -> {tag of a pair's later frame: that pair's field}
         self._flows: dict[str, dict[int, np.ndarray]] = {}
         for n in self.owned:
@@ -661,23 +674,19 @@ class TaskExecutor:
 
     def _plan(self, name: str) -> Optional[tuple]:
         """(batch key, output shape, output size, whether a flush stacks
-        its inputs) of an owned layer.  An elementwise layer, which also
-        runs on a shard's rows, and softmax take their shape from the
-        input: the shape is ``_SAME`` or ``_FLAT`` and the size None.
-        None for a source or a sink."""
+        its inputs) of an owned layer: a shard's rows for a row-local
+        layer, a flat vector for softmax, else the graph's shape.  None
+        for a source or a sink."""
         k = self.graph.layer(name).kind
         if k in (ir.SOURCE, ir.SINK):
             return None
-        if k in (ir.RELU, ir.NORM):
-            shape = _SAME
-        elif k == ir.SOFTMAX:
-            shape = _FLAT
-        elif k == ir.FC and self.part is not None and self.part[0] == name:
+        if name in self._row_local:
             shape = (self.part[2] - self.part[1],)
+        elif k == ir.SOFTMAX:
+            shape = (self.graph.shapes[name].size,)
         else:
             shape = self.graph.shapes[name].dims
-        size = None if shape is _SAME or shape is _FLAT else math.prod(shape)
-        return (self._rank[name], 0, self), shape, size, k in _BATCHED_KINDS
+        return (self._rank[name], 0, self), shape, math.prod(shape), k in _BATCHED_KINDS
 
     def _fire(self, name: str, tag: int, args: Any) -> Any:
         """Record one firing of ``name`` at ``tag`` on ``args`` (its input,
@@ -687,9 +696,6 @@ class TaskExecutor:
         if plan is None:
             return args
         key, shape, size, stacked = plan
-        if size is None:
-            size = args.size
-            shape = args.shape if shape is _SAME else (size,)
         pending = Pending(shape, size, tag, args)
         return self.batch.add(key, pending, 4 * (max(size, args.size) if stacked else size))
 
@@ -785,8 +791,7 @@ class TaskExecutor:
         A push for an owned source layer counts as that layer firing (it
         is emitted if on the boundary).  Any other push supplies an
         externally produced value (an array or a ``Pending``): it feeds
-        owned consumers but is never re-emitted, and it is how assembled
-        shard values reach layers marked ``external``.
+        owned consumers but is never re-emitted.
 
         Side channels read by callers after each push: ``fired_log``
         lists owned layers that fired, once per tag, and
@@ -804,11 +809,28 @@ class TaskExecutor:
             layer, t, val, is_local = queue.popleft()
             if is_local and layer in self.emit:
                 out.append(Emission(layer, t, val))
-            if not is_local or layer not in self.external:
+            if not (is_local and layer == self._terminal):
                 for consumer in self.consumers.get(layer, ()):  # deterministic order
                     for fired_tag, fired in self._feed(consumer, layer, t, val):
                         queue.append((consumer, fired_tag, fired, True))
         return out
+
+    def push_part(self, layer: str, tag: int, index: int, value: Any) -> list[Emission]:
+        """Feed row shard ``index`` of ``layer`` at ``tag``; returns emissions.
+
+        Parts park until their sizes add up to the layer's size; then
+        their assembly (``join_rows``, in index order) is pushed.  A part
+        that completes nothing returns [] and leaves ``fired_log`` and
+        ``pending_notices`` empty.
+        """
+        parts = self._parts.setdefault((layer, tag), {})
+        parts[index] = value
+        if sum(p.size for p in parts.values()) < self.graph.shapes[layer].size:
+            self.fired_log, self.pending_notices = [], []
+            return []
+        del self._parts[(layer, tag)]
+        joined = self.join_rows(layer, tag, [parts[i] for i in sorted(parts)])
+        return self.push(layer, tag, joined)
 
     def _feed(self, consumer: str, via: str, tag: int, value: Any) -> list[tuple[int, Any]]:
         """Feed one item from ``via`` to ``consumer``; returns the tags it
@@ -851,8 +873,11 @@ class TaskExecutor:
 
         Windowed consumers advance past the gap and resume once a full
         run of post-gap tags accumulates, so their first valid output
-        tag shifts by window - 1.
+        tag shifts by window - 1.  Parked row shards of ``origin`` below
+        ``next_tag`` are dropped.
         """
+        for key in [k for k in self._parts if k[0] == origin and k[1] < next_tag]:
+            del self._parts[key]
         local = origin in self._owned_set and self.graph.layer(origin).kind == ir.SOURCE
         return self._traverse_skip([(origin, int(next_tag), local)])
 
@@ -870,7 +895,7 @@ class TaskExecutor:
                 self._skip[layer] = nxt
                 if layer in self.emit:
                     notices.append(SkipNotice(layer, nxt))
-            if not is_local or layer not in self.external:
+            if not (is_local and layer == self._terminal):
                 for consumer in self.consumers.get(layer, ()):
                     spec = self.graph.layer(consumer)
                     out_next = nxt + (spec.window - 1)

@@ -147,10 +147,10 @@ class LoopbackCluster(ClusterCore):
 
     def __init__(self, aset: AssignmentSet, n: int,
                  inbox_capacity: int = DEFAULT_INBOX_CAPACITY,
-                 param_override=None, flow_fn=None,
+                 param_override=None,
                  profile: Optional[DeviceProfile] = None,
                  comm: Optional[CommModel] = None):
-        super().__init__(aset, n, inbox_capacity, param_override, flow_fn, profile, comm)
+        super().__init__(aset, n, inbox_capacity, param_override, profile, comm)
         self.nodes = {d: _Node(self, w) for d, w in self.workers.items()}
         self._send_locks = {d: threading.Lock() for d in (*self.nodes, COLLECTOR_DEVICE)}
         self._conns: dict[int, socket.socket] = {}

@@ -15,11 +15,12 @@ firings at once when it reaches its caps (``engine.RUN_TAGS``,
 ``run_stream``.  A loopback-socket transport (``edgeflock.loopback``)
 runs the same workers over real TCP frames; each of its workers flushes
 its own batch after every message, since the wire needs bytes.  Both
-transports share ``ClusterCore``: the plan index (shard parts, routes,
-predecessors, source devices) and the handling of data and skip frames
-(shard self-assembly, emission routing, skip notices); a transport only
-moves frames.  A worker prices its task with ``costs.price_task``, as the
-planner does.
+transports share ``ClusterCore``: the plan index (routes, predecessors,
+source devices) and the handling of data and skip frames (emission
+routing, skip notices); a transport only moves frames.  A row shard's
+terminal travels as wire parts ``layer#pN``, which the consuming
+worker's executor assembles (``TaskExecutor.push_part``).  A worker
+prices its task with ``costs.price_task``, as the planner does.
 
 Dynamic behavior follows the planned assignment set.  The
 master-versioned role table is derived from the assignment and the
@@ -93,20 +94,17 @@ class RunMetrics:
 
 
 class Worker:
-    """One device: a streaming task executor plus assembly state."""
+    """One device: a streaming task executor, its modeled clock and inbox."""
 
     def __init__(self, device: int, task: Task, graph: ir.ModelGraph,
                  profile: DeviceProfile,
-                 part_specs: dict[str, list[tuple[int, tuple[int, int], int]]],
                  inbox_capacity: int = DEFAULT_INBOX_CAPACITY,
-                 param_override=None, flow_fn=None, batch: Optional[Batch] = None):
+                 param_override=None, batch: Optional[Batch] = None):
         self.device = device
         self.graph = graph
         self.profile = profile
         self.inbox = BoundedInbox(capacity=inbox_capacity)
         self.param_override = param_override
-        self.flow_fn = flow_fn
-        self.part_specs = part_specs
         # Where the executor records its firings; every task this worker
         # adopts records into the same batch.
         self.batch = batch if batch is not None else Batch()
@@ -121,7 +119,6 @@ class Worker:
         self.sample_drops = 0
         self.reload_count = 0
         self.path_state: dict[int, dict] = {}
-        self._assembly: dict[tuple[str, int], dict[int, np.ndarray]] = {}
         self.adopt(task, handoff=False)
 
     # -- task binding ------------------------------------------------------
@@ -130,29 +127,14 @@ class Worker:
         self.task = task
         split = task.split
         part = (split.origin, split.rows[0], split.rows[1]) if split else None
-        emit = None
-        external = []
-        if split:
-            owned = set(task.layers)
-            emit = {n for n in task.layers
-                    if self.graph.layer(n).kind == ir.SINK
-                    or any(c not in owned for c in self.graph.consumers(n))}
-            emit.add(split.terminal)
-            if any(split.terminal in self.graph.layer(n).inputs for n in task.layers):
-                external = [split.terminal]
-        self.executor = TaskExecutor(
-            self.graph, owned=task.layers, emit=emit, part=part, external=external,
-            flow_fn=self.flow_fn, param_override=self.param_override, batch=self.batch,
-        )
+        self.executor = TaskExecutor(self.graph, owned=task.layers, part=part,
+                                     param_override=self.param_override, batch=self.batch)
         if handoff:
             self.executor.mark_handoff()
-        # A shard that owns a consumer of its own terminal assembles it too.
-        self.assembles_own_shard = bool(external)
         self.price = costs.price_task(self.graph, task.resident_groups or (task.layers,),
                                       self.profile, part)
         self.group_of = {n: gi for gi, group in enumerate(self.price.groups) for n in group}
         self.resident_now = 0
-        self._assembly.clear()
         self.path_state.clear()
 
     @property
@@ -192,10 +174,10 @@ class Worker:
     def consume_data(self, msg: Message):
         """Feed one data frame: (emissions, notices, compute_s, reload_s).
 
-        Shard payloads (wire name ``layer#pN``) park in a per-tag
-        assembly buffer until every row range arrived, then enter the
-        executor as the assembled full value.  The emissions' values are
-        ``Pending`` until the worker's batch is flushed.
+        A row shard (wire name ``layer#pN``) goes to the executor's
+        ``push_part``; a shard of a value the executor does not consume
+        is a protocol violation.  The emissions' values are ``Pending``
+        until the worker's batch is flushed.
         """
         tag = msg.tag
         inc = msg.meta.get("path", _zero_path())
@@ -207,36 +189,18 @@ class Worker:
                 del self.path_state[t]
 
         layer, part_index = parse_wire_name(msg.layer)
-        if part_index is not None:
-            value = self._assemble(layer, tag, part_index, msg.tensor)
-            if value is None:
-                return [], [], 0.0, 0.0
-            emissions = self.executor.push(layer, tag, value)
-        else:
+        if part_index is None:
             emissions = self.executor.push(layer, tag, msg.tensor)
+        elif layer in self.executor.consumers:
+            emissions = self.executor.push_part(layer, tag, part_index, msg.tensor)
+        else:
+            raise RuntimeFault(f"device {self.device}: unexpected shard for {layer!r}")
         notices = list(self.executor.pending_notices)
         compute, reload = self._charge(self.executor.fired_log)
         return emissions, notices, compute, reload
 
-    def _assemble(self, layer: str, tag: int, part_index: int, value):
-        spec = self.part_specs.get(layer)
-        if spec is None:
-            raise RuntimeFault(f"device {self.device}: unexpected shard for {layer!r}")
-        key = (layer, tag)
-        slot = self._assembly.setdefault(key, {})
-        slot[int(part_index)] = value
-        if len(slot) < len(spec):
-            return None
-        del self._assembly[key]
-        ordered = [slot[idx] for idx, _rows, _dev in sorted(spec, key=lambda e: e[0])]
-        return self.executor.join_rows(layer, tag, ordered)
-
     def consume_skip(self, msg: Message):
-        layer, _ = parse_wire_name(msg.layer)
-        next_tag = int(msg.body["next_tag"])
-        for key in [k for k in self._assembly if k[0] == layer and k[1] < next_tag]:
-            del self._assembly[key]
-        return self.executor.skip(layer, next_tag)
+        return self.executor.skip(msg.layer, int(msg.body["next_tag"]))
 
     # -- input sampling -------------------------------------------------------
 
@@ -275,14 +239,14 @@ class ClusterCore:
     """One worker per device of an assignment, and all that a transport
     does with a message short of moving it.
 
-    The core indexes the assignment: the shard parts each terminal is
-    assembled from, every device's routes (value name -> consumers, with
-    their replica slots) and predecessors, and the devices that own a
-    source.  ``_on_data`` consumes one data frame on a worker and routes
-    what it yields: graph outputs to ``_output``; a shard's own terminal
-    back into the same worker when that worker also consumes it; every
-    other emission to each consumer whose replica slot takes the tag; and
-    skip notices to every consumer of the skipped value.  Each
+    The core indexes the assignment: every device's routes (value name ->
+    consumers, with their replica slots) and predecessors, and the
+    devices that own a source.  ``_on_data`` consumes one data frame on a
+    worker and routes what it yields: graph outputs to ``_output``; other
+    emissions to each consumer whose replica slot takes the tag, a row
+    shard's terminal as its wire part ``layer#pN``, which the shard also
+    consumes itself when its own executor reads the value; and skip
+    notices to every consumer of the skipped value.  Each
     consumption adds the modeled compute and reload seconds to the
     worker's busy time, its clock ``free_at`` and the item's path.
 
@@ -294,7 +258,7 @@ class ClusterCore:
     """
 
     def __init__(self, aset: AssignmentSet, n: int, inbox_capacity: int,
-                 param_override, flow_fn, profile: Optional[DeviceProfile],
+                 param_override, profile: Optional[DeviceProfile],
                  comm: Optional[CommModel], batch: Optional[Batch] = None):
         self.aset = aset
         self.assignment = aset.for_devices(n)
@@ -308,8 +272,7 @@ class ClusterCore:
         if devices and devices[-1] >= n:
             raise RuntimeFault("assignment device ids must be < n")
         self.workers: dict[int, Worker] = {
-            d: Worker(d, task, self.graph, self.profile, {}, inbox_capacity,
-                      param_override, flow_fn, batch)
+            d: Worker(d, task, self.graph, self.profile, inbox_capacity, param_override, batch)
             for d, task in self.assignment.tasks.items()
         }
         if not self.workers:
@@ -317,15 +280,8 @@ class ClusterCore:
         self._index()
 
     def _index(self) -> None:
-        """Derive parts, routes, predecessors and sources from the assignment."""
+        """Derive routes, predecessors and sources from the assignment."""
         a = self.assignment
-        parts: dict[str, list[tuple[int, tuple[int, int], int]]] = {}
-        for d, t in a.tasks.items():
-            if t.split is not None:
-                parts.setdefault(t.split.terminal, []).append((t.split.index, t.split.rows, d))
-        self.part_specs = {k: sorted(v) for k, v in parts.items()}
-        for w in self.workers.values():
-            w.part_specs = self.part_specs
         # device -> value name -> [(dst_device, replica_index, replica_count)]
         routes: dict[int, dict[str, list[tuple[int, int, int]]]] = {d: {} for d in self.workers}
         preds: dict[int, set[int]] = {d: set() for d in self.workers}
@@ -387,7 +343,7 @@ class ClusterCore:
             name = em.layer
             if split is not None and em.layer == split.terminal:
                 name = shard_wire_name(em.layer, split.index)
-                if w.assembles_own_shard:
+                if em.layer in w.executor.consumers:
                     local = Message(kind=Kind.DATA, tag=em.tag, layer=name,
                                     tensor=em.value, meta={"path": path})
                     sub_em, sub_no, compute, reload = self._consume(w, local)
@@ -422,18 +378,12 @@ class VirtualCluster(ClusterCore):
 
     def __init__(self, aset: AssignmentSet, n: int,
                  inbox_capacity: int = DEFAULT_INBOX_CAPACITY,
-                 master_seed: Optional[int] = None,
-                 param_override=None, flow_fn=None,
+                 param_override=None,
                  profile: Optional[DeviceProfile] = None,
                  comm: Optional[CommModel] = None):
         self.batch = Batch()
-        super().__init__(aset, n, inbox_capacity, param_override, flow_fn, profile, comm,
-                         self.batch)
-        if master_seed is None:
-            self.master = min(self.workers)
-        else:
-            ids = sorted(self.workers)
-            self.master = ids[int(np.random.default_rng(master_seed).integers(0, len(ids)))]
+        super().__init__(aset, n, inbox_capacity, param_override, profile, comm, self.batch)
+        self.master = min(self.workers)
         self.iptable = self._role_table(version=1)
         self.master_writes = 0
         self.rejected_updates = 0

@@ -5,6 +5,7 @@ in ascending index order; kernel outputs must match them bit for bit.
 """
 
 import hashlib
+import itertools
 from contextlib import contextmanager
 
 import numpy as np
@@ -31,6 +32,7 @@ from edgeflock.engine import (
 )
 from edgeflock.harness import frames_needed, make_clip
 from edgeflock.model_ir import build_model
+from edgeflock.planner import split_fc_rows
 
 rng = np.random.default_rng(20240811)
 
@@ -403,15 +405,19 @@ class TestPyramid:
 
     @pytest.mark.parametrize("n", range(1, 18))
     def test_signed_zeros_match_oracle_bytes(self, n):
-        """Ranges of mixed +0.0 and -0.0 keep the sign max keeps."""
+        """Ranges of mixed +0.0 and -0.0 keep the sign max keeps, for
+        items of one, two and twelve elements, some of them all zeros.
+        Several draws each: ``np.maximum.reduce`` over one-element items
+        picks the other zero only on some sign patterns of 17 items."""
         r = np.random.default_rng(n)
-        for neg in (0.0, 0.5, 1.0):
-            frames = [with_zeros(r, r.uniform(-1, 1, (3, 4)), 0.8, neg) for _ in range(n)]
+        cases = itertools.product(((1,), (2,), (3, 4)), (0.8, 1.0), (0.0, 0.5, 1.0), range(8))
+        for shape, share, neg, _draw in cases:
+            frames = [with_zeros(r, r.uniform(-1, 1, shape), share, neg) for _ in range(n)]
             for levels in (1, 4):
                 got = temporal_pyramid(frames, levels)
                 want = pyramid_oracle(frames, levels)
                 assert got.dtype == want.dtype and got.shape == want.shape
-                assert got.tobytes() == want.tobytes(), (neg, levels)
+                assert got.tobytes() == want.tobytes(), (shape, share, neg, levels)
 
     @given(st.integers(min_value=1, max_value=64), st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=40, deadline=None)
@@ -692,6 +698,62 @@ class TestRuns:
         assert len(ex.batch) == 0
         assert shapes == [(np.asarray(em.value).shape, np.asarray(em.value).ndim,
                            np.asarray(em.value).size) for em in pending]
+
+
+class TestRowShards:
+    """fc_d2 (256 rows at 1/32) split three ways, 86/86/84 rows, and the
+    fc_d3 executor that assembles its terminal act_d2 from the parts."""
+
+    graph = build_model("two_stream", 1 / 32, seed=3)
+    rows = split_fc_rows(256, 3)
+    x = np.random.default_rng(5).uniform(-1, 1, 256).astype(np.float32)
+
+    def parts(self, tags):
+        """act_d2's row shards at each tag, computed; and the whole value."""
+        batch = engine.Batch()
+        whole = engine.TaskExecutor(self.graph, owned=["fc_d2", "act_d2"], batch=batch)
+        shards = [engine.TaskExecutor(self.graph, owned=["fc_d2", "act_d2"], part=("fc_d2", lo, hi),
+                                      batch=batch) for lo, hi in self.rows]
+        full = [whole.push("act_d1", t, self.x)[0].value for t in tags]
+        parts = {t: [ex.push("act_d1", t, self.x)[0].value for ex in shards] for t in tags}
+        batch.flush()
+        assert [p.shape for p in parts[tags[0]]] == [(86,), (86,), (84,)]
+        return parts, np.asarray(full[0])
+
+    def consumer(self):
+        ex = engine.TaskExecutor(self.graph, owned=["fc_d3"])
+        joined = []
+        join_rows = ex.join_rows
+        ex.join_rows = lambda *a: joined.append(join_rows(*a)) or joined[-1]
+        return ex, joined
+
+    def test_assembly_waits_for_every_row_in_any_order(self):
+        orders = list(itertools.permutations(range(3)))
+        parts, full = self.parts(list(range(len(orders))))
+        ex, joined = self.consumer()
+        for tag, order in enumerate(orders):
+            for i in order[:-1]:
+                assert ex.push_part("act_d2", tag, i, parts[tag][i]) == []
+                assert ex.fired_log == [] and ex.pending_notices == []
+            out = ex.push_part("act_d2", tag, order[-1], parts[tag][order[-1]])
+            assert [(em.layer, em.tag) for em in out] == [("fc_d3", tag)]
+            assert ex.fired_log == ["fc_d3"]
+        ex.batch.flush()
+        assert [p.tag for p in joined] == list(range(len(orders)))
+        for p in joined:
+            assert np.asarray(p).tobytes() == full.tobytes()
+
+    def test_skip_drops_parts_below_next_tag(self):
+        parts, _full = self.parts([0, 1, 2, 3])
+        ex, joined = self.consumer()
+        for tag in range(4):
+            assert ex.push_part("act_d2", tag, 0, parts[tag][0]) == []
+        ex.skip("act_d2", 2)
+        for tag in range(4):
+            assert ex.push_part("act_d2", tag, 1, parts[tag][1]) == []
+            out = ex.push_part("act_d2", tag, 2, parts[tag][2])
+            assert [em.tag for em in out] == ([] if tag < 2 else [tag])
+        assert [p.tag for p in joined] == [2, 3]
 
 
 # sha256 of run_reference's outputs (sink, tag, dtype, shape, bytes) for

@@ -307,7 +307,7 @@ class TestGoldenPlans:
                                   aset.device.mem_bytes, aset.overhead_factor)
             for n, a in aset.assignments.items():
                 for task in a.tasks.values():
-                    worker = Worker(task.device, task, graph, aset.device, {})
+                    worker = Worker(task.device, task, graph, aset.device)
                     charged = 0.0
                     for group in task.resident_groups:
                         seconds = 0.0

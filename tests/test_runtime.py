@@ -16,6 +16,7 @@ from edgeflock.runtime import (
     run_stream,
     start_cluster,
 )
+from edgeflock.wire import Kind, Message
 
 SCALE = 0.125
 
@@ -72,12 +73,6 @@ class TestExactness:
         assert len(cluster.iptable.recorder_devices()) == 1
         assert cluster.setup_seconds > 0
 
-    def test_master_seed_choice_is_deterministic(self, ts):
-        _, aset, _, _ = ts
-        a = start_cluster(aset, 5, master_seed=11).iptable.master_device()
-        b = start_cluster(aset, 5, master_seed=11).iptable.master_device()
-        assert a == b
-
     def test_duplicate_task_ids_rejected(self, ts):
         _, aset, _, _ = ts
         import copy
@@ -101,6 +96,18 @@ class TestExactness:
         outs, _ = run_stream(start_cluster(aset, n), frames)
         assert_exact(outs, ref)
         assert len(joined) >= len(ref), "each output passes an assembled shard"
+
+    def test_stray_shard_is_a_fault(self, ts):
+        """A row shard of a value the worker does not consume is a protocol
+        violation, not a part parked forever."""
+        _, aset, _, _ = ts
+        cluster = start_cluster(aset, 8)
+        tasks = cluster.assignment.tasks.values()
+        assert any(t.split and t.split.terminal == "act_d2" for t in tasks)
+        w = next(w for w in cluster.workers.values() if "act_d2" not in w.executor.consumers)
+        msg = Message(kind=Kind.DATA, tag=0, layer="act_d2#p0", tensor=np.zeros(512, np.float32))
+        with pytest.raises(RuntimeFault, match="unexpected shard for 'act_d2'"):
+            w.consume_data(msg)
 
     def test_conv_runs_once_per_batch_of_firings(self, ts, monkeypatch):
         """A paced run at n=1 computes each conv over several tags at once."""
@@ -381,6 +388,31 @@ def rotation_digest(cluster, produced) -> str:
     return digest.hexdigest()
 
 
+# rotation_digest of one paced run_stream on a fresh cluster, keyed by
+# (model, n); both plans run fc row shards, and the last shard of each
+# also consumes the value its shards assemble.
+GOLDEN_PACED = {
+    ("two_stream", 10):
+        "71f437a33a268ee11ee219e62a688e901fd7ce67e04f23353f7e1ed30d968c86",
+    ("alexnet", 3):
+        "07746238181155d29dbbb3e0135c718180ad25c2b77e0246fbb14c49daaf167e",
+}
+
+
+@pytest.mark.parametrize("model,n", sorted(GOLDEN_PACED))
+def test_paced_run_keeps_modeled_plane(ts, model, n):
+    if model == "two_stream":
+        graph, aset, frames = ts[0], ts[1], ts[2]
+    else:
+        graph = build_model(model, SCALE, seed=1)
+        aset = task_assign(graph, n, CommModel(), DeviceProfile().scaled_mem(SCALE))
+        frames = make_clip(graph, 8, 4)
+    assert any(t.split for t in aset.for_devices(n).tasks.values())
+    cluster = start_cluster(aset, n)
+    outs, _ = run_stream(cluster, frames)
+    assert rotation_digest(cluster, outs) == GOLDEN_PACED[(model, n)]
+
+
 class TestRoleRotation:
     @pytest.mark.parametrize("model,n,target", sorted(GOLDEN_ROTATIONS))
     def test_rotation_keeps_modeled_plane(self, ts, model, n, target):
@@ -471,7 +503,6 @@ class TestRoleRotation:
         graph, aset, frames, ref = ts
         cluster = start_cluster(aset, 5)
         run_stream(cluster, frames[:16])
-        from edgeflock.wire import Kind, Message
         ghost = Message(kind=Kind.DATA, tag=999, layer="conv_9z",
                         tensor=np.zeros(4, np.float32))
         drops0 = cluster.routing_drops
