@@ -174,13 +174,6 @@ def activation_elements(graph: ir.ModelGraph, name: str) -> int:
     return elems
 
 
-def peak_activation_bytes(graph: ir.ModelGraph, names: Iterable[str]) -> int:
-    peak = 0
-    for n in names:
-        peak = max(peak, _terms(graph, n)[2])
-    return peak
-
-
 def estimate_memory(graph: ir.ModelGraph, names: Iterable[str], overhead_factor: float = 2.0) -> int:
     """Resident bytes for a task: weights scaled by the framework
     overhead factor, plus peak activation bytes."""
@@ -189,7 +182,12 @@ def estimate_memory(graph: ir.ModelGraph, names: Iterable[str], overhead_factor:
         return 0
     if overhead_factor < 1:
         raise ValueError("overhead_factor must be >= 1")
-    return int(weight_bytes(graph, names) * overhead_factor) + peak_activation_bytes(graph, names)
+    weights = peak = 0
+    for n in names:
+        _ops, layer_weights, act_bytes, _conv = _terms(graph, n)
+        weights += layer_weights
+        peak = max(peak, act_bytes)
+    return int(BYTES_PER_VALUE * weights * overhead_factor) + peak
 
 
 def row_local_layers(graph: ir.ModelGraph, owned: Iterable[str], origin: str) -> tuple[str, ...]:
@@ -257,16 +255,17 @@ def price_task(graph: ir.ModelGraph, groups: Iterable[Iterable[str]], device: De
     swap = []
     load = []
     for group in groups:
-        raw = 0
+        raw = peak = 0
         for n in group:
-            ops, weights, _act, conv = _terms(graph, n)
+            ops, weights, act_bytes, conv = _terms(graph, n)
             if n in local:
                 ops *= frac
                 weights = int(weights * frac)
             layer_seconds[n] = ops / (device.conv_flops_per_sec if conv else device.flops_per_sec)
             raw += weights
+            peak = max(peak, act_bytes)
         raw_bytes = raw * BYTES_PER_VALUE
-        over = raw_bytes + peak_activation_bytes(graph, group) > device.swap_threshold
+        over = raw_bytes + peak > device.swap_threshold
         swap.append(device.swap_penalty if over else 1.0)
         load.append(raw_bytes / device.load_bandwidth + device.load_setup_seconds)
     return TaskPrice(groups, layer_seconds, tuple(swap), tuple(load))

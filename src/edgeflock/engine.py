@@ -276,7 +276,10 @@ def forward_fc(x: np.ndarray, params: LayerParams, rows: Optional[tuple[int, int
     x = np.asarray(x, dtype=np.float32).reshape(-1)
     wt, b = _tap_major(params), params.b
     if rows is not None:
-        wt, b = wt[:, rows[0]:rows[1]], b[rows[0]:rows[1]]
+        lo, hi = rows
+        if not 0 <= lo < hi <= b.size:
+            raise EngineError(f"fc row range {rows} is empty or outside [0, {b.size})")
+        wt, b = wt[:, lo:hi], b[lo:hi]
     if wt.shape[0] != x.size:
         raise EngineError(f"fc input size {x.size} != weight columns {wt.shape[0]}")
     if wt.shape[1] == 1:

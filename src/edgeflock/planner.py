@@ -27,9 +27,9 @@ slowest stage time, inbound communication included.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
-import math
 from dataclasses import dataclass, field, asdict, replace
 from typing import Iterable, Optional
 
@@ -293,6 +293,7 @@ class _Work:
 
     A value, like the tuple of works that makes a state, so that the
     costs below can be memoised on the works and states they depend on.
+    The hash is computed once, as states are hashed on every lookup.
     """
 
     layers: tuple[str, ...]
@@ -301,6 +302,13 @@ class _Work:
     replicas: int = 1
     resident_groups: tuple[tuple[str, ...], ...] = ()
     reload_seconds: float = 0.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.layers, self.order, self.split, self.replicas,
+                                                self.resident_groups, self.reload_seconds)))
+
+    def __hash__(self):
+        return self._hash
 
     def stateless(self, graph: ir.ModelGraph) -> bool:
         return all(graph.layer(n).kind not in ir.WINDOWED_KINDS for n in self.layers)
@@ -325,10 +333,10 @@ class _Costs:
         self.mem_bytes = mem_bytes
         self.overhead_factor = overhead_factor
         self.price: dict[tuple, costs.TaskPrice] = {}
-        self.inbound: dict[tuple, tuple[tuple[str, int], ...]] = {}
-        self.stage: dict[tuple, float] = {}
+        self.reads: dict[tuple, dict[str, int]] = {}
+        self.stage: dict[tuple, tuple[float, tuple[tuple[str, int], ...]]] = {}
         self.bucket: dict[tuple[int, int], _Work] = {}
-        self.predict: dict[tuple[_Work, ...], tuple[float, float]] = {}
+        self.scored: dict[tuple[_Work, ...], _Scored] = {}
         self.candidates: dict[tuple[_Work, ...], list[Candidate]] = {}
 
 
@@ -347,91 +355,101 @@ def _price(c: _Costs, work: _Work) -> costs.TaskPrice:
     return price
 
 
-def _external_inputs(c: _Costs, work: _Work,
-                     splits: tuple[ModelSplitInfo, ...]) -> tuple[tuple[str, int], ...]:
-    """(value name, payload bytes) for each inbound boundary edge.
+def _reads(c: _Costs, work: _Work) -> dict[str, int]:
+    """Each value the work reads from another stage, with its full
+    payload bytes, in first-read order.  A shard reads its own terminal
+    too, as its consumers assemble it from every shard."""
+    key = (work.layers, work.split)
+    reads = c.reads.get(key)
+    if reads is None:
+        graph = c.graph
+        owned = set(work.layers)
+        reads = c.reads[key] = {}
+        for n in work.layers:
+            for inp in graph.layer(n).inputs:
+                if inp in owned and not (work.split and inp == work.split.terminal):
+                    continue
+                if inp not in reads:
+                    reads[inp] = graph.shapes[inp].size * BYTES_PER_VALUE
+    return reads
 
-    ``splits`` holds the shard info of every sharded stage in the state,
-    the only part of the state that the edges depend on.
+
+def _stage(c: _Costs, work: _Work, splits: tuple[ModelSplitInfo, ...]
+           ) -> tuple[float, tuple[tuple[str, int], ...]]:
+    """Per-item seconds of one device of this stage, and its inbound
+    edges as (value name, payload bytes).
+
+    ``splits`` holds the shard info of every sharded stage in the
+    state.  Only the shards whose terminal the work reads change its
+    edges, so the memo is keyed on those; replicas change neither value.
     """
-    key = (work.layers, work.split, splits)
-    edges = c.inbound.get(key)
-    if edges is not None:
-        return edges
-    graph = c.graph
-    owned = set(work.layers)
-    seen: dict[str, int] = {}
-    split_by_terminal: dict[str, list[ModelSplitInfo]] = {}
-    for s in splits:
-        split_by_terminal.setdefault(s.terminal, []).append(s)
-    for n in work.layers:
-        spec = graph.layer(n)
-        for inp in spec.inputs:
-            if inp in owned and not (work.split and inp == work.split.terminal):
-                continue
-            if inp in seen:
-                continue
-            seen[inp] = graph.shapes[inp].size * BYTES_PER_VALUE
-    out: list[tuple[str, int]] = []
-    for name, nbytes in seen.items():
-        parts = split_by_terminal.get(name)
-        if parts:
-            for p in sorted(parts, key=lambda s: s.index):
-                if work.split is not None and p == work.split:
-                    continue  # own shard is local
-                lo, hi = p.rows
-                out.append((name, (hi - lo) * BYTES_PER_VALUE))
-        else:
-            out.append((name, nbytes))
-    edges = c.inbound[key] = tuple(out)
-    return edges
-
-
-def _work_stage(c: _Costs, work: _Work, splits: tuple[ModelSplitInfo, ...]) -> float:
-    """Full per-item stage seconds for one device of this stage."""
-    key = (work, splits)
-    t = c.stage.get(key)
-    if t is None:
+    reads = _reads(c, work)
+    shards = tuple(s for s in splits if s.terminal in reads) if splits else ()
+    key = (work.layers, work.split, work.resident_groups, work.reload_seconds, shards)
+    hit = c.stage.get(key)
+    if hit is None:
+        by_terminal: dict[str, list[ModelSplitInfo]] = {}
+        for s in shards:
+            by_terminal.setdefault(s.terminal, []).append(s)
+        edges: list[tuple[str, int]] = []
+        for name, nbytes in reads.items():
+            parts = by_terminal.get(name)
+            if parts:
+                for p in sorted(parts, key=lambda s: s.index):
+                    if work.split is not None and p == work.split:
+                        continue  # own shard is local
+                    lo, hi = p.rows
+                    edges.append((name, (hi - lo) * BYTES_PER_VALUE))
+            else:
+                edges.append((name, nbytes))
         t = _price(c, work).compute_seconds() + work.reload_seconds
-        for _, nbytes in _external_inputs(c, work, splits):
+        for _, nbytes in edges:
             t += comm_latency(nbytes, c.comm)
-        c.stage[key] = t
-    return t
-
-
-def _effective_stage(c: _Costs, work: _Work, splits: tuple[ModelSplitInfo, ...]) -> float:
-    return _work_stage(c, work, splits) / work.replicas
-
-
-def _bottleneck(c: _Costs, state: tuple[_Work, ...]) -> float:
-    splits = _splits(state)
-    return max(_effective_stage(c, w, splits) for w in state)
-
-
-def _predict(c: _Costs, state: tuple[_Work, ...]) -> tuple[float, float]:
-    """(ips, t_forward): pipeline bound and critical-path latency."""
-    hit = c.predict.get(state)
-    if hit is not None:
-        return hit
-    splits = _splits(state)
-    ips = 1.0 / _bottleneck(c, state)
-    produced = {}
-    for i, w in enumerate(state):
-        for n in w.layers:
-            produced.setdefault(n, i)
-        if w.split is not None:
-            produced[w.split.terminal] = i
-    longest: dict[int, float] = {}
-    for i, w in enumerate(state):  # state holds topological stage order
-        stage = _work_stage(c, w, splits)
-        best_in = 0.0
-        for name, _ in _external_inputs(c, w, splits):
-            j = produced.get(name)
-            if j is not None and j != i and j in longest:
-                best_in = max(best_in, longest[j])
-        longest[i] = best_in + stage
-    hit = c.predict[state] = (ips, max(longest.values()))
+        hit = c.stage[key] = (t, tuple(edges))
     return hit
+
+
+class _Scored:
+    """One state's stage seconds and inbound edges, priced once.
+
+    ``effective`` divides each stage by its replicas; the pipeline bound
+    is one over its maximum.  ``t_forward``, the critical-path latency,
+    is computed on first use, as most split trials never need it.
+    """
+
+    def __init__(self, c: _Costs, state: tuple[_Work, ...]):
+        splits = _splits(state)
+        priced = [_stage(c, w, splits) for w in state]
+        self.state = state
+        self.stages = tuple(t for t, _ in priced)
+        self.inbound = tuple(edges for _, edges in priced)
+        self.effective = tuple(t / w.replicas for t, w in zip(self.stages, state))
+        self.bottleneck = max(self.effective)
+
+    @functools.cached_property
+    def t_forward(self) -> float:
+        produced = {}
+        for i, w in enumerate(self.state):
+            for n in w.layers:
+                produced.setdefault(n, i)
+            if w.split is not None:
+                produced[w.split.terminal] = i
+        longest: dict[int, float] = {}
+        for i, stage in enumerate(self.stages):  # state holds topological stage order
+            best_in = 0.0
+            for name, _ in self.inbound[i]:
+                j = produced.get(name)
+                if j is not None and j != i and j in longest:
+                    best_in = max(best_in, longest[j])
+            longest[i] = best_in + stage
+        return max(longest.values())
+
+
+def _score(c: _Costs, state: tuple[_Work, ...]) -> _Scored:
+    scored = c.scored.get(state)
+    if scored is None:
+        scored = c.scored[state] = _Scored(c, state)
+    return scored
 
 
 # -- stage 3: fewer devices than tasks ------------------------------------
@@ -481,8 +499,9 @@ def minimize_load_time(graph: ir.ModelGraph, tasks: list[list[str]], mem_bytes: 
 
     Exhaustive over contiguous compositions up to MAX_EXHAUSTIVE_TASKS
     tasks, else greedy pairwise merging; the objective minimizes total
-    per-inference reload seconds, then the bottleneck stage, then
-    critical-path latency.
+    per-inference reload seconds, then the bottleneck stage, then the
+    sum of stage seconds (not the critical path: on a branching graph
+    the two differ).
     """
     base = tuple(tuple(t) for t in tasks)
     return _pack(_Costs(graph, device, comm, base, mem_bytes, overhead_factor), n)
@@ -494,7 +513,7 @@ def _pack(c: _Costs, n: int) -> tuple[_Work, ...]:
     def evaluate(spans):
         works = tuple(_bucketize(c, s) for s in spans)
         reload_total = sum(w.reload_seconds for w in works)
-        stages = [_work_stage(c, w, ()) for w in works]
+        stages = [_stage(c, w, ())[0] for w in works]
         return (reload_total, max(stages), sum(stages)), works
 
     best = None
@@ -531,18 +550,19 @@ class Candidate:
     t_forward_new: float
     target_stage: float
     order: int
-    fc_layer: Optional[str] = None
+    trial: Optional[tuple[_Work, ...]] = field(default=None, repr=False, compare=False)
 
 
 def split_fc_rows(out_size: int, k: int) -> list[tuple[int, int]]:
-    """Row ranges of a k-way output shard; earlier parts take the extra."""
+    """Row ranges of a balanced k-way output shard: parts differ by at
+    most one row, and earlier parts take the extra rows."""
     if k < 1 or k > out_size:
         raise PlanError(f"cannot split {out_size} outputs {k} ways")
-    chunk = math.ceil(out_size / k)
+    base, extra = divmod(out_size, k)
     rows = []
     lo = 0
-    for _ in range(k):
-        hi = min(out_size, lo + chunk)
+    for p in range(k):
+        hi = lo + base + (p < extra)
         rows.append((lo, hi))
         lo = hi
     return rows
@@ -596,44 +616,58 @@ def _apply_model_split(graph: ir.ModelGraph, state: tuple[_Work, ...], idx: int,
     return tuple(new_state)
 
 
+def _bottleneck_elsewhere(c: _Costs, state: tuple[_Work, ...], scored: _Scored, idx: int) -> bool:
+    """Whether a stage that neither is nor reads state[idx] sets the
+    bottleneck.  A split of state[idx] re-prices only itself and its
+    readers, so it then cannot lower the bottleneck: its relative gain
+    is at most zero, short of the positive MIN_SPLIT_GAIN."""
+    owned = set(state[idx].layers)
+    return any(e == scored.bottleneck and owned.isdisjoint(_reads(c, state[j]))
+               for j, e in enumerate(scored.effective) if j != idx)
+
+
 def model_vs_data(c: _Costs, state: tuple[_Work, ...], idx: int) -> list[Candidate]:
     """Candidate parallelizations of one stage with their predicted merit."""
     graph = c.graph
     work = state[idx]
-    splits = _splits(state)
-    old_bneck = _bottleneck(c, state)
-    old_eff = _effective_stage(c, work, splits)
+    scored = _score(c, state)
+    old_bneck = scored.bottleneck
+    old_eff = scored.effective[idx]
     out: list[Candidate] = []
 
     # Replication duplicates a whole task round-robin; shard tasks are
-    # excluded (each shard must see every tag to recombine).
+    # excluded (each shard must see every tag to recombine).  A replica
+    # changes only its own stage's effective seconds, and neither stage
+    # seconds nor edges, so t_forward stays the state's own.
     if work.stateless(graph) and work.split is None:
-        trial = _with_replica(state, idx)
-        new_bneck = _bottleneck(c, trial)
+        effective = list(scored.effective)
+        effective[idx] = scored.stages[idx] / (work.replicas + 1)
+        new_bneck = max(effective)
         delta = (1.0 / new_bneck - 1.0 / old_bneck)
-        _, t_fwd = _predict(c, trial)
         out.append(Candidate(
             kind="data_replica", target=idx, extra_devices=1,
-            delta_ips_per_device=delta, t_forward_new=t_fwd,
+            delta_ips_per_device=delta, t_forward_new=scored.t_forward,
             target_stage=old_eff, order=work.order,
         ))
 
-    if work.split is None and work.replicas == 1:
-        for fc in [n for n in work.layers if graph.layer(n).kind == ir.FC]:
+    fcs = [n for n in work.layers if graph.layer(n).kind == ir.FC]
+    if fcs and work.split is None and work.replicas == 1 \
+            and not _bottleneck_elsewhere(c, state, scored, idx):
+        for fc in fcs:
             trial = _apply_model_split(graph, state, idx, fc, k=2)
             if trial is None:
                 continue
             extra = len(trial) - len(state)
-            new_bneck = _bottleneck(c, trial)
+            trial_scored = _score(c, trial)
+            new_bneck = trial_scored.bottleneck
             rel = (old_bneck - new_bneck) / old_bneck
             if rel < MIN_SPLIT_GAIN:
                 continue
-            _, t_fwd = _predict(c, trial)
             out.append(Candidate(
                 kind="model_split", target=idx, extra_devices=extra,
                 delta_ips_per_device=(1.0 / new_bneck - 1.0 / old_bneck) / extra,
-                t_forward_new=t_fwd, target_stage=old_eff, order=work.order,
-                fc_layer=fc,
+                t_forward_new=trial_scored.t_forward, target_stage=old_eff, order=work.order,
+                trial=trial,
             ))
     return out
 
@@ -684,20 +718,21 @@ def _window_specs(graph: ir.ModelGraph, layers: Iterable[str]) -> tuple[tuple[st
 
 def _materialize(c: _Costs, state: tuple[_Work, ...], n: int, notes: list[str]) -> Assignment:
     graph = c.graph
-    splits = _splits(state)
+    scored = _score(c, state)
     tasks: dict[int, Task] = {}
     dev = 0
     work_devices: dict[int, list[int]] = {}
     for i, w in enumerate(state):
         ids = []
+        split = w.split
+        resident_groups = w.resident_groups or (w.layers,)
+        window_specs = _window_specs(graph, w.layers)
         for r in range(w.replicas):
-            split = w.split
             replica = DataReplicaInfo(group=f"g{i}", index=r, count=w.replicas) if w.replicas > 1 else None
             tid = f"t{i}" + (f".p{split.index}" if split else "") + (f".r{r}" if w.replicas > 1 else "")
             tasks[dev] = Task(
                 task_id=tid, device=dev, layers=w.layers, split=split,
-                replica=replica, resident_groups=w.resident_groups or (w.layers,),
-                window_specs=_window_specs(graph, w.layers),
+                replica=replica, resident_groups=resident_groups, window_specs=window_specs,
             )
             ids.append(dev)
             dev += 1
@@ -712,26 +747,25 @@ def _materialize(c: _Costs, state: tuple[_Work, ...], n: int, notes: list[str]) 
             produced_by[name].extend(work_devices[i])
     edges: list[Edge] = []
     seen = set()
-    for i, w in enumerate(state):
-        for name, _ in _external_inputs(c, w, splits):
+    for i, inbound in enumerate(scored.inbound):
+        for name, _ in inbound:
             for src in sorted(set(produced_by.get(name, []))):
                 for dst in work_devices[i]:
                     if src != dst and (src, dst, name) not in seen:
                         seen.add((src, dst, name))
                         edges.append(Edge(src, dst, name))
 
-    ips, t_fwd = _predict(c, state)
     stage_map = {}
     load_map = {}
     for i, w in enumerate(state):
-        st = _work_stage(c, w, splits)
         load = sum(_price(c, w).load_seconds)
         for d in work_devices[i]:
-            stage_map[d] = st
+            stage_map[d] = scored.stages[i]
             load_map[d] = load
     reload_total = sum(w.reload_seconds for w in state)
-    predicted = Predicted(ips=ips, t_forward_seconds=t_fwd, stage_seconds=stage_map,
-                          load_seconds=load_map, reload_seconds_per_inference=reload_total)
+    predicted = Predicted(ips=1.0 / scored.bottleneck, t_forward_seconds=scored.t_forward,
+                          stage_seconds=stage_map, load_seconds=load_map,
+                          reload_seconds_per_inference=reload_total)
     return Assignment(device_count=n, tasks=tasks, edges=edges, predicted=predicted,
                       notes=list(notes))
 
@@ -776,7 +810,7 @@ def task_assign(graph: ir.ModelGraph, n_max: int,
             if pick.kind == "data_replica":
                 state = _with_replica(state, pick.target)
             else:
-                state = _apply_model_split(graph, state, pick.target, pick.fc_layer, k=2)
+                state = pick.trial
             used = sum(w.replicas for w in state)
         assignments[n] = _materialize(c, state, n, notes)
     return AssignmentSet(graph, device, comm, overhead_factor, assignments)

@@ -701,7 +701,7 @@ class TestRuns:
 
 
 class TestRowShards:
-    """fc_d2 (256 rows at 1/32) split three ways, 86/86/84 rows, and the
+    """fc_d2 (256 rows at 1/32) split three ways, 86/85/85 rows, and the
     fc_d3 executor that assembles its terminal act_d2 from the parts."""
 
     graph = build_model("two_stream", 1 / 32, seed=3)
@@ -717,7 +717,7 @@ class TestRowShards:
         full = [whole.push("act_d1", t, self.x)[0].value for t in tags]
         parts = {t: [ex.push("act_d1", t, self.x)[0].value for ex in shards] for t in tags}
         batch.flush()
-        assert [p.shape for p in parts[tags[0]]] == [(86,), (86,), (84,)]
+        assert [p.shape for p in parts[tags[0]]] == [(86,), (85,), (85,)]
         return parts, np.asarray(full[0])
 
     def consumer(self):

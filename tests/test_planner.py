@@ -9,7 +9,7 @@ from edgeflock import model_ir as ir
 from edgeflock import costs
 from edgeflock.costs import CommModel, DeviceProfile
 from edgeflock import planner
-from edgeflock.engine import LayerParams, forward_fc
+from edgeflock.engine import EngineError, LayerParams, forward_fc
 from edgeflock.harness import load_model, plan_for
 from edgeflock.model_ir import LayerSpec, ModelGraph, build_model, validate_graph
 from edgeflock.planner import (
@@ -135,7 +135,28 @@ class TestSplitRows:
     def test_even_and_uneven(self):
         assert split_fc_rows(4, 2) == [(0, 2), (2, 4)]
         assert split_fc_rows(8192, 2) == [(0, 4096), (4096, 8192)]
-        assert split_fc_rows(7, 3) == [(0, 3), (3, 6), (6, 7)]
+        assert split_fc_rows(7, 3) == [(0, 3), (3, 5), (5, 7)]
+
+    def test_every_split_is_balanced_and_covers(self):
+        # the old ceil split left (5, 4), (6, 4) and (9, 4) an empty last part
+        assert split_fc_rows(5, 4) == [(0, 2), (2, 3), (3, 4), (4, 5)]
+        for out in range(1, 65):
+            for k in range(1, out + 1):
+                rows = split_fc_rows(out, k)
+                assert len(rows) == k
+                assert rows[0][0] == 0 and rows[-1][1] == out
+                assert all(a[1] == b[0] for a, b in zip(rows, rows[1:]))
+                sizes = [hi - lo for lo, hi in rows]
+                assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+                assert sizes == sorted(sizes, reverse=True)
+
+    def test_forward_fc_rejects_empty_or_outside_rows(self):
+        p = LayerParams(w=np.ones((5, 3), np.float32), b=np.zeros(5, np.float32))
+        x = np.ones(3, np.float32)
+        for rows in ((5, 5), (2, 2), (3, 1), (-1, 2), (4, 6)):
+            with pytest.raises(EngineError, match="row range"):
+                forward_fc(x, p, rows=rows)
+        assert forward_fc(x, p, rows=(4, 5)).tolist() == [3.0]
 
     def test_rejects_oversplit(self):
         with pytest.raises(PlanError):
@@ -332,3 +353,84 @@ class TestGoldenPlans:
         assert task.layers == ("fc_d2", "act_d2") and task.split.rows == (0, 4096)
         weights = (8192 * 8192 + 8192) // 2
         assert a.predicted.load_seconds[d] == weights * 4 / 50e6 + 1.0
+
+
+def fc_chain(widths):
+    """A source, then one fc + relu per width after the first, then a sink."""
+    layers = {"src": LayerSpec("src", ir.SOURCE, {"shape": [widths[0]]})}
+    prev = "src"
+    for i, width in enumerate(widths[1:]):
+        layers[f"fc{i}"] = LayerSpec(f"fc{i}", ir.FC, {"out_size": width}, [prev])
+        layers[f"act{i}"] = LayerSpec(f"act{i}", ir.RELU, {}, [f"fc{i}"])
+        prev = f"act{i}"
+    layers["out"] = LayerSpec("out", ir.SINK, {}, [prev])
+    return validate_graph(ModelGraph(layers, ["src"], ["out"]))
+
+
+CHAIN_WIDTHS = [64, 96, 48, 128, 80, 64, 112, 40, 96, 72, 128, 56, 88, 104, 48, 120, 64, 10]
+
+
+def _plan_digest(plan) -> str:
+    try:
+        text = plan().to_json()
+    except PlanError as e:
+        text = f"PlanError: {e}"
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def sweep_digest(model, scale):
+    """sha256 over the plan JSON (or PlanError message) of every grid point.
+
+    Stock models plan at n_max 12 over device memory x swap threshold x
+    comm line x overhead factor.  The "fc_chain" case is a synthetic
+    chain whose memory budget fits one fc per task, so stage 2 yields
+    more than MAX_EXHAUSTIVE_TASKS tasks and stage 3 packs greedily; it
+    plans up to 24 devices so stage 4 shards and replicates too.
+    """
+    lines = []
+    if model == "fc_chain":
+        graph = fc_chain(CHAIN_WIDTHS)
+        groups = model_to_layers(graph)
+        mem = max(costs.estimate_memory(graph, g, 2.0) for g in groups)
+        assert len(find_min_load_tasks(graph, groups, mem, 2.0)) > planner.MAX_EXHAUSTIVE_TASKS
+        device = DeviceProfile(mem_bytes=mem, flops_per_sec=2e3)
+        lines.append(_plan_digest(lambda: task_assign(graph, 24, CommModel(), device)))
+        return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    graph = load_model(model, scale, 0)
+    for mem in (4_000_000_000, 1_000_000_000, 700_000_000):
+        for swap in (None, 25_000_000):
+            for comm in (CommModel(), CommModel(per_kb_seconds=0.002, base_seconds=0.01)):
+                for overhead in (2.0, 1.5):
+                    device = DeviceProfile(mem_bytes=mem, swap_threshold=swap)
+                    digest = _plan_digest(lambda: plan_for(graph, 12, device, comm, scale=scale,
+                                                           overhead_factor=overhead))
+                    lines.append(f"{mem} {swap} {comm} {overhead} {digest}")
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# Recorded before the stage-4 scoring moved to per-state stage vectors.
+SWEEP_DIGESTS = {
+    ("alexnet", 0.03125): "d114902ac08e38840dc5598427cae36f050b57ea7bc103768f1a3b7ebe5b3874",
+    ("alexnet", 0.125): "376401855b16c9e9768f6d65c940d0ec549047f79095b5bfa8f75c28b6b0f5ea",
+    ("alexnet", 1.0): "696af8907c2c1d76905d30556553ddfecae796fc53220ec51e34876d5fff85f8",
+    ("fc_chain", 1.0): "5021d236ffeab95200197afaef725653710d2f8fb79962b68f810c5c8f4b202e",
+    ("two_stream", 0.03125): "387d0de399c7528f466fc5d97703a0d9ffab3a0b478defa733258f7e8046ba4c",
+    ("two_stream", 0.125): "8bad68ce398d74abcded8a9c45adf66fdd8d8ecd6992c2195eac0b676ac9fce1",
+    ("two_stream", 1.0): "bab7c220fa38c959271085c3ec159c119c7b68ee650b6f632b768ce371a189b0",
+    ("vgg16", 0.03125): "95009e28c8715af0989694adb196e963a74f1ce83f6b1616da86fa9dfb3c229c",
+    ("vgg16", 0.125): "2a28e4fdf34087304b09f3f581607cb5c6d9d1ab0a629634f76c9cc21da7f8e3",
+    ("vgg16", 1.0): "9ed564df513a4f97e1f40394c6a2d46c5532cff144cccaae59e6bdd1ee8cb4f9",
+}
+
+
+class TestPlanSweep:
+    @pytest.mark.parametrize("model,scale", sorted(SWEEP_DIGESTS))
+    def test_sweep_digest_unchanged(self, model, scale):
+        """Plans across the memory/swap/comm/overhead grid do not move.
+
+        Recorded with::
+
+            PYTHONPATH=src:tests python -c "import test_planner as t; \\
+                [print(k, t.sweep_digest(*k)) for k in sorted(t.SWEEP_DIGESTS)]"
+        """
+        assert sweep_digest(model, scale) == SWEEP_DIGESTS[(model, scale)]
