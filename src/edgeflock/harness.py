@@ -223,11 +223,9 @@ def bench(model: str, n_list: Iterable[int], scale: float = DESK_SCALE,
         try:
             cluster = start_cluster(aset, n)
             outputs, metrics = run_stream(cluster, frames, fps=fps)
-            wall = max([metrics.wall_seconds] + [w.free_at for w in cluster.workers.values()])
-            metrics.wall_seconds = wall
             entry.simulated = metrics
             entry.energy = costs.energy(
-                wall, metrics.per_device_busy_seconds,
+                metrics.wall_seconds, metrics.per_device_busy_seconds,
                 [cluster.profile] * n,
             )
             per_inf = max(metrics.outputs, 1)

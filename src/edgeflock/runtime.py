@@ -22,17 +22,22 @@ terminal travels as wire parts ``layer#pN``, which the consuming
 worker's executor assembles (``TaskExecutor.push_part``).  A worker
 prices its task with ``costs.price_task``, as the planner does.
 
+In the virtual cluster the recorder, the source device in replica slot
+0, admits or samples every camera frame, tags it and hands it to the
+source devices that take the tag; paced feeding waits only for those.
+
 Dynamic behavior follows the planned assignment set.  The
 master-versioned role table is derived from the assignment and the
 master.  When the recording viewpoint moves, the master swaps the
 recorder's task with the target device's and commits the new binding in
 one step: only devices whose task changed adopt it and reload weights,
 the plan is re-indexed, and the table is rebuilt at the next version.
-Nearly full inboxes signal their upstream devices: the recorder halves
-its raw sampling rate for a cooldown period (frames are dropped before
-tagging, so tagged streams stay gap-free and pending windows are never
-disturbed), while mid-pipeline senders hold instead of dropping tagged
-data.
+Nearly full inboxes signal their upstream devices: a signal at any
+source device halves the recorder's raw sampling rate for a cooldown
+period (frames are dropped before tagging, so tagged streams stay
+gap-free and pending windows are never disturbed), while mid-pipeline
+senders hold instead of dropping tagged data.  Senders that stall on
+each other's full inboxes make ``drain`` raise ``RuntimeFault``.
 """
 
 from __future__ import annotations
@@ -370,10 +375,10 @@ class VirtualCluster(ClusterCore):
     """Deterministic in-process cluster under a virtual clock.
 
     On top of the core it keeps the event heap, modeled link latency,
-    blocking sends into bounded inboxes with almost-full signals, and
-    master-driven role rotation.  All workers record their firings in
-    one ``batch``; ``outputs`` holds ``Pending`` values until it is
-    flushed.
+    blocking sends into bounded inboxes with almost-full signals, the
+    camera feed and master-driven role rotation.  All workers record
+    their firings in one ``batch``; ``outputs`` holds ``Pending`` values
+    until it is flushed.
     """
 
     def __init__(self, aset: AssignmentSet, n: int,
@@ -388,7 +393,6 @@ class VirtualCluster(ClusterCore):
         self.master_writes = 0
         self.rejected_updates = 0
         self.routing_drops = 0
-        self.raw_cursor = 0
         self.setup_seconds = max(w.setup_load_seconds() for w in self.workers.values())
         self.last_reassign_reloads = 0
 
@@ -404,6 +408,8 @@ class VirtualCluster(ClusterCore):
         # destination drains.
         self._waiting: dict[int, list] = {d: [] for d in self.workers}
         self._stalled: dict[int, set[int]] = {}
+        # DATA messages sent toward each device and not yet delivered.
+        self._in_flight: dict[int, int] = {d: 0 for d in self.workers}
 
     # -- event loop --------------------------------------------------------------
 
@@ -411,28 +417,24 @@ class VirtualCluster(ClusterCore):
         heapq.heappush(self._heap, (t, self._seq, fn, args))
         self._seq += 1
 
-    def drain(self) -> None:
-        self.drain_until(math.inf)
-
-    def flush(self) -> None:
-        """Compute every pending firing of every worker."""
-        self.batch.flush()
+    def _step(self) -> None:
+        """Run the earliest pending event."""
+        t, _seq, fn, args = heapq.heappop(self._heap)
+        self.vnow = max(self.vnow, t)
+        fn(t, *args)
 
     def drain_until(self, t: float) -> None:
         """Run events scheduled at or before virtual time t."""
         while self._heap and self._heap[0][0] <= t:
-            te, _seq, fn, args = heapq.heappop(self._heap)
-            self.vnow = max(self.vnow, te)
-            fn(te, *args)
+            self._step()
 
-    def step_event(self) -> bool:
-        """Run the single earliest pending event; False when idle."""
-        if not self._heap:
-            return False
-        t, _seq, fn, args = heapq.heappop(self._heap)
-        self.vnow = max(self.vnow, t)
-        fn(t, *args)
-        return True
+    def drain(self) -> None:
+        """Run every pending event; RuntimeFault when data is left queued
+        or held after it, as senders stall on each other's full inboxes."""
+        self.drain_until(math.inf)
+        stuck = sorted(d for d, w in self.workers.items() if w.inbox.occupancy or self._waiting[d])
+        if stuck:
+            raise RuntimeFault(f"devices {stuck} stall on each other's full inboxes with data left")
 
     # -- transport ----------------------------------------------------------------
 
@@ -446,6 +448,8 @@ class VirtualCluster(ClusterCore):
         path["comm"] += latency
         path["total"] += latency
         msg.meta["path"] = path
+        if msg.kind == Kind.DATA:
+            self._in_flight[dst] += 1
         self._schedule(t + latency, self._deliver, dst, msg)
 
     def _output(self, w: Worker, em, path: dict, t: float) -> None:
@@ -453,13 +457,16 @@ class VirtualCluster(ClusterCore):
         self.completions.append((t, em.tag, path))
 
     def _deliver(self, t: float, dst: int, msg: Message) -> None:
-        w = self.workers.get(dst)
-        if w is None:
-            self.routing_drops += 1
-            return
+        """A message sent by ``_send`` arrives at ``dst``."""
         if msg.kind != Kind.DATA:
             self._control(t, dst, msg)
             return
+        self._in_flight[dst] -= 1
+        self._offer(t, dst, msg)
+
+    def _offer(self, t: float, dst: int, msg: Message) -> None:
+        """Queue a data frame in the inbox of ``dst`` and schedule it."""
+        w = self.workers[dst]
         if w.inbox.full:
             # Hold in the sender's outbound queue; delivered (in order)
             # as the destination drains.
@@ -482,7 +489,7 @@ class VirtualCluster(ClusterCore):
             return
         if msg.kind == Kind.ALMOST_FULL:
             if w.owns_source:
-                w.slow_down(t)
+                self.recorder().slow_down(t)
             else:
                 w.throttled_until = max(w.throttled_until, t + THROTTLE_SECONDS)
         elif msg.kind == Kind.SKIP:
@@ -536,19 +543,19 @@ class VirtualCluster(ClusterCore):
         devices reload.
         """
         self.drain()
-        self.flush()
+        self.batch.flush()
         sender = self.master if from_device is None else from_device
         if sender != self.master:
             self.rejected_updates += 1
             raise RuntimeFault(f"role update from non-master device {sender} rejected")
         kind, dev = trigger
+        recorder = self.recorder()
         if kind == "motion_on":
-            recorder = next(d for d, idx, _count in self.sources if idx == 0)
             tasks = dict(self.assignment.tasks)
-            if dev != recorder:
+            if dev != recorder.device:
                 if dev not in self.workers:
                     raise RuntimeFault(f"device {dev} is not part of the cluster")
-                tasks[dev], tasks[recorder] = tasks[recorder], tasks[dev]
+                tasks[dev], tasks[recorder.device] = tasks[recorder.device], tasks[dev]
         elif kind == "device_lost":
             if dev == self.master:
                 raise RuntimeFault("master device lost; halting run")
@@ -556,7 +563,7 @@ class VirtualCluster(ClusterCore):
         else:
             raise RuntimeFault(f"unknown trigger {kind!r}")
         self.master_writes += 1
-        return self._commit(tasks, self.workers[recorder])
+        return self._commit(tasks, recorder)
 
     def _commit(self, tasks: dict[int, Task], recorder: Worker) -> int:
         """Bind every device to ``tasks[device]``; returns the new version.
@@ -594,48 +601,50 @@ class VirtualCluster(ClusterCore):
         return version
 
     def _role_table(self, version: int) -> IPTable:
-        """The role table of the current assignment: recorders are the
-        source devices in replica slot 0."""
-        recorders = {d for d, idx, _count in self.sources if idx == 0}
+        """The role table of the current assignment."""
+        recorder = self.recorder().device
         entries = {}
         for d in range(self.n):
             task = self.assignment.tasks.get(d)
             entries[d] = RoleEntry(address=f"virtual:{d}", task_id=task.task_id if task else "",
-                                   master=(d == self.master), recorder=(d in recorders))
+                                   master=(d == self.master), recorder=(d == recorder))
         return IPTable(version=version, entries=entries).validate()
 
     # -- driving ---------------------------------------------------------------------
+
+    def recorder(self) -> Worker:
+        """The source device in replica slot 0.  It samples and tags every
+        camera frame, whichever replica computes it."""
+        return self.workers[next(d for d, idx, _count in self.sources if idx == 0)]
 
     def feed_frame(self, value: np.ndarray, t: Optional[float] = None) -> None:
         """Inject one raw camera frame at virtual time t."""
         t = self.vnow if t is None else t
         self._schedule(t, self._camera_arrival, np.asarray(value, dtype=np.float32))
 
-    def _camera_arrival(self, t: float, value: np.ndarray) -> None:
-        if len(self.sources) == 1 and self.sources[0][2] == 1:
-            # Single recorder: sampling decides at capture time whether
-            # the frame is tagged at all.
-            d = self.sources[0][0]
-            w = self.workers[d]
-            tag = w.admit_raw(t)
-            if tag is None:
-                return
-            msg = Message(kind=Kind.DATA, tag=tag, layer=w.source_name(),
-                          tensor=value, meta={"path": _zero_path()})
-            self._deliver(t, d, msg)
-            return
-        # Replicated source tasks: the recording harness assigns global
-        # tags and round-robins frames; sampling does not apply.
-        tag = self.raw_cursor
-        self.raw_cursor += 1
-        for d in self._source_targets(tag):
-            w = self.workers[d]
-            msg = Message(kind=Kind.DATA, tag=tag, layer=w.source_name(),
-                          tensor=value, meta={"path": _zero_path()})
-            self._deliver(t, d, msg)
+    def feed_paced(self, value: np.ndarray) -> None:
+        """Inject one raw camera frame once the source devices that take
+        its tag are free, then run events while any inbox, counting the
+        data in flight toward it, is more than half full: below the
+        almost-full watermark, where the recorder would sample."""
+        targets = self._source_targets(self.recorder().kept_counter)
+        start = max([self.vnow] + [self.workers[d].free_at for d in targets])
+        self.feed_frame(value, t=start)
+        self.drain_until(start)
+        while self._heap and any(w.inbox.occupancy + self._in_flight[d] > max(1, w.inbox.capacity // 2)
+                                 for d, w in self.workers.items()):
+            self._step()
 
-    def source_free_at(self) -> float:
-        return max(self.workers[d].free_at for d, _i, _c in self.sources)
+    def _camera_arrival(self, t: float, value: np.ndarray) -> None:
+        """The recorder admits the frame or samples it away; an admitted
+        frame goes, under its tag, to the source devices that take it."""
+        tag = self.recorder().admit_raw(t)
+        if tag is None:
+            return
+        for d in self._source_targets(tag):
+            msg = Message(kind=Kind.DATA, tag=tag, layer=self.workers[d].source_name(),
+                          tensor=value, meta={"path": _zero_path()})
+            self._offer(t, d, msg)
 
 
 TRANSPORTS = ("in_process", "loopback_sockets")
@@ -656,53 +665,41 @@ def run_stream(cluster: VirtualCluster, frames: Iterable[np.ndarray], fps: float
     """Feed a frame sequence; returns the outputs this call completed, by
     tag, and its metrics.
 
-    ``paced`` throttles the camera to the recording device's service
-    rate (the default for verification and benchmarking); unpaced
-    feeding follows the fps schedule strictly, frame i at ``vnow + i /
-    fps``, and lets backpressure reduce the recorder's sampling rate.
-    With a single recorder, ``kept_raw_indices`` lists the frames it
-    admitted, as indices into ``frames``.  The math runs as the cluster's
-    batch fills and once more after the last event.
+    ``paced`` feeds each frame through ``VirtualCluster.feed_paced`` (the
+    default for verification and benchmarking); unpaced feeding follows
+    the fps schedule strictly, frame i at ``vnow + i / fps``, and lets
+    backpressure reduce the recorder's sampling rate.
+    ``kept_raw_indices`` lists the frames the recorder admitted, as
+    indices into ``frames``; ``wall_seconds`` lasts until the last event
+    and the last device's clock.  The math runs as the cluster's batch
+    fills and once more after the last event.
     """
-    frames = list(frames)
     completions_before = len(cluster.completions)
-    # A single recorder samples raw frames; its raw cursor and kept count
-    # before this call make kept_raw_indices index into this call's frames.
-    recorder = cluster.workers[cluster.sources[0][0]] if len(cluster.sources) == 1 else None
-    base, n_kept = (recorder.raw_index, len(recorder.kept_raw)) if recorder else (0, 0)
-
+    # The recorder's raw cursor and kept count before this call make
+    # kept_raw_indices index into this call's frames.
+    recorder = cluster.recorder()
+    base, n_kept = recorder.raw_index, len(recorder.kept_raw)
     if paced:
-        # Camera paced to the recorder's service rate; downstream stages
-        # overlap in virtual time.  Queues are kept below the almost-full
-        # watermark so pacing never triggers sampling drops.
-        half = {d: max(1, w.inbox.capacity // 2) for d, w in cluster.workers.items()}
         for f in frames:
-            start = max(cluster.vnow, cluster.source_free_at())
-            cluster.feed_frame(f, t=start)
-            cluster.drain_until(start)
-            while any(w.inbox.occupancy > half[d] for d, w in cluster.workers.items()):
-                if not cluster.step_event():
-                    break
-        cluster.drain()
+            cluster.feed_paced(f)
     else:
         start = cluster.vnow
         for i, f in enumerate(frames):
             cluster.feed_frame(f, t=start + i / fps)
-        cluster.drain()
-    cluster.flush()
+    cluster.drain()
+    cluster.batch.flush()
 
     completions = cluster.completions[completions_before:]
     produced = cluster.outputs[cluster.graph.outputs[0]]
     outputs = {tag: value_of(produced[tag]) for _t, tag, _p in completions if tag in produced}
     metrics = RunMetrics()
     metrics.outputs = len(completions)
-    metrics.wall_seconds = cluster.vnow
+    metrics.wall_seconds = max([cluster.vnow] + [w.free_at for w in cluster.workers.values()])
     metrics.setup_seconds = cluster.setup_seconds
     metrics.per_device_busy_seconds = {d: w.busy_seconds for d, w in cluster.workers.items()}
     metrics.drops = sum(w.sample_drops for w in cluster.workers.values())
     metrics.routing_drops = cluster.routing_drops
-    if recorder is not None:
-        metrics.kept_raw_indices = [i - base for i in recorder.kept_raw[n_kept:]]
+    metrics.kept_raw_indices = [i - base for i in recorder.kept_raw[n_kept:]]
     if completions:
         paths = [p for _t, _tag, p in completions]
         metrics.t_forward_seconds = sum(p["total"] for p in paths) / len(paths)

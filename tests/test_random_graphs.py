@@ -83,11 +83,6 @@ def random_graphs(draw):
     return b.graph(["cam"], ["out"]), device
 
 
-def _admitted(metrics, clip: np.ndarray) -> np.ndarray:
-    kept = metrics.kept_raw_indices
-    return clip[kept] if kept else clip
-
-
 def _reference(graph, frames: np.ndarray) -> dict:
     return run_reference(graph, {"cam": frames})["out"]
 
@@ -98,9 +93,10 @@ def _assert_equal(outs: dict, ref: dict) -> None:
 
 
 def _paced(graph, aset, n: int, clip: np.ndarray) -> None:
-    """One paced call at the default inbox: every admitted frame's output."""
+    """One paced call at the default inbox admits every frame."""
     outs, metrics = run_stream(start_cluster(aset, n), clip)
-    ref = _reference(graph, _admitted(metrics, clip))
+    assert metrics.kept_raw_indices == list(range(len(clip)))
+    ref = _reference(graph, clip)
     assert set(outs) == set(ref)
     _assert_equal(outs, ref)
 
@@ -112,13 +108,13 @@ def _unpaced_with_rotation(graph, aset, n: int, clip: np.ndarray, capacity: int)
     cluster = start_cluster(aset, n, inbox_capacity=capacity)
     half = len(clip) // 2
     first, m1 = run_stream(cluster, clip[:half], fps=UNPACED_FPS, paced=False)
-    admitted = _admitted(m1, clip[:half])
+    admitted = clip[:half][m1.kept_raw_indices]
     ref = _reference(graph, admitted)
     assert set(first) == set(ref)
     _assert_equal(first, ref)
     cluster.reassign(("motion_on", max(cluster.workers)))
     second, m2 = run_stream(cluster, clip[half:], fps=UNPACED_FPS, paced=False)
-    ref = _reference(graph, np.concatenate([admitted, _admitted(m2, clip[half:])]))
+    ref = _reference(graph, np.concatenate([admitted, clip[half:][m2.kept_raw_indices]]))
     assert not set(first) & set(second)
     _assert_equal(second, ref)
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import edgeflock.engine as engine
+from edgeflock import model_ir as ir
 from edgeflock.costs import CommModel, DeviceProfile
 from edgeflock.engine import run_reference
 from edgeflock.harness import make_clip, same_bits
@@ -329,6 +330,36 @@ class TestBackpressure:
         assert metrics.drops > 0 and metrics.outputs > 0
         assert digest.hexdigest() == OPEN_LOOP_DIGEST
 
+    def test_mutual_stall_is_a_fault(self):
+        """Devices 0 and 1 each send into the other; at 400 fps into
+        inboxes of 6 both fill, each stalls on the other, and no event is
+        left to move the held data."""
+        b = ir._Builder(10)
+        b.add("cam", ir.SOURCE, {"shape": [5, 5, 1]})
+        b.add("s_norm", ir.NORM, {}, ["cam"])
+        b.add("s_fc", ir.FC, {"out_size": 8}, ["s_norm"])
+        b.add("s_pyr", ir.PYRAMID, {"levels": 2, "window": 2}, ["s_fc"])
+        b.add("t_flow", ir.FLOWSTACK, {"window_len": 2}, ["cam"])
+        b.add("t_act", ir.RELU, {}, ["t_flow"])
+        b.add("t_conv", ir.CONV, {"filters": 4, "kernel_h": 3, "kernel_w": 3, "stride": 1,
+                                  "padding": "same"}, ["t_act"])
+        b.add("t_fc", ir.FC, {"out_size": 8}, ["t_conv"])
+        b.add("t_pyr", ir.PYRAMID, {"levels": 2, "window": 2}, ["t_fc"])
+        b.add("fuse", ir.CONCAT, {"axis": 0}, ["s_pyr", "t_pyr"])
+        b.add("fc_h", ir.FC, {"out_size": 24}, ["fuse"])
+        b.add("act_h", ir.RELU, {}, ["fc_h"])
+        b.add("fc_o", ir.FC, {"out_size": 4}, ["act_h"])
+        b.add("smax", ir.SOFTMAX, {}, ["fc_o"])
+        b.add("out", ir.SINK, {}, ["smax"])
+        graph = b.graph(["cam"], ["out"])
+        dev = DeviceProfile(mem_bytes=20000, flops_per_sec=1e5, conv_flops_per_sec=4e5,
+                            load_setup_seconds=0.01)
+        aset = task_assign(graph, 6, CommModel(), dev)
+        cluster = start_cluster(aset, 2, inbox_capacity=6)
+        assert {e.producer_device for e in cluster.assignment.edges} == {0, 1}
+        with pytest.raises(RuntimeFault, match=r"devices \[0, 1\] stall"):
+            run_stream(cluster, make_clip(graph, 24, 10), fps=400.0, paced=False)
+
     def test_almost_full_throttles_then_recovers(self):
         graph, cluster, frames = self._pressured(400, 7)
         run_stream(cluster, frames, fps=2000.0, paced=False)
@@ -341,6 +372,59 @@ class TestBackpressure:
             cluster.feed_frame(frames[0], t=cluster.vnow + 5.0)
             cluster.drain()
         assert recorder.sample_interval <= max(1, before // 2)
+
+
+class TestFeeding:
+    """Paced feeding waits only for the source replicas that take a frame
+    and counts data in flight; every plan samples through its recorder."""
+
+    SEED = 4711
+
+    @pytest.fixture(scope="class")
+    def paced_sweep(self):
+        """model -> n -> metrics of a paced run, each checked against the
+        reference over the whole clip."""
+        sweeps = {}
+
+        def sweep(model, frames, n_list):
+            key = (model, frames, tuple(n_list))
+            if key not in sweeps:
+                graph = build_model(model, SCALE, seed=self.SEED)
+                aset = task_assign(graph, 12, CommModel(), DeviceProfile().scaled_mem(SCALE))
+                clip = make_clip(graph, frames, self.SEED)
+                ref = run_reference(graph, {graph.inputs[0]: clip})[graph.outputs[0]]
+                sweeps[key] = {}
+                for n in n_list:
+                    outs, metrics = run_stream(start_cluster(aset, n), clip)
+                    assert metrics.drops == 0, (model, n)
+                    assert metrics.kept_raw_indices == list(range(frames)), (model, n)
+                    assert_exact(outs, ref)
+                    sweeps[key][n] = metrics
+            return sweeps[key]
+        return sweep
+
+    @pytest.mark.parametrize("model,frames", [("two_stream", 64), ("alexnet", 8)])
+    def test_paced_runs_admit_every_frame(self, paced_sweep, model, frames):
+        assert sorted(paced_sweep(model, frames, range(1, 13))) == list(range(1, 13))
+
+    def test_source_replicas_overlap(self, paced_sweep):
+        """Frame k waits only for the replica that takes tag k, so adding
+        source replicas raises throughput."""
+        assert paced_sweep("alexnet", 8, range(1, 13))[4].ips > 8.0
+        vgg = paced_sweep("vgg16", 8, (1, 4, 8, 12))
+        assert vgg[8].ips > vgg[4].ips
+
+    def test_replicated_source_samples_through_its_recorder(self):
+        graph = build_model("alexnet", SCALE, seed=1)
+        aset = task_assign(graph, 8, CommModel(), DeviceProfile().scaled_mem(SCALE))
+        cluster = start_cluster(aset, 8, inbox_capacity=4)
+        assert len(cluster.sources) > 1
+        frames = make_clip(graph, 40, 1)
+        outs, metrics = run_stream(cluster, frames, fps=100.0, paced=False)
+        kept = metrics.kept_raw_indices
+        assert metrics.drops > 0 and len(kept) == len(frames) - metrics.drops
+        assert cluster.recorder().sample_drops == metrics.drops
+        assert_exact(outs, run_reference(graph, {"input": frames[kept]})["out"])
 
 
 # sha256 of a recorder rotation's modeled plane: outputs, completion
@@ -359,7 +443,7 @@ GOLDEN_ROTATIONS = {
     ("two_stream", 12, "swap"):
         "104d56096cbe38090ecf80ddace3be4fb772bf0757ff2b52df8abcce96283a1f",
     ("alexnet", 4, "swap"):
-        "0f75f27d97f9ec9c368a7aa0dc031625116f27657b14dec2902534a956e3a004",
+        "26b1ef5f133352e4b7f0ff8c0b6930debe5fbc3a95d705e3353bbbcd55da5cbb",
 }
 
 
@@ -389,13 +473,16 @@ def rotation_digest(cluster, produced) -> str:
 
 
 # rotation_digest of one paced run_stream on a fresh cluster, keyed by
-# (model, n); both plans run fc row shards, and the last shard of each
-# also consumes the value its shards assemble.
+# (model, n); every plan runs fc row shards, and the last shard of each
+# also consumes the value its shards assemble.  alexnet at n=4 also
+# replicates its source task.
 GOLDEN_PACED = {
     ("two_stream", 10):
         "71f437a33a268ee11ee219e62a688e901fd7ce67e04f23353f7e1ed30d968c86",
     ("alexnet", 3):
         "07746238181155d29dbbb3e0135c718180ad25c2b77e0246fbb14c49daaf167e",
+    ("alexnet", 4):
+        "5a64973c30351f11c7fdb904acb135c3abffc55d0c51b69b582ccb63810e0d7c",
 }
 
 
