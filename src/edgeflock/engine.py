@@ -41,8 +41,9 @@ shape, which is all that tag alignment, routing and cost accounting
 read.  ``Batch.flush`` computes the pending firings layer by layer in
 graph topological order, one group per (executor, layer), whatever tags
 a group holds.  conv, relu, norm and maxpool take a group as one
-(tags, ...) batch; fc, softmax, concat and shard assembly run once per
-tag; windows run once per window.  ``im2col`` lays the positions of
+(tags, ...) batch, and pyramids run once per group, on one (windows,
+items, size) batch; fc, softmax, concat and shard assembly run once per
+tag, and flow stacks once per window.  ``im2col`` lays the positions of
 several frames side by side in one patch matrix, at most
 ``PATCH_BYTES`` of it per matrix; since every output element keeps its
 own ascending running sum, a frame's outputs do not depend on the
@@ -176,14 +177,15 @@ _ZERO = np.float32(0)
 
 # A batch computes at most RUN_TAGS firings of one (executor, layer) in
 # one group, and fewer when one layer's outputs (or stacked inputs) over
-# all executors would exceed RUN_BYTES (never fewer than one); a conv lays a batch of frames into patch matrices of
-# at most PATCH_BYTES (a matrix of a single frame may exceed it).  On
-# two_stream at 1/32 and 1/8, groups of 16 tags and 2 MiB matrices made
-# the reference about 1.5x faster and grew peak RSS by under 2 MiB; the
-# whole clip in one uncapped group was no faster and grew it from 46 to
-# 120 MiB and from 63 to 85 MiB.  Without RUN_BYTES, groups of vgg16 and
-# alexnet at 1/8, whose layer outputs reach 1.6 and 0.6 MB a frame, grew
-# peak RSS by 12 and 9 MiB.
+# all executors would exceed RUN_BYTES (never fewer than one); a conv
+# lays a batch of frames into patch matrices of at most PATCH_BYTES (a
+# matrix of a single frame may exceed it).  On two_stream at 1/32 and
+# 1/8, groups of 16 tags and 2 MiB matrices made the reference about
+# 1.5x faster and grew peak RSS by under 2 MiB; the whole clip in one
+# uncapped group was no faster and grew it from 46 to 120 MiB and from
+# 63 to 85 MiB.  Without RUN_BYTES, groups of vgg16 and alexnet at 1/8,
+# whose layer outputs reach 1.6 and 0.6 MB a frame, grew peak RSS by 12
+# and 9 MiB.
 RUN_TAGS = 16
 RUN_BYTES = 2 << 20
 PATCH_BYTES = 2 << 20
@@ -417,31 +419,39 @@ def _pyramid_rows(n_items: int, levels: int) -> tuple[tuple[int, int], ...]:
     return tuple(r for k in range(levels) for r in pyramid_ranges(n_items, 2 ** k))
 
 
-def temporal_pyramid(frames: list[np.ndarray], levels: int) -> np.ndarray:
+def temporal_pyramid(frames, levels: int) -> np.ndarray:
     """Multi-resolution max pooling over an ordered item sequence.
 
     Level k (k = 0..levels-1) splits the sequence into 2**k contiguous
     ranges and emits one elementwise max per range; rows are ordered
-    level-major then range-major, giving 2**levels - 1 rows.  Each row
-    is one ``np.maximum.reduce`` over its range, as ``max`` does;
-    ``np.maximum.reduceat`` would be faster but does not keep the sign
-    of a zero that ``max`` keeps.  Neither does ``reduce`` over items of
-    one element, which it takes out of order as one column, so those
-    take an explicit running max (``np.maximum.accumulate``).
+    level-major then range-major, giving 2**levels - 1 rows.  ``frames``
+    is a list of items, pooled into (rows, size), or a (windows, items,
+    size) batch of windows of as many items each, pooled into (windows,
+    rows, size).  Each row is one ``np.maximum.reduce`` over its range,
+    as ``max`` does; ``np.maximum.reduceat`` would be faster but does not
+    keep the sign of a zero that ``max`` keeps.  Neither does ``reduce``
+    over items of one element, which it takes out of order as one
+    column, so those take an explicit running max
+    (``np.maximum.accumulate``).
     """
-    if not frames:
+    if not len(frames):
         raise EngineError("temporal pyramid needs a nonempty frame list")
     if levels < 1:
         raise EngineError("pyramid levels must be >= 1")
-    stack = np.stack([np.asarray(f, dtype=np.float32).reshape(-1) for f in frames])
-    ranges = _pyramid_rows(len(frames), levels)
-    out = np.empty((len(ranges), stack.shape[1]), dtype=np.float32)
-    for row, (start, end) in zip(out, ranges):
-        if stack.shape[1] == 1:
-            row[0] = np.maximum.accumulate(stack[start:end, 0])[-1]
+    batched = isinstance(frames, np.ndarray) and frames.ndim == 3
+    if batched:
+        stack = np.asarray(frames, dtype=np.float32)
+    else:
+        stack = np.stack([np.asarray(f, dtype=np.float32).reshape(-1) for f in frames])[None]
+    _windows, items, size = stack.shape
+    ranges = _pyramid_rows(items, levels)
+    out = np.empty((len(stack), len(ranges), size), dtype=np.float32)
+    for r, (start, end) in enumerate(ranges):
+        if size == 1:
+            out[:, r, 0] = np.maximum.accumulate(stack[:, start:end, 0], axis=1)[:, -1]
         else:
-            np.maximum.reduce(stack[start:end], axis=0, out=row)
-    return out
+            np.maximum.reduce(stack[:, start:end], axis=1, out=out[:, r])
+    return out if batched else out[0]
 
 
 def flow_diff_stub(prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
@@ -715,9 +725,10 @@ class TaskExecutor:
         """Compute one group of firings of ``name`` (or of its shard
         assembly) whose inputs are all computed.
 
-        conv, relu, norm and maxpool take the group as one batch; every
-        other kind runs once per firing.  Each kernel is looked up in
-        this module's globals at the call.
+        conv, relu, norm and maxpool take the group as one batch, and a
+        pyramid takes its windows as one; every other kind runs once per
+        firing.  Each kernel is looked up in this module's globals at the
+        call.
         """
         spec = self.graph.layer(name)
         k = spec.kind
@@ -749,8 +760,11 @@ class TaskExecutor:
             axis = int(spec.attrs.get("axis", 0))
             values = [np.concatenate([value_of(v) for v in p.args], axis=axis) for p in firings]
         elif k == ir.PYRAMID:
-            levels = int(spec.attrs["levels"])
-            values = [temporal_pyramid([value_of(v) for v in p.args], levels) for p in firings]
+            # Items of one shape, end to end: row i*window + j of the
+            # reshaped array is item j of window i, flattened.
+            items = np.concatenate([value_of(v) for p in firings for v in p.args])
+            values = temporal_pyramid(items.reshape(len(firings), spec.window, -1),
+                                      int(spec.attrs["levels"]))
         else:  # flowstack; sources and sinks never fire into a batch
             window_len = int(spec.attrs["window_len"])
             values = [self._flow_stack(name, p.tag, [value_of(v) for v in p.args], window_len)

@@ -25,6 +25,11 @@ prices its task with ``costs.price_task``, as the planner does.
 In the virtual cluster the recorder, the source device in replica slot
 0, admits or samples every camera frame, tags it and hands it to the
 source devices that take the tag; paced feeding waits only for those.
+A device holds at most one live wake-up (a ``_process`` event): a queued
+item, a freed downstream slot or a finished item asks for one at the
+earliest time the device could act, a request at or after the live
+wake-up's time adds nothing, and an earlier one supersedes it.  So the
+event count follows the messages moved, not the inbox depths.
 
 Dynamic behavior follows the planned assignment set.  The
 master-versioned role table is derived from the assignment and the
@@ -32,12 +37,13 @@ master.  When the recording viewpoint moves, the master swaps the
 recorder's task with the target device's and commits the new binding in
 one step: only devices whose task changed adopt it and reload weights,
 the plan is re-indexed, and the table is rebuilt at the next version.
-Nearly full inboxes signal their upstream devices: a signal at any
-source device halves the recorder's raw sampling rate for a cooldown
-period (frames are dropped before tagging, so tagged streams stay
-gap-free and pending windows are never disturbed), while mid-pipeline
-senders hold instead of dropping tagged data.  Senders that stall on
-each other's full inboxes make ``drain`` raise ``RuntimeFault``.
+Nearly full inboxes signal their upstream devices: one crossing of the
+watermark halves the recorder's raw sampling rate once for a cooldown
+period, however many source replicas it signals (frames are dropped
+before tagging, so tagged streams stay gap-free and pending windows are
+never disturbed), while mid-pipeline senders hold instead of dropping
+tagged data.  Senders that stall on each other's full inboxes make
+``drain`` raise ``RuntimeFault``.
 """
 
 from __future__ import annotations
@@ -410,6 +416,12 @@ class VirtualCluster(ClusterCore):
         self._stalled: dict[int, set[int]] = {}
         # DATA messages sent toward each device and not yet delivered.
         self._in_flight: dict[int, int] = {d: 0 for d in self.workers}
+        # device -> (time, token) of its one live _process wake-up
+        self._wakes: dict[int, tuple[float, int]] = {}
+        # Almost-full crossings signalled so far, and the last one that
+        # slowed the recorder.
+        self._crossings = 0
+        self._slowed_crossing = 0
 
     # -- event loop --------------------------------------------------------------
 
@@ -475,11 +487,31 @@ class VirtualCluster(ClusterCore):
         w.inbox.offer((msg, t))
         if w.inbox.should_signal():
             self._signal_almost_full(t, dst)
-        self._schedule(max(t, w.free_at), self._process, dst)
+        self._wake_up(max(t, w.free_at), dst)
+
+    def _wake_up(self, t: float, device: int) -> None:
+        """Make sure ``device`` looks at its inbox at time t or earlier.
+
+        A device has at most one live ``_process`` wake-up: a request at
+        or after the live one's time adds nothing, and an earlier request
+        supersedes it, which then pops as a no-op.  A dropped request
+        would have found the device busy, throttled or stalled and only
+        asked again, except after an item that cost nothing: the device
+        then asks again for the same instant, and its new wake-up runs
+        after the events already due then, some of which a dropped one
+        would have preceded.
+        """
+        live = self._wakes.get(device)
+        if live is not None and live[0] <= t:
+            return
+        self._wakes[device] = (t, self._seq)
+        self._schedule(t, self._process, device, self._seq)
 
     def _signal_almost_full(self, t: float, device: int) -> None:
+        self._crossings += 1
         for pred in self._preds[device]:
-            note = Message(kind=Kind.ALMOST_FULL, source=device)
+            note = Message(kind=Kind.ALMOST_FULL, source=device,
+                           meta={"crossing": self._crossings})
             self._schedule(t + comm_latency(note.payload_bytes(), self.comm),
                            self._control, pred, note)
 
@@ -489,21 +521,30 @@ class VirtualCluster(ClusterCore):
             return
         if msg.kind == Kind.ALMOST_FULL:
             if w.owns_source:
-                self.recorder().slow_down(t)
+                # Every source replica upstream hears of the crossing; the
+                # recorder halves its rate once for it.
+                if msg.meta["crossing"] != self._slowed_crossing:
+                    self._slowed_crossing = msg.meta["crossing"]
+                    self.recorder().slow_down(t)
             else:
                 w.throttled_until = max(w.throttled_until, t + THROTTLE_SECONDS)
         elif msg.kind == Kind.SKIP:
             self._on_skip(w, msg, t)
 
-    def _process(self, t: float, device: int) -> None:
-        w = self.workers.get(device)
-        if w is None or w.inbox.occupancy == 0:
-            return
+    def _process(self, t: float, device: int, token: int) -> None:
+        """A wake-up of ``device``: take one item from its inbox if it is
+        free, not throttled and no downstream inbox is full."""
+        if self._wakes.get(device) != (t, token):
+            return  # superseded by an earlier wake-up
+        del self._wakes[device]
+        # Only a device with queued items asks for a wake-up, and only its
+        # live one takes items, so the inbox is not empty here.
+        w = self.workers[device]
         if t < w.free_at - 1e-12:
-            self._schedule(w.free_at, self._process, device)
+            self._wake_up(w.free_at, device)
             return
         if t < w.throttled_until:
-            self._schedule(w.throttled_until, self._process, device)
+            self._wake_up(w.throttled_until, device)
             return
         # Blocking sends: stall while any downstream inbox is full, so
         # pressure cascades upstream instead of losing tagged data.
@@ -517,7 +558,7 @@ class VirtualCluster(ClusterCore):
         w.free_at = max(t, w.free_at)
         self._on_data(w, msg)
         if w.inbox.occupancy > 0:
-            self._schedule(w.free_at, self._process, device)
+            self._wake_up(w.free_at, device)
 
     def _after_take(self, t: float, device: int) -> None:
         """One slot freed: pull a held message in, wake stalled senders."""
@@ -531,7 +572,7 @@ class VirtualCluster(ClusterCore):
             for src in sorted(self._stalled.pop(device, ())):
                 sw = self.workers.get(src)
                 if sw is not None and sw.inbox.occupancy > 0:
-                    self._schedule(max(t, sw.free_at), self._process, src)
+                    self._wake_up(max(t, sw.free_at), src)
 
     # -- role rotation ---------------------------------------------------------------
 

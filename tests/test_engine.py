@@ -428,6 +428,25 @@ class TestPyramid:
         assert out.shape[0] == 15
         assert np.all(out[0] >= out[1:])
 
+    @given(st.integers(1, 5), st.integers(1, 17), st.sampled_from([1, 2, 3, 12]),
+           st.integers(1, 4), st.integers(0, 2**32 - 1))
+    @example(windows=3, items=5, size=1, levels=4, seed=0)
+    @settings(max_examples=150, deadline=None)
+    def test_batch_of_windows_matches_each_window_bytes(self, windows, items, size, levels, seed):
+        """A (windows, items, size) batch pools each window as its own
+        call does, byte for byte: items of one and more elements, mixed
+        signed zeros and NaNs of either sign, and fewer items than a
+        level's ranges (ranges then share items)."""
+        r = np.random.default_rng(seed)
+        pool = np.array([0.0, -0.0, np.nan, -np.nan, 1.0, -1.0], np.float32)
+        batch = np.where(r.random((windows, items, size)) < 0.7,
+                         r.choice(pool, (windows, items, size)),
+                         r.uniform(-1, 1, (windows, items, size))).astype(np.float32)
+        got = temporal_pyramid(batch, levels)
+        assert got.shape == (windows, 2 ** levels - 1, size) and got.dtype == np.float32
+        for w in range(windows):
+            assert got[w].tobytes() == temporal_pyramid(list(batch[w]), levels).tobytes()
+
 
 class TestFlowStack:
     def test_identical_frames_zero_flow(self):

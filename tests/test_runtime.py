@@ -14,6 +14,7 @@ from edgeflock.model_ir import build_model
 from edgeflock.planner import task_assign
 from edgeflock.runtime import (
     RuntimeFault,
+    Worker,
     run_stream,
     start_cluster,
 )
@@ -330,6 +331,48 @@ class TestBackpressure:
         assert metrics.drops > 0 and metrics.outputs > 0
         assert digest.hexdigest() == OPEN_LOOP_DIGEST
 
+    def test_one_live_wake_up_per_device(self):
+        """Every _process event in the heap but a device's live one pops
+        as a no-op, and no device ever has two live ones."""
+        _graph, cluster, frames = self._pressured(300, 5)
+        step, process = cluster._step, cluster._process
+        live_pops = dead_pops = 0
+
+        def checked_process(t, device, token):
+            nonlocal live_pops, dead_pops
+            w = cluster.workers[device]
+            before = (len(cluster._heap), w.inbox.occupancy, w.free_at, cluster._wakes.get(device))
+            process(t, device, token)
+            if before[3] == (t, token):
+                live_pops += 1
+            else:
+                dead_pops += 1
+                assert before == (len(cluster._heap), w.inbox.occupancy, w.free_at,
+                                  cluster._wakes.get(device))
+
+        def checked_step():
+            step()
+            live = {}
+            for t, _seq, fn, args in cluster._heap:
+                if fn == checked_process and cluster._wakes.get(args[0]) == (t, args[1]):
+                    live[args[0]] = live.get(args[0], 0) + 1
+            assert all(count == 1 for count in live.values())
+            assert set(live) == set(cluster._wakes)
+
+        cluster._process, cluster._step = checked_process, checked_step
+        run_stream(cluster, frames, fps=2000.0, paced=False)
+        assert live_pops > 0 and dead_pops < live_pops
+
+    def test_events_follow_messages_not_queue_depth(self):
+        """With one wake-up per device, the overload stream schedules
+        about as many events as it moves messages and takes items."""
+        _graph, cluster, frames = self._pressured(1200, 9)
+        schedule, events = cluster._schedule, []
+        cluster._schedule = lambda t, fn, *args: events.append(fn) or schedule(t, fn, *args)
+        _outs, metrics = run_stream(cluster, frames, fps=2000.0, paced=False)
+        assert metrics.drops > 0 and metrics.outputs > 0
+        assert len(events) <= 3300
+
     def test_mutual_stall_is_a_fault(self):
         """Devices 0 and 1 each send into the other; at 400 fps into
         inboxes of 6 both fill, each stalls on the other, and no event is
@@ -425,6 +468,33 @@ class TestFeeding:
         assert metrics.drops > 0 and len(kept) == len(frames) - metrics.drops
         assert cluster.recorder().sample_drops == metrics.drops
         assert_exact(outs, run_reference(graph, {"input": frames[kept]})["out"])
+
+    def test_one_crossing_halves_the_rate_once(self, monkeypatch):
+        """An almost-full crossing signals every source replica upstream,
+        and the recorder halves its rate once for it, not once per replica."""
+        graph = build_model("alexnet", SCALE, seed=1)
+        aset = task_assign(graph, 8, CommModel(), DeviceProfile().scaled_mem(SCALE))
+        cluster = start_cluster(aset, 8, inbox_capacity=4)
+        sources = {d for d, _idx, _count in cluster.sources}
+        crossings, slow_downs = [], []
+        signal = cluster._signal_almost_full
+
+        def spied_signal(t, device):
+            crossings.append(len(sources & set(cluster._preds[device])))
+            signal(t, device)
+
+        def spied_slow_down(w, now):
+            before = w.sample_interval
+            slow_down(w, now)
+            slow_downs.append((before, w.sample_interval))
+
+        slow_down = Worker.slow_down
+        monkeypatch.setattr(Worker, "slow_down", spied_slow_down)
+        cluster._signal_almost_full = spied_signal
+        run_stream(cluster, make_clip(graph, 40, 1), fps=100.0, paced=False)
+        assert max(crossings) > 1, "some crossing should signal several source replicas"
+        assert len(slow_downs) == sum(1 for c in crossings if c)
+        assert all(after <= 2 * before for before, after in slow_downs)
 
 
 # sha256 of a recorder rotation's modeled plane: outputs, completion
