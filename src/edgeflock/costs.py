@@ -180,13 +180,25 @@ def estimate_memory(graph: ir.ModelGraph, names: Iterable[str], overhead_factor:
     names = list(names)
     if not names:
         return 0
-    if overhead_factor < 1:
-        raise ValueError("overhead_factor must be >= 1")
+    return resident_bytes(*memory_terms(graph, names), overhead_factor)
+
+
+def memory_terms(graph: ir.ModelGraph, names: Iterable[str]) -> tuple[int, int]:
+    """(weight count, peak activation bytes) of a set of layers.  The
+    terms of disjoint sets combine as (sum, max) into the terms of their
+    union, so a planner can price merged tasks from per-task terms."""
     weights = peak = 0
     for n in names:
         _ops, layer_weights, act_bytes, _conv = _terms(graph, n)
         weights += layer_weights
         peak = max(peak, act_bytes)
+    return weights, peak
+
+
+def resident_bytes(weights: int, peak: int, overhead_factor: float) -> int:
+    """``estimate_memory`` of a nonempty task from its ``memory_terms``."""
+    if overhead_factor < 1:
+        raise ValueError("overhead_factor must be >= 1")
     return int(BYTES_PER_VALUE * weights * overhead_factor) + peak
 
 

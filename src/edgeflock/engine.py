@@ -9,18 +9,23 @@ comparisons exact rather than tolerance-based, including when a dense
 layer is sharded row-wise across devices.
 
 The conv and fc kernels pin that order with numpy alone (no BLAS,
-``matmul`` or ``einsum``, none of which fixes an order).  Weights are
-laid out tap-major once per layer: (taps, filters) for conv in
-(dy, dx, channel) tap order, (inputs, outputs) for fc.  A kernel
+``matmul`` or ``einsum``, none of which fixes an order).  They read
+weights tap-major: (taps, filters) for conv in (dy, dx, channel) tap
+order, (inputs, outputs) for fc.  Shared (frozen) weights are held once,
+in that layout, and ``LayerParams.w`` is a view of it in the
+(filters, kh, kw, c) or (outputs, inputs) shape.  A kernel
 multiplies a cache-sized block of taps against every output at once
 and reduces the products along the tap axis.  numpy runs such a
 reduction as one running sum per output element, adding the tap rows
 in ascending order, as long as each row holds at least two elements.
 With a single output element (a one-row fc shard, one filter at one
 position) numpy instead sums the lone column pairwise, so that case
-takes an explicit running sum (``np.add.accumulate``).  ``im2col``
-writes each conv input into a zero-filled buffer that holds its
-padding, so every padded tap is +0.0.
+takes an explicit running sum (``np.add.accumulate``).  Conv products,
+and fc products whose rows (the call's outputs) hold at least
+``_SMALL_BUFSIZE`` elements, are multiplied under that small ufunc
+buffer size, which changes how numpy stages operands but never the
+order of a sum.  ``im2col`` writes each conv input into a zero-filled
+buffer that holds its padding, so every padded tap is +0.0.
 
 The streaming ``TaskExecutor`` consumes tagged items and drives layers
 ordered by the graph topology; windowed layers (flow stacking, temporal
@@ -49,8 +54,9 @@ several frames side by side in one patch matrix, at most
 own ascending running sum, a frame's outputs do not depend on the
 frames beside it, and with two or more frames no reduced row has a
 single element.  fc stays per tag: over 16 frames of the two_stream fc
-shapes, an (inputs, frames, outputs) product block ran 0.5x to 1.8x as
-fast as per-frame calls, depending on the shape.  A batch flushes
+shapes, an (inputs, frames, outputs) product block ran 0.7x to 1.3x as
+fast as per-frame calls at 1/8 and 0.9x to 1.4x at 1/32, depending on
+the shape.  A batch flushes
 itself before a group would pass ``RUN_TAGS`` firings or a layer
 ``RUN_BYTES``; ``run_reference`` pushes one tag at a time and flushes
 once more at the end.
@@ -62,7 +68,7 @@ import copy
 import functools
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional
 
 import numpy as np
@@ -90,8 +96,10 @@ class LayerParams:
     var: Optional[np.ndarray] = None
     gamma: Optional[np.ndarray] = None
     beta: Optional[np.ndarray] = None
-    # (w, w in tap-major layout), kept while w is the same read-only array.
-    _tap_major_w: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+
+
+# float64 values drawn at a time while generating one float32 array.
+_DRAW_CHUNK = 1 << 16
 
 
 def params_for(graph: ir.ModelGraph, name: str) -> LayerParams:
@@ -100,13 +108,20 @@ def params_for(graph: ir.ModelGraph, name: str) -> LayerParams:
     Values are drawn from a PRNG keyed by (graph seed, layer seed), so
     every worker regenerates identical weights locally: uniform in
     [-0.05, 0.05] for weights/biases/shift, near-unit for variance and
-    gain.
+    gain.  Each float32 array is filled from float64 draws of at most
+    ``_DRAW_CHUNK`` values, which the generator takes in sequence, so it
+    holds the bits of one full-size draw rounded to float32 without that
+    draw's float64 temporary.
     """
     spec = graph.layer(name)
     rng = np.random.default_rng([graph.seed, spec.weights_seed])
 
     def u(lo, hi, shape):
-        return rng.uniform(lo, hi, shape).astype(np.float32)
+        out = np.empty(shape, dtype=np.float32)
+        flat = out.reshape(-1)
+        for i in range(0, flat.size, _DRAW_CHUNK):
+            flat[i:i + _DRAW_CHUNK] = rng.uniform(lo, hi, min(_DRAW_CHUNK, flat.size - i))
+        return out
 
     if spec.kind == ir.FC:
         in_size = graph.shapes[spec.inputs[0]].size
@@ -126,32 +141,37 @@ def params_for(graph: ir.ModelGraph, name: str) -> LayerParams:
 
 
 def shared_params(graph: ir.ModelGraph, name: str) -> LayerParams:
-    """``params_for(graph, name)``, generated on first use and then shared.
+    """``freeze(params_for(graph, name))``, generated on first use and
+    then shared.
 
     The result is cached on the graph, keyed by the graph seed, so every
-    executor of one graph reads the same read-only arrays; the kernels'
-    tap-major weight layout is derived once with it.
+    executor of one graph reads the same read-only arrays.  Its weights
+    are held once, in the tap-major layout the kernels read, and ``w``
+    is a view of that matrix; the generated array is let go.
     """
     key = (graph.seed, name)
     p = graph.params_cache.get(key)
     if p is None:
-        p = freeze(params_for(graph, name))
-        if p.w is not None:
-            _tap_major(p)
-        p = graph.params_cache.setdefault(key, p)
+        p = graph.params_cache.setdefault(key, freeze(params_for(graph, name)))
     return p
 
 
 def freeze(params: LayerParams) -> LayerParams:
     """Mark every array of ``params`` read-only and return it.
 
-    Kernels cache derived weight layouts only for read-only weights, which
-    cannot change behind the cache.
+    ``w`` is replaced by a view of its tap-major matrix (see
+    ``_tap_major``), copied once here unless ``w`` already is such a
+    view, so the kernels read frozen weights without a copy and the
+    weights are held once.
     """
     for name in ("w", "b", "mean", "var", "gamma", "beta"):
         arr = getattr(params, name)
         if arr is not None:
             arr.setflags(write=False)
+    if params.w is not None:
+        wt = _tap_major(params)
+        wt.setflags(write=False)
+        params.w = wt.T.reshape(params.w.shape)
     return params
 
 
@@ -159,18 +179,12 @@ def _tap_major(params: LayerParams) -> np.ndarray:
     """``w`` as a C-contiguous (taps, outputs) matrix.
 
     fc weights (out, in) become (in, out); conv weights (f, kh, kw, c)
-    become (kh*kw*c, f) in (dy, dx, c) tap order.  The matrix is cached
-    on ``params`` while ``w`` is the same read-only array.
+    become (kh*kw*c, f) in (dy, dx, c) tap order.  For frozen params
+    ``w`` is a view of that matrix, which is returned without a copy;
+    any other ``w`` is copied into the layout on every call.
     """
     w = params.w
-    cached = params._tap_major_w
-    if cached is not None and cached[0] is w and not w.flags.writeable:
-        return cached[1]
-    wt = np.ascontiguousarray(w.reshape(w.shape[0], -1).T)
-    if not w.flags.writeable:
-        wt.setflags(write=False)
-        params._tap_major_w = (w, wt)
-    return wt
+    return np.ascontiguousarray(w.reshape(w.shape[0], -1).T)
 
 
 _ZERO = np.float32(0)
@@ -203,9 +217,10 @@ _ACC = 1 << 16
 # by default).  Conv product rows are output positions, 169 or more in
 # every stock model, so with a 256-element buffer the products run
 # straight from the operands: 2-3x faster on rows of 169-3000 positions.
-# fc product rows are the output rows of a shard, often short, and there
-# the default buffer is faster.
-_CONV_BUFSIZE = 256
+# fc product rows are the output rows of a call; rows of at least this
+# many take the small buffer too (about 1.3x faster on rows of 512-1024),
+# while shorter ones ran as fast or faster under the default buffer.
+_SMALL_BUFSIZE = 256
 
 
 def _running_sum(products: np.ndarray) -> np.ndarray:
@@ -243,7 +258,7 @@ def _conv_rows(patches: np.ndarray, wt: np.ndarray, bias: np.ndarray, out: np.nd
     a, b = patches[:, None, :], wt[:, :, None]
     # The buffer size decides only how numpy stages operands, never the
     # order of a sum, so one setting serves the whole call.
-    prior = np.setbufsize(_CONV_BUFSIZE)
+    prior = np.setbufsize(_SMALL_BUFSIZE)
     try:
         for i in range(n_blocks):
             m0, m1 = positions * i // n_blocks, positions * (i + 1) // n_blocks
@@ -273,7 +288,9 @@ def forward_fc(x: np.ndarray, params: LayerParams, rows: Optional[tuple[int, int
     sharded layer reproduces the corresponding rows of the full layer
     exactly.  Input-major products, a block of inputs at a time, are
     reduced along the input axis as in ``_conv_rows``; a one-row shard
-    takes the explicit running sum.
+    takes the explicit running sum.  A call whose output rows hold at
+    least ``_SMALL_BUFSIZE`` elements runs under that ufunc buffer size,
+    as ``_conv_rows`` does; the caller's buffer size is restored.
     """
     x = np.asarray(x, dtype=np.float32).reshape(-1)
     wt, b = _tap_major(params), params.b
@@ -289,11 +306,16 @@ def forward_fc(x: np.ndarray, params: LayerParams, rows: Optional[tuple[int, int
     step = max(1, _BLOCK // wt.shape[1])
     x = x[:, None]
     sums = None
-    for j0 in range(0, x.shape[0], step):
-        products = np.multiply(wt[j0:j0 + step], x[j0:j0 + step])
-        if sums is not None:
-            np.add(products[0], sums, out=products[0])
-        sums = np.add.reduce(products, axis=0, initial=_ZERO)
+    prior = np.setbufsize(_SMALL_BUFSIZE) if wt.shape[1] >= _SMALL_BUFSIZE else None
+    try:
+        for j0 in range(0, x.shape[0], step):
+            products = np.multiply(wt[j0:j0 + step], x[j0:j0 + step])
+            if sums is not None:
+                np.add(products[0], sums, out=products[0])
+            sums = np.add.reduce(products, axis=0, initial=_ZERO)
+    finally:
+        if prior is not None:
+            np.setbufsize(prior)
     return sums + b
 
 

@@ -251,8 +251,9 @@ def find_min_load_tasks(graph: ir.ModelGraph, groups: list[list[str]],
     topological order.  Raises PlanError when a single atomic group
     exceeds the memory budget.
     """
-    for g in groups:
-        need = costs.estimate_memory(graph, g, overhead_factor)
+    terms = [costs.memory_terms(graph, g) for g in groups]
+    for g, (weights, peak) in zip(groups, terms):
+        need = costs.resident_bytes(weights, peak, overhead_factor)
         if need > mem_bytes:
             raise PlanError(
                 f"atomic group {g[0]!r} needs {need} bytes, exceeding device memory {mem_bytes}"
@@ -265,6 +266,7 @@ def find_min_load_tasks(graph: ir.ModelGraph, groups: list[list[str]],
             continue
         member_gids = {i}
         layers = list(groups[i])
+        weights, peak = terms[i]
         assigned.add(i)
         tail = i
         while True:
@@ -274,8 +276,10 @@ def find_min_load_tasks(graph: ir.ModelGraph, groups: list[list[str]],
             (c,) = nxt
             if c in assigned or not preds[c] <= member_gids:
                 break
-            if costs.estimate_memory(graph, layers + groups[c], overhead_factor) > mem_bytes:
+            merged = (weights + terms[c][0], max(peak, terms[c][1]))
+            if costs.resident_bytes(*merged, overhead_factor) > mem_bytes:
                 break
+            weights, peak = merged
             layers.extend(groups[c])
             member_gids.add(c)
             assigned.add(c)
@@ -330,6 +334,7 @@ class _Costs:
         self.device = device
         self.comm = comm
         self.tasks = tasks                  # stage-2 tasks, which bucket spans index
+        self.task_memory = tuple(costs.memory_terms(graph, t) for t in tasks)
         self.mem_bytes = mem_bytes
         self.overhead_factor = overhead_factor
         self.price: dict[tuple, costs.TaskPrice] = {}
@@ -466,11 +471,14 @@ def _bucketize(c: _Costs, span: tuple[int, int]) -> _Work:
     work = c.bucket.get(span)
     if work is not None:
         return work
-    graph = c.graph
     members = c.tasks[span[0]:span[1]]
+    terms = c.task_memory[span[0]:span[1]]
     layers = tuple(n for t in members for n in t)
-    mem = costs.estimate_memory(graph, layers, c.overhead_factor)
-    if mem <= c.mem_bytes:
+
+    def fits(weights, peak):
+        return costs.resident_bytes(weights, peak, c.overhead_factor) <= c.mem_bytes
+
+    if fits(sum(w for w, _ in terms), max(p for _, p in terms)):
         work = _Work(layers=layers, order=span[0], resident_groups=(layers,))
     else:
         # Reloading bucket: pack member tasks into consecutive resident
@@ -478,12 +486,14 @@ def _bucketize(c: _Costs, span: tuple[int, int]) -> _Work:
         # subset's load time.
         subsets: list[tuple[str, ...]] = []
         cur: tuple[str, ...] = ()
-        for t in members:
-            if cur and costs.estimate_memory(graph, cur + t, c.overhead_factor) > c.mem_bytes:
+        cur_weights = cur_peak = 0
+        for t, (weights, peak) in zip(members, terms):
+            if cur and not fits(cur_weights + weights, max(cur_peak, peak)):
                 subsets.append(cur)
-                cur = t
+                cur, cur_weights, cur_peak = t, weights, peak
             else:
                 cur += t
+                cur_weights, cur_peak = cur_weights + weights, max(cur_peak, peak)
         if cur:
             subsets.append(cur)
         work = _Work(layers=layers, order=span[0], resident_groups=tuple(subsets))

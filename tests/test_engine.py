@@ -318,6 +318,36 @@ class TestConv:
         assert patches.tobytes() == want.tobytes()
 
 
+class TestUfuncBuffer:
+    """The kernels set numpy's ufunc buffer size for their own products
+    only: their bytes do not depend on the caller's size, which they
+    restore."""
+
+    @pytest.mark.parametrize("bufsize", [32, 256, 8192])
+    def test_bytes_do_not_depend_on_the_callers_buffer(self, bufsize):
+        r = np.random.default_rng(11)
+        x = r.uniform(-1, 1, 40).astype(np.float32)
+        img = r.uniform(-1, 1, (2, 7, 6, 3)).astype(np.float32)
+        fcs = [freeze(LayerParams(w=r.uniform(-0.05, 0.05, (out, 40)).astype(np.float32),
+                                  b=r.uniform(-0.05, 0.05, out).astype(np.float32)))
+               for out in (8, 300)]
+        convp = freeze(LayerParams(w=r.uniform(-0.05, 0.05, (4, 3, 3, 3)).astype(np.float32),
+                                   b=r.uniform(-0.05, 0.05, 4).astype(np.float32)))
+        prior = np.setbufsize(bufsize)
+        try:
+            fc_out = [forward_fc(x, p).tobytes() for p in fcs]
+            fc_out += [forward_fc(x, p, rows=(3, 7)).tobytes() for p in fcs]
+            assert np.getbufsize() == bufsize
+            conv_out = forward_conv(img, convp).tobytes()
+            assert np.getbufsize() == bufsize
+        finally:
+            np.setbufsize(prior)
+        assert fc_out == [fc_oracle(p.w, p.b, x).tobytes() for p in fcs] + [
+            fc_oracle(p.w[3:7], p.b[3:7], x).tobytes() for p in fcs]
+        assert conv_out == np.stack([conv_oracle(f, convp.w, convp.b, 1, "same")
+                                     for f in img]).tobytes()
+
+
 class TestPointwise:
     def test_norm_near_identity_with_unit_stats(self):
         p = LayerParams(mean=np.zeros(4, np.float32), var=np.ones(4, np.float32),
@@ -578,6 +608,27 @@ class TestReference:
         assert np.array_equal(p1.w, p2.w)
         assert np.all(params_for(g1, "norm_1").var > 0)
         assert np.all(np.abs(p1.w) <= 0.05)
+
+    @pytest.mark.parametrize("model", ["two_stream", "alexnet", "vgg16"])
+    @pytest.mark.parametrize("scale", [1 / 32, 1 / 8])
+    def test_shared_weights_are_held_once_tap_major(self, model, scale):
+        """Each weighted layer's shared ``w`` is a read-only view of the
+        tap-major matrix the kernels read, and ``params_for`` draws the
+        values of one full-size float64 draw rounded to float32."""
+        g = build_model(model, scale, seed=4711)
+        weighted = [n for n in g.topo_order if g.layer(n).kind in ("fc", "conv")]
+        assert weighted
+        for name in weighted:
+            p = engine.shared_params(g, name)
+            wt = engine._tap_major(p)
+            assert np.shares_memory(p.w, wt), name
+            assert not p.w.flags.writeable and not wt.flags.writeable, name
+            generated = engine.params_for(g, name)
+            draw = np.random.default_rng([g.seed, g.layer(name).weights_seed])
+            for got in (generated.w, generated.b):
+                want = draw.uniform(-0.05, 0.05, got.shape).astype(np.float32)
+                assert got.tobytes() == want.tobytes(), name
+            assert np.array_equal(p.w, generated.w) and np.array_equal(p.b, generated.b), name
 
     def test_weight_dump_roundtrips_values(self):
         import json
