@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -58,11 +59,8 @@ def plan(model, n_max, mem, scale, seed, profile_file, out, table):
     """Generate task assignments for 1..N devices."""
     device, comm = _profiles(profile_file)
     if mem is not None:
-        device = DeviceProfile(mem_bytes=mem, flops_per_sec=device.flops_per_sec,
-                               conv_flops_per_sec=device.conv_flops_per_sec,
-                               load_bandwidth=device.load_bandwidth,
-                               load_setup_seconds=device.load_setup_seconds,
-                               swap_penalty=device.swap_penalty, power=device.power)
+        # swap_threshold None re-derives the knee from the new memory.
+        device = replace(device, mem_bytes=mem, swap_threshold=None)
     try:
         graph = harness.load_model(model, scale, seed)
         aset = harness.plan_for(graph, n_max, device, comm, scale)

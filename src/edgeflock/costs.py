@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from typing import Iterable, Optional
 
 import numpy as np
@@ -69,16 +69,8 @@ class DeviceProfile:
         if scale >= 1.0:
             return self
         factor = scale * scale
-        return DeviceProfile(
-            mem_bytes=max(1, int(self.mem_bytes * factor)),
-            flops_per_sec=self.flops_per_sec,
-            conv_flops_per_sec=self.conv_flops_per_sec,
-            load_bandwidth=self.load_bandwidth,
-            load_setup_seconds=self.load_setup_seconds,
-            swap_threshold=max(1, int(self.swap_threshold * factor)),
-            swap_penalty=self.swap_penalty,
-            power=self.power,
-        )
+        return replace(self, mem_bytes=max(1, int(self.mem_bytes * factor)),
+                       swap_threshold=max(1, int(self.swap_threshold * factor)))
 
 
 @dataclass
@@ -310,11 +302,15 @@ def profiles_to_json(device: DeviceProfile, comm: CommModel) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
+def device_from_dict(doc: dict) -> DeviceProfile:
+    """Inverse of ``asdict`` on a ``DeviceProfile``."""
+    dev = dict(doc)
+    return DeviceProfile(power=PowerProfile(**dev.pop("power", {})), **dev)
+
+
 def profiles_from_json(text: str) -> tuple[DeviceProfile, CommModel]:
     doc = json.loads(text)
-    dev = dict(doc.get("device", {}))
-    power = PowerProfile(**dev.pop("power", {}))
-    return DeviceProfile(power=power, **dev), CommModel(**doc.get("comm", {}))
+    return device_from_dict(doc.get("device", {})), CommModel(**doc.get("comm", {}))
 
 
 def measure_host_profile(repeat: int = 3) -> DeviceProfile:

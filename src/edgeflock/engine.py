@@ -953,24 +953,6 @@ class TaskExecutor:
             win.resync_on_next = True
 
 
-def dump_weights(graph: ir.ModelGraph, names: Optional[Iterable[str]] = None) -> str:
-    """Debug dump of generated parameters as JSON (same container style
-    as model files)."""
-    import json
-
-    doc = {}
-    for n in (names if names is not None else graph.topo_order):
-        p = params_for(graph, n)
-        entry = {}
-        for field_name in ("w", "b", "mean", "var", "gamma", "beta"):
-            val = getattr(p, field_name)
-            if val is not None:
-                entry[field_name] = val.tolist()
-        if entry:
-            doc[n] = entry
-    return json.dumps(doc, sort_keys=True)
-
-
 def run_reference(graph: ir.ModelGraph, inputs: dict[str, Iterable[np.ndarray]],
                   flow_fn: Optional[FlowFn] = None) -> dict[str, dict[int, np.ndarray]]:
     """Execute the whole graph in-process over tagged input sequences.

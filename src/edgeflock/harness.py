@@ -23,7 +23,7 @@ from edgeflock import costs
 from edgeflock import model_ir as ir
 from edgeflock.costs import CommModel, DeviceProfile
 from edgeflock.engine import run_reference
-from edgeflock.planner import AssignmentSet, PlanError, render_plan, task_assign
+from edgeflock.planner import AssignmentSet, PlanError, task_assign
 from edgeflock.runtime import RunMetrics, RuntimeFault, run_stream, start_cluster
 
 DESK_SCALE = 0.125
@@ -235,12 +235,3 @@ def bench(model: str, n_list: Iterable[int], scale: float = DESK_SCALE,
             entry.note = f"skipped: {exc}"
         report.entries.append(entry)
     return report
-
-
-def plan_dump(model: str, n_max: int, scale: float = 1.0, seed: int = 1,
-              device: Optional[DeviceProfile] = None, comm: Optional[CommModel] = None,
-              n_values: Optional[Iterable[int]] = None) -> str:
-    """Human-readable per-device architecture listing."""
-    graph = load_model(model, scale, seed)
-    aset = plan_for(graph, n_max, device, comm, scale)
-    return render_plan(aset, n_values)

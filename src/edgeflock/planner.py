@@ -116,6 +116,8 @@ class AssignmentSet:
     assignments: dict[int, Assignment]
 
     def for_devices(self, n: int) -> Assignment:
+        if n not in self.assignments:
+            raise PlanError(f"the plan covers {sorted(self.assignments)} devices, not {n}")
         return self.assignments[n]
 
     def to_json(self) -> str:
@@ -141,9 +143,7 @@ class AssignmentSet:
     def from_json(text: str) -> "AssignmentSet":
         doc = json.loads(text)
         graph = ir.ModelGraph.from_json(json.dumps(doc["model"]))
-        dev = dict(doc["device"])
-        power = costs.PowerProfile(**dev.pop("power", {}))
-        device = DeviceProfile(power=power, **dev)
+        device = costs.device_from_dict(doc["device"])
         comm = CommModel(**doc["comm"])
         assignments = {}
         for key, entry in doc["assignments"].items():

@@ -280,8 +280,8 @@ class ClusterCore:
         devices = sorted(self.assignment.tasks)
         if len(set(t.task_id for t in self.assignment.tasks.values())) != len(devices):
             raise RuntimeFault("duplicate task ids in assignment")
-        if devices and devices[-1] >= n:
-            raise RuntimeFault("assignment device ids must be < n")
+        if devices and not (0 <= devices[0] and devices[-1] < n):
+            raise RuntimeFault(f"assignment device ids must lie in [0, {n}), got {devices}")
         self.workers: dict[int, Worker] = {
             d: Worker(d, task, self.graph, self.profile, inbox_capacity, param_override, batch)
             for d, task in self.assignment.tasks.items()
@@ -397,7 +397,6 @@ class VirtualCluster(ClusterCore):
         self.master = min(self.workers)
         self.iptable = self._role_table(version=1)
         self.master_writes = 0
-        self.rejected_updates = 0
         self.routing_drops = 0
         self.setup_seconds = max(w.setup_load_seconds() for w in self.workers.values())
         self.last_reassign_reloads = 0
@@ -516,9 +515,9 @@ class VirtualCluster(ClusterCore):
                            self._control, pred, note)
 
     def _control(self, t: float, dst: int, msg: Message) -> None:
-        w = self.workers.get(dst)
-        if w is None:
-            return
+        """A control frame reaches worker ``dst``: ``_send`` drops unknown
+        destinations and ``_preds`` holds only workers."""
+        w = self.workers[dst]
         if msg.kind == Kind.ALMOST_FULL:
             if w.owns_source:
                 # Every source replica upstream hears of the crossing; the
@@ -570,25 +569,22 @@ class VirtualCluster(ClusterCore):
                 self._signal_almost_full(t, device)
         if not w.inbox.full:
             for src in sorted(self._stalled.pop(device, ())):
-                sw = self.workers.get(src)
-                if sw is not None and sw.inbox.occupancy > 0:
+                sw = self.workers[src]
+                if sw.inbox.occupancy > 0:
                     self._wake_up(max(t, sw.free_at), src)
 
     # -- role rotation ---------------------------------------------------------------
 
-    def reassign(self, trigger: tuple[str, int], from_device: Optional[int] = None) -> int:
-        """Rotate roles after a scene change; returns the new version.
+    def reassign(self, trigger: tuple[str, int]) -> int:
+        """The master rotates roles after a scene change; returns the new
+        version.
 
-        Only the master's update is accepted.  The new mapping keeps
-        every other device on its current task, so exactly the swapped
-        devices reload.
+        The master is the only caller, so every commit is the master's
+        by construction.  The new mapping keeps every other device on
+        its current task, so exactly the swapped devices reload.
         """
         self.drain()
         self.batch.flush()
-        sender = self.master if from_device is None else from_device
-        if sender != self.master:
-            self.rejected_updates += 1
-            raise RuntimeFault(f"role update from non-master device {sender} rejected")
         kind, dev = trigger
         recorder = self.recorder()
         if kind == "motion_on":

@@ -3,9 +3,11 @@
 Wire format (network byte order): a 20-byte header
     version u8, kind u8, stream_id u16, tag u64, source u16,
     dest_role u16, payload_len u32
-followed by the payload.  Tensor payloads encode rank u8, one u32 per
-dim, then the float32 values little-endian.  Control payloads are
-UTF-8 JSON bodies.
+followed by the payload.  The kinds are DATA 0, ALMOST_FULL 1,
+HEARTBEAT 3 and SKIP 4; kind 2 is retired and rejected as unknown.
+Tensor payloads encode rank u8, one u32 per dim, then the float32
+values little-endian.  Control payloads are UTF-8 JSON bodies.  The
+role table never crosses the wire.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ class WireError(ValueError):
 class Kind(IntEnum):
     DATA = 0
     ALMOST_FULL = 1
-    ROLE_UPDATE = 2
     HEARTBEAT = 3
     SKIP = 4
 
@@ -163,10 +164,10 @@ class RoleEntry:
 
 @dataclass
 class IPTable:
-    """Shared device -> (address, task, flags) map, master-versioned.
+    """Device -> (address, task, flags) map, master-versioned.
 
-    The version increases on every accepted update; only the master may
-    publish one.  Exactly one master; one recorder per active stream.
+    The version increases on every commit of new roles, which only the
+    master makes.  Exactly one master; one recorder per active stream.
     """
 
     version: int
@@ -177,34 +178,3 @@ class IPTable:
         if len(masters) != 1:
             raise WireError(f"expected exactly one master, got {masters}")
         return self
-
-    def master_device(self) -> int:
-        return next(d for d, e in self.entries.items() if e.master)
-
-    def recorder_devices(self) -> list[int]:
-        return sorted(d for d, e in self.entries.items() if e.recorder)
-
-    def device_for_task(self, task_id: str) -> Optional[int]:
-        for d, e in self.entries.items():
-            if e.task_id == task_id:
-                return d
-        return None
-
-    def to_body(self) -> dict:
-        return {
-            "version": self.version,
-            "entries": {
-                str(d): {"address": e.address, "task_id": e.task_id,
-                         "master": e.master, "recorder": e.recorder}
-                for d, e in self.entries.items()
-            },
-        }
-
-    @staticmethod
-    def from_body(body: dict) -> "IPTable":
-        return IPTable(
-            version=int(body["version"]),
-            entries={
-                int(d): RoleEntry(**e) for d, e in body["entries"].items()
-            },
-        ).validate()

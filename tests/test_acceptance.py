@@ -212,7 +212,7 @@ def test_criterion_9_role_rotation_correctness():
     cluster = start_cluster(aset, 5)
     out1, _ = run_stream(cluster, frames[:18])
     v0 = cluster.iptable.version
-    rec = cluster.iptable.recorder_devices()[0]
+    rec = cluster.recorder().device
     target = 3 if rec != 3 else 2
     new_version = cluster.reassign(("motion_on", target))
     out2, _ = run_stream(cluster, frames[18:])

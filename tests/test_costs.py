@@ -1,5 +1,7 @@
 """Cost model numerics and estimator properties."""
 
+from dataclasses import asdict
+
 import pytest
 
 from edgeflock import costs
@@ -209,3 +211,14 @@ class TestProfiles:
         assert small.mem_bytes == int(dev.mem_bytes * 0.125 ** 2)
         assert small.swap_threshold == int(dev.swap_threshold * 0.125 ** 2)
         assert dev.scaled_mem(1.0) is dev
+
+    def test_copies_keep_every_field(self):
+        dev = DeviceProfile(mem_bytes=3_000_000, flops_per_sec=1e6, conv_flops_per_sec=2e6,
+                            load_bandwidth=3e6, load_setup_seconds=0.5, swap_threshold=700_000,
+                            swap_penalty=2.5, power=PowerProfile(1.0, 5.0, 2.0))
+        assert dev.scaled_mem(0.5) == DeviceProfile(
+            mem_bytes=750_000, flops_per_sec=1e6, conv_flops_per_sec=2e6, load_bandwidth=3e6,
+            load_setup_seconds=0.5, swap_threshold=175_000, swap_penalty=2.5,
+            power=PowerProfile(1.0, 5.0, 2.0))
+        assert costs.device_from_dict(asdict(dev)) == dev
+        assert profiles_from_json(profiles_to_json(dev, CommModel()))[0] == dev

@@ -630,14 +630,6 @@ class TestReference:
                 assert got.tobytes() == want.tobytes(), name
             assert np.array_equal(p.w, generated.w) and np.array_equal(p.b, generated.b), name
 
-    def test_weight_dump_roundtrips_values(self):
-        import json
-        from edgeflock.engine import dump_weights, params_for
-        g = build_model("two_stream", 0.0625, seed=3)
-        doc = json.loads(dump_weights(g, ["fc_d3"]))
-        back = np.array(doc["fc_d3"]["w"], np.float32)
-        assert np.array_equal(back, params_for(g, "fc_d3").w)
-
 
 def replay(ex, script, run_lengths):
     """Drive ``ex`` through ``script`` and collect what it reports.

@@ -9,8 +9,9 @@ from click.testing import CliRunner
 
 from edgeflock import harness
 from edgeflock.cli import main, _parse_ns
-from edgeflock.harness import bench, frames_needed, load_model, plan_dump, verify
+from edgeflock.harness import bench, frames_needed, load_model, plan_for, verify
 from edgeflock.model_ir import build_model
+from edgeflock.planner import AssignmentSet, render_plan
 
 
 class TestHarness:
@@ -72,8 +73,9 @@ class TestHarness:
         assert doc["entries"][0]["devices"] == 2
         assert "wrote" not in rep.render()
 
-    def test_plan_dump_contains_architecture_signatures(self):
-        table = plan_dump("two_stream", 12, scale=1.0, n_values=[1, 5, 8, 10, 12])
+    def test_render_plan_contains_architecture_signatures(self):
+        aset = plan_for(load_model("two_stream", 1.0, 1), 12)
+        table = render_plan(aset, [1, 5, 8, 10, 12])
         assert "shard 1/2 of fc_d1: rows 0:4096" in table
         assert "shard 2/2 of fc_d2: rows 4096:8192" in table
         assert "replica 1/3" in table
@@ -112,6 +114,24 @@ class TestCli:
             "plan", "--model", "two_stream", "--devices", "2", "--mem", "1000000"])
         assert result.exit_code == 2
 
+    def test_plan_mem_keeps_the_profile_and_rederives_the_knee(self, tmp_path):
+        from edgeflock.costs import CommModel, DeviceProfile, PowerProfile, profiles_to_json
+        prof = tmp_path / "prof.json"
+        prof.write_text(profiles_to_json(DeviceProfile(
+            flops_per_sec=1e8, conv_flops_per_sec=3e8, load_bandwidth=4e7, load_setup_seconds=0.5,
+            swap_threshold=12345, swap_penalty=3.0, power=PowerProfile(1.0, 5.0, 2.0)), CommModel()))
+        out = tmp_path / "plan.json"
+        result = CliRunner().invoke(main, [
+            "plan", "--model", "alexnet", "--devices", "1", "--scale", "1.0",
+            "--mem", "2000000000", "--profile-file", str(prof), "--out", str(out), "--no-table"])
+        assert result.exit_code == 0, result.output
+        planned = AssignmentSet.from_json(out.read_text()).device
+        assert planned == DeviceProfile(
+            mem_bytes=2_000_000_000, flops_per_sec=1e8, conv_flops_per_sec=3e8,
+            load_bandwidth=4e7, load_setup_seconds=0.5, swap_penalty=3.0,
+            power=PowerProfile(1.0, 5.0, 2.0))
+        assert planned.swap_threshold == 400_000_000
+
     def test_verify_ok_exit_zero(self):
         result = CliRunner().invoke(main, [
             "verify", "--model", "two_stream", "--devices", "2", "--scale", "0.125",
@@ -128,6 +148,26 @@ class TestCli:
             "run", "--plan", str(out), "--devices", "3", "--frames", "28"])
         assert result.exit_code == 0, result.output
         assert "tagged results" in result.output
+
+    @pytest.mark.parametrize("devices", ["5", "0"])
+    def test_run_outside_the_plan_is_plan_infeasible(self, tmp_path, devices):
+        out = tmp_path / "plan.json"
+        CliRunner().invoke(main, [
+            "plan", "--model", "two_stream", "--devices", "3",
+            "--scale", "0.125", "--out", str(out), "--no-table"])
+        result = CliRunner().invoke(main, ["run", "--plan", str(out), "--devices", devices])
+        assert result.exit_code == 2, result.output
+        assert "covers [1, 2, 3] devices" in result.output
+
+    def test_run_plan_with_negative_device_is_a_runtime_fault(self, tmp_path):
+        doc = json.loads(plan_for(load_model("two_stream", 0.125, 1), 1).to_json())
+        (task,) = doc["assignments"]["1"]["tasks"]
+        task["device"] = -1
+        out = tmp_path / "plan.json"
+        out.write_text(json.dumps(doc))
+        result = CliRunner().invoke(main, ["run", "--plan", str(out), "--devices", "1"])
+        assert result.exit_code == 3, result.output
+        assert "device ids must lie in [0, 1)" in result.output
 
     def test_loopback_run_counts_outputs_without_the_reference(self, tmp_path, monkeypatch):
         import edgeflock.engine as engine

@@ -13,6 +13,7 @@ from edgeflock.harness import make_clip, same_bits
 from edgeflock.model_ir import build_model
 from edgeflock.planner import task_assign
 from edgeflock.runtime import (
+    TRANSPORTS,
     RuntimeFault,
     Worker,
     run_stream,
@@ -71,8 +72,9 @@ class TestExactness:
         _, aset, _, _ = ts
         cluster = start_cluster(aset, 5)
         assert cluster.iptable.version == 1
-        assert cluster.iptable.master_device() == 0
-        assert len(cluster.iptable.recorder_devices()) == 1
+        assert cluster.master == 0 and cluster.iptable.entries[0].master
+        recorders = [d for d, e in cluster.iptable.entries.items() if e.recorder]
+        assert recorders == [cluster.recorder().device]
         assert cluster.setup_seconds > 0
 
     def test_duplicate_task_ids_rejected(self, ts):
@@ -87,6 +89,17 @@ class TestExactness:
                                   window_specs=())
         with pytest.raises(RuntimeFault):
             start_cluster(broken, 2)
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_device_id_below_zero_rejected(self, ts, transport):
+        _, aset, _, _ = ts
+        import copy
+        from dataclasses import replace
+        broken = copy.deepcopy(aset)
+        a = broken.assignments[1]
+        a.tasks = {-1: replace(a.tasks[0], device=-1)}
+        with pytest.raises(RuntimeFault, match="must lie in"):
+            start_cluster(broken, 1, transport)
 
     @pytest.mark.parametrize("n", [10, 12])
     def test_shard_assembly_stays_exact(self, ts, monkeypatch, n):
@@ -582,7 +595,7 @@ class TestRoleRotation:
             frames, before = make_clip(graph, 8, 4), 4
         cluster = start_cluster(aset, n)
         out1, _ = run_stream(cluster, frames[:before])
-        rec = cluster.iptable.recorder_devices()[0]
+        rec = cluster.recorder().device
         dev = rec if target == "identity" else next(
             d for d in sorted(cluster.workers, reverse=True) if d != rec)
         cluster.reassign(("motion_on", dev))
@@ -595,7 +608,7 @@ class TestRoleRotation:
         ref = run_reference(graph, {"camera": frames})["out"]
         cluster = start_cluster(aset, 5)
         out1, _ = run_stream(cluster, frames[:18])
-        rec_before = cluster.iptable.recorder_devices()[0]
+        rec_before = cluster.recorder().device
         target = 3 if rec_before != 3 else 2
         v0 = cluster.iptable.version
         writes0 = cluster.master_writes
@@ -604,7 +617,8 @@ class TestRoleRotation:
         assert new_version == v0 + 1
         assert cluster.master_writes == writes0 + 1
         assert cluster.last_reassign_reloads == 2
-        assert cluster.iptable.recorder_devices() == [target]
+        assert cluster.recorder().device == target
+        assert cluster.iptable.entries[target].recorder
         assert cluster.iptable.version == new_version
 
         out2, _ = run_stream(cluster, frames[18:])
@@ -622,7 +636,7 @@ class TestRoleRotation:
         frames = make_clip(graph, 60, 4)
         cluster = start_cluster(aset, 5)
         _, first = run_stream(cluster, frames[:30])
-        rec = cluster.iptable.recorder_devices()[0]
+        rec = cluster.recorder().device
         cluster.reassign(("motion_on", 3 if rec != 3 else 2))
         _, second = run_stream(cluster, frames[30:])
         for metrics, drops_before in ((first, 0), (second, first.drops)):
@@ -634,25 +648,16 @@ class TestRoleRotation:
         _, aset, frames, _ = ts
         cluster = start_cluster(aset, 5)
         run_stream(cluster, frames[:15])
-        rec = cluster.iptable.recorder_devices()[0]
+        rec = cluster.recorder().device
         v0 = cluster.iptable.version
         assert cluster.reassign(("motion_on", rec)) == v0 + 1
         assert cluster.last_reassign_reloads == 0
-
-    def test_non_master_update_rejected(self, ts):
-        _, aset, frames, _ = ts
-        cluster = start_cluster(aset, 5)
-        v0 = cluster.iptable.version
-        with pytest.raises(RuntimeFault, match="non-master"):
-            cluster.reassign(("motion_on", 3), from_device=4)
-        assert cluster.iptable.version == v0
-        assert cluster.rejected_updates == 1
 
     def test_master_loss_halts(self, ts):
         _, aset, _, _ = ts
         cluster = start_cluster(aset, 5)
         with pytest.raises(RuntimeFault, match="master"):
-            cluster.reassign(("device_lost", cluster.iptable.master_device()))
+            cluster.reassign(("device_lost", cluster.master))
 
     def test_stale_route_then_retry(self, ts):
         """A data frame sent to a device that no longer serves the role

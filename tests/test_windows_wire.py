@@ -162,14 +162,11 @@ class TestWire:
 
 def _valid_frames():
     rng = np.random.default_rng(3)
-    table = IPTable(4, {0: RoleEntry("127.0.0.1:9000", "t0", master=True),
-                        1: RoleEntry("127.0.0.1:9001", "t1", recorder=True)})
     return [
         encode(Message(kind=Kind.DATA, tag=9, source=2, layer="fc_d1#p0",
                        tensor=rng.uniform(-1, 1, (3, 4)).astype(np.float32))),
         encode(Message(kind=Kind.DATA, layer="out", tensor=np.float32(0.5).reshape(()))),
         encode(Message(kind=Kind.SKIP, layer="flow", body={"next_tag": 12})),
-        encode(Message(kind=Kind.ROLE_UPDATE, body={"table": table.to_body()})),
         encode(Message(kind=Kind.ALMOST_FULL, body={"device": 3})),
         encode(Message(kind=Kind.HEARTBEAT)),
     ]
@@ -216,6 +213,7 @@ class TestWireDecodingIsTotal:
         (Kind.SKIP, b"{\"layer\": 7}"),             # layer that is not a string
         (Kind.HEARTBEAT, b"\xc3\x28"),             # not UTF-8
         (99, b""),                                  # unknown kind
+        (2, b""),                                   # kind 2, retired
         (5, b""),                                   # kind 5, no longer defined
     ])
     def test_each_malformation_is_a_wire_error(self, kind, payload):
@@ -239,10 +237,3 @@ class TestIPTable:
         with pytest.raises(WireError):
             t.validate()
 
-    def test_body_roundtrip(self):
-        t = self._table()
-        back = IPTable.from_body(t.to_body())
-        assert back.version == 1
-        assert back.master_device() == 0
-        assert back.recorder_devices() == [0]
-        assert back.device_for_task("t1") == 1
