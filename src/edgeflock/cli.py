@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Subcommands: plan, verify, run, bench, profile.  Exit codes: 0 success,
-1 verification failure, 2 planning infeasible, 3 runtime fault.
+1 verification failure, 2 planning infeasible or a usage error (click's
+own, for a bad option value such as a malformed ``--devices`` list),
+3 runtime fault.
 """
 
 from __future__ import annotations
@@ -30,14 +32,22 @@ def _profiles(profile_file) -> tuple[DeviceProfile, CommModel]:
 
 
 def _parse_ns(text: str) -> list[int]:
+    """Device counts from a list like ``1-4,8``; ``click.BadParameter``
+    when it is malformed or names none."""
     out = []
-    for part in text.split(","):
-        part = part.strip()
-        if "-" in part:
-            lo, hi = part.split("-")
-            out.extend(range(int(lo), int(hi) + 1))
-        elif part:
-            out.append(int(part))
+    try:
+        for part in text.split(","):
+            part = part.strip()
+            if "-" in part:
+                lo, hi = part.split("-")
+                out.extend(range(int(lo), int(hi) + 1))
+            elif part:
+                out.append(int(part))
+    except ValueError:
+        raise click.BadParameter(f"{text!r} is not a list like 1-4,8",
+                                 param_hint="'--devices'") from None
+    if not out:
+        raise click.BadParameter(f"{text!r} names no device count", param_hint="'--devices'")
     return sorted(set(out))
 
 

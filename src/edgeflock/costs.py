@@ -152,10 +152,6 @@ def _terms(graph: ir.ModelGraph, name: str) -> tuple[float, int, int, bool]:
     return terms
 
 
-def weight_bytes(graph: ir.ModelGraph, names: Iterable[str]) -> int:
-    return BYTES_PER_VALUE * sum(_terms(graph, n)[1] for n in names)
-
-
 def activation_elements(graph: ir.ModelGraph, name: str) -> int:
     """Values live while one layer runs: its output, its inputs and,
     for a windowed layer, the window it holds."""
@@ -164,15 +160,6 @@ def activation_elements(graph: ir.ModelGraph, name: str) -> int:
     if spec.kind in ir.WINDOWED_KINDS:
         elems += spec.window * graph.shapes[spec.inputs[0]].size
     return elems
-
-
-def estimate_memory(graph: ir.ModelGraph, names: Iterable[str], overhead_factor: float = 2.0) -> int:
-    """Resident bytes for a task: weights scaled by the framework
-    overhead factor, plus peak activation bytes."""
-    names = list(names)
-    if not names:
-        return 0
-    return resident_bytes(*memory_terms(graph, names), overhead_factor)
 
 
 def memory_terms(graph: ir.ModelGraph, names: Iterable[str]) -> tuple[int, int]:
@@ -188,7 +175,8 @@ def memory_terms(graph: ir.ModelGraph, names: Iterable[str]) -> tuple[int, int]:
 
 
 def resident_bytes(weights: int, peak: int, overhead_factor: float) -> int:
-    """``estimate_memory`` of a nonempty task from its ``memory_terms``."""
+    """Resident bytes of a task from its ``memory_terms``: weights scaled
+    by the framework overhead factor, plus peak activation bytes."""
     if overhead_factor < 1:
         raise ValueError("overhead_factor must be >= 1")
     return int(BYTES_PER_VALUE * weights * overhead_factor) + peak

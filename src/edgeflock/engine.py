@@ -35,8 +35,8 @@ A row-shard executor computes some output rows of one dense layer and
 emits them; ``push_part`` parks the shards of such a value per tag and
 pushes their assembly once they hold all of its rows.
 An executor computes the flow field of each consecutive frame pair once
-and reuses it in every flow stack window holding that pair, so a
-``flow_fn`` must be a pure function of its two frames.  Generated
+and reuses it in every flow stack window holding that pair, as
+``flow_diff_stub`` is a pure function of its two frames.  Generated
 parameters are shared read-only by every executor of a graph
 (``shared_params``).
 
@@ -642,7 +642,6 @@ class TaskExecutor:
         owned: Optional[Iterable[str]] = None,
         emit: Optional[Iterable[str]] = None,
         part: Optional[tuple[str, int, int]] = None,
-        flow_fn: Optional[FlowFn] = None,
         param_override: Optional[Callable[[str, LayerParams], LayerParams]] = None,
         batch: Optional[Batch] = None,
     ):
@@ -661,7 +660,6 @@ class TaskExecutor:
             self._row_local = costs.row_local_layers(graph, owned_set, part[0])
             self._terminal = self._row_local[-1]
             self.emit.add(self._terminal)
-        self.flow_fn = flow_fn or flow_diff_stub
         self.batch = batch if batch is not None else Batch()
         self._params: dict[str, LayerParams] = {}
         self._param_override = param_override
@@ -675,7 +673,7 @@ class TaskExecutor:
         for n in self.owned:
             for inp in graph.layer(n).inputs:
                 self.consumers.setdefault(inp, []).append(n)
-        # Windows for flowstack/pyramid; join buffers for multi-input layers.
+        # Windows for flowstack/pyramid; join buffers for concat.
         self._windows: dict[str, SlidingWindow] = {}
         self._joins: dict[str, dict[int, dict[int, Any]]] = {}
         self._skip: dict[str, int] = {}
@@ -690,7 +688,7 @@ class TaskExecutor:
                 self._windows[n] = SlidingWindow(length=spec.window, next_tag=start)
             if spec.kind == ir.FLOWSTACK:
                 self._flows[n] = {}
-            if spec.kind == ir.CONCAT or len(spec.inputs) > 1:
+            if spec.kind == ir.CONCAT:
                 self._joins[n] = {}
             self._plans[n] = self._plan(n)
         self.fired_log: list[str] = []
@@ -817,7 +815,7 @@ class TaskExecutor:
             t = next(later_tags)
             fld = fields.get(t)
             if fld is None:
-                fld = fields[t] = self.flow_fn(prev, cur)
+                fld = fields[t] = flow_diff_stub(prev, cur)
             return fld
 
         return flow_stack(items, window_len, pair_field)
@@ -900,10 +898,8 @@ class TaskExecutor:
             if len(pend) < len(spec.inputs):
                 return []
             del joins[tag]
-            inputs = [pend[i] for i in range(len(spec.inputs))]
             self.fired_log.append(consumer)
-            args = inputs if spec.kind == ir.CONCAT else inputs[0]
-            return [(tag, self._fire(consumer, tag, args))]
+            return [(tag, self._fire(consumer, tag, [pend[i] for i in range(len(spec.inputs))]))]
         self.fired_log.append(consumer)
         return [(tag, self._fire(consumer, tag, value))]
 
@@ -953,8 +949,8 @@ class TaskExecutor:
             win.resync_on_next = True
 
 
-def run_reference(graph: ir.ModelGraph, inputs: dict[str, Iterable[np.ndarray]],
-                  flow_fn: Optional[FlowFn] = None) -> dict[str, dict[int, np.ndarray]]:
+def run_reference(graph: ir.ModelGraph,
+                  inputs: dict[str, Iterable[np.ndarray]]) -> dict[str, dict[int, np.ndarray]]:
     """Execute the whole graph in-process over tagged input sequences.
 
     ``inputs`` maps each source name to an ordered iterable of items
@@ -967,7 +963,7 @@ def run_reference(graph: ir.ModelGraph, inputs: dict[str, Iterable[np.ndarray]],
     missing = [s for s in graph.inputs if s not in inputs]
     if missing:
         raise EngineError(f"missing input streams: {missing}")
-    ex = TaskExecutor(graph, flow_fn=flow_fn)
+    ex = TaskExecutor(graph)
     results: dict[str, dict[int, Any]] = {s: {} for s in graph.outputs}
     for source, frames in inputs.items():
         if source not in graph.layers or graph.layer(source).kind != ir.SOURCE:

@@ -4,10 +4,12 @@
 only moves frames.  Each device listens on an ephemeral 127.0.0.1 port
 with an acceptor thread, a reader thread per inbound connection and one
 processor thread that hands each message to the core; every message
-crosses a socket in the length-prefixed wire format.  Senders keep one
-connection and one send lock per destination.  Outputs funnel to a
-collector socket owned by the harness.  Wall-clock timing replaces the
-virtual clock, so this transport is for protocol/integration coverage;
+between devices crosses a socket in the length-prefixed wire format.
+Senders keep one connection and one send lock per destination.  The
+core's recorder tags the camera frames that ``feed`` sends, so a second
+``feed`` continues the stream; the devices that compute a graph output
+record it in ``outputs``.  Wall-clock timing replaces the virtual
+clock, so this transport is for protocol/integration coverage;
 throughput and latency modeling live in the in-process transport.
 """
 
@@ -21,7 +23,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from edgeflock.costs import DeviceProfile, CommModel
+from edgeflock.engine import value_of
 from edgeflock.planner import AssignmentSet
 from edgeflock.runtime import (
     DEFAULT_INBOX_CAPACITY,
@@ -33,11 +35,6 @@ from edgeflock.runtime import (
 from edgeflock.wire import Kind, Message, decode, encode
 
 _LEN = struct.Struct(">I")
-COLLECTOR_DEVICE = 0xFFFE
-
-
-def _send_frame(sock: socket.socket, frame: bytes) -> None:
-    sock.sendall(_LEN.pack(len(frame)) + frame)
 
 
 def _recv_exact(sock: socket.socket, count: int) -> Optional[bytes]:
@@ -55,8 +52,7 @@ def _recv_frame(sock: socket.socket) -> Optional[bytes]:
     if head is None:
         return None
     (length,) = _LEN.unpack(head)
-    body = _recv_exact(sock, length)
-    return body
+    return _recv_exact(sock, length)
 
 
 class _Node:
@@ -131,58 +127,35 @@ class _Node:
             pass
 
 
-def _send_frame_to(addr, frame: bytes) -> None:
-    with socket.create_connection(addr, timeout=5.0) as s:
-        _send_frame(s, frame)
-
-
 class LoopbackCluster(ClusterCore):
     """Workers on localhost sockets; one worker per device.
 
-    The core in ``runtime`` decides what each message yields; this class
-    only moves frames.  Each destination has its own connection and send
+    The core in ``runtime`` tags the camera frames and decides what each
+    message yields; this class moves frames and keeps the outputs of the
+    current ``feed``.  Each destination has its own connection and send
     lock, so a sender blocked on one full peer never keeps another
     sender from reaching a different peer.
     """
 
     def __init__(self, aset: AssignmentSet, n: int,
                  inbox_capacity: int = DEFAULT_INBOX_CAPACITY,
-                 param_override=None,
-                 profile: Optional[DeviceProfile] = None,
-                 comm: Optional[CommModel] = None):
-        super().__init__(aset, n, inbox_capacity, param_override, profile, comm)
+                 param_override=None):
+        super().__init__(aset, n, inbox_capacity, param_override)
         self.nodes = {d: _Node(self, w) for d, w in self.workers.items()}
-        self._send_locks = {d: threading.Lock() for d in (*self.nodes, COLLECTOR_DEVICE)}
+        self._send_locks = {d: threading.Lock() for d in self.nodes}
         self._conns: dict[int, socket.socket] = {}
-        self.collector = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self.collector.bind(("127.0.0.1", 0))
-        self.collector.listen(4)
+        # Guards outputs, expected and fault, which node threads write.
+        self._lock = threading.Lock()
         self.outputs: dict[int, np.ndarray] = {}
         self._done = threading.Event()
-        self._fault_lock = threading.Lock()
         self.fault: Optional[Exception] = None
         self.expected: Optional[int] = None
-        threading.Thread(target=self._collect_loop, daemon=True).start()
         for node in self.nodes.values():
             node.start()
 
-    def _collect_loop(self):
-        conn, _ = self.collector.accept()
-        with conn:
-            while True:
-                frame = _recv_frame(conn)
-                if frame is None:
-                    return
-                msg = decode(frame)
-                if msg.kind == Kind.HEARTBEAT:
-                    return
-                self.outputs[msg.tag] = msg.tensor
-                if self.expected is not None and len(self.outputs) >= self.expected:
-                    self._done.set()
-
     def fail(self, exc: Exception) -> None:
         """Keep the first exception of a node thread and wake ``feed``."""
-        with self._fault_lock:
+        with self._lock:
             if self.fault is None:
                 self.fault = exc
         self._done.set()
@@ -194,12 +167,9 @@ class LoopbackCluster(ClusterCore):
         with self._send_locks[dst]:
             sock = self._conns.get(dst)
             if sock is None:
-                if dst == COLLECTOR_DEVICE:
-                    addr = self.collector.getsockname()
-                else:
-                    addr = ("127.0.0.1", self.nodes[dst].port)
-                sock = self._conns[dst] = socket.create_connection(addr, timeout=10.0)
-            _send_frame(sock, frame)
+                sock = self._conns[dst] = socket.create_connection(
+                    ("127.0.0.1", self.nodes[dst].port), timeout=10.0)
+            sock.sendall(_LEN.pack(len(frame)) + frame)
 
     def _consume(self, w: Worker, msg: Message):
         """Consume a message and compute what it fired: the wire needs
@@ -212,8 +182,10 @@ class LoopbackCluster(ClusterCore):
         self.send(msg, dst)
 
     def _output(self, w: Worker, em, path: dict, t: float) -> None:
-        self.send(Message(kind=Kind.DATA, tag=em.tag, layer=em.layer, tensor=em.value),
-                  COLLECTOR_DEVICE)
+        with self._lock:
+            self.outputs[em.tag] = value_of(em.value)
+            if self.expected is not None and len(self.outputs) >= self.expected:
+                self._done.set()
 
     def handle(self, w: Worker, msg: Message) -> None:
         """Handle one message on a node's processor thread."""
@@ -226,32 +198,35 @@ class LoopbackCluster(ClusterCore):
 
     def feed(self, frames: Iterable[np.ndarray], expected_outputs: int,
              timeout: float = 60.0) -> dict[int, np.ndarray]:
-        """Send frames to the source devices and wait for the outputs.
+        """Send frames through the recorder to the source devices and wait
+        for this call's outputs, by tag.
 
-        Raises ``RuntimeFault`` on timeout, when a frame cannot be sent,
-        or as soon as a node thread has failed, chained from that
-        thread's first exception.
+        The recorder tags on from the previous call.  Nothing slows it on
+        this transport, so it admits every frame, and the time it is
+        given cannot change what it admits.  Raises ``RuntimeFault`` on
+        timeout, when a frame cannot be sent, or as soon as a node thread
+        has failed, chained from that thread's first exception.
         """
-        self.expected = expected_outputs
-        self._done.clear()
-        for tag, frame in enumerate(frames):
+        with self._lock:
+            self.outputs = {}
+            self.expected = expected_outputs
+            self._done.clear()
+        for frame in frames:
             if self.fault is not None:
                 break
-            value = np.asarray(frame, np.float32)
-            for d in self._source_targets(tag):
-                msg = Message(kind=Kind.DATA, tag=tag, layer=self.workers[d].source_name(),
-                              tensor=value)
+            for d, msg in self._admit(frame, 0.0):
                 try:
                     self.send(msg, d)
                 except OSError as exc:
-                    raise RuntimeFault(f"loopback feed of frame {tag} to device {d} "
+                    raise RuntimeFault(f"loopback feed of frame {msg.tag} to device {d} "
                                        f"failed: {exc!r}") from exc
         if self.fault is None and not self._done.wait(timeout):
             raise RuntimeFault(
                 f"loopback run timed out with {len(self.outputs)}/{expected_outputs} outputs")
         if self.fault is not None:
             raise RuntimeFault(f"loopback worker thread failed: {self.fault!r}") from self.fault
-        return dict(self.outputs)
+        with self._lock:
+            return dict(self.outputs)
 
     def metrics(self) -> RunMetrics:
         m = RunMetrics()
@@ -267,12 +242,3 @@ class LoopbackCluster(ClusterCore):
                 sock.close()
             except OSError:
                 pass
-        try:
-            _send_frame_to(self.collector.getsockname(),
-                           encode(Message(kind=Kind.HEARTBEAT, body={"bye": 1})))
-        except OSError:
-            pass
-        try:
-            self.collector.close()
-        except OSError:
-            pass

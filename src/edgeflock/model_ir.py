@@ -171,15 +171,22 @@ class ModelGraph:
 
 
 def infer_shape(spec: LayerSpec, in_shapes: list[TensorShape]) -> TensorShape:
-    """Output item shape of one layer given its input item shapes."""
-    if spec.kind != SOURCE and not in_shapes:
-        raise ShapeError(f"layer {spec.name!r}: no input shapes")
+    """Output item shape of one layer given its input item shapes.
 
+    A concat takes one or more inputs, every other kind but a source
+    exactly one.
+    """
     if spec.kind == SOURCE:
         return TensorShape(tuple(int(d) for d in spec.attrs["shape"]))
+    if not in_shapes:
+        raise ShapeError(f"layer {spec.name!r}: no input shapes")
+    if spec.kind != CONCAT and len(in_shapes) != 1:
+        raise ShapeError(f"layer {spec.name!r}: a {spec.kind} layer takes exactly one input, "
+                         f"got {len(in_shapes)}")
+    shape = in_shapes[0]
 
-    if spec.kind == SINK:
-        return in_shapes[0]
+    if spec.kind in (SINK, NORM, RELU, SOFTMAX):
+        return shape
 
     if spec.kind == FC:
         out = int(spec.attrs["out_size"])
@@ -188,7 +195,6 @@ def infer_shape(spec: LayerSpec, in_shapes: list[TensorShape]) -> TensorShape:
         return TensorShape((out,))
 
     if spec.kind == CONV:
-        (shape,) = in_shapes
         if shape.rank != 3:
             raise ShapeError(f"layer {spec.name!r}: conv input must be rank 3, got {shape.dims}")
         h, w, _ = shape.dims
@@ -206,7 +212,6 @@ def infer_shape(spec: LayerSpec, in_shapes: list[TensorShape]) -> TensorShape:
         return TensorShape((oh, ow, int(spec.attrs["filters"])))
 
     if spec.kind == MAXPOOL:
-        (shape,) = in_shapes
         if shape.rank != 3:
             raise ShapeError(f"layer {spec.name!r}: maxpool input must be rank 3, got {shape.dims}")
         h, w, c = shape.dims
@@ -216,34 +221,28 @@ def infer_shape(spec: LayerSpec, in_shapes: list[TensorShape]) -> TensorShape:
             raise ShapeError(f"layer {spec.name!r}: window {win} exceeds input {h}x{w}")
         return TensorShape(((h - win) // stride + 1, (w - win) // stride + 1, c))
 
-    if spec.kind in (NORM, RELU, SOFTMAX):
-        return in_shapes[0]
-
     if spec.kind == CONCAT:
         axis = int(spec.attrs.get("axis", 0))
-        first = in_shapes[0]
         for other in in_shapes[1:]:
-            if other.rank != first.rank:
+            if other.rank != shape.rank:
                 raise ShapeError(f"layer {spec.name!r}: concat rank mismatch")
-            for ax, (a, b) in enumerate(zip(first.dims, other.dims)):
+            for ax, (a, b) in enumerate(zip(shape.dims, other.dims)):
                 if ax != axis and a != b:
                     raise ShapeError(
                         f"layer {spec.name!r}: concat inputs disagree on axis {ax}: {a} vs {b}"
                     )
         total = sum(s.dims[axis] for s in in_shapes)
-        dims = list(first.dims)
+        dims = list(shape.dims)
         dims[axis] = total
         return TensorShape(tuple(dims))
 
     if spec.kind == PYRAMID:
-        (shape,) = in_shapes
         levels = int(spec.attrs["levels"])
         if levels < 1:
             raise ShapeError(f"layer {spec.name!r}: levels must be >= 1")
         return TensorShape((2 ** levels - 1, shape.size))
 
     if spec.kind == FLOWSTACK:
-        (shape,) = in_shapes
         if shape.rank not in (2, 3):
             raise ShapeError(f"layer {spec.name!r}: flowstack input must be an image")
         h, w = shape.dims[0], shape.dims[1]

@@ -9,7 +9,7 @@ Planning walks four stages:
 2. ``find_min_load_tasks`` chain-merges groups along single-consumer
    paths while the resident footprint fits device memory, producing the
    smallest task set that runs without mid-stream weight reloads.
-3. For fewer devices than tasks, ``minimize_load_time`` packs tasks into
+3. For fewer devices than tasks, ``_pack`` packs tasks into
    contiguous buckets, choosing the packing with the least per-inference
    reload time; over-memory buckets cycle through resident subsets and
    pay their load time every inference.
@@ -502,10 +502,8 @@ def _bucketize(c: _Costs, span: tuple[int, int]) -> _Work:
     return work
 
 
-def minimize_load_time(graph: ir.ModelGraph, tasks: list[list[str]], mem_bytes: int,
-                       n: int, device: DeviceProfile, comm: CommModel,
-                       overhead_factor: float = 2.0) -> tuple[_Work, ...]:
-    """Pack |tasks| > n stages into n contiguous buckets.
+def _pack(c: _Costs, n: int) -> tuple[_Work, ...]:
+    """Pack the |c.tasks| > n stage-2 tasks into n contiguous buckets.
 
     Exhaustive over contiguous compositions up to MAX_EXHAUSTIVE_TASKS
     tasks, else greedy pairwise merging; the objective minimizes total
@@ -513,12 +511,6 @@ def minimize_load_time(graph: ir.ModelGraph, tasks: list[list[str]], mem_bytes: 
     sum of stage seconds (not the critical path: on a branching graph
     the two differ).
     """
-    base = tuple(tuple(t) for t in tasks)
-    return _pack(_Costs(graph, device, comm, base, mem_bytes, overhead_factor), n)
-
-
-def _pack(c: _Costs, n: int) -> tuple[_Work, ...]:
-    """``minimize_load_time`` of c.tasks into n buckets."""
 
     def evaluate(spans):
         works = tuple(_bucketize(c, s) for s in spans)
@@ -526,26 +518,17 @@ def _pack(c: _Costs, n: int) -> tuple[_Work, ...]:
         stages = [_stage(c, w, ())[0] for w in works]
         return (reload_total, max(stages), sum(stages)), works
 
-    best = None
     if len(c.tasks) <= MAX_EXHAUSTIVE_TASKS:
-        for spans in _compositions(len(c.tasks), n):
-            key, works = evaluate(spans)
-            if best is None or key < best[0]:
-                best = (key, works)
-    else:
-        spans = [(i, i + 1) for i in range(len(c.tasks))]
-        while len(spans) > n:
-            candidates = []
-            for i in range(len(spans) - 1):
-                merged = spans[:i] + [(spans[i][0], spans[i + 1][1])] + spans[i + 2:]
-                key, works = evaluate(merged)
-                candidates.append((key, merged, works))
-            key, spans, works = min(candidates, key=lambda m: m[0])
-            best = (key, works)
-        if best is None:
-            _, works = evaluate(spans)
-            best = (None, works)
-    return best[1]
+        return min(map(evaluate, _compositions(len(c.tasks), n)), key=lambda m: m[0])[1]
+    spans = [(i, i + 1) for i in range(len(c.tasks))]
+    while len(spans) > n:
+        candidates = []
+        for i in range(len(spans) - 1):
+            merged = spans[:i] + [(spans[i][0], spans[i + 1][1])] + spans[i + 2:]
+            key, works = evaluate(merged)
+            candidates.append((key, merged, works))
+        _key, spans, works = min(candidates, key=lambda m: m[0])
+    return works
 
 
 # -- stage 4: more devices than tasks --------------------------------------

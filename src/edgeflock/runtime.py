@@ -16,15 +16,18 @@ firings at once when it reaches its caps (``engine.RUN_TAGS``,
 runs the same workers over real TCP frames; each of its workers flushes
 its own batch after every message, since the wire needs bytes.  Both
 transports share ``ClusterCore``: the plan index (routes, predecessors,
-source devices) and the handling of data and skip frames (emission
-routing, skip notices); a transport only moves frames.  A row shard's
-terminal travels as wire parts ``layer#pN``, which the consuming
-worker's executor assembles (``TaskExecutor.push_part``).  A worker
-prices its task with ``costs.price_task``, as the planner does.
+source devices), the camera path and the handling of data and skip
+frames (emission routing, skip notices); a transport only moves frames
+and records outputs.  A row shard's terminal travels as wire parts
+``layer#pN``, which the consuming worker's executor assembles
+(``TaskExecutor.push_part``).  A worker prices its task with
+``costs.price_task``, as the planner does.
 
-In the virtual cluster the recorder, the source device in replica slot
-0, admits or samples every camera frame, tags it and hands it to the
-source devices that take the tag; paced feeding waits only for those.
+On both transports the recorder, the source device in replica slot 0,
+admits or samples every camera frame, tags it and hands it to the
+source devices that take the tag, so a second feed continues the
+stream's tags.  In the virtual cluster paced feeding waits only for
+those devices.
 A device holds at most one live wake-up (a ``_process`` event): a queued
 item, a freed downstream slot or a finished item asks for one at the
 earliest time the device could act, a request at or after the live
@@ -252,7 +255,9 @@ class ClusterCore:
 
     The core indexes the assignment: every device's routes (value name ->
     consumers, with their replica slots) and predecessors, and the
-    devices that own a source.  ``_on_data`` consumes one data frame on a
+    devices that own a source.  ``_admit`` runs a camera frame through
+    the recorder, which tags it, into one data frame per source device
+    that takes the tag.  ``_on_data`` consumes one data frame on a
     worker and routes what it yields: graph outputs to ``_output``; other
     emissions to each consumer whose replica slot takes the tag, a row
     shard's terminal as its wire part ``layer#pN``, which the shard also
@@ -269,22 +274,24 @@ class ClusterCore:
     """
 
     def __init__(self, aset: AssignmentSet, n: int, inbox_capacity: int,
-                 param_override, profile: Optional[DeviceProfile],
-                 comm: Optional[CommModel], batch: Optional[Batch] = None):
-        self.aset = aset
+                 param_override, batch: Optional[Batch] = None):
         self.assignment = aset.for_devices(n)
         self.graph = aset.graph
-        self.profile = profile or aset.device
-        self.comm = comm or aset.comm
+        self.profile = aset.device
         self.n = n
-        devices = sorted(self.assignment.tasks)
-        if len(set(t.task_id for t in self.assignment.tasks.values())) != len(devices):
+        tasks = self.assignment.tasks
+        devices = sorted(tasks)
+        if len(set(t.task_id for t in tasks.values())) != len(devices):
             raise RuntimeFault("duplicate task ids in assignment")
         if devices and not (0 <= devices[0] and devices[-1] < n):
             raise RuntimeFault(f"assignment device ids must lie in [0, {n}), got {devices}")
+        for e in self.assignment.edges:
+            if e.producer_device not in tasks or e.consumer_device not in tasks:
+                raise RuntimeFault(f"edge {e.layer!r} {e.producer_device} -> "
+                                   f"{e.consumer_device} names a device with no task")
         self.workers: dict[int, Worker] = {
             d: Worker(d, task, self.graph, self.profile, inbox_capacity, param_override, batch)
-            for d, task in self.assignment.tasks.items()
+            for d, task in tasks.items()
         }
         if not self.workers:
             raise RuntimeFault("assignment has no tasks")
@@ -298,12 +305,12 @@ class ClusterCore:
         preds: dict[int, set[int]] = {d: set() for d in self.workers}
         for e in a.edges:
             entry = (e.consumer_device, *_replica_slot(a.tasks[e.consumer_device]))
-            routes.setdefault(e.producer_device, {}).setdefault(e.layer, []).append(entry)
-            preds.setdefault(e.consumer_device, set()).add(e.producer_device)
+            routes[e.producer_device].setdefault(e.layer, []).append(entry)
+            preds[e.consumer_device].add(e.producer_device)
         self._routes = {d: {name: sorted(v) for name, v in by.items()} for d, by in routes.items()}
         self._dests = {d: sorted({dst for v in by.values() for dst, _i, _c in v})
                        for d, by in self._routes.items()}
-        self._preds = {d: sorted(p for p in ps if p in self.workers) for d, ps in preds.items()}
+        self._preds = {d: sorted(ps) for d, ps in preds.items()}
         self.sources = [(d, *_replica_slot(a.tasks[d])) for d in sorted(a.tasks)
                         if self.workers[d].owns_source]
         if not self.sources:
@@ -312,6 +319,23 @@ class ClusterCore:
     def _source_targets(self, tag: int) -> list[int]:
         """Source devices that take frame ``tag``: replicas in turn."""
         return [d for d, idx, count in self.sources if count == 1 or tag % count == idx]
+
+    def recorder(self) -> Worker:
+        """The source device in replica slot 0.  It samples and tags every
+        camera frame, whichever replica computes it."""
+        return self.workers[next(d for d, idx, _count in self.sources if idx == 0)]
+
+    def _admit(self, value: np.ndarray, t: float) -> list[tuple[int, Message]]:
+        """A camera frame reaches the recorder at time t, which admits it
+        or samples it away.  Returns a (device, data frame) pair for each
+        source device that takes the admitted frame's tag, or none."""
+        tag = self.recorder().admit_raw(t)
+        if tag is None:
+            return []
+        value = np.asarray(value, dtype=np.float32)
+        return [(d, Message(kind=Kind.DATA, tag=tag, layer=self.workers[d].source_name(),
+                            tensor=value, meta={"path": _zero_path()}))
+                for d in self._source_targets(tag)]
 
     # -- message handling ------------------------------------------------------
 
@@ -380,9 +404,10 @@ class ClusterCore:
 class VirtualCluster(ClusterCore):
     """Deterministic in-process cluster under a virtual clock.
 
-    On top of the core it keeps the event heap, modeled link latency,
-    blocking sends into bounded inboxes with almost-full signals, the
-    camera feed and master-driven role rotation.  All workers record
+    On top of the core it keeps the event heap, modeled link latency
+    (``comm``, the plan's by default), blocking sends into bounded
+    inboxes with almost-full signals, the camera feed's pacing and
+    master-driven role rotation.  All workers record
     their firings in one ``batch``; ``outputs`` holds ``Pending`` values
     until it is flushed.
     """
@@ -390,13 +415,12 @@ class VirtualCluster(ClusterCore):
     def __init__(self, aset: AssignmentSet, n: int,
                  inbox_capacity: int = DEFAULT_INBOX_CAPACITY,
                  param_override=None,
-                 profile: Optional[DeviceProfile] = None,
                  comm: Optional[CommModel] = None):
         self.batch = Batch()
-        super().__init__(aset, n, inbox_capacity, param_override, profile, comm, self.batch)
+        super().__init__(aset, n, inbox_capacity, param_override, self.batch)
+        self.comm = comm or aset.comm
         self.master = min(self.workers)
         self.iptable = self._role_table(version=1)
-        self.master_writes = 0
         self.routing_drops = 0
         self.setup_seconds = max(w.setup_load_seconds() for w in self.workers.values())
         self.last_reassign_reloads = 0
@@ -548,8 +572,7 @@ class VirtualCluster(ClusterCore):
         # Blocking sends: stall while any downstream inbox is full, so
         # pressure cascades upstream instead of losing tagged data.
         for dst in self._dests[device]:
-            dw = self.workers.get(dst)
-            if dw is not None and dw.inbox.full:
+            if self.workers[dst].inbox.full:
                 self._stalled.setdefault(dst, set()).add(device)
                 return
         msg, _arrival = w.inbox.take()
@@ -599,7 +622,6 @@ class VirtualCluster(ClusterCore):
             raise RuntimeFault("device loss requires restarting on the smaller plan entry")
         else:
             raise RuntimeFault(f"unknown trigger {kind!r}")
-        self.master_writes += 1
         return self._commit(tasks, recorder)
 
     def _commit(self, tasks: dict[int, Task], recorder: Worker) -> int:
@@ -649,15 +671,10 @@ class VirtualCluster(ClusterCore):
 
     # -- driving ---------------------------------------------------------------------
 
-    def recorder(self) -> Worker:
-        """The source device in replica slot 0.  It samples and tags every
-        camera frame, whichever replica computes it."""
-        return self.workers[next(d for d, idx, _count in self.sources if idx == 0)]
-
     def feed_frame(self, value: np.ndarray, t: Optional[float] = None) -> None:
         """Inject one raw camera frame at virtual time t."""
         t = self.vnow if t is None else t
-        self._schedule(t, self._camera_arrival, np.asarray(value, dtype=np.float32))
+        self._schedule(t, self._camera_arrival, value)
 
     def feed_paced(self, value: np.ndarray) -> None:
         """Inject one raw camera frame once the source devices that take
@@ -673,14 +690,7 @@ class VirtualCluster(ClusterCore):
             self._step()
 
     def _camera_arrival(self, t: float, value: np.ndarray) -> None:
-        """The recorder admits the frame or samples it away; an admitted
-        frame goes, under its tag, to the source devices that take it."""
-        tag = self.recorder().admit_raw(t)
-        if tag is None:
-            return
-        for d in self._source_targets(tag):
-            msg = Message(kind=Kind.DATA, tag=tag, layer=self.workers[d].source_name(),
-                          tensor=value, meta={"path": _zero_path()})
+        for d, msg in self._admit(value, t):
             self._offer(t, d, msg)
 
 

@@ -11,11 +11,12 @@ from edgeflock.costs import (
     PowerProfile,
     comm_latency,
     energy,
-    estimate_memory,
     measure_host_profile,
+    memory_terms,
     price_task,
     profiles_from_json,
     profiles_to_json,
+    resident_bytes,
 )
 from edgeflock.model_ir import LayerSpec, ModelGraph, build_model, validate_graph
 import edgeflock.model_ir as ir
@@ -27,6 +28,16 @@ def two_stream():
 
 
 DENSE = ["fc_d1", "act_d1", "fc_d2", "act_d2", "fc_d3", "smax", "out"]
+
+
+def resident(graph, names, overhead_factor):
+    """Resident bytes of a task of ``names``."""
+    return resident_bytes(*memory_terms(graph, names), overhead_factor)
+
+
+def raw_weights(graph, names):
+    """Bytes of the weights of ``names``, without overhead."""
+    return costs.BYTES_PER_VALUE * memory_terms(graph, names)[0]
 
 
 class TestComm:
@@ -55,22 +66,22 @@ class TestMemory:
     def test_dense_group_exceeds_one_device(self, two_stream):
         # 130.4M weights (~522 MB raw); at overhead 2.0 the whole dense
         # head cannot sit in a 1 GB device.
-        raw = costs.weight_bytes(two_stream, DENSE)
+        raw = raw_weights(two_stream, DENSE)
         assert 520e6 < raw < 525e6
-        assert estimate_memory(two_stream, DENSE, 2.0) > DeviceProfile().mem_bytes
+        assert resident(two_stream, DENSE, 2.0) > DeviceProfile().mem_bytes
 
     def test_empty_task_is_zero(self, two_stream):
-        assert estimate_memory(two_stream, [], 2.0) == 0
+        assert resident(two_stream, [], 2.0) == 0
 
     def test_single_fc_closed_form(self, two_stream):
         weights = (7680 * 8192 + 8192) * 4
         acts = (7680 + 8192) * 4
-        assert estimate_memory(two_stream, ["fc_d1"], 1.0) == weights + acts
+        assert resident(two_stream, ["fc_d1"], 1.0) == weights + acts
 
     def test_monotone_under_layer_addition(self, two_stream):
         for i in range(1, len(DENSE)):
-            assert (estimate_memory(two_stream, DENSE[: i + 1], 2.0)
-                    >= estimate_memory(two_stream, DENSE[:i], 2.0))
+            assert (resident(two_stream, DENSE[: i + 1], 2.0)
+                    >= resident(two_stream, DENSE[:i], 2.0))
 
 
 def compute(graph, names, dev):
@@ -112,8 +123,8 @@ class TestCompute:
         }
         g = validate_graph(ModelGraph(layers, ["src"], ["out"]))
         dev = DeviceProfile()
-        assert costs.weight_bytes(g, ["big"]) > dev.swap_threshold
-        assert costs.weight_bytes(g, ["half"]) < dev.swap_threshold
+        assert raw_weights(g, ["big"]) > dev.swap_threshold
+        assert raw_weights(g, ["half"]) < dev.swap_threshold
         assert (compute(g, ["big"], dev)
                 > 2 * compute(g, ["half"], dev))
 

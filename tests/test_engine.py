@@ -517,10 +517,18 @@ class CountingFlow:
         return flow_diff_stub(prev, cur)
 
 
-def flow_executor(flow_fn):
+def count_flows(monkeypatch) -> CountingFlow:
+    """Count the flow fields that executors compute: they call the
+    module's ``flow_diff_stub``."""
+    flow = CountingFlow()
+    monkeypatch.setattr(engine, "flow_diff_stub", flow)
+    return flow
+
+
+def flow_executor():
     """Executor owning two_stream's camera and flow stack."""
     g = build_model("two_stream", 0.125, seed=1)
-    return engine.TaskExecutor(g, owned=["camera", "flow"], emit=["flow"], flow_fn=flow_fn)
+    return engine.TaskExecutor(g, owned=["camera", "flow"], emit=["flow"])
 
 
 def push_flows(ex, frames, tags):
@@ -537,29 +545,29 @@ def push_flows(ex, frames, tags):
 class TestFlowCache:
     frames = rng.uniform(0, 1, (48, 16, 12, 3)).astype(np.float32)
 
-    def test_reference_computes_each_pair_once(self):
+    def test_reference_computes_each_pair_once(self, monkeypatch):
         g = build_model("two_stream", 0.125, seed=1)
         n = 30
-        counting = CountingFlow()
-        got = run_reference(g, {"camera": self.frames[:n]}, flow_fn=counting)["out"]
+        want = run_reference(g, {"camera": self.frames[:n]})["out"]
+        counting = count_flows(monkeypatch)
+        got = run_reference(g, {"camera": self.frames[:n]})["out"]
         assert len(counting.pairs) == n - 1
         for t, (prev, cur) in enumerate(counting.pairs):
             assert np.array_equal(prev, self.frames[t])
             assert np.array_equal(cur, self.frames[t + 1])
-        want = run_reference(g, {"camera": self.frames[:n]})["out"]
         assert sorted(got) == sorted(want)
         assert all(got[t].tobytes() == want[t].tobytes() for t in want)
 
     def test_stacks_equal_flow_stack(self):
-        stacks = push_flows(flow_executor(None), self.frames, range(20))
+        stacks = push_flows(flow_executor(), self.frames, range(20))
         assert sorted(stacks) == list(range(10, 20))
         for end, value in stacks.items():
             assert value.tobytes() == flow_stack(list(self.frames[end - 10:end + 1]), 10).tobytes()
 
     @pytest.mark.parametrize("gap", ["handoff", "skip"])
-    def test_no_field_survives_a_gap(self, gap):
-        counting = CountingFlow()
-        ex = flow_executor(counting)
+    def test_no_field_survives_a_gap(self, gap, monkeypatch):
+        counting = count_flows(monkeypatch)
+        ex = flow_executor()
         before = push_flows(ex, self.frames, range(15))
         assert len(before) == 5 and len(counting.pairs) == 14
         if gap == "handoff":

@@ -169,6 +169,27 @@ class TestCli:
         assert result.exit_code == 3, result.output
         assert "device ids must lie in [0, 1)" in result.output
 
+    @pytest.mark.parametrize("end", ["producer_device", "consumer_device"])
+    def test_run_plan_with_an_edge_to_no_task_is_a_runtime_fault(self, tmp_path, end):
+        doc = json.loads(plan_for(load_model("two_stream", 0.125, 1), 3).to_json())
+        edge = dict(doc["assignments"]["3"]["edges"][0])
+        edge[end] = 7
+        doc["assignments"]["3"]["edges"].append(edge)
+        out = tmp_path / "plan.json"
+        out.write_text(json.dumps(doc))
+        result = CliRunner().invoke(main, ["run", "--plan", str(out), "--devices", "3"])
+        assert result.exit_code == 3, result.output
+        assert "names a device with no task" in result.output
+
+    @pytest.mark.parametrize("command", ["verify", "bench"])
+    @pytest.mark.parametrize("devices", ["1-x", "2,y", "1-2-3", ","])
+    def test_malformed_device_list_is_a_usage_error(self, command, devices):
+        result = CliRunner().invoke(main, [command, "--model", "two_stream",
+                                           "--devices", devices])
+        assert result.exit_code == 2, result.output
+        assert "Invalid value for '--devices'" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
     def test_loopback_run_counts_outputs_without_the_reference(self, tmp_path, monkeypatch):
         import edgeflock.engine as engine
 

@@ -51,6 +51,35 @@ def test_concat_sums_axis_and_checks_others():
         infer_shape(spec, [TensorShape((15, 256)), TensorShape((15, 128))])
 
 
+def _extra_input_graphs():
+    """cam -> fc a, fc c -> relu(a, c) -> sink, and an fc over inputs of
+    sizes 3 and 5."""
+    relu = {
+        "cam": LayerSpec("cam", ir.SOURCE, {"shape": [4]}),
+        "a": LayerSpec("a", ir.FC, {"out_size": 3}, ["cam"]),
+        "c": LayerSpec("c", ir.FC, {"out_size": 3}, ["cam"]),
+        "r": LayerSpec("r", ir.RELU, {}, ["a", "c"]),
+        "out": LayerSpec("out", ir.SINK, {}, ["r"]),
+    }
+    fc = {
+        "cam": LayerSpec("cam", ir.SOURCE, {"shape": [4]}),
+        "a": LayerSpec("a", ir.FC, {"out_size": 3}, ["cam"]),
+        "c": LayerSpec("c", ir.FC, {"out_size": 5}, ["cam"]),
+        "r": LayerSpec("r", ir.FC, {"out_size": 2}, ["a", "c"]),
+        "out": LayerSpec("out", ir.SINK, {}, ["r"]),
+    }
+    return [ModelGraph(relu, ["cam"], ["out"]), ModelGraph(fc, ["cam"], ["out"])]
+
+
+@pytest.mark.parametrize("index", [0, 1])
+def test_only_concat_takes_more_than_one_input(index):
+    graph = _extra_input_graphs()[index]
+    with pytest.raises(ShapeError, match="layer 'r'.*exactly one input, got 2"):
+        validate_graph(graph)
+    with pytest.raises(ShapeError, match="layer 'r'"):
+        ModelGraph.from_json(graph.to_json())
+
+
 def test_kernel_larger_than_input_rejected():
     spec = LayerSpec("c", ir.CONV, {"filters": 4, "kernel_h": 20, "kernel_w": 20,
                                     "stride": 1, "padding": "valid"}, ["x"])

@@ -16,7 +16,6 @@ from edgeflock.planner import (
     AssignmentSet,
     PlanError,
     find_min_load_tasks,
-    minimize_load_time,
     model_to_layers,
     render_plan,
     split_fc_rows,
@@ -92,7 +91,7 @@ class TestMinLoadTasks:
         # its own task (the weightless source rides along for free)
         g = chain_graph()
         groups = model_to_layers(g)
-        per_group = max(costs.estimate_memory(g, grp, 2.0) for grp in groups)
+        per_group = max(costs.resident_bytes(*costs.memory_terms(g, grp), 2.0) for grp in groups)
         tasks = find_min_load_tasks(g, groups, per_group, 2.0)
         assert len(tasks) == 2
         owners = [set(t) for t in tasks]
@@ -104,21 +103,25 @@ class TestMinLoadTasks:
             find_min_load_tasks(two_stream, groups, 10**6, 2.0)
 
 
+def pack(graph, n):
+    """Stage 3 of planning under the default profile: graph's stage-2
+    tasks packed into n buckets."""
+    dev = DeviceProfile()
+    tasks = find_min_load_tasks(graph, model_to_layers(graph), dev.mem_bytes, 2.0)
+    c = planner._Costs(graph, dev, CommModel(), tuple(tuple(t) for t in tasks),
+                       dev.mem_bytes, 2.0)
+    return planner._pack(c, n)
+
+
 class TestMinimizeLoadTime:
     def test_single_device_reloads(self, two_stream):
-        groups = model_to_layers(two_stream)
-        dev = DeviceProfile()
-        tasks = find_min_load_tasks(two_stream, groups, dev.mem_bytes, 2.0)
-        state = minimize_load_time(two_stream, tasks, dev.mem_bytes, 1, dev, CommModel(), 2.0)
+        state = pack(two_stream, 1)
         assert len(state) == 1
         assert len(state[0].resident_groups) > 1
         assert state[0].reload_seconds > 0
 
     def test_four_devices_zero_reload(self, two_stream):
-        groups = model_to_layers(two_stream)
-        dev = DeviceProfile()
-        tasks = find_min_load_tasks(two_stream, groups, dev.mem_bytes, 2.0)
-        state = minimize_load_time(two_stream, tasks, dev.mem_bytes, 4, dev, CommModel(), 2.0)
+        state = pack(two_stream, 4)
         assert len(state) == 4
         assert sum(w.reload_seconds for w in state) == 0
 
@@ -391,7 +394,7 @@ def sweep_digest(model, scale):
     if model == "fc_chain":
         graph = fc_chain(CHAIN_WIDTHS)
         groups = model_to_layers(graph)
-        mem = max(costs.estimate_memory(graph, g, 2.0) for g in groups)
+        mem = max(costs.resident_bytes(*costs.memory_terms(graph, g), 2.0) for g in groups)
         assert len(find_min_load_tasks(graph, groups, mem, 2.0)) > planner.MAX_EXHAUSTIVE_TASKS
         device = DeviceProfile(mem_bytes=mem, flops_per_sec=2e3)
         lines.append(_plan_digest(lambda: task_assign(graph, 24, CommModel(), device)))
