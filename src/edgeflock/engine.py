@@ -8,16 +8,30 @@ computed anywhere else, which makes distributed-vs-reference
 comparisons exact rather than tolerance-based, including when a dense
 layer is sharded row-wise across devices.
 
-The conv and fc kernels pin that order with numpy alone (no BLAS,
-``matmul`` or ``einsum``, none of which fixes an order).  They read
-weights tap-major: (taps, filters) for conv in (dy, dx, channel) tap
-order, (inputs, outputs) for fc.  Shared (frozen) weights are held once,
-in that layout, and ``LayerParams.w`` is a view of it in the
-(filters, kh, kw, c) or (outputs, inputs) shape.  A kernel
-multiplies a cache-sized block of taps against every output at once
-and reduces the products along the tap axis.  numpy runs such a
-reduction as one running sum per output element, adding the tap rows
-in ascending order, as long as each row holds at least two elements.
+The conv and fc kernels read weights tap-major: (taps, filters) for
+conv in (dy, dx, channel) tap order, (inputs, outputs) for fc.  Shared
+(frozen) weights are held once, in that layout, and ``LayerParams.w`` is
+a view of it in the (filters, kh, kw, c) or (outputs, inputs) shape.
+Each kernel exists twice, with the same bits: compiled C and numpy.
+
+``_kernels.c`` is compiled when this module is imported, with the C
+compiler that built Python if it is on PATH and else ``cc``, at ``-O3
+-ffp-contract=off -march=native`` (without ``-march=native`` if the
+compiler rejects it), and loaded through ``ctypes``.  Its loops add the
+products of each sum one after another in ascending tap order and run
+side by side only across independent outputs: positions and filters for
+conv, output rows for fc.  ``-ffp-contract=off`` is required, as a fused
+multiply-add would add the product unrounded and change the last bit of
+a sum; no flag that lets the compiler reassociate a sum (``-Ofast``,
+``-ffast-math``) is used.  Without a working compiler, or if the compile
+or the load fails, the numpy kernels run.
+
+The numpy kernels pin the order with numpy alone (no BLAS, ``matmul``
+or ``einsum``, none of which fixes an order).  A kernel multiplies a
+cache-sized block of taps against every output at once and reduces the
+products along the tap axis.  numpy runs such a reduction as one
+running sum per output element, adding the tap rows in ascending
+order, as long as each row holds at least two elements.
 With a single output element (a one-row fc shard, one filter at one
 position) numpy instead sums the lone column pairwise, so that case
 takes an explicit running sum (``np.add.accumulate``).  Conv products,
@@ -65,10 +79,16 @@ once more at the end.
 from __future__ import annotations
 
 import copy
+import ctypes
 import functools
 import math
+import shutil
+import subprocess
+import sysconfig
+import tempfile
 from collections import deque
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Any, Callable, Iterable, Optional
 
 import numpy as np
@@ -184,7 +204,7 @@ def _tap_major(params: LayerParams) -> np.ndarray:
     any other ``w`` is copied into the layout on every call.
     """
     w = params.w
-    return np.ascontiguousarray(w.reshape(w.shape[0], -1).T)
+    return _float32(w.reshape(w.shape[0], -1).T)
 
 
 _ZERO = np.float32(0)
@@ -222,6 +242,62 @@ _ACC = 1 << 16
 # while shorter ones ran as fast or faster under the default buffer.
 _SMALL_BUFSIZE = 256
 
+_KERNELS_SOURCE = Path(__file__).with_name("_kernels.c")
+# -ffp-contract=off keeps every product rounded on its own: a fused
+# multiply-add would add the unrounded product.  No flag may let the
+# compiler reassociate a sum (-Ofast, -ffast-math, -fassociative-math).
+_CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
+_COMPILE_TIMEOUT_S = 60
+
+
+def _compiler() -> str:
+    """The compiler that built this Python, if it is on PATH, else ``cc``."""
+    cc = (sysconfig.get_config_var("CC") or "").split()
+    return cc[0] if cc and shutil.which(cc[0]) else "cc"
+
+
+def _load_kernels() -> Optional[ctypes.CDLL]:
+    """Compile ``_kernels.c`` for this CPU and load it, or None.
+
+    The library is built in a fresh temporary directory, first with
+    ``-march=native`` and, if the compiler rejects that, once more
+    without it; ``build_command`` of the library is the command that
+    built it.  The directory is removed once the library is loaded, which
+    stays mapped; where the system cannot remove a loaded library the
+    directory stays behind, under the temporary directory.  No compiler,
+    a failed or timed-out compile, or a library that does not load gives
+    None, and the numpy kernels run.
+    """
+    try:
+        with tempfile.TemporaryDirectory(prefix="edgeflock-", ignore_cleanup_errors=True) as tmp:
+            path = str(Path(tmp) / "_kernels.so")
+            for arch in (("-march=native",), ()):
+                cmd = [_compiler(), *_CFLAGS, *arch, str(_KERNELS_SOURCE), "-o", path]
+                if subprocess.run(cmd, capture_output=True, timeout=_COMPILE_TIMEOUT_S).returncode == 0:
+                    lib = ctypes.CDLL(path)
+                    lib.build_command = cmd
+                    break
+            else:
+                return None
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    ptr, size = ctypes.c_void_p, ctypes.c_int64
+    lib.conv_rows.argtypes = (ptr, ptr, ptr, ptr, size, size, size)
+    lib.fc_rows.argtypes = (ptr, ptr, ptr, ptr, size, size, size, size)
+    lib.conv_rows.restype = lib.fc_rows.restype = None
+    return lib
+
+
+# The compiled kernels, or None where they could not be built: then the
+# numpy kernels below run.  Built at import, so that no caller's first
+# kernel call pays for the compile.
+_KERNELS = _load_kernels()
+
+
+def _float32(a: np.ndarray) -> np.ndarray:
+    """``a`` as a C-contiguous float32 array, copied only if it is not one."""
+    return np.ascontiguousarray(a, dtype=np.float32)
+
 
 def _running_sum(products: np.ndarray) -> np.ndarray:
     """Sum of a 1-D float32 vector from +0.0 in ascending index, as a
@@ -242,10 +318,22 @@ def _conv_rows(patches: np.ndarray, wt: np.ndarray, bias: np.ndarray, out: np.nd
     holds only while a reduced row has at least two elements: with one,
     numpy sums the single column pairwise, which is not ordered.  A
     single filter at a single position therefore takes an explicit
-    running sum (``np.add.accumulate``) instead.
+    running sum (``np.add.accumulate``) instead.  With the compiled
+    kernels loaded, ``conv_rows`` of ``_kernels.c`` computes the same
+    sums.
     """
     taps, positions = patches.shape
     filters = wt.shape[1]
+    if wt.shape[0] != taps or bias.shape != (filters,) or out.shape != (positions, filters):
+        raise EngineError(f"conv operands disagree: patches {patches.shape}, weights {wt.shape}, "
+                          f"bias {bias.shape}, output {out.shape}")
+    if _KERNELS is not None:
+        if not (out.dtype == np.float32 and out.flags.c_contiguous and out.flags.writeable):
+            raise EngineError("conv output must be a writable C-contiguous float32 array")
+        patches, wt, bias = _float32(patches), _float32(wt), _float32(bias)
+        _KERNELS.conv_rows(patches.ctypes.data, wt.ctypes.data, bias.ctypes.data, out.ctypes.data,
+                           taps, positions, filters)
+        return
     if filters * positions == 1:
         np.add(_running_sum(patches[:, 0] * wt[:, 0]), bias, out=out[0])
         return
@@ -290,17 +378,25 @@ def forward_fc(x: np.ndarray, params: LayerParams, rows: Optional[tuple[int, int
     reduced along the input axis as in ``_conv_rows``; a one-row shard
     takes the explicit running sum.  A call whose output rows hold at
     least ``_SMALL_BUFSIZE`` elements runs under that ufunc buffer size,
-    as ``_conv_rows`` does; the caller's buffer size is restored.
+    as ``_conv_rows`` does; the caller's buffer size is restored.  With
+    the compiled kernels loaded, ``fc_rows`` of ``_kernels.c`` computes
+    the same sums.
     """
-    x = np.asarray(x, dtype=np.float32).reshape(-1)
-    wt, b = _tap_major(params), params.b
-    if rows is not None:
-        lo, hi = rows
-        if not 0 <= lo < hi <= b.size:
-            raise EngineError(f"fc row range {rows} is empty or outside [0, {b.size})")
-        wt, b = wt[:, lo:hi], b[lo:hi]
+    x = _float32(x).reshape(-1)
+    wt, b = _tap_major(params), _float32(params.b)
+    lo, hi = (0, b.size) if rows is None else rows
+    if rows is not None and not 0 <= lo < hi <= b.size:
+        raise EngineError(f"fc row range {rows} is empty or outside [0, {b.size})")
     if wt.shape[0] != x.size:
         raise EngineError(f"fc input size {x.size} != weight columns {wt.shape[0]}")
+    if wt.shape[1] != b.size:
+        raise EngineError(f"fc bias size {b.size} != weight rows {wt.shape[1]}")
+    if _KERNELS is not None:
+        out = np.empty(hi - lo, dtype=np.float32)
+        _KERNELS.fc_rows(x.ctypes.data, wt.ctypes.data, b.ctypes.data, out.ctypes.data,
+                         x.size, b.size, lo, hi)
+        return out
+    wt, b = wt[:, lo:hi], b[lo:hi]
     if wt.shape[1] == 1:
         return _running_sum(wt[:, 0] * x) + b
     step = max(1, _BLOCK // wt.shape[1])

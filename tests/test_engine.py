@@ -108,6 +108,19 @@ def blocks(block, acc):
         engine._BLOCK, engine._ACC = saved
 
 
+@pytest.fixture(scope="class")
+def numpy_kernels():
+    """Run a class's tests on the numpy kernels, whether or not the
+    compiled ones loaded; the other test classes run on whichever
+    kernels the import selected."""
+    saved = engine._KERNELS
+    engine._KERNELS = None
+    try:
+        yield
+    finally:
+        engine._KERNELS = saved
+
+
 # Block sizes: one element, small enough to split every test shape, and
 # the kernels' own.
 BLOCK_SIZES = st.sampled_from([1, 7, 64, engine._BLOCK])
@@ -346,6 +359,129 @@ class TestUfuncBuffer:
             fc_oracle(p.w[3:7], p.b[3:7], x).tobytes() for p in fcs]
         assert conv_out == np.stack([conv_oracle(f, convp.w, convp.b, 1, "same")
                                      for f in img]).tobytes()
+
+
+def rerun(test, *strategies):
+    """A new ``@given(*strategies)`` test with the body, examples and
+    settings of the hypothesis test ``test``, for a subclass that runs
+    it again: hypothesis ties each such test to a single class."""
+    return given(*strategies)(test.hypothesis.inner_test)
+
+
+@pytest.mark.usefixtures("numpy_kernels")
+class TestDenseNumpy(TestDense):
+    """``TestDense`` on the numpy kernels."""
+
+    test_matches_oracle_on_any_shard = rerun(TestDense.test_matches_oracle_on_any_shard, fc_cases())
+
+
+@pytest.mark.usefixtures("numpy_kernels")
+class TestConvNumpy(TestConv):
+    """``TestConv`` on the numpy kernels."""
+
+    test_matches_oracle_on_any_shape = rerun(TestConv.test_matches_oracle_on_any_shape, conv_cases())
+    test_batch_matches_oracle_on_each_frame = rerun(
+        TestConv.test_batch_matches_oracle_on_each_frame,
+        conv_cases(), st.integers(1, 4), st.sampled_from([1, 200, engine.PATCH_BYTES]))
+
+
+@pytest.mark.usefixtures("numpy_kernels")
+class TestUfuncBufferNumpy(TestUfuncBuffer):
+    """``TestUfuncBuffer`` on the numpy kernels."""
+
+
+# 1 + 2**-12: its square, 1 + 2**-11 + 2**-24, rounds to 1 + 2**-11 in
+# float32, so -1 + round(square) is 2**-11 while a fused multiply-add,
+# which adds the unrounded square, gives 2**-11 + 2**-24.
+ONE_PLUS = np.float32(1 + 2.0**-12)
+
+
+class TestKernelContract:
+    """What either backend must hold to: products rounded on their own,
+    every bad call refused before it reaches a kernel, and any layout
+    or dtype of operand taken as its float32 values."""
+
+    def test_fc_rounds_each_product(self):
+        # 70 equal rows: one full block of rows and a tail in the C kernel
+        w = np.tile(np.array([1, ONE_PLUS], np.float32), (70, 1))
+        p = LayerParams(w=w, b=np.zeros(70, np.float32))
+        x = np.array([-1, ONE_PLUS], np.float32)
+        assert np.float32(ONE_PLUS * ONE_PLUS) == np.float32(1 + 2.0**-11)
+        want = np.full(70, 2.0**-11, np.float32)
+        assert forward_fc(x, p).tobytes() == want.tobytes()
+        assert forward_fc(x, p, rows=(5, 6)).tobytes() == want[:1].tobytes()
+
+    def test_conv_rounds_each_product(self):
+        # a 1x1 conv over two channels sums the same two products; 9x9
+        # positions and 5 filters span full blocks and tails of both
+        x = np.broadcast_to(np.array([-1, ONE_PLUS], np.float32), (9, 9, 2))
+        w = np.broadcast_to(np.array([1, ONE_PLUS], np.float32), (5, 1, 1, 2))
+        out = forward_conv(x, LayerParams(w=w.copy(), b=np.zeros(5, np.float32)))
+        assert out.tobytes() == np.full((9, 9, 5), 2.0**-11, np.float32).tobytes()
+
+    @pytest.mark.parametrize("rows", [(3, 3), (5, 2), (-1, 2), (0, 9), (8, 9)])
+    def test_fc_rejects_empty_or_outside_rows(self, rows):
+        p = LayerParams(w=np.zeros((8, 3), np.float32), b=np.zeros(8, np.float32))
+        with pytest.raises(EngineError):
+            forward_fc(np.zeros(3, np.float32), p, rows=rows)
+
+    def test_fc_rejects_a_bias_of_another_size(self):
+        p = LayerParams(w=np.zeros((8, 3), np.float32), b=np.zeros(7, np.float32))
+        with pytest.raises(EngineError):
+            forward_fc(np.zeros(3, np.float32), p)
+
+    def test_conv_rejects_a_bias_of_another_size(self):
+        p = LayerParams(w=np.zeros((4, 3, 3, 2), np.float32), b=np.zeros(3, np.float32))
+        with pytest.raises(EngineError):
+            forward_conv(np.zeros((5, 5, 2), np.float32), p)
+
+    def test_fc_takes_any_layout_and_dtype(self):
+        r = np.random.default_rng(3)
+        w = r.uniform(-0.05, 0.05, (9, 40)).astype(np.float32)
+        b = r.uniform(-0.05, 0.05, 9).astype(np.float32)
+        x = r.uniform(-1, 1, 80).astype(np.float32)[::2]
+        assert not x.flags.c_contiguous
+        want = fc_oracle(w, b, np.ascontiguousarray(x))
+        fortran = LayerParams(w=np.asfortranarray(w), b=b)
+        for got in (forward_fc(x, LayerParams(w=w, b=b)),
+                    forward_fc(x.astype(np.float64), LayerParams(w=w, b=b)),
+                    forward_fc(x, fortran), forward_fc(x, freeze(fortran))):
+            assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+
+    def test_conv_takes_any_layout_and_dtype(self):
+        r = np.random.default_rng(4)
+        x = r.uniform(-1, 1, (7, 12, 3)).astype(np.float32)[:, ::2]
+        w = r.uniform(-0.05, 0.05, (5, 3, 3, 3)).astype(np.float32)
+        b = r.uniform(-0.05, 0.05, 5).astype(np.float32)
+        want = conv_oracle(np.ascontiguousarray(x), w, b, 1, "same").tobytes()
+        for xs, ws in ((x, w), (x.astype(np.float64), np.asfortranarray(w))):
+            assert forward_conv(xs, LayerParams(w=ws, b=b)).tobytes() == want
+
+    def test_fortran_order_override_weights_give_the_reference(self):
+        g = build_model("two_stream", 1 / 32, seed=7)
+        frames = make_clip(g, frames_needed(g, 3), seed=11)
+        ref = run_reference(g, {g.inputs[0]: frames})
+
+        def fortran(name, params):
+            if params.w is not None:
+                params.w = np.asfortranarray(params.w)
+            return params
+        ex = engine.TaskExecutor(g, param_override=fortran)
+        got = {}
+        for tag, frame in enumerate(frames):
+            for em in ex.push(g.inputs[0], tag, frame):
+                got.setdefault(em.layer, {})[em.tag] = em.value
+        ex.batch.flush()
+        assert sorted(got) == sorted(ref)
+        for sink, by_tag in ref.items():
+            assert sorted(got[sink]) == sorted(by_tag)
+            for tag, value in by_tag.items():
+                assert np.asarray(got[sink][tag]).tobytes() == value.tobytes()
+
+
+@pytest.mark.usefixtures("numpy_kernels")
+class TestKernelContractNumpy(TestKernelContract):
+    """``TestKernelContract`` on the numpy kernels."""
 
 
 class TestPointwise:
@@ -837,15 +973,67 @@ GOLDEN_OUTPUTS = {
 }
 
 
+def golden_digest(model, scale, outputs):
+    """The sha256 that ``GOLDEN_OUTPUTS`` holds for these arguments."""
+    g = build_model(model, scale, seed=7)
+    frames = make_clip(g, frames_needed(g, outputs), seed=11)
+    digest = hashlib.sha256()
+    for sink, by_tag in sorted(run_reference(g, {g.inputs[0]: frames}).items()):
+        assert len(by_tag) == outputs
+        for tag, value in sorted(by_tag.items()):
+            digest.update(f"{sink}:{tag}:{value.dtype}:{value.shape}".encode())
+            digest.update(value.tobytes())
+    return digest.hexdigest()
+
+
 class TestGoldenOutputs:
     @pytest.mark.parametrize("model,scale,outputs", sorted(GOLDEN_OUTPUTS))
     def test_reference_outputs_unchanged(self, model, scale, outputs):
-        g = build_model(model, scale, seed=7)
-        frames = make_clip(g, frames_needed(g, outputs), seed=11)
-        digest = hashlib.sha256()
-        for sink, by_tag in sorted(run_reference(g, {g.inputs[0]: frames}).items()):
-            assert len(by_tag) == outputs
-            for tag, value in sorted(by_tag.items()):
-                digest.update(f"{sink}:{tag}:{value.dtype}:{value.shape}".encode())
-                digest.update(value.tobytes())
-        assert digest.hexdigest() == GOLDEN_OUTPUTS[(model, scale, outputs)]
+        assert golden_digest(model, scale, outputs) == GOLDEN_OUTPUTS[(model, scale, outputs)]
+
+
+@pytest.mark.usefixtures("numpy_kernels")
+class TestGoldenOutputsNumpy(TestGoldenOutputs):
+    """``TestGoldenOutputs`` on the numpy kernels."""
+
+
+class TestKernelLoader:
+    """``_load_kernels`` gives None, and the numpy kernels, whenever it
+    cannot build and load the compiled ones."""
+
+    def test_missing_compiler_keeps_the_numpy_kernels(self, monkeypatch):
+        monkeypatch.setattr(engine, "_compiler", lambda: "/nonexistent/edgeflock-cc")
+        lib = engine._load_kernels()
+        assert lib is None
+        monkeypatch.setattr(engine, "_KERNELS", lib)
+        assert golden_digest("two_stream", 0.03125, 4) == GOLDEN_OUTPUTS[("two_stream", 0.03125, 4)]
+
+    def test_build_leaves_no_file_beside_the_source(self):
+        if engine._KERNELS is None:
+            pytest.skip("no working C compiler")
+        package = engine._KERNELS_SOURCE.parent
+        before = sorted(package.iterdir())
+        lib = engine._load_kernels()
+        assert lib is not None and "-ffp-contract=off" in lib.build_command
+        assert sorted(package.iterdir()) == before
+
+    def test_retries_without_march_native(self, tmp_path, monkeypatch):
+        if engine._KERNELS is None:
+            pytest.skip("no working C compiler")
+        shim = tmp_path / "cc"
+        shim.write_text('#!/bin/sh\ncase "$*" in *-march=native*) exit 1;; esac\n'
+                        f'exec {engine._compiler()} "$@"\n')
+        shim.chmod(0o755)
+        monkeypatch.setattr(engine, "_compiler", lambda: str(shim))
+        lib = engine._load_kernels()
+        assert lib is not None and "-march=native" not in lib.build_command
+        monkeypatch.setattr(engine, "_KERNELS", lib)
+        assert golden_digest("two_stream", 0.03125, 4) == GOLDEN_OUTPUTS[("two_stream", 0.03125, 4)]
+
+    def test_compile_timeout_keeps_the_numpy_kernels(self, tmp_path, monkeypatch):
+        shim = tmp_path / "cc"
+        shim.write_text("#!/bin/sh\nexec sleep 30\n")
+        shim.chmod(0o755)
+        monkeypatch.setattr(engine, "_compiler", lambda: str(shim))
+        monkeypatch.setattr(engine, "_COMPILE_TIMEOUT_S", 0.5)
+        assert engine._load_kernels() is None
