@@ -119,10 +119,13 @@ def verify(model, devices, scale, seeds, frames, transport, profile_file):
 @click.option("--fps", type=float, default=30.0, show_default=True)
 @click.option("--frames", type=int, default=60, show_default=True)
 @click.option("--seed", type=int, default=1, show_default=True)
-@click.option("--simulate-latency/--no-simulate-latency", default=True, show_default=True,
-              help="model link latency from the comm profile (in-process transport)")
-def run(plan_file, devices, transport, fps, frames, seed, simulate_latency):
-    """Execute a planned assignment on a frame stream."""
+def run(plan_file, devices, transport, fps, frames, seed):
+    """Execute a planned assignment on a frame stream.
+
+    The in-process transport models link latency with the plan file's
+    comm block, the link model the plan was priced with; zero it for a
+    run without link latency.
+    """
     try:
         aset = AssignmentSet.from_json(Path(plan_file).read_text())
         graph = aset.graph
@@ -136,8 +139,7 @@ def run(plan_file, devices, transport, fps, frames, seed, simulate_latency):
             finally:
                 cluster.close()
         else:
-            comm = aset.comm if simulate_latency else CommModel(0.0, 0.0)
-            cluster = start_cluster(aset, devices, comm=comm)
+            cluster = start_cluster(aset, devices)
             outputs, metrics = run_stream(cluster, clip, fps=fps)
     except PlanError as exc:
         click.echo(f"planning infeasible: {exc}", err=True)

@@ -78,7 +78,6 @@ once more at the end.
 
 from __future__ import annotations
 
-import copy
 import ctypes
 import functools
 import math
@@ -730,6 +729,8 @@ class TaskExecutor:
     consumers: they read the whole value, which ``push_part`` assembles
     from the row shards of every device.  ``batch`` may be shared by
     several executors of the graph; by default the executor has its own.
+    Every executor of a graph computes with the same weights: ``params``
+    reads them from ``shared_params`` at each call.
     """
 
     def __init__(
@@ -738,7 +739,6 @@ class TaskExecutor:
         owned: Optional[Iterable[str]] = None,
         emit: Optional[Iterable[str]] = None,
         part: Optional[tuple[str, int, int]] = None,
-        param_override: Optional[Callable[[str, LayerParams], LayerParams]] = None,
         batch: Optional[Batch] = None,
     ):
         self.graph = graph
@@ -757,8 +757,6 @@ class TaskExecutor:
             self._terminal = self._row_local[-1]
             self.emit.add(self._terminal)
         self.batch = batch if batch is not None else Batch()
-        self._params: dict[str, LayerParams] = {}
-        self._param_override = param_override
         self._owned_set = owned_set
         self._rank = {n: i for i, n in enumerate(graph.topo_order)}
         # owned layer -> (batch key, output shape, size, stacked), or None
@@ -791,13 +789,7 @@ class TaskExecutor:
         self.pending_notices: list[SkipNotice] = []
 
     def params(self, name: str) -> LayerParams:
-        p = self._params.get(name)
-        if p is None:
-            p = shared_params(self.graph, name)
-            if self._param_override is not None:
-                p = self._param_override(name, copy.copy(p))
-            self._params[name] = p
-        return p
+        return shared_params(self.graph, name)
 
     # -- scheduling -----------------------------------------------------
 

@@ -29,11 +29,6 @@ from edgeflock.runtime import RunMetrics, RuntimeFault, run_stream, start_cluste
 DESK_SCALE = 0.125
 
 
-class VerifyMismatch(RuntimeError):
-    """Distributed output differed from the reference (device count,
-    tag and max abs difference in the message)."""
-
-
 def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
     """Whether two arrays hold the same dtype, shape and bytes.
 
@@ -108,10 +103,13 @@ class VerifyReport:
 def verify(model: str, n_list: Iterable[int], scale: float = DESK_SCALE,
            seeds: Iterable[int] = (1, 2, 3), n_frames: Optional[int] = None,
            device: Optional[DeviceProfile] = None, comm: Optional[CommModel] = None,
-           transport: str = "in_process", param_override=None,
-           raise_on_mismatch: bool = False) -> VerifyReport:
-    """Bitwise check of distributed vs reference execution; the largest
-    absolute difference is reported, not judged."""
+           transport: str = "in_process") -> VerifyReport:
+    """Bitwise check of distributed vs reference execution.
+
+    The report holds one entry per seed and device count; a mismatch
+    marks its entry not exact and never raises.  The largest absolute
+    difference is reported, not judged.
+    """
     n_list = sorted(set(n_list))
     report = VerifyReport()
     t0 = time.perf_counter()
@@ -121,7 +119,7 @@ def verify(model: str, n_list: Iterable[int], scale: float = DESK_SCALE,
         frames = make_clip(graph, n_frames or frames_needed(graph, 4), seed)
         ref = run_reference(graph, {graph.inputs[0]: frames})[graph.outputs[0]]
         for n in n_list:
-            cluster = start_cluster(aset, n, transport, param_override=param_override)
+            cluster = start_cluster(aset, n, transport)
             if transport == "loopback_sockets":
                 try:
                     outs = cluster.feed(frames, expected_outputs=len(ref))
@@ -131,7 +129,6 @@ def verify(model: str, n_list: Iterable[int], scale: float = DESK_SCALE,
                 outs, _ = run_stream(cluster, frames)
             exact = set(outs) == set(ref)
             max_diff = 0.0
-            first_bad = None
             for tag in sorted(ref):
                 got = outs.get(tag)
                 if got is None or got.shape != ref[tag].shape:
@@ -140,13 +137,8 @@ def verify(model: str, n_list: Iterable[int], scale: float = DESK_SCALE,
                     d = float(np.max(np.abs(got - ref[tag]))) if got.size else 0.0
                 if got is None or not same_bits(got, ref[tag]):
                     exact = False
-                    first_bad = first_bad if first_bad is not None else tag
                 max_diff = max(max_diff, d)
             report.entries.append(VerifyEntry(model, seed, n, len(outs), exact, max_diff))
-            if not exact and raise_on_mismatch:
-                raise VerifyMismatch(
-                    f"{model} seed={seed} n={n}: first mismatching tag {first_bad}, "
-                    f"max abs diff {max_diff}")
     report.elapsed_seconds = time.perf_counter() - t0
     return report
 

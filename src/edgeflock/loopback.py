@@ -138,9 +138,8 @@ class LoopbackCluster(ClusterCore):
     """
 
     def __init__(self, aset: AssignmentSet, n: int,
-                 inbox_capacity: int = DEFAULT_INBOX_CAPACITY,
-                 param_override=None):
-        super().__init__(aset, n, inbox_capacity, param_override)
+                 inbox_capacity: int = DEFAULT_INBOX_CAPACITY):
+        super().__init__(aset, n, inbox_capacity)
         self.nodes = {d: _Node(self, w) for d, w in self.workers.items()}
         self._send_locks = {d: threading.Lock() for d in self.nodes}
         self._conns: dict[int, socket.socket] = {}

@@ -4,7 +4,8 @@ Workers exchange tagged one-way messages; each worker is a single
 logical event loop over one bounded inbox, with no shared state between
 workers.  The default transport runs every worker in one process under
 a deterministic discrete-event virtual clock: compute, reload and link
-times are modeled from the device/communication profiles and advance
+times are modeled from the plan's device profile and link model
+(``AssignmentSet.comm``, the one the planner priced) and advance
 virtual time, while tensor math executes for real (so outputs are
 exact).  Nothing the clock decides reads a tensor value, only shapes,
 so the math is deferred: a worker's firings are ``engine.Pending``
@@ -60,7 +61,7 @@ import numpy as np
 
 from edgeflock import model_ir as ir
 from edgeflock import costs
-from edgeflock.costs import DeviceProfile, CommModel, comm_latency
+from edgeflock.costs import DeviceProfile, comm_latency
 from edgeflock.engine import Batch, TaskExecutor, value_of
 from edgeflock.planner import AssignmentSet, Edge, Task
 from edgeflock.windows import BoundedInbox
@@ -100,7 +101,7 @@ class RunMetrics:
     breakdown: dict = field(default_factory=lambda: {"compute": 0.0, "comm": 0.0, "reload": 0.0})
     per_device_busy_seconds: dict = field(default_factory=dict)
     drops: int = 0
-    routing_drops: int = 0
+    routing_drops: int = 0        # no route can name a missing device yet
     setup_seconds: float = 0.0
     wall_seconds: float = 0.0
     outputs: int = 0
@@ -113,12 +114,11 @@ class Worker:
     def __init__(self, device: int, task: Task, graph: ir.ModelGraph,
                  profile: DeviceProfile,
                  inbox_capacity: int = DEFAULT_INBOX_CAPACITY,
-                 param_override=None, batch: Optional[Batch] = None):
+                 batch: Optional[Batch] = None):
         self.device = device
         self.graph = graph
         self.profile = profile
         self.inbox = BoundedInbox(capacity=inbox_capacity)
-        self.param_override = param_override
         # Where the executor records its firings; every task this worker
         # adopts records into the same batch.
         self.batch = batch if batch is not None else Batch()
@@ -141,8 +141,7 @@ class Worker:
         self.task = task
         split = task.split
         part = (split.origin, split.rows[0], split.rows[1]) if split else None
-        self.executor = TaskExecutor(self.graph, owned=task.layers, part=part,
-                                     param_override=self.param_override, batch=self.batch)
+        self.executor = TaskExecutor(self.graph, owned=task.layers, part=part, batch=self.batch)
         if handoff:
             self.executor.mark_handoff()
         self.price = costs.price_task(self.graph, task.resident_groups or (task.layers,),
@@ -270,11 +269,12 @@ class ClusterCore:
     and ``_output(worker, emission, path, t)``, where ``t`` is the
     sender's clock.  Every worker records its firings in ``batch``, or
     in its own batch when ``batch`` is None; ``_consume`` is where a
-    transport that needs the values at once flushes.
+    transport that needs the values at once flushes.  The workers
+    compute with the graph's shared weights (``engine.shared_params``).
     """
 
     def __init__(self, aset: AssignmentSet, n: int, inbox_capacity: int,
-                 param_override, batch: Optional[Batch] = None):
+                 batch: Optional[Batch] = None):
         self.assignment = aset.for_devices(n)
         self.graph = aset.graph
         self.profile = aset.device
@@ -290,7 +290,7 @@ class ClusterCore:
                 raise RuntimeFault(f"edge {e.layer!r} {e.producer_device} -> "
                                    f"{e.consumer_device} names a device with no task")
         self.workers: dict[int, Worker] = {
-            d: Worker(d, task, self.graph, self.profile, inbox_capacity, param_override, batch)
+            d: Worker(d, task, self.graph, self.profile, inbox_capacity, batch)
             for d, task in tasks.items()
         }
         if not self.workers:
@@ -405,23 +405,21 @@ class VirtualCluster(ClusterCore):
     """Deterministic in-process cluster under a virtual clock.
 
     On top of the core it keeps the event heap, modeled link latency
-    (``comm``, the plan's by default), blocking sends into bounded
-    inboxes with almost-full signals, the camera feed's pacing and
-    master-driven role rotation.  All workers record
-    their firings in one ``batch``; ``outputs`` holds ``Pending`` values
-    until it is flushed.
+    (``comm``, the link model the plan was priced with), blocking sends
+    into bounded inboxes with almost-full signals, the camera feed's
+    pacing and master-driven role rotation.  Every frame between devices
+    goes through ``_send``, which charges its link latency, and arrives
+    through ``_deliver``.  All workers record their firings in one
+    ``batch``; ``outputs`` holds ``Pending`` values until it is flushed.
     """
 
     def __init__(self, aset: AssignmentSet, n: int,
-                 inbox_capacity: int = DEFAULT_INBOX_CAPACITY,
-                 param_override=None,
-                 comm: Optional[CommModel] = None):
+                 inbox_capacity: int = DEFAULT_INBOX_CAPACITY):
         self.batch = Batch()
-        super().__init__(aset, n, inbox_capacity, param_override, self.batch)
-        self.comm = comm or aset.comm
+        super().__init__(aset, n, inbox_capacity, self.batch)
+        self.comm = aset.comm
         self.master = min(self.workers)
         self.iptable = self._role_table(version=1)
-        self.routing_drops = 0
         self.setup_seconds = max(w.setup_load_seconds() for w in self.workers.values())
         self.last_reassign_reloads = 0
 
@@ -475,9 +473,6 @@ class VirtualCluster(ClusterCore):
 
     def _send(self, src: int, msg: Message, dst: int, t: float) -> None:
         msg.source = src
-        if dst not in self.workers:
-            self.routing_drops += 1
-            return
         latency = comm_latency(msg.payload_bytes(), self.comm)
         path = dict(msg.meta.get("path", _zero_path()))
         path["comm"] += latency
@@ -493,11 +488,22 @@ class VirtualCluster(ClusterCore):
 
     def _deliver(self, t: float, dst: int, msg: Message) -> None:
         """A message sent by ``_send`` arrives at ``dst``."""
-        if msg.kind != Kind.DATA:
-            self._control(t, dst, msg)
+        if msg.kind == Kind.DATA:
+            self._in_flight[dst] -= 1
+            self._offer(t, dst, msg)
             return
-        self._in_flight[dst] -= 1
-        self._offer(t, dst, msg)
+        w = self.workers[dst]
+        if msg.kind == Kind.ALMOST_FULL:
+            if w.owns_source:
+                # Every source replica upstream hears of the crossing; the
+                # recorder halves its rate once for it.
+                if msg.meta["crossing"] != self._slowed_crossing:
+                    self._slowed_crossing = msg.meta["crossing"]
+                    self.recorder().slow_down(t)
+            else:
+                w.throttled_until = max(w.throttled_until, t + THROTTLE_SECONDS)
+        elif msg.kind == Kind.SKIP:
+            self._on_skip(w, msg, t)
 
     def _offer(self, t: float, dst: int, msg: Message) -> None:
         """Queue a data frame in the inbox of ``dst`` and schedule it."""
@@ -533,26 +539,8 @@ class VirtualCluster(ClusterCore):
     def _signal_almost_full(self, t: float, device: int) -> None:
         self._crossings += 1
         for pred in self._preds[device]:
-            note = Message(kind=Kind.ALMOST_FULL, source=device,
-                           meta={"crossing": self._crossings})
-            self._schedule(t + comm_latency(note.payload_bytes(), self.comm),
-                           self._control, pred, note)
-
-    def _control(self, t: float, dst: int, msg: Message) -> None:
-        """A control frame reaches worker ``dst``: ``_send`` drops unknown
-        destinations and ``_preds`` holds only workers."""
-        w = self.workers[dst]
-        if msg.kind == Kind.ALMOST_FULL:
-            if w.owns_source:
-                # Every source replica upstream hears of the crossing; the
-                # recorder halves its rate once for it.
-                if msg.meta["crossing"] != self._slowed_crossing:
-                    self._slowed_crossing = msg.meta["crossing"]
-                    self.recorder().slow_down(t)
-            else:
-                w.throttled_until = max(w.throttled_until, t + THROTTLE_SECONDS)
-        elif msg.kind == Kind.SKIP:
-            self._on_skip(w, msg, t)
+            note = Message(kind=Kind.ALMOST_FULL, meta={"crossing": self._crossings})
+            self._send(device, note, pred, t)
 
     def _process(self, t: float, device: int, token: int) -> None:
         """A wake-up of ``device``: take one item from its inbox if it is
@@ -697,13 +685,14 @@ class VirtualCluster(ClusterCore):
 TRANSPORTS = ("in_process", "loopback_sockets")
 
 
-def start_cluster(aset: AssignmentSet, n: int, transport: str = "in_process", **kw):
+def start_cluster(aset: AssignmentSet, n: int, transport: str = "in_process",
+                  inbox_capacity: int = DEFAULT_INBOX_CAPACITY):
     """Bring up one worker per device with role table v1 in place."""
     if transport == "in_process":
-        return VirtualCluster(aset, n, **kw)
+        return VirtualCluster(aset, n, inbox_capacity)
     if transport == "loopback_sockets":
         from edgeflock.loopback import LoopbackCluster
-        return LoopbackCluster(aset, n, **kw)
+        return LoopbackCluster(aset, n, inbox_capacity)
     raise RuntimeFault(f"unknown transport {transport!r}")
 
 
@@ -745,7 +734,6 @@ def run_stream(cluster: VirtualCluster, frames: Iterable[np.ndarray], fps: float
     metrics.setup_seconds = cluster.setup_seconds
     metrics.per_device_busy_seconds = {d: w.busy_seconds for d, w in cluster.workers.items()}
     metrics.drops = sum(w.sample_drops for w in cluster.workers.values())
-    metrics.routing_drops = cluster.routing_drops
     metrics.kept_raw_indices = [i - base for i in recorder.kept_raw[n_kept:]]
     if completions:
         paths = [p for _t, _tag, p in completions]

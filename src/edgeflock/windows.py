@@ -84,11 +84,12 @@ class BoundedInbox:
     ``offer`` refuses items beyond capacity (occupancy can never exceed
     it).  Crossing the watermark arms ``should_signal``; the owner sends
     one almost-full notice per crossing and re-arms after draining below
-    the threshold.
+    the threshold, ``almost_full_threshold``: 80% of the capacity, at
+    least 1.
     """
 
     capacity: int
-    almost_full_threshold: int = 0
+    almost_full_threshold: int = field(init=False)
     items: list = field(default_factory=list)
     rejected: int = 0
     peak_occupancy: int = 0
@@ -97,8 +98,7 @@ class BoundedInbox:
     def __post_init__(self):
         if self.capacity < 1:
             raise WindowError("inbox capacity must be >= 1")
-        if self.almost_full_threshold <= 0:
-            self.almost_full_threshold = max(1, (self.capacity * 8) // 10)
+        self.almost_full_threshold = max(1, (self.capacity * 8) // 10)
 
     @property
     def occupancy(self) -> int:

@@ -55,7 +55,7 @@ def test_criterion_1_oracle_equivalence():
     runs = 0
     for model in ("two_stream", "alexnet", "vgg16"):
         rep = verify(model, ALL_N, scale=0.125, seeds=(1, 2, 3),
-                     n_frames=frames[model], raise_on_mismatch=False)
+                     n_frames=frames[model])
         runs += len(rep.entries)
         assert rep.entries, model
         for e in rep.entries:

@@ -7,6 +7,7 @@ in ascending index order; kernel outputs must match them bit for bit.
 import hashlib
 import itertools
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -457,16 +458,17 @@ class TestKernelContract:
         for xs, ws in ((x, w), (x.astype(np.float64), np.asfortranarray(w))):
             assert forward_conv(xs, LayerParams(w=ws, b=b)).tobytes() == want
 
-    def test_fortran_order_override_weights_give_the_reference(self):
+    def test_fortran_order_override_weights_give_the_reference(self, monkeypatch):
         g = build_model("two_stream", 1 / 32, seed=7)
         frames = make_clip(g, frames_needed(g, 3), seed=11)
         ref = run_reference(g, {g.inputs[0]: frames})
+        shared = engine.shared_params
 
-        def fortran(name, params):
-            if params.w is not None:
-                params.w = np.asfortranarray(params.w)
-            return params
-        ex = engine.TaskExecutor(g, param_override=fortran)
+        def fortran(graph, name):
+            p = shared(graph, name)
+            return p if p.w is None else replace(p, w=np.asfortranarray(p.w))
+        monkeypatch.setattr(engine, "shared_params", fortran)
+        ex = engine.TaskExecutor(g)
         got = {}
         for tag, frame in enumerate(frames):
             for em in ex.push(g.inputs[0], tag, frame):

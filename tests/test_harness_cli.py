@@ -1,17 +1,20 @@
 """Harness reports and the command-line surface."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import edgeflock.engine as engine
 from edgeflock import harness
 from edgeflock.cli import main, _parse_ns
 from edgeflock.harness import bench, frames_needed, load_model, plan_for, verify
 from edgeflock.model_ir import build_model
 from edgeflock.planner import AssignmentSet, render_plan
+from edgeflock.runtime import start_cluster
 
 
 class TestHarness:
@@ -21,15 +24,33 @@ class TestHarness:
         text = rep.render()
         assert "all exact" in text and "n= 5" in text
 
-    def test_verify_mismatch_raises_with_location(self):
-        def corrupt(name, params):
-            if name == "fc_d3":
-                params.b = params.b.copy()
-                params.b[0] += np.float32(1.0)
-            return params
-        with pytest.raises(harness.VerifyMismatch, match="n=2"):
-            verify("two_stream", [2], scale=0.125, seeds=(1,), n_frames=26,
-                   param_override=corrupt, raise_on_mismatch=True)
+    def test_verify_mismatch_marks_the_entry(self, monkeypatch):
+        """Weights corrupted on the cluster only: the report marks n=2 not
+        exact and renders a mismatch."""
+        shared = engine.shared_params
+        reference = harness.run_reference
+
+        def corrupt(graph, name):
+            p = shared(graph, name)
+            if name != "fc_d3":
+                return p
+            b = p.b.copy()
+            b[0] += np.float32(1.0)
+            return replace(p, b=b)
+
+        def clean_reference(graph, inputs):
+            engine.shared_params = shared
+            try:
+                return reference(graph, inputs)
+            finally:
+                engine.shared_params = corrupt
+        monkeypatch.setattr(engine, "shared_params", corrupt)
+        monkeypatch.setattr(harness, "run_reference", clean_reference)
+        rep = verify("two_stream", [2], scale=0.125, seeds=(1,), n_frames=26)
+        assert [(e.devices, e.exact) for e in rep.entries] == [(2, False)]
+        assert rep.entries[0].max_abs_diff > 0 and not rep.ok
+        text = rep.render()
+        assert "[FAIL] two_stream seed=1 n= 2" in text and "verify: MISMATCH" in text
 
     @pytest.mark.parametrize("ref_value,got_value,exact", [
         (0.0, -0.0, False),
@@ -148,6 +169,32 @@ class TestCli:
             "run", "--plan", str(out), "--devices", "3", "--frames", "28"])
         assert result.exit_code == 0, result.output
         assert "tagged results" in result.output
+
+    def test_run_models_link_latency_with_the_plan_files_comm(self, tmp_path, monkeypatch):
+        """The in-process run charges the plan file's comm: a zeroed comm
+        block gives a run without link latency."""
+        import edgeflock.cli as cli
+        clusters = []
+
+        def keep(*args):
+            clusters.append(start_cluster(*args))
+            return clusters[-1]
+        monkeypatch.setattr(cli, "start_cluster", keep)
+        doc = json.loads(plan_for(load_model("two_stream", 0.03125, 1), 3).to_json())
+        stock = tmp_path / "stock.json"
+        stock.write_text(json.dumps(doc))
+        doc["comm"] = {k: 0.0 for k in doc["comm"]}
+        zero = tmp_path / "zero.json"
+        zero.write_text(json.dumps(doc))
+        for plan in (stock, zero):
+            result = CliRunner().invoke(main, ["run", "--plan", str(plan), "--devices", "3",
+                                               "--frames", "30"])
+            assert result.exit_code == 0, result.output
+        assert "'comm': 0.0" in result.output
+        on_stock, on_zero = clusters
+        assert len(on_stock.completions) == len(on_zero.completions) > 0
+        assert all(path["comm"] > 0 for _t, _tag, path in on_stock.completions)
+        assert all(path["comm"] == 0 for _t, _tag, path in on_zero.completions)
 
     @pytest.mark.parametrize("devices", ["5", "0"])
     def test_run_outside_the_plan_is_plan_infeasible(self, tmp_path, devices):

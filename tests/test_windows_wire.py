@@ -86,7 +86,8 @@ class TestBoundedInbox:
         assert box.peak_occupancy == 10
 
     def test_signal_fires_once_per_crossing(self):
-        box = BoundedInbox(capacity=10, almost_full_threshold=8)
+        box = BoundedInbox(capacity=10)
+        assert box.almost_full_threshold == 8
         signals = 0
         for i in range(9):
             box.offer(i)
