@@ -12,19 +12,24 @@ The conv and fc kernels read weights tap-major: (taps, filters) for
 conv in (dy, dx, channel) tap order, (inputs, outputs) for fc.  Shared
 (frozen) weights are held once, in that layout, and ``LayerParams.w`` is
 a view of it in the (filters, kh, kw, c) or (outputs, inputs) shape.
-Each kernel exists twice, with the same bits: compiled C and numpy.
+``freeze`` also takes, once, the addresses the compiled kernels are
+passed.  Each kernel exists twice, with the same bits: compiled C and
+numpy.
 
 ``_kernels.c`` is compiled when this module is imported, with the C
 compiler that built Python if it is on PATH and else ``cc``, at ``-O3
 -ffp-contract=off -march=native`` (without ``-march=native`` if the
 compiler rejects it), and loaded through ``ctypes``.  Its loops add the
 products of each sum one after another in ascending tap order and run
-side by side only across independent outputs: positions and filters for
-conv, output rows for fc.  ``-ffp-contract=off`` is required, as a fused
-multiply-add would add the product unrounded and change the last bit of
-a sum; no flag that lets the compiler reassociate a sum (``-Ofast``,
-``-ffast-math``) is used.  Without a working compiler, or if the compile
-or the load fails, the numpy kernels run.
+side by side only across independent outputs: filters for conv, output
+rows for fc.  The compiled conv reads its taps in place from a
+zero-padded (frames, h, w, c) copy of its batch, where the taps (dx,
+channel) of one kernel row at one position are ``kw * c`` contiguous
+floats; it builds no patch matrix.  ``-ffp-contract=off`` is required,
+as a fused multiply-add would add the product unrounded and change the
+last bit of a sum; no flag that lets the compiler reassociate a sum
+(``-Ofast``, ``-ffast-math``) is used.  Without a working compiler, or
+if the compile or the load fails, the numpy kernels run.
 
 The numpy kernels pin the order with numpy alone (no BLAS, ``matmul``
 or ``einsum``, none of which fixes an order).  A kernel multiplies a
@@ -38,8 +43,8 @@ takes an explicit running sum (``np.add.accumulate``).  Conv products,
 and fc products whose rows (the call's outputs) hold at least
 ``_SMALL_BUFSIZE`` elements, are multiplied under that small ufunc
 buffer size, which changes how numpy stages operands but never the
-order of a sum.  ``im2col`` writes each conv input into a zero-filled
-buffer that holds its padding, so every padded tap is +0.0.
+order of a sum.  Either conv writes its input into a zero-filled buffer
+that holds its padding, so every padded tap is +0.0.
 
 The streaming ``TaskExecutor`` consumes tagged items and drives layers
 ordered by the graph topology; windowed layers (flow stacking, temporal
@@ -62,9 +67,10 @@ graph topological order, one group per (executor, layer), whatever tags
 a group holds.  conv, relu, norm and maxpool take a group as one
 (tags, ...) batch, and pyramids run once per group, on one (windows,
 items, size) batch; fc, softmax, concat and shard assembly run once per
-tag, and flow stacks once per window.  ``im2col`` lays the positions of
+tag, and flow stacks once per window.  The compiled conv takes a group
+in one call.  On the numpy kernels ``im2col`` lays the positions of
 several frames side by side in one patch matrix, at most
-``PATCH_BYTES`` of it per matrix; since every output element keeps its
+``PATCH_BYTES`` of it per matrix.  Since every output element keeps its
 own ascending running sum, a frame's outputs do not depend on the
 frames beside it, and with two or more frames no reduced row has a
 single element.  fc stays per tag: over 16 frames of the two_stream fc
@@ -86,7 +92,7 @@ import subprocess
 import sysconfig
 import tempfile
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Optional
 
@@ -115,6 +121,9 @@ class LayerParams:
     var: Optional[np.ndarray] = None
     gamma: Optional[np.ndarray] = None
     beta: Optional[np.ndarray] = None
+    # (w, b, address of w's tap-major matrix, address of b), taken once by
+    # freeze; see _kernel_operands.  dataclasses.replace resets it to None.
+    addresses: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
 
 # float64 values drawn at a time while generating one float32 array.
@@ -180,9 +189,12 @@ def freeze(params: LayerParams) -> LayerParams:
 
     ``w`` is replaced by a view of its tap-major matrix (see
     ``_tap_major``), copied once here unless ``w`` already is such a
-    view, so the kernels read frozen weights without a copy and the
-    weights are held once.
+    view, and ``b`` by a float32 copy unless it is one, so the kernels
+    read frozen weights without a copy and the weights are held once.
+    The addresses of both are taken here, once, for the compiled kernels.
     """
+    if params.b is not None:
+        params.b = _float32(params.b)
     for name in ("w", "b", "mean", "var", "gamma", "beta"):
         arr = getattr(params, name)
         if arr is not None:
@@ -191,6 +203,8 @@ def freeze(params: LayerParams) -> LayerParams:
         wt = _tap_major(params)
         wt.setflags(write=False)
         params.w = wt.T.reshape(params.w.shape)
+        if params.b is not None:
+            params.addresses = (params.w, params.b, wt.ctypes.data, params.b.ctypes.data)
     return params
 
 
@@ -210,10 +224,11 @@ _ZERO = np.float32(0)
 
 # A batch computes at most RUN_TAGS firings of one (executor, layer) in
 # one group, and fewer when one layer's outputs (or stacked inputs) over
-# all executors would exceed RUN_BYTES (never fewer than one); a conv
-# lays a batch of frames into patch matrices of at most PATCH_BYTES (a
-# matrix of a single frame may exceed it).  On two_stream at 1/32 and
-# 1/8, groups of 16 tags and 2 MiB matrices made the reference about
+# all executors would exceed RUN_BYTES (never fewer than one).  The
+# numpy conv lays a batch of frames into patch matrices of at most
+# PATCH_BYTES (a matrix of a single frame may exceed it); the compiled
+# conv builds none.  On two_stream at 1/32 and 1/8, with the numpy
+# kernels, groups of 16 tags and 2 MiB matrices made the reference about
 # 1.5x faster and grew peak RSS by under 2 MiB; the whole clip in one
 # uncapped group was no faster and grew it from 46 to 120 MiB and from
 # 63 to 85 MiB.  Without RUN_BYTES, groups of vgg16 and alexnet at 1/8,
@@ -224,7 +239,8 @@ RUN_BYTES = 2 << 20
 PATCH_BYTES = 2 << 20
 
 # Upper bounds, in float32 elements, of one block of products (1 MiB) and
-# of the conv sums it is added into (256 KiB); both stay in a core's L2.
+# of the conv sums it is added into (256 KiB), in the numpy kernels; both
+# stay in a core's L2.
 # Chosen from timings of every conv and fc shape of the stock models at
 # scale 1/8 on a 2-vCPU Xeon with 2 MiB of L2 per core: each shape ran
 # within 10% of its best over blocks of 1/2-4 MiB and sums of 64 KiB-1 MiB.
@@ -281,9 +297,10 @@ def _load_kernels() -> Optional[ctypes.CDLL]:
     except (OSError, subprocess.TimeoutExpired):
         return None
     ptr, size = ctypes.c_void_p, ctypes.c_int64
-    lib.conv_rows.argtypes = (ptr, ptr, ptr, ptr, size, size, size)
+    lib.conv_nhwc.argtypes = (ptr, ptr, ptr, ptr) + (size,) * 10
+    lib.conv_nhwc.restype = ctypes.c_int
     lib.fc_rows.argtypes = (ptr, ptr, ptr, ptr, size, size, size, size)
-    lib.conv_rows.restype = lib.fc_rows.restype = None
+    lib.fc_rows.restype = None
     return lib
 
 
@@ -296,6 +313,22 @@ _KERNELS = _load_kernels()
 def _float32(a: np.ndarray) -> np.ndarray:
     """``a`` as a C-contiguous float32 array, copied only if it is not one."""
     return np.ascontiguousarray(a, dtype=np.float32)
+
+
+def _kernel_operands(params: LayerParams) -> tuple:
+    """(w, b, address of the tap-major weights, address of the float32
+    bias) for a compiled kernel.  The caller holds the tuple during the
+    call: its two arrays keep both addresses valid.
+
+    The addresses ``freeze`` took serve while ``w`` and ``b`` are still
+    the arrays it froze.  Otherwise the operands are laid out here, and
+    their addresses taken, at every call; an address costs about 2 µs.
+    """
+    kept = params.addresses
+    if kept is None or kept[0] is not params.w or kept[1] is not params.b:
+        wt, b = _tap_major(params), _float32(params.b)
+        kept = (wt, b, wt.ctypes.data, b.ctypes.data)
+    return kept
 
 
 def _running_sum(products: np.ndarray) -> np.ndarray:
@@ -317,22 +350,13 @@ def _conv_rows(patches: np.ndarray, wt: np.ndarray, bias: np.ndarray, out: np.nd
     holds only while a reduced row has at least two elements: with one,
     numpy sums the single column pairwise, which is not ordered.  A
     single filter at a single position therefore takes an explicit
-    running sum (``np.add.accumulate``) instead.  With the compiled
-    kernels loaded, ``conv_rows`` of ``_kernels.c`` computes the same
-    sums.
+    running sum (``np.add.accumulate``) instead.
     """
     taps, positions = patches.shape
     filters = wt.shape[1]
     if wt.shape[0] != taps or bias.shape != (filters,) or out.shape != (positions, filters):
         raise EngineError(f"conv operands disagree: patches {patches.shape}, weights {wt.shape}, "
                           f"bias {bias.shape}, output {out.shape}")
-    if _KERNELS is not None:
-        if not (out.dtype == np.float32 and out.flags.c_contiguous and out.flags.writeable):
-            raise EngineError("conv output must be a writable C-contiguous float32 array")
-        patches, wt, bias = _float32(patches), _float32(wt), _float32(bias)
-        _KERNELS.conv_rows(patches.ctypes.data, wt.ctypes.data, bias.ctypes.data, out.ctypes.data,
-                           taps, positions, filters)
-        return
     if filters * positions == 1:
         np.add(_running_sum(patches[:, 0] * wt[:, 0]), bias, out=out[0])
         return
@@ -382,20 +406,20 @@ def forward_fc(x: np.ndarray, params: LayerParams, rows: Optional[tuple[int, int
     the same sums.
     """
     x = _float32(x).reshape(-1)
-    wt, b = _tap_major(params), _float32(params.b)
-    lo, hi = (0, b.size) if rows is None else rows
-    if rows is not None and not 0 <= lo < hi <= b.size:
-        raise EngineError(f"fc row range {rows} is empty or outside [0, {b.size})")
-    if wt.shape[0] != x.size:
-        raise EngineError(f"fc input size {x.size} != weight columns {wt.shape[0]}")
-    if wt.shape[1] != b.size:
-        raise EngineError(f"fc bias size {b.size} != weight rows {wt.shape[1]}")
+    outputs, inputs, size = params.w.shape[0], math.prod(params.w.shape[1:]), params.b.size
+    lo, hi = (0, size) if rows is None else rows
+    if rows is not None and not 0 <= lo < hi <= size:
+        raise EngineError(f"fc row range {rows} is empty or outside [0, {size})")
+    if inputs != x.size:
+        raise EngineError(f"fc input size {x.size} != weight columns {inputs}")
+    if outputs != size:
+        raise EngineError(f"fc bias size {size} != weight rows {outputs}")
     if _KERNELS is not None:
+        operands = _kernel_operands(params)
         out = np.empty(hi - lo, dtype=np.float32)
-        _KERNELS.fc_rows(x.ctypes.data, wt.ctypes.data, b.ctypes.data, out.ctypes.data,
-                         x.size, b.size, lo, hi)
+        _KERNELS.fc_rows(x.ctypes.data, operands[2], operands[3], out.ctypes.data, x.size, size, lo, hi)
         return out
-    wt, b = wt[:, lo:hi], b[lo:hi]
+    wt, b = _tap_major(params)[:, lo:hi], _float32(params.b)[lo:hi]
     if wt.shape[1] == 1:
         return _running_sum(wt[:, 0] * x) + b
     step = max(1, _BLOCK // wt.shape[1])
@@ -416,6 +440,8 @@ def forward_fc(x: np.ndarray, params: LayerParams, rows: Optional[tuple[int, int
 
 def _conv_extent(h: int, w: int, kh: int, kw: int, stride: int, padding: str):
     """((top, bottom, left, right) padding, (out_h, out_w)) of a conv."""
+    if stride < 1:
+        raise EngineError(f"conv stride {stride} is not positive")
     if padding == "same":
         ph = max((-(-h // stride) - 1) * stride + kh - h, 0)
         pw = max((-(-w // stride) - 1) * stride + kw - w, 0)
@@ -456,11 +482,14 @@ def forward_conv(x: np.ndarray, params: LayerParams, stride: int = 1, padding: s
     """2-D cross-correlation per filter plus bias, zero same-padding.
 
     ``x`` is one (h, w, c) frame or a (frames, h, w, c) batch, and the
-    result has the same rank.  A batch is laid into as few patch
-    matrices of even numbers of frames as keep each within
-    ``PATCH_BYTES`` (or holding one frame).  Matches a
-    naive six-loop implementation on each frame bit-for-bit: taps
-    accumulate in (dy, dx, channel) order, bias added last.
+    result has the same rank.  Matches a naive six-loop implementation on
+    each frame bit-for-bit: taps accumulate in (dy, dx, channel) order,
+    bias added last.  With the compiled kernels loaded, the batch is
+    copied once into a zero-filled (frames, h, w, c) array that holds
+    the padding, and ``conv_nhwc`` of ``_kernels.c`` reads its taps
+    there in place.  Otherwise the batch is laid into as few ``im2col``
+    patch matrices of even numbers of frames as keep each within
+    ``PATCH_BYTES`` (or holding one frame), for ``_conv_rows``.
     """
     x = np.asarray(x, dtype=np.float32)
     if x.ndim not in (3, 4):
@@ -470,11 +499,24 @@ def forward_conv(x: np.ndarray, params: LayerParams, stride: int = 1, padding: s
     f, kh, kw, kc = params.w.shape
     if kc != c:
         raise EngineError(f"conv input channels {c} != kernel channels {kc}")
-    _pads, (oh, ow) = _conv_extent(h, w, kh, kw, stride, padding)
+    if params.b.shape != (f,):
+        raise EngineError(f"conv bias shape {params.b.shape} != ({f},)")
+    (pt, pb, pl, pr), (oh, ow) = _conv_extent(h, w, kh, kw, stride, padding)
+    out = np.empty((n, oh, ow, f), dtype=np.float32)
+    if _KERNELS is not None:
+        if pt + pb + pl + pr:
+            xp = np.zeros((n, h + pt + pb, w + pl + pr, c), dtype=np.float32)
+            xp[:, pt:pt + h, pl:pl + w] = batch
+        else:
+            xp = _float32(batch)
+        operands = _kernel_operands(params)
+        if _KERNELS.conv_nhwc(xp.ctypes.data, operands[2], operands[3], out.ctypes.data,
+                              n, xp.shape[1], xp.shape[2], c, kh, kw, stride, oh, ow, f):
+            raise MemoryError("conv_nhwc could not allocate its padded tail weights")
+        return out if x.ndim == 4 else out[0]
+    wt = _tap_major(params)
     # Even groups of frames, each within the cap.
     groups = -(-n // max(1, PATCH_BYTES // (kh * kw * c * oh * ow * 4)))
-    wt = _tap_major(params)
-    out = np.empty((n, oh, ow, f), dtype=np.float32)
     for g in range(groups):
         i0, i1 = n * g // groups, n * (g + 1) // groups
         patches, _extent = im2col(batch[i0:i1], kh, kw, stride, padding)

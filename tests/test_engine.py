@@ -133,6 +133,9 @@ ZERO_SHARES = st.sampled_from([0.0, 0.3, 1.0])
 NEG_ZEROS = st.sampled_from([0.0, 0.5, 1.0])
 # zero_borders argument that leaves the input as it is
 NO_BORDERS = ((0, 0, 0, 0), (False,) * 4)
+# Filter counts that reach every tier of the compiled conv (32, 16 and 8
+# filters, and a zero-padded tail) alone and together.
+FILTERS = st.sampled_from([1, 3, 5, 8, 12, 16, 24, 33, 48, 59])
 
 
 @st.composite
@@ -153,7 +156,7 @@ def conv_cases(draw):
     kh, kw = draw(st.integers(1, min(4, top[0]))), draw(st.integers(1, min(4, top[1])))
     borders = (tuple(draw(st.integers(0, n)) for n in (h, h, wd, wd)),
                tuple(draw(st.booleans()) for _ in range(4)))
-    return (h, wd, draw(st.integers(1, 3)), draw(st.integers(1, 4)), kh, kw,
+    return (h, wd, draw(st.integers(1, 20)), draw(FILTERS), kh, kw,
             draw(st.integers(1, 3)), padding, draw(st.integers(0, 2**31 - 1)),
             draw(ZERO_SHARES), draw(NEG_ZEROS), borders, draw(BLOCK_SIZES),
             draw(ACC_SIZES))
@@ -250,6 +253,13 @@ class TestConv:
     # stride-4 "valid" with an 11x11 kernel, the shape class of alexnet conv_1
     @example((15, 19, 3, 2, 11, 11, 4, "valid", 6, 0.3, 0.5, ((1, 2, 2, 1), (True, True, False, True)),
               engine._BLOCK, engine._ACC))
+    # ... with its 12 filters: 8 and a zero-padded tail of 4
+    @example((23, 27, 3, 12, 11, 11, 4, "valid", 7, 0.3, 0.5, ((1, 2, 2, 1), (True, True, False, True)),
+              engine._BLOCK, engine._ACC))
+    # 15 positions, not a multiple of the 8 a compiled tile sums at once,
+    # and 59 filters: 32, 16, 8 and a tail of 3
+    @example((5, 3, 20, 59, 3, 3, 1, "same", 8, 0.3, 0.5, ((1, 0, 0, 1), (True, False, False, True)),
+              engine._BLOCK, engine._ACC))
     @settings(max_examples=60, deadline=None)
     def test_matches_oracle_on_any_shape(self, case):
         h, wd, c, f, kh, kw, stride, padding, seed, zeros, neg, borders, block, acc = case
@@ -269,6 +279,9 @@ class TestConv:
     # stride-4 "valid" with an 11x11 kernel, split into one frame per matrix
     @example((15, 19, 3, 2, 11, 11, 4, "valid", 6, 0.3, 0.5, ((1, 2, 2, 1), (True, True, False, True)),
               engine._BLOCK, engine._ACC), 4, 200)
+    # 3 frames of 15 positions, 45 in all, and 24 filters: 16 and 8
+    @example((5, 3, 7, 24, 3, 3, 1, "same", 9, 0.3, 0.5, ((0, 1, 1, 0), (True,) * 4),
+              engine._BLOCK, engine._ACC), 3, engine.PATCH_BYTES)
     # one filter with a 1x1 output: a running sum alone, a reduction in a batch
     @example((4, 4, 3, 1, 4, 4, 1, "valid", 0, 0.0, 0.5, NO_BORDERS, engine._BLOCK, engine._ACC),
              1, engine.PATCH_BYTES)
@@ -414,11 +427,12 @@ class TestKernelContract:
 
     def test_conv_rounds_each_product(self):
         # a 1x1 conv over two channels sums the same two products; 9x9
-        # positions and 5 filters span full blocks and tails of both
+        # positions and 59 filters (32, 16, 8 and a tail of 3) span full
+        # blocks and tails of both on either backend
         x = np.broadcast_to(np.array([-1, ONE_PLUS], np.float32), (9, 9, 2))
-        w = np.broadcast_to(np.array([1, ONE_PLUS], np.float32), (5, 1, 1, 2))
-        out = forward_conv(x, LayerParams(w=w.copy(), b=np.zeros(5, np.float32)))
-        assert out.tobytes() == np.full((9, 9, 5), 2.0**-11, np.float32).tobytes()
+        w = np.broadcast_to(np.array([1, ONE_PLUS], np.float32), (59, 1, 1, 2))
+        out = forward_conv(x, LayerParams(w=w.copy(), b=np.zeros(59, np.float32)))
+        assert out.tobytes() == np.full((9, 9, 59), 2.0**-11, np.float32).tobytes()
 
     @pytest.mark.parametrize("rows", [(3, 3), (5, 2), (-1, 2), (0, 9), (8, 9)])
     def test_fc_rejects_empty_or_outside_rows(self, rows):
@@ -855,13 +869,16 @@ class TestRuns:
         assert got == single
 
     def test_reference_runs_and_patch_matrices_stay_under_their_caps(self, monkeypatch):
+        """Batch groups keep to RUN_TAGS and RUN_BYTES on whichever kernels
+        loaded.  The compiled conv lays out no patch matrix; the numpy
+        kernels' matrices keep to PATCH_BYTES."""
         groups, calls = [], []
         compute, lay_out = engine.TaskExecutor._compute, engine.im2col
 
         def compute_spy(ex, name, assembly, firings):
             # a batched group counts its stacked inputs too
             nbytes = 4 * sum(max(p.size, np.asarray(p.args).size) for p in firings) \
-                if g.layer(name).kind in ("conv", "relu", "norm", "maxpool") \
+                if ex.graph.layer(name).kind in ("conv", "relu", "norm", "maxpool") \
                 else 4 * sum(p.size for p in firings)
             groups.append((name, len(firings), nbytes))
             return compute(ex, name, assembly, firings)
@@ -872,17 +889,24 @@ class TestRuns:
             return patches, extent
         monkeypatch.setattr(engine.TaskExecutor, "_compute", compute_spy)
         monkeypatch.setattr(engine, "im2col", im2col_spy)
-        # layer inputs or outputs of at most 24 KiB, 0.6 MB and 1.6 MB a frame
-        for model, scale, n, longest in (("two_stream", 1 / 8, 40, engine.RUN_TAGS),
-                                         ("alexnet", 1 / 8, 8, 3), ("vgg16", 1 / 8, 2, 1)):
-            g = build_model(model, scale, seed=1)
-            groups.clear()
-            run_reference(g, {g.inputs[0]: make_clip(g, n, 1)})
-            assert max(size for _, size, _ in groups) == longest
-            first = g.consumers(g.inputs[0])[0]
-            assert sum(size for name, size, _ in groups if name == first) == n
-            assert all(size <= engine.RUN_TAGS for _, size, _ in groups)
-            assert all(size == 1 or nbytes <= engine.RUN_BYTES for _, size, nbytes in groups)
+
+        def reference_runs():
+            # layer inputs or outputs of at most 24 KiB, 0.6 MB and 1.6 MB a frame
+            for model, scale, n, longest in (("two_stream", 1 / 8, 40, engine.RUN_TAGS),
+                                             ("alexnet", 1 / 8, 8, 3), ("vgg16", 1 / 8, 2, 1)):
+                g = build_model(model, scale, seed=1)
+                groups.clear()
+                run_reference(g, {g.inputs[0]: make_clip(g, n, 1)})
+                assert max(size for _, size, _ in groups) == longest
+                first = g.consumers(g.inputs[0])[0]
+                assert sum(size for name, size, _ in groups if name == first) == n
+                assert all(size <= engine.RUN_TAGS for _, size, _ in groups)
+                assert all(size == 1 or nbytes <= engine.RUN_BYTES for _, size, nbytes in groups)
+        reference_runs()
+        if engine._KERNELS is not None:
+            assert calls == []
+            monkeypatch.setattr(engine, "_KERNELS", None)
+            reference_runs()
         assert all(frames == 1 or nbytes <= engine.PATCH_BYTES for frames, nbytes in calls)
         assert max(frames for frames, _ in calls) == engine.RUN_TAGS
 
