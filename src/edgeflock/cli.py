@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: plan, verify, run, bench, profile.  Exit codes: 0 success,
-1 verification failure, 2 planning infeasible or a usage error (click's
-own, for a bad option value such as a malformed ``--devices`` list),
-3 runtime fault.
+1 verification failure, 2 planning infeasible, an invalid model or a
+usage error (click's own, for a bad option value or an input file that
+cannot be read or decoded), 3 runtime fault.  The command group maps
+the typed failures to these codes once, for every command.
 """
 
 from __future__ import annotations
@@ -17,23 +18,35 @@ import click
 
 from edgeflock import harness
 from edgeflock.costs import CommModel, DeviceProfile, measure_host_profile, profiles_from_json, profiles_to_json
+from edgeflock.model_ir import MODEL_NAMES, GraphError
 from edgeflock.planner import AssignmentSet, PlanError, render_plan
-from edgeflock.runtime import TRANSPORTS, RuntimeFault, run_stream, start_cluster
+from edgeflock.runtime import TRANSPORTS, RuntimeFault
 
 EXIT_VERIFY_FAILED = 1
 EXIT_PLAN_INFEASIBLE = 2
 EXIT_RUNTIME_FAULT = 3
 
 
-def _profiles(profile_file) -> tuple[DeviceProfile, CommModel]:
-    if profile_file:
-        return profiles_from_json(Path(profile_file).read_text())
-    return DeviceProfile(), CommModel()
+def _model_spec(ctx, param, spec: str) -> str:
+    if spec not in MODEL_NAMES and not Path(spec).is_file():
+        raise click.BadParameter(f"{spec!r} is neither a stock model {MODEL_NAMES} nor a file")
+    return spec
+
+
+def _decoded(parse, default=None):
+    """A click callback that decodes the file an option names with
+    ``parse``; ``click.BadParameter`` when it cannot be read or decoded."""
+    def callback(ctx, param, path):
+        try:
+            return parse(Path(path).read_text()) if path else default
+        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise click.BadParameter(f"cannot decode {path}: {type(exc).__name__}: {exc}") from None
+    return callback
 
 
 def _parse_ns(text: str) -> list[int]:
     """Device counts from a list like ``1-4,8``; ``click.BadParameter``
-    when it is malformed or names none."""
+    when it is malformed, names none or names a count below 1."""
     out = []
     try:
         for part in text.split(","):
@@ -48,35 +61,54 @@ def _parse_ns(text: str) -> list[int]:
                                  param_hint="'--devices'") from None
     if not out:
         raise click.BadParameter(f"{text!r} names no device count", param_hint="'--devices'")
+    if min(out) < 1:
+        raise click.BadParameter(f"{text!r} names a device count below 1", param_hint="'--devices'")
     return sorted(set(out))
 
 
-@click.group()
+class _Main(click.Group):
+    """Maps the typed failures of every command to their exit codes."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except PlanError as exc:
+            click.echo(f"planning infeasible: {exc}", err=True)
+            ctx.exit(EXIT_PLAN_INFEASIBLE)
+        except GraphError as exc:
+            click.echo(f"invalid model: {exc}", err=True)
+            ctx.exit(EXIT_PLAN_INFEASIBLE)
+        except RuntimeFault as exc:
+            click.echo(f"runtime fault: {exc}", err=True)
+            ctx.exit(EXIT_RUNTIME_FAULT)
+
+
+@click.group(cls=_Main)
 def main():
     """Distributed streaming DNN inference for small-device clusters."""
 
 
+_profile_file = click.option("--profile-file", "profiles", type=click.Path(exists=True), default=None,
+                             callback=_decoded(profiles_from_json, (DeviceProfile(), CommModel())))
+
+
 @main.command()
-@click.option("--model", required=True, help="stock model name or model JSON path")
-@click.option("--devices", "n_max", type=int, default=12, show_default=True)
+@click.option("--model", required=True, callback=_model_spec,
+              help="stock model name or model JSON path")
+@click.option("--devices", "n_max", type=click.IntRange(min=1), default=12, show_default=True)
 @click.option("--mem", type=int, default=None, help="per-device memory bytes")
 @click.option("--scale", type=float, default=1.0, show_default=True)
 @click.option("--seed", type=int, default=1, show_default=True)
-@click.option("--profile-file", type=click.Path(exists=True), default=None)
+@_profile_file
 @click.option("--out", type=click.Path(), default=None, help="write the assignment set JSON here")
 @click.option("--table/--no-table", default=True, show_default=True)
-def plan(model, n_max, mem, scale, seed, profile_file, out, table):
+def plan(model, n_max, mem, scale, seed, profiles, out, table):
     """Generate task assignments for 1..N devices."""
-    device, comm = _profiles(profile_file)
+    device, comm = profiles
     if mem is not None:
         # swap_threshold None re-derives the knee from the new memory.
         device = replace(device, mem_bytes=mem, swap_threshold=None)
-    try:
-        graph = harness.load_model(model, scale, seed)
-        aset = harness.plan_for(graph, n_max, device, comm, scale)
-    except PlanError as exc:
-        click.echo(f"planning infeasible: {exc}", err=True)
-        sys.exit(EXIT_PLAN_INFEASIBLE)
+    aset = harness.plan_for(harness.load_model(model, scale, seed), n_max, device, comm, scale)
     if out:
         Path(out).write_text(aset.to_json())
         click.echo(f"wrote {out}")
@@ -85,94 +117,62 @@ def plan(model, n_max, mem, scale, seed, profile_file, out, table):
 
 
 @main.command()
-@click.option("--model", required=True)
+@click.option("--model", required=True, callback=_model_spec)
 @click.option("--devices", default="1-12", show_default=True, help="e.g. 1-12 or 1,5,8")
 @click.option("--scale", type=float, default=harness.DESK_SCALE, show_default=True)
 @click.option("--seed", "seeds", multiple=True, type=int, default=(1, 2, 3), show_default=True)
 @click.option("--frames", type=int, default=None, help="frames per run")
 @click.option("--transport", type=click.Choice(TRANSPORTS),
               default="in_process", show_default=True)
-@click.option("--profile-file", type=click.Path(exists=True), default=None)
-def verify(model, devices, scale, seeds, frames, transport, profile_file):
+@_profile_file
+def verify(model, devices, scale, seeds, frames, transport, profiles):
     """Check distributed outputs exactly equal the reference oracle."""
-    device, comm = _profiles(profile_file)
-    try:
-        report = harness.verify(model, _parse_ns(devices), scale=scale, seeds=seeds,
-                                n_frames=frames, device=device, comm=comm,
-                                transport=transport)
-    except PlanError as exc:
-        click.echo(f"planning infeasible: {exc}", err=True)
-        sys.exit(EXIT_PLAN_INFEASIBLE)
-    except RuntimeFault as exc:
-        click.echo(f"runtime fault: {exc}", err=True)
-        sys.exit(EXIT_RUNTIME_FAULT)
+    device, comm = profiles
+    report = harness.verify(model, _parse_ns(devices), scale=scale, seeds=seeds, n_frames=frames,
+                            device=device, comm=comm, transport=transport)
     click.echo(report.render())
     if not report.ok:
         sys.exit(EXIT_VERIFY_FAILED)
 
 
 @main.command()
-@click.option("--plan", "plan_file", required=True, type=click.Path(exists=True))
+@click.option("--plan", "aset", required=True, type=click.Path(exists=True),
+              callback=_decoded(AssignmentSet.from_json))
 @click.option("--devices", type=int, required=True)
 @click.option("--transport", type=click.Choice(TRANSPORTS),
               default="in_process", show_default=True)
 @click.option("--fps", type=float, default=30.0, show_default=True)
 @click.option("--frames", type=int, default=60, show_default=True)
 @click.option("--seed", type=int, default=1, show_default=True)
-def run(plan_file, devices, transport, fps, frames, seed):
+def run(aset, devices, transport, fps, frames, seed):
     """Execute a planned assignment on a frame stream.
 
     The in-process transport models link latency with the plan file's
     comm block, the link model the plan was priced with; zero it for a
     run without link latency.
     """
-    try:
-        aset = AssignmentSet.from_json(Path(plan_file).read_text())
-        graph = aset.graph
-        clip = harness.make_clip(graph, max(frames, harness.frames_needed(graph, 4)), seed)
-        if transport == "loopback_sockets":
-            expected = len(clip) - graph.first_valid[graph.outputs[0]]
-            cluster = start_cluster(aset, devices, transport)
-            try:
-                outputs = cluster.feed(clip, expected_outputs=expected)
-                metrics = cluster.metrics()
-            finally:
-                cluster.close()
-        else:
-            cluster = start_cluster(aset, devices)
-            outputs, metrics = run_stream(cluster, clip, fps=fps)
-    except PlanError as exc:
-        click.echo(f"planning infeasible: {exc}", err=True)
-        sys.exit(EXIT_PLAN_INFEASIBLE)
-    except RuntimeFault as exc:
-        click.echo(f"runtime fault: {exc}", err=True)
-        sys.exit(EXIT_RUNTIME_FAULT)
+    clip = harness.make_clip(aset.graph, max(frames, harness.frames_needed(aset.graph, 4)), seed)
+    outputs, metrics = harness.stream(aset, devices, clip, transport, fps)
     click.echo(f"outputs: {len(outputs)} tagged results")
-    click.echo(f"ips: {metrics.ips:.3f}  t_forward: {metrics.t_forward_seconds:.3f}s  "
-               f"breakdown: {metrics.breakdown}  drops: {metrics.drops}")
+    if transport == "in_process":
+        click.echo(f"ips: {metrics.ips:.3f}  t_forward: {metrics.t_forward_seconds:.3f}s  "
+                   f"breakdown: {metrics.breakdown}  drops: {metrics.drops}")
 
 
 @main.command()
-@click.option("--model", required=True)
+@click.option("--model", required=True, callback=_model_spec)
 @click.option("--devices", default="1,4,5,8,10,12", show_default=True)
 @click.option("--scale", type=float, default=harness.DESK_SCALE, show_default=True)
 @click.option("--frames", type=int, default=40, show_default=True)
 @click.option("--fps", type=float, default=30.0, show_default=True)
 @click.option("--seed", type=int, default=1, show_default=True)
-@click.option("--profile-file", type=click.Path(exists=True), default=None)
+@_profile_file
 @click.option("--out", type=click.Path(), default=None, help="write machine-readable report")
-def bench(model, devices, scale, frames, fps, seed, profile_file, out):
+def bench(model, devices, scale, frames, fps, seed, profiles, out):
     """Benchmark simulated throughput, latency and energy per device count."""
-    device, comm = _profiles(profile_file)
-    try:
-        report = harness.bench(model, _parse_ns(devices), scale=scale, n_frames=frames,
-                               fps=fps, seed=seed, device=device, comm=comm)
-    except PlanError as exc:
-        click.echo(f"planning infeasible: {exc}", err=True)
-        sys.exit(EXIT_PLAN_INFEASIBLE)
-    except RuntimeFault as exc:
-        click.echo(f"runtime fault: {exc}", err=True)
-        sys.exit(EXIT_RUNTIME_FAULT)
+    device, comm = profiles
+    report = harness.bench(model, _parse_ns(devices), scale=scale, n_frames=frames,
+                           fps=fps, seed=seed, device=device, comm=comm)
     click.echo(report.render())
     if out is None:
         stamp = time.strftime("%Y%m%dT%H%M%SZ", time.gmtime())

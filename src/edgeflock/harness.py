@@ -1,5 +1,7 @@
 """Verification and benchmarking over the planned cluster.
 
+``stream`` drives a fresh cluster of either transport over a clip; it
+is the one run path of ``verify``, ``bench`` and the ``run`` command.
 ``verify`` runs identical seeded inputs through the single-process
 reference and the distributed runtime and demands bitwise equality, tag
 by tag.  ``bench`` drives simulated-latency runs per device count and
@@ -70,6 +72,23 @@ def plan_for(graph: ir.ModelGraph, n_max: int, device: Optional[DeviceProfile] =
     return task_assign(graph, n_max, comm or CommModel(), device, overhead_factor)
 
 
+def stream(aset: AssignmentSet, n: int, frames: np.ndarray, transport: str = "in_process",
+           fps: float = 30.0) -> tuple[dict[int, np.ndarray], RunMetrics]:
+    """Drive a fresh cluster of ``n`` devices over a clip: its outputs by
+    tag and its metrics.  Over loopback sockets the run waits for every
+    sink output of the clip, the metrics count outputs and busy seconds
+    only, and the cluster is closed on the way out."""
+    cluster = start_cluster(aset, n, transport)
+    if transport != "loopback_sockets":
+        return run_stream(cluster, frames, fps=fps)
+    graph = aset.graph
+    try:
+        outputs = cluster.feed(frames, expected_outputs=len(frames) - graph.first_valid[graph.outputs[0]])
+        return outputs, cluster.metrics()
+    finally:
+        cluster.close()
+
+
 @dataclass
 class VerifyEntry:
     model: str
@@ -119,14 +138,7 @@ def verify(model: str, n_list: Iterable[int], scale: float = DESK_SCALE,
         frames = make_clip(graph, n_frames or frames_needed(graph, 4), seed)
         ref = run_reference(graph, {graph.inputs[0]: frames})[graph.outputs[0]]
         for n in n_list:
-            cluster = start_cluster(aset, n, transport)
-            if transport == "loopback_sockets":
-                try:
-                    outs = cluster.feed(frames, expected_outputs=len(ref))
-                finally:
-                    cluster.close()
-            else:
-                outs, _ = run_stream(cluster, frames)
+            outs, _ = stream(aset, n, frames, transport)
             exact = set(outs) == set(ref)
             max_diff = 0.0
             for tag in sorted(ref):
@@ -160,22 +172,7 @@ class BenchReport:
     entries: list[BenchEntry] = field(default_factory=list)
 
     def to_json(self) -> str:
-        doc = {
-            "model": self.model,
-            "scale": self.scale,
-            "entries": [
-                {
-                    "devices": e.devices,
-                    "predicted_ips": e.predicted_ips,
-                    "predicted_t_forward": e.predicted_t_forward,
-                    "simulated": asdict(e.simulated),
-                    "energy": e.energy,
-                    "note": e.note,
-                }
-                for e in self.entries
-            ],
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     def render(self) -> str:
         head = (f"{'n':>3} {'pred ips':>10} {'sim ips':>10} {'t_fwd s':>9} "
@@ -202,7 +199,6 @@ def bench(model: str, n_list: Iterable[int], scale: float = DESK_SCALE,
     """Simulated-latency benchmark across device counts."""
     graph = load_model(model, scale, seed)
     n_list = sorted(set(n_list))
-    device = device or DeviceProfile()
     aset = plan_for(graph, max(n_list), device, comm, scale)
     report = BenchReport(model=model, scale=scale)
     frames = make_clip(graph, max(n_frames, frames_needed(graph, 8)), seed)
@@ -213,13 +209,10 @@ def bench(model: str, n_list: Iterable[int], scale: float = DESK_SCALE,
             predicted_t_forward=aset.assignments[n].predicted.t_forward_seconds,
         )
         try:
-            cluster = start_cluster(aset, n)
-            outputs, metrics = run_stream(cluster, frames, fps=fps)
+            _outputs, metrics = stream(aset, n, frames, fps=fps)
             entry.simulated = metrics
-            entry.energy = costs.energy(
-                metrics.wall_seconds, metrics.per_device_busy_seconds,
-                [cluster.profile] * n,
-            )
+            entry.energy = costs.energy(metrics.wall_seconds, metrics.per_device_busy_seconds,
+                                        [aset.device] * n)
             per_inf = max(metrics.outputs, 1)
             entry.energy["static_per_inference"] = entry.energy["static_joules"] / per_inf
             entry.energy["dynamic_per_inference"] = entry.energy["dynamic_joules"] / per_inf

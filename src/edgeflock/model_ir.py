@@ -150,23 +150,30 @@ class ModelGraph:
 
     @staticmethod
     def from_json(text: str) -> "ModelGraph":
-        doc = json.loads(text)
-        layers = {}
-        for entry in doc["layers"]:
-            spec = LayerSpec(
-                name=entry["name"],
-                kind=entry["kind"],
-                attrs=dict(entry.get("attrs", {})),
-                inputs=list(entry.get("inputs", [])),
-                weights_seed=int(entry.get("weights_seed", 0)),
+        """Inverse of ``to_json``; ``GraphError`` for a document it cannot
+        decode or a graph that does not validate."""
+        try:
+            doc = json.loads(text)
+            layers = {}
+            for entry in doc["layers"]:
+                spec = LayerSpec(
+                    name=entry["name"],
+                    kind=entry["kind"],
+                    attrs=dict(entry.get("attrs", {})),
+                    inputs=list(entry.get("inputs", [])),
+                    weights_seed=int(entry.get("weights_seed", 0)),
+                )
+                layers[spec.name] = spec
+            graph = ModelGraph(
+                layers=layers,
+                inputs=list(doc["inputs"]),
+                outputs=list(doc["outputs"]),
+                seed=int(doc.get("seed", 0)),
             )
-            layers[spec.name] = spec
-        graph = ModelGraph(
-            layers=layers,
-            inputs=list(doc["inputs"]),
-            outputs=list(doc["outputs"]),
-            seed=int(doc.get("seed", 0)),
-        )
+        except GraphError:
+            raise
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise GraphError(f"malformed model JSON: {type(exc).__name__}: {exc}") from exc
         return validate_graph(graph)
 
 

@@ -544,16 +544,16 @@ class VirtualCluster(ClusterCore):
 
     def _process(self, t: float, device: int, token: int) -> None:
         """A wake-up of ``device``: take one item from its inbox if it is
-        free, not throttled and no downstream inbox is full."""
+        not throttled and no downstream inbox is full."""
         if self._wakes.get(device) != (t, token):
             return  # superseded by an earlier wake-up
         del self._wakes[device]
         # Only a device with queued items asks for a wake-up, and only its
-        # live one takes items, so the inbox is not empty here.
+        # live one takes items, so the inbox is not empty here.  No
+        # wake-up is asked for before the device's clock, and the clock
+        # moves on only while the device holds no live wake-up, so the
+        # device is free here too.
         w = self.workers[device]
-        if t < w.free_at - 1e-12:
-            self._wake_up(w.free_at, device)
-            return
         if t < w.throttled_until:
             self._wake_up(w.throttled_until, device)
             return

@@ -1,7 +1,7 @@
 """Harness reports and the command-line surface."""
 
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +14,7 @@ from edgeflock.cli import main, _parse_ns
 from edgeflock.harness import bench, frames_needed, load_model, plan_for, verify
 from edgeflock.model_ir import build_model
 from edgeflock.planner import AssignmentSet, render_plan
-from edgeflock.runtime import start_cluster
+from edgeflock.runtime import RunMetrics, start_cluster
 
 
 class TestHarness:
@@ -65,7 +65,7 @@ class TestHarness:
         want = np.array([ref_value, 0.5], np.float32)
         got = np.array([got_value, 0.5], np.float32)
         monkeypatch.setattr(harness, "run_reference", lambda graph, inputs: {sink: {0: want}})
-        monkeypatch.setattr(harness, "run_stream", lambda cluster, frames: ({0: got}, None))
+        monkeypatch.setattr(harness, "run_stream", lambda cluster, frames, **kw: ({0: got}, None))
         rep = verify("two_stream", [1], scale=0.125, seeds=(1,), n_frames=26)
         assert [e.exact for e in rep.entries] == [exact]
         assert harness.same_bits(got, want) == exact
@@ -93,6 +93,15 @@ class TestHarness:
         assert doc["model"] == "two_stream"
         assert doc["entries"][0]["devices"] == 2
         assert "wrote" not in rep.render()
+
+    def test_bench_report_json_holds_exactly_the_dataclass_fields(self):
+        rep = bench("two_stream", [1, 2], scale=0.03125, n_frames=30, seed=1)
+        doc = json.loads(rep.to_json())
+        assert set(doc) == {f.name for f in fields(harness.BenchReport)}
+        assert [e["devices"] for e in doc["entries"]] == [1, 2]
+        for entry in doc["entries"]:
+            assert set(entry) == {f.name for f in fields(harness.BenchEntry)}
+            assert set(entry["simulated"]) == {f.name for f in fields(RunMetrics)}
 
     def test_render_plan_contains_architecture_signatures(self):
         aset = plan_for(load_model("two_stream", 1.0, 1), 12)
@@ -173,13 +182,12 @@ class TestCli:
     def test_run_models_link_latency_with_the_plan_files_comm(self, tmp_path, monkeypatch):
         """The in-process run charges the plan file's comm: a zeroed comm
         block gives a run without link latency."""
-        import edgeflock.cli as cli
         clusters = []
 
         def keep(*args):
             clusters.append(start_cluster(*args))
             return clusters[-1]
-        monkeypatch.setattr(cli, "start_cluster", keep)
+        monkeypatch.setattr(harness, "start_cluster", keep)
         doc = json.loads(plan_for(load_model("two_stream", 0.03125, 1), 3).to_json())
         stock = tmp_path / "stock.json"
         stock.write_text(json.dumps(doc))
@@ -236,6 +244,73 @@ class TestCli:
         assert result.exit_code == 2, result.output
         assert "Invalid value for '--devices'" in result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize("command", ["plan", "verify", "bench"])
+    @pytest.mark.parametrize("model", ["two_streem", "no/such/model.json"])
+    def test_a_model_that_is_neither_stock_nor_a_file_is_a_usage_error(self, command, model):
+        result = CliRunner().invoke(main, [command, "--model", model])
+        self._usage_error(result, "--model")
+        assert f"{model!r} is neither a stock model" in result.output
+
+    @pytest.mark.parametrize("command", ["plan", "verify", "bench"])
+    @pytest.mark.parametrize("text,message", [
+        ("cycle", "cycle detected involving layers"),
+        ("not json {", "malformed model JSON: JSONDecodeError"),
+        ('{"layers": []}', "malformed model JSON: KeyError"),
+    ])
+    def test_a_malformed_model_file_exits_2(self, tmp_path, command, text, message):
+        if text == "cycle":
+            doc = json.loads(build_model("two_stream", 0.03125, 1).to_json())
+            doc["layers"][1]["inputs"].append(doc["outputs"][0])
+            text = json.dumps(doc)
+        model = tmp_path / "model.json"
+        model.write_text(text)
+        result = CliRunner().invoke(main, [command, "--model", str(model), "--devices", "1"])
+        assert result.exit_code == 2, result.output
+        assert f"invalid model: {message}" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize("command", ["plan", "verify", "bench"])
+    @pytest.mark.parametrize("text", ['{"device": {"mem_bytes": -5}}', "not json {",
+                                      '{"device": {"no_such_field": 1}}', "[]"])
+    def test_a_malformed_profile_file_is_a_usage_error(self, tmp_path, command, text):
+        prof = tmp_path / "prof.json"
+        prof.write_text(text)
+        result = CliRunner().invoke(main, [command, "--model", "two_stream",
+                                           "--profile-file", str(prof)])
+        self._usage_error(result, "--profile-file")
+        assert f"cannot decode {prof}" in result.output
+
+    @pytest.mark.parametrize("text", ["not json {", "{}", "[]", '{"model": {"layers": []}}'])
+    def test_a_malformed_plan_file_is_a_usage_error(self, tmp_path, text):
+        plan = tmp_path / "plan.json"
+        plan.write_text(text)
+        result = CliRunner().invoke(main, ["run", "--plan", str(plan), "--devices", "1"])
+        self._usage_error(result, "--plan")
+        assert f"cannot decode {plan}" in result.output
+
+    @pytest.mark.parametrize("command,devices", [("plan", "0"), ("plan", "-3"),
+                                                 ("verify", "0-2"), ("verify", "0"),
+                                                 ("bench", "0,1"), ("bench", "0")])
+    def test_a_device_count_below_1_is_a_usage_error(self, command, devices):
+        result = CliRunner().invoke(main, [command, "--model", "two_stream", "--devices", devices])
+        self._usage_error(result, "--devices")
+
+    @staticmethod
+    def _usage_error(result, option):
+        assert result.exit_code == 2, result.output
+        assert f"Invalid value for '{option}'" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
+    def test_loopback_run_prints_output_counts_only(self, tmp_path):
+        graph = load_model("two_stream", 0.03125, 1)
+        out = tmp_path / "plan.json"
+        out.write_text(plan_for(graph, 2).to_json())
+        result = CliRunner().invoke(main, ["run", "--plan", str(out), "--devices", "2",
+                                           "--frames", "30", "--transport", "loopback_sockets"])
+        assert result.exit_code == 0, result.output
+        assert result.output.splitlines() == [
+            f"outputs: {30 - graph.first_valid['out']} tagged results"]
 
     def test_loopback_run_counts_outputs_without_the_reference(self, tmp_path, monkeypatch):
         import edgeflock.engine as engine

@@ -80,6 +80,19 @@ def test_only_concat_takes_more_than_one_input(index):
         ModelGraph.from_json(graph.to_json())
 
 
+@pytest.mark.parametrize("text", [
+    "not json {",
+    "[]",
+    '{"layers": [], "outputs": []}',
+    '{"layers": [{"name": "x"}], "inputs": ["x"], "outputs": []}',
+    '{"layers": ["x"], "inputs": [], "outputs": []}',
+    '{"layers": [], "inputs": [], "outputs": [], "seed": "one"}',
+])
+def test_from_json_types_an_undecodable_document(text):
+    with pytest.raises(GraphError, match="malformed model JSON"):
+        ModelGraph.from_json(text)
+
+
 def test_kernel_larger_than_input_rejected():
     spec = LayerSpec("c", ir.CONV, {"filters": 4, "kernel_h": 20, "kernel_w": 20,
                                     "stride": 1, "padding": "valid"}, ["x"])

@@ -340,7 +340,8 @@ class TestBackpressure:
 
     def test_one_live_wake_up_per_device(self):
         """Every _process event in the heap but a device's live one pops
-        as a no-op, and no device ever has two live ones."""
+        as a no-op, no device ever has two live ones, and none is due
+        before its device's clock."""
         _graph, cluster, frames = self._pressured(300, 5)
         step, process = cluster._step, cluster._process
         live_pops = dead_pops = 0
@@ -365,6 +366,7 @@ class TestBackpressure:
                     live[args[0]] = live.get(args[0], 0) + 1
             assert all(count == 1 for count in live.values())
             assert set(live) == set(cluster._wakes)
+            assert all(t >= cluster.workers[d].free_at for d, (t, _token) in cluster._wakes.items())
 
         cluster._process, cluster._step = checked_process, checked_step
         run_stream(cluster, frames, fps=2000.0, paced=False)
