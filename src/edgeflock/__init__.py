@@ -13,8 +13,8 @@ cluster:
   grouping, reload minimization, and model- vs data-parallel splitting
   for every device count from 1 to n_max.
 * ``runtime``   - executes an assignment as message-passing workers with
-  sliding windows, bounded inboxes with backpressure, a master-versioned
-  role table and dynamic reassignment.
+  sliding windows, bounded inboxes with backpressure, camera sampling
+  and dynamic role reassignment.
 * ``harness``   - verification against the reference oracle plus a
   simulated-latency benchmark harness.
 """

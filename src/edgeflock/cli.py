@@ -88,6 +88,9 @@ def main():
     """Distributed streaming DNN inference for small-device clusters."""
 
 
+# A model scale multiplies its hidden dimensions and memory budget.
+_SCALE = click.FloatRange(min=0, min_open=True)
+
 _profile_file = click.option("--profile-file", "profiles", type=click.Path(exists=True), default=None,
                              callback=_decoded(profiles_from_json, (DeviceProfile(), CommModel())))
 
@@ -96,8 +99,8 @@ _profile_file = click.option("--profile-file", "profiles", type=click.Path(exist
 @click.option("--model", required=True, callback=_model_spec,
               help="stock model name or model JSON path")
 @click.option("--devices", "n_max", type=click.IntRange(min=1), default=12, show_default=True)
-@click.option("--mem", type=int, default=None, help="per-device memory bytes")
-@click.option("--scale", type=float, default=1.0, show_default=True)
+@click.option("--mem", type=click.IntRange(min=1), default=None, help="per-device memory bytes")
+@click.option("--scale", type=_SCALE, default=1.0, show_default=True)
 @click.option("--seed", type=int, default=1, show_default=True)
 @_profile_file
 @click.option("--out", type=click.Path(), default=None, help="write the assignment set JSON here")
@@ -119,7 +122,7 @@ def plan(model, n_max, mem, scale, seed, profiles, out, table):
 @main.command()
 @click.option("--model", required=True, callback=_model_spec)
 @click.option("--devices", default="1-12", show_default=True, help="e.g. 1-12 or 1,5,8")
-@click.option("--scale", type=float, default=harness.DESK_SCALE, show_default=True)
+@click.option("--scale", type=_SCALE, default=harness.DESK_SCALE, show_default=True)
 @click.option("--seed", "seeds", multiple=True, type=int, default=(1, 2, 3), show_default=True)
 @click.option("--frames", type=int, default=None, help="frames per run")
 @click.option("--transport", type=click.Choice(TRANSPORTS),
@@ -141,18 +144,18 @@ def verify(model, devices, scale, seeds, frames, transport, profiles):
 @click.option("--devices", type=int, required=True)
 @click.option("--transport", type=click.Choice(TRANSPORTS),
               default="in_process", show_default=True)
-@click.option("--fps", type=float, default=30.0, show_default=True)
 @click.option("--frames", type=int, default=60, show_default=True)
 @click.option("--seed", type=int, default=1, show_default=True)
-def run(aset, devices, transport, fps, frames, seed):
+def run(aset, devices, transport, frames, seed):
     """Execute a planned assignment on a frame stream.
 
     The in-process transport models link latency with the plan file's
     comm block, the link model the plan was priced with; zero it for a
-    run without link latency.
+    run without link latency.  Frames are paced: each is fed once the
+    source devices that take it are free.
     """
     clip = harness.make_clip(aset.graph, max(frames, harness.frames_needed(aset.graph, 4)), seed)
-    outputs, metrics = harness.stream(aset, devices, clip, transport, fps)
+    outputs, metrics = harness.stream(aset, devices, clip, transport)
     click.echo(f"outputs: {len(outputs)} tagged results")
     if transport == "in_process":
         click.echo(f"ips: {metrics.ips:.3f}  t_forward: {metrics.t_forward_seconds:.3f}s  "
@@ -162,17 +165,16 @@ def run(aset, devices, transport, fps, frames, seed):
 @main.command()
 @click.option("--model", required=True, callback=_model_spec)
 @click.option("--devices", default="1,4,5,8,10,12", show_default=True)
-@click.option("--scale", type=float, default=harness.DESK_SCALE, show_default=True)
+@click.option("--scale", type=_SCALE, default=harness.DESK_SCALE, show_default=True)
 @click.option("--frames", type=int, default=40, show_default=True)
-@click.option("--fps", type=float, default=30.0, show_default=True)
 @click.option("--seed", type=int, default=1, show_default=True)
 @_profile_file
 @click.option("--out", type=click.Path(), default=None, help="write machine-readable report")
-def bench(model, devices, scale, frames, fps, seed, profiles, out):
+def bench(model, devices, scale, frames, seed, profiles, out):
     """Benchmark simulated throughput, latency and energy per device count."""
     device, comm = profiles
     report = harness.bench(model, _parse_ns(devices), scale=scale, n_frames=frames,
-                           fps=fps, seed=seed, device=device, comm=comm)
+                           seed=seed, device=device, comm=comm)
     click.echo(report.render())
     if out is None:
         stamp = time.strftime("%Y%m%dT%H%M%SZ", time.gmtime())

@@ -72,15 +72,16 @@ def plan_for(graph: ir.ModelGraph, n_max: int, device: Optional[DeviceProfile] =
     return task_assign(graph, n_max, comm or CommModel(), device, overhead_factor)
 
 
-def stream(aset: AssignmentSet, n: int, frames: np.ndarray, transport: str = "in_process",
-           fps: float = 30.0) -> tuple[dict[int, np.ndarray], RunMetrics]:
+def stream(aset: AssignmentSet, n: int, frames: np.ndarray,
+           transport: str = "in_process") -> tuple[dict[int, np.ndarray], RunMetrics]:
     """Drive a fresh cluster of ``n`` devices over a clip: its outputs by
-    tag and its metrics.  Over loopback sockets the run waits for every
-    sink output of the clip, the metrics count outputs and busy seconds
-    only, and the cluster is closed on the way out."""
+    tag and its metrics.  The in-process run is paced
+    (``VirtualCluster.feed_paced``).  Over loopback sockets the run
+    waits for every sink output of the clip, the metrics count outputs
+    and busy seconds only, and the cluster is closed on the way out."""
     cluster = start_cluster(aset, n, transport)
     if transport != "loopback_sockets":
-        return run_stream(cluster, frames, fps=fps)
+        return run_stream(cluster, frames)
     graph = aset.graph
     try:
         outputs = cluster.feed(frames, expected_outputs=len(frames) - graph.first_valid[graph.outputs[0]])
@@ -126,8 +127,9 @@ def verify(model: str, n_list: Iterable[int], scale: float = DESK_SCALE,
     """Bitwise check of distributed vs reference execution.
 
     The report holds one entry per seed and device count; a mismatch
-    marks its entry not exact and never raises.  The largest absolute
-    difference is reported, not judged.
+    marks its entry not exact and never raises, and so does a reference
+    with no outputs, which leaves nothing to compare.  The largest
+    absolute difference is reported, not judged.
     """
     n_list = sorted(set(n_list))
     report = VerifyReport()
@@ -139,7 +141,7 @@ def verify(model: str, n_list: Iterable[int], scale: float = DESK_SCALE,
         ref = run_reference(graph, {graph.inputs[0]: frames})[graph.outputs[0]]
         for n in n_list:
             outs, _ = stream(aset, n, frames, transport)
-            exact = set(outs) == set(ref)
+            exact = bool(ref) and set(outs) == set(ref)
             max_diff = 0.0
             for tag in sorted(ref):
                 got = outs.get(tag)
@@ -193,7 +195,7 @@ class BenchReport:
 
 
 def bench(model: str, n_list: Iterable[int], scale: float = DESK_SCALE,
-          n_frames: int = 40, fps: float = 30.0, seed: int = 1,
+          n_frames: int = 40, seed: int = 1,
           device: Optional[DeviceProfile] = None,
           comm: Optional[CommModel] = None) -> BenchReport:
     """Simulated-latency benchmark across device counts."""
@@ -209,7 +211,7 @@ def bench(model: str, n_list: Iterable[int], scale: float = DESK_SCALE,
             predicted_t_forward=aset.assignments[n].predicted.t_forward_seconds,
         )
         try:
-            _outputs, metrics = stream(aset, n, frames, fps=fps)
+            _outputs, metrics = stream(aset, n, frames)
             entry.simulated = metrics
             entry.energy = costs.energy(metrics.wall_seconds, metrics.per_device_busy_seconds,
                                         [aset.device] * n)

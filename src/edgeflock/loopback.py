@@ -6,8 +6,8 @@ with an acceptor thread, a reader thread per inbound connection and one
 processor thread that hands each message to the core; every message
 between devices crosses a socket in the length-prefixed wire format.
 Senders keep one connection and one send lock per destination.  The
-core's recorder tags the camera frames that ``feed`` sends, so a second
-``feed`` continues the stream; the devices that compute a graph output
+core tags the camera frames that ``feed`` sends, so a second ``feed``
+continues the stream; the devices that compute a graph output
 record it in ``outputs``.  Wall-clock timing replaces the virtual
 clock, so this transport is for protocol/integration coverage;
 throughput and latency modeling live in the in-process transport.
@@ -200,11 +200,12 @@ class LoopbackCluster(ClusterCore):
         """Send frames through the recorder to the source devices and wait
         for this call's outputs, by tag.
 
-        The recorder tags on from the previous call.  Nothing slows it on
-        this transport, so it admits every frame, and the time it is
-        given cannot change what it admits.  Raises ``RuntimeFault`` on
-        timeout, when a frame cannot be sent, or as soon as a node thread
-        has failed, chained from that thread's first exception.
+        The core tags on from the previous call.  Nothing slows the
+        camera on this transport, so the core admits every frame, and
+        the time it is given cannot change what it admits.  Raises
+        ``RuntimeFault`` on timeout, when a frame cannot be sent, or as
+        soon as a node thread has failed, chained from that thread's
+        first exception.
         """
         with self._lock:
             self.outputs = {}

@@ -17,32 +17,32 @@ firings at once when it reaches its caps (``engine.RUN_TAGS``,
 runs the same workers over real TCP frames; each of its workers flushes
 its own batch after every message, since the wire needs bytes.  Both
 transports share ``ClusterCore``: the plan index (routes, predecessors,
-source devices), the camera path and the handling of data and skip
+source devices), the camera stream and the handling of data and skip
 frames (emission routing, skip notices); a transport only moves frames
 and records outputs.  A row shard's terminal travels as wire parts
 ``layer#pN``, which the consuming worker's executor assembles
 (``TaskExecutor.push_part``).  A worker prices its task with
 ``costs.price_task``, as the planner does.
 
-On both transports the recorder, the source device in replica slot 0,
-admits or samples every camera frame, tags it and hands it to the
-source devices that take the tag, so a second feed continues the
-stream's tags.  In the virtual cluster paced feeding waits only for
-those devices.
+On both transports the core holds the camera stream's tag cursor and
+sampler: it admits or samples every camera frame, tags it and hands it
+to the source devices that take the tag, so a second feed, or a feed
+after a role rotation, continues the stream's tags.  In the virtual
+cluster paced feeding waits only for those devices.
 A device holds at most one live wake-up (a ``_process`` event): a queued
 item, a freed downstream slot or a finished item asks for one at the
 earliest time the device could act, a request at or after the live
 wake-up's time adds nothing, and an earlier one supersedes it.  So the
 event count follows the messages moved, not the inbox depths.
 
-Dynamic behavior follows the planned assignment set.  The
-master-versioned role table is derived from the assignment and the
-master.  When the recording viewpoint moves, the master swaps the
-recorder's task with the target device's and commits the new binding in
-one step: only devices whose task changed adopt it and reload weights,
-the plan is re-indexed, and the table is rebuilt at the next version.
+Dynamic behavior follows the planned assignment set.  The recorder is
+the source device in replica slot 0.  When the recording viewpoint
+moves, the master swaps the recorder's task with the target device's
+and commits the new binding in one step: only devices whose task
+changed adopt it and reload weights, the plan is re-indexed, and the
+master's role version goes up by one.
 Nearly full inboxes signal their upstream devices: one crossing of the
-watermark halves the recorder's raw sampling rate once for a cooldown
+watermark halves the camera's raw sampling rate once for a cooldown
 period, however many source replicas it signals (frames are dropped
 before tagging, so tagged streams stay gap-free and pending windows are
 never disturbed), while mid-pipeline senders hold instead of dropping
@@ -65,7 +65,7 @@ from edgeflock.costs import DeviceProfile, comm_latency
 from edgeflock.engine import Batch, TaskExecutor, value_of
 from edgeflock.planner import AssignmentSet, Edge, Task
 from edgeflock.windows import BoundedInbox
-from edgeflock.wire import Message, Kind, IPTable, RoleEntry
+from edgeflock.wire import Message, Kind
 
 DEFAULT_INBOX_CAPACITY = 64
 THROTTLE_SECONDS = 0.25           # mid-pipeline pause on almost-full
@@ -125,12 +125,6 @@ class Worker:
         self.free_at = 0.0
         self.busy_seconds = 0.0
         self.throttled_until = 0.0
-        self.sample_interval = 1
-        self.sample_cooldown_until = 0.0
-        self.raw_index = 0
-        self.kept_counter = 0
-        self.kept_raw: list[int] = []
-        self.sample_drops = 0
         self.reload_count = 0
         self.path_state: dict[int, dict] = {}
         self.adopt(task, handoff=False)
@@ -215,32 +209,6 @@ class Worker:
     def consume_skip(self, msg: Message):
         return self.executor.skip(msg.layer, int(msg.body["next_tag"]))
 
-    # -- input sampling -------------------------------------------------------
-
-    def admit_raw(self, now: float) -> Optional[int]:
-        """Recorder-side sampling: tag of the admitted frame, or None.
-
-        Dropped frames are never tagged, so downstream tag runs stay
-        contiguous; the sampling interval decays back toward 1 after a
-        quiet cooldown.
-        """
-        idx = self.raw_index
-        self.raw_index += 1
-        if now >= self.sample_cooldown_until and self.sample_interval > 1:
-            self.sample_interval = max(1, self.sample_interval // 2)
-            self.sample_cooldown_until = now + SAMPLING_COOLDOWN_SECONDS
-        if idx % self.sample_interval != 0:
-            self.sample_drops += 1
-            return None
-        tag = self.kept_counter
-        self.kept_counter += 1
-        self.kept_raw.append(idx)
-        return tag
-
-    def slow_down(self, now: float) -> None:
-        self.sample_interval = min(MAX_SAMPLING_INTERVAL, self.sample_interval * 2)
-        self.sample_cooldown_until = now + SAMPLING_COOLDOWN_SECONDS
-
 
 def _replica_slot(task: Task) -> tuple[int, int]:
     """(replica index, replica count) of a task; (0, 1) when not replicated."""
@@ -254,9 +222,13 @@ class ClusterCore:
 
     The core indexes the assignment: every device's routes (value name ->
     consumers, with their replica slots) and predecessors, and the
-    devices that own a source.  ``_admit`` runs a camera frame through
-    the recorder, which tags it, into one data frame per source device
-    that takes the tag.  ``_on_data`` consumes one data frame on a
+    devices that own a source.  It also holds the camera stream: the tag
+    cursor (``raw_index`` frames seen, ``kept_counter`` tags given,
+    ``kept_raw`` the raw index of each tag) and the sampler
+    (``sample_interval``, ``sample_cooldown_until``, ``sample_drops``),
+    which no role rotation touches.  ``_admit`` samples and tags a
+    camera frame and makes it one data frame per source device that
+    takes the tag.  ``_on_data`` consumes one data frame on a
     worker and routes what it yields: graph outputs to ``_output``; other
     emissions to each consumer whose replica slot takes the tag, a row
     shard's terminal as its wire part ``layer#pN``, which the shard also
@@ -296,6 +268,12 @@ class ClusterCore:
         if not self.workers:
             raise RuntimeFault("assignment has no tasks")
         self._index()
+        self.raw_index = 0
+        self.kept_counter = 0
+        self.kept_raw: list[int] = []
+        self.sample_drops = 0
+        self.sample_interval = 1
+        self.sample_cooldown_until = 0.0
 
     def _index(self) -> None:
         """Derive routes, predecessors and sources from the assignment."""
@@ -321,21 +299,39 @@ class ClusterCore:
         return [d for d, idx, count in self.sources if count == 1 or tag % count == idx]
 
     def recorder(self) -> Worker:
-        """The source device in replica slot 0.  It samples and tags every
-        camera frame, whichever replica computes it."""
+        """The source device in replica slot 0: the device whose camera
+        the stream is, whichever replica computes a frame."""
         return self.workers[next(d for d, idx, _count in self.sources if idx == 0)]
 
     def _admit(self, value: np.ndarray, t: float) -> list[tuple[int, Message]]:
-        """A camera frame reaches the recorder at time t, which admits it
-        or samples it away.  Returns a (device, data frame) pair for each
-        source device that takes the admitted frame's tag, or none."""
-        tag = self.recorder().admit_raw(t)
-        if tag is None:
+        """A camera frame arrives at time t and is admitted or sampled
+        away.  Returns a (device, data frame) pair for each source device
+        that takes the admitted frame's tag, or none.
+
+        Dropped frames are never tagged, so downstream tag runs stay
+        contiguous; the sampling interval decays back toward 1 after a
+        quiet cooldown.
+        """
+        idx = self.raw_index
+        self.raw_index += 1
+        if t >= self.sample_cooldown_until and self.sample_interval > 1:
+            self.sample_interval = max(1, self.sample_interval // 2)
+            self.sample_cooldown_until = t + SAMPLING_COOLDOWN_SECONDS
+        if idx % self.sample_interval != 0:
+            self.sample_drops += 1
             return []
+        tag = self.kept_counter
+        self.kept_counter += 1
+        self.kept_raw.append(idx)
         value = np.asarray(value, dtype=np.float32)
         return [(d, Message(kind=Kind.DATA, tag=tag, layer=self.workers[d].source_name(),
                             tensor=value, meta={"path": _zero_path()}))
                 for d in self._source_targets(tag)]
+
+    def _slow_down(self, t: float) -> None:
+        """Halve the camera's sampling rate at time t, for a cooldown."""
+        self.sample_interval = min(MAX_SAMPLING_INTERVAL, self.sample_interval * 2)
+        self.sample_cooldown_until = t + SAMPLING_COOLDOWN_SECONDS
 
     # -- message handling ------------------------------------------------------
 
@@ -419,7 +415,8 @@ class VirtualCluster(ClusterCore):
         super().__init__(aset, n, inbox_capacity, self.batch)
         self.comm = aset.comm
         self.master = min(self.workers)
-        self.iptable = self._role_table(version=1)
+        # The master's role version: 1 at start, one more per commit.
+        self.version = 1
         self.setup_seconds = max(w.setup_load_seconds() for w in self.workers.values())
         self.last_reassign_reloads = 0
 
@@ -440,7 +437,7 @@ class VirtualCluster(ClusterCore):
         # device -> (time, token) of its one live _process wake-up
         self._wakes: dict[int, tuple[float, int]] = {}
         # Almost-full crossings signalled so far, and the last one that
-        # slowed the recorder.
+        # slowed the camera.
         self._crossings = 0
         self._slowed_crossing = 0
 
@@ -496,10 +493,10 @@ class VirtualCluster(ClusterCore):
         if msg.kind == Kind.ALMOST_FULL:
             if w.owns_source:
                 # Every source replica upstream hears of the crossing; the
-                # recorder halves its rate once for it.
+                # camera's sampling rate halves once for it.
                 if msg.meta["crossing"] != self._slowed_crossing:
                     self._slowed_crossing = msg.meta["crossing"]
-                    self.recorder().slow_down(t)
+                    self._slow_down(t)
             else:
                 w.throttled_until = max(w.throttled_until, t + THROTTLE_SECONDS)
         elif msg.kind == Kind.SKIP:
@@ -597,34 +594,32 @@ class VirtualCluster(ClusterCore):
         self.drain()
         self.batch.flush()
         kind, dev = trigger
-        recorder = self.recorder()
+        rec = self.recorder().device
         if kind == "motion_on":
             tasks = dict(self.assignment.tasks)
-            if dev != recorder.device:
+            if dev != rec:
                 if dev not in self.workers:
                     raise RuntimeFault(f"device {dev} is not part of the cluster")
-                tasks[dev], tasks[recorder.device] = tasks[recorder.device], tasks[dev]
+                tasks[dev], tasks[rec] = tasks[rec], tasks[dev]
         elif kind == "device_lost":
             if dev == self.master:
                 raise RuntimeFault("master device lost; halting run")
             raise RuntimeFault("device loss requires restarting on the smaller plan entry")
         else:
             raise RuntimeFault(f"unknown trigger {kind!r}")
-        return self._commit(tasks, recorder)
+        return self._commit(tasks)
 
-    def _commit(self, tasks: dict[int, Task], recorder: Worker) -> int:
+    def _commit(self, tasks: dict[int, Task]) -> int:
         """Bind every device to ``tasks[device]``; returns the new version.
 
         At ``vnow``, in ascending device order, a device whose task
-        changed adopts it, pays its load, and, if the task owns a source,
-        resumes the stream's tag cursor from the old ``recorder`` so tags
-        stay monotone across the handoff.  Every other device keeps its
-        task and state.  The edges follow their tasks, the plan is
-        re-indexed and the role table is rebuilt at the next version.
+        changed adopts it and pays its load.  Every other device keeps
+        its task and state.  The edges follow their tasks, the plan is
+        re-indexed and the version goes up by one.  The camera stream's
+        cursor and sampler live in the core, so the new recorder tags on
+        where the old one stopped.
         """
         old = self.assignment
-        version = self.iptable.version + 1
-        cursor = (recorder.kept_counter, recorder.raw_index)
         rebound = {d: replace(t, device=d) for d, t in tasks.items()}
         self.last_reassign_reloads = 0
         for d in sorted(self.workers):
@@ -632,8 +627,6 @@ class VirtualCluster(ClusterCore):
             if rebound[d].task_id == w.task.task_id:
                 continue
             w.adopt(rebound[d], handoff=True)
-            if w.owns_source:
-                w.kept_counter, w.raw_index = cursor
             load = w.setup_load_seconds()
             w.free_at = max(w.free_at, self.vnow) + load
             w.busy_seconds += load
@@ -644,18 +637,8 @@ class VirtualCluster(ClusterCore):
                  for e in old.edges]
         self.assignment = replace(old, tasks=rebound, edges=edges)
         self._index()
-        self.iptable = self._role_table(version)
-        return version
-
-    def _role_table(self, version: int) -> IPTable:
-        """The role table of the current assignment."""
-        recorder = self.recorder().device
-        entries = {}
-        for d in range(self.n):
-            task = self.assignment.tasks.get(d)
-            entries[d] = RoleEntry(address=f"virtual:{d}", task_id=task.task_id if task else "",
-                                   master=(d == self.master), recorder=(d == recorder))
-        return IPTable(version=version, entries=entries).validate()
+        self.version += 1
+        return self.version
 
     # -- driving ---------------------------------------------------------------------
 
@@ -668,8 +651,8 @@ class VirtualCluster(ClusterCore):
         """Inject one raw camera frame once the source devices that take
         its tag are free, then run events while any inbox, counting the
         data in flight toward it, is more than half full: below the
-        almost-full watermark, where the recorder would sample."""
-        targets = self._source_targets(self.recorder().kept_counter)
+        almost-full watermark, where the camera would be sampled."""
+        targets = self._source_targets(self.kept_counter)
         start = max([self.vnow] + [self.workers[d].free_at for d in targets])
         self.feed_frame(value, t=start)
         self.drain_until(start)
@@ -687,7 +670,7 @@ TRANSPORTS = ("in_process", "loopback_sockets")
 
 def start_cluster(aset: AssignmentSet, n: int, transport: str = "in_process",
                   inbox_capacity: int = DEFAULT_INBOX_CAPACITY):
-    """Bring up one worker per device with role table v1 in place."""
+    """Bring up one worker per device at role version 1."""
     if transport == "in_process":
         return VirtualCluster(aset, n, inbox_capacity)
     if transport == "loopback_sockets":
@@ -704,17 +687,17 @@ def run_stream(cluster: VirtualCluster, frames: Iterable[np.ndarray], fps: float
     ``paced`` feeds each frame through ``VirtualCluster.feed_paced`` (the
     default for verification and benchmarking); unpaced feeding follows
     the fps schedule strictly, frame i at ``vnow + i / fps``, and lets
-    backpressure reduce the recorder's sampling rate.
-    ``kept_raw_indices`` lists the frames the recorder admitted, as
+    backpressure reduce the camera's sampling rate.  ``drops`` counts
+    the frames sampled away since the cluster started;
+    ``kept_raw_indices`` lists the frames this call admitted, as
     indices into ``frames``; ``wall_seconds`` lasts until the last event
     and the last device's clock.  The math runs as the cluster's batch
     fills and once more after the last event.
     """
     completions_before = len(cluster.completions)
-    # The recorder's raw cursor and kept count before this call make
+    # The stream's raw cursor and kept count before this call make
     # kept_raw_indices index into this call's frames.
-    recorder = cluster.recorder()
-    base, n_kept = recorder.raw_index, len(recorder.kept_raw)
+    base, n_kept = cluster.raw_index, len(cluster.kept_raw)
     if paced:
         for f in frames:
             cluster.feed_paced(f)
@@ -733,8 +716,8 @@ def run_stream(cluster: VirtualCluster, frames: Iterable[np.ndarray], fps: float
     metrics.wall_seconds = max([cluster.vnow] + [w.free_at for w in cluster.workers.values()])
     metrics.setup_seconds = cluster.setup_seconds
     metrics.per_device_busy_seconds = {d: w.busy_seconds for d, w in cluster.workers.items()}
-    metrics.drops = sum(w.sample_drops for w in cluster.workers.values())
-    metrics.kept_raw_indices = [i - base for i in recorder.kept_raw[n_kept:]]
+    metrics.drops = cluster.sample_drops
+    metrics.kept_raw_indices = [i - base for i in cluster.kept_raw[n_kept:]]
     if completions:
         paths = [p for _t, _tag, p in completions]
         metrics.t_forward_seconds = sum(p["total"] for p in paths) / len(paths)

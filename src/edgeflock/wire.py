@@ -1,4 +1,4 @@
-"""One-way message frames and the master-versioned role table.
+"""One-way message frames.
 
 Wire format (network byte order): a 20-byte header
     version u8, kind u8, stream_id u16, tag u64, source u16,
@@ -6,8 +6,7 @@ Wire format (network byte order): a 20-byte header
 followed by the payload.  The kinds are DATA 0, ALMOST_FULL 1,
 HEARTBEAT 3 and SKIP 4; kind 2 is retired and rejected as unknown.
 Tensor payloads encode rank u8, one u32 per dim, then the float32
-values little-endian.  Control payloads are UTF-8 JSON bodies.  The
-role table never crosses the wire.
+values little-endian.  Control payloads are UTF-8 JSON bodies.
 """
 
 from __future__ import annotations
@@ -153,28 +152,3 @@ def decode(frame: bytes) -> Message:
     return Message(kind=kind, tag=tag, source=source, dest_role=dest_role,
                    stream_id=stream_id, layer=layer, body=body)
 
-
-@dataclass
-class RoleEntry:
-    address: str
-    task_id: str
-    master: bool = False
-    recorder: bool = False
-
-
-@dataclass
-class IPTable:
-    """Device -> (address, task, flags) map, master-versioned.
-
-    The version increases on every commit of new roles, which only the
-    master makes.  Exactly one master; one recorder per active stream.
-    """
-
-    version: int
-    entries: dict[int, RoleEntry]
-
-    def validate(self) -> "IPTable":
-        masters = [d for d, e in self.entries.items() if e.master]
-        if len(masters) != 1:
-            raise WireError(f"expected exactly one master, got {masters}")
-        return self

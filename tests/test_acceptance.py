@@ -211,7 +211,7 @@ def test_criterion_9_role_rotation_correctness():
 
     cluster = start_cluster(aset, 5)
     out1, _ = run_stream(cluster, frames[:18])
-    v0 = cluster.iptable.version
+    v0 = cluster.version
     rec = cluster.recorder().device
     target = 3 if rec != 3 else 2
     new_version = cluster.reassign(("motion_on", target))

@@ -52,6 +52,13 @@ class TestHarness:
         text = rep.render()
         assert "[FAIL] two_stream seed=1 n= 2" in text and "verify: MISMATCH" in text
 
+    def test_verify_with_nothing_to_compare_fails(self):
+        """A clip shorter than the window lag gives no reference output:
+        the entry compares nothing and is not exact."""
+        rep = verify("two_stream", [2], scale=0.03125, seeds=(1,), n_frames=3)
+        assert [(e.devices, e.outputs, e.exact) for e in rep.entries] == [(2, 0, False)]
+        assert not rep.ok and "verify: MISMATCH" in rep.render()
+
     @pytest.mark.parametrize("ref_value,got_value,exact", [
         (0.0, -0.0, False),
         (-0.0, 0.0, False),
@@ -168,6 +175,39 @@ class TestCli:
             "--seed", "1", "--frames", "26"])
         assert result.exit_code == 0, result.output
         assert "all exact" in result.output
+
+    def test_verify_with_nothing_to_compare_exits_1(self):
+        result = CliRunner().invoke(main, [
+            "verify", "--model", "two_stream", "--devices", "2", "--scale", "0.03125",
+            "--seed", "1", "--frames", "3"])
+        assert result.exit_code == 1, result.output
+        assert "outputs=0" in result.output and "verify: MISMATCH" in result.output
+
+    @pytest.mark.parametrize("args", [
+        ["plan", "--model", "two_stream", "--scale", "0"],
+        ["plan", "--model", "two_stream", "--scale", "-0.5"],
+        ["plan", "--model", "two_stream", "--mem", "0"],
+        ["plan", "--model", "two_stream", "--mem", "-1"],
+        ["verify", "--model", "two_stream", "--scale", "0"],
+        ["bench", "--model", "two_stream", "--scale", "-1"],
+    ])
+    def test_a_scale_or_memory_not_above_0_is_a_usage_error(self, args):
+        result = CliRunner().invoke(main, args)
+        self._usage_error(result, args[-2])
+        (error,) = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert f"Invalid value for '{args[-2]}'" in error
+
+    @pytest.mark.parametrize("command", ["run", "bench"])
+    def test_fps_is_not_an_option(self, tmp_path, command):
+        """Both commands pace their runs, so a frame rate would change nothing."""
+        plan = tmp_path / "plan.json"
+        plan.write_text(plan_for(load_model("two_stream", 0.03125, 1), 2).to_json())
+        args = (["run", "--plan", str(plan), "--devices", "2"] if command == "run"
+                else ["bench", "--model", "two_stream"])
+        result = CliRunner().invoke(main, args + ["--fps", "30"])
+        assert result.exit_code == 2, result.output
+        (error,) = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert "No such option" in error and "--fps" in error
 
     def test_run_consumes_plan_file(self, tmp_path):
         out = tmp_path / "plan.json"

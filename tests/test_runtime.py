@@ -16,7 +16,6 @@ from edgeflock.planner import task_assign
 from edgeflock.runtime import (
     TRANSPORTS,
     RuntimeFault,
-    Worker,
     run_stream,
     start_cluster,
 )
@@ -72,10 +71,9 @@ class TestExactness:
     def test_five_worker_cluster_reports_roles(self, ts):
         _, aset, _, _ = ts
         cluster = start_cluster(aset, 5)
-        assert cluster.iptable.version == 1
-        assert cluster.master == 0 and cluster.iptable.entries[0].master
-        recorders = [d for d, e in cluster.iptable.entries.items() if e.recorder]
-        assert recorders == [cluster.recorder().device]
+        assert cluster.version == 1
+        assert cluster.master == 0
+        assert cluster.recorder().owns_source
         assert cluster.setup_seconds > 0
 
     def test_duplicate_task_ids_rejected(self, ts):
@@ -269,8 +267,7 @@ class TestBackpressure:
 
         # surviving tags produce exactly the reference outputs on the
         # kept raw subsequence
-        recorder = next(w for w in cluster.workers.values() if w.owns_source)
-        assert recorder.sample_drops == metrics.drops
+        assert cluster.sample_drops == metrics.drops
         kept = metrics.kept_raw_indices
         assert len(kept) == len(frames) - metrics.drops
         assert len(kept) >= 100
@@ -317,7 +314,8 @@ class TestBackpressure:
     def test_open_loop_keeps_modeled_plane(self):
         """sha256 of an open-loop run's modeled plane: outputs, completion
         times and paths, each worker's clock, busy seconds, inbox peak and
-        rejections, the sample drops and the admitted frames."""
+        rejections, the sample drops and the admitted frames (the
+        recorder's line carries the stream's, every other device's none)."""
         _graph, cluster, frames = self._pressured(300, 5)
         outs, metrics = run_stream(cluster, frames, fps=2000.0, paced=False)
         digest = hashlib.sha256()
@@ -331,9 +329,11 @@ class TestBackpressure:
         for t, tag, path in cluster.completions:
             put("done", float(t).hex(), tag,
                 *(float(path[k]).hex() for k in ("compute", "comm", "reload", "total")))
+        recorder = cluster.recorder().device
         for d, w in sorted(cluster.workers.items()):
+            stream = (cluster.sample_drops, cluster.kept_raw) if d == recorder else (0, [])
             put("worker", d, float(w.free_at).hex(), float(w.busy_seconds).hex(),
-                w.inbox.peak_occupancy, w.inbox.rejected, w.sample_drops, w.kept_raw)
+                w.inbox.peak_occupancy, w.inbox.rejected, *stream)
         put("metrics", metrics.outputs, metrics.drops, metrics.kept_raw_indices)
         assert metrics.drops > 0 and metrics.outputs > 0
         assert digest.hexdigest() == OPEN_LOOP_DIGEST
@@ -415,15 +415,41 @@ class TestBackpressure:
     def test_almost_full_throttles_then_recovers(self):
         graph, cluster, frames = self._pressured(400, 7)
         run_stream(cluster, frames, fps=2000.0, paced=False)
-        recorder = next(w for w in cluster.workers.values() if w.owns_source)
-        assert recorder.sample_drops > 0
-        assert recorder.sample_interval > 1
+        assert cluster.sample_drops > 0
+        assert cluster.sample_interval > 1
         # a quiet stretch decays the sampling interval back toward full rate
-        before = recorder.sample_interval
+        before = cluster.sample_interval
         for _ in range(12):
             cluster.feed_frame(frames[0], t=cluster.vnow + 5.0)
             cluster.drain()
-        assert recorder.sample_interval <= max(1, before // 2)
+        assert cluster.sample_interval <= max(1, before // 2)
+
+    def test_rotation_keeps_the_stream_cursor_and_sampler(self):
+        """A recorder rotation after a pressured stream leaves the core's
+        cursor and sampling rate as they were, and the next call tags on
+        from them."""
+        graph, cluster, frames = self._pressured(400, 7)
+        _outs, first = run_stream(cluster, frames[:200], fps=2000.0, paced=False)
+        assert cluster.sample_interval > 1
+        state = (cluster.sample_interval, cluster.sample_cooldown_until,
+                 cluster.kept_counter, cluster.raw_index)
+        rec = cluster.recorder().device
+        target = next(d for d in sorted(cluster.workers, reverse=True) if d != rec)
+        cluster.reassign(("motion_on", target))
+        assert cluster.recorder().device == target
+        assert (cluster.sample_interval, cluster.sample_cooldown_until,
+                cluster.kept_counter, cluster.raw_index) == state
+        assert not any(hasattr(w, "kept_counter") or hasattr(w, "sample_interval")
+                       for w in cluster.workers.values())
+        outs, second = run_stream(cluster, frames[200:], fps=2000.0, paced=False)
+        assert cluster.raw_index == 400
+        assert cluster.kept_counter == state[2] + len(second.kept_raw_indices)
+        assert cluster.kept_raw == first.kept_raw_indices + [200 + i for i in second.kept_raw_indices]
+        assert outs and min(outs) >= state[2]
+        admitted = frames[cluster.kept_raw]
+        ref = run_reference(graph, {"camera": admitted})["out"]
+        for tag, value in outs.items():
+            assert np.array_equal(value, ref[tag]), f"tag {tag}"
 
 
 class TestFeeding:
@@ -475,12 +501,13 @@ class TestFeeding:
         outs, metrics = run_stream(cluster, frames, fps=100.0, paced=False)
         kept = metrics.kept_raw_indices
         assert metrics.drops > 0 and len(kept) == len(frames) - metrics.drops
-        assert cluster.recorder().sample_drops == metrics.drops
+        assert cluster.sample_drops == metrics.drops
         assert_exact(outs, run_reference(graph, {"input": frames[kept]})["out"])
 
-    def test_one_crossing_halves_the_rate_once(self, monkeypatch):
+    def test_one_crossing_halves_the_rate_once(self):
         """An almost-full crossing signals every source replica upstream,
-        and the recorder halves its rate once for it, not once per replica."""
+        and the camera's sampling rate halves once for it, not once per
+        replica."""
         graph = build_model("alexnet", SCALE, seed=1)
         aset = task_assign(graph, 8, CommModel(), DeviceProfile().scaled_mem(SCALE))
         cluster = start_cluster(aset, 8, inbox_capacity=4)
@@ -492,13 +519,13 @@ class TestFeeding:
             crossings.append(len(sources & set(cluster._preds[device])))
             signal(t, device)
 
-        def spied_slow_down(w, now):
-            before = w.sample_interval
-            slow_down(w, now)
-            slow_downs.append((before, w.sample_interval))
+        def spied_slow_down(t):
+            before = cluster.sample_interval
+            slow_down(t)
+            slow_downs.append((before, cluster.sample_interval))
 
-        slow_down = Worker.slow_down
-        monkeypatch.setattr(Worker, "slow_down", spied_slow_down)
+        slow_down = cluster._slow_down
+        cluster._slow_down = spied_slow_down
         cluster._signal_almost_full = spied_signal
         run_stream(cluster, make_clip(graph, 40, 1), fps=100.0, paced=False)
         assert max(crossings) > 1, "some crossing should signal several source replicas"
@@ -507,22 +534,23 @@ class TestFeeding:
 
 
 # sha256 of a recorder rotation's modeled plane: outputs, completion
-# times and paths, each worker's task, table version, clock, busy
-# seconds, reload count and tag cursor, the committed tasks and edges,
-# and the role table.  Keyed by
+# times and paths, each worker's task, role version, clock, busy
+# seconds, reload count and tag cursor (the stream's on the recorder,
+# (0, 0) on every other device), the committed tasks and edges, and each
+# device's roles.  Keyed by
 # (model, n, target) where target "swap" moves the recorder to another
 # device and "identity" names the current recorder.
 GOLDEN_ROTATIONS = {
     ("two_stream", 5, "swap"):
-        "e1ed92e40dd532c2f0a34e38bb16de90b800464c2c6616d6aba7abed87b683c5",
+        "d8a75fb7f0eb4de92f6e286c1c76a133b3efd7f2dc2d8c83fecce3b711277884",
     ("two_stream", 5, "identity"):
         "96f283f9fb300b8e9a8e0c50847d01a7b359bc29a1c5b43c93356bb63e09d8d0",
     ("two_stream", 8, "swap"):
-        "6da4e3d2a6b8080028b0cf1375d6c3689b0bee9097fd3e5e8b1f69690b3343f5",
+        "9ef4aef75921d262443f190c3d96c78cd1ce7ea72ed024698e1b6054b33ed062",
     ("two_stream", 12, "swap"):
-        "104d56096cbe38090ecf80ddace3be4fb772bf0757ff2b52df8abcce96283a1f",
+        "fe6a2d0322b0d2cdb5b0078bf8ab05dc96975200bdd11032bd941d5ee19f3cee",
     ("alexnet", 4, "swap"):
-        "26b1ef5f133352e4b7f0ff8c0b6930debe5fbc3a95d705e3353bbbcd55da5cbb",
+        "768b67262b53513b535750e88ed818a640a109a14b5c2b5c4d3ce714de70847f",
 }
 
 
@@ -532,6 +560,7 @@ def rotation_digest(cluster, produced) -> str:
     def put(*items):
         digest.update(repr(items).encode())
 
+    recorder = cluster.recorder().device
     for tag, value in sorted(produced.items()):
         put("out", tag, value.dtype.str, value.shape)
         digest.update(value.tobytes())
@@ -539,15 +568,18 @@ def rotation_digest(cluster, produced) -> str:
         put("done", float(t).hex(), tag,
             *(float(path[k]).hex() for k in ("compute", "comm", "reload", "total")))
     for d, w in sorted(cluster.workers.items()):
-        put("worker", d, w.task.task_id, cluster.iptable.version, float(w.free_at).hex(),
-            float(w.busy_seconds).hex(), w.reload_count, w.kept_counter, w.raw_index)
+        cursor = (cluster.kept_counter, cluster.raw_index) if d == recorder else (0, 0)
+        put("worker", d, w.task.task_id, cluster.version, float(w.free_at).hex(),
+            float(w.busy_seconds).hex(), w.reload_count, *cursor)
     for d, task in sorted(cluster.assignment.tasks.items()):
         put("task", d, task.task_id, task.device)
     for e in cluster.assignment.edges:
         put("edge", e.producer_device, e.consumer_device, e.layer)
-    put("table", cluster.iptable.version)
-    for d, e in sorted(cluster.iptable.entries.items()):
-        put("role", d, e.address, e.task_id, e.master, e.recorder)
+    put("table", cluster.version)
+    for d in range(cluster.n):
+        task = cluster.assignment.tasks.get(d)
+        put("role", d, f"virtual:{d}", task.task_id if task else "",
+            d == cluster.master, d == recorder)
     return digest.hexdigest()
 
 
@@ -606,14 +638,13 @@ class TestRoleRotation:
         out1, _ = run_stream(cluster, frames[:18])
         rec_before = cluster.recorder().device
         target = 3 if rec_before != 3 else 2
-        v0 = cluster.iptable.version
+        v0 = cluster.version
 
         new_version = cluster.reassign(("motion_on", target))
         assert new_version == v0 + 1
         assert cluster.last_reassign_reloads == 2
         assert cluster.recorder().device == target
-        assert cluster.iptable.entries[target].recorder
-        assert cluster.iptable.version == new_version
+        assert cluster.version == new_version
 
         out2, _ = run_stream(cluster, frames[18:])
         produced = {**out1, **out2}
@@ -643,7 +674,7 @@ class TestRoleRotation:
         cluster = start_cluster(aset, 5)
         run_stream(cluster, frames[:15])
         rec = cluster.recorder().device
-        v0 = cluster.iptable.version
+        v0 = cluster.version
         assert cluster.reassign(("motion_on", rec)) == v0 + 1
         assert cluster.last_reassign_reloads == 0
 
@@ -691,7 +722,7 @@ class TestLoopback:
         try:
             got = [cluster.feed(frames[:30], expected_outputs=len(want[0]), timeout=90.0),
                    cluster.feed(frames[30:], expected_outputs=len(want[1]), timeout=90.0)]
-            assert cluster.recorder().kept_raw == list(range(60))
+            assert cluster.kept_raw == list(range(60))
         finally:
             cluster.close()
         for outs, expected in zip(got, want):

@@ -6,10 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from edgeflock.windows import BoundedInbox, SlidingWindow, WindowError
 from edgeflock.wire import (
-    IPTable,
     Kind,
     Message,
-    RoleEntry,
     WireError,
     decode,
     encode,
@@ -222,19 +220,3 @@ class TestWireDecodingIsTotal:
         frame = _HEADER.pack(WIRE_VERSION, int(kind), 0, 0, 0, 0, len(payload)) + payload
         with pytest.raises(WireError):
             decode(frame)
-
-
-class TestIPTable:
-    def _table(self):
-        return IPTable(version=1, entries={
-            0: RoleEntry("a:0", "t0", master=True, recorder=True),
-            1: RoleEntry("a:1", "t1"),
-        })
-
-    def test_exactly_one_master_enforced(self):
-        t = self._table()
-        t.validate()
-        t.entries[1].master = True
-        with pytest.raises(WireError):
-            t.validate()
-
