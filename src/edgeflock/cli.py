@@ -90,6 +90,8 @@ def main():
 
 # A model scale multiplies its hidden dimensions and memory budget.
 _SCALE = click.FloatRange(min=0, min_open=True)
+# Seeds key numpy's generators, which take no negative value.
+_SEED = click.IntRange(min=0)
 
 _profile_file = click.option("--profile-file", "profiles", type=click.Path(exists=True), default=None,
                              callback=_decoded(profiles_from_json, (DeviceProfile(), CommModel())))
@@ -101,7 +103,7 @@ _profile_file = click.option("--profile-file", "profiles", type=click.Path(exist
 @click.option("--devices", "n_max", type=click.IntRange(min=1), default=12, show_default=True)
 @click.option("--mem", type=click.IntRange(min=1), default=None, help="per-device memory bytes")
 @click.option("--scale", type=_SCALE, default=1.0, show_default=True)
-@click.option("--seed", type=int, default=1, show_default=True)
+@click.option("--seed", type=_SEED, default=1, show_default=True)
 @_profile_file
 @click.option("--out", type=click.Path(), default=None, help="write the assignment set JSON here")
 @click.option("--table/--no-table", default=True, show_default=True)
@@ -123,8 +125,8 @@ def plan(model, n_max, mem, scale, seed, profiles, out, table):
 @click.option("--model", required=True, callback=_model_spec)
 @click.option("--devices", default="1-12", show_default=True, help="e.g. 1-12 or 1,5,8")
 @click.option("--scale", type=_SCALE, default=harness.DESK_SCALE, show_default=True)
-@click.option("--seed", "seeds", multiple=True, type=int, default=(1, 2, 3), show_default=True)
-@click.option("--frames", type=int, default=None, help="frames per run")
+@click.option("--seed", "seeds", multiple=True, type=_SEED, default=(1, 2, 3), show_default=True)
+@click.option("--frames", type=click.IntRange(min=1), default=None, help="frames per run")
 @click.option("--transport", type=click.Choice(TRANSPORTS),
               default="in_process", show_default=True)
 @_profile_file
@@ -145,7 +147,7 @@ def verify(model, devices, scale, seeds, frames, transport, profiles):
 @click.option("--transport", type=click.Choice(TRANSPORTS),
               default="in_process", show_default=True)
 @click.option("--frames", type=int, default=60, show_default=True)
-@click.option("--seed", type=int, default=1, show_default=True)
+@click.option("--seed", type=_SEED, default=1, show_default=True)
 def run(aset, devices, transport, frames, seed):
     """Execute a planned assignment on a frame stream.
 
@@ -167,7 +169,7 @@ def run(aset, devices, transport, frames, seed):
 @click.option("--devices", default="1,4,5,8,10,12", show_default=True)
 @click.option("--scale", type=_SCALE, default=harness.DESK_SCALE, show_default=True)
 @click.option("--frames", type=int, default=40, show_default=True)
-@click.option("--seed", type=int, default=1, show_default=True)
+@click.option("--seed", type=_SEED, default=1, show_default=True)
 @_profile_file
 @click.option("--out", type=click.Path(), default=None, help="write machine-readable report")
 def bench(model, devices, scale, frames, seed, profiles, out):

@@ -13,38 +13,24 @@ conv in (dy, dx, channel) tap order, (inputs, outputs) for fc.  Shared
 (frozen) weights are held once, in that layout, and ``LayerParams.w`` is
 a view of it in the (filters, kh, kw, c) or (outputs, inputs) shape.
 ``freeze`` also takes, once, the addresses the compiled kernels are
-passed.  Each kernel exists twice, with the same bits: compiled C and
-numpy.
+passed.
 
-``_kernels.c`` is compiled when this module is imported, with the C
-compiler that built Python if it is on PATH and else ``cc``, at ``-O3
--ffp-contract=off -march=native`` (without ``-march=native`` if the
-compiler rejects it), and loaded through ``ctypes``.  Its loops add the
-products of each sum one after another in ascending tap order and run
-side by side only across independent outputs: filters for conv, output
-rows for fc.  The compiled conv reads its taps in place from a
-zero-padded (frames, h, w, c) copy of its batch, where the taps (dx,
-channel) of one kernel row at one position are ``kw * c`` contiguous
-floats; it builds no patch matrix.  ``-ffp-contract=off`` is required,
-as a fused multiply-add would add the product unrounded and change the
-last bit of a sum; no flag that lets the compiler reassociate a sum
-(``-Ofast``, ``-ffast-math``) is used.  Without a working compiler, or
-if the compile or the load fails, the numpy kernels run.
-
-The numpy kernels pin the order with numpy alone (no BLAS, ``matmul``
-or ``einsum``, none of which fixes an order).  A kernel multiplies a
-cache-sized block of taps against every output at once and reduces the
-products along the tap axis.  numpy runs such a reduction as one
-running sum per output element, adding the tap rows in ascending
-order, as long as each row holds at least two elements.
-With a single output element (a one-row fc shard, one filter at one
-position) numpy instead sums the lone column pairwise, so that case
-takes an explicit running sum (``np.add.accumulate``).  Conv products,
-and fc products whose rows (the call's outputs) hold at least
-``_SMALL_BUFSIZE`` elements, are multiplied under that small ufunc
-buffer size, which changes how numpy stages operands but never the
-order of a sum.  Either conv writes its input into a zero-filled buffer
-that holds its padding, so every padded tap is +0.0.
+The kernels are C, in ``_kernels.c``, compiled when this module is
+imported, with the C compiler that built Python if it is on PATH and
+else ``cc``, at ``-O3 -ffp-contract=off -march=native`` (without
+``-march=native`` if the compiler rejects it), and loaded through
+``ctypes``.  Their loops add the products of each sum one after another
+in ascending tap order and run side by side only across independent
+outputs: filters for conv, output rows for fc.  The conv reads its taps
+in place from a zero-padded (frames, h, w, c) copy of its batch, where
+the taps (dx, channel) of one kernel row at one position are ``kw * c``
+contiguous floats, so every padded tap is +0.0; it builds no patch
+matrix.  ``-ffp-contract=off`` is required, as a fused multiply-add
+would add the product unrounded and change the last bit of a sum; no
+flag that lets the compiler reassociate a sum (``-Ofast``,
+``-ffast-math``) is used.  A C compiler is required: without a working
+one, or if the compile or the load fails, importing this module raises
+``ImportError``.
 
 The streaming ``TaskExecutor`` consumes tagged items and drives layers
 ordered by the graph topology; windowed layers (flow stacking, temporal
@@ -65,19 +51,12 @@ shape, which is all that tag alignment, routing and cost accounting
 read.  ``Batch.flush`` computes the pending firings layer by layer in
 graph topological order, one group per (executor, layer), whatever tags
 a group holds.  conv, relu, norm and maxpool take a group as one
-(tags, ...) batch, and pyramids run once per group, on one (windows,
-items, size) batch; fc, softmax, concat and shard assembly run once per
-tag, and flow stacks once per window.  The compiled conv takes a group
-in one call.  On the numpy kernels ``im2col`` lays the positions of
-several frames side by side in one patch matrix, at most
-``PATCH_BYTES`` of it per matrix.  Since every output element keeps its
-own ascending running sum, a frame's outputs do not depend on the
-frames beside it, and with two or more frames no reduced row has a
-single element.  fc stays per tag: over 16 frames of the two_stream fc
-shapes, an (inputs, frames, outputs) product block ran 0.7x to 1.3x as
-fast as per-frame calls at 1/8 and 0.9x to 1.4x at 1/32, depending on
-the shape.  A batch flushes
-itself before a group would pass ``RUN_TAGS`` firings or a layer
+(tags, ...) batch, the conv in one kernel call, and pyramids run once
+per group, on one (windows, items, size) batch; fc, softmax, concat and
+shard assembly run once per tag, and flow stacks once per window.
+Since every output element keeps its own ascending sum, a frame's
+outputs do not depend on the frames beside it.  A batch flushes itself
+before a group would pass ``RUN_TAGS`` firings or a layer
 ``RUN_BYTES``; ``run_reference`` pushes one tag at a time and flushes
 once more at the end.
 """
@@ -220,42 +199,15 @@ def _tap_major(params: LayerParams) -> np.ndarray:
     return _float32(w.reshape(w.shape[0], -1).T)
 
 
-_ZERO = np.float32(0)
-
 # A batch computes at most RUN_TAGS firings of one (executor, layer) in
 # one group, and fewer when one layer's outputs (or stacked inputs) over
-# all executors would exceed RUN_BYTES (never fewer than one).  The
-# numpy conv lays a batch of frames into patch matrices of at most
-# PATCH_BYTES (a matrix of a single frame may exceed it); the compiled
-# conv builds none.  On two_stream at 1/32 and 1/8, with the numpy
-# kernels, groups of 16 tags and 2 MiB matrices made the reference about
-# 1.5x faster and grew peak RSS by under 2 MiB; the whole clip in one
-# uncapped group was no faster and grew it from 46 to 120 MiB and from
-# 63 to 85 MiB.  Without RUN_BYTES, groups of vgg16 and alexnet at 1/8,
-# whose layer outputs reach 1.6 and 0.6 MB a frame, grew peak RSS by 12
-# and 9 MiB.
+# all executors would exceed RUN_BYTES (never fewer than one).  A flush
+# holds a group's stacked inputs and outputs at once, so the caps bound
+# its memory: a reference run of 16 frames of vgg16 at 1/8, whose layer
+# outputs reach 1.6 MB a frame, peaked at 64 MiB of RSS, and at 144 MiB
+# without RUN_BYTES.
 RUN_TAGS = 16
 RUN_BYTES = 2 << 20
-PATCH_BYTES = 2 << 20
-
-# Upper bounds, in float32 elements, of one block of products (1 MiB) and
-# of the conv sums it is added into (256 KiB), in the numpy kernels; both
-# stay in a core's L2.
-# Chosen from timings of every conv and fc shape of the stock models at
-# scale 1/8 on a 2-vCPU Xeon with 2 MiB of L2 per core: each shape ran
-# within 10% of its best over blocks of 1/2-4 MiB and sums of 64 KiB-1 MiB.
-_BLOCK = 1 << 18
-_ACC = 1 << 16
-
-# numpy copies broadcast operands through its ufunc buffer whenever an
-# output row is shorter than about a third of that buffer (8192 elements
-# by default).  Conv product rows are output positions, 169 or more in
-# every stock model, so with a 256-element buffer the products run
-# straight from the operands: 2-3x faster on rows of 169-3000 positions.
-# fc product rows are the output rows of a call; rows of at least this
-# many take the small buffer too (about 1.3x faster on rows of 512-1024),
-# while shorter ones ran as fast or faster under the default buffer.
-_SMALL_BUFSIZE = 256
 
 _KERNELS_SOURCE = Path(__file__).with_name("_kernels.c")
 # -ffp-contract=off keeps every product rounded on its own: a fused
@@ -271,8 +223,8 @@ def _compiler() -> str:
     return cc[0] if cc and shutil.which(cc[0]) else "cc"
 
 
-def _load_kernels() -> Optional[ctypes.CDLL]:
-    """Compile ``_kernels.c`` for this CPU and load it, or None.
+def _load_kernels() -> ctypes.CDLL:
+    """Compile ``_kernels.c`` for this CPU and load it.
 
     The library is built in a fresh temporary directory, first with
     ``-march=native`` and, if the compiler rejects that, once more
@@ -280,22 +232,26 @@ def _load_kernels() -> Optional[ctypes.CDLL]:
     built it.  The directory is removed once the library is loaded, which
     stays mapped; where the system cannot remove a loaded library the
     directory stays behind, under the temporary directory.  No compiler,
-    a failed or timed-out compile, or a library that does not load gives
-    None, and the numpy kernels run.
+    a failed or timed-out compile, or a library that does not load raises
+    ``ImportError`` naming the last command tried, with the tail of the
+    compiler's stderr.
     """
-    try:
-        with tempfile.TemporaryDirectory(prefix="edgeflock-", ignore_cleanup_errors=True) as tmp:
-            path = str(Path(tmp) / "_kernels.so")
-            for arch in (("-march=native",), ()):
-                cmd = [_compiler(), *_CFLAGS, *arch, str(_KERNELS_SOURCE), "-o", path]
-                if subprocess.run(cmd, capture_output=True, timeout=_COMPILE_TIMEOUT_S).returncode == 0:
+    with tempfile.TemporaryDirectory(prefix="edgeflock-", ignore_cleanup_errors=True) as tmp:
+        path = str(Path(tmp) / "_kernels.so")
+        for arch in (("-march=native",), ()):
+            cmd = [_compiler(), *_CFLAGS, *arch, str(_KERNELS_SOURCE), "-o", path]
+            try:
+                done = subprocess.run(cmd, capture_output=True, timeout=_COMPILE_TIMEOUT_S)
+                if done.returncode == 0:
                     lib = ctypes.CDLL(path)
                     lib.build_command = cmd
                     break
-            else:
-                return None
-    except (OSError, subprocess.TimeoutExpired):
-        return None
+            except subprocess.TimeoutExpired as exc:
+                raise _build_error(cmd, f"timed out after {exc.timeout} s", exc.stderr) from exc
+            except OSError as exc:
+                raise _build_error(cmd, exc, None) from exc
+        else:
+            raise _build_error(cmd, f"exit status {done.returncode}", done.stderr)
     ptr, size = ctypes.c_void_p, ctypes.c_int64
     lib.conv_nhwc.argtypes = (ptr, ptr, ptr, ptr) + (size,) * 10
     lib.conv_nhwc.restype = ctypes.c_int
@@ -304,9 +260,16 @@ def _load_kernels() -> Optional[ctypes.CDLL]:
     return lib
 
 
-# The compiled kernels, or None where they could not be built: then the
-# numpy kernels below run.  Built at import, so that no caller's first
-# kernel call pays for the compile.
+def _build_error(cmd: list[str], why: object, stderr: Optional[bytes]) -> ImportError:
+    """The ``ImportError`` of a kernel build that failed running ``cmd``,
+    with the last ten lines of the compiler's stderr."""
+    tail = (stderr or b"").decode(errors="replace").strip().splitlines()[-10:]
+    return ImportError("\n".join([f"edgeflock needs a C compiler to build {_KERNELS_SOURCE.name}; "
+                                  f"`{' '.join(cmd)}` failed: {why}", *tail]))
+
+
+# The compiled kernels, built at import, so that no caller's first kernel
+# call pays for the compile.
 _KERNELS = _load_kernels()
 
 
@@ -331,79 +294,12 @@ def _kernel_operands(params: LayerParams) -> tuple:
     return kept
 
 
-def _running_sum(products: np.ndarray) -> np.ndarray:
-    """Sum of a 1-D float32 vector from +0.0 in ascending index, as a
-    one-element array; ``products`` is overwritten."""
-    products[0] += _ZERO
-    return np.add.accumulate(products)[-1:]
-
-
-def _conv_rows(patches: np.ndarray, wt: np.ndarray, bias: np.ndarray, out: np.ndarray) -> None:
-    """Write the (positions, filters) conv outputs into ``out``: the sum
-    over taps t of ``patches[t, m] * wt[t, f]``, plus ``bias[f]``.
-
-    Every sum starts from +0.0 and adds its rounded products in ascending
-    t, as a scalar loop does.  Blocks of taps are multiplied at once and
-    reduced along the tap axis, which numpy adds row after row: one
-    running sum per output element, so ascending order holds, and an
-    element's sum does not depend on the positions beside it.  That
-    holds only while a reduced row has at least two elements: with one,
-    numpy sums the single column pairwise, which is not ordered.  A
-    single filter at a single position therefore takes an explicit
-    running sum (``np.add.accumulate``) instead.
-    """
-    taps, positions = patches.shape
-    filters = wt.shape[1]
-    if wt.shape[0] != taps or bias.shape != (filters,) or out.shape != (positions, filters):
-        raise EngineError(f"conv operands disagree: patches {patches.shape}, weights {wt.shape}, "
-                          f"bias {bias.shape}, output {out.shape}")
-    if filters * positions == 1:
-        np.add(_running_sum(patches[:, 0] * wt[:, 0]), bias, out=out[0])
-        return
-    # Even position blocks of at least four positions, so that no block
-    # has fewer than two elements per tap.
-    n_blocks = -(-positions // max(4, _ACC // filters))
-    width = -(-positions // n_blocks)
-    tap_block = max(1, _BLOCK // (filters * width))
-    buf = np.empty(min(tap_block, taps) * filters * width, dtype=np.float32)
-    a, b = patches[:, None, :], wt[:, :, None]
-    # The buffer size decides only how numpy stages operands, never the
-    # order of a sum, so one setting serves the whole call.
-    prior = np.setbufsize(_SMALL_BUFSIZE)
-    try:
-        for i in range(n_blocks):
-            m0, m1 = positions * i // n_blocks, positions * (i + 1) // n_blocks
-            # Contiguous blocks and sums: numpy would otherwise stage short
-            # rows of a strided operand through its buffer.
-            acc = np.empty((filters, m1 - m0), dtype=np.float32)
-            for t0 in range(0, taps, tap_block):
-                rows = min(tap_block, taps - t0)
-                block = buf[:rows * acc.size].reshape(rows, filters, m1 - m0)
-                np.multiply(a[t0:t0 + rows, :, m0:m1], b[t0:t0 + rows], out=block)
-                if t0:
-                    np.add(block[0], acc, out=block[0])
-                # Each block's sums start from an explicit +0.0, not from
-                # numpy's choice of identity.  A later block restarts from
-                # the running sums plus its first products, which adding
-                # +0.0 leaves unchanged: a sum started at +0.0 is never -0.0.
-                np.add.reduce(block, axis=0, out=acc, initial=_ZERO)
-            np.add(acc.T, bias, out=out[m0:m1])
-    finally:
-        np.setbufsize(prior)
-
-
 def forward_fc(x: np.ndarray, params: LayerParams, rows: Optional[tuple[int, int]] = None) -> np.ndarray:
     """Dense layer: out[i] = sum_j w[i, j] * x[j] + b[i].
 
     Accumulation runs in ascending j, so any row subset (``rows``) of a
     sharded layer reproduces the corresponding rows of the full layer
-    exactly.  Input-major products, a block of inputs at a time, are
-    reduced along the input axis as in ``_conv_rows``; a one-row shard
-    takes the explicit running sum.  A call whose output rows hold at
-    least ``_SMALL_BUFSIZE`` elements runs under that ufunc buffer size,
-    as ``_conv_rows`` does; the caller's buffer size is restored.  With
-    the compiled kernels loaded, ``fc_rows`` of ``_kernels.c`` computes
-    the same sums.
+    exactly.  ``fc_rows`` of ``_kernels.c`` computes the sums.
     """
     x = _float32(x).reshape(-1)
     outputs, inputs, size = params.w.shape[0], math.prod(params.w.shape[1:]), params.b.size
@@ -414,28 +310,10 @@ def forward_fc(x: np.ndarray, params: LayerParams, rows: Optional[tuple[int, int
         raise EngineError(f"fc input size {x.size} != weight columns {inputs}")
     if outputs != size:
         raise EngineError(f"fc bias size {size} != weight rows {outputs}")
-    if _KERNELS is not None:
-        operands = _kernel_operands(params)
-        out = np.empty(hi - lo, dtype=np.float32)
-        _KERNELS.fc_rows(x.ctypes.data, operands[2], operands[3], out.ctypes.data, x.size, size, lo, hi)
-        return out
-    wt, b = _tap_major(params)[:, lo:hi], _float32(params.b)[lo:hi]
-    if wt.shape[1] == 1:
-        return _running_sum(wt[:, 0] * x) + b
-    step = max(1, _BLOCK // wt.shape[1])
-    x = x[:, None]
-    sums = None
-    prior = np.setbufsize(_SMALL_BUFSIZE) if wt.shape[1] >= _SMALL_BUFSIZE else None
-    try:
-        for j0 in range(0, x.shape[0], step):
-            products = np.multiply(wt[j0:j0 + step], x[j0:j0 + step])
-            if sums is not None:
-                np.add(products[0], sums, out=products[0])
-            sums = np.add.reduce(products, axis=0, initial=_ZERO)
-    finally:
-        if prior is not None:
-            np.setbufsize(prior)
-    return sums + b
+    operands = _kernel_operands(params)
+    out = np.empty(hi - lo, dtype=np.float32)
+    _KERNELS.fc_rows(x.ctypes.data, operands[2], operands[3], out.ctypes.data, x.size, size, lo, hi)
+    return out
 
 
 def _conv_extent(h: int, w: int, kh: int, kw: int, stride: int, padding: str):
@@ -456,6 +334,7 @@ def _conv_extent(h: int, w: int, kh: int, kw: int, stride: int, padding: str):
     return pads, ((ph - kh) // stride + 1, (pw - kw) // stride + 1)
 
 
+# No kernel calls it: it stays because perfbench/tracing.py binds engine.im2col by name.
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: str) -> tuple[np.ndarray, tuple[int, int]]:
     """Tap-major patch matrix of shape (kh*kw*c, frames*out_h*out_w), tap
     order (dy, dx, c), and the output extent (out_h, out_w).
@@ -484,12 +363,9 @@ def forward_conv(x: np.ndarray, params: LayerParams, stride: int = 1, padding: s
     ``x`` is one (h, w, c) frame or a (frames, h, w, c) batch, and the
     result has the same rank.  Matches a naive six-loop implementation on
     each frame bit-for-bit: taps accumulate in (dy, dx, channel) order,
-    bias added last.  With the compiled kernels loaded, the batch is
-    copied once into a zero-filled (frames, h, w, c) array that holds
-    the padding, and ``conv_nhwc`` of ``_kernels.c`` reads its taps
-    there in place.  Otherwise the batch is laid into as few ``im2col``
-    patch matrices of even numbers of frames as keep each within
-    ``PATCH_BYTES`` (or holding one frame), for ``_conv_rows``.
+    bias added last.  The batch is copied once into a zero-filled
+    (frames, h, w, c) array that holds the padding, and ``conv_nhwc`` of
+    ``_kernels.c`` reads its taps there in place.
     """
     x = np.asarray(x, dtype=np.float32)
     if x.ndim not in (3, 4):
@@ -503,24 +379,15 @@ def forward_conv(x: np.ndarray, params: LayerParams, stride: int = 1, padding: s
         raise EngineError(f"conv bias shape {params.b.shape} != ({f},)")
     (pt, pb, pl, pr), (oh, ow) = _conv_extent(h, w, kh, kw, stride, padding)
     out = np.empty((n, oh, ow, f), dtype=np.float32)
-    if _KERNELS is not None:
-        if pt + pb + pl + pr:
-            xp = np.zeros((n, h + pt + pb, w + pl + pr, c), dtype=np.float32)
-            xp[:, pt:pt + h, pl:pl + w] = batch
-        else:
-            xp = _float32(batch)
-        operands = _kernel_operands(params)
-        if _KERNELS.conv_nhwc(xp.ctypes.data, operands[2], operands[3], out.ctypes.data,
-                              n, xp.shape[1], xp.shape[2], c, kh, kw, stride, oh, ow, f):
-            raise MemoryError("conv_nhwc could not allocate its padded tail weights")
-        return out if x.ndim == 4 else out[0]
-    wt = _tap_major(params)
-    # Even groups of frames, each within the cap.
-    groups = -(-n // max(1, PATCH_BYTES // (kh * kw * c * oh * ow * 4)))
-    for g in range(groups):
-        i0, i1 = n * g // groups, n * (g + 1) // groups
-        patches, _extent = im2col(batch[i0:i1], kh, kw, stride, padding)
-        _conv_rows(patches, wt, params.b, out[i0:i1].reshape(-1, f))
+    if pt + pb + pl + pr:
+        xp = np.zeros((n, h + pt + pb, w + pl + pr, c), dtype=np.float32)
+        xp[:, pt:pt + h, pl:pl + w] = batch
+    else:
+        xp = _float32(batch)
+    operands = _kernel_operands(params)
+    if _KERNELS.conv_nhwc(xp.ctypes.data, operands[2], operands[3], out.ctypes.data,
+                          n, xp.shape[1], xp.shape[2], c, kh, kw, stride, oh, ow, f):
+        raise MemoryError("conv_nhwc could not allocate its padded tail weights")
     return out if x.ndim == 4 else out[0]
 
 

@@ -261,17 +261,22 @@ def infer_shape(spec: LayerSpec, in_shapes: list[TensorShape]) -> TensorShape:
 def validate_graph(graph: ModelGraph) -> ModelGraph:
     """Check DAG-ness, fix a deterministic topological order, infer shapes.
 
-    Raises GraphError on cycles or dangling references, ShapeError (with
-    the offending layer named) when inference fails.
+    Raises GraphError on cycles, dangling references or a negative seed,
+    ShapeError (with the offending layer named) when inference fails.
     """
     if not graph.layers:
         raise GraphError("empty graph: no layers")
     sources = [n for n, s in graph.layers.items() if s.kind == SOURCE]
     if not sources:
         raise GraphError("graph has no source layer")
+    # Seeds key numpy's generators, which take no negative value.
+    if graph.seed < 0:
+        raise GraphError(f"graph seed {graph.seed} is negative")
     for name, spec in graph.layers.items():
         if spec.name != name:
             raise GraphError(f"layer key {name!r} does not match spec name {spec.name!r}")
+        if spec.weights_seed < 0:
+            raise GraphError(f"layer {name!r}: weights_seed {spec.weights_seed} is negative")
         for inp in spec.inputs:
             if inp not in graph.layers:
                 raise GraphError(f"layer {name!r} references unknown input {inp!r}")

@@ -1,8 +1,7 @@
 """One-way message frames.
 
-Wire format (network byte order): a 20-byte header
-    version u8, kind u8, stream_id u16, tag u64, source u16,
-    dest_role u16, payload_len u32
+Wire format (network byte order): a 16-byte header
+    version u8, kind u8, tag u64, source u16, payload_len u32
 followed by the payload.  The kinds are DATA 0, ALMOST_FULL 1,
 HEARTBEAT 3 and SKIP 4; kind 2 is retired and rejected as unknown.
 Tensor payloads encode rank u8, one u32 per dim, then the float32
@@ -20,8 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-WIRE_VERSION = 1
-_HEADER = struct.Struct(">BBHQHHI")
+WIRE_VERSION = 2
+_HEADER = struct.Struct(">BBQHI")
 HEADER_LEN = _HEADER.size
 
 
@@ -47,8 +46,6 @@ class Message:
     kind: Kind
     tag: int = 0
     source: int = 0
-    dest_role: int = 0
-    stream_id: int = 0
     layer: str = ""                       # transported value name (data/skip)
     tensor: Optional[np.ndarray] = None
     body: dict = field(default_factory=dict)
@@ -115,8 +112,7 @@ def encode(msg: Message) -> bytes:
         payload = encode_tensor(msg.tensor, msg.layer)
     else:
         payload = msg._body_bytes()
-    header = _HEADER.pack(WIRE_VERSION, int(msg.kind), msg.stream_id, msg.tag,
-                          msg.source, msg.dest_role, len(payload))
+    header = _HEADER.pack(WIRE_VERSION, int(msg.kind), msg.tag, msg.source, len(payload))
     return header + payload
 
 
@@ -124,7 +120,7 @@ def decode(frame: bytes) -> Message:
     """Inverse of ``encode``; raises only ``WireError``."""
     if len(frame) < HEADER_LEN:
         raise WireError(f"frame too short: {len(frame)} bytes")
-    version, kind, stream_id, tag, source, dest_role, plen = _HEADER.unpack_from(frame)
+    version, kind, tag, source, plen = _HEADER.unpack_from(frame)
     if version != WIRE_VERSION:
         raise WireError(f"unsupported wire version {version}")
     payload = frame[HEADER_LEN:]
@@ -136,8 +132,7 @@ def decode(frame: bytes) -> Message:
         raise WireError(f"unknown message kind {kind}") from None
     if kind == Kind.DATA:
         tensor, layer = decode_tensor(payload)
-        return Message(kind=kind, tag=tag, source=source, dest_role=dest_role,
-                       stream_id=stream_id, layer=layer, tensor=tensor)
+        return Message(kind=kind, tag=tag, source=source, layer=layer, tensor=tensor)
     body = {}
     if payload:
         try:
@@ -149,6 +144,5 @@ def decode(frame: bytes) -> Message:
     layer = body.pop("layer", "")
     if not isinstance(layer, str):
         raise WireError(f"control body names layer {layer!r}, not a string")
-    return Message(kind=kind, tag=tag, source=source, dest_role=dest_role,
-                   stream_id=stream_id, layer=layer, body=body)
+    return Message(kind=kind, tag=tag, source=source, layer=layer, body=body)
 

@@ -97,35 +97,6 @@ def zero_borders(x, borders):
             x[side] = -0.0 if neg else 0.0
 
 
-@contextmanager
-def blocks(block, acc):
-    """Run the kernels with product blocks of ``block`` elements and
-    accumulators of ``acc`` elements, so small shapes span several blocks."""
-    saved = engine._BLOCK, engine._ACC
-    engine._BLOCK, engine._ACC = block, acc
-    try:
-        yield
-    finally:
-        engine._BLOCK, engine._ACC = saved
-
-
-@pytest.fixture(scope="class")
-def numpy_kernels():
-    """Run a class's tests on the numpy kernels, whether or not the
-    compiled ones loaded; the other test classes run on whichever
-    kernels the import selected."""
-    saved = engine._KERNELS
-    engine._KERNELS = None
-    try:
-        yield
-    finally:
-        engine._KERNELS = saved
-
-
-# Block sizes: one element, small enough to split every test shape, and
-# the kernels' own.
-BLOCK_SIZES = st.sampled_from([1, 7, 64, engine._BLOCK])
-ACC_SIZES = st.sampled_from([1, 5, 16, engine._ACC])
 ZERO_SHARES = st.sampled_from([0.0, 0.3, 1.0])
 # Weights take zeros of the opposite sign to inputs and biases, so at 0.0
 # and 1.0 every product of two zeros is -0.0, and at 1.0 every zero bias
@@ -145,7 +116,7 @@ def fc_cases(draw):
     r0 = draw(st.integers(0, out - 1))
     r1 = draw(st.integers(r0 + 1, out))
     return (out, inp, (r0, r1), draw(st.integers(0, 2**31 - 1)), draw(ZERO_SHARES),
-            draw(NEG_ZEROS), draw(st.integers(0, out - 1)), draw(BLOCK_SIZES), draw(ACC_SIZES))
+            draw(NEG_ZEROS), draw(st.integers(0, out - 1)))
 
 
 @st.composite
@@ -158,8 +129,7 @@ def conv_cases(draw):
                tuple(draw(st.booleans()) for _ in range(4)))
     return (h, wd, draw(st.integers(1, 20)), draw(FILTERS), kh, kw,
             draw(st.integers(1, 3)), padding, draw(st.integers(0, 2**31 - 1)),
-            draw(ZERO_SHARES), draw(NEG_ZEROS), borders, draw(BLOCK_SIZES),
-            draw(ACC_SIZES))
+            draw(ZERO_SHARES), draw(NEG_ZEROS), borders)
 
 
 class TestDense:
@@ -181,22 +151,21 @@ class TestDense:
         assert np.array_equal(got, fc_oracle(w, b, x))
 
     @given(fc_cases())
-    @example((1, 30, (0, 1), 0, 0.0, 1.0, 0, engine._BLOCK, engine._ACC))
-    @example((9, 30, (4, 5), 3, 0.3, 0.5, 5, engine._BLOCK, engine._ACC))
-    @example((6, 5, (0, 6), 1, 1.0, 1.0, 0, 7, 1))
+    @example((1, 30, (0, 1), 0, 0.0, 1.0, 0))
+    @example((9, 30, (4, 5), 3, 0.3, 0.5, 5))
+    @example((6, 5, (0, 6), 1, 1.0, 1.0, 0))
     @settings(max_examples=80, deadline=None)
     def test_matches_oracle_on_any_shard(self, case):
-        out, inp, (r0, r1), seed, zeros, neg, zero_row, block, acc = case
+        out, inp, (r0, r1), seed, zeros, neg, zero_row = case
         r = np.random.default_rng(seed)
         w = with_zeros(r, r.uniform(-0.05, 0.05, (out, inp)), zeros, 1 - neg)
         b = with_zeros(r, r.uniform(-0.05, 0.05, out), zeros, neg)
         x = with_zeros(r, r.uniform(-1, 1, inp), zeros, neg)
         w[zero_row % out] = np.where(r.random(inp) < 0.5, -0.0, 0.0)
-        with blocks(block, acc):
-            for p in (LayerParams(w=w, b=b), freeze(LayerParams(w=w.copy(), b=b.copy()))):
-                got = forward_fc(x, p, rows=(r0, r1))
-                assert got.tobytes() == fc_oracle(w[r0:r1], b[r0:r1], x).tobytes()
-                assert forward_fc(x, p).tobytes() == fc_oracle(w, b, x).tobytes()
+        for p in (LayerParams(w=w, b=b), freeze(LayerParams(w=w.copy(), b=b.copy()))):
+            got = forward_fc(x, p, rows=(r0, r1))
+            assert got.tobytes() == fc_oracle(w[r0:r1], b[r0:r1], x).tobytes()
+            assert forward_fc(x, p).tobytes() == fc_oracle(w, b, x).tobytes()
 
     def test_row_slice_reproduces_full_rows(self):
         w = rng.uniform(-0.05, 0.05, (10, 33)).astype(np.float32)
@@ -240,69 +209,51 @@ class TestConv:
         assert np.array_equal(got, conv_oracle(x, w, b, 2, "valid"))
 
     @given(conv_cases())
-    @example((4, 4, 3, 1, 4, 4, 1, "valid", 0, 0.0, 0.5, NO_BORDERS, engine._BLOCK, engine._ACC))
-    @example((1, 1, 2, 1, 3, 3, 2, "same", 1, 1.0, 1.0, ((1, 0, 0, 0), (True,) * 4),
-              engine._BLOCK, engine._ACC))
-    @example((9, 7, 2, 3, 3, 3, 2, "valid", 2, 0.2, 0.5, ((1, 0, 0, 0), (True,) * 4), 5, 3))
-    @example((9, 7, 3, 1, 4, 4, 1, "same", 3, 0.0, 0.5, NO_BORDERS, 64, 1))
+    @example((4, 4, 3, 1, 4, 4, 1, "valid", 0, 0.0, 0.5, NO_BORDERS))
+    @example((1, 1, 2, 1, 3, 3, 2, "same", 1, 1.0, 1.0, ((1, 0, 0, 0), (True,) * 4)))
+    @example((9, 7, 2, 3, 3, 3, 2, "valid", 2, 0.2, 0.5, ((1, 0, 0, 0), (True,) * 4)))
+    @example((9, 7, 3, 1, 4, 4, 1, "same", 3, 0.0, 0.5, NO_BORDERS))
     # -0.0 on every border, +0.0 padding around it, and a mixed ring
-    @example((5, 6, 2, 2, 3, 3, 1, "same", 4, 0.0, 1.0, ((1, 1, 1, 1), (True,) * 4),
-              engine._BLOCK, engine._ACC))
-    @example((7, 5, 2, 2, 4, 3, 2, "same", 5, 0.3, 0.5, ((2, 1, 1, 2), (True, False, False, True)),
-              7, 5))
+    @example((5, 6, 2, 2, 3, 3, 1, "same", 4, 0.0, 1.0, ((1, 1, 1, 1), (True,) * 4)))
+    @example((7, 5, 2, 2, 4, 3, 2, "same", 5, 0.3, 0.5, ((2, 1, 1, 2), (True, False, False, True))))
     # stride-4 "valid" with an 11x11 kernel, the shape class of alexnet conv_1
-    @example((15, 19, 3, 2, 11, 11, 4, "valid", 6, 0.3, 0.5, ((1, 2, 2, 1), (True, True, False, True)),
-              engine._BLOCK, engine._ACC))
+    @example((15, 19, 3, 2, 11, 11, 4, "valid", 6, 0.3, 0.5, ((1, 2, 2, 1), (True, True, False, True))))
     # ... with its 12 filters: 8 and a zero-padded tail of 4
-    @example((23, 27, 3, 12, 11, 11, 4, "valid", 7, 0.3, 0.5, ((1, 2, 2, 1), (True, True, False, True)),
-              engine._BLOCK, engine._ACC))
+    @example((23, 27, 3, 12, 11, 11, 4, "valid", 7, 0.3, 0.5, ((1, 2, 2, 1), (True, True, False, True))))
     # 15 positions, not a multiple of the 8 a compiled tile sums at once,
     # and 59 filters: 32, 16, 8 and a tail of 3
-    @example((5, 3, 20, 59, 3, 3, 1, "same", 8, 0.3, 0.5, ((1, 0, 0, 1), (True, False, False, True)),
-              engine._BLOCK, engine._ACC))
+    @example((5, 3, 20, 59, 3, 3, 1, "same", 8, 0.3, 0.5, ((1, 0, 0, 1), (True, False, False, True))))
     @settings(max_examples=60, deadline=None)
     def test_matches_oracle_on_any_shape(self, case):
-        h, wd, c, f, kh, kw, stride, padding, seed, zeros, neg, borders, block, acc = case
+        h, wd, c, f, kh, kw, stride, padding, seed, zeros, neg, borders = case
         r = np.random.default_rng(seed)
         x = with_zeros(r, r.uniform(-1, 1, (h, wd, c)), zeros, neg)
         zero_borders(x, borders)
         w = with_zeros(r, r.uniform(-0.05, 0.05, (f, kh, kw, c)), zeros, 1 - neg)
         b = with_zeros(r, r.uniform(-0.05, 0.05, f), zeros, neg)
-        with blocks(block, acc):
-            got = forward_conv(x, LayerParams(w=w, b=b), stride=stride, padding=padding)
+        got = forward_conv(x, LayerParams(w=w, b=b), stride=stride, padding=padding)
         assert got.tobytes() == conv_oracle(x, w, b, stride, padding).tobytes()
 
-    @given(conv_cases(), st.integers(1, 4), st.sampled_from([1, 200, engine.PATCH_BYTES]))
+    @given(conv_cases(), st.integers(1, 4))
     # -0.0 borders on every frame around +0.0 padding
-    @example((5, 6, 2, 2, 3, 3, 1, "same", 4, 0.0, 1.0, ((1, 1, 1, 1), (True,) * 4),
-              engine._BLOCK, engine._ACC), 3, engine.PATCH_BYTES)
-    # stride-4 "valid" with an 11x11 kernel, split into one frame per matrix
-    @example((15, 19, 3, 2, 11, 11, 4, "valid", 6, 0.3, 0.5, ((1, 2, 2, 1), (True, True, False, True)),
-              engine._BLOCK, engine._ACC), 4, 200)
+    @example((5, 6, 2, 2, 3, 3, 1, "same", 4, 0.0, 1.0, ((1, 1, 1, 1), (True,) * 4)), 3)
+    # stride-4 "valid" with an 11x11 kernel, over 4 frames
+    @example((15, 19, 3, 2, 11, 11, 4, "valid", 6, 0.3, 0.5, ((1, 2, 2, 1), (True, True, False, True))), 4)
     # 3 frames of 15 positions, 45 in all, and 24 filters: 16 and 8
-    @example((5, 3, 7, 24, 3, 3, 1, "same", 9, 0.3, 0.5, ((0, 1, 1, 0), (True,) * 4),
-              engine._BLOCK, engine._ACC), 3, engine.PATCH_BYTES)
-    # one filter with a 1x1 output: a running sum alone, a reduction in a batch
-    @example((4, 4, 3, 1, 4, 4, 1, "valid", 0, 0.0, 0.5, NO_BORDERS, engine._BLOCK, engine._ACC),
-             1, engine.PATCH_BYTES)
-    @example((4, 4, 3, 1, 4, 4, 1, "valid", 0, 0.0, 0.5, NO_BORDERS, engine._BLOCK, engine._ACC),
-             4, engine.PATCH_BYTES)
+    @example((5, 3, 7, 24, 3, 3, 1, "same", 9, 0.3, 0.5, ((0, 1, 1, 0), (True,) * 4)), 3)
+    # one filter with a 1x1 output, alone and in a batch
+    @example((4, 4, 3, 1, 4, 4, 1, "valid", 0, 0.0, 0.5, NO_BORDERS), 1)
+    @example((4, 4, 3, 1, 4, 4, 1, "valid", 0, 0.0, 0.5, NO_BORDERS), 4)
     @settings(max_examples=40, deadline=None)
-    def test_batch_matches_oracle_on_each_frame(self, case, frames, patch_bytes):
-        h, wd, c, f, kh, kw, stride, padding, seed, zeros, neg, borders, block, acc = case
+    def test_batch_matches_oracle_on_each_frame(self, case, frames):
+        h, wd, c, f, kh, kw, stride, padding, seed, zeros, neg, borders = case
         r = np.random.default_rng(seed)
         x = with_zeros(r, r.uniform(-1, 1, (frames, h, wd, c)), zeros, neg)
         for frame in x:
             zero_borders(frame, borders)
         w = with_zeros(r, r.uniform(-0.05, 0.05, (f, kh, kw, c)), zeros, 1 - neg)
         b = with_zeros(r, r.uniform(-0.05, 0.05, f), zeros, neg)
-        saved = engine.PATCH_BYTES
-        engine.PATCH_BYTES = patch_bytes
-        try:
-            with blocks(block, acc):
-                got = forward_conv(x, LayerParams(w=w, b=b), stride=stride, padding=padding)
-        finally:
-            engine.PATCH_BYTES = saved
+        got = forward_conv(x, LayerParams(w=w, b=b), stride=stride, padding=padding)
         assert got.shape[0] == frames
         for frame, out in zip(x, got):
             assert out.tobytes() == conv_oracle(frame, w, b, stride, padding).tobytes()
@@ -345,65 +296,6 @@ class TestConv:
         assert patches.tobytes() == want.tobytes()
 
 
-class TestUfuncBuffer:
-    """The kernels set numpy's ufunc buffer size for their own products
-    only: their bytes do not depend on the caller's size, which they
-    restore."""
-
-    @pytest.mark.parametrize("bufsize", [32, 256, 8192])
-    def test_bytes_do_not_depend_on_the_callers_buffer(self, bufsize):
-        r = np.random.default_rng(11)
-        x = r.uniform(-1, 1, 40).astype(np.float32)
-        img = r.uniform(-1, 1, (2, 7, 6, 3)).astype(np.float32)
-        fcs = [freeze(LayerParams(w=r.uniform(-0.05, 0.05, (out, 40)).astype(np.float32),
-                                  b=r.uniform(-0.05, 0.05, out).astype(np.float32)))
-               for out in (8, 300)]
-        convp = freeze(LayerParams(w=r.uniform(-0.05, 0.05, (4, 3, 3, 3)).astype(np.float32),
-                                   b=r.uniform(-0.05, 0.05, 4).astype(np.float32)))
-        prior = np.setbufsize(bufsize)
-        try:
-            fc_out = [forward_fc(x, p).tobytes() for p in fcs]
-            fc_out += [forward_fc(x, p, rows=(3, 7)).tobytes() for p in fcs]
-            assert np.getbufsize() == bufsize
-            conv_out = forward_conv(img, convp).tobytes()
-            assert np.getbufsize() == bufsize
-        finally:
-            np.setbufsize(prior)
-        assert fc_out == [fc_oracle(p.w, p.b, x).tobytes() for p in fcs] + [
-            fc_oracle(p.w[3:7], p.b[3:7], x).tobytes() for p in fcs]
-        assert conv_out == np.stack([conv_oracle(f, convp.w, convp.b, 1, "same")
-                                     for f in img]).tobytes()
-
-
-def rerun(test, *strategies):
-    """A new ``@given(*strategies)`` test with the body, examples and
-    settings of the hypothesis test ``test``, for a subclass that runs
-    it again: hypothesis ties each such test to a single class."""
-    return given(*strategies)(test.hypothesis.inner_test)
-
-
-@pytest.mark.usefixtures("numpy_kernels")
-class TestDenseNumpy(TestDense):
-    """``TestDense`` on the numpy kernels."""
-
-    test_matches_oracle_on_any_shard = rerun(TestDense.test_matches_oracle_on_any_shard, fc_cases())
-
-
-@pytest.mark.usefixtures("numpy_kernels")
-class TestConvNumpy(TestConv):
-    """``TestConv`` on the numpy kernels."""
-
-    test_matches_oracle_on_any_shape = rerun(TestConv.test_matches_oracle_on_any_shape, conv_cases())
-    test_batch_matches_oracle_on_each_frame = rerun(
-        TestConv.test_batch_matches_oracle_on_each_frame,
-        conv_cases(), st.integers(1, 4), st.sampled_from([1, 200, engine.PATCH_BYTES]))
-
-
-@pytest.mark.usefixtures("numpy_kernels")
-class TestUfuncBufferNumpy(TestUfuncBuffer):
-    """``TestUfuncBuffer`` on the numpy kernels."""
-
-
 # 1 + 2**-12: its square, 1 + 2**-11 + 2**-24, rounds to 1 + 2**-11 in
 # float32, so -1 + round(square) is 2**-11 while a fused multiply-add,
 # which adds the unrounded square, gives 2**-11 + 2**-24.
@@ -411,7 +303,7 @@ ONE_PLUS = np.float32(1 + 2.0**-12)
 
 
 class TestKernelContract:
-    """What either backend must hold to: products rounded on their own,
+    """What the kernels must hold to: products rounded on their own,
     every bad call refused before it reaches a kernel, and any layout
     or dtype of operand taken as its float32 values."""
 
@@ -428,7 +320,7 @@ class TestKernelContract:
     def test_conv_rounds_each_product(self):
         # a 1x1 conv over two channels sums the same two products; 9x9
         # positions and 59 filters (32, 16, 8 and a tail of 3) span full
-        # blocks and tails of both on either backend
+        # tiles and tails of both
         x = np.broadcast_to(np.array([-1, ONE_PLUS], np.float32), (9, 9, 2))
         w = np.broadcast_to(np.array([1, ONE_PLUS], np.float32), (59, 1, 1, 2))
         out = forward_conv(x, LayerParams(w=w.copy(), b=np.zeros(59, np.float32)))
@@ -495,9 +387,67 @@ class TestKernelContract:
                 assert np.asarray(got[sink][tag]).tobytes() == value.tobytes()
 
 
-@pytest.mark.usefixtures("numpy_kernels")
-class TestKernelContractNumpy(TestKernelContract):
-    """``TestKernelContract`` on the numpy kernels."""
+# Filter counts 32a + 16b + 8c + tail for every a, b, c in {0, 1} and a
+# tail of 0 or 5, which reach every sequence of the compiled conv's tiers,
+# and two 32-filter tiles with and without more after them.
+TIER_SEQUENCES = sorted({32 * a + 16 * b + 8 * c + t
+                         for a, b, c, t in itertools.product((0, 1), (0, 1), (0, 1), (0, 5))} - {0})
+TIER_SEQUENCES += [64, 77]
+
+
+class TestKernelSplits:
+    """Every way the compiled kernels split their work, each case pinned
+    against the scalar oracles: conv filters into tiles of 32, 16 and 8
+    and a zero-padded tail, conv positions into groups of MAXP = 8 that
+    may run across rows and frames, fc rows into blocks of ROWS = 64."""
+
+    @pytest.mark.parametrize("filters", TIER_SEQUENCES)
+    def test_each_sequence_of_filter_tiers(self, filters):
+        # 3x4 positions: one group of 8 and a tail of 4
+        r = np.random.default_rng(filters)
+        x = with_zeros(r, r.uniform(-1, 1, (3, 4, 3)), 0.3, 0.5)
+        w = with_zeros(r, r.uniform(-0.05, 0.05, (filters, 2, 2, 3)), 0.3, 0.5)
+        b = with_zeros(r, r.uniform(-0.05, 0.05, filters), 0.3, 0.5)
+        got = forward_conv(x, LayerParams(w=w, b=b), stride=1, padding="same")
+        assert got.tobytes() == conv_oracle(x, w, b, 1, "same").tobytes()
+
+    @pytest.mark.parametrize("frames,oh,ow,stride", [
+        (1, 1, 1, 1),   # a single position
+        (1, 1, 7, 2),   # less than one group
+        (1, 2, 4, 1),   # exactly one group
+        (1, 3, 3, 2),   # one group and one position
+        (3, 1, 3, 1),   # one group across three frames, and one position
+        (2, 3, 5, 2),   # groups that start mid-row and mid-frame
+        (5, 1, 1, 3),   # one position a frame
+    ])
+    def test_each_grouping_of_positions(self, frames, oh, ow, stride):
+        # 61 filters use every tile, each with its own positions per call
+        r = np.random.default_rng(oh * 100 + ow * 10 + frames)
+        x = with_zeros(r, r.uniform(-1, 1, (frames, (oh - 1) * stride + 2,
+                                            (ow - 1) * stride + 2, 3)), 0.3, 0.5)
+        w = with_zeros(r, r.uniform(-0.05, 0.05, (61, 2, 2, 3)), 0.3, 0.5)
+        b = with_zeros(r, r.uniform(-0.05, 0.05, 61), 0.3, 0.5)
+        got = forward_conv(x, LayerParams(w=w, b=b), stride=stride, padding="valid")
+        assert got.shape == (frames, oh, ow, 61)
+        for frame, out in zip(x, got):
+            assert out.tobytes() == conv_oracle(frame, w, b, stride, "valid").tobytes()
+
+    @pytest.mark.parametrize("outputs,rows", [
+        (64, (0, 64)),     # one full block
+        (65, (0, 65)),     # a full block and a tail of one row
+        (130, (63, 65)),   # two rows, one block
+        (130, (64, 128)),  # one full block that starts at row 64
+        (130, (1, 130)),   # blocks that start one row past the first
+        (128, (127, 128)),  # the last row alone
+    ])
+    def test_each_blocking_of_rows(self, outputs, rows):
+        r = np.random.default_rng(outputs + rows[0])
+        w = with_zeros(r, r.uniform(-0.05, 0.05, (outputs, 9)), 0.3, 0.5)
+        b = with_zeros(r, r.uniform(-0.05, 0.05, outputs), 0.3, 0.5)
+        x = with_zeros(r, r.uniform(-1, 1, 9), 0.3, 0.5)
+        lo, hi = rows
+        got = forward_fc(x, LayerParams(w=w, b=b), rows=rows)
+        assert got.tobytes() == fc_oracle(w[lo:hi], b[lo:hi], x).tobytes()
 
 
 class TestPointwise:
@@ -868,12 +818,10 @@ class TestRuns:
             got = replay(self.executor(), self.script, run_lengths)
         assert got == single
 
-    def test_reference_runs_and_patch_matrices_stay_under_their_caps(self, monkeypatch):
-        """Batch groups keep to RUN_TAGS and RUN_BYTES on whichever kernels
-        loaded.  The compiled conv lays out no patch matrix; the numpy
-        kernels' matrices keep to PATCH_BYTES."""
-        groups, calls = [], []
-        compute, lay_out = engine.TaskExecutor._compute, engine.im2col
+    def test_reference_runs_stay_under_their_caps(self, monkeypatch):
+        """Batch groups keep to RUN_TAGS and RUN_BYTES."""
+        groups = []
+        compute = engine.TaskExecutor._compute
 
         def compute_spy(ex, name, assembly, firings):
             # a batched group counts its stacked inputs too
@@ -882,33 +830,19 @@ class TestRuns:
                 else 4 * sum(p.size for p in firings)
             groups.append((name, len(firings), nbytes))
             return compute(ex, name, assembly, firings)
-
-        def im2col_spy(x, *args):
-            patches, extent = lay_out(x, *args)
-            calls.append((x.shape[0] if x.ndim == 4 else 1, patches.nbytes))
-            return patches, extent
         monkeypatch.setattr(engine.TaskExecutor, "_compute", compute_spy)
-        monkeypatch.setattr(engine, "im2col", im2col_spy)
 
-        def reference_runs():
-            # layer inputs or outputs of at most 24 KiB, 0.6 MB and 1.6 MB a frame
-            for model, scale, n, longest in (("two_stream", 1 / 8, 40, engine.RUN_TAGS),
-                                             ("alexnet", 1 / 8, 8, 3), ("vgg16", 1 / 8, 2, 1)):
-                g = build_model(model, scale, seed=1)
-                groups.clear()
-                run_reference(g, {g.inputs[0]: make_clip(g, n, 1)})
-                assert max(size for _, size, _ in groups) == longest
-                first = g.consumers(g.inputs[0])[0]
-                assert sum(size for name, size, _ in groups if name == first) == n
-                assert all(size <= engine.RUN_TAGS for _, size, _ in groups)
-                assert all(size == 1 or nbytes <= engine.RUN_BYTES for _, size, nbytes in groups)
-        reference_runs()
-        if engine._KERNELS is not None:
-            assert calls == []
-            monkeypatch.setattr(engine, "_KERNELS", None)
-            reference_runs()
-        assert all(frames == 1 or nbytes <= engine.PATCH_BYTES for frames, nbytes in calls)
-        assert max(frames for frames, _ in calls) == engine.RUN_TAGS
+        # layer inputs or outputs of at most 24 KiB, 0.6 MB and 1.6 MB a frame
+        for model, scale, n, longest in (("two_stream", 1 / 8, 40, engine.RUN_TAGS),
+                                         ("alexnet", 1 / 8, 8, 3), ("vgg16", 1 / 8, 2, 1)):
+            g = build_model(model, scale, seed=1)
+            groups.clear()
+            run_reference(g, {g.inputs[0]: make_clip(g, n, 1)})
+            assert max(size for _, size, _ in groups) == longest
+            first = g.consumers(g.inputs[0])[0]
+            assert sum(size for name, size, _ in groups if name == first) == n
+            assert all(size <= engine.RUN_TAGS for _, size, _ in groups)
+            assert all(size == 1 or nbytes <= engine.RUN_BYTES for _, size, nbytes in groups)
 
     def test_iterable_input_equals_array_input(self):
         frames = self.frames[:40]
@@ -1018,48 +952,65 @@ class TestGoldenOutputs:
         assert golden_digest(model, scale, outputs) == GOLDEN_OUTPUTS[(model, scale, outputs)]
 
 
-@pytest.mark.usefixtures("numpy_kernels")
-class TestGoldenOutputsNumpy(TestGoldenOutputs):
-    """``TestGoldenOutputs`` on the numpy kernels."""
-
-
 class TestKernelLoader:
-    """``_load_kernels`` gives None, and the numpy kernels, whenever it
-    cannot build and load the compiled ones."""
+    """``_load_kernels`` builds and loads the compiled kernels, or raises
+    ``ImportError`` naming the command that failed."""
 
-    def test_missing_compiler_keeps_the_numpy_kernels(self, monkeypatch):
+    @staticmethod
+    def shim(tmp_path, monkeypatch, script):
+        """Make ``_load_kernels`` run the shell ``script`` as its compiler;
+        returns the shim's path."""
+        shim = tmp_path / "cc"
+        shim.write_text("#!/bin/sh\n" + script)
+        shim.chmod(0o755)
+        monkeypatch.setattr(engine, "_compiler", lambda: str(shim))
+        return str(shim)
+
+    def test_missing_compiler_is_an_import_error(self, monkeypatch):
         monkeypatch.setattr(engine, "_compiler", lambda: "/nonexistent/edgeflock-cc")
-        lib = engine._load_kernels()
-        assert lib is None
-        monkeypatch.setattr(engine, "_KERNELS", lib)
-        assert golden_digest("two_stream", 0.03125, 4) == GOLDEN_OUTPUTS[("two_stream", 0.03125, 4)]
+        with pytest.raises(ImportError, match="/nonexistent/edgeflock-cc"):
+            engine._load_kernels()
+
+    def test_failed_compile_names_the_command_and_its_stderr(self, tmp_path, monkeypatch):
+        shim = self.shim(tmp_path, monkeypatch,
+                         'for i in 1 2 3 4 5 6 7 8 9 10 11 12; do echo "line $i" >&2; done\nexit 1\n')
+        with pytest.raises(ImportError) as raised:
+            engine._load_kernels()
+        lines = str(raised.value).splitlines()
+        # the last command tried, the one without -march=native, and the
+        # last ten lines of its stderr
+        assert shim in lines[0] and "exit status 1" in lines[0]
+        assert "-march=native" not in lines[0]
+        assert lines[1:] == [f"line {i}" for i in range(3, 13)]
+
+    def test_a_library_that_does_not_load_is_an_import_error(self, tmp_path, monkeypatch):
+        # the compile succeeds but writes text where the library goes
+        shim = self.shim(tmp_path, monkeypatch,
+                         'while [ $# -gt 1 ]; do [ "$1" = -o ] && out=$2; shift; done\n'
+                         'echo "not a library" > "$out"\n')
+        with pytest.raises(ImportError) as raised:
+            engine._load_kernels()
+        assert shim in str(raised.value).splitlines()[0]
 
     def test_build_leaves_no_file_beside_the_source(self):
-        if engine._KERNELS is None:
-            pytest.skip("no working C compiler")
         package = engine._KERNELS_SOURCE.parent
         before = sorted(package.iterdir())
         lib = engine._load_kernels()
-        assert lib is not None and "-ffp-contract=off" in lib.build_command
+        assert "-ffp-contract=off" in lib.build_command
         assert sorted(package.iterdir()) == before
 
     def test_retries_without_march_native(self, tmp_path, monkeypatch):
-        if engine._KERNELS is None:
-            pytest.skip("no working C compiler")
-        shim = tmp_path / "cc"
-        shim.write_text('#!/bin/sh\ncase "$*" in *-march=native*) exit 1;; esac\n'
-                        f'exec {engine._compiler()} "$@"\n')
-        shim.chmod(0o755)
-        monkeypatch.setattr(engine, "_compiler", lambda: str(shim))
+        compiler = engine._compiler()
+        self.shim(tmp_path, monkeypatch,
+                  f'case "$*" in *-march=native*) exit 1;; esac\nexec {compiler} "$@"\n')
         lib = engine._load_kernels()
-        assert lib is not None and "-march=native" not in lib.build_command
+        assert "-march=native" not in lib.build_command
         monkeypatch.setattr(engine, "_KERNELS", lib)
         assert golden_digest("two_stream", 0.03125, 4) == GOLDEN_OUTPUTS[("two_stream", 0.03125, 4)]
 
-    def test_compile_timeout_keeps_the_numpy_kernels(self, tmp_path, monkeypatch):
-        shim = tmp_path / "cc"
-        shim.write_text("#!/bin/sh\nexec sleep 30\n")
-        shim.chmod(0o755)
-        monkeypatch.setattr(engine, "_compiler", lambda: str(shim))
+    def test_compile_timeout_is_an_import_error(self, tmp_path, monkeypatch):
+        shim = self.shim(tmp_path, monkeypatch, "exec sleep 30\n")
         monkeypatch.setattr(engine, "_COMPILE_TIMEOUT_S", 0.5)
-        assert engine._load_kernels() is None
+        with pytest.raises(ImportError, match="timed out") as raised:
+            engine._load_kernels()
+        assert shim in str(raised.value)

@@ -336,6 +336,41 @@ class TestCli:
         result = CliRunner().invoke(main, [command, "--model", "two_stream", "--devices", devices])
         self._usage_error(result, "--devices")
 
+    @pytest.mark.parametrize("args", [
+        ["plan", "--model", "two_stream", "--seed", "-1"],
+        ["verify", "--model", "two_stream", "--seed", "-1"],
+        ["verify", "--model", "two_stream", "--seed", "1", "--seed", "-2"],
+        ["bench", "--model", "two_stream", "--seed", "-1"],
+        ["run", "--seed", "-1"],
+        ["verify", "--model", "two_stream", "--frames", "-3"],
+        ["verify", "--model", "two_stream", "--frames", "0"],
+    ])
+    def test_a_negative_seed_or_no_frames_is_a_usage_error(self, tmp_path, args):
+        if args[0] == "run":
+            plan = tmp_path / "plan.json"
+            plan.write_text(plan_for(load_model("two_stream", 0.03125, 1), 2).to_json())
+            args = ["run", "--plan", str(plan), "--devices", "2"] + args[1:]
+        result = CliRunner().invoke(main, args)
+        self._usage_error(result, args[-2])
+
+    @pytest.mark.parametrize("field", ["seed", "weights_seed"])
+    def test_a_negative_seed_in_a_model_or_plan_file_exits_2(self, tmp_path, field):
+        doc = json.loads(plan_for(load_model("two_stream", 0.03125, 1), 2).to_json())
+        if field == "seed":
+            doc["model"]["seed"] = -1
+        else:
+            doc["model"]["layers"][3]["weights_seed"] = -1
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc["model"]))
+        result = CliRunner().invoke(main, ["plan", "--model", str(model), "--devices", "2"])
+        assert result.exit_code == 2, result.output
+        assert "invalid model:" in result.output and "is negative" in result.output
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(doc))
+        result = CliRunner().invoke(main, ["run", "--plan", str(plan), "--devices", "2"])
+        self._usage_error(result, "--plan")
+        assert "is negative" in result.output
+
     @staticmethod
     def _usage_error(result, option):
         assert result.exit_code == 2, result.output

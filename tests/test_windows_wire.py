@@ -1,11 +1,14 @@
 """Sliding windows, bounded inboxes, and the wire format."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from edgeflock.windows import BoundedInbox, SlidingWindow, WindowError
 from edgeflock.wire import (
+    HEADER_LEN,
     Kind,
     Message,
     WireError,
@@ -110,12 +113,10 @@ class TestBoundedInbox:
 class TestWire:
     def test_tensor_roundtrip(self):
         arr = np.random.default_rng(0).uniform(-1, 1, (3, 4, 2)).astype(np.float32)
-        msg = Message(kind=Kind.DATA, tag=77, source=3, dest_role=9,
-                      stream_id=5, layer="fc_d1", tensor=arr)
+        msg = Message(kind=Kind.DATA, tag=77, source=3, layer="fc_d1", tensor=arr)
         back = decode(encode(msg))
         assert back.kind == Kind.DATA
-        assert back.tag == 77 and back.source == 3 and back.dest_role == 9
-        assert back.stream_id == 5 and back.layer == "fc_d1"
+        assert back.tag == 77 and back.source == 3 and back.layer == "fc_d1"
         assert np.array_equal(back.tensor, arr)
         assert back.tensor.dtype == np.float32
 
@@ -126,9 +127,16 @@ class TestWire:
         assert back.layer == "flow"
         assert back.body == {"next_tag": 12}
 
-    def test_header_is_twenty_bytes(self):
-        from edgeflock.wire import HEADER_LEN
-        assert HEADER_LEN == 20
+    def test_header_is_sixteen_bytes(self):
+        assert HEADER_LEN == 16
+
+    def test_a_version_1_frame_is_a_wire_error(self):
+        """A frame with the 20-byte version 1 header, whose dest_role and
+        stream_id fields are gone, is refused."""
+        payload = encode_tensor(np.zeros(3, np.float32), "fc_d1")
+        frame = struct.pack(">BBHQHHI", 1, int(Kind.DATA), 0, 7, 0, 0, len(payload)) + payload
+        with pytest.raises(WireError, match="unsupported wire version 1"):
+            decode(frame)
 
     def test_data_without_tensor_rejected(self):
         with pytest.raises(WireError):
@@ -137,7 +145,7 @@ class TestWire:
     def test_truncated_frame_rejected(self):
         frame = encode(Message(kind=Kind.ALMOST_FULL))
         with pytest.raises(WireError):
-            decode(frame[:-1] if len(frame) > 20 else frame[:10])
+            decode(frame[:-1] if len(frame) > HEADER_LEN else frame[:10])
 
     def test_float_bytes_are_little_endian(self):
         arr = np.array([1.0], np.float32)
@@ -217,6 +225,6 @@ class TestWireDecodingIsTotal:
     ])
     def test_each_malformation_is_a_wire_error(self, kind, payload):
         from edgeflock.wire import _HEADER, WIRE_VERSION
-        frame = _HEADER.pack(WIRE_VERSION, int(kind), 0, 0, 0, 0, len(payload)) + payload
+        frame = _HEADER.pack(WIRE_VERSION, int(kind), 0, 0, len(payload)) + payload
         with pytest.raises(WireError):
             decode(frame)
