@@ -23,10 +23,17 @@ typedef float v16 __attribute__((vector_size(64)));
 typedef float v8 __attribute__((vector_size(32)));
 typedef float v4 __attribute__((vector_size(16)));
 
-/* Rows summed at once by fc_rows, and conv positions whose input
- * pointers a conv tile reads: more ran no faster on a 2-vCPU AVX-512
- * Xeon, as the pointers no longer fit in general-purpose registers. */
-#define ROWS 64
+/* Rows summed at once by fc_rows: their accumulators, 4 KiB, stay in L1,
+ * and each input's weights for them are one contiguous run of a weight
+ * row, so a matrix of up to 1024 outputs is read front to back.  On a
+ * 2-vCPU AVX-512 Xeon (best of 7, two runs), a 1024 -> 1024 call took
+ * 282-300 us at 64 rows, which read it in 64-float pieces 4 KiB apart,
+ * and 200-211 us at 1024; 960 -> 1024 went from 261-287 to 181-186 us.
+ * 256 or 2048 rows were slower on both.
+ * MAXP is the number of conv positions whose input pointers a conv tile
+ * reads: more ran no faster on the same Xeon, as the pointers no longer
+ * fit in general-purpose registers. */
+#define ROWS 1024
 #define MAXP 8
 
 /* The sums of one tile, without bias, into sums (P, F): positions x[0..P)

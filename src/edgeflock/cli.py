@@ -146,7 +146,8 @@ def verify(model, devices, scale, seeds, frames, transport, profiles):
 @click.option("--devices", type=int, required=True)
 @click.option("--transport", type=click.Choice(TRANSPORTS),
               default="in_process", show_default=True)
-@click.option("--frames", type=int, default=60, show_default=True)
+@click.option("--frames", type=click.IntRange(min=1), default=60, show_default=True,
+              help="frames to stream; fewer than the window lag plus 4 are raised to that")
 @click.option("--seed", type=_SEED, default=1, show_default=True)
 def run(aset, devices, transport, frames, seed):
     """Execute a planned assignment on a frame stream.
@@ -168,7 +169,8 @@ def run(aset, devices, transport, frames, seed):
 @click.option("--model", required=True, callback=_model_spec)
 @click.option("--devices", default="1,4,5,8,10,12", show_default=True)
 @click.option("--scale", type=_SCALE, default=harness.DESK_SCALE, show_default=True)
-@click.option("--frames", type=int, default=40, show_default=True)
+@click.option("--frames", type=click.IntRange(min=1), default=40, show_default=True,
+              help="frames per run; fewer than the window lag plus 8 are raised to that")
 @click.option("--seed", type=_SEED, default=1, show_default=True)
 @_profile_file
 @click.option("--out", type=click.Path(), default=None, help="write machine-readable report")

@@ -45,20 +45,26 @@ and reuses it in every flow stack window holding that pair, as
 parameters are shared read-only by every executor of a graph
 (``shared_params``).
 
-Pushing an item only schedules the math.  Each firing becomes a
-``Pending`` value in a ``Batch``: its layer, tag, inputs and a static
-shape, which is all that tag alignment, routing and cost accounting
-read.  ``Batch.flush`` computes the pending firings layer by layer in
-graph topological order, one group per (executor, layer), whatever tags
-a group holds.  conv, relu, norm and maxpool take a group as one
-(tags, ...) batch, the conv in one kernel call, and pyramids run once
-per group, on one (windows, items, size) batch; fc, softmax, concat and
-shard assembly run once per tag, and flow stacks once per window.
-Since every output element keeps its own ascending sum, a frame's
-outputs do not depend on the frames beside it.  A batch flushes itself
-before a group would pass ``RUN_TAGS`` firings or a layer
-``RUN_BYTES``; ``run_reference`` pushes one tag at a time and flushes
-once more at the end.
+Pushing an item only schedules the math.  An executor fires each
+*chain* of its layers once per tag: a maximal run of owned conv, relu,
+norm, maxpool, fc and softmax layers in which every member but the last
+has one graph consumer, the next member, and is not emitted.  Each
+firing of a chain, or of a concat or windowed layer, becomes one
+``Pending`` value in a ``Batch``: its head, tag, inputs and its tail's
+static shape, which is all that tag alignment, routing and cost
+accounting read.  ``Batch.flush`` computes the pending firings in graph
+topological order of their first layers, one group per (executor,
+chain or layer), whatever tags a group holds.  A chain stacks its
+head's inputs into one (tags, ...) batch and runs its members over it
+in turn: conv, relu, norm and maxpool over the whole batch, the conv in
+one kernel call; fc and softmax once per tag.  Pyramids run once per
+group, on one (windows, items, size) batch; concat and shard assembly
+run once per tag, and flow stacks once per window.  Since every output
+element keeps its own ascending sum, a frame's outputs do not depend on
+the frames beside it.  A batch flushes itself before a group would pass
+``RUN_TAGS`` firings or a chain or layer ``RUN_BYTES``;
+``run_reference`` pushes one tag at a time and flushes once more at the
+end.
 """
 
 from __future__ import annotations
@@ -199,13 +205,14 @@ def _tap_major(params: LayerParams) -> np.ndarray:
     return _float32(w.reshape(w.shape[0], -1).T)
 
 
-# A batch computes at most RUN_TAGS firings of one (executor, layer) in
-# one group, and fewer when one layer's outputs (or stacked inputs) over
-# all executors would exceed RUN_BYTES (never fewer than one).  A flush
-# holds a group's stacked inputs and outputs at once, so the caps bound
-# its memory: a reference run of 16 frames of vgg16 at 1/8, whose layer
-# outputs reach 1.6 MB a frame, peaked at 64 MiB of RSS, and at 144 MiB
-# without RUN_BYTES.
+# A batch computes at most RUN_TAGS firings of one (executor, chain or
+# layer) in one group, and fewer when the firings of one chain or layer
+# over all executors would count more than RUN_BYTES (never fewer than
+# one); see TaskExecutor._fire for what a firing counts.  A flush holds a
+# group's stacked inputs and a member's outputs at once, so the caps
+# bound its memory: a reference run of 16 frames of vgg16 at 1/8, whose
+# layer outputs reach 1.6 MB a frame, peaked at 64 MiB of RSS, and at
+# 144 MiB without RUN_BYTES.
 RUN_TAGS = 16
 RUN_BYTES = 2 << 20
 
@@ -547,25 +554,27 @@ def value_of(x):
 class Batch:
     """Pending firings of one or more executors of a graph.
 
-    Firings are grouped by (layer, executor); ``flush`` computes the
-    groups in the graph's topological order, so every input is computed
-    before the firings that read it, and each shard assembly after the
-    shards of its layer.  A group never holds more than ``RUN_TAGS``
-    firings, and the firings of one layer, over every executor, never
-    hold more than ``RUN_BYTES`` unless there is only one of them: a
-    firing that would pass a cap flushes the batch first.  A firing
-    counts the bytes of its output, or of its input where that is larger
-    and the flush stacks the group's inputs into one array.  So a flush
-    keeps the outputs of a few layers alive at a time, however many
-    replicas run a layer.  Values do not depend on where the flushes
-    fall.
+    Firings are grouped by (chain or layer, executor), a chain keyed by
+    its head; ``flush`` computes the groups in the topological order of
+    their first layers.  That order puts every input before the firings
+    that read it, as only a chain's tail is read outside it, and each
+    shard assembly after the shards of its layer, whose tail it is.  A
+    group never holds more than ``RUN_TAGS`` firings, and the firings of
+    one chain or layer, over every executor, never count more than
+    ``RUN_BYTES`` unless there is only one of them: a firing that would
+    pass a cap flushes the batch first.  A chain's firing counts the
+    largest of its members' outputs and its head's input, which the
+    flush stacks; any other firing its output.  So a flush keeps the
+    outputs of a few layers alive at a time, however many replicas run
+    a layer.  Values do not depend on where the flushes fall.
     """
 
     def __init__(self):
-        # (topological rank, 0 for a layer or 1 for its shard assembly,
-        # executor) -> firings in the order they fired
+        # (topological rank of a chain's head or a layer, 0, or 1 for a
+        # layer's shard assembly, executor) -> firings in the order they
+        # fired
         self.groups: dict[tuple[int, int, "TaskExecutor"], list[Pending]] = {}
-        # (rank, 0 or 1) -> bytes of that layer's firings
+        # (rank, 0 or 1) -> bytes of that chain's or layer's firings
         self.layer_bytes: dict[tuple[int, int], int] = {}
 
     def __len__(self) -> int:
@@ -616,8 +625,8 @@ class SkipNotice:
     next_tag: int
 
 
-# Kinds that a flush computes as one (tags, ...) batch per group.
-_BATCHED_KINDS = {ir.CONV, ir.RELU, ir.NORM, ir.MAXPOOL}
+# Kinds that form chains; see TaskExecutor.
+_CHAIN_KINDS = {ir.CONV, ir.RELU, ir.NORM, ir.MAXPOOL, ir.FC, ir.SOFTMAX}
 
 
 class TaskExecutor:
@@ -631,15 +640,25 @@ class TaskExecutor:
     and emit at the newest contributing tag, so tags stay aligned across
     parallel branches.
 
+    Every owned conv, relu, norm, maxpool, fc and softmax layer belongs
+    to exactly one chain, perhaps a chain of one: a maximal run of such
+    layers in which each member but the last is not emitted and has one
+    graph consumer, the next member.  A chain fires once per tag, when
+    its head does, into one ``Pending`` with its tail's shape; the values
+    of the other members are never emitted nor held.  ``fired_log``
+    still lists every member, in the breadth-first order in which the
+    members would fire one by one, so cost accounting sees each layer.
+
     ``part = (fc, lo, hi)`` makes the executor a row shard, for model
     parallelism: fc and its row-local glue (``costs.row_local_layers``)
     compute output rows [lo, hi) only.  The last of those layers, the
-    terminal, is always emitted and never fed to the executor's own
-    consumers: they read the whole value, which ``push_part`` assembles
-    from the row shards of every device.  ``batch`` may be shared by
-    several executors of the graph; by default the executor has its own.
-    Every executor of a graph computes with the same weights: ``params``
-    reads them from ``shared_params`` at each call.
+    terminal, is always emitted, and so always ends a chain, and is never
+    fed to the executor's own consumers: they read the whole value,
+    which ``push_part`` assembles from the row shards of every device.
+    ``batch`` may be shared by several executors of the graph; by default
+    the executor has its own.  Every executor of a graph computes with
+    the same weights: ``params`` reads them from ``shared_params`` at
+    each call.
     """
 
     def __init__(
@@ -668,8 +687,22 @@ class TaskExecutor:
         self.batch = batch if batch is not None else Batch()
         self._owned_set = owned_set
         self._rank = {n: i for i, n in enumerate(graph.topo_order)}
-        # owned layer -> (batch key, output shape, size, stacked), or None
-        # for a layer that passes its input through; see _plan
+        # chain head -> ((member, output shape), ...) in order; _linked
+        # holds the members other than heads, which never fire themselves
+        self._chains: dict[str, tuple[tuple[str, tuple], ...]] = {}
+        self._linked: set[str] = set()
+        head_of: dict[str, str] = {}
+        for n in graph.topo_order:
+            if n not in owned_set or graph.layer(n).kind not in _CHAIN_KINDS:
+                continue
+            prev = graph.layer(n).inputs[0]
+            linked = prev in head_of and prev not in self.emit and graph.consumers(prev) == [n]
+            head = head_of[n] = head_of[prev] if linked else n
+            if linked:
+                self._linked.add(n)
+            self._chains[head] = self._chains.get(head, ()) + ((n, self._shape(n)),)
+        # firing layer -> (batch key, output shape, size, peak size), or
+        # None for a layer that passes its input through; see _plan
         self._plans: dict[str, Optional[tuple]] = {}
         # consumers[x] = owned layers reading x inside the executor
         self.consumers: dict[str, list[str]] = {}
@@ -693,7 +726,8 @@ class TaskExecutor:
                 self._flows[n] = {}
             if spec.kind == ir.CONCAT:
                 self._joins[n] = {}
-            self._plans[n] = self._plan(n)
+            if n not in self._linked:
+                self._plans[n] = self._plan(n)
         self.fired_log: list[str] = []
         self.pending_notices: list[SkipNotice] = []
 
@@ -702,32 +736,41 @@ class TaskExecutor:
 
     # -- scheduling -----------------------------------------------------
 
-    def _plan(self, name: str) -> Optional[tuple]:
-        """(batch key, output shape, output size, whether a flush stacks
-        its inputs) of an owned layer: a shard's rows for a row-local
-        layer, a flat vector for softmax, else the graph's shape.  None
-        for a source or a sink."""
-        k = self.graph.layer(name).kind
-        if k in (ir.SOURCE, ir.SINK):
-            return None
+    def _shape(self, name: str) -> tuple:
+        """An owned layer's output shape: a shard's rows for a row-local
+        layer, a flat vector for softmax, else the graph's shape."""
         if name in self._row_local:
-            shape = (self.part[2] - self.part[1],)
-        elif k == ir.SOFTMAX:
-            shape = (self.graph.shapes[name].size,)
-        else:
-            shape = self.graph.shapes[name].dims
-        return (self._rank[name], 0, self), shape, math.prod(shape), k in _BATCHED_KINDS
+            return (self.part[2] - self.part[1],)
+        if self.graph.layer(name).kind == ir.SOFTMAX:
+            return (self.graph.shapes[name].size,)
+        return self.graph.shapes[name].dims
+
+    def _plan(self, name: str) -> Optional[tuple]:
+        """(batch key, output shape, output size, peak size) of a layer
+        that fires: a chain's head, with its tail's output and the largest
+        output of its members as the peak, or a concat or windowed layer,
+        whose peak is None.  None for a source or a sink."""
+        if self.graph.layer(name).kind in (ir.SOURCE, ir.SINK):
+            return None
+        chain = self._chains.get(name)
+        shape = chain[-1][1] if chain else self._shape(name)
+        peak = max(math.prod(s) for _, s in chain) if chain else None
+        return (self._rank[name], 0, self), shape, math.prod(shape), peak
 
     def _fire(self, name: str, tag: int, args: Any) -> Any:
         """Record one firing of ``name`` at ``tag`` on ``args`` (its input,
         a concat's list of inputs, or a window's items); returns its
-        ``Pending`` output.  A sink passes its input through."""
+        ``Pending`` output, which for a chain's head is its tail's.  A
+        sink passes its input through.
+
+        A chain counts its largest output or its head's input, which a
+        flush stacks, whichever is larger; any other layer its output."""
         plan = self._plans[name]
         if plan is None:
             return args
-        key, shape, size, stacked = plan
+        key, shape, size, peak = plan
         pending = Pending(shape, size, tag, args)
-        return self.batch.add(key, pending, 4 * (max(size, args.size) if stacked else size))
+        return self.batch.add(key, pending, 4 * (size if peak is None else max(peak, args.size)))
 
     def join_rows(self, layer: str, tag: int, parts: list) -> Pending:
         """Record the assembly of ``layer`` at ``tag`` from its row shards
@@ -739,40 +782,28 @@ class TaskExecutor:
     # -- computation ----------------------------------------------------
 
     def _compute(self, name: str, assembly: bool, firings: list[Pending]) -> None:
-        """Compute one group of firings of ``name`` (or of its shard
-        assembly) whose inputs are all computed.
+        """Compute one group of firings of ``name`` (a chain's head, a
+        concat or a windowed layer) or of its shard assembly, whose inputs
+        are all computed.
 
-        conv, relu, norm and maxpool take the group as one batch, and a
-        pyramid takes its windows as one; every other kind runs once per
-        firing.  Each kernel is looked up in this module's globals at the
-        call.
+        A chain stacks its head's inputs into one (tags, ...) batch once
+        and runs each member's ``_step`` over it in turn; only the tail's
+        output is kept.  A pyramid takes its windows as one batch; concat,
+        flow stacks and assemblies run once per firing.
         """
         spec = self.graph.layer(name)
         k = spec.kind
+        chain = self._chains.get(name)
         if assembly:
             values = [np.concatenate([np.asarray(value_of(v), np.float32).reshape(-1)
                                       for v in p.args]) for p in firings]
-        elif k in _BATCHED_KINDS:
-            x = _stacked([value_of(p.args) for p in firings])
-            if k == ir.CONV:
-                values = forward_conv(x, self.params(name),
-                                      stride=int(spec.attrs.get("stride", 1)),
-                                      padding=spec.attrs.get("padding", "same"))
-            elif k == ir.RELU:
-                values = forward_relu(x)
-            elif k == ir.NORM:
-                values = forward_norm(x, self.params(name))
-            else:
-                values = forward_maxpool(x, int(spec.attrs["window"]),
-                                         int(spec.attrs.get("stride", spec.attrs["window"])))
-        elif k == ir.FC:
-            rows = None
-            if self.part is not None and self.part[0] == name:
-                rows = (self.part[1], self.part[2])
-            params = self.params(name)
-            values = [forward_fc(value_of(p.args), params, rows=rows) for p in firings]
-        elif k == ir.SOFTMAX:
-            values = [forward_softmax(value_of(p.args)) for p in firings]
+        elif chain:
+            values = _stacked([value_of(p.args) for p in firings])
+            for member, shape in chain:
+                values = self._step(member, values)
+                if values.shape[1:] != shape:
+                    raise EngineError(f"layer {member!r}: computed shape {values.shape[1:]}, "
+                                      f"scheduled as {shape}")
         elif k == ir.CONCAT:
             axis = int(spec.attrs.get("axis", 0))
             values = [np.concatenate([value_of(v) for v in p.args], axis=axis) for p in firings]
@@ -791,6 +822,29 @@ class TaskExecutor:
                 raise EngineError(f"layer {name!r} at tag {p.tag}: computed shape {v.shape}, "
                                   f"scheduled as {p.shape}")
             p.value, p.args = v, None
+
+    def _step(self, name: str, x: np.ndarray) -> np.ndarray:
+        """Chain member ``name`` over a (tags, ...) batch ``x``.  conv,
+        relu, norm and maxpool take the batch in one call; fc, on a row
+        shard's rows, and softmax run once per frame.  Each kernel is
+        looked up in this module's globals at the call."""
+        spec = self.graph.layer(name)
+        k = spec.kind
+        if k == ir.CONV:
+            return forward_conv(x, self.params(name), stride=int(spec.attrs.get("stride", 1)),
+                                padding=spec.attrs.get("padding", "same"))
+        if k == ir.RELU:
+            return forward_relu(x)
+        if k == ir.NORM:
+            return forward_norm(x, self.params(name))
+        if k == ir.MAXPOOL:
+            return forward_maxpool(x, int(spec.attrs["window"]),
+                                   int(spec.attrs.get("stride", spec.attrs["window"])))
+        if k == ir.FC:
+            rows = self.part[1:] if self.part is not None and self.part[0] == name else None
+            params = self.params(name)
+            return np.stack([forward_fc(v, params, rows=rows) for v in x])
+        return np.stack([forward_softmax(v) for v in x])
 
     def _flow_stack(self, name: str, end_tag: int, items: list[np.ndarray], window_len: int) -> np.ndarray:
         """``flow_stack`` over the window ending at ``end_tag``, computing
@@ -830,7 +884,10 @@ class TaskExecutor:
         Side channels read by callers after each push: ``fired_log``
         lists owned layers that fired, once per tag, and
         ``pending_notices`` collects skip notices raised by window
-        resyncs.  Layers are visited breadth first, item by item.
+        resyncs.  Layers are visited breadth first, item by item; a chain
+        member past the head is visited with the chain's output, and only
+        logged.  A value computed inside one of this executor's chains is
+        never pushed to it (``EngineError``).
         """
         out: list[Emission] = []
         self.fired_log: list[str] = []
@@ -845,6 +902,14 @@ class TaskExecutor:
                 out.append(Emission(layer, t, val))
             if not (is_local and layer == self._terminal):
                 for consumer in self.consumers.get(layer, ()):  # deterministic order
+                    if consumer in self._linked:
+                        # Fired with its chain's head; val is the chain's output.
+                        if not is_local:
+                            raise EngineError(f"{layer!r} is computed inside a chain of this "
+                                              "executor and is never pushed to it")
+                        self.fired_log.append(consumer)
+                        queue.append((consumer, t, val, True))
+                        continue
                     for fired_tag, fired in self._feed(consumer, layer, t, val):
                         queue.append((consumer, fired_tag, fired, True))
         return out
@@ -952,7 +1017,7 @@ def run_reference(graph: ir.ModelGraph,
 
     ``inputs`` maps each source name to an ordered iterable of items
     (tags are assigned 0, 1, ...), pushed one at a time into one
-    executor whose batch computes each layer over up to ``RUN_TAGS``
+    executor whose batch computes each chain or layer over up to ``RUN_TAGS``
     tags at once.  Returns, per sink, the map from tag to output value.
     Deterministic: identical (graph, seed, inputs) produce bit-identical
     outputs.

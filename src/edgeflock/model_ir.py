@@ -117,6 +117,8 @@ class ModelGraph:
     # first_valid[n]: lowest tag layer n can ever emit, given the window
     # lags accumulated along its ancestry (sources start at tag 0).
     first_valid: dict[str, int] = field(default_factory=dict)
+    # consumer_index[n]: the layers reading n, once each, in topo_order.
+    consumer_index: dict[str, list[str]] = field(default_factory=dict)
     # Generated layer parameters keyed by (seed, layer), filled lazily by
     # engine.shared_params and shared read-only by every executor.
     params_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -128,7 +130,9 @@ class ModelGraph:
         return self.layers[name]
 
     def consumers(self, name: str) -> list[str]:
-        return [ln for ln in self.topo_order if name in self.layers[ln].inputs]
+        """The layers reading ``name``, in topological order; the list is
+        the graph's own, not to be changed."""
+        return self.consumer_index.get(name, [])
 
     def to_json(self) -> str:
         doc = {
@@ -288,18 +292,22 @@ def validate_graph(graph: ModelGraph) -> ModelGraph:
             raise GraphError(f"declared output {n!r} is not a sink layer")
 
     # Kahn topological sort; insertion order breaks ties so the order is
-    # deterministic for a given serialization.
+    # deterministic for a given serialization.  readers[n] lists the
+    # layers reading n once each, in insertion order.
+    readers: dict[str, list[str]] = {n: [] for n in graph.layers}
+    for m, spec in graph.layers.items():
+        for inp in dict.fromkeys(spec.inputs):
+            readers[inp].append(m)
     indeg = {n: len(s.inputs) for n, s in graph.layers.items()}
     ready = [n for n, d in indeg.items() if d == 0]
     order: list[str] = []
     while ready:
         n = ready.pop(0)
         order.append(n)
-        for m, spec in graph.layers.items():
-            if n in spec.inputs:
-                indeg[m] -= spec.inputs.count(n)
-                if indeg[m] == 0:
-                    ready.append(m)
+        for m in readers[n]:
+            indeg[m] -= graph.layers[m].inputs.count(n)
+            if indeg[m] == 0:
+                ready.append(m)
     if len(order) != len(graph.layers):
         stuck = sorted(set(graph.layers) - set(order))
         raise GraphError(f"cycle detected involving layers {stuck}")
@@ -317,8 +325,10 @@ def validate_graph(graph: ModelGraph) -> ModelGraph:
         base = max((first_valid[i] for i in spec.inputs), default=0)
         first_valid[n] = base + (spec.window - 1)
     graph.shapes = shapes
+    rank = {n: i for i, n in enumerate(order)}
     graph.topo_order = order
     graph.first_valid = first_valid
+    graph.consumer_index = {n: sorted(readers[n], key=rank.__getitem__) for n in order}
     return graph
 
 

@@ -31,9 +31,11 @@ from edgeflock.engine import (
     run_reference,
     temporal_pyramid,
 )
-from edgeflock.harness import frames_needed, make_clip
+from edgeflock import runtime
+from edgeflock.harness import frames_needed, make_clip, plan_for
 from edgeflock.model_ir import build_model
 from edgeflock.planner import split_fc_rows
+from edgeflock.wire import Kind, Message
 
 rng = np.random.default_rng(20240811)
 
@@ -180,6 +182,28 @@ class TestDense:
         p = LayerParams(w=np.zeros((2, 3), np.float32), b=np.zeros(2, np.float32))
         with pytest.raises(EngineError):
             forward_fc(np.zeros(4, np.float32), p)
+
+    @pytest.mark.parametrize("special", ["signed zeros", "nan weights", "nan input"])
+    @pytest.mark.parametrize("rows", [
+        (700, 2300),    # starts mid-chunk, spans two chunk boundaries
+        (0, 2500),      # every row: two full chunks and a tail
+        (700, 701), (1023, 1024), (1024, 1025), (2047, 2048), (2499, 2500),  # one row
+    ])
+    def test_rows_across_chunks(self, rows, special):
+        # 2500 outputs: chunks of ROWS = 1024 rows at 0, 1024 and 2048
+        r = np.random.default_rng(rows[0] * 7 + len(special))
+        w = with_zeros(r, r.uniform(-0.05, 0.05, (2500, 7)), 0.3, 0.5)
+        b = with_zeros(r, r.uniform(-0.05, 0.05, 2500), 0.3, 0.5)
+        x = with_zeros(r, r.uniform(-1, 1, 7), 0.4, 0.5)
+        if special == "nan weights":
+            w[::97, 3] = np.nan   # NaN rows on both sides of each chunk boundary
+            w[1023:1026, 5] = np.nan
+        elif special == "nan input":
+            x[2] = np.nan
+        lo, hi = rows
+        want = fc_oracle(w[lo:hi], b[lo:hi], x).tobytes()
+        for p in (LayerParams(w=w, b=b), freeze(LayerParams(w=w.copy(), b=b.copy()))):
+            assert forward_fc(x, p, rows=rows).tobytes() == want
 
 
 class TestConv:
@@ -399,7 +423,7 @@ class TestKernelSplits:
     """Every way the compiled kernels split their work, each case pinned
     against the scalar oracles: conv filters into tiles of 32, 16 and 8
     and a zero-padded tail, conv positions into groups of MAXP = 8 that
-    may run across rows and frames, fc rows into blocks of ROWS = 64."""
+    may run across rows and frames, fc rows into blocks of ROWS = 1024."""
 
     @pytest.mark.parametrize("filters", TIER_SEQUENCES)
     def test_each_sequence_of_filter_tiers(self, filters):
@@ -433,12 +457,13 @@ class TestKernelSplits:
             assert out.tobytes() == conv_oracle(frame, w, b, stride, "valid").tobytes()
 
     @pytest.mark.parametrize("outputs,rows", [
-        (64, (0, 64)),     # one full block
-        (65, (0, 65)),     # a full block and a tail of one row
-        (130, (63, 65)),   # two rows, one block
-        (130, (64, 128)),  # one full block that starts at row 64
-        (130, (1, 130)),   # blocks that start one row past the first
-        (128, (127, 128)),  # the last row alone
+        (1024, (0, 1024)),     # one full block
+        (1025, (0, 1025)),     # a full block and a tail of one row
+        (2050, (1023, 1025)),  # two rows, one block
+        (2050, (1024, 2048)),  # one full block that starts at row 1024
+        (2050, (1, 2050)),     # blocks that start one row past the first
+        (2048, (2047, 2048)),  # the last row alone
+        (100, (3, 97)),        # fewer rows than a block
     ])
     def test_each_blocking_of_rows(self, outputs, rows):
         r = np.random.default_rng(outputs + rows[0])
@@ -864,6 +889,220 @@ class TestRuns:
         assert len(ex.batch) == 0
         assert shapes == [(np.asarray(em.value).shape, np.asarray(em.value).ndim,
                            np.asarray(em.value).size) for em in pending]
+
+
+class Synchronous(runtime.ClusterCore):
+    """The workers of one plan entry on one shared batch, with every
+    message delivered the moment it is sent.  It offers ``replay`` what
+    one executor does: ``push`` and ``skip`` at the source devices,
+    ``mark_handoff`` on every executor, ``batch``; and, for the last
+    push or skip, the graph outputs, every fired_log and every routed
+    skip notice, in the order they came."""
+
+    def __init__(self, aset, n):
+        self.batch = engine.Batch()
+        super().__init__(aset, n, inbox_capacity=1 << 20, batch=self.batch)
+        self.outputs, self.fired_log, self.pending_notices = [], [], []
+
+    def _send(self, src, msg, dst, t):
+        if msg.kind == Kind.DATA:
+            self._on_data(self.workers[dst], msg)
+        else:
+            self._on_skip(self.workers[dst], msg, t)
+
+    def _output(self, w, em, path, t):
+        self.outputs.append(em)
+
+    def _consume(self, w, msg):
+        got = super()._consume(w, msg)
+        self.fired_log += w.executor.fired_log
+        return got
+
+    def _notices(self, w, notices, t):
+        self.pending_notices += notices
+        super()._notices(w, notices, t)
+
+    def push(self, origin, tag, value):
+        self.outputs, self.fired_log, self.pending_notices = [], [], []
+        for d in self._source_targets(tag):
+            self._on_data(self.workers[d], Message(kind=Kind.DATA, tag=tag, layer=origin,
+                                                   tensor=value, meta={}))
+        return self.outputs
+
+    def skip(self, origin, next_tag):
+        self.pending_notices = []
+        for d, _idx, _count in self.sources:
+            self._notices(self.workers[d], self.workers[d].executor.skip(origin, next_tag), 0.0)
+        return self.pending_notices
+
+    def mark_handoff(self):
+        for w in self.workers.values():
+            w.executor.mark_handoff()
+
+
+CHAIN_KINDS = {"conv", "relu", "norm", "maxpool", "fc", "softmax"}
+
+
+def interior(ex):
+    """The layers that ``ex`` computes inside a chain, found from the graph
+    alone: an owned conv, relu, norm, maxpool, fc or softmax layer that is
+    not emitted and whose one graph consumer is another such owned layer."""
+    chained = {n for n in ex.owned if ex.graph.layer(n).kind in CHAIN_KINDS}
+    return {n for n in chained if n not in ex.emit
+            and len(ex.graph.consumers(n)) == 1 and ex.graph.consumers(n)[0] in chained}
+
+
+class TestChains:
+    """Executors whose layer chains fire once, against executors that emit
+    every layer, where no chain forms (``TestRuns``), and against the
+    graph."""
+
+    graph, frames, script = TestRuns.graph, TestRuns.frames, TestRuns.script
+
+    @pytest.fixture(scope="class")
+    def single(self):
+        return replay(TestRuns().executor(), self.script, [1])
+
+    @pytest.fixture(scope="class")
+    def aset(self):
+        return plan_for(self.graph, 9, scale=1 / 32)
+
+    def plan_executors(self, aset):
+        """The workers of the first plan entry with a row shard."""
+        n = min(n for n, a in aset.assignments.items() if any(t.split for t in a.tasks.values()))
+        return Synchronous(aset, n)
+
+    @pytest.fixture(scope="class")
+    def plan_single(self, aset):
+        return replay(self.plan_executors(aset), self.script, [1])
+
+    def test_chains_are_the_runs_of_single_consumer_layers(self, aset):
+        g = self.graph
+        whole = engine.TaskExecutor(g)
+        executors = [whole] + [w.executor for w in self.plan_executors(aset).workers.values()]
+        # an emitted layer ends its chain, a row shard's terminal too
+        every = TestRuns().executor()
+        some = engine.TaskExecutor(g, emit=["act_1s", "act_d2", "out"])
+        shard = engine.TaskExecutor(g, owned=["fc_d1", "act_d1", "fc_d2", "act_d2"],
+                                    part=("fc_d1", 0, 128))
+        assert interior(every) == set()
+        assert interior(some) == interior(whole) - {"act_1s", "act_d2"}
+        assert interior(shard) == {"fc_d1", "fc_d2"}
+        for ex in executors + [every, some, shard]:
+            chains = [[m for m, _shape in chain] for chain in ex._chains.values()]
+            assert sorted(m for chain in chains for m in chain) == sorted(
+                n for n in ex.owned if self.graph.layer(n).kind in CHAIN_KINDS)
+            assert {m for chain in chains for m in chain[:-1]} == interior(ex)
+        assert {chain[-1][0] for chain in whole._chains.values()} == {"fc_1s", "fc_1t", "smax"}
+        shards = [ex for ex in executors if ex.part]
+        assert len(shards) == 2
+        assert all(interior(ex) == {"fc_d1"} and "act_d1" in ex.emit for ex in shards)
+
+    def test_a_value_inside_a_chain_is_never_pushed(self):
+        ex = engine.TaskExecutor(self.graph)
+        value = np.zeros(self.graph.shapes["act_1s"].dims, np.float32)
+        with pytest.raises(EngineError, match="inside a chain"):
+            ex.push("act_1s", 0, value)
+        assert ex.push("fc_1s", 0, np.zeros(self.graph.shapes["fc_1s"].dims, np.float32)) == []
+
+    @pytest.mark.parametrize("run_lengths", [[1], [16], [3, 1, 7], [2, 16, 5, 1]])
+    def test_default_emit_gives_the_sink_bytes_and_fired_log(self, single, run_lengths):
+        emitted, fired, _notices = replay(engine.TaskExecutor(self.graph), self.script,
+                                          run_lengths)
+        assert emitted == [e for e in single[0] if e[0] == "out"]
+        assert fired == single[1]
+
+    @given(st.lists(st.integers(0, 20), min_size=1, max_size=8), st.integers(1, 16),
+           st.sampled_from([1, 5000, 2 << 20]))
+    @settings(max_examples=15, deadline=None)
+    def test_default_emit_any_flush_points(self, single, run_lengths, run_tags, run_bytes):
+        with caps(run_tags, run_bytes):
+            emitted, fired, _ = replay(engine.TaskExecutor(self.graph), self.script, run_lengths)
+        assert emitted == [e for e in single[0] if e[0] == "out"]
+        assert fired == single[1]
+
+    def test_plan_entry_with_a_row_shard_gives_the_sink_bytes(self, single, plan_single):
+        assert {e[1] for e in plan_single[0]} >= {24, 39, 69, 99}   # across the gap and handoff
+        assert plan_single[0] == [e for e in single[0] if e[0] == "out"]
+
+    @pytest.mark.parametrize("run_lengths", [[16], [3, 1, 7], [2, 16, 5, 1]])
+    def test_plan_entry_runs_equal_single_pushes(self, aset, plan_single, run_lengths):
+        assert replay(self.plan_executors(aset), self.script, run_lengths) == plan_single
+
+    @given(st.lists(st.integers(0, 20), min_size=1, max_size=8), st.integers(1, 16),
+           st.sampled_from([1, 5000, 2 << 20]))
+    @settings(max_examples=10, deadline=None)
+    def test_plan_entry_any_flush_points(self, aset, plan_single, run_lengths, run_tags,
+                                         run_bytes):
+        with caps(run_tags, run_bytes):
+            got = replay(self.plan_executors(aset), self.script, run_lengths)
+        assert got == plan_single
+
+    def test_fired_log_is_a_breadth_first_walk(self):
+        """Each push's fired_log, against a walk over ``consumers`` in which
+        a layer fires once all its inputs have fired at the tag, from its
+        first valid tag on; the stream has no gap."""
+        g = self.graph
+        ex = engine.TaskExecutor(g)
+        assert interior(ex)
+        for tag, frame in enumerate(self.frames[:30]):
+            ex.push("camera", tag, frame)
+            want, queue, arrived = ["camera"], ["camera"], {}
+            for layer in queue:   # the queue grows while it is walked
+                for c in ex.consumers.get(layer, ()):
+                    arrived[c] = arrived.get(c, 0) + 1
+                    if arrived[c] == len(g.layer(c).inputs) and tag >= g.first_valid[c]:
+                        want.append(c)
+                        queue.append(c)
+            assert ex.fired_log == want, tag
+            if tag % 5 == 4:
+                ex.batch.flush()
+
+    def test_no_interior_value_is_emitted_or_pending(self, aset, monkeypatch):
+        """No layer that ``interior`` names is emitted or fires into the
+        batch.  Each other layer of a push's fired_log that an interior
+        layer does not feed fires once, in fired_log order, with the shape
+        of its chain's tail: the first layer at or below it that is not
+        interior."""
+        g = self.graph
+        added = []
+        add = engine.Batch.add
+
+        def spy(batch, key, pending, nbytes):
+            added.append((key, pending))
+            return add(batch, key, pending, nbytes)
+        monkeypatch.setattr(engine.Batch, "add", spy)
+        cluster = self.plan_executors(aset)
+        emissions = []
+        dispatch = cluster._dispatch
+
+        def dispatch_spy(w, ems, *rest):
+            emissions.extend((w.executor, em) for em in ems)
+            return dispatch(w, ems, *rest)
+        cluster._dispatch = dispatch_spy
+        whole = engine.TaskExecutor(g)
+        inside = {ex: interior(ex)
+                  for ex in [whole] + [w.executor for w in cluster.workers.values()]}
+        for tag, frame in enumerate(self.frames[:30]):
+            added.clear()
+            emissions += [(whole, em) for em in whole.push("camera", tag, frame)]
+            fires = [n for n in whole.fired_log if g.layer(n).kind not in ("source", "sink")
+                     and g.layer(n).inputs[0] not in inside[whole]]
+            assert [g.topo_order[key[0]] for key, _p in added] == fires
+            cluster.push("camera", tag, frame)
+            for (rank, assembly, ex), pending in added:
+                if assembly:
+                    continue
+                tail = g.topo_order[rank]
+                assert g.layer(tail).inputs[0] not in inside[ex]
+                while tail in inside[ex]:
+                    tail = g.consumers(tail)[0]
+                assert pending.shape == ex._shape(tail)
+        assert {"act_1s", "fc_d2", "fc_d1"} <= set().union(*inside.values())
+        assert len({ex for ex, _em in emissions}) == len(inside)
+        assert all(em.layer not in inside[ex] for ex, em in emissions)
+        assert all(isinstance(em.value, engine.Pending) for ex, em in emissions
+                   if g.layer(em.layer).kind != "source")
 
 
 class TestRowShards:

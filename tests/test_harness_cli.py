@@ -344,6 +344,10 @@ class TestCli:
         ["run", "--seed", "-1"],
         ["verify", "--model", "two_stream", "--frames", "-3"],
         ["verify", "--model", "two_stream", "--frames", "0"],
+        ["bench", "--model", "two_stream", "--scale", "0.03125", "--frames", "-3"],
+        ["bench", "--model", "two_stream", "--frames", "0"],
+        ["run", "--frames", "0"],
+        ["run", "--frames", "-3"],
     ])
     def test_a_negative_seed_or_no_frames_is_a_usage_error(self, tmp_path, args):
         if args[0] == "run":
@@ -352,6 +356,12 @@ class TestCli:
             args = ["run", "--plan", str(plan), "--devices", "2"] + args[1:]
         result = CliRunner().invoke(main, args)
         self._usage_error(result, args[-2])
+
+    @pytest.mark.parametrize("command,outputs", [("run", 4), ("bench", 8)])
+    def test_help_says_a_short_clip_is_raised_to_the_window_lag(self, command, outputs):
+        result = CliRunner().invoke(main, [command, "--help"])
+        assert result.exit_code == 0
+        assert f"fewer than the window lag plus {outputs} are raised" in " ".join(result.output.split())
 
     @pytest.mark.parametrize("field", ["seed", "weights_seed"])
     def test_a_negative_seed_in_a_model_or_plan_file_exits_2(self, tmp_path, field):
