@@ -12,11 +12,12 @@
  * (dx, channel) of one kernel row dy at one output position are kw * c
  * contiguous floats of that batch, in the order the weights hold them.
  * A register tile sums 32, 16 or 8 filters at a few positions at once,
- * in vectors of the target's width; the last filters % 8 filters run as
- * 8 against zero-padded weights, and the padded lanes are discarded.
+ * in vectors of the target's width.  engine lays the weights out with
+ * zero columns up to the next multiple of 8 filters, so the last
+ * filters % 8 filters run as 8 in place, and the padded lanes are
+ * discarded.
  */
 #include <stdint.h>
-#include <stdlib.h>
 #include <string.h>
 
 typedef float v16 __attribute__((vector_size(64)));
@@ -105,24 +106,14 @@ CONV_TILE(tile8, v4, 4, 2, P8)
 
 /* out (frames, oh, ow, filters) = the cross-correlation of xp (frames,
  * hp, wp, c), already padded, with wt (kh * kw * c, filters) at stride
- * s, plus bias (filters).  Returns 0, or -1 if memory ran out. */
-int conv_nhwc(const float *xp, const float *wt, const float *bias, float *out,
-              int64_t frames, int64_t hp, int64_t wp, int64_t c, int64_t kh, int64_t kw,
-              int64_t s, int64_t oh, int64_t ow, int64_t filters)
+ * s, plus bias (filters).  The rows of wt are ws floats apart, ws a
+ * multiple of 8 at least filters, and columns past filters are zero. */
+void conv_nhwc(const float *xp, const float *wt, const float *bias, float *out,
+               int64_t frames, int64_t hp, int64_t wp, int64_t c, int64_t kh, int64_t kw,
+               int64_t s, int64_t oh, int64_t ow, int64_t filters, int64_t ws)
 {
-    int64_t run = kw * c, row = wp * c, taps = kh * run;
+    int64_t run = kw * c, row = wp * c;
     int64_t positions = frames * oh * ow;
-    /* The last filters % 8 filters run in the 8-wide tier, against a
-     * copy of their weights padded with zero columns. */
-    int64_t full = filters / 8 * 8, tail = filters - full;
-    float *padded = NULL;
-    if (tail) {
-        padded = calloc((size_t)(taps * 8), sizeof(float));
-        if (!padded)
-            return -1;
-        for (int64_t t = 0; t < taps; t++)
-            memcpy(padded + t * 8, wt + t * filters + full, tail * sizeof(float));
-    }
     int64_t n = 0, y = 0, xo = 0;   /* frame, oy, ox of the next position */
     for (int64_t m0 = 0; m0 < positions; m0 += MAXP) {
         int64_t np = positions - m0 < MAXP ? positions - m0 : MAXP;
@@ -145,22 +136,19 @@ int conv_nhwc(const float *xp, const float *wt, const float *bias, float *out,
             width = left >= 32 ? 32 : left >= 16 ? 16 : 8;
             if (width == 32)
                 for (int64_t p0 = 0; p0 < np; p0 += P32)
-                    tile32(x + p0, wt + f0, filters, kh, run, row, sums + p0 * 32);
+                    tile32(x + p0, wt + f0, ws, kh, run, row, sums + p0 * 32);
             else if (width == 16)
                 for (int64_t p0 = 0; p0 < np; p0 += P16)
-                    tile16(x + p0, wt + f0, filters, kh, run, row, sums + p0 * 16);
+                    tile16(x + p0, wt + f0, ws, kh, run, row, sums + p0 * 16);
             else
                 for (int64_t p0 = 0; p0 < np; p0 += P8)
-                    tile8(x + p0, left >= 8 ? wt + f0 : padded, left >= 8 ? filters : 8,
-                          kh, run, row, sums + p0 * 8);
+                    tile8(x + p0, wt + f0, ws, kh, run, row, sums + p0 * 8);
             int64_t nf = left < width ? left : width;
             for (int64_t p = 0; p < np; p++)
                 for (int64_t i = 0; i < nf; i++)
                     out[(m0 + p) * filters + f0 + i] = sums[p * width + i] + bias[f0 + i];
         }
     }
-    free(padded);
-    return 0;
 }
 
 /* out[r - lo] for rows [lo, hi) of x (inputs) against wt (inputs,

@@ -9,11 +9,12 @@ comparisons exact rather than tolerance-based, including when a dense
 layer is sharded row-wise across devices.
 
 The conv and fc kernels read weights tap-major: (taps, filters) for
-conv in (dy, dx, channel) tap order, (inputs, outputs) for fc.  Shared
-(frozen) weights are held once, in that layout, and ``LayerParams.w`` is
-a view of it in the (filters, kh, kw, c) or (outputs, inputs) shape.
-``freeze`` also takes, once, the addresses the compiled kernels are
-passed.
+conv in (dy, dx, channel) tap order, (inputs, outputs) for fc, as
+``_operands`` lays them out: a conv's with zero columns up to a multiple
+of 8 filters, which its kernel reads in place.  ``freeze`` lays shared
+weights out once, and ``LayerParams.w`` is a view of that matrix in the
+(filters, kh, kw, c) or (outputs, inputs) shape; ``_kernel_operands``
+lays any other weights out at each call.
 
 The kernels are C, in ``_kernels.c``, compiled when this module is
 imported, with the C compiler that built Python if it is on PATH and
@@ -106,9 +107,9 @@ class LayerParams:
     var: Optional[np.ndarray] = None
     gamma: Optional[np.ndarray] = None
     beta: Optional[np.ndarray] = None
-    # (w, b, address of w's tap-major matrix, address of b), taken once by
-    # freeze; see _kernel_operands.  dataclasses.replace resets it to None.
-    addresses: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    # _operands(self), taken once by freeze; see _kernel_operands.
+    # dataclasses.replace resets it to None.
+    operands: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
 
 # float64 values drawn at a time while generating one float32 array.
@@ -172,37 +173,41 @@ def shared_params(graph: ir.ModelGraph, name: str) -> LayerParams:
 def freeze(params: LayerParams) -> LayerParams:
     """Mark every array of ``params`` read-only and return it.
 
-    ``w`` is replaced by a view of its tap-major matrix (see
-    ``_tap_major``), copied once here unless ``w`` already is such a
-    view, and ``b`` by a float32 copy unless it is one, so the kernels
-    read frozen weights without a copy and the weights are held once.
-    The addresses of both are taken here, once, for the compiled kernels.
+    A weighted layer is laid out here, once, and its ``_operands`` kept
+    in ``operands``: ``w`` becomes a view of its tap-major matrix and
+    ``b`` a float32 vector, so the kernels read frozen weights without a
+    copy, and the weights are held once.
     """
-    if params.b is not None:
-        params.b = _float32(params.b)
+    if params.w is not None:
+        params.operands = _operands(params)
+        params.w, params.b, wt = params.operands[:3]
+        wt.setflags(write=False)
     for name in ("w", "b", "mean", "var", "gamma", "beta"):
         arr = getattr(params, name)
         if arr is not None:
             arr.setflags(write=False)
-    if params.w is not None:
-        wt = _tap_major(params)
-        wt.setflags(write=False)
-        params.w = wt.T.reshape(params.w.shape)
-        if params.b is not None:
-            params.addresses = (params.w, params.b, wt.ctypes.data, params.b.ctypes.data)
     return params
 
 
-def _tap_major(params: LayerParams) -> np.ndarray:
-    """``w`` as a C-contiguous (taps, outputs) matrix.
+def _operands(params: LayerParams) -> tuple:
+    """(w, b, wt, address of wt, address of b) for a compiled kernel.
 
-    fc weights (out, in) become (in, out); conv weights (f, kh, kw, c)
-    become (kh*kw*c, f) in (dy, dx, c) tap order.  For frozen params
-    ``w`` is a view of that matrix, which is returned without a copy;
-    any other ``w`` is copied into the layout on every call.
+    ``wt`` is ``w`` as a C-contiguous float32 tap-major matrix: fc
+    weights (out, in) become (in, out), conv weights (f, kh, kw, c)
+    become (kh*kw*c, f) in (dy, dx, c) tap order, with zero columns up
+    to a multiple of 8.  The ``w`` returned is a view of wt in ``w``'s
+    shape, ``b`` the bias in float32.  A bias that is not one value per
+    output raises ``EngineError``.
     """
     w = params.w
-    return _float32(w.reshape(w.shape[0], -1).T)
+    n = w.shape[0]
+    shape = None if params.b is None else params.b.shape
+    if shape != (n,):
+        raise EngineError(f"bias shape {shape} != ({n},)")
+    b = _float32(params.b)
+    wt = np.zeros((w[0].size, -(-n // 8) * 8 if w.ndim == 4 else n), dtype=np.float32)
+    wt[:, :n] = w.reshape(n, -1).T
+    return wt[:, :n].T.reshape(w.shape), b, wt, wt.ctypes.data, b.ctypes.data
 
 
 # A batch computes at most RUN_TAGS firings of one (executor, chain or
@@ -260,8 +265,8 @@ def _load_kernels() -> ctypes.CDLL:
         else:
             raise _build_error(cmd, f"exit status {done.returncode}", done.stderr)
     ptr, size = ctypes.c_void_p, ctypes.c_int64
-    lib.conv_nhwc.argtypes = (ptr, ptr, ptr, ptr) + (size,) * 10
-    lib.conv_nhwc.restype = ctypes.c_int
+    lib.conv_nhwc.argtypes = (ptr, ptr, ptr, ptr) + (size,) * 11
+    lib.conv_nhwc.restype = None
     lib.fc_rows.argtypes = (ptr, ptr, ptr, ptr, size, size, size, size)
     lib.fc_rows.restype = None
     return lib
@@ -286,18 +291,16 @@ def _float32(a: np.ndarray) -> np.ndarray:
 
 
 def _kernel_operands(params: LayerParams) -> tuple:
-    """(w, b, address of the tap-major weights, address of the float32
-    bias) for a compiled kernel.  The caller holds the tuple during the
-    call: its two arrays keep both addresses valid.
+    """``_operands(params)``.  The caller holds the tuple during the
+    call: its arrays keep both addresses valid.
 
-    The addresses ``freeze`` took serve while ``w`` and ``b`` are still
-    the arrays it froze.  Otherwise the operands are laid out here, and
-    their addresses taken, at every call; an address costs about 2 µs.
+    The operands ``freeze`` laid out serve while ``w`` and ``b`` are
+    still the arrays it froze.  Otherwise they are laid out here at
+    every call; an address costs about 2 µs.
     """
-    kept = params.addresses
+    kept = params.operands
     if kept is None or kept[0] is not params.w or kept[1] is not params.b:
-        wt, b = _tap_major(params), _float32(params.b)
-        kept = (wt, b, wt.ctypes.data, b.ctypes.data)
+        kept = _operands(params)
     return kept
 
 
@@ -309,17 +312,15 @@ def forward_fc(x: np.ndarray, params: LayerParams, rows: Optional[tuple[int, int
     exactly.  ``fc_rows`` of ``_kernels.c`` computes the sums.
     """
     x = _float32(x).reshape(-1)
-    outputs, inputs, size = params.w.shape[0], math.prod(params.w.shape[1:]), params.b.size
-    lo, hi = (0, size) if rows is None else rows
-    if rows is not None and not 0 <= lo < hi <= size:
-        raise EngineError(f"fc row range {rows} is empty or outside [0, {size})")
+    outputs, inputs = params.w.shape[0], math.prod(params.w.shape[1:])
+    lo, hi = (0, outputs) if rows is None else rows
+    if rows is not None and not 0 <= lo < hi <= outputs:
+        raise EngineError(f"fc row range {rows} is empty or outside [0, {outputs})")
     if inputs != x.size:
         raise EngineError(f"fc input size {x.size} != weight columns {inputs}")
-    if outputs != size:
-        raise EngineError(f"fc bias size {size} != weight rows {outputs}")
     operands = _kernel_operands(params)
     out = np.empty(hi - lo, dtype=np.float32)
-    _KERNELS.fc_rows(x.ctypes.data, operands[2], operands[3], out.ctypes.data, x.size, size, lo, hi)
+    _KERNELS.fc_rows(x.ctypes.data, operands[3], operands[4], out.ctypes.data, x.size, outputs, lo, hi)
     return out
 
 
@@ -382,8 +383,7 @@ def forward_conv(x: np.ndarray, params: LayerParams, stride: int = 1, padding: s
     f, kh, kw, kc = params.w.shape
     if kc != c:
         raise EngineError(f"conv input channels {c} != kernel channels {kc}")
-    if params.b.shape != (f,):
-        raise EngineError(f"conv bias shape {params.b.shape} != ({f},)")
+    operands = _kernel_operands(params)
     (pt, pb, pl, pr), (oh, ow) = _conv_extent(h, w, kh, kw, stride, padding)
     out = np.empty((n, oh, ow, f), dtype=np.float32)
     if pt + pb + pl + pr:
@@ -391,10 +391,8 @@ def forward_conv(x: np.ndarray, params: LayerParams, stride: int = 1, padding: s
         xp[:, pt:pt + h, pl:pl + w] = batch
     else:
         xp = _float32(batch)
-    operands = _kernel_operands(params)
-    if _KERNELS.conv_nhwc(xp.ctypes.data, operands[2], operands[3], out.ctypes.data,
-                          n, xp.shape[1], xp.shape[2], c, kh, kw, stride, oh, ow, f):
-        raise MemoryError("conv_nhwc could not allocate its padded tail weights")
+    _KERNELS.conv_nhwc(xp.ctypes.data, operands[3], operands[4], out.ctypes.data,
+                       n, xp.shape[1], xp.shape[2], c, kh, kw, stride, oh, ow, f, operands[2].shape[1])
     return out if x.ndim == 4 else out[0]
 
 
@@ -826,8 +824,9 @@ class TaskExecutor:
     def _step(self, name: str, x: np.ndarray) -> np.ndarray:
         """Chain member ``name`` over a (tags, ...) batch ``x``.  conv,
         relu, norm and maxpool take the batch in one call; fc, on a row
-        shard's rows, and softmax run once per frame.  Each kernel is
-        looked up in this module's globals at the call."""
+        shard's rows, and softmax run once per frame.  A row-local norm
+        reads its statistics of the shard's rows.  Each kernel is looked
+        up in this module's globals at the call."""
         spec = self.graph.layer(name)
         k = spec.kind
         if k == ir.CONV:
@@ -836,7 +835,12 @@ class TaskExecutor:
         if k == ir.RELU:
             return forward_relu(x)
         if k == ir.NORM:
-            return forward_norm(x, self.params(name))
+            p = self.params(name)
+            if name in self._row_local:
+                rows = slice(*self.part[1:])
+                p = LayerParams(mean=p.mean[rows], var=p.var[rows], gamma=p.gamma[rows],
+                                beta=p.beta[rows])
+            return forward_norm(x, p)
         if k == ir.MAXPOOL:
             return forward_maxpool(x, int(spec.attrs["window"]),
                                    int(spec.attrs.get("stride", spec.attrs["window"])))

@@ -141,6 +141,9 @@ class Worker:
         self.price = costs.price_task(self.graph, task.resident_groups or (task.layers,),
                                       self.profile, part)
         self.group_of = {n: gi for gi, group in enumerate(self.price.groups) for n in group}
+        # per-item seconds of each layer, its group's swap slowdown included
+        self.layer_seconds = {n: self.price.layer_seconds[n] * self.price.swap[gi]
+                              for n, gi in self.group_of.items()}
         self.resident_now = 0
         self.path_state.clear()
 
@@ -159,27 +162,33 @@ class Worker:
 
     # -- modeled costs ---------------------------------------------------
 
-    def _layer_seconds(self, name: str) -> float:
-        return self.price.layer_seconds[name] * self.price.swap[self.group_of[name]]
-
-    def _charge(self, fired: list[str]) -> tuple[float, float]:
-        """(compute_seconds, reload_seconds) for one processed item."""
+    def _charge(self, fired: list[str], path: dict) -> dict:
+        """Charge an item that fired the layers ``fired`` to this device's
+        clock and busy time: each layer's ``layer_seconds``, and a reload
+        of each group that was not resident.  Returns the item's new
+        path; paths are replaced, never changed, so messages share them.
+        """
         compute = 0.0
         reload = 0.0
-        cycling = len(self.task.resident_groups) > 1
         for name in fired:
-            compute += self._layer_seconds(name)
+            compute += self.layer_seconds[name]
             gi = self.group_of[name]
-            if cycling and gi != self.resident_now:
+            if gi != self.resident_now:
                 reload += self.price.load_seconds[gi]
                 self.reload_count += 1
                 self.resident_now = gi
-        return compute, reload
+        dur = compute + reload
+        self.free_at += dur
+        self.busy_seconds += dur
+        return {"compute": path["compute"] + compute, "comm": path["comm"],
+                "reload": path["reload"] + reload, "total": path["total"] + dur}
 
     # -- stream consumption -------------------------------------------------
 
     def consume_data(self, msg: Message):
-        """Feed one data frame: (emissions, notices, compute_s, reload_s).
+        """Feed one data frame and charge it: (emissions, notices, the
+        item's new path).  The path so far is the longest that a data
+        frame of its tag brought to this worker.
 
         A row shard (wire name ``layer#pN``) goes to the executor's
         ``push_part``; a shard of a value the executor does not consume
@@ -203,8 +212,8 @@ class Worker:
         else:
             raise RuntimeFault(f"device {self.device}: unexpected shard for {layer!r}")
         notices = list(self.executor.pending_notices)
-        compute, reload = self._charge(self.executor.fired_log)
-        return emissions, notices, compute, reload
+        return emissions, notices, self._charge(self.executor.fired_log,
+                                                self.path_state.get(tag, _zero_path()))
 
     def consume_skip(self, msg: Message):
         return self.executor.skip(msg.layer, int(msg.body["next_tag"]))
@@ -228,14 +237,15 @@ class ClusterCore:
     (``sample_interval``, ``sample_cooldown_until``, ``sample_drops``),
     which no role rotation touches.  ``_admit`` samples and tags a
     camera frame and makes it one data frame per source device that
-    takes the tag.  ``_on_data`` consumes one data frame on a
-    worker and routes what it yields: graph outputs to ``_output``; other
-    emissions to each consumer whose replica slot takes the tag, a row
-    shard's terminal as its wire part ``layer#pN``, which the shard also
-    consumes itself when its own executor reads the value; and skip
-    notices to every consumer of the skipped value.  Each
-    consumption adds the modeled compute and reload seconds to the
-    worker's busy time, its clock ``free_at`` and the item's path.
+    takes the tag.  ``_on_data`` consumes one data frame on a worker and
+    routes what it yields: graph outputs to ``_output``; other emissions
+    to each consumer whose replica slot takes the tag, a row shard's
+    terminal as its wire part ``layer#pN``, which the shard first feeds
+    back to ``_on_data`` when its own executor reads the value; and skip
+    notices to every consumer of the skipped value.  The worker charges
+    each data frame it consumes (``Worker.consume_data``): the modeled
+    compute and reload seconds go to its busy time, its clock
+    ``free_at`` and the item's path.
 
     A transport subclass moves the messages: ``_send(src, msg, dst, t)``
     and ``_output(worker, emission, path, t)``, where ``t`` is the
@@ -342,29 +352,17 @@ class ClusterCore:
         raise NotImplementedError
 
     def _consume(self, w: Worker, msg: Message):
-        """``w.consume_data(msg)``: (emissions, notices, compute_s, reload_s)."""
+        """``w.consume_data(msg)``: (emissions, notices, the item's path)."""
         return w.consume_data(msg)
 
-    @staticmethod
-    def _charge(w: Worker, path: dict, compute: float, reload: float) -> dict:
-        """Charge one consumption to the worker; returns the item's new path.
+    def _on_data(self, w: Worker, msg: Message) -> dict:
+        """Consume one data frame on ``w`` and route all that it yields;
+        returns the item's path after the last charge on ``w``."""
+        return self._dispatch(w, *self._consume(w, msg))
 
-        Paths are replaced, never changed in place, so that messages can
-        share them.
-        """
-        dur = compute + reload
-        w.free_at += dur
-        w.busy_seconds += dur
-        return {"compute": path["compute"] + compute, "comm": path["comm"],
-                "reload": path["reload"] + reload, "total": path["total"] + dur}
-
-    def _on_data(self, w: Worker, msg: Message) -> None:
-        """Consume one data frame on ``w`` and route all that it yields."""
-        emissions, notices, compute, reload = self._consume(w, msg)
-        path = self._charge(w, w.path_state.get(msg.tag, _zero_path()), compute, reload)
-        self._dispatch(w, emissions, notices, path)
-
-    def _dispatch(self, w: Worker, emissions, notices, path: dict) -> None:
+    def _dispatch(self, w: Worker, emissions, notices, path: dict) -> dict:
+        """Route what one consumption on ``w`` yielded; returns the path.
+        A shard consumes its own part first: later frames carry its path."""
         split = w.task.split
         routes = self._routes[w.device]
         for em in emissions:
@@ -375,17 +373,15 @@ class ClusterCore:
             if split is not None and em.layer == split.terminal:
                 name = shard_wire_name(em.layer, split.index)
                 if em.layer in w.executor.consumers:
-                    local = Message(kind=Kind.DATA, tag=em.tag, layer=name,
-                                    tensor=em.value, meta={"path": path})
-                    sub_em, sub_no, compute, reload = self._consume(w, local)
-                    path = self._charge(w, path, compute, reload)
-                    self._dispatch(w, sub_em, sub_no, path)
+                    path = self._on_data(w, Message(kind=Kind.DATA, tag=em.tag, layer=name,
+                                                    tensor=em.value, meta={"path": path}))
             for dst, idx, count in routes.get(em.layer, ()):
                 if count == 1 or em.tag % count == idx:
                     msg = Message(kind=Kind.DATA, tag=em.tag, layer=name,
                                   tensor=em.value, meta={"path": path})
                     self._send(w.device, msg, dst, w.free_at)
         self._notices(w, notices, w.free_at)
+        return path
 
     def _on_skip(self, w: Worker, msg: Message, t: float) -> None:
         self._notices(w, w.consume_skip(msg), t)

@@ -60,7 +60,9 @@ class SlidingWindow:
             raise WindowError(f"duplicate tag {tag}")
         self.pending[tag] = item
         emitted = []
-        while all((self.next_tag + i) in self.pending for i in range(self.length)):
+        # The last tag first: a window that lacks it is not scanned.
+        while (self.next_tag + self.length - 1) in self.pending and all(
+                (self.next_tag + i) in self.pending for i in range(self.length - 1)):
             run = [self.pending[self.next_tag + i] for i in range(self.length)]
             emitted.append((self.next_tag + self.length - 1, run))
             del self.pending[self.next_tag]

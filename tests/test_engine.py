@@ -33,7 +33,7 @@ from edgeflock.engine import (
 )
 from edgeflock import runtime
 from edgeflock.harness import frames_needed, make_clip, plan_for
-from edgeflock.model_ir import build_model
+from edgeflock.model_ir import LayerSpec, ModelGraph, build_model, validate_graph
 from edgeflock.planner import split_fc_rows
 from edgeflock.wire import Kind, Message
 
@@ -255,8 +255,9 @@ class TestConv:
         zero_borders(x, borders)
         w = with_zeros(r, r.uniform(-0.05, 0.05, (f, kh, kw, c)), zeros, 1 - neg)
         b = with_zeros(r, r.uniform(-0.05, 0.05, f), zeros, neg)
-        got = forward_conv(x, LayerParams(w=w, b=b), stride=stride, padding=padding)
-        assert got.tobytes() == conv_oracle(x, w, b, stride, padding).tobytes()
+        want = conv_oracle(x, w, b, stride, padding).tobytes()
+        for p in (LayerParams(w=w, b=b), freeze(LayerParams(w=w.copy(), b=b.copy()))):
+            assert forward_conv(x, p, stride=stride, padding=padding).tobytes() == want
 
     @given(conv_cases(), st.integers(1, 4))
     # -0.0 borders on every frame around +0.0 padding
@@ -277,10 +278,11 @@ class TestConv:
             zero_borders(frame, borders)
         w = with_zeros(r, r.uniform(-0.05, 0.05, (f, kh, kw, c)), zeros, 1 - neg)
         b = with_zeros(r, r.uniform(-0.05, 0.05, f), zeros, neg)
-        got = forward_conv(x, LayerParams(w=w, b=b), stride=stride, padding=padding)
-        assert got.shape[0] == frames
-        for frame, out in zip(x, got):
-            assert out.tobytes() == conv_oracle(frame, w, b, stride, padding).tobytes()
+        want = [conv_oracle(frame, w, b, stride, padding).tobytes() for frame in x]
+        for p in (LayerParams(w=w, b=b), freeze(LayerParams(w=w.copy(), b=b.copy()))):
+            got = forward_conv(x, p, stride=stride, padding=padding)
+            assert got.shape[0] == frames
+            assert [out.tobytes() for out in got] == want
 
     def test_batch_im2col_lays_frames_side_by_side(self):
         x = rng.uniform(-1, 1, (3, 9, 8, 2)).astype(np.float32)
@@ -755,7 +757,7 @@ class TestReference:
         assert weighted
         for name in weighted:
             p = engine.shared_params(g, name)
-            wt = engine._tap_major(p)
+            wt = p.operands[2]
             assert np.shares_memory(p.w, wt), name
             assert not p.w.flags.writeable and not wt.flags.writeable, name
             generated = engine.params_for(g, name)
@@ -1147,6 +1149,34 @@ class TestRowShards:
         assert [p.tag for p in joined] == list(range(len(orders)))
         for p in joined:
             assert np.asarray(p).tobytes() == full.tobytes()
+
+    def test_shards_of_a_norm_after_fc_assemble_to_the_reference(self):
+        """A norm right after a sharded fc is row-local: each shard
+        standardizes its own rows with those rows' statistics."""
+        layers = {
+            "src": LayerSpec("src", "source", {"shape": [8]}),
+            "fc": LayerSpec("fc", "fc", {"out_size": 6}, ["src"], weights_seed=1),
+            "norm": LayerSpec("norm", "norm", {}, ["fc"], weights_seed=2),
+            "fc_out": LayerSpec("fc_out", "fc", {"out_size": 4}, ["norm"], weights_seed=3),
+            "out": LayerSpec("out", "sink", {}, ["fc_out"]),
+        }
+        g = validate_graph(ModelGraph(layers, ["src"], ["out"], seed=5))
+        frames = np.random.default_rng(6).uniform(-1, 1, (3, 8)).astype(np.float32)
+        ref = run_reference(g, {"src": frames})["out"]
+        batch = engine.Batch()
+        shards = [engine.TaskExecutor(g, owned=["fc", "norm"], part=("fc", lo, hi), batch=batch)
+                  for lo, hi in ((0, 3), (3, 6))]
+        consumer = engine.TaskExecutor(g, owned=["fc_out", "out"], batch=batch)
+        got = {}
+        for tag, frame in enumerate(frames):
+            for i, ex in enumerate(shards):
+                (em,) = ex.push("src", tag, frame)
+                assert (em.layer, em.value.shape) == ("norm", (3,))
+                got.update((out.tag, out.value) for out in consumer.push_part("norm", tag, i, em.value))
+        batch.flush()
+        assert sorted(got) == sorted(ref)
+        for tag, value in ref.items():
+            assert np.asarray(got[tag]).tobytes() == value.tobytes()
 
     def test_skip_drops_parts_below_next_tag(self):
         parts, _full = self.parts([0, 1, 2, 3])

@@ -336,7 +336,7 @@ class TestGoldenPlans:
                     for group in task.resident_groups:
                         seconds = 0.0
                         for name in group:
-                            seconds += worker._layer_seconds(name)
+                            seconds += worker.layer_seconds[name]
                         charged += seconds
                     work = planner._Work(layers=task.layers, order=0, split=task.split,
                                          resident_groups=task.resident_groups)
