@@ -1,16 +1,16 @@
 """Loopback-socket transport: the cluster core over real TCP frames.
 
 ``runtime.ClusterCore`` decides what every message yields; this module
-only moves frames.  Each device listens on an ephemeral 127.0.0.1 port
-with an acceptor thread, a reader thread per inbound connection and one
-processor thread that hands each message to the core; every message
-between devices crosses a socket in the length-prefixed wire format.
-Senders keep one connection and one send lock per destination.  The
-core tags the camera frames that ``feed`` sends, so a second ``feed``
-continues the stream; the devices that compute a graph output
-record it in ``outputs``.  Wall-clock timing replaces the virtual
-clock, so this transport is for protocol/integration coverage;
-throughput and latency modeling live in the in-process transport.
+only moves frames.  When the cluster starts, each device opens its one
+connection over 127.0.0.1, and every message sent to it crosses that
+connection in the length-prefixed wire format.  Each device runs two
+threads: a reader that queues the frames it reads and a processor that
+hands each message to the core.  The core tags the camera frames that
+``feed`` sends, so a second ``feed`` continues the stream; the devices
+that compute the first graph output record it in ``outputs``.
+Wall-clock timing replaces the virtual clock, so this transport is for
+protocol/integration coverage; throughput and latency modeling live in
+the in-process transport.
 """
 
 from __future__ import annotations
@@ -37,62 +37,36 @@ from edgeflock.wire import Kind, Message, decode, encode
 _LEN = struct.Struct(">I")
 
 
-def _recv_exact(sock: socket.socket, count: int) -> Optional[bytes]:
-    buf = b""
-    while len(buf) < count:
-        chunk = sock.recv(count - len(buf))
-        if not chunk:
-            return None
-        buf += chunk
-    return buf
-
-
-def _recv_frame(sock: socket.socket) -> Optional[bytes]:
-    head = _recv_exact(sock, _LEN.size)
-    if head is None:
-        return None
-    (length,) = _LEN.unpack(head)
-    return _recv_exact(sock, length)
-
-
 class _Node:
-    """One device thread pair plus its listening socket."""
+    """One device: the sending end ``out`` of its one connection, a
+    reader thread on the receiving end and a processor thread."""
 
     def __init__(self, cluster: "LoopbackCluster", worker: Worker):
         self.cluster = cluster
         self.worker = worker
-        self.server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self.server.bind(("127.0.0.1", 0))
-        self.server.listen(16)
-        self.port = self.server.getsockname()[1]
         self.queue: queue.Queue = queue.Queue(maxsize=worker.inbox.capacity)
         self.alive = True
-        self.threads: list[threading.Thread] = []
-
-    def start(self):
-        t = threading.Thread(target=self._accept_loop, daemon=True)
-        t.start()
-        p = threading.Thread(target=self._process_loop, daemon=True)
-        p.start()
-        self.threads = [t, p]
-
-    def _accept_loop(self):
-        while self.alive:
+        # Senders to this device wait for each other, and for no one else.
+        self.send_lock = threading.Lock()
+        with socket.create_server(("127.0.0.1", 0)) as server:
+            self.out = socket.create_connection(server.getsockname(), timeout=10.0)
             try:
-                conn, _ = self.server.accept()
+                conn, _ = server.accept()
             except OSError:
-                return
-            threading.Thread(target=self._reader, args=(conn,), daemon=True).start()
+                self.out.close()
+                raise
+        for target, args in ((self._reader, (conn,)), (self._process_loop, ())):
+            threading.Thread(target=target, args=args, daemon=True).start()
 
     def _reader(self, conn: socket.socket):
-        with conn:
+        with conn, conn.makefile("rb") as stream:
             try:
                 while self.alive:
-                    frame = _recv_frame(conn)
-                    if frame is None:
-                        return
+                    head = stream.read(_LEN.size)
+                    if len(head) < _LEN.size:
+                        return  # end of stream: stop() closed the sending end
                     # Blocking put = sender-side hold; occupancy stays bounded.
-                    self.queue.put(decode(frame))
+                    self.queue.put(decode(stream.read(_LEN.unpack(head)[0])))
             except Exception as exc:  # the thread's boundary: report, never die silently
                 self.cluster.fail(exc)
 
@@ -111,46 +85,47 @@ class _Node:
 
     def stop(self):
         """End the node's threads: the processor takes the bye straight
-        from its queue, the acceptor wakes when the listener shuts down."""
+        from its queue, the reader reads end-of-stream once ``out`` closes.
+        A later send to this node raises ``OSError``."""
         self.alive = False
         try:
             self.queue.put_nowait(Message(kind=Kind.HEARTBEAT, body={"bye": 1}))
         except queue.Full:
             pass  # the processor is busy, and sees alive is False once done
         try:
-            self.server.shutdown(socket.SHUT_RDWR)
+            self.out.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
-        try:
-            self.server.close()
-        except OSError:
-            pass
+        self.out.close()
 
 
 class LoopbackCluster(ClusterCore):
     """Workers on localhost sockets; one worker per device.
 
     The core in ``runtime`` tags the camera frames and decides what each
-    message yields; this class moves frames and keeps the outputs of the
-    current ``feed``.  Each destination has its own connection and send
-    lock, so a sender blocked on one full peer never keeps another
-    sender from reaching a different peer.
+    message yields; this class moves frames and keeps the first graph
+    output of the current ``feed``.  Each device's connection is opened
+    here, so a socket error at start raises ``RuntimeFault``.  Each
+    destination has its own send lock, so a sender blocked on one full
+    peer never keeps another sender from reaching a different peer.
     """
 
     def __init__(self, aset: AssignmentSet, n: int,
                  inbox_capacity: int = DEFAULT_INBOX_CAPACITY):
         super().__init__(aset, n, inbox_capacity)
-        self.nodes = {d: _Node(self, w) for d, w in self.workers.items()}
-        self._send_locks = {d: threading.Lock() for d in self.nodes}
-        self._conns: dict[int, socket.socket] = {}
         # Guards outputs, expected and fault, which node threads write.
         self._lock = threading.Lock()
         self.outputs: dict[int, np.ndarray] = {}
         self._done = threading.Event()
         self.fault: Optional[Exception] = None
         self.expected: Optional[int] = None
-        for node in self.nodes.values():
-            node.start()
+        self.nodes: dict[int, _Node] = {}
+        for d, w in self.workers.items():
+            try:
+                self.nodes[d] = _Node(self, w)
+            except OSError as exc:
+                self.close()
+                raise RuntimeFault(f"loopback set-up of device {d} failed: {exc!r}") from exc
 
     def fail(self, exc: Exception) -> None:
         """Keep the first exception of a node thread and wake ``feed``."""
@@ -160,15 +135,12 @@ class LoopbackCluster(ClusterCore):
         self._done.set()
 
     def send(self, msg: Message, dst: int) -> None:
-        """Frame ``msg`` onto the connection to ``dst``, opening it first if
-        needed; only senders to the same destination wait for each other."""
+        """Frame ``msg`` onto the connection to ``dst``; only senders to the
+        same destination wait for each other."""
         frame = encode(msg)
-        with self._send_locks[dst]:
-            sock = self._conns.get(dst)
-            if sock is None:
-                sock = self._conns[dst] = socket.create_connection(
-                    ("127.0.0.1", self.nodes[dst].port), timeout=10.0)
-            sock.sendall(_LEN.pack(len(frame)) + frame)
+        node = self.nodes[dst]
+        with node.send_lock:
+            node.out.sendall(_LEN.pack(len(frame)) + frame)
 
     def _consume(self, w: Worker, msg: Message):
         """Consume a message and compute what it fired: the wire needs
@@ -181,6 +153,8 @@ class LoopbackCluster(ClusterCore):
         self.send(msg, dst)
 
     def _output(self, w: Worker, em, path: dict, t: float) -> None:
+        if em.layer != self.graph.outputs[0]:
+            return  # feed returns the first sink's values, as run_stream does
         with self._lock:
             self.outputs[em.tag] = value_of(em.value)
             if self.expected is not None and len(self.outputs) >= self.expected:
@@ -198,7 +172,7 @@ class LoopbackCluster(ClusterCore):
     def feed(self, frames: Iterable[np.ndarray], expected_outputs: int,
              timeout: float = 60.0) -> dict[int, np.ndarray]:
         """Send frames through the recorder to the source devices and wait
-        for this call's outputs, by tag.
+        for this call's values of the first graph output, by tag.
 
         The core tags on from the previous call.  Nothing slows the
         camera on this transport, so the core admits every frame, and
@@ -237,8 +211,3 @@ class LoopbackCluster(ClusterCore):
     def close(self) -> None:
         for node in self.nodes.values():
             node.stop()
-        for sock in list(self._conns.values()):
-            try:
-                sock.close()
-            except OSError:
-                pass

@@ -471,12 +471,3 @@ def build_model(name: str, scale: float = 1.0, seed: int = 0,
         return _build_vgg16(scale, seed)
     raise ValueError(f"unknown model {name!r}; expected one of {MODEL_NAMES}")
 
-
-def vgg_conv_blocks(graph: ModelGraph) -> list[list[str]]:
-    """Layer names of each VGG conv block (convs, acts and pool)."""
-    blocks = []
-    for bi in range(1, len(_VGG_BLOCKS) + 1):
-        names = [n for n in graph.topo_order if n.startswith(f"b{bi}_")]
-        names.append(f"pool_{bi}")
-        blocks.append(names)
-    return blocks

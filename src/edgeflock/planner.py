@@ -569,15 +569,14 @@ def _with_replica(state: tuple[_Work, ...], idx: int) -> tuple[_Work, ...]:
 
 def _apply_model_split(graph: ir.ModelGraph, state: tuple[_Work, ...], idx: int, fc: str,
                        k: int = 2) -> Optional[tuple[_Work, ...]]:
-    """Shard ``fc`` of state[idx] k ways; returns the new state or None.
+    """Shard ``fc`` of state[idx], an unsplit stage with one replica, k
+    ways; returns the new state, or None when fc has fewer than k rows.
 
     The shard tasks own the fc plus its elementwise glue; upstream
     layers stay behind as a prefix stage and any downstream remainder
     rides with the last shard (assembling its input from all shards).
     """
     work = state[idx]
-    if work.split is not None or work.replicas > 1:
-        return None
     owned = set(work.layers)
     local = costs.row_local_layers(graph, owned, fc)
     terminal = local[-1]

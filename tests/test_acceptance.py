@@ -19,7 +19,7 @@ from edgeflock.engine import (
     temporal_pyramid,
 )
 from edgeflock.harness import bench, make_clip, verify
-from edgeflock.model_ir import build_model, vgg_conv_blocks
+from edgeflock.model_ir import build_model
 from edgeflock.planner import split_fc_rows, task_assign
 from edgeflock.runtime import run_stream, start_cluster
 
@@ -105,7 +105,7 @@ def test_criterion_2_two_stream_architectures(full_scale_plans):
            "n=10 streams x2; n=12 streams x3")
 
 
-def test_criterion_3_image_model_architectures(full_scale_plans):
+def test_criterion_3_image_model_architectures(full_scale_plans, vgg_conv_blocks):
     a4 = full_scale_plans["alexnet"].assignments[4]
     alex_ok = len([t for t in a4.tasks.values()
                    if t.split and t.split.origin == "fc_1"]) == 2

@@ -268,8 +268,7 @@ class TestImageModels:
                   if t.split and t.split.origin == "fc_1"]
         assert len(shards) == 2
 
-    def test_vgg16_eleven_devices_structure(self):
-        from edgeflock.model_ir import vgg_conv_blocks
+    def test_vgg16_eleven_devices_structure(self, vgg_conv_blocks):
         g = build_model("vgg16", 1.0)
         aset = task_assign(g, 11)
         a = aset.assignments[11]

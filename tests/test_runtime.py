@@ -862,3 +862,68 @@ class TestLoopback:
         assert time.monotonic() - t0 < 10.0
         assert isinstance(info.value.__cause__, ValueError)
         assert self.threads_left(before) == []
+
+    def test_two_threads_per_device(self):
+        """Each device runs one reader and one processor, however many
+        peers send to it, and close() ends them all."""
+        import threading
+        from edgeflock.loopback import LoopbackCluster
+        graph = build_model("alexnet", SCALE, seed=2)
+        aset = task_assign(graph, 4, CommModel(), DeviceProfile().scaled_mem(SCALE))
+        before = set(threading.enumerate())
+        cluster = LoopbackCluster(aset, 4)
+        try:
+            cluster.feed(make_clip(graph, 4, 2), expected_outputs=4, timeout=90.0)
+            started = [t for t in threading.enumerate() if t not in before]
+        finally:
+            cluster.close()
+        assert len(started) == 2 * len(cluster.nodes) == 8
+        assert self.threads_left(before) == []
+
+    def test_failed_setup_is_a_runtime_fault(self, monkeypatch):
+        """A connect that fails while the cluster starts closes the devices
+        opened so far and raises RuntimeFault, not a bare OSError."""
+        import socket
+        import threading
+        import edgeflock.loopback as loopback
+        graph = build_model("alexnet", SCALE, seed=2)
+        aset = task_assign(graph, 4, CommModel(), DeviceProfile().scaled_mem(SCALE))
+        connect, calls = socket.create_connection, []
+
+        def refuse_third(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 3:
+                raise ConnectionRefusedError("connection refused")
+            return connect(*args, **kwargs)
+
+        monkeypatch.setattr(loopback.socket, "create_connection", refuse_third)
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeFault, match="loopback set-up of device") as info:
+            loopback.LoopbackCluster(aset, 4)
+        assert isinstance(info.value.__cause__, ConnectionRefusedError)
+        assert len(calls) == 3
+        assert self.threads_left(before) == []
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_two_sinks_return_the_first(self, n):
+        """feed returns and counts only the first sink's values, as
+        run_stream does, however the other sink's values interleave."""
+        from edgeflock.loopback import LoopbackCluster
+        b = ir._Builder(1)
+        b.add("x", ir.SOURCE, {"shape": [8]})
+        b.add("fa", ir.FC, {"out_size": 4}, ["x"])
+        b.add("oa", ir.SINK, {}, ["fa"])
+        b.add("fb", ir.FC, {"out_size": 3}, ["x"])
+        b.add("ob", ir.SINK, {}, ["fb"])
+        graph = b.graph(["x"], ["oa", "ob"])
+        aset = task_assign(graph, 2, CommModel(), DeviceProfile())
+        frames = make_clip(graph, 6, 1)
+        ref = run_reference(graph, {"x": frames})["oa"]
+        virtual, _ = run_stream(start_cluster(aset, n), frames)
+        cluster = LoopbackCluster(aset, n)
+        try:
+            outs = cluster.feed(frames, expected_outputs=len(ref), timeout=60.0)
+        finally:
+            cluster.close()
+        assert_exact(virtual, ref)
+        assert_exact(outs, ref)
