@@ -133,8 +133,11 @@ def plan(model, n_max, mem, scale, seed, profiles, out, table):
 def verify(model, devices, scale, seeds, frames, transport, profiles):
     """Check distributed outputs exactly equal the reference oracle."""
     device, comm = profiles
-    report = harness.verify(model, _parse_ns(devices), scale=scale, seeds=seeds, n_frames=frames,
-                            device=device, comm=comm, transport=transport)
+    try:
+        report = harness.verify(model, _parse_ns(devices), scale=scale, seeds=seeds,
+                                n_frames=frames, device=device, comm=comm, transport=transport)
+    except harness.UncheckedSinks as exc:
+        raise click.UsageError(str(exc)) from None
     click.echo(report.render())
     if not report.ok:
         sys.exit(EXIT_VERIFY_FAILED)
@@ -159,7 +162,7 @@ def run(aset, devices, transport, frames, seed):
     """
     clip = harness.make_clip(aset.graph, max(frames, harness.frames_needed(aset.graph, 4)), seed)
     outputs, metrics = harness.stream(aset, devices, clip, transport)
-    click.echo(f"outputs: {len(outputs)} tagged results")
+    click.echo(f"outputs: {len(outputs[aset.graph.outputs[0]])} tagged results")
     if transport == "in_process":
         click.echo(f"ips: {metrics.ips:.3f}  t_forward: {metrics.t_forward_seconds:.3f}s  "
                    f"breakdown: {metrics.breakdown}  drops: {metrics.drops}")

@@ -46,21 +46,28 @@ and reuses it in every flow stack window holding that pair, as
 parameters are shared read-only by every executor of a graph
 (``shared_params``).
 
-Pushing an item only schedules the math.  An executor fires each
-*chain* of its layers once per tag: a maximal run of owned conv, relu,
-norm, maxpool, fc and softmax layers in which every member but the last
-has one graph consumer, the next member, and is not emitted.  Each
-firing of a chain, or of a concat or windowed layer, becomes one
-``Pending`` value in a ``Batch``: its head, tag, inputs and its tail's
-static shape, which is all that tag alignment, routing and cost
-accounting read.  ``Batch.flush`` computes the pending firings in graph
-topological order of their first layers, one group per (executor,
-chain or layer), whatever tags a group holds.  A chain stacks its
-head's inputs into one (tags, ...) batch and runs its members over it
-in turn: conv, relu, norm and maxpool over the whole batch, the conv in
-one kernel call; fc and softmax once per tag.  Pyramids run once per
-group, on one (windows, items, size) batch; concat and shard assembly
-run once per tag, and flow stacks once per window.  Since every output
+Pushing an item only schedules the math.  An executor fires each *chain*
+of its layers once per tag: a maximal run of owned conv, relu, norm,
+maxpool, fc and softmax layers in which every member but the last has
+one graph consumer, the next member, and is not emitted.  Each firing of
+a chain, or of a concat or windowed layer, becomes one ``Pending`` value
+in a ``Batch``: its head, tag, inputs and its tail's static shape, which
+is all that tag alignment, routing and cost accounting read.  A push
+walks tables that the executor builds once: for each layer, its owned
+consumers and how each fires (a chain member, a window, a join or a
+plain firing).  A chain's head reached with nothing else queued logs the
+chain's other members and hands its output on from the tail in one step,
+the order in which the breadth-first walk would visit them one by one.
+``Batch.flush`` computes the pending firings in graph topological order
+of their first layers, one group per (executor, chain or layer),
+whatever tags a group holds.  A chain stacks its head's inputs into one
+(tags, ...) batch and runs its members over it in turn: conv, relu, norm
+and maxpool over the whole batch, the conv in one kernel call; softmax
+once over the (tags, size) batch, row by row; fc once per tag.  Pyramids
+run once per group, on one (windows, items, size) batch gathered from
+the group's items, each stacked once; concat and shard assembly run once
+per tag, and flow stacks once per window, after one ``flow_diff_stub``
+call on the stacked frames of the group's new pairs.  Since every output
 element keeps its own ascending sum, a frame's outputs do not depend on
 the frames beside it.  A batch flushes itself before a group would pass
 ``RUN_TAGS`` firings or a chain or layer ``RUN_BYTES``;
@@ -311,16 +318,18 @@ def forward_fc(x: np.ndarray, params: LayerParams, rows: Optional[tuple[int, int
     sharded layer reproduces the corresponding rows of the full layer
     exactly.  ``fc_rows`` of ``_kernels.c`` computes the sums.
     """
-    x = _float32(x).reshape(-1)
-    outputs, inputs = params.w.shape[0], math.prod(params.w.shape[1:])
+    x = _float32(x)
+    if x.ndim != 1:
+        x = x.reshape(-1)
+    operands = _kernel_operands(params)
+    inputs, outputs = operands[2].shape
     lo, hi = (0, outputs) if rows is None else rows
     if rows is not None and not 0 <= lo < hi <= outputs:
         raise EngineError(f"fc row range {rows} is empty or outside [0, {outputs})")
     if inputs != x.size:
         raise EngineError(f"fc input size {x.size} != weight columns {inputs}")
-    operands = _kernel_operands(params)
     out = np.empty(hi - lo, dtype=np.float32)
-    _KERNELS.fc_rows(x.ctypes.data, operands[3], operands[4], out.ctypes.data, x.size, outputs, lo, hi)
+    _KERNELS.fc_rows(x.ctypes.data, operands[3], operands[4], out.ctypes.data, inputs, outputs, lo, hi)
     return out
 
 
@@ -410,10 +419,14 @@ def forward_norm(x: np.ndarray, params: LayerParams) -> np.ndarray:
 
 
 def forward_softmax(x: np.ndarray) -> np.ndarray:
-    """Max-subtracted softmax over the flattened input; outputs sum to ~1."""
-    x = np.asarray(x, dtype=np.float32).reshape(-1)
-    e = np.exp(x - np.max(x), dtype=np.float32)
-    return e / e.sum(dtype=np.float32)
+    """Max-subtracted softmax over each row of a (rows, n) batch, or over
+    the flattened input of any other rank; each row sums to ~1.  A row
+    computes as it would on its own."""
+    x = np.asarray(x, dtype=np.float32)
+    rows = x if x.ndim == 2 else x.reshape(1, -1)
+    e = np.exp(rows - rows.max(axis=1, keepdims=True), dtype=np.float32)
+    out = e / e.sum(axis=1, keepdims=True, dtype=np.float32)
+    return out if x.ndim == 2 else out[0]
 
 
 def forward_maxpool(x: np.ndarray, window: int, stride: int) -> np.ndarray:
@@ -485,14 +498,20 @@ def temporal_pyramid(frames, levels: int) -> np.ndarray:
     return out if batched else out[0]
 
 
-def flow_diff_stub(prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
+def flow_diff_stub(prev: np.ndarray, cur: np.ndarray, stacked: bool = False) -> np.ndarray:
     """Stand-in flow field: signed per-pixel intensity difference,
-    duplicated into the (dx, dy) channels."""
+    duplicated into the (dx, dy) channels.
+
+    A frame is (h, w) grey or (h, w, c) colour, whose intensity is the
+    mean over its channels.  With ``stacked``, ``prev`` and ``cur`` are
+    stacks (pairs, ...) of frames and the result stacks the field of
+    each pair, with the bytes each pair gives on its own.
+    """
     p = np.asarray(prev, dtype=np.float32)
     c = np.asarray(cur, dtype=np.float32)
     if p.shape != c.shape:
         raise EngineError(f"flow frames disagree on shape: {p.shape} vs {c.shape}")
-    if p.ndim == 3:
+    if p.ndim == (4 if stacked else 3):
         p = p.mean(axis=-1, dtype=np.float32)
         c = c.mean(axis=-1, dtype=np.float32)
     d = c - p
@@ -580,14 +599,15 @@ class Batch:
 
     def add(self, key: tuple, pending: Pending, nbytes: int) -> Pending:
         group = self.groups.get(key)
-        held = self.layer_bytes.get(key[:2], 0)
+        layer = key[:2]
+        held = self.layer_bytes.get(layer, 0)
         if (group is not None and len(group) >= RUN_TAGS) or (held and held + nbytes > RUN_BYTES):
             self.flush()
             group, held = None, 0
         if group is None:
             group = self.groups[key] = []
         group.append(pending)
-        self.layer_bytes[key[:2]] = held + nbytes
+        self.layer_bytes[layer] = held + nbytes
         return pending
 
     def flush(self) -> None:
@@ -601,8 +621,10 @@ class Batch:
 
 
 def _stacked(vals: list[np.ndarray]) -> np.ndarray:
-    """A group's inputs as one (tags, ...) array; a single input is not copied."""
-    return vals[0][None] if len(vals) == 1 else np.stack(vals)
+    """A group's inputs, arrays of one shape, as one (tags, ...) array;
+    a single input is not copied.  ``np.array`` copies them as
+    ``np.stack`` does, with less set-up per call."""
+    return vals[0][None] if len(vals) == 1 else np.array(vals)
 
 
 @dataclass
@@ -625,6 +647,9 @@ class SkipNotice:
 
 # Kinds that form chains; see TaskExecutor.
 _CHAIN_KINDS = {ir.CONV, ir.RELU, ir.NORM, ir.MAXPOOL, ir.FC, ir.SOFTMAX}
+
+# How a consumer fires when a value it reads arrives; see TaskExecutor._how.
+_PASS, _FIRE, _WINDOW, _JOIN = "pass", "fire", "window", "join"
 
 
 class TaskExecutor:
@@ -672,8 +697,7 @@ class TaskExecutor:
         owned_set = set(self.owned)
         self.emit = set(emit) if emit is not None else {
             n for n in self.owned
-            if graph.layer(n).kind == ir.SINK
-            or any(c not in owned_set for c in graph.consumers(n))
+            if graph.layer(n).kind == ir.SINK or not owned_set.issuperset(graph.consumers(n))
         }
         self.part = part
         # A shard's row-local layers; the last is its partial terminal.
@@ -683,7 +707,6 @@ class TaskExecutor:
             self._terminal = self._row_local[-1]
             self.emit.add(self._terminal)
         self.batch = batch if batch is not None else Batch()
-        self._owned_set = owned_set
         self._rank = {n: i for i, n in enumerate(graph.topo_order)}
         # chain head -> ((member, output shape), ...) in order; _linked
         # holds the members other than heads, which never fire themselves
@@ -726,6 +749,18 @@ class TaskExecutor:
                 self._joins[n] = {}
             if n not in self._linked:
                 self._plans[n] = self._plan(n)
+        self._sources = {n for n in self.owned if graph.layer(n).kind == ir.SOURCE}
+        # values computed inside a chain of this executor, never pushed to it
+        self._interior = {graph.layer(m).inputs[0] for m in self._linked}
+        # layer -> ((consumer, how, arg), ...): each owned consumer of the
+        # layer's value, in ``consumers`` order, and how the value makes it
+        # fire; see _feed.  _walk leaves out a row shard's terminal, whose
+        # consumers read only its assembly, which arrives through push.
+        self._arrivals = {x: tuple([self._how(c, x) for c in cs]) for x, cs in self.consumers.items()}
+        self._walk = {x: ops for x, ops in self._arrivals.items() if x != self._terminal}
+        # chain head -> (its other members, its tail)
+        self._jumps = {head: (tuple(m for m, _shape in chain[1:]), chain[-1][0])
+                       for head, chain in self._chains.items() if len(chain) > 1}
         self.fired_log: list[str] = []
         self.pending_notices: list[SkipNotice] = []
 
@@ -755,17 +790,32 @@ class TaskExecutor:
         peak = max(math.prod(s) for _, s in chain) if chain else None
         return (self._rank[name], 0, self), shape, math.prod(shape), peak
 
-    def _fire(self, name: str, tag: int, args: Any) -> Any:
-        """Record one firing of ``name`` at ``tag`` on ``args`` (its input,
-        a concat's list of inputs, or a window's items); returns its
-        ``Pending`` output, which for a chain's head is its tail's.  A
-        sink passes its input through.
+    def _how(self, consumer: str, via: str) -> tuple:
+        """(consumer, how, arg): how a value of ``via`` makes the owned
+        ``consumer`` fire.  _PASS: a chain member past the head, which
+        fires with its head, or a sink, which passes the value through;
+        _WINDOW (arg: the window and the plan); _JOIN (arg: the join
+        buffers, the input slots ``via`` fills, the input count and the
+        plan); _FIRE, one firing per value (arg: the plan)."""
+        plan = self._plans.get(consumer)
+        if consumer in self._windows:
+            return consumer, _WINDOW, (self._windows[consumer], plan)
+        if consumer in self._joins:
+            inputs = self.graph.layer(consumer).inputs
+            slots = tuple(i for i, inp in enumerate(inputs) if inp == via)
+            return consumer, _JOIN, (self._joins[consumer], slots, len(inputs), plan)
+        if plan is None:
+            return consumer, _PASS, None
+        return consumer, _FIRE, plan
+
+    def _fire(self, plan: tuple, tag: int, args: Any) -> Pending:
+        """Record one firing at ``tag`` on ``args`` (its input, a concat's
+        list of inputs, or a window's items) of the layer whose ``_plan``
+        is ``plan``; returns its ``Pending`` output, which for a chain's
+        head is its tail's.
 
         A chain counts its largest output or its head's input, which a
         flush stacks, whichever is larger; any other layer its output."""
-        plan = self._plans[name]
-        if plan is None:
-            return args
         key, shape, size, peak = plan
         pending = Pending(shape, size, tag, args)
         return self.batch.add(key, pending, 4 * (size if peak is None else max(peak, args.size)))
@@ -786,8 +836,9 @@ class TaskExecutor:
 
         A chain stacks its head's inputs into one (tags, ...) batch once
         and runs each member's ``_step`` over it in turn; only the tail's
-        output is kept.  A pyramid takes its windows as one batch; concat,
-        flow stacks and assemblies run once per firing.
+        output is kept.  A pyramid takes its windows as one batch; concat
+        and assemblies run once per firing, and flow stacks once per
+        window, on the fields ``_flow_fields`` computes for the group.
         """
         spec = self.graph.layer(name)
         k = spec.kind
@@ -806,15 +857,29 @@ class TaskExecutor:
             axis = int(spec.attrs.get("axis", 0))
             values = [np.concatenate([value_of(v) for v in p.args], axis=axis) for p in firings]
         elif k == ir.PYRAMID:
-            # Items of one shape, end to end: row i*window + j of the
-            # reshaped array is item j of window i, flattened.
-            items = np.concatenate([value_of(v) for p in firings for v in p.args])
-            values = temporal_pyramid(items.reshape(len(firings), spec.window, -1),
+            # A group's windows fired in ascending end tags, and the items
+            # of a tag that two windows hold are one item: stack each item
+            # once, and gather window i from rows starts[i] onward.
+            window = spec.window
+            items: list = []
+            starts = []
+            last = None
+            for p in firings:
+                new = window if last is None else min(window, p.tag - last)
+                items += [value_of(v) for v in p.args[window - new:]]
+                starts.append(len(items) - window)
+                last = p.tag
+            rows = np.add.outer(starts, np.arange(window))
+            values = temporal_pyramid(_stacked(items)[rows].reshape(len(firings), window, -1),
                                       int(spec.attrs["levels"]))
         else:  # flowstack; sources and sinks never fire into a batch
             window_len = int(spec.attrs["window_len"])
-            values = [self._flow_stack(name, p.tag, [value_of(v) for v in p.args], window_len)
-                      for p in firings]
+            fields = self._flow_fields(name, firings, window_len)
+            values = []
+            for p in firings:
+                window = iter([fields[t] for t in range(p.tag - window_len + 1, p.tag + 1)])
+                values.append(flow_stack([value_of(v) for v in p.args], window_len,
+                                         lambda _prev, _cur, window=window: next(window)))
         for p, v in zip(firings, values):
             if v.shape != p.shape:
                 raise EngineError(f"layer {name!r} at tag {p.tag}: computed shape {v.shape}, "
@@ -823,10 +888,11 @@ class TaskExecutor:
 
     def _step(self, name: str, x: np.ndarray) -> np.ndarray:
         """Chain member ``name`` over a (tags, ...) batch ``x``.  conv,
-        relu, norm and maxpool take the batch in one call; fc, on a row
-        shard's rows, and softmax run once per frame.  A row-local norm
-        reads its statistics of the shard's rows.  Each kernel is looked
-        up in this module's globals at the call."""
+        relu, norm and maxpool take the batch in one call, and softmax
+        takes it as (tags, size) rows; fc, on a row shard's rows, runs
+        once per frame.  A row-local norm reads its statistics of the
+        shard's rows.  Each kernel is looked up in this module's globals
+        at the call."""
         spec = self.graph.layer(name)
         k = spec.kind
         if k == ir.CONV:
@@ -847,33 +913,34 @@ class TaskExecutor:
         if k == ir.FC:
             rows = self.part[1:] if self.part is not None and self.part[0] == name else None
             params = self.params(name)
-            return np.stack([forward_fc(v, params, rows=rows) for v in x])
-        return np.stack([forward_softmax(v) for v in x])
+            return _stacked([forward_fc(v, params, rows=rows) for v in x])
+        return forward_softmax(x.reshape(len(x), -1))
 
-    def _flow_stack(self, name: str, end_tag: int, items: list[np.ndarray], window_len: int) -> np.ndarray:
-        """``flow_stack`` over the window ending at ``end_tag``, computing
-        the field of each frame pair once.
+    def _flow_fields(self, name: str, firings: list[Pending], window_len: int) -> dict[int, np.ndarray]:
+        """The field of every frame pair in a group of flow stack windows,
+        keyed by the pair's later tag; the pairs no earlier group computed
+        take one ``flow_diff_stub`` call on their stacked frames.
 
         Windows hold consecutive tags, and a tag's frame never changes
-        once it sits in a window, so a pair's field is keyed by its later
-        tag and reused by every overlapping window.  Fields of pairs that
-        left the window are dropped.  A flush computes an executor's
-        windows in the order they fired, so this holds across flushes.
+        once it sits in a window, so a pair's field is reused by every
+        overlapping window.  Fields of pairs before the group's first
+        window are dropped.  A flush computes an executor's windows in the
+        order they fired, so this holds across flushes.
         """
         fields = self._flows[name]
-        first = end_tag - window_len
+        first = firings[0].tag - window_len
         for t in [t for t in fields if t <= first]:
             del fields[t]
-        later_tags = iter(range(first + 1, end_tag + 1))
-
-        def pair_field(prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
-            t = next(later_tags)
-            fld = fields.get(t)
-            if fld is None:
-                fld = fields[t] = flow_diff_stub(prev, cur)
-            return fld
-
-        return flow_stack(items, window_len, pair_field)
+        new: dict[int, tuple] = {}
+        for p in firings:
+            for i, t in enumerate(range(p.tag - window_len + 1, p.tag + 1)):
+                if t not in fields and t not in new:
+                    new[t] = (p.args[i], p.args[i + 1])
+        if new:
+            prev = _stacked([value_of(a) for a, _b in new.values()])
+            cur = _stacked([value_of(b) for _a, b in new.values()])
+            fields.update(zip(new, flow_diff_stub(prev, cur, stacked=True)))
+        return fields
 
     # -- streaming ------------------------------------------------------
 
@@ -888,34 +955,39 @@ class TaskExecutor:
         Side channels read by callers after each push: ``fired_log``
         lists owned layers that fired, once per tag, and
         ``pending_notices`` collects skip notices raised by window
-        resyncs.  Layers are visited breadth first, item by item; a chain
+        resyncs.  Layers are visited breadth first, item by item, each
+        feeding its owned consumers as the table ``_walk`` says.  A chain
         member past the head is visited with the chain's output, and only
-        logged.  A value computed inside one of this executor's chains is
-        never pushed to it (``EngineError``).
+        logged; a chain's head visited with nothing else queued logs its
+        other members and hands on to its tail in one step, as the
+        breadth-first walk would visit them one after another.  A value
+        computed inside one of this executor's chains is never pushed to
+        it (``EngineError``).
         """
         out: list[Emission] = []
-        self.fired_log: list[str] = []
-        self.pending_notices: list[SkipNotice] = []
-        local = origin in self._owned_set and self.graph.layer(origin).kind == ir.SOURCE
-        if local:
-            self.fired_log.append(origin)
-        queue = deque([(origin, int(tag), value, local)])
+        self.fired_log = fired = []
+        self.pending_notices = []
+        tag = int(tag)
+        queue: deque = deque()
+        if origin in self._sources:
+            fired.append(origin)
+            queue.append((origin, tag, value))
+        elif origin in self._interior:
+            raise EngineError(f"{origin!r} is computed inside a chain of this executor "
+                              "and is never pushed to it")
+        else:
+            self._feed(self._arrivals.get(origin, ()), tag, value, queue)
+        emit, walk, jumps = self.emit, self._walk, self._jumps
         while queue:
-            layer, t, val, is_local = queue.popleft()
-            if is_local and layer in self.emit:
+            layer, t, val = queue.popleft()
+            if not queue and layer in jumps:
+                members, layer = jumps[layer]
+                fired.extend(members)
+            if layer in emit:
                 out.append(Emission(layer, t, val))
-            if not (is_local and layer == self._terminal):
-                for consumer in self.consumers.get(layer, ()):  # deterministic order
-                    if consumer in self._linked:
-                        # Fired with its chain's head; val is the chain's output.
-                        if not is_local:
-                            raise EngineError(f"{layer!r} is computed inside a chain of this "
-                                              "executor and is never pushed to it")
-                        self.fired_log.append(consumer)
-                        queue.append((consumer, t, val, True))
-                        continue
-                    for fired_tag, fired in self._feed(consumer, layer, t, val):
-                        queue.append((consumer, fired_tag, fired, True))
+            ops = walk.get(layer)
+            if ops:
+                self._feed(ops, t, val, queue)
         return out
 
     def push_part(self, layer: str, tag: int, index: int, value: Any) -> list[Emission]:
@@ -935,39 +1007,42 @@ class TaskExecutor:
         joined = self.join_rows(layer, tag, [parts[i] for i in sorted(parts)])
         return self.push(layer, tag, joined)
 
-    def _feed(self, consumer: str, via: str, tag: int, value: Any) -> list[tuple[int, Any]]:
-        """Feed one item from ``via`` to ``consumer``; returns the tags it
-        fired at with their outputs."""
-        if consumer in self._windows:
-            win = self._windows[consumer]
-            pre = win.resync_on_next
-            ready = win.push(tag, value)
-            if pre and not win.resync_on_next and win.last_resync == tag:
-                # Buffer was lost in a handoff; declare the resulting
-                # output gap so downstream windows advance too.
-                self.pending_notices.extend(
-                    self._skip_from(consumer, win.last_resync + win.length - 1)
-                )
-            fired = []
-            for end, items in ready:
-                self.fired_log.append(consumer)
-                fired.append((end, self._fire(consumer, end, items)))
-            return fired
-        if consumer in self._joins:
-            spec = self.graph.layer(consumer)
-            joins = self._joins[consumer]
-            pend = joins.setdefault(tag, {})
-            for slot, inp in enumerate(spec.inputs):
-                if inp == via and slot not in pend:
-                    pend[slot] = value
-                    break
-            if len(pend) < len(spec.inputs):
-                return []
-            del joins[tag]
-            self.fired_log.append(consumer)
-            return [(tag, self._fire(consumer, tag, [pend[i] for i in range(len(spec.inputs))]))]
-        self.fired_log.append(consumer)
-        return [(tag, self._fire(consumer, tag, value))]
+    def _feed(self, ops: tuple, tag: int, value: Any, queue: deque) -> None:
+        """Feed one value at ``tag`` to the consumers ``ops`` of a layer
+        (its ``_arrivals`` or ``_walk`` entry): log each firing and queue
+        its output."""
+        fired = self.fired_log
+        for consumer, how, arg in ops:
+            if how is _PASS:
+                fired.append(consumer)
+                queue.append((consumer, tag, value))
+            elif how is _FIRE:
+                fired.append(consumer)
+                queue.append((consumer, tag, self._fire(arg, tag, value)))
+            elif how is _WINDOW:
+                win, plan = arg
+                pre = win.resync_on_next
+                ready = win.push(tag, value)
+                if pre and not win.resync_on_next and win.last_resync == tag:
+                    # Buffer was lost in a handoff; declare the resulting
+                    # output gap so downstream windows advance too.
+                    self.pending_notices.extend(
+                        self._skip_from(consumer, win.last_resync + win.length - 1))
+                for end, items in ready:
+                    fired.append(consumer)
+                    queue.append((consumer, end, self._fire(plan, end, items)))
+            else:
+                joins, slots, n_inputs, plan = arg
+                pend = joins.setdefault(tag, {})
+                for slot in slots:
+                    if slot not in pend:
+                        pend[slot] = value
+                        break
+                if len(pend) < n_inputs:
+                    continue
+                del joins[tag]
+                fired.append(consumer)
+                queue.append((consumer, tag, self._fire(plan, tag, [pend[i] for i in range(n_inputs)])))
 
     def skip(self, origin: str, next_tag: int) -> list[SkipNotice]:
         """Propagate a declared tag gap; returns boundary skip notices.
@@ -979,8 +1054,7 @@ class TaskExecutor:
         """
         for key in [k for k in self._parts if k[0] == origin and k[1] < next_tag]:
             del self._parts[key]
-        local = origin in self._owned_set and self.graph.layer(origin).kind == ir.SOURCE
-        return self._traverse_skip([(origin, int(next_tag), local)])
+        return self._traverse_skip([(origin, int(next_tag), origin in self._sources)])
 
     def _skip_from(self, layer: str, next_tag: int) -> list[SkipNotice]:
         """Declare a gap starting at an owned layer's own output."""

@@ -24,7 +24,7 @@ import numpy as np
 from edgeflock import costs
 from edgeflock import model_ir as ir
 from edgeflock.costs import CommModel, DeviceProfile
-from edgeflock.engine import run_reference
+from edgeflock.engine import run_reference, value_of
 from edgeflock.planner import AssignmentSet, PlanError, task_assign
 from edgeflock.runtime import RunMetrics, RuntimeFault, run_stream, start_cluster
 
@@ -72,20 +72,29 @@ def plan_for(graph: ir.ModelGraph, n_max: int, device: Optional[DeviceProfile] =
     return task_assign(graph, n_max, comm or CommModel(), device, overhead_factor)
 
 
+class UncheckedSinks(ValueError):
+    """A verification asked of sinks that its transport does not return."""
+
+
 def stream(aset: AssignmentSet, n: int, frames: np.ndarray,
-           transport: str = "in_process") -> tuple[dict[int, np.ndarray], RunMetrics]:
-    """Drive a fresh cluster of ``n`` devices over a clip: its outputs by
-    tag and its metrics.  The in-process run is paced
-    (``VirtualCluster.feed_paced``).  Over loopback sockets the run
-    waits for every sink output of the clip, the metrics count outputs
-    and busy seconds only, and the cluster is closed on the way out."""
+           transport: str = "in_process") -> tuple[dict[str, dict[int, np.ndarray]], RunMetrics]:
+    """Drive a fresh cluster of ``n`` devices over a clip: its outputs,
+    by sink and then by tag, and its metrics.  The in-process run is
+    paced (``VirtualCluster.feed_paced``) and returns every sink's
+    outputs: the first sink's as ``run_stream`` returns them, the
+    others' from the cluster.  Over loopback sockets the run returns
+    the first sink's outputs only (``LoopbackCluster.feed``) and waits
+    for all of them, the metrics count outputs and busy seconds only,
+    and the cluster is closed on the way out."""
     cluster = start_cluster(aset, n, transport)
+    first, *others = aset.graph.outputs
     if transport != "loopback_sockets":
-        return run_stream(cluster, frames)
-    graph = aset.graph
+        outputs, metrics = run_stream(cluster, frames)
+        return {first: outputs, **{s: {tag: value_of(v) for tag, v in cluster.outputs[s].items()}
+                                   for s in others}}, metrics
     try:
-        outputs = cluster.feed(frames, expected_outputs=len(frames) - graph.first_valid[graph.outputs[0]])
-        return outputs, cluster.metrics()
+        outputs = cluster.feed(frames, expected_outputs=len(frames) - aset.graph.first_valid[first])
+        return {first: outputs}, cluster.metrics()
     finally:
         cluster.close()
 
@@ -124,35 +133,45 @@ def verify(model: str, n_list: Iterable[int], scale: float = DESK_SCALE,
            seeds: Iterable[int] = (1, 2, 3), n_frames: Optional[int] = None,
            device: Optional[DeviceProfile] = None, comm: Optional[CommModel] = None,
            transport: str = "in_process") -> VerifyReport:
-    """Bitwise check of distributed vs reference execution.
+    """Bitwise check of distributed vs reference execution, every sink.
 
-    The report holds one entry per seed and device count; a mismatch
-    marks its entry not exact and never raises, and so does a reference
-    with no outputs, which leaves nothing to compare.  The largest
-    absolute difference is reported, not judged.
+    The report holds one entry per seed and device count; a mismatch in
+    any sink marks its entry not exact and never raises, and so does a
+    reference with no outputs, which leaves nothing to compare.  An
+    entry counts the first sink's outputs.  The largest absolute
+    difference is reported, not judged.  Over loopback sockets, which
+    return the first sink only, a model with more sinks raises
+    ``UncheckedSinks`` before anything runs.
     """
     n_list = sorted(set(n_list))
     report = VerifyReport()
     t0 = time.perf_counter()
     for seed in seeds:
         graph = load_model(model, scale, seed)
+        if transport == "loopback_sockets" and len(graph.outputs) > 1:
+            raise UncheckedSinks(f"{transport} returns the outputs of sink {graph.outputs[0]!r} only; "
+                                 f"sinks {', '.join(graph.outputs[1:])} would go unchecked")
         aset = plan_for(graph, max(n_list), device, comm, scale)
         frames = make_clip(graph, n_frames or frames_needed(graph, 4), seed)
-        ref = run_reference(graph, {graph.inputs[0]: frames})[graph.outputs[0]]
+        refs = run_reference(graph, {graph.inputs[0]: frames})
         for n in n_list:
             outs, _ = stream(aset, n, frames, transport)
-            exact = bool(ref) and set(outs) == set(ref)
+            exact = bool(refs[graph.outputs[0]])
             max_diff = 0.0
-            for tag in sorted(ref):
-                got = outs.get(tag)
-                if got is None or got.shape != ref[tag].shape:
-                    d = float("inf")
-                else:
-                    d = float(np.max(np.abs(got - ref[tag]))) if got.size else 0.0
-                if got is None or not same_bits(got, ref[tag]):
-                    exact = False
-                max_diff = max(max_diff, d)
-            report.entries.append(VerifyEntry(model, seed, n, len(outs), exact, max_diff))
+            for sink in graph.outputs:
+                ref, got_all = refs[sink], outs[sink]
+                exact = exact and set(got_all) == set(ref)
+                for tag in sorted(ref):
+                    got = got_all.get(tag)
+                    if got is None or got.shape != ref[tag].shape:
+                        d = float("inf")
+                    else:
+                        d = float(np.max(np.abs(got - ref[tag]))) if got.size else 0.0
+                    if got is None or not same_bits(got, ref[tag]):
+                        exact = False
+                    max_diff = max(max_diff, d)
+            report.entries.append(VerifyEntry(model, seed, n, len(outs[graph.outputs[0]]), exact,
+                                              max_diff))
     report.elapsed_seconds = time.perf_counter() - t0
     return report
 

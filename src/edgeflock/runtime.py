@@ -33,7 +33,10 @@ A device holds at most one live wake-up (a ``_process`` event): a queued
 item, a freed downstream slot or a finished item asks for one at the
 earliest time the device could act, a request at or after the live
 wake-up's time adds nothing, and an earlier one supersedes it.  So the
-event count follows the messages moved, not the inbox depths.
+event count follows the messages moved, not the inbox depths.  A data
+frame delivered to an idle device (free, with no live wake-up) while
+every other pending event is due later takes its wake-up inline, in
+the delivering event: that wake-up would have been the very next event.
 
 Dynamic behavior follows the planned assignment set.  The recorder is
 the source device in replica slot 0.  When the recording viewpoint
@@ -52,8 +55,8 @@ tagged data.  Senders that stall on each other's full inboxes make
 
 from __future__ import annotations
 
-import heapq
 import math
+from heapq import heappop, heappush
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Optional
 
@@ -74,6 +77,10 @@ MAX_SAMPLING_INTERVAL = 1024
 
 _PART_SEP = "#p"
 
+# Kind.DATA, read once: an enum member lookup costs about 0.2 µs, and the
+# event loop reads it for every data frame.
+_DATA = Kind.DATA
+
 
 class RuntimeFault(RuntimeError):
     """Worker crashes, master loss, or protocol violations."""
@@ -90,8 +97,9 @@ def parse_wire_name(name: str) -> tuple[str, Optional[int]]:
     return name, None
 
 
-def _zero_path() -> dict:
-    return {"compute": 0.0, "comm": 0.0, "reload": 0.0, "total": 0.0}
+# The path of an item that has not been charged yet.  Paths are
+# replaced, never changed, so every such item shares this one.
+_ZERO_PATH = {"compute": 0.0, "comm": 0.0, "reload": 0.0, "total": 0.0}
 
 
 @dataclass
@@ -127,12 +135,16 @@ class Worker:
         self.throttled_until = 0.0
         self.reload_count = 0
         self.path_state: dict[int, dict] = {}
+        # wire name -> parse_wire_name(wire name), filled as names arrive
+        self._wire_names: dict[str, tuple[str, Optional[int]]] = {}
         self.adopt(task, handoff=False)
 
     # -- task binding ------------------------------------------------------
 
     def adopt(self, task: Task, handoff: bool = True) -> None:
         self.task = task
+        # the source layer this task owns, if any
+        self.source = next((n for n in task.layers if self.graph.layer(n).kind == ir.SOURCE), None)
         split = task.split
         part = (split.origin, split.rows[0], split.rows[1]) if split else None
         self.executor = TaskExecutor(self.graph, owned=task.layers, part=part, batch=self.batch)
@@ -145,17 +157,13 @@ class Worker:
         self.layer_seconds = {n: self.price.layer_seconds[n] * self.price.swap[gi]
                               for n, gi in self.group_of.items()}
         self.resident_now = 0
+        # (fired layers, resident group) -> _item_cost of such an item
+        self._item_costs: dict[tuple, tuple] = {}
         self.path_state.clear()
 
     @property
     def owns_source(self) -> bool:
-        return self.source_name() is not None
-
-    def source_name(self) -> Optional[str]:
-        for n in self.task.layers:
-            if self.graph.layer(n).kind == ir.SOURCE:
-                return n
-        return None
+        return self.source is not None
 
     def setup_load_seconds(self) -> float:
         return self.price.load_seconds[0]
@@ -167,21 +175,37 @@ class Worker:
         clock and busy time: each layer's ``layer_seconds``, and a reload
         of each group that was not resident.  Returns the item's new
         path; paths are replaced, never changed, so messages share them.
+        An item's cost depends only on its layers and the group resident
+        before it, so each such pair is costed once.
         """
-        compute = 0.0
-        reload = 0.0
-        for name in fired:
-            compute += self.layer_seconds[name]
-            gi = self.group_of[name]
-            if gi != self.resident_now:
-                reload += self.price.load_seconds[gi]
-                self.reload_count += 1
-                self.resident_now = gi
+        key = (tuple(fired), self.resident_now)
+        cost = self._item_costs.get(key)
+        if cost is None:
+            cost = self._item_costs[key] = self._item_cost(fired)
+        compute, reload, reloads, self.resident_now = cost
+        self.reload_count += reloads
         dur = compute + reload
         self.free_at += dur
         self.busy_seconds += dur
         return {"compute": path["compute"] + compute, "comm": path["comm"],
                 "reload": path["reload"] + reload, "total": path["total"] + dur}
+
+    def _item_cost(self, fired: list[str]) -> tuple[float, float, int, int]:
+        """(compute seconds, reload seconds, reloads, resident group after)
+        of an item that fires ``fired`` from the resident group on, each
+        sum taken in ``fired`` order."""
+        compute = 0.0
+        reload = 0.0
+        reloads = 0
+        resident = self.resident_now
+        for name in fired:
+            compute += self.layer_seconds[name]
+            gi = self.group_of[name]
+            if gi != resident:
+                reload += self.price.load_seconds[gi]
+                reloads += 1
+                resident = gi
+        return compute, reload, reloads, resident
 
     # -- stream consumption -------------------------------------------------
 
@@ -196,24 +220,26 @@ class Worker:
         until the worker's batch is flushed.
         """
         tag = msg.tag
-        inc = msg.meta.get("path", _zero_path())
+        inc = msg.meta.get("path", _ZERO_PATH)
         held = self.path_state.get(tag)
         if held is None or inc["total"] > held["total"]:
-            self.path_state[tag] = dict(inc)
-        if len(self.path_state) > 4096:
-            for t in sorted(self.path_state)[:2048]:
-                del self.path_state[t]
+            self.path_state[tag] = inc
+            if len(self.path_state) > 4096:
+                for t in sorted(self.path_state)[:2048]:
+                    del self.path_state[t]
 
-        layer, part_index = parse_wire_name(msg.layer)
+        name = self._wire_names.get(msg.layer)
+        if name is None:
+            name = self._wire_names[msg.layer] = parse_wire_name(msg.layer)
+        layer, part_index = name
         if part_index is None:
             emissions = self.executor.push(layer, tag, msg.tensor)
         elif layer in self.executor.consumers:
             emissions = self.executor.push_part(layer, tag, part_index, msg.tensor)
         else:
             raise RuntimeFault(f"device {self.device}: unexpected shard for {layer!r}")
-        notices = list(self.executor.pending_notices)
-        return emissions, notices, self._charge(self.executor.fired_log,
-                                                self.path_state.get(tag, _zero_path()))
+        return emissions, self.executor.pending_notices, self._charge(
+            self.executor.fired_log, self.path_state.get(tag, _ZERO_PATH))
 
     def consume_skip(self, msg: Message):
         return self.executor.skip(msg.layer, int(msg.body["next_tag"]))
@@ -277,6 +303,7 @@ class ClusterCore:
         }
         if not self.workers:
             raise RuntimeFault("assignment has no tasks")
+        self._sinks = set(self.graph.outputs)
         self._index()
         self.raw_index = 0
         self.kept_counter = 0
@@ -296,7 +323,9 @@ class ClusterCore:
             routes[e.producer_device].setdefault(e.layer, []).append(entry)
             preds[e.consumer_device].add(e.producer_device)
         self._routes = {d: {name: sorted(v) for name, v in by.items()} for d, by in routes.items()}
-        self._dests = {d: sorted({dst for v in by.values() for dst, _i, _c in v})
+        # device -> [(dst_device, its inbox)] for every device it sends data to
+        self._dests = {d: [(dst, self.workers[dst].inbox)
+                           for dst in sorted({dst for v in by.values() for dst, _i, _c in v})]
                        for d, by in self._routes.items()}
         self._preds = {d: sorted(ps) for d, ps in preds.items()}
         self.sources = [(d, *_replica_slot(a.tasks[d])) for d in sorted(a.tasks)
@@ -334,8 +363,8 @@ class ClusterCore:
         self.kept_counter += 1
         self.kept_raw.append(idx)
         value = np.asarray(value, dtype=np.float32)
-        return [(d, Message(kind=Kind.DATA, tag=tag, layer=self.workers[d].source_name(),
-                            tensor=value, meta={"path": _zero_path()}))
+        return [(d, Message(kind=_DATA, tag=tag, layer=self.workers[d].source,
+                            tensor=value, meta={"path": _ZERO_PATH}))
                 for d in self._source_targets(tag)]
 
     def _slow_down(self, t: float) -> None:
@@ -366,21 +395,22 @@ class ClusterCore:
         split = w.task.split
         routes = self._routes[w.device]
         for em in emissions:
-            if em.layer in self.graph.outputs:
+            if em.layer in self._sinks:
                 self._output(w, em, path, w.free_at)
                 continue
             name = em.layer
             if split is not None and em.layer == split.terminal:
                 name = shard_wire_name(em.layer, split.index)
                 if em.layer in w.executor.consumers:
-                    path = self._on_data(w, Message(kind=Kind.DATA, tag=em.tag, layer=name,
+                    path = self._on_data(w, Message(kind=_DATA, tag=em.tag, layer=name,
                                                     tensor=em.value, meta={"path": path}))
             for dst, idx, count in routes.get(em.layer, ()):
                 if count == 1 or em.tag % count == idx:
-                    msg = Message(kind=Kind.DATA, tag=em.tag, layer=name,
+                    msg = Message(kind=_DATA, tag=em.tag, layer=name,
                                   tensor=em.value, meta={"path": path})
                     self._send(w.device, msg, dst, w.free_at)
-        self._notices(w, notices, w.free_at)
+        if notices:
+            self._notices(w, notices, w.free_at)
         return path
 
     def _on_skip(self, w: Worker, msg: Message, t: float) -> None:
@@ -428,8 +458,13 @@ class VirtualCluster(ClusterCore):
         # destination drains.
         self._waiting: dict[int, list] = {d: [] for d in self.workers}
         self._stalled: dict[int, set[int]] = {}
-        # DATA messages sent toward each device and not yet delivered.
-        self._in_flight: dict[int, int] = {d: 0 for d in self.workers}
+        # Data frames in each device's inbox or sent toward it and not yet
+        # delivered, and how many devices hold more than half their inbox
+        # capacity so; see feed_paced.
+        self._load: dict[int, int] = {d: 0 for d in self.workers}
+        self._half: dict[int, int] = {d: max(1, w.inbox.capacity // 2)
+                                      for d, w in self.workers.items()}
+        self._over_half = 0
         # device -> (time, token) of its one live _process wake-up
         self._wakes: dict[int, tuple[float, int]] = {}
         # Almost-full crossings signalled so far, and the last one that
@@ -440,13 +475,14 @@ class VirtualCluster(ClusterCore):
     # -- event loop --------------------------------------------------------------
 
     def _schedule(self, t: float, fn: Callable, *args) -> None:
-        heapq.heappush(self._heap, (t, self._seq, fn, args))
+        heappush(self._heap, (t, self._seq, fn, args))
         self._seq += 1
 
     def _step(self) -> None:
         """Run the earliest pending event."""
-        t, _seq, fn, args = heapq.heappop(self._heap)
-        self.vnow = max(self.vnow, t)
+        t, _seq, fn, args = heappop(self._heap)
+        if t > self.vnow:
+            self.vnow = t
         fn(t, *args)
 
     def drain_until(self, t: float) -> None:
@@ -467,13 +503,20 @@ class VirtualCluster(ClusterCore):
     def _send(self, src: int, msg: Message, dst: int, t: float) -> None:
         msg.source = src
         latency = comm_latency(msg.payload_bytes(), self.comm)
-        path = dict(msg.meta.get("path", _zero_path()))
-        path["comm"] += latency
-        path["total"] += latency
-        msg.meta["path"] = path
-        if msg.kind == Kind.DATA:
-            self._in_flight[dst] += 1
+        path = msg.meta.get("path", _ZERO_PATH)
+        msg.meta["path"] = {"compute": path["compute"], "comm": path["comm"] + latency,
+                            "reload": path["reload"], "total": path["total"] + latency}
+        if msg.kind == _DATA:
+            self._add_load(dst, 1)
         self._schedule(t + latency, self._deliver, dst, msg)
+
+    def _add_load(self, device: int, k: int) -> None:
+        """Add k data frames to the load of ``device`` and keep the count
+        of devices over half their inbox capacity."""
+        before = self._load[device]
+        after = self._load[device] = before + k
+        half = self._half[device]
+        self._over_half += (after > half) - (before > half)
 
     def _output(self, w: Worker, em, path: dict, t: float) -> None:
         self.outputs[em.layer][em.tag] = em.value
@@ -481,9 +524,8 @@ class VirtualCluster(ClusterCore):
 
     def _deliver(self, t: float, dst: int, msg: Message) -> None:
         """A message sent by ``_send`` arrives at ``dst``."""
-        if msg.kind == Kind.DATA:
-            self._in_flight[dst] -= 1
-            self._offer(t, dst, msg)
+        if msg.kind == _DATA:
+            self._offer(t, dst, msg, delivered=True)
             return
         w = self.workers[dst]
         if msg.kind == Kind.ALMOST_FULL:
@@ -498,20 +540,31 @@ class VirtualCluster(ClusterCore):
         elif msg.kind == Kind.SKIP:
             self._on_skip(w, msg, t)
 
-    def _offer(self, t: float, dst: int, msg: Message) -> None:
-        """Queue a data frame in the inbox of ``dst`` and schedule it."""
+    def _offer(self, t: float, dst: int, msg: Message, delivered: bool = False) -> None:
+        """Queue a data frame in the inbox of ``dst`` and schedule it.
+
+        ``delivered``: the frame came over a link (``_deliver``), so it
+        already counts toward the load of ``dst``, and a free ``dst`` may
+        take it at once (see ``_wake_up``).  This is the last thing
+        ``_deliver`` does: the camera offers one frame to several source
+        devices, and takes none at once.
+        """
         w = self.workers[dst]
         if w.inbox.full:
             # Hold in the sender's outbound queue; delivered (in order)
             # as the destination drains.
             self._waiting[dst].append(msg)
+            if delivered:
+                self._add_load(dst, -1)
             return
         w.inbox.offer((msg, t))
+        if not delivered:
+            self._add_load(dst, 1)
         if w.inbox.should_signal():
             self._signal_almost_full(t, dst)
-        self._wake_up(max(t, w.free_at), dst)
+        self._wake_up(max(t, w.free_at), dst, inline=delivered and w.free_at <= t)
 
-    def _wake_up(self, t: float, device: int) -> None:
+    def _wake_up(self, t: float, device: int, inline: bool = False) -> None:
         """Make sure ``device`` looks at its inbox at time t or earlier.
 
         A device has at most one live ``_process`` wake-up: a request at
@@ -522,12 +575,25 @@ class VirtualCluster(ClusterCore):
         then asks again for the same instant, and its new wake-up runs
         after the events already due then, some of which a dropped one
         would have preceded.
+
+        ``inline``: the caller's event runs at t.  If the device holds no
+        wake-up and every other pending event is due after t, the new
+        wake-up would be the very next event, so it runs now instead of
+        through the heap.  ``drain_until`` and ``feed_paced`` would step
+        to it next too: the event that asks is due by their horizon, and
+        a delivery changes no device's load, which ``feed_paced`` steps
+        on.
         """
         live = self._wakes.get(device)
         if live is not None and live[0] <= t:
             return
-        self._wakes[device] = (t, self._seq)
-        self._schedule(t, self._process, device, self._seq)
+        token = self._seq
+        self._wakes[device] = (t, token)
+        if inline and live is None and (not self._heap or self._heap[0][0] > t):
+            self._seq += 1
+            self._process(t, device, token)
+        else:
+            self._schedule(t, self._process, device, token)
 
     def _signal_almost_full(self, t: float, device: int) -> None:
         self._crossings += 1
@@ -552,8 +618,8 @@ class VirtualCluster(ClusterCore):
             return
         # Blocking sends: stall while any downstream inbox is full, so
         # pressure cascades upstream instead of losing tagged data.
-        for dst in self._dests[device]:
-            if self.workers[dst].inbox.full:
+        for dst, inbox in self._dests[device]:
+            if inbox.full:
                 self._stalled.setdefault(dst, set()).add(device)
                 return
         msg, _arrival = w.inbox.take()
@@ -564,15 +630,19 @@ class VirtualCluster(ClusterCore):
             self._wake_up(w.free_at, device)
 
     def _after_take(self, t: float, device: int) -> None:
-        """One slot freed: pull a held message in, wake stalled senders."""
-        w = self.workers[device]
-        while self._waiting.get(device) and not w.inbox.full:
-            held = self._waiting[device].pop(0)
-            w.inbox.offer((held, t))
-            if w.inbox.should_signal():
+        """One item taken and its slot freed: pull held messages in, count
+        the load, wake stalled senders."""
+        inbox = self.workers[device].inbox
+        waiting = self._waiting[device]
+        pulled = 0
+        while waiting and not inbox.full:
+            inbox.offer((waiting.pop(0), t))
+            pulled += 1
+            if inbox.should_signal():
                 self._signal_almost_full(t, device)
-        if not w.inbox.full:
-            for src in sorted(self._stalled.pop(device, ())):
+        self._add_load(device, pulled - 1)
+        if device in self._stalled and not inbox.full:
+            for src in sorted(self._stalled.pop(device)):
                 sw = self.workers[src]
                 if sw.inbox.occupancy > 0:
                     self._wake_up(max(t, sw.free_at), src)
@@ -646,14 +716,14 @@ class VirtualCluster(ClusterCore):
     def feed_paced(self, value: np.ndarray) -> None:
         """Inject one raw camera frame once the source devices that take
         its tag are free, then run events while any inbox, counting the
-        data in flight toward it, is more than half full: below the
-        almost-full watermark, where the camera would be sampled."""
+        data in flight toward it, is more than half full (``_over_half``
+        counts those devices): below the almost-full watermark, where the
+        camera would be sampled."""
         targets = self._source_targets(self.kept_counter)
         start = max([self.vnow] + [self.workers[d].free_at for d in targets])
         self.feed_frame(value, t=start)
         self.drain_until(start)
-        while self._heap and any(w.inbox.occupancy + self._in_flight[d] > max(1, w.inbox.capacity // 2)
-                                 for d, w in self.workers.items()):
+        while self._heap and self._over_half:
             self._step()
 
     def _camera_arrival(self, t: float, value: np.ndarray) -> None:

@@ -21,7 +21,9 @@ class SlidingWindow:
 
     Out-of-order arrivals are buffered; a window [next_tag, next_tag +
     length) is emitted (tagged by its newest item) once every member tag
-    is present.  Items older than the current window are counted and
+    is present.  A push tests the window's last tag first, and only then
+    gathers the window's items, in one pass that stops at the first tag
+    missing.  Items older than the current window are counted and
     dropped; duplicate tags are an error.  ``skip_below`` declares that
     tags below a bound will never arrive, letting the window advance
     past a gap.
@@ -58,15 +60,21 @@ class SlidingWindow:
             return []
         if tag in self.pending:
             raise WindowError(f"duplicate tag {tag}")
-        self.pending[tag] = item
+        pending = self.pending
+        pending[tag] = item
         emitted = []
-        # The last tag first: a window that lacks it is not scanned.
-        while (self.next_tag + self.length - 1) in self.pending and all(
-                (self.next_tag + i) in self.pending for i in range(self.length - 1)):
-            run = [self.pending[self.next_tag + i] for i in range(self.length)]
-            emitted.append((self.next_tag + self.length - 1, run))
-            del self.pending[self.next_tag]
+        # The last tag first: a window that lacks it is not scanned.  Its
+        # run is then gathered in one pass that stops at the first gap.
+        last = self.next_tag + self.length - 1
+        while last in pending:
+            try:
+                run = [pending[t] for t in range(self.next_tag, last + 1)]
+            except KeyError:
+                break
+            emitted.append((last, run))
+            del pending[self.next_tag]
             self.next_tag += 1
+            last += 1
         return emitted
 
     def skip_below(self, tag: int) -> None:
@@ -112,20 +120,23 @@ class BoundedInbox:
 
     def offer(self, item) -> bool:
         """Try to enqueue; False when full (item refused, counted)."""
-        if self.full:
+        items = self.items
+        if len(items) >= self.capacity:
             self.rejected += 1
             return False
-        self.items.append(item)
-        self.peak_occupancy = max(self.peak_occupancy, len(self.items))
+        items.append(item)
+        if len(items) > self.peak_occupancy:
+            self.peak_occupancy = len(items)
         return True
 
     def should_signal(self) -> bool:
         """True once per upward crossing of the almost-full watermark."""
-        if len(self.items) >= self.almost_full_threshold and self._armed:
-            self._armed = False
-            return True
         if len(self.items) < self.almost_full_threshold:
             self._armed = True
+            return False
+        if self._armed:
+            self._armed = False
+            return True
         return False
 
     def take(self):

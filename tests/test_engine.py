@@ -31,6 +31,7 @@ from edgeflock.engine import (
     run_reference,
     temporal_pyramid,
 )
+from edgeflock import model_ir as ir
 from edgeflock import runtime
 from edgeflock.harness import frames_needed, make_clip, plan_for
 from edgeflock.model_ir import LayerSpec, ModelGraph, build_model, validate_graph
@@ -524,6 +525,33 @@ class TestPointwise:
         assert abs(float(np.sum(out, dtype=np.float64)) - 1.0) <= 1e-6
 
 
+def softmax_oracle(row):
+    """One row's max-subtracted softmax, as a lone vector computes it."""
+    row = np.asarray(row, np.float32).reshape(-1)
+    e = np.exp(row - np.max(row), dtype=np.float32)
+    return e / e.sum(dtype=np.float32)
+
+
+class TestSoftmaxBatch:
+    @given(st.integers(1, 17), st.integers(1, 300), st.integers(0, 2 ** 32 - 1),
+           st.floats(0, 1))
+    @settings(max_examples=80, deadline=None)
+    @example(3, 5, 0, 1.0)
+    def test_rows_equal_each_row_alone(self, rows, width, seed, special):
+        """A (rows, width) batch gives each row the bytes it gives alone,
+        with signed zeros and NaNs of either sign among the values."""
+        r = np.random.default_rng(seed)
+        pool = np.array([0.0, -0.0, np.nan, -np.nan, 88.0, -88.0], np.float32)
+        batch = np.where(r.random((rows, width)) < special, r.choice(pool, (rows, width)),
+                         r.uniform(-30, 30, (rows, width))).astype(np.float32)
+        got = forward_softmax(batch)
+        assert got.shape == batch.shape and got.dtype == np.float32
+        for i in range(rows):
+            want = softmax_oracle(batch[i])
+            assert got[i].tobytes() == want.tobytes()
+            assert forward_softmax(batch[i]).tobytes() == want.tobytes()
+
+
 def pyramid_oracle(frames, levels):
     """Brute force: enumerate ranges and take maxes with Python loops."""
     flat = [np.asarray(f, np.float32).reshape(-1) for f in frames]
@@ -636,14 +664,15 @@ class TestFlowStack:
 
 
 class CountingFlow:
-    """``flow_diff_stub`` that records the frame pairs it is called on."""
+    """``flow_diff_stub`` that records the frame pairs it is called on,
+    each row of a stacked call as one pair."""
 
     def __init__(self):
         self.pairs = []
 
-    def __call__(self, prev, cur):
-        self.pairs.append((prev, cur))
-        return flow_diff_stub(prev, cur)
+    def __call__(self, prev, cur, stacked=False):
+        self.pairs.extend(zip(prev, cur) if stacked else [(prev, cur)])
+        return flow_diff_stub(prev, cur, stacked=stacked)
 
 
 def count_flows(monkeypatch) -> CountingFlow:
@@ -711,6 +740,36 @@ class TestFlowCache:
         assert len(counting.pairs) == 15
         for end, value in after.items():
             assert value.tobytes() == flow_stack(list(self.frames[end - 10:end + 1]), 10).tobytes()
+
+
+class TestFlowGroups:
+    @given(st.sampled_from([(5, 4, 3), (6, 3), (1, 1, 3), (2, 7)]), st.integers(1, 6),
+           st.lists(st.integers(1, 20), min_size=1, max_size=6), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_grouped_fields_equal_each_pair_alone(self, shape, window_len, run_lengths, seed):
+        """Colour and grey frames with signed zeros and NaNs, pushed across
+        a declared gap and a handoff and flushed at any points: each flow
+        stack holds the bytes of ``flow_diff_stub`` on each of its pairs
+        alone."""
+        b = ir._Builder(seed % 1000)
+        b.add("camera", ir.SOURCE, {"shape": list(shape)})
+        b.add("flow", ir.FLOWSTACK, {"window_len": window_len}, ["camera"])
+        b.add("out", ir.SINK, {}, ["flow"])
+        graph = b.graph(["camera"], ["out"])
+        r = np.random.default_rng(seed)
+        pool = np.array([0.0, -0.0, np.nan, -np.nan, 1.0], np.float32)
+        frames = np.where(r.random((60, *shape)) < 0.4, r.choice(pool, (60, *shape)),
+                          r.uniform(-1, 1, (60, *shape))).astype(np.float32)
+        script = [("push", 0, frames[:20]), ("skip", 26), ("push", 26, frames[26:40]),
+                  ("handoff",), ("push", 43, frames[43:60])]
+        emitted, _fired, _notices = replay(engine.TaskExecutor(graph), script, run_lengths)
+        ends = [tag for layer, tag, *_ in emitted if layer == "out"]
+        assert ends and max(ends) == 59 and any(t < 20 for t in ends)
+        for layer, tag, dtype, got_shape, data in emitted:
+            window = list(frames[tag - window_len:tag + 1])
+            fields = [flow_diff_stub(window[t], window[t + 1]) for t in range(window_len)]
+            want = np.concatenate(fields, axis=-1)
+            assert (dtype, got_shape, data) == (want.dtype.str, want.shape, want.tobytes())
 
 
 class TestReference:

@@ -12,9 +12,24 @@ import edgeflock.engine as engine
 from edgeflock import harness
 from edgeflock.cli import main, _parse_ns
 from edgeflock.harness import bench, frames_needed, load_model, plan_for, verify
+from edgeflock import model_ir as ir
 from edgeflock.model_ir import build_model
 from edgeflock.planner import AssignmentSet, render_plan
 from edgeflock.runtime import RunMetrics, start_cluster
+
+
+def two_sink_model(tmp_path) -> str:
+    """A model file whose source feeds two fc layers, each to its own
+    sink, ``oa`` first."""
+    b = ir._Builder(1)
+    b.add("x", ir.SOURCE, {"shape": [8]})
+    b.add("fa", ir.FC, {"out_size": 4}, ["x"])
+    b.add("oa", ir.SINK, {}, ["fa"])
+    b.add("fb", ir.FC, {"out_size": 3}, ["x"])
+    b.add("ob", ir.SINK, {}, ["fb"])
+    path = tmp_path / "two_sinks.json"
+    path.write_text(b.graph(["x"], ["oa", "ob"]).to_json())
+    return str(path)
 
 
 class TestHarness:
@@ -51,6 +66,36 @@ class TestHarness:
         assert rep.entries[0].max_abs_diff > 0 and not rep.ok
         text = rep.render()
         assert "[FAIL] two_stream seed=1 n= 2" in text and "verify: MISMATCH" in text
+
+    def test_verify_checks_every_sink(self, tmp_path, monkeypatch):
+        """Weights corrupted on the cluster only, in the branch of a second
+        sink: verify reports the model exact until then and not exact
+        after, though the first sink's outputs still match."""
+        model = two_sink_model(tmp_path)
+        assert verify(model, [1, 2], seeds=(1,), n_frames=6).ok
+        shared = engine.shared_params
+        reference = harness.run_reference
+
+        def corrupt(graph, name):
+            p = shared(graph, name)
+            if name != "fb":
+                return p
+            b = p.b.copy()
+            b[0] += np.float32(1.0)
+            return replace(p, b=b)
+
+        def clean_reference(graph, inputs):
+            engine.shared_params = shared
+            try:
+                return reference(graph, inputs)
+            finally:
+                engine.shared_params = corrupt
+        monkeypatch.setattr(engine, "shared_params", corrupt)
+        monkeypatch.setattr(harness, "run_reference", clean_reference)
+        rep = verify(model, [1, 2], seeds=(1,), n_frames=6)
+        assert [(e.devices, e.outputs, e.exact) for e in rep.entries] == [(1, 6, False),
+                                                                          (2, 6, False)]
+        assert rep.entries[0].max_abs_diff > 0 and not rep.ok
 
     def test_verify_with_nothing_to_compare_fails(self):
         """A clip shorter than the window lag gives no reference output:
@@ -414,6 +459,15 @@ class TestCli:
         assert result.exit_code == 0, result.output
         first = load_model("two_stream", 0.03125, 1).first_valid["out"]
         assert f"outputs: {30 - first} tagged results" in result.output
+
+    def test_verify_over_sockets_refuses_a_second_sink(self, tmp_path):
+        """Over loopback sockets only the first sink comes back, so a
+        two-sink model is a usage error that names the other sink."""
+        result = CliRunner().invoke(main, ["verify", "--model", two_sink_model(tmp_path),
+                                           "--devices", "2", "--seed", "1",
+                                           "--transport", "loopback_sockets"])
+        assert result.exit_code == 2, result.output
+        assert "sinks ob would go unchecked" in result.output
 
     def test_run_and_verify_take_the_same_transports(self):
         from edgeflock.runtime import TRANSPORTS

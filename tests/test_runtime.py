@@ -8,6 +8,7 @@ import pytest
 
 import edgeflock.engine as engine
 from edgeflock import model_ir as ir
+from edgeflock import runtime
 from edgeflock.costs import CommModel, DeviceProfile
 from edgeflock.engine import run_reference
 from edgeflock.harness import make_clip, same_bits
@@ -19,6 +20,7 @@ from edgeflock.runtime import (
     run_stream,
     start_cluster,
 )
+from edgeflock.windows import SlidingWindow
 from edgeflock.wire import Kind, Message
 
 SCALE = 0.125
@@ -380,7 +382,31 @@ class TestBackpressure:
         cluster._schedule = lambda t, fn, *args: events.append(fn) or schedule(t, fn, *args)
         _outs, metrics = run_stream(cluster, frames, fps=2000.0, paced=False)
         assert metrics.drops > 0 and metrics.outputs > 0
-        assert len(events) <= 3300
+        assert len(events) <= 3003
+
+    def test_work_per_item_is_counted_once(self, monkeypatch):
+        """The overload stream consumes and pushes each item once, sizes
+        each message once and pushes each window item once: the counts
+        that traced runs report."""
+        calls = {}
+
+        def count(owner, name):
+            fn = getattr(owner, name)
+            key = f"{owner.__name__}.{name}"
+
+            def counted(*args, **kwargs):
+                calls[key] = calls.get(key, 0) + 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+        count(runtime.Worker, "consume_data")
+        count(engine.TaskExecutor, "push")
+        count(Message, "payload_bytes")
+        count(SlidingWindow, "push")
+        _graph, cluster, frames = self._pressured(1200, 9)
+        _outs, metrics = run_stream(cluster, frames, fps=2000.0, paced=False)
+        assert metrics.outputs == 164
+        assert calls == {"Worker.consume_data": 1084, "TaskExecutor.push": 1084,
+                         "Message.payload_bytes": 908, "SlidingWindow.push": 554}
 
     def test_mutual_stall_is_a_fault(self):
         """Devices 0 and 1 each send into the other; at 400 fps into
