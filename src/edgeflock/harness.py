@@ -25,8 +25,8 @@ from edgeflock import costs
 from edgeflock import model_ir as ir
 from edgeflock.costs import CommModel, DeviceProfile
 from edgeflock.engine import run_reference, value_of
-from edgeflock.planner import AssignmentSet, PlanError, task_assign
-from edgeflock.runtime import RunMetrics, RuntimeFault, run_stream, start_cluster
+from edgeflock.planner import AssignmentSet, task_assign
+from edgeflock.runtime import RunMetrics, run_stream, start_cluster
 
 DESK_SCALE = 0.125
 
@@ -72,29 +72,25 @@ def plan_for(graph: ir.ModelGraph, n_max: int, device: Optional[DeviceProfile] =
     return task_assign(graph, n_max, comm or CommModel(), device, overhead_factor)
 
 
-class UncheckedSinks(ValueError):
-    """A verification asked of sinks that its transport does not return."""
-
-
 def stream(aset: AssignmentSet, n: int, frames: np.ndarray,
            transport: str = "in_process") -> tuple[dict[str, dict[int, np.ndarray]], RunMetrics]:
     """Drive a fresh cluster of ``n`` devices over a clip: its outputs,
     by sink and then by tag, and its metrics.  The in-process run is
     paced (``VirtualCluster.feed_paced``) and returns every sink's
     outputs: the first sink's as ``run_stream`` returns them, the
-    others' from the cluster.  Over loopback sockets the run returns
-    the first sink's outputs only (``LoopbackCluster.feed``) and waits
-    for all of them, the metrics count outputs and busy seconds only,
-    and the cluster is closed on the way out."""
+    others' from the cluster.  Over loopback sockets the run ends when
+    every message is handled (``LoopbackCluster.feed``) and returns the
+    cluster's ``outputs``, every sink's; the metrics count outputs and
+    busy seconds only, and the cluster is closed on the way out."""
     cluster = start_cluster(aset, n, transport)
-    first, *others = aset.graph.outputs
     if transport != "loopback_sockets":
+        first, *others = aset.graph.outputs
         outputs, metrics = run_stream(cluster, frames)
         return {first: outputs, **{s: {tag: value_of(v) for tag, v in cluster.outputs[s].items()}
                                    for s in others}}, metrics
     try:
-        outputs = cluster.feed(frames, expected_outputs=len(frames) - aset.graph.first_valid[first])
-        return {first: outputs}, cluster.metrics()
+        cluster.feed(frames)
+        return cluster.outputs, cluster.metrics()
     finally:
         cluster.close()
 
@@ -139,18 +135,15 @@ def verify(model: str, n_list: Iterable[int], scale: float = DESK_SCALE,
     any sink marks its entry not exact and never raises, and so does a
     reference with no outputs, which leaves nothing to compare.  An
     entry counts the first sink's outputs.  The largest absolute
-    difference is reported, not judged.  Over loopback sockets, which
-    return the first sink only, a model with more sinks raises
-    ``UncheckedSinks`` before anything runs.
+    difference is reported, not judged.  Both transports return every
+    sink; over loopback sockets a frame lost on the way shows as a
+    missing tag as soon as the cluster has nothing left to handle.
     """
     n_list = sorted(set(n_list))
     report = VerifyReport()
     t0 = time.perf_counter()
     for seed in seeds:
         graph = load_model(model, scale, seed)
-        if transport == "loopback_sockets" and len(graph.outputs) > 1:
-            raise UncheckedSinks(f"{transport} returns the outputs of sink {graph.outputs[0]!r} only; "
-                                 f"sinks {', '.join(graph.outputs[1:])} would go unchecked")
         aset = plan_for(graph, max(n_list), device, comm, scale)
         frames = make_clip(graph, n_frames or frames_needed(graph, 4), seed)
         refs = run_reference(graph, {graph.inputs[0]: frames})
@@ -181,9 +174,8 @@ class BenchEntry:
     devices: int
     predicted_ips: float
     predicted_t_forward: float
-    simulated: RunMetrics = field(default_factory=RunMetrics)
-    energy: dict = field(default_factory=dict)
-    note: str = ""
+    simulated: RunMetrics
+    energy: dict
 
 
 @dataclass
@@ -205,11 +197,9 @@ class BenchReport:
                 f"{e.devices:>3} {e.predicted_ips:>10.3f} {m.ips:>10.3f} "
                 f"{m.t_forward_seconds:>9.3f} {m.breakdown['compute']:>9.3f} "
                 f"{m.breakdown['comm']:>9.3f} {m.breakdown['reload']:>9.3f} "
-                f"{e.energy.get('static_joules', 0.0):>9.2f} "
-                f"{e.energy.get('dynamic_joules', 0.0):>9.2f}"
+                f"{e.energy['static_joules']:>9.2f} "
+                f"{e.energy['dynamic_joules']:>9.2f}"
             )
-            if e.note:
-                lines.append(f"    note: {e.note}")
         return "\n".join(lines)
 
 
@@ -224,20 +214,13 @@ def bench(model: str, n_list: Iterable[int], scale: float = DESK_SCALE,
     report = BenchReport(model=model, scale=scale)
     frames = make_clip(graph, max(n_frames, frames_needed(graph, 8)), seed)
     for n in n_list:
-        entry = BenchEntry(
-            devices=n,
-            predicted_ips=aset.assignments[n].predicted.ips,
-            predicted_t_forward=aset.assignments[n].predicted.t_forward_seconds,
-        )
-        try:
-            _outputs, metrics = stream(aset, n, frames)
-            entry.simulated = metrics
-            entry.energy = costs.energy(metrics.wall_seconds, metrics.per_device_busy_seconds,
-                                        [aset.device] * n)
-            per_inf = max(metrics.outputs, 1)
-            entry.energy["static_per_inference"] = entry.energy["static_joules"] / per_inf
-            entry.energy["dynamic_per_inference"] = entry.energy["dynamic_joules"] / per_inf
-        except (PlanError, RuntimeFault) as exc:
-            entry.note = f"skipped: {exc}"
-        report.entries.append(entry)
+        _outputs, metrics = stream(aset, n, frames)
+        energy = costs.energy(metrics.wall_seconds, metrics.per_device_busy_seconds,
+                              [aset.device] * n)
+        per_inf = max(metrics.outputs, 1)
+        energy["static_per_inference"] = energy["static_joules"] / per_inf
+        energy["dynamic_per_inference"] = energy["dynamic_joules"] / per_inf
+        predicted = aset.assignments[n].predicted
+        report.entries.append(BenchEntry(n, predicted.ips, predicted.t_forward_seconds,
+                                         metrics, energy))
     return report

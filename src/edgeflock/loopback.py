@@ -7,10 +7,11 @@ connection in the length-prefixed wire format.  Each device runs two
 threads: a reader that queues the frames it reads and a processor that
 hands each message to the core.  The core tags the camera frames that
 ``feed`` sends, so a second ``feed`` continues the stream; the devices
-that compute the first graph output record it in ``outputs``.
-Wall-clock timing replaces the virtual clock, so this transport is for
-protocol/integration coverage; throughput and latency modeling live in
-the in-process transport.
+that compute a graph output record it in ``outputs``, by sink.  A
+``feed`` ends as an in-process run does: when every message sent has
+been handled.  Wall-clock timing replaces the virtual clock, so this
+transport is for protocol/integration coverage; throughput and latency
+modeling live in the in-process transport.
 """
 
 from __future__ import annotations
@@ -76,12 +77,13 @@ class _Node:
             if msg.kind == Kind.HEARTBEAT and msg.body.get("bye"):
                 self.alive = False
                 return
-            if self.cluster.fault is not None:
-                continue  # the run has failed; drain so that senders never block
             try:
-                self.cluster.handle(self.worker, msg)
+                if self.cluster.fault is None:  # else drain, so that senders never block
+                    self.cluster.handle(self.worker, msg)
             except Exception as exc:  # the thread's boundary: report, never die silently
                 self.cluster.fail(exc)
+            finally:
+                self.cluster.handled()
 
     def stop(self):
         """End the node's threads: the processor takes the bye straight
@@ -103,22 +105,25 @@ class LoopbackCluster(ClusterCore):
     """Workers on localhost sockets; one worker per device.
 
     The core in ``runtime`` tags the camera frames and decides what each
-    message yields; this class moves frames and keeps the first graph
-    output of the current ``feed``.  Each device's connection is opened
-    here, so a socket error at start raises ``RuntimeFault``.  Each
-    destination has its own send lock, so a sender blocked on one full
-    peer never keeps another sender from reaching a different peer.
+    message yields; this class moves frames, counts the messages sent
+    and not yet handled, and keeps the graph outputs of the current
+    ``feed`` by sink, as ``VirtualCluster.outputs`` does.  Each device's
+    connection is opened here, so a socket error at start raises
+    ``RuntimeFault``.  Each destination has its own send lock, so a
+    sender blocked on one full peer never keeps another sender from
+    reaching a different peer.
     """
 
     def __init__(self, aset: AssignmentSet, n: int,
                  inbox_capacity: int = DEFAULT_INBOX_CAPACITY):
         super().__init__(aset, n, inbox_capacity)
-        # Guards outputs, expected and fault, which node threads write.
+        # Guards fault and unhandled, the messages that send has framed
+        # and no processor has finished with; feed waits on _idle.
         self._lock = threading.Lock()
-        self.outputs: dict[int, np.ndarray] = {}
-        self._done = threading.Event()
+        self._idle = threading.Condition(self._lock)
         self.fault: Optional[Exception] = None
-        self.expected: Optional[int] = None
+        self.unhandled = 0
+        self.outputs: dict[str, dict[int, np.ndarray]] = {s: {} for s in self.graph.outputs}
         self.nodes: dict[int, _Node] = {}
         for d, w in self.workers.items():
             try:
@@ -132,13 +137,22 @@ class LoopbackCluster(ClusterCore):
         with self._lock:
             if self.fault is None:
                 self.fault = exc
-        self._done.set()
+            self._idle.notify_all()
+
+    def handled(self) -> None:
+        """One message sent has been handled, or skipped after a fault."""
+        with self._lock:
+            self.unhandled -= 1
+            if self.unhandled == 0:
+                self._idle.notify_all()
 
     def send(self, msg: Message, dst: int) -> None:
         """Frame ``msg`` onto the connection to ``dst``; only senders to the
         same destination wait for each other."""
         frame = encode(msg)
         node = self.nodes[dst]
+        with self._lock:
+            self.unhandled += 1
         with node.send_lock:
             node.out.sendall(_LEN.pack(len(frame)) + frame)
 
@@ -153,58 +167,61 @@ class LoopbackCluster(ClusterCore):
         self.send(msg, dst)
 
     def _output(self, w: Worker, em, path: dict, t: float) -> None:
-        if em.layer != self.graph.outputs[0]:
-            return  # feed returns the first sink's values, as run_stream does
-        with self._lock:
-            self.outputs[em.tag] = value_of(em.value)
-            if self.expected is not None and len(self.outputs) >= self.expected:
-                self._done.set()
+        self.outputs[em.layer][em.tag] = value_of(em.value)
 
     def handle(self, w: Worker, msg: Message) -> None:
-        """Handle one message on a node's processor thread."""
+        """Handle one message on a node's processor thread.  A kind that
+        no handler takes raises ``RuntimeFault``: dropped, it would look
+        like a finished run."""
         if msg.kind == Kind.DATA:
             self._on_data(w, msg)
         elif msg.kind == Kind.SKIP:
             self._on_skip(w, msg, w.free_at)
+        else:
+            raise RuntimeFault(f"device {w.device} has no handler for {msg.kind.name} frames")
 
     # -- driving -------------------------------------------------------------
 
-    def feed(self, frames: Iterable[np.ndarray], expected_outputs: int,
+    def feed(self, frames: Iterable[np.ndarray], expected_outputs: Optional[int] = None,
              timeout: float = 60.0) -> dict[int, np.ndarray]:
-        """Send frames through the recorder to the source devices and wait
-        for this call's values of the first graph output, by tag.
+        """Send frames through the recorder to the source devices, wait
+        until every message sent is handled and return this call's values
+        of the first graph output, by tag; ``outputs`` holds every sink's.
 
         The core tags on from the previous call.  Nothing slows the
         camera on this transport, so the core admits every frame, and
         the time it is given cannot change what it admits.  Raises
-        ``RuntimeFault`` on timeout, when a frame cannot be sent, or as
-        soon as a node thread has failed, chained from that thread's
+        ``RuntimeFault`` when a frame cannot be sent, when messages are
+        left unhandled after ``timeout`` seconds, when the first sink
+        completed other than ``expected_outputs`` values (if given), or
+        as soon as a node thread has failed, chained from that thread's
         first exception.
         """
-        with self._lock:
-            self.outputs = {}
-            self.expected = expected_outputs
-            self._done.clear()
-        for frame in frames:
-            if self.fault is not None:
-                break
-            for d, msg in self._admit(frame, 0.0):
-                try:
+        self.outputs = {s: {} for s in self.graph.outputs}
+        try:
+            for frame in frames:
+                if self.fault is not None:
+                    break
+                for d, msg in self._admit(frame, 0.0):
                     self.send(msg, d)
-                except OSError as exc:
-                    raise RuntimeFault(f"loopback feed of frame {msg.tag} to device {d} "
-                                       f"failed: {exc!r}") from exc
-        if self.fault is None and not self._done.wait(timeout):
-            raise RuntimeFault(
-                f"loopback run timed out with {len(self.outputs)}/{expected_outputs} outputs")
+        except OSError as exc:
+            if self.fault is None:  # else a node thread failed first: raised below
+                raise RuntimeFault(f"loopback feed of frame {msg.tag} to device {d} "
+                                   f"failed: {exc!r}") from exc
+        with self._idle:
+            if not self._idle.wait_for(lambda: self.unhandled == 0 or self.fault is not None, timeout):
+                raise RuntimeFault(f"loopback run timed out with {self.unhandled} messages unhandled")
         if self.fault is not None:
             raise RuntimeFault(f"loopback worker thread failed: {self.fault!r}") from self.fault
-        with self._lock:
-            return dict(self.outputs)
+        outputs = self.outputs[self.graph.outputs[0]]
+        if expected_outputs is not None and len(outputs) != expected_outputs:
+            raise RuntimeFault(f"loopback run completed {len(outputs)} outputs, "
+                               f"expected {expected_outputs}")
+        return dict(outputs)
 
     def metrics(self) -> RunMetrics:
         m = RunMetrics()
-        m.outputs = len(self.outputs)
+        m.outputs = sum(len(by_tag) for by_tag in self.outputs.values())
         m.per_device_busy_seconds = {d: w.busy_seconds for d, w in self.workers.items()}
         return m
 

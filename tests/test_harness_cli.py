@@ -15,7 +15,7 @@ from edgeflock.harness import bench, frames_needed, load_model, plan_for, verify
 from edgeflock import model_ir as ir
 from edgeflock.model_ir import build_model
 from edgeflock.planner import AssignmentSet, render_plan
-from edgeflock.runtime import RunMetrics, start_cluster
+from edgeflock.runtime import RunMetrics, RuntimeFault, start_cluster
 
 
 def two_sink_model(tmp_path) -> str:
@@ -96,6 +96,58 @@ class TestHarness:
         assert [(e.devices, e.outputs, e.exact) for e in rep.entries] == [(1, 6, False),
                                                                           (2, 6, False)]
         assert rep.entries[0].max_abs_diff > 0 and not rep.ok
+
+    def test_verify_over_sockets_checks_every_sink(self, tmp_path, monkeypatch):
+        """The loopback twin of test_verify_checks_every_sink: weights of
+        the second sink's branch corrupted on the cluster only mark every
+        entry not exact."""
+        model = two_sink_model(tmp_path)
+        shared = engine.shared_params
+        reference = harness.run_reference
+
+        def corrupt(graph, name):
+            p = shared(graph, name)
+            if name != "fb":
+                return p
+            b = p.b.copy()
+            b[0] += np.float32(1.0)
+            return replace(p, b=b)
+
+        def clean_reference(graph, inputs):
+            engine.shared_params = shared
+            try:
+                return reference(graph, inputs)
+            finally:
+                engine.shared_params = corrupt
+        monkeypatch.setattr(engine, "shared_params", corrupt)
+        monkeypatch.setattr(harness, "run_reference", clean_reference)
+        rep = verify(model, [1, 2], seeds=(1,), n_frames=6, transport="loopback_sockets")
+        assert [(e.devices, e.outputs, e.exact) for e in rep.entries] == [(1, 6, False),
+                                                                          (2, 6, False)]
+        assert rep.entries[0].max_abs_diff > 0 and not rep.ok
+
+    def test_verify_over_sockets_reports_a_lost_frame(self, monkeypatch):
+        """A message lost on the way shows as a missing output, not as a
+        wait for the feed's timeout."""
+        import threading
+        import time
+        from edgeflock.loopback import LoopbackCluster
+        from edgeflock.wire import Kind
+        handle, lock, lost = LoopbackCluster.handle, threading.Lock(), []
+
+        def lossy(self, w, msg):
+            with lock:
+                if msg.kind == Kind.DATA and msg.tag == 5 and not lost:
+                    lost.append(msg.layer)
+                    return
+            handle(self, w, msg)
+
+        monkeypatch.setattr(LoopbackCluster, "handle", lossy)
+        t0 = time.monotonic()
+        rep = verify("alexnet", [4], seeds=(1,), n_frames=6, transport="loopback_sockets")
+        assert time.monotonic() - t0 < 30.0
+        assert [(e.devices, e.outputs, e.exact) for e in rep.entries] == [(4, 5, False)]
+        assert len(lost) == 1
 
     def test_verify_with_nothing_to_compare_fails(self):
         """A clip shorter than the window lag gives no reference output:
@@ -460,14 +512,15 @@ class TestCli:
         first = load_model("two_stream", 0.03125, 1).first_valid["out"]
         assert f"outputs: {30 - first} tagged results" in result.output
 
-    def test_verify_over_sockets_refuses_a_second_sink(self, tmp_path):
-        """Over loopback sockets only the first sink comes back, so a
-        two-sink model is a usage error that names the other sink."""
+    def test_verify_over_sockets_checks_a_second_sink(self, tmp_path):
+        """Over loopback sockets every sink comes back, so a two-sink model
+        verifies as it does in process."""
         result = CliRunner().invoke(main, ["verify", "--model", two_sink_model(tmp_path),
-                                           "--devices", "2", "--seed", "1",
+                                           "--devices", "1,2", "--seed", "1",
                                            "--transport", "loopback_sockets"])
-        assert result.exit_code == 2, result.output
-        assert "sinks ob would go unchecked" in result.output
+        assert result.exit_code == 0, result.output
+        assert "n= 1" in result.output and "n= 2" in result.output
+        assert "verify: all exact" in result.output
 
     def test_run_and_verify_take_the_same_transports(self):
         from edgeflock.runtime import TRANSPORTS
@@ -483,6 +536,19 @@ class TestCli:
         assert result.exit_code == 0, result.output
         written = list(Path(tmp_path).glob("edgeflock-bench-*.json"))
         assert len(written) == 1
+
+    def test_bench_fault_exits_3_and_writes_no_report(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeFault("device 1 stopped answering")
+
+        monkeypatch.setattr(harness, "stream", broken)
+        out = tmp_path / "bench.json"
+        result = CliRunner().invoke(main, [
+            "bench", "--model", "two_stream", "--devices", "1,2",
+            "--scale", "0.03125", "--out", str(out)])
+        assert result.exit_code == 3, result.output
+        assert "runtime fault: device 1 stopped answering" in result.output
+        assert not out.exists()
 
     def test_profile_writes_measured_rates(self, tmp_path):
         out = tmp_path / "prof.json"

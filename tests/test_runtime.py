@@ -710,6 +710,31 @@ class TestRoleRotation:
         with pytest.raises(RuntimeFault, match="master"):
             cluster.reassign(("device_lost", cluster.master))
 
+    @pytest.mark.parametrize("trigger,message", [
+        (("motion_on", 99), "device 99 is not part of the cluster"),
+        (("device_lost", 3), "device loss requires restarting"),
+        (("scene_change", 0), "unknown trigger 'scene_change'"),
+    ])
+    def test_refused_reassignment_keeps_the_cluster(self, ts, trigger, message):
+        """A refused trigger raises and commits nothing: the version holds
+        and the next run is complete and oracle-equal."""
+        graph, aset = ts[0], ts[1]
+        frames = make_clip(graph, 60, 4)
+        ref = run_reference(graph, {"camera": frames})["out"]
+        cluster = start_cluster(aset, 5)
+        assert cluster.master != 3
+        run_stream(cluster, frames[:30])
+        version = cluster.version
+        with pytest.raises(RuntimeFault, match=message):
+            cluster.reassign(trigger)
+        assert cluster.version == version
+        outs, _ = run_stream(cluster, frames[30:])
+        assert_exact(outs, {t: ref[t] for t in range(30, 60)})
+
+    def test_unknown_transport_is_a_runtime_fault(self, ts):
+        with pytest.raises(RuntimeFault, match="unknown transport 'carrier_pigeon'"):
+            start_cluster(ts[1], 5, "carrier_pigeon")
+
 
 class TestLoopback:
     def test_exact_over_sockets(self, ts):
@@ -889,6 +914,99 @@ class TestLoopback:
         assert isinstance(info.value.__cause__, ValueError)
         assert self.threads_left(before) == []
 
+    @pytest.mark.parametrize("kind", [Kind.ALMOST_FULL, Kind.HEARTBEAT])
+    def test_a_frame_no_handler_takes_fails_feed(self, kind):
+        """A frame of a kind that no loopback handler takes is a fault:
+        dropped, it would leave an idle cluster that looks finished."""
+        import time
+        from edgeflock.loopback import LoopbackCluster
+        graph = build_model("alexnet", SCALE, seed=2)
+        aset = task_assign(graph, 4, CommModel(), DeviceProfile().scaled_mem(SCALE))
+        cluster = LoopbackCluster(aset, 4)
+        t0 = time.monotonic()
+        try:
+            cluster.send(Message(kind=kind, body={"occupancy": 1}), 2)
+            with pytest.raises(RuntimeFault, match=f"device 2 has no handler for {kind.name} frames"):
+                cluster.feed(make_clip(graph, 4, 2), expected_outputs=4, timeout=60.0)
+        finally:
+            cluster.close()
+        assert time.monotonic() - t0 < 10.0
+
+    def test_garbage_frame_fails_feed_promptly(self):
+        """A frame that does not decode ends its reader thread: feed raises
+        at once, chained from the WireError, and close() ends every thread."""
+        import threading
+        import time
+        from edgeflock.loopback import _LEN, LoopbackCluster
+        from edgeflock.wire import WireError
+        graph = build_model("alexnet", SCALE, seed=2)
+        aset = task_assign(graph, 4, CommModel(), DeviceProfile().scaled_mem(SCALE))
+        before = set(threading.enumerate())
+        cluster = LoopbackCluster(aset, 4)
+        t0 = time.monotonic()
+        try:
+            garbage = b"\xff" * 20  # wire version 255
+            cluster.nodes[0].out.sendall(_LEN.pack(len(garbage)) + garbage)
+            with pytest.raises(RuntimeFault, match="unsupported wire version 255") as info:
+                cluster.feed(make_clip(graph, 4, 2), expected_outputs=4, timeout=60.0)
+        finally:
+            cluster.close()
+        assert time.monotonic() - t0 < 10.0
+        assert isinstance(info.value.__cause__, WireError)
+        assert self.threads_left(before) == []
+
+    def test_blocked_handler_times_feed_out(self):
+        """Handlers that do not return: feed gives up after its timeout and
+        names the messages left unhandled, here the four frames fed to the
+        two source replicas; close() ends every thread once they return."""
+        import threading
+        import time
+        from edgeflock.loopback import LoopbackCluster
+        graph = build_model("alexnet", SCALE, seed=2)
+        aset = task_assign(graph, 4, CommModel(), DeviceProfile().scaled_mem(SCALE))
+        release = threading.Event()
+        before = set(threading.enumerate())
+        cluster = LoopbackCluster(aset, 4)
+        cluster.handle = lambda w, msg: release.wait(30.0)
+        t0 = time.monotonic()
+        try:
+            with pytest.raises(RuntimeFault, match="timed out with 4 messages unhandled"):
+                cluster.feed(make_clip(graph, 4, 2), timeout=1.0)
+            assert 1.0 <= time.monotonic() - t0 < 10.0
+        finally:
+            release.set()
+            cluster.close()
+        assert self.threads_left(before) == []
+
+    def test_a_lost_frame_fails_feed_fast(self, monkeypatch):
+        """A message lost on the way leaves the cluster with nothing to
+        handle and one output short: feed says so at once, well inside
+        its timeout."""
+        import threading
+        import time
+        from edgeflock.loopback import LoopbackCluster
+        graph = build_model("alexnet", SCALE, seed=1)
+        aset = task_assign(graph, 4, CommModel(), DeviceProfile().scaled_mem(SCALE))
+        handle, lock, lost = LoopbackCluster.handle, threading.Lock(), []
+
+        def lossy(self, w, msg):
+            with lock:
+                if msg.kind == Kind.DATA and msg.tag == 5 and not lost:
+                    lost.append(msg.layer)
+                    return
+            handle(self, w, msg)
+
+        monkeypatch.setattr(LoopbackCluster, "handle", lossy)
+        cluster = LoopbackCluster(aset, 4)
+        t0 = time.monotonic()
+        try:
+            with pytest.raises(RuntimeFault, match="completed 5 outputs, expected 6"):
+                cluster.feed(make_clip(graph, 6, 1), expected_outputs=6, timeout=5.0)
+        finally:
+            cluster.close()
+        assert time.monotonic() - t0 < 2.5  # half the timeout; 0.04 s on a 2-vCPU VM
+        assert len(lost) == 1
+
     def test_two_threads_per_device(self):
         """Each device runs one reader and one processor, however many
         peers send to it, and close() ends them all."""
@@ -933,7 +1051,8 @@ class TestLoopback:
     @pytest.mark.parametrize("n", [1, 2])
     def test_two_sinks_return_the_first(self, n):
         """feed returns and counts only the first sink's values, as
-        run_stream does, however the other sink's values interleave."""
+        run_stream does, however the other sink's values interleave;
+        ``outputs`` holds every sink's."""
         from edgeflock.loopback import LoopbackCluster
         b = ir._Builder(1)
         b.add("x", ir.SOURCE, {"shape": [8]})
@@ -944,7 +1063,8 @@ class TestLoopback:
         graph = b.graph(["x"], ["oa", "ob"])
         aset = task_assign(graph, 2, CommModel(), DeviceProfile())
         frames = make_clip(graph, 6, 1)
-        ref = run_reference(graph, {"x": frames})["oa"]
+        refs = run_reference(graph, {"x": frames})
+        ref = refs["oa"]
         virtual, _ = run_stream(start_cluster(aset, n), frames)
         cluster = LoopbackCluster(aset, n)
         try:
@@ -953,3 +1073,4 @@ class TestLoopback:
             cluster.close()
         assert_exact(virtual, ref)
         assert_exact(outs, ref)
+        assert_exact(cluster.outputs["ob"], refs["ob"])
