@@ -16,6 +16,29 @@
  * zero columns up to the next multiple of 8 filters, so the last
  * filters % 8 filters run as 8 in place, and the padded lanes are
  * discarded.
+ *
+ * fc has two paths.  A range of at most NARROW output rows holds its
+ * sums in up to four 16-float vectors in registers; a wider range sums
+ * ROWS rows at a time in an array in L1.  engine lays fc weights out
+ * (inputs, ws), ws the row count rounded up to a multiple of 16, with 16
+ * floats of slack after the last row and the matrix on a 64-byte
+ * boundary.  So both paths read whole 16-float vectors: the lanes past
+ * the last row asked for read padding, the next weight row or the slack,
+ * and are discarded.
+ *
+ * The wide path leaves out every input equal to +-0.0 when engine says
+ * that every weight of the layer is finite, and changes no bit by it.
+ * A sum starts at +0.0, and under round-to-nearest a sum is -0.0 only
+ * when both addends are -0.0, so a sum is never -0.0.  A finite weight
+ * times +-0.0 is +-0.0, and adding +-0.0 to any value but -0.0 returns
+ * that value, +-inf and NaN included.  An infinite or NaN weight would
+ * make the product NaN, hence engine's flag; a NaN input is never left
+ * out.  This relies on flush-to-zero being off, as it is without
+ * -ffast-math: with it on, a negative sum too small to be normal would
+ * become -0.0, and adding a +0.0 product would then give +0.0.
+ * The narrow path leaves nothing out: there a list of the inputs taken
+ * ran a 4096 -> 32 call no faster (7.0-8.0 us either way), and saved
+ * less than 0.5 us a call on the 1/32 shapes.
  */
 #include <stdint.h>
 #include <string.h>
@@ -24,17 +47,22 @@ typedef float v16 __attribute__((vector_size(64)));
 typedef float v8 __attribute__((vector_size(32)));
 typedef float v4 __attribute__((vector_size(16)));
 
-/* Rows summed at once by fc_rows: their accumulators, 4 KiB, stay in L1,
- * and each input's weights for them are one contiguous run of a weight
- * row, so a matrix of up to 1024 outputs is read front to back.  On a
- * 2-vCPU AVX-512 Xeon (best of 7, two runs), a 1024 -> 1024 call took
- * 282-300 us at 64 rows, which read it in 64-float pieces 4 KiB apart,
- * and 200-211 us at 1024; 960 -> 1024 went from 261-287 to 181-186 us.
- * 256 or 2048 rows were slower on both.
+/* Rows summed at once by fc_rows' wide path: their accumulators, 4 KiB,
+ * stay in L1, and each input's weights for them are one contiguous run
+ * of a weight row, so a matrix of up to 1024 outputs is read front to
+ * back.  On a 2-vCPU AVX-512 Xeon (best of 7, two runs), a 1024 -> 1024
+ * call took 282-300 us at 64 rows, which read it in 64-float pieces
+ * 4 KiB apart, and 200-211 us at 1024; 960 -> 1024 went from 261-287 to
+ * 181-186 us.  256 or 2048 rows were slower on both.
+ * NARROW is the widest row range whose sums fc_rows holds in registers:
+ * four 16-float vectors.  The wide path lists the inputs it takes
+ * SKIP_BLOCK at a time, without a branch per input.
  * MAXP is the number of conv positions whose input pointers a conv tile
  * reads: more ran no faster on the same Xeon, as the pointers no longer
  * fit in general-purpose registers. */
 #define ROWS 1024
+#define NARROW 64
+#define SKIP_BLOCK 256
 #define MAXP 8
 
 /* The sums of one tile, without bias, into sums (P, F): positions x[0..P)
@@ -151,22 +179,85 @@ void conv_nhwc(const float *xp, const float *wt, const float *bias, float *out,
     }
 }
 
-/* out[r - lo] for rows [lo, hi) of x (inputs) against wt (inputs,
- * outputs), plus bias (outputs). */
+/* The sums, without bias, of rows [r0, r0 + 16 * NV) of x (inputs)
+ * against wt, whose rows are ws floats apart, held in NV registers and
+ * stored to sums.  Lanes past the rows asked for read the padding or
+ * the next weight row, and the caller discards them. */
+#define FC_NARROW(NAME, NV)                                                    \
+static void NAME(const float *x, const float *wt, int64_t ws, int64_t inputs,  \
+                 int64_t r0, float *sums)                                      \
+{                                                                              \
+    v16 acc[NV];                                                               \
+    for (int v = 0; v < NV; v++)                                               \
+        acc[v] = (v16){0};                                                     \
+    for (int64_t j = 0; j < inputs; j++) {                                     \
+        const float *w = wt + j * ws + r0;                                     \
+        v16 xv = x[j] - (v16){0};                                              \
+        for (int v = 0; v < NV; v++) {                                         \
+            v16 a;                                                             \
+            memcpy(&a, w + v * 16, sizeof a);                                  \
+            acc[v] += a * xv;                                                  \
+        }                                                                      \
+    }                                                                          \
+    for (int v = 0; v < NV; v++) {                                             \
+        v16 a = acc[v];                                                        \
+        memcpy(sums + v * 16, &a, sizeof a);                                   \
+    }                                                                          \
+}
+
+FC_NARROW(fc_narrow1, 1)
+FC_NARROW(fc_narrow2, 2)
+FC_NARROW(fc_narrow3, 3)
+FC_NARROW(fc_narrow4, 4)
+
+/* out[r - lo] for rows [lo, hi) of x (inputs) against wt (inputs, ws),
+ * plus bias.  ws is a multiple of 16 at least the row count, and at
+ * least 15 floats follow the last row of wt.  Ranges of at most NARROW
+ * rows sum in registers.  Wider ones sum ROWS rows at a time, and when
+ * skip_zeros is set they leave out every input equal to +-0.0, taking
+ * the others in ascending order from a list of at most SKIP_BLOCK. */
 void fc_rows(const float *restrict x, const float *restrict wt, const float *restrict bias,
-             float *restrict out, int64_t inputs, int64_t outputs, int64_t lo, int64_t hi)
+             float *restrict out, int64_t inputs, int64_t ws, int64_t lo, int64_t hi,
+             int64_t skip_zeros)
 {
+    if (hi - lo <= NARROW) {
+        float sums[NARROW];
+        switch ((hi - lo + 15) / 16) {
+        case 1: fc_narrow1(x, wt, ws, inputs, lo, sums); break;
+        case 2: fc_narrow2(x, wt, ws, inputs, lo, sums); break;
+        case 3: fc_narrow3(x, wt, ws, inputs, lo, sums); break;
+        default: fc_narrow4(x, wt, ws, inputs, lo, sums); break;
+        }
+        for (int64_t r = 0; r < hi - lo; r++)
+            out[r] = sums[r] + bias[lo + r];
+        return;
+    }
     for (int64_t r0 = lo; r0 < hi; r0 += ROWS) {
         int64_t rows = hi - r0 < ROWS ? hi - r0 : ROWS;
-        float acc[ROWS];
-        for (int64_t r = 0; r < rows; r++)
-            acc[r] = 0.0f;
-        for (int64_t j = 0; j < inputs; j++) {
-            const float *w = wt + j * outputs + r0;
-            for (int64_t r = 0; r < rows; r++)
-                acc[r] += w[r] * x[j];
+        int64_t nv = (rows + 15) / 16;
+        v16 acc[ROWS / 16];
+        for (int64_t v = 0; v < nv; v++)
+            acc[v] = (v16){0};
+        for (int64_t j0 = 0; j0 < inputs; j0 += SKIP_BLOCK) {
+            int64_t j1 = inputs - j0 < SKIP_BLOCK ? inputs : j0 + SKIP_BLOCK;
+            int32_t taken[SKIP_BLOCK];
+            int64_t k = 0;
+            for (int64_t j = j0; j < j1; j++) {   /* no branch: a zero is overwritten */
+                taken[k] = (int32_t)(j - j0);
+                k += !(skip_zeros && x[j] == 0.0f);
+            }
+            for (int64_t i = 0; i < k; i++) {
+                int64_t j = j0 + taken[i];
+                const float *w = wt + j * ws + r0;
+                v16 xv = x[j] - (v16){0};
+                for (int64_t v = 0; v < nv; v++) {
+                    v16 a;
+                    memcpy(&a, w + v * 16, sizeof a);
+                    acc[v] += a * xv;
+                }
+            }
         }
         for (int64_t r = 0; r < rows; r++)
-            out[r0 - lo + r] = acc[r] + bias[r0 + r];
+            out[r0 - lo + r] = acc[r / 16][r % 16] + bias[r0 + r];
     }
 }

@@ -11,10 +11,16 @@ layer is sharded row-wise across devices.
 The conv and fc kernels read weights tap-major: (taps, filters) for
 conv in (dy, dx, channel) tap order, (inputs, outputs) for fc, as
 ``_operands`` lays them out: a conv's with zero columns up to a multiple
-of 8 filters, which its kernel reads in place.  ``freeze`` lays shared
-weights out once, and ``LayerParams.w`` is a view of that matrix in the
-(filters, kh, kw, c) or (outputs, inputs) shape; ``_kernel_operands``
-lays any other weights out at each call.
+of 8 filters, which its kernel reads in place; an fc's with zero columns
+up to a multiple of 16 outputs, 16 floats of slack after the matrix and
+the matrix on a 64-byte boundary, so that the fc kernel reads whole
+16-float vectors of any row range.  ``_operands`` also notes whether
+every fc weight is finite: only then does the kernel leave out the zero
+inputs of a row range wider than 64 rows, which changes no bit (the
+proof is in ``_kernels.c``).  ``freeze`` lays shared weights out once,
+and ``LayerParams.w`` is a view of that matrix in the (filters, kh, kw,
+c) or (outputs, inputs) shape; ``_kernel_operands`` lays any other
+weights out at each call.
 
 The kernels are C, in ``_kernels.c``, compiled when this module is
 imported, with the C compiler that built Python if it is on PATH and
@@ -196,15 +202,28 @@ def freeze(params: LayerParams) -> LayerParams:
     return params
 
 
-def _operands(params: LayerParams) -> tuple:
-    """(w, b, wt, address of wt, address of b) for a compiled kernel.
+def _aligned_zeros(size: int) -> np.ndarray:
+    """``size`` float32 zeros starting on a 64-byte boundary.  A 16-float
+    vector that the fc kernel reads at a multiple of 16 floats then lies
+    in one cache line: split loads made a 6144 -> 32 call 1.4x slower."""
+    buf = np.zeros(size + 15, dtype=np.float32)
+    first = -buf.ctypes.data % 64 // 4
+    return buf[first:first + size]
 
-    ``wt`` is ``w`` as a C-contiguous float32 tap-major matrix: fc
-    weights (out, in) become (in, out), conv weights (f, kh, kw, c)
-    become (kh*kw*c, f) in (dy, dx, c) tap order, with zero columns up
-    to a multiple of 8.  The ``w`` returned is a view of wt in ``w``'s
-    shape, ``b`` the bias in float32.  A bias that is not one value per
-    output raises ``EngineError``.
+
+def _operands(params: LayerParams) -> tuple:
+    """(w, b, wt, address of wt, address of b, finite) for a compiled
+    kernel.
+
+    ``wt`` is ``w`` as a C-contiguous float32 tap-major matrix: conv
+    weights (f, kh, kw, c) become (kh*kw*c, f) in (dy, dx, c) tap order,
+    with zero columns up to a multiple of 8; fc weights (out, in) become
+    (in, out) with zero columns up to a multiple of 16, in a 64-byte
+    aligned buffer that holds 16 more floats after them.  The ``w``
+    returned is a view of wt in ``w``'s shape, ``b`` the bias in
+    float32, and ``finite`` whether ``w`` is an fc weight with every
+    value finite in float32.  A bias that is not one value per output
+    raises ``EngineError``.
     """
     w = params.w
     n = w.shape[0]
@@ -212,9 +231,15 @@ def _operands(params: LayerParams) -> tuple:
     if shape != (n,):
         raise EngineError(f"bias shape {shape} != ({n},)")
     b = _float32(params.b)
-    wt = np.zeros((w[0].size, -(-n // 8) * 8 if w.ndim == 4 else n), dtype=np.float32)
+    taps = w[0].size
+    if w.ndim == 4:
+        wt = np.zeros((taps, -(-n // 8) * 8), dtype=np.float32)
+    else:
+        ws = -(-n // 16) * 16
+        wt = _aligned_zeros(taps * ws + 16)[:taps * ws].reshape(taps, ws)
     wt[:, :n] = w.reshape(n, -1).T
-    return wt[:, :n].T.reshape(w.shape), b, wt, wt.ctypes.data, b.ctypes.data
+    finite = w.ndim == 2 and bool(np.isfinite(wt).all())
+    return wt[:, :n].T.reshape(w.shape), b, wt, wt.ctypes.data, b.ctypes.data, finite
 
 
 # A batch computes at most RUN_TAGS firings of one (executor, chain or
@@ -224,8 +249,11 @@ def _operands(params: LayerParams) -> tuple:
 # group's stacked inputs and a member's outputs at once, so the caps
 # bound its memory: a reference run of 16 frames of vgg16 at 1/8, whose
 # layer outputs reach 1.6 MB a frame, peaked at 64 MiB of RSS, and at
-# 144 MiB without RUN_BYTES.
-RUN_TAGS = 16
+# 144 MiB without RUN_BYTES.  At 64 tags rather than 16, a round of the
+# paced two_stream benchmark at 1/8 (references and sweep) flushes 7
+# times, not 43, in 60 conv calls, not 264, and each layer's frames run
+# back to back; its peak RSS went from 54.0 to 57.7 MiB.
+RUN_TAGS = 64
 RUN_BYTES = 2 << 20
 
 _KERNELS_SOURCE = Path(__file__).with_name("_kernels.c")
@@ -274,7 +302,7 @@ def _load_kernels() -> ctypes.CDLL:
     ptr, size = ctypes.c_void_p, ctypes.c_int64
     lib.conv_nhwc.argtypes = (ptr, ptr, ptr, ptr) + (size,) * 11
     lib.conv_nhwc.restype = None
-    lib.fc_rows.argtypes = (ptr, ptr, ptr, ptr, size, size, size, size)
+    lib.fc_rows.argtypes = (ptr, ptr, ptr, ptr) + (size,) * 5
     lib.fc_rows.restype = None
     return lib
 
@@ -316,20 +344,23 @@ def forward_fc(x: np.ndarray, params: LayerParams, rows: Optional[tuple[int, int
 
     Accumulation runs in ascending j, so any row subset (``rows``) of a
     sharded layer reproduces the corresponding rows of the full layer
-    exactly.  ``fc_rows`` of ``_kernels.c`` computes the sums.
+    exactly.  ``fc_rows`` of ``_kernels.c`` computes the sums, leaving
+    out zero inputs on wide row ranges when every weight is finite.
     """
     x = _float32(x)
     if x.ndim != 1:
         x = x.reshape(-1)
     operands = _kernel_operands(params)
-    inputs, outputs = operands[2].shape
+    inputs, ws = operands[2].shape
+    outputs = operands[1].size
     lo, hi = (0, outputs) if rows is None else rows
     if rows is not None and not 0 <= lo < hi <= outputs:
         raise EngineError(f"fc row range {rows} is empty or outside [0, {outputs})")
     if inputs != x.size:
         raise EngineError(f"fc input size {x.size} != weight columns {inputs}")
     out = np.empty(hi - lo, dtype=np.float32)
-    _KERNELS.fc_rows(x.ctypes.data, operands[3], operands[4], out.ctypes.data, inputs, outputs, lo, hi)
+    _KERNELS.fc_rows(x.ctypes.data, operands[3], operands[4], out.ctypes.data,
+                     inputs, ws, lo, hi, operands[5])
     return out
 
 

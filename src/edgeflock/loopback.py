@@ -62,7 +62,7 @@ class _Node:
     def _reader(self, conn: socket.socket):
         with conn, conn.makefile("rb") as stream:
             try:
-                while self.alive:
+                while True:
                     head = stream.read(_LEN.size)
                     if len(head) < _LEN.size:
                         return  # end of stream: stop() closed the sending end
@@ -70,15 +70,19 @@ class _Node:
                     self.queue.put(decode(stream.read(_LEN.unpack(head)[0])))
             except Exception as exc:  # the thread's boundary: report, never die silently
                 self.cluster.fail(exc)
+            finally:
+                # The processor leaves on this bye, after all the reader queued.
+                self.queue.put(Message(kind=Kind.HEARTBEAT, body={"bye": 1}))
 
     def _process_loop(self):
-        while self.alive:
+        while True:
             msg = self.queue.get()
             if msg.kind == Kind.HEARTBEAT and msg.body.get("bye"):
-                self.alive = False
                 return
             try:
-                if self.cluster.fault is None:  # else drain, so that senders never block
+                # Once stopping or failed, drain unhandled, so that the reader
+                # and the senders never block.
+                if self.alive and self.cluster.fault is None:
                     self.cluster.handle(self.worker, msg)
             except Exception as exc:  # the thread's boundary: report, never die silently
                 self.cluster.fail(exc)
@@ -86,14 +90,11 @@ class _Node:
                 self.cluster.handled()
 
     def stop(self):
-        """End the node's threads: the processor takes the bye straight
-        from its queue, the reader reads end-of-stream once ``out`` closes.
-        A later send to this node raises ``OSError``."""
+        """End the node's threads: once ``out`` closes, the reader reads
+        end-of-stream and queues a bye, and the processor drains its queue
+        up to that bye without handling a message.  A later send to this
+        node raises ``OSError``."""
         self.alive = False
-        try:
-            self.queue.put_nowait(Message(kind=Kind.HEARTBEAT, body={"bye": 1}))
-        except queue.Full:
-            pass  # the processor is busy, and sees alive is False once done
         try:
             self.out.shutdown(socket.SHUT_RDWR)
         except OSError:

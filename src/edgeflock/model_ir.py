@@ -72,9 +72,6 @@ class TensorShape:
     def rank(self) -> int:
         return len(self.dims)
 
-    def __iter__(self):
-        return iter(self.dims)
-
 
 @dataclass
 class LayerSpec:

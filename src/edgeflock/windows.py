@@ -43,10 +43,6 @@ class SlidingWindow:
         if self.length < 1:
             raise WindowError("window length must be >= 1")
 
-    @property
-    def occupancy(self) -> int:
-        return len(self.pending)
-
     def push(self, tag: int, item) -> list[tuple[int, list]]:
         """Add one item; return ready windows as (end_tag, items) pairs."""
         tag = int(tag)

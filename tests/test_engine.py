@@ -207,6 +207,98 @@ class TestDense:
             assert forward_fc(x, p, rows=rows).tobytes() == want
 
 
+with np.errstate(invalid="ignore"):
+    # The NaN this machine makes of an invalid operation.  Every NaN the
+    # fc oracle cases hold or make has these bits, so a sum's NaN does
+    # not depend on which operand of an addition a machine propagates.
+    DEFAULT_NAN = np.float32(np.inf) * np.float32(0.0)
+SPECIALS = {"zero": (0.0, -0.0), "nan": (DEFAULT_NAN,), "inf": (np.inf, -np.inf),
+            "subnormal": (1e-40, -1e-40, 1.4e-45, -1.4e-45)}
+
+
+def fc_sequential(w, b, x):
+    """The fc oracle: each float32 product rounded, the products added in
+    ascending input order from +0.0, the bias added last.  Vectorized
+    across rows only, so each row's sum is the scalar loop's."""
+    acc = np.zeros(w.shape[0], np.float32)
+    with np.errstate(all="ignore"):
+        for j in range(w.shape[1]):
+            acc = acc + w[:, j] * x[j]
+        return acc + b
+
+
+@st.composite
+def fc_oracle_cases(draw, narrow):
+    """(outputs, inputs, rows, seed, input specials, bad weight): the rows
+    a range of at most 64 (narrow) or of more (wide), which may end at
+    the last row; the specials a subset of SPECIALS that replaces about
+    a third of the inputs; the bad weight None, NaN or an infinity."""
+    out = draw(st.integers(1 if narrow else 65, 80) | st.integers(1000, 1100))
+    width = draw(st.integers(1, min(out, 64)) if narrow else st.integers(65, out))
+    lo = out - width if draw(st.booleans()) else draw(st.integers(0, out - width))
+    return (out, draw(st.integers(1, 300)), (lo, lo + width), draw(st.integers(0, 2**31 - 1)),
+            draw(st.sets(st.sampled_from(sorted(SPECIALS)))),
+            draw(st.sampled_from([None, DEFAULT_NAN, np.inf, -np.inf])))
+
+
+class TestFcOracle:
+    """``forward_fc`` byte for byte against ``fc_sequential``, signs of
+    zero and NaNs included, on both of the kernel's paths: row ranges of
+    at most 64 rows, summed in registers and read into the weights'
+    padding and slack, and wider ones, which leave out zero inputs when
+    every weight is finite."""
+
+    def check(self, case):
+        out, inp, (lo, hi), seed, specials, bad = case
+        r = np.random.default_rng(seed)
+        w = r.uniform(-0.05, 0.05, (out, inp)).astype(np.float32)
+        b = with_zeros(r, r.uniform(-0.05, 0.05, out), 0.2, 0.5)
+        x = r.uniform(-1, 1, inp).astype(np.float32)
+        if specials:
+            pool = np.array([v for k in sorted(specials) for v in SPECIALS[k]], np.float32)
+            hit = r.random(inp) < 1 / 3
+            x[hit] = r.choice(pool, inp)[hit]
+        if bad is not None:
+            # mostly against a zero input, which a skip would leave out
+            zeros = np.flatnonzero(x == 0)
+            col = r.choice(zeros) if zeros.size and r.random() < 0.75 else r.integers(inp)
+            w[r.integers(lo, hi), col] = bad
+        p = freeze(LayerParams(w=w.copy(), b=b.copy()))
+        want = fc_sequential(w[lo:hi], b[lo:hi], x)
+        assert forward_fc(x, p, rows=(lo, hi)).tobytes() == want.tobytes()
+        if (lo, hi) == (0, out):
+            assert forward_fc(x, p).tobytes() == want.tobytes()
+
+    @given(fc_oracle_cases(narrow=True))
+    @example((1100, 7, (1045, 1100), 1, {"zero"}, None))  # four vectors, into the slack
+    @example((1, 3, (0, 1), 2, {"nan", "zero"}, np.inf))
+    @settings(max_examples=60, deadline=None)
+    def test_narrow_rows_match_the_oracle(self, case):
+        self.check(case)
+
+    @given(fc_oracle_cases(narrow=False))
+    @example((1100, 300, (1, 1100), 3, {"zero", "subnormal"}, None))  # two blocks, two input lists
+    @example((1030, 5, (965, 1030), 4, {"zero", "inf"}, -np.inf))
+    @settings(max_examples=40, deadline=None)
+    def test_wide_rows_match_the_oracle(self, case):
+        self.check(case)
+
+    @pytest.mark.parametrize("out,rows,inf_row", [
+        (40, (0, 40), None), (40, (1, 40), 0),           # narrow
+        (1030, (0, 1030), None), (1030, (1, 1030), 0),   # wide: skips, and cannot
+    ])
+    def test_every_product_negative_zero_sums_to_positive_zero(self, out, rows, inf_row):
+        # -0.0 inputs against positive weights, and -0.0 biases: a sum
+        # from -0.0 would give -0.0.  An infinite weight in a row outside
+        # the range keeps the wide path from leaving the zeros out.
+        w = np.random.default_rng(out).uniform(0.01, 0.05, (out, 9)).astype(np.float32)
+        if inf_row is not None:
+            w[inf_row, 4] = np.inf
+        p = freeze(LayerParams(w=w, b=np.full(out, -0.0, np.float32)))
+        got = forward_fc(np.full(9, -0.0, np.float32), p, rows=rows)
+        assert got.tobytes() == np.zeros(rows[1] - rows[0], np.float32).tobytes()
+
+
 class TestConv:
     def test_one_by_one_identity(self):
         p = LayerParams(w=np.ones((1, 1, 1, 1), np.float32), b=np.zeros(1, np.float32))
@@ -918,8 +1010,9 @@ class TestRuns:
             return compute(ex, name, assembly, firings)
         monkeypatch.setattr(engine.TaskExecutor, "_compute", compute_spy)
 
-        # layer inputs or outputs of at most 24 KiB, 0.6 MB and 1.6 MB a frame
-        for model, scale, n, longest in (("two_stream", 1 / 8, 40, engine.RUN_TAGS),
+        # layer inputs or outputs of at most 24 KiB, 0.6 MB and 1.6 MB a
+        # frame; two_stream's clip is longer than RUN_TAGS
+        for model, scale, n, longest in (("two_stream", 1 / 8, engine.RUN_TAGS + 8, engine.RUN_TAGS),
                                          ("alexnet", 1 / 8, 8, 3), ("vgg16", 1 / 8, 2, 1)):
             g = build_model(model, scale, seed=1)
             groups.clear()

@@ -144,7 +144,10 @@ class TestExactness:
         assert len(calls) < len(fired) and max(calls) > 1
 
     def test_batches_stay_under_their_caps(self, ts, monkeypatch):
-        graph, aset, frames, ref = ts
+        # a clip longer than RUN_TAGS, so that a group reaches the cap
+        graph, aset, _, _ = ts
+        frames = make_clip(graph, engine.RUN_TAGS + 8, 1)
+        ref = run_reference(graph, {"camera": frames})["out"]
         seen = []
         add = engine.Batch.add
 
@@ -860,11 +863,11 @@ class TestLoopback:
         assert isinstance(info.value.__cause__, OSError)
 
     @staticmethod
-    def threads_left(before):
-        """Threads started since ``before`` still alive after 10 s."""
+    def threads_left(before, seconds=10.0):
+        """Threads started since ``before`` still alive after ``seconds``."""
         import threading
         import time
-        deadline = time.monotonic() + 10.0
+        deadline = time.monotonic() + seconds
         while True:
             left = [t for t in threading.enumerate() if t not in before and t.is_alive()]
             if not left or time.monotonic() > deadline:
@@ -977,6 +980,29 @@ class TestLoopback:
             release.set()
             cluster.close()
         assert self.threads_left(before) == []
+
+    def test_close_ends_every_thread_behind_a_full_queue(self):
+        """A node whose queue is full at close(), its processor held in a
+        handler and its reader blocked on the queue: once the handler
+        returns, the processor drains the queue unhandled, the reader's
+        put returns and it reads end-of-stream, and every thread ends."""
+        import threading
+        from edgeflock.loopback import LoopbackCluster
+        graph = build_model("alexnet", SCALE, seed=2)
+        aset = task_assign(graph, 4, CommModel(), DeviceProfile().scaled_mem(SCALE))
+        release, handled = threading.Event(), []
+        before = set(threading.enumerate())
+        cluster = LoopbackCluster(aset, 4, inbox_capacity=1)
+        cluster.handle = lambda w, msg: handled.append(msg) or release.wait(30.0)
+        try:
+            with pytest.raises(RuntimeFault, match="timed out"):
+                cluster.feed(make_clip(graph, 8, 2), timeout=0.5)
+            assert any(node.queue.full() for node in cluster.nodes.values())
+        finally:
+            cluster.close()
+            release.set()
+        assert self.threads_left(before, seconds=1.0) == []
+        assert len(handled) == 2  # one per source replica, none after close()
 
     def test_a_lost_frame_fails_feed_fast(self, monkeypatch):
         """A message lost on the way leaves the cluster with nothing to
