@@ -24,7 +24,7 @@ import numpy as np
 from edgeflock import costs
 from edgeflock import model_ir as ir
 from edgeflock.costs import CommModel, DeviceProfile
-from edgeflock.engine import run_reference, value_of
+from edgeflock.engine import run_reference
 from edgeflock.planner import AssignmentSet, task_assign
 from edgeflock.runtime import RunMetrics, run_stream, start_cluster
 
@@ -74,25 +74,22 @@ def plan_for(graph: ir.ModelGraph, n_max: int, device: Optional[DeviceProfile] =
 
 def stream(aset: AssignmentSet, n: int, frames: np.ndarray,
            transport: str = "in_process") -> tuple[dict[str, dict[int, np.ndarray]], RunMetrics]:
-    """Drive a fresh cluster of ``n`` devices over a clip: its outputs,
-    by sink and then by tag, and its metrics.  The in-process run is
-    paced (``VirtualCluster.feed_paced``) and returns every sink's
-    outputs: the first sink's as ``run_stream`` returns them, the
-    others' from the cluster.  Over loopback sockets the run ends when
-    every message is handled (``LoopbackCluster.feed``) and returns the
-    cluster's ``outputs``, every sink's; the metrics count outputs and
-    busy seconds only, and the cluster is closed on the way out."""
+    """Drive a fresh cluster of ``n`` devices over a clip: the cluster's
+    ``outputs``, every sink's by tag, and its metrics.  The in-process
+    run is paced (``VirtualCluster.feed_paced``).  Over loopback sockets
+    the run ends when every message is handled (``LoopbackCluster.feed``),
+    the metrics count outputs and busy seconds only, and the cluster is
+    closed on the way out."""
     cluster = start_cluster(aset, n, transport)
-    if transport != "loopback_sockets":
-        first, *others = aset.graph.outputs
-        outputs, metrics = run_stream(cluster, frames)
-        return {first: outputs, **{s: {tag: value_of(v) for tag, v in cluster.outputs[s].items()}
-                                   for s in others}}, metrics
-    try:
-        cluster.feed(frames)
-        return cluster.outputs, cluster.metrics()
-    finally:
-        cluster.close()
+    if transport == "loopback_sockets":
+        try:
+            cluster.feed(frames)
+            metrics = cluster.metrics()
+        finally:
+            cluster.close()
+    else:
+        metrics = run_stream(cluster, frames)[1]
+    return cluster.outputs, metrics
 
 
 @dataclass

@@ -6,12 +6,12 @@ connection over 127.0.0.1, and every message sent to it crosses that
 connection in the length-prefixed wire format.  Each device runs two
 threads: a reader that queues the frames it reads and a processor that
 hands each message to the core.  The core tags the camera frames that
-``feed`` sends, so a second ``feed`` continues the stream; the devices
-that compute a graph output record it in ``outputs``, by sink.  A
-``feed`` ends as an in-process run does: when every message sent has
-been handled.  Wall-clock timing replaces the virtual clock, so this
-transport is for protocol/integration coverage; throughput and latency
-modeling live in the in-process transport.
+``feed`` sends, so a second ``feed`` continues the stream, and records
+the graph outputs of each call, as ``run_stream`` does.  A ``feed`` ends
+as an in-process run does: when every message sent has been handled.
+Wall-clock timing replaces the virtual clock, so this transport is for
+protocol/integration coverage; throughput and latency modeling live in
+the in-process transport.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from edgeflock.engine import value_of
 from edgeflock.planner import AssignmentSet
 from edgeflock.runtime import (
     DEFAULT_INBOX_CAPACITY,
@@ -106,9 +105,8 @@ class LoopbackCluster(ClusterCore):
     """Workers on localhost sockets; one worker per device.
 
     The core in ``runtime`` tags the camera frames and decides what each
-    message yields; this class moves frames, counts the messages sent
-    and not yet handled, and keeps the graph outputs of the current
-    ``feed`` by sink, as ``VirtualCluster.outputs`` does.  Each device's
+    message yields and records the graph outputs; this class moves frames
+    and counts the messages sent and not yet handled.  Each device's
     connection is opened here, so a socket error at start raises
     ``RuntimeFault``.  Each destination has its own send lock, so a
     sender blocked on one full peer never keeps another sender from
@@ -124,7 +122,6 @@ class LoopbackCluster(ClusterCore):
         self._idle = threading.Condition(self._lock)
         self.fault: Optional[Exception] = None
         self.unhandled = 0
-        self.outputs: dict[str, dict[int, np.ndarray]] = {s: {} for s in self.graph.outputs}
         self.nodes: dict[int, _Node] = {}
         for d, w in self.workers.items():
             try:
@@ -167,19 +164,13 @@ class LoopbackCluster(ClusterCore):
     def _send(self, src: int, msg: Message, dst: int, t: float) -> None:
         self.send(msg, dst)
 
-    def _output(self, w: Worker, em, path: dict, t: float) -> None:
-        self.outputs[em.layer][em.tag] = value_of(em.value)
-
     def handle(self, w: Worker, msg: Message) -> None:
-        """Handle one message on a node's processor thread.  A kind that
-        no handler takes raises ``RuntimeFault``: dropped, it would look
-        like a finished run."""
-        if msg.kind == Kind.DATA:
-            self._on_data(w, msg)
-        elif msg.kind == Kind.SKIP:
-            self._on_skip(w, msg, w.free_at)
-        else:
+        """Handle one data frame on a node's processor thread.  Any other
+        kind, SKIP too (no window is handed off without ``reassign``),
+        raises ``RuntimeFault``: dropped, it would look like a finished run."""
+        if msg.kind != Kind.DATA:
             raise RuntimeFault(f"device {w.device} has no handler for {msg.kind.name} frames")
+        self._on_data(w, msg)
 
     # -- driving -------------------------------------------------------------
 
@@ -187,7 +178,7 @@ class LoopbackCluster(ClusterCore):
              timeout: float = 60.0) -> dict[int, np.ndarray]:
         """Send frames through the recorder to the source devices, wait
         until every message sent is handled and return this call's values
-        of the first graph output, by tag; ``outputs`` holds every sink's.
+        of the first graph output, by tag, as ``run_stream`` does.
 
         The core tags on from the previous call.  Nothing slows the
         camera on this transport, so the core admits every frame, and
@@ -198,7 +189,7 @@ class LoopbackCluster(ClusterCore):
         as soon as a node thread has failed, chained from that thread's
         first exception.
         """
-        self.outputs = {s: {} for s in self.graph.outputs}
+        self.begin_call()
         try:
             for frame in frames:
                 if self.fault is not None:
@@ -214,17 +205,15 @@ class LoopbackCluster(ClusterCore):
                 raise RuntimeFault(f"loopback run timed out with {self.unhandled} messages unhandled")
         if self.fault is not None:
             raise RuntimeFault(f"loopback worker thread failed: {self.fault!r}") from self.fault
-        outputs = self.outputs[self.graph.outputs[0]]
+        outputs = self.end_call()
         if expected_outputs is not None and len(outputs) != expected_outputs:
             raise RuntimeFault(f"loopback run completed {len(outputs)} outputs, "
                                f"expected {expected_outputs}")
-        return dict(outputs)
+        return outputs
 
     def metrics(self) -> RunMetrics:
-        m = RunMetrics()
-        m.outputs = sum(len(by_tag) for by_tag in self.outputs.values())
-        m.per_device_busy_seconds = {d: w.busy_seconds for d, w in self.workers.items()}
-        return m
+        return RunMetrics(outputs=sum(len(by_tag) for by_tag in self.outputs.values()),
+                          per_device_busy_seconds={d: w.busy_seconds for d, w in self.workers.items()})
 
     def close(self) -> None:
         for node in self.nodes.values():

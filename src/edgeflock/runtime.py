@@ -17,9 +17,9 @@ firings at once when it reaches its caps (``engine.RUN_TAGS``,
 runs the same workers over real TCP frames; each of its workers flushes
 its own batch after every message, since the wire needs bytes.  Both
 transports share ``ClusterCore``: the plan index (routes, predecessors,
-source devices), the camera stream and the handling of data and skip
-frames (emission routing, skip notices); a transport only moves frames
-and records outputs.  A row shard's terminal travels as wire parts
+source devices), the camera stream, the handling of data and skip
+frames (emission routing, skip notices) and the outputs; a transport
+only moves frames.  A row shard's terminal travels as wire parts
 ``layer#pN``, which the consuming worker's executor assembles
 (``TaskExecutor.push_part``).  A worker prices its task with
 ``costs.price_task``, as the planner does.
@@ -28,7 +28,10 @@ On both transports the core holds the camera stream's tag cursor and
 sampler: it admits or samples every camera frame, tags it and hands it
 to the source devices that take the tag, so a second feed, or a feed
 after a role rotation, continues the stream's tags.  In the virtual
-cluster paced feeding waits only for those devices.
+cluster paced feeding waits only for those devices.  Results are per
+call: ``run_stream`` and a loopback ``feed`` each start ``outputs``,
+``kept_raw`` and the completions empty (``ClusterCore.begin_call``), so
+an endless stream keeps no history.
 A device holds at most one live wake-up (a ``_process`` event): a queued
 item, a freed downstream slot or a finished item asks for one at the
 earliest time the device could act, a request at or after the live
@@ -104,6 +107,11 @@ _ZERO_PATH = {"compute": 0.0, "comm": 0.0, "reload": 0.0, "total": 0.0}
 
 @dataclass
 class RunMetrics:
+    """One call's report.  ``outputs`` (completions, every sink), ``ips``,
+    ``t_forward_seconds``, ``breakdown`` and ``kept_raw_indices`` describe
+    the call; ``drops``, ``per_device_busy_seconds`` and ``wall_seconds``
+    run from cluster start."""
+
     ips: float = 0.0
     t_forward_seconds: float = 0.0
     breakdown: dict = field(default_factory=lambda: {"compute": 0.0, "comm": 0.0, "reload": 0.0})
@@ -241,9 +249,6 @@ class Worker:
         return emissions, self.executor.pending_notices, self._charge(
             self.executor.fired_log, self.path_state.get(tag, _ZERO_PATH))
 
-    def consume_skip(self, msg: Message):
-        return self.executor.skip(msg.layer, int(msg.body["next_tag"]))
-
 
 def _replica_slot(task: Task) -> tuple[int, int]:
     """(replica index, replica count) of a task; (0, 1) when not replicated."""
@@ -258,26 +263,26 @@ class ClusterCore:
     The core indexes the assignment: every device's routes (value name ->
     consumers, with their replica slots) and predecessors, and the
     devices that own a source.  It also holds the camera stream: the tag
-    cursor (``raw_index`` frames seen, ``kept_counter`` tags given,
-    ``kept_raw`` the raw index of each tag) and the sampler
-    (``sample_interval``, ``sample_cooldown_until``, ``sample_drops``),
-    which no role rotation touches.  ``_admit`` samples and tags a
-    camera frame and makes it one data frame per source device that
-    takes the tag.  ``_on_data`` consumes one data frame on a worker and
-    routes what it yields: graph outputs to ``_output``; other emissions
-    to each consumer whose replica slot takes the tag, a row shard's
-    terminal as its wire part ``layer#pN``, which the shard first feeds
-    back to ``_on_data`` when its own executor reads the value; and skip
-    notices to every consumer of the skipped value.  The worker charges
-    each data frame it consumes (``Worker.consume_data``): the modeled
-    compute and reload seconds go to its busy time, its clock
-    ``free_at`` and the item's path.
+    cursor (``raw_index`` frames seen, ``kept_counter`` tags given) and
+    the sampler (``sample_interval``, ``sample_cooldown_until``,
+    ``sample_drops``), which no role rotation touches; and a call's
+    results (``begin_call``): ``outputs`` by sink and tag, and
+    ``kept_raw``, the raw index of each frame admitted.  ``_admit``
+    samples and tags a camera frame and makes it one data frame per
+    source device that takes the tag.  ``_on_data`` consumes one data
+    frame on a worker and routes what it yields: graph outputs into
+    ``outputs``; other emissions to each consumer whose replica slot
+    takes the tag, a row shard's terminal as its wire part ``layer#pN``,
+    which the shard first feeds back to ``_on_data`` when its own
+    executor reads the value; and skip notices to every consumer of the
+    skipped value.  The worker charges each data frame it consumes
+    (``Worker.consume_data``): the modeled compute and reload seconds go
+    to its busy time, its clock ``free_at`` and the item's path.
 
-    A transport subclass moves the messages: ``_send(src, msg, dst, t)``
-    and ``_output(worker, emission, path, t)``, where ``t`` is the
-    sender's clock.  Every worker records its firings in ``batch``, or
-    in its own batch when ``batch`` is None; ``_consume`` is where a
-    transport that needs the values at once flushes.  The workers
+    A transport subclass moves the messages, ``_send(src, msg, dst, t)``
+    where ``t`` is the sender's clock.  Every worker records its firings
+    in ``batch``, or in its own batch when ``batch`` is None; ``_consume``
+    is where a transport that needs the values at once flushes.  Workers
     compute with the graph's shared weights (``engine.shared_params``).
     """
 
@@ -307,10 +312,22 @@ class ClusterCore:
         self._index()
         self.raw_index = 0
         self.kept_counter = 0
-        self.kept_raw: list[int] = []
+        self.begin_call()
         self.sample_drops = 0
         self.sample_interval = 1
         self.sample_cooldown_until = 0.0
+
+    def begin_call(self) -> None:
+        """A call's results start empty."""
+        self.outputs: dict[str, dict[int, object]] = {s: {} for s in self.graph.outputs}
+        self.kept_raw: list[int] = []
+
+    def end_call(self) -> dict[int, np.ndarray]:
+        """Make the call's computed outputs arrays; returns the first sink's."""
+        for by_tag in self.outputs.values():
+            for tag, value in by_tag.items():
+                by_tag[tag] = value_of(value)
+        return self.outputs[self.graph.outputs[0]]
 
     def _index(self) -> None:
         """Derive routes, predecessors and sources from the assignment."""
@@ -378,7 +395,7 @@ class ClusterCore:
         raise NotImplementedError
 
     def _output(self, w: Worker, em, path: dict, t: float) -> None:
-        raise NotImplementedError
+        self.outputs[em.layer][em.tag] = em.value
 
     def _consume(self, w: Worker, msg: Message):
         """``w.consume_data(msg)``: (emissions, notices, the item's path)."""
@@ -414,7 +431,7 @@ class ClusterCore:
         return path
 
     def _on_skip(self, w: Worker, msg: Message, t: float) -> None:
-        self._notices(w, w.consume_skip(msg), t)
+        self._notices(w, w.executor.skip(msg.layer, int(msg.body["next_tag"])), t)
 
     def _notices(self, w: Worker, notices, t: float) -> None:
         for no in notices:
@@ -432,7 +449,8 @@ class VirtualCluster(ClusterCore):
     pacing and master-driven role rotation.  Every frame between devices
     goes through ``_send``, which charges its link latency, and arrives
     through ``_deliver``.  All workers record their firings in one
-    ``batch``; ``outputs`` holds ``Pending`` values until it is flushed.
+    ``batch``; ``outputs`` holds ``Pending`` values until it is flushed,
+    and ``completions`` the call's outputs as (time, tag, path).
     """
 
     def __init__(self, aset: AssignmentSet, n: int,
@@ -451,8 +469,6 @@ class VirtualCluster(ClusterCore):
         self._heap: list[tuple[float, int, Callable, tuple]] = []
         self._seq = 0
         self.vnow = 0.0
-        self.outputs: dict[str, dict[int, object]] = {s: {} for s in self.graph.outputs}
-        self.completions: list[tuple[float, int, dict]] = []
         # Blocking-send discipline: frames bound for a full inbox wait in
         # the sender's outbound queue; the sender stalls until the
         # destination drains.
@@ -518,8 +534,12 @@ class VirtualCluster(ClusterCore):
         half = self._half[device]
         self._over_half += (after > half) - (before > half)
 
+    def begin_call(self) -> None:
+        super().begin_call()
+        self.completions: list[tuple[float, int, dict]] = []
+
     def _output(self, w: Worker, em, path: dict, t: float) -> None:
-        self.outputs[em.layer][em.tag] = em.value
+        super()._output(w, em, path, t)
         self.completions.append((t, em.tag, path))
 
     def _deliver(self, t: float, dst: int, msg: Message) -> None:
@@ -747,23 +767,20 @@ def start_cluster(aset: AssignmentSet, n: int, transport: str = "in_process",
 
 def run_stream(cluster: VirtualCluster, frames: Iterable[np.ndarray], fps: float = 30.0,
                paced: bool = True) -> tuple[dict[int, np.ndarray], RunMetrics]:
-    """Feed a frame sequence; returns the outputs this call completed, by
-    tag, and its metrics.
+    """Feed a frame sequence; returns the first sink's outputs of this
+    call, by tag, and its metrics.  The cluster's ``outputs`` (every
+    sink's, as arrays), ``kept_raw`` and ``completions`` hold this call's.
 
     ``paced`` feeds each frame through ``VirtualCluster.feed_paced`` (the
     default for verification and benchmarking); unpaced feeding follows
     the fps schedule strictly, frame i at ``vnow + i / fps``, and lets
-    backpressure reduce the camera's sampling rate.  ``drops`` counts
-    the frames sampled away since the cluster started;
-    ``kept_raw_indices`` lists the frames this call admitted, as
-    indices into ``frames``; ``wall_seconds`` lasts until the last event
-    and the last device's clock.  The math runs as the cluster's batch
-    fills and once more after the last event.
+    backpressure reduce the camera's sampling rate.  ``kept_raw_indices``
+    lists the frames this call admitted, as indices into ``frames``.
+    The math runs as the cluster's batch fills and once more after the
+    last event.
     """
-    completions_before = len(cluster.completions)
-    # The stream's raw cursor and kept count before this call make
-    # kept_raw_indices index into this call's frames.
-    base, n_kept = cluster.raw_index, len(cluster.kept_raw)
+    cluster.begin_call()
+    base = cluster.raw_index  # so that kept_raw_indices index into frames
     if paced:
         for f in frames:
             cluster.feed_paced(f)
@@ -774,23 +791,20 @@ def run_stream(cluster: VirtualCluster, frames: Iterable[np.ndarray], fps: float
     cluster.drain()
     cluster.batch.flush()
 
-    completions = cluster.completions[completions_before:]
-    produced = cluster.outputs[cluster.graph.outputs[0]]
-    outputs = {tag: value_of(produced[tag]) for _t, tag, _p in completions if tag in produced}
-    metrics = RunMetrics()
-    metrics.outputs = len(completions)
-    metrics.wall_seconds = max([cluster.vnow] + [w.free_at for w in cluster.workers.values()])
-    metrics.setup_seconds = cluster.setup_seconds
-    metrics.per_device_busy_seconds = {d: w.busy_seconds for d, w in cluster.workers.items()}
-    metrics.drops = cluster.sample_drops
-    metrics.kept_raw_indices = [i - base for i in cluster.kept_raw[n_kept:]]
+    outputs = cluster.end_call()
+    completions = cluster.completions
+    metrics = RunMetrics(
+        outputs=len(completions), setup_seconds=cluster.setup_seconds, drops=cluster.sample_drops,
+        wall_seconds=max([cluster.vnow] + [w.free_at for w in cluster.workers.values()]),
+        per_device_busy_seconds={d: w.busy_seconds for d, w in cluster.workers.items()},
+        kept_raw_indices=[i - base for i in cluster.kept_raw])
     if completions:
         paths = [p for _t, _tag, p in completions]
         metrics.t_forward_seconds = sum(p["total"] for p in paths) / len(paths)
         for k in ("compute", "comm", "reload"):
             metrics.breakdown[k] = sum(p[k] for p in paths) / len(paths)
         if len(completions) >= 2:
-            tail = completions[len(completions) // 4:] if len(completions) >= 4 else completions
+            tail = completions[len(completions) // 4:]
             span = tail[-1][0] - tail[0][0]
             metrics.ips = (len(tail) - 1) / span if span > 0 else 0.0
     return outputs, metrics

@@ -169,7 +169,12 @@ class TestHarness:
         want = np.array([ref_value, 0.5], np.float32)
         got = np.array([got_value, 0.5], np.float32)
         monkeypatch.setattr(harness, "run_reference", lambda graph, inputs: {sink: {0: want}})
-        monkeypatch.setattr(harness, "run_stream", lambda cluster, frames, **kw: ({0: got}, None))
+
+        def run_stream(cluster, frames, **kw):
+            cluster.outputs[sink] = {0: got}
+            return {0: got}, None
+
+        monkeypatch.setattr(harness, "run_stream", run_stream)
         rep = verify("two_stream", [1], scale=0.125, seeds=(1,), n_frames=26)
         assert [e.exact for e in rep.entries] == [exact]
         assert harness.same_bits(got, want) == exact

@@ -299,9 +299,8 @@ class TestBackpressure:
     def test_each_call_returns_its_own_outputs(self):
         _graph, cluster, frames = self._pressured(60, 7)
         first, _ = run_stream(cluster, frames[:30])
-        done = len(cluster.completions)
         second, metrics = run_stream(cluster, frames[30:])
-        assert sorted(second) == sorted(tag for _t, tag, _p in cluster.completions[done:])
+        assert sorted(second) == sorted(tag for _t, tag, _p in cluster.completions)
         assert len(second) == metrics.outputs > 0
         assert first and not set(first) & set(second)
 
@@ -459,6 +458,7 @@ class TestBackpressure:
         from them."""
         graph, cluster, frames = self._pressured(400, 7)
         _outs, first = run_stream(cluster, frames[:200], fps=2000.0, paced=False)
+        first_raw = cluster.kept_raw
         assert cluster.sample_interval > 1
         state = (cluster.sample_interval, cluster.sample_cooldown_until,
                  cluster.kept_counter, cluster.raw_index)
@@ -473,12 +473,85 @@ class TestBackpressure:
         outs, second = run_stream(cluster, frames[200:], fps=2000.0, paced=False)
         assert cluster.raw_index == 400
         assert cluster.kept_counter == state[2] + len(second.kept_raw_indices)
-        assert cluster.kept_raw == first.kept_raw_indices + [200 + i for i in second.kept_raw_indices]
+        assert first_raw + cluster.kept_raw == (first.kept_raw_indices
+                                                + [200 + i for i in second.kept_raw_indices])
         assert outs and min(outs) >= state[2]
-        admitted = frames[cluster.kept_raw]
+        admitted = frames[first_raw + cluster.kept_raw]
         ref = run_reference(graph, {"camera": admitted})["out"]
         for tag, value in outs.items():
             assert np.array_equal(value, ref[tag]), f"tag {tag}"
+
+    @pytest.mark.parametrize("model,scale,n,frames,paced", [
+        ("alexnet", 1 / 8, 4, 10, False),
+        ("two_stream", 1 / 32, 5, 120, True),
+    ])
+    def test_pulling_a_held_frame_in_signals_almost_full(self, model, scale, n, frames, paced):
+        """Inboxes of one: taking an item re-arms the watermark, and the
+        frame ``_after_take`` pulls in from the sender's queue crosses it
+        again.  The stream stays exact on the frames admitted."""
+        graph = build_model(model, scale, seed=1)
+        aset = task_assign(graph, n, CommModel(), DeviceProfile().scaled_mem(scale))
+        cluster = start_cluster(aset, n, inbox_capacity=1)
+        clip = make_clip(graph, frames, 1)
+        after_take, signals = cluster._after_take, []
+
+        def spied_after_take(t, device):
+            before = cluster._crossings
+            after_take(t, device)
+            signals.append(cluster._crossings - before)
+
+        cluster._after_take = spied_after_take
+        outs, metrics = run_stream(cluster, clip, paced=paced)
+        cluster.drain()
+        assert sum(signals) > 0
+        assert all(w.inbox.peak_occupancy <= 1 for w in cluster.workers.values())
+        kept = metrics.kept_raw_indices
+        assert_exact(outs, run_reference(graph, {graph.inputs[0]: clip[kept]})[graph.outputs[0]])
+
+
+class TestEndlessStream:
+    """One cluster fed an endless stream call by call keeps no history."""
+
+    def test_memory_stays_bounded_and_the_stream_exact(self):
+        """20 paced calls of 1000 two_stream frames at 1/32 on 5 devices.
+        After each call the per-call lists hold that call's entries, each
+        worker's path state stays at most 4096 tags (its trim runs), and
+        the executors hold at most: a window's length less one item per
+        window, the window plus one flush group of flow fields, and the
+        sink's lag of concat inputs waiting on a branch that starts
+        later.  Nothing is left queued.  The first and last calls are
+        each bit-equal to the reference over their frames, with the lag
+        of frames before them (paced, so a tag is its raw index)."""
+        graph = build_model("two_stream", 1 / 32, seed=1)
+        aset = task_assign(graph, 5, CommModel(), DeviceProfile().scaled_mem(1 / 32))
+        cluster = start_cluster(aset, 5)
+        lag, calls, size = graph.first_valid["out"], 20, 1000
+        path_sizes, trimmed, clip = {}, False, None
+        for k in range(calls):
+            before, clip = clip, make_clip(graph, size, k)
+            outs, _ = run_stream(cluster, clip)
+            assert len(cluster.outputs["out"]) <= size and outs is cluster.outputs["out"]
+            assert len(cluster.completions) <= size and len(cluster.kept_raw) <= size
+            assert cluster.kept_raw == list(range(k * size, (k + 1) * size))
+            assert all(isinstance(v, np.ndarray) for v in outs.values())
+            for d, w in cluster.workers.items():
+                assert len(w.path_state) <= 4096
+                trimmed |= len(w.path_state) < path_sizes.get(d, 0)
+                path_sizes[d] = len(w.path_state)
+                ex = w.executor
+                assert not ex._parts
+                assert all(len(join) <= lag for join in ex._joins.values())
+                assert all(len(win.pending) < win.length for win in ex._windows.values())
+                for name, fields in ex._flows.items():
+                    assert len(fields) <= graph.layer(name).attrs["window_len"] + engine.RUN_TAGS
+            assert not cluster._heap and len(cluster.batch) == 0
+            assert not any(cluster._waiting.values())
+            if k in (0, calls - 1):
+                lead = before[size - lag:] if k else clip[:0]
+                ref = run_reference(graph, {"camera": np.concatenate([lead, clip])})["out"]
+                base = k * size - len(lead)
+                assert_exact(outs, {base + t: v for t, v in ref.items()})
+        assert trimmed
 
 
 class TestFeeding:
@@ -583,7 +656,9 @@ GOLDEN_ROTATIONS = {
 }
 
 
-def rotation_digest(cluster, produced) -> str:
+def rotation_digest(cluster, produced, completions=None) -> str:
+    """Digest of ``produced`` and ``completions``, by default the last
+    call's, and of the cluster's state."""
     digest = hashlib.sha256()
 
     def put(*items):
@@ -593,7 +668,7 @@ def rotation_digest(cluster, produced) -> str:
     for tag, value in sorted(produced.items()):
         put("out", tag, value.dtype.str, value.shape)
         digest.update(value.tobytes())
-    for t, tag, path in cluster.completions:
+    for t, tag, path in cluster.completions if completions is None else completions:
         put("done", float(t).hex(), tag,
             *(float(path[k]).hex() for k in ("compute", "comm", "reload", "total")))
     for d, w in sorted(cluster.workers.items()):
@@ -652,12 +727,14 @@ class TestRoleRotation:
             frames, before = make_clip(graph, 8, 4), 4
         cluster = start_cluster(aset, n)
         out1, _ = run_stream(cluster, frames[:before])
+        done1 = cluster.completions
         rec = cluster.recorder().device
         dev = rec if target == "identity" else next(
             d for d in sorted(cluster.workers, reverse=True) if d != rec)
         cluster.reassign(("motion_on", dev))
         out2, _ = run_stream(cluster, frames[before:])
-        assert rotation_digest(cluster, {**out1, **out2}) == GOLDEN_ROTATIONS[(model, n, target)]
+        digest = rotation_digest(cluster, {**out1, **out2}, done1 + cluster.completions)
+        assert digest == GOLDEN_ROTATIONS[(model, n, target)]
 
     def test_recorder_swap_keeps_outputs_oracle_equal(self, ts):
         graph, aset, _, _ = ts
@@ -774,9 +851,10 @@ class TestLoopback:
         assert sorted(want[1]) == list(range(30, 60))
         cluster = LoopbackCluster(aset, 5)
         try:
-            got = [cluster.feed(frames[:30], expected_outputs=len(want[0]), timeout=90.0),
-                   cluster.feed(frames[30:], expected_outputs=len(want[1]), timeout=90.0)]
-            assert cluster.kept_raw == list(range(60))
+            got = [cluster.feed(frames[:30], expected_outputs=len(want[0]), timeout=90.0)]
+            assert cluster.kept_raw == list(range(30))
+            got.append(cluster.feed(frames[30:], expected_outputs=len(want[1]), timeout=90.0))
+            assert cluster.kept_raw == list(range(30, 60))
         finally:
             cluster.close()
         for outs, expected in zip(got, want):
@@ -917,7 +995,7 @@ class TestLoopback:
         assert isinstance(info.value.__cause__, ValueError)
         assert self.threads_left(before) == []
 
-    @pytest.mark.parametrize("kind", [Kind.ALMOST_FULL, Kind.HEARTBEAT])
+    @pytest.mark.parametrize("kind", [Kind.ALMOST_FULL, Kind.HEARTBEAT, Kind.SKIP])
     def test_a_frame_no_handler_takes_fails_feed(self, kind):
         """A frame of a kind that no loopback handler takes is a fault:
         dropped, it would leave an idle cluster that looks finished."""
@@ -1100,3 +1178,31 @@ class TestLoopback:
         assert_exact(virtual, ref)
         assert_exact(outs, ref)
         assert_exact(cluster.outputs["ob"], refs["ob"])
+
+    def test_each_feed_holds_only_its_own_results(self):
+        """Two feeds of a two-sink model: after each, ``outputs`` holds
+        exactly that call's tags of both sinks, as arrays bit-equal to the
+        reference, and ``kept_raw`` that call's raw indices only."""
+        from edgeflock.loopback import LoopbackCluster
+        b = ir._Builder(1)
+        b.add("x", ir.SOURCE, {"shape": [8]})
+        b.add("fa", ir.FC, {"out_size": 4}, ["x"])
+        b.add("oa", ir.SINK, {}, ["fa"])
+        b.add("fb", ir.FC, {"out_size": 3}, ["x"])
+        b.add("ob", ir.SINK, {}, ["fb"])
+        graph = b.graph(["x"], ["oa", "ob"])
+        aset = task_assign(graph, 2, CommModel(), DeviceProfile())
+        frames = make_clip(graph, 12, 1)
+        refs = run_reference(graph, {"x": frames})
+        cluster = LoopbackCluster(aset, 2)
+        try:
+            for tags in (range(0, 5), range(5, 12)):
+                outs = cluster.feed(frames[tags.start:tags.stop], timeout=60.0)
+                assert outs is cluster.outputs["oa"]
+                assert cluster.kept_raw == list(tags)
+                for sink in ("oa", "ob"):
+                    got = cluster.outputs[sink]
+                    assert all(isinstance(v, np.ndarray) for v in got.values())
+                    assert_exact(got, {t: refs[sink][t] for t in tags})
+        finally:
+            cluster.close()
