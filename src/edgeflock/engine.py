@@ -8,33 +8,35 @@ computed anywhere else, which makes distributed-vs-reference
 comparisons exact rather than tolerance-based, including when a dense
 layer is sharded row-wise across devices.
 
-The conv and fc kernels read weights tap-major: (taps, filters) for
-conv in (dy, dx, channel) tap order, (inputs, outputs) for fc, as
-``_operands`` lays them out: a conv's with zero columns up to a multiple
-of 8 filters, which its kernel reads in place; an fc's with zero columns
-up to a multiple of 16 outputs, 16 floats of slack after the matrix and
-the matrix on a 64-byte boundary, so that the fc kernel reads whole
+The conv and fc kernels read weights tap-major, as ``_operands`` lays
+them out: a conv's as one (taps, filters) matrix in (dy, dx, channel)
+tap order with zero columns up to a multiple of 8 filters, which its
+kernel reads in place; an fc's as row panels of ``FC_PANEL`` outputs,
+each a contiguous (inputs, 256) block (the last with zero columns up to
+a multiple of 16 outputs instead), on a 64-byte boundary and with 16
+floats of slack after the last panel, so that the fc kernel reads whole
 16-float vectors of any row range.  ``_operands`` also notes whether
-every fc weight is finite: only then does the kernel leave out the zero
-inputs of a row range wider than 64 rows, which changes no bit (the
-proof is in ``_kernels.c``).  ``freeze`` lays shared weights out once,
-and ``LayerParams.w`` is a view of that matrix in the (filters, kh, kw,
-c) or (outputs, inputs) shape; ``_kernel_operands`` lays any other
-weights out at each call.
+every fc weight is finite: only then does the kernel leave out zero
+inputs, which changes no bit (the proof is in ``_kernels.c``).
+``freeze`` lays shared weights out once: a conv's ``LayerParams.w``
+becomes a view of its matrix in the (filters, kh, kw, c) shape, and an
+fc's weights are held only as its panels.  ``_kernel_operands`` lays
+any other weights out at each call.
 
 The kernels are C, in ``_kernels.c``, compiled when this module is
-imported, with the C compiler that built Python if it is on PATH and
-else ``cc``, at ``-O3 -ffp-contract=off -march=native`` (without
-``-march=native`` if the compiler rejects it), and loaded through
-``ctypes``.  Their loops add the products of each sum one after another
-in ascending tap order and run side by side only across independent
-outputs: filters for conv, output rows for fc.  The conv reads its taps
-in place from a zero-padded (frames, h, w, c) copy of its batch, where
-the taps (dx, channel) of one kernel row at one position are ``kw * c``
-contiguous floats, so every padded tap is +0.0; it builds no patch
-matrix.  ``-ffp-contract=off`` is required, as a fused multiply-add
-would add the product unrounded and change the last bit of a sum; no
-flag that lets the compiler reassociate a sum (``-Ofast``,
+imported as a CPython extension module, with the C compiler that built
+Python if it is on PATH and else ``cc``, at ``-O3 -ffp-contract=off
+-march=native`` (without ``-march=native`` if the compiler rejects it).
+They take the arrays themselves and check every buffer and size before
+they touch memory.  Their loops add the products of each sum one after
+another in ascending tap order and run side by side only across
+independent outputs: filters for conv, output rows for fc.  The conv
+reads its taps in place from a zero-padded (frames, h, w, c) copy of its
+batch, where the taps (dx, channel) of one kernel row at one position
+are ``kw * c`` contiguous floats, so every padded tap is +0.0; it builds
+no patch matrix.  ``-ffp-contract=off`` is required, as a fused
+multiply-add would add the product unrounded and change the last bit of
+a sum; no flag that lets the compiler reassociate a sum (``-Ofast``,
 ``-ffast-math``) is used.  A C compiler is required: without a working
 one, or if the compile or the load fails, importing this module raises
 ``ImportError``.
@@ -69,22 +71,23 @@ of their first layers, one group per (executor, chain or layer),
 whatever tags a group holds.  A chain stacks its head's inputs into one
 (tags, ...) batch and runs its members over it in turn: conv, relu, norm
 and maxpool over the whole batch, the conv in one kernel call; softmax
-once over the (tags, size) batch, row by row; fc once per tag.  Pyramids
-run once per group, on one (windows, items, size) batch gathered from
-the group's items, each stacked once; concat and shard assembly run once
-per tag, and flow stacks once per window, after one ``flow_diff_stub``
-call on the stacked frames of the group's new pairs.  Since every output
-element keeps its own ascending sum, a frame's outputs do not depend on
-the frames beside it.  A batch flushes itself before a group would pass
-``RUN_TAGS`` firings or a chain or layer ``RUN_BYTES``;
-``run_reference`` pushes one tag at a time and flushes once more at the
-end.
+once over the (tags, size) batch, row by row; fc once per tag and row
+panel, panels outer, so that a panel's weights stay in cache over the
+batch's frames.  Pyramids run once per group, on one (windows, items,
+size) batch gathered from the group's items, each stacked once; concat
+and shard assembly run once per tag, and flow stacks once per window,
+after one ``flow_diff_stub`` call on the stacked frames of the group's
+new pairs.  Since every output element keeps its own ascending sum, a
+frame's outputs do not depend on the frames beside it.  A batch flushes
+itself before a group would pass ``RUN_TAGS`` firings or a chain or
+layer ``RUN_BYTES``; ``run_reference`` pushes one tag at a time and
+flushes once more at the end.
 """
 
 from __future__ import annotations
 
-import ctypes
 import functools
+import importlib.util
 import math
 import shutil
 import subprocess
@@ -93,6 +96,7 @@ import tempfile
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import ModuleType
 from typing import Any, Callable, Iterable, Optional
 
 import numpy as np
@@ -121,8 +125,9 @@ class LayerParams:
     gamma: Optional[np.ndarray] = None
     beta: Optional[np.ndarray] = None
     # _operands(self), taken once by freeze; see _kernel_operands.
-    # dataclasses.replace resets it to None.
-    operands: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    # dataclasses.replace carries it over: a frozen fc's weights are held
+    # nowhere else.
+    operands: Optional[tuple] = field(default=None, repr=False, compare=False)
 
 
 # float64 values drawn at a time while generating one float32 array.
@@ -173,8 +178,8 @@ def shared_params(graph: ir.ModelGraph, name: str) -> LayerParams:
 
     The result is cached on the graph, keyed by the graph seed, so every
     executor of one graph reads the same read-only arrays.  Its weights
-    are held once, in the tap-major layout the kernels read, and ``w``
-    is a view of that matrix; the generated array is let go.
+    are held once, in the tap-major layout the kernels read (see
+    ``freeze``); the generated array is let go.
     """
     key = (graph.seed, name)
     p = graph.params_cache.get(key)
@@ -187,9 +192,10 @@ def freeze(params: LayerParams) -> LayerParams:
     """Mark every array of ``params`` read-only and return it.
 
     A weighted layer is laid out here, once, and its ``_operands`` kept
-    in ``operands``: ``w`` becomes a view of its tap-major matrix and
-    ``b`` a float32 vector, so the kernels read frozen weights without a
-    copy, and the weights are held once.
+    in ``operands``, so the kernels read frozen weights without a copy,
+    and the weights are held once: a conv's ``w`` becomes a view of its
+    tap-major matrix, an fc's weights are held only as its row panels
+    and its ``w`` becomes None, and ``b`` becomes a float32 vector.
     """
     if params.w is not None:
         params.operands = _operands(params)
@@ -207,39 +213,57 @@ def _aligned_zeros(size: int) -> np.ndarray:
     vector that the fc kernel reads at a multiple of 16 floats then lies
     in one cache line: split loads made a 6144 -> 32 call 1.4x slower."""
     buf = np.zeros(size + 15, dtype=np.float32)
-    first = -buf.ctypes.data % 64 // 4
+    first = -buf.__array_interface__["data"][0] % 64 // 4
     return buf[first:first + size]
 
 
-def _operands(params: LayerParams) -> tuple:
-    """(w, b, wt, address of wt, address of b, finite) for a compiled
-    kernel.
+def _bias(b: Optional[np.ndarray], n: int) -> np.ndarray:
+    """``b`` as a float32 vector of ``n`` outputs; a bias of any other
+    shape raises ``EngineError``."""
+    shape = None if b is None else b.shape
+    if shape != (n,):
+        raise EngineError(f"bias shape {shape} != ({n},)")
+    return _float32(b)
 
-    ``wt`` is ``w`` as a C-contiguous float32 tap-major matrix: conv
-    weights (f, kh, kw, c) become (kh*kw*c, f) in (dy, dx, c) tap order,
-    with zero columns up to a multiple of 8; fc weights (out, in) become
-    (in, out) with zero columns up to a multiple of 16, in a 64-byte
-    aligned buffer that holds 16 more floats after them.  The ``w``
-    returned is a view of wt in ``w``'s shape, ``b`` the bias in
-    float32, and ``finite`` whether ``w`` is an fc weight with every
-    value finite in float32.  A bias that is not one value per output
-    raises ``EngineError``.
+
+def _operands(params: LayerParams) -> tuple:
+    """(w, b, wt, finite) for a compiled kernel.
+
+    Conv weights (f, kh, kw, c) become ``wt``, a C-contiguous float32
+    (kh*kw*c, f) matrix in (dy, dx, c) tap order with zero columns up to
+    a multiple of 8, and ``w`` a view of it in the (f, kh, kw, c) shape.
+
+    fc weights (out, in) become row panels of ``FC_PANEL`` outputs in
+    ``wt``, a flat float32 buffer on a 64-byte boundary: panel p is a
+    C-contiguous (in, pw) block of rows [p * FC_PANEL, p * FC_PANEL +
+    pw), tap-major, where pw is ``FC_PANEL`` but for the last panel,
+    whose rows are rounded up to a multiple of 16 with zero columns.
+    16 floats of slack follow the last panel, so the kernel reads whole
+    16-float vectors of any row range.  A layer of at most ``FC_PANEL``
+    outputs is one (in, out rounded up to 16) matrix.  No view of the
+    panels has the (out, in) shape, so ``w`` is None, and the weights
+    are held once.  ``finite`` tells whether every fc weight is finite
+    in float32, which lets the kernel leave out zero inputs; it is False
+    for a conv.
+
+    ``b`` is the bias in float32.  A bias that is not one value per
+    output raises ``EngineError``.
     """
     w = params.w
     n = w.shape[0]
-    shape = None if params.b is None else params.b.shape
-    if shape != (n,):
-        raise EngineError(f"bias shape {shape} != ({n},)")
-    b = _float32(params.b)
+    b = _bias(params.b, n)
     taps = w[0].size
     if w.ndim == 4:
         wt = np.zeros((taps, -(-n // 8) * 8), dtype=np.float32)
-    else:
-        ws = -(-n // 16) * 16
-        wt = _aligned_zeros(taps * ws + 16)[:taps * ws].reshape(taps, ws)
-    wt[:, :n] = w.reshape(n, -1).T
-    finite = w.ndim == 2 and bool(np.isfinite(wt).all())
-    return wt[:, :n].T.reshape(w.shape), b, wt, wt.ctypes.data, b.ctypes.data, finite
+        wt[:, :n] = w.reshape(n, -1).T
+        return wt[:, :n].T.reshape(w.shape), b, wt, False
+    ws = -(-n // 16) * 16
+    wt = _aligned_zeros(taps * ws + 16)
+    for p0 in range(0, n, FC_PANEL):
+        pw = min(FC_PANEL, ws - p0)
+        rows = min(FC_PANEL, n - p0)
+        wt[taps * p0:taps * (p0 + pw)].reshape(taps, pw)[:, :rows] = w[p0:p0 + rows].T
+    return None, b, wt, bool(np.isfinite(wt).all())
 
 
 # A batch computes at most RUN_TAGS firings of one (executor, chain or
@@ -270,41 +294,38 @@ def _compiler() -> str:
     return cc[0] if cc and shutil.which(cc[0]) else "cc"
 
 
-def _load_kernels() -> ctypes.CDLL:
-    """Compile ``_kernels.c`` for this CPU and load it.
+def _load_kernels() -> ModuleType:
+    """Compile ``_kernels.c`` for this CPU as an extension module and
+    import it.
 
-    The library is built in a fresh temporary directory, first with
+    The module is built in a fresh temporary directory, first with
     ``-march=native`` and, if the compiler rejects that, once more
-    without it; ``build_command`` of the library is the command that
-    built it.  The directory is removed once the library is loaded, which
+    without it; ``build_command`` of the module is the command that
+    built it.  The directory is removed once the module is loaded, which
     stays mapped; where the system cannot remove a loaded library the
     directory stays behind, under the temporary directory.  No compiler,
-    a failed or timed-out compile, or a library that does not load raises
+    a failed or timed-out compile, or a module that does not load raises
     ``ImportError`` naming the last command tried, with the tail of the
     compiler's stderr.
     """
+    include = ("-I", sysconfig.get_paths()["include"])
     with tempfile.TemporaryDirectory(prefix="edgeflock-", ignore_cleanup_errors=True) as tmp:
-        path = str(Path(tmp) / "_kernels.so")
+        path = str(Path(tmp) / f"_kernels{sysconfig.get_config_var('EXT_SUFFIX')}")
         for arch in (("-march=native",), ()):
-            cmd = [_compiler(), *_CFLAGS, *arch, str(_KERNELS_SOURCE), "-o", path]
+            cmd = [_compiler(), *_CFLAGS, *arch, *include, str(_KERNELS_SOURCE), "-o", path]
             try:
                 done = subprocess.run(cmd, capture_output=True, timeout=_COMPILE_TIMEOUT_S)
                 if done.returncode == 0:
-                    lib = ctypes.CDLL(path)
-                    lib.build_command = cmd
-                    break
+                    spec = importlib.util.spec_from_file_location("edgeflock._kernels", path)
+                    module = importlib.util.module_from_spec(spec)
+                    spec.loader.exec_module(module)
+                    module.build_command = cmd
+                    return module
             except subprocess.TimeoutExpired as exc:
                 raise _build_error(cmd, f"timed out after {exc.timeout} s", exc.stderr) from exc
-            except OSError as exc:
+            except (OSError, ImportError) as exc:
                 raise _build_error(cmd, exc, None) from exc
-        else:
-            raise _build_error(cmd, f"exit status {done.returncode}", done.stderr)
-    ptr, size = ctypes.c_void_p, ctypes.c_int64
-    lib.conv_nhwc.argtypes = (ptr, ptr, ptr, ptr) + (size,) * 11
-    lib.conv_nhwc.restype = None
-    lib.fc_rows.argtypes = (ptr, ptr, ptr, ptr) + (size,) * 5
-    lib.fc_rows.restype = None
-    return lib
+        raise _build_error(cmd, f"exit status {done.returncode}", done.stderr)
 
 
 def _build_error(cmd: list[str], why: object, stderr: Optional[bytes]) -> ImportError:
@@ -318,6 +339,8 @@ def _build_error(cmd: list[str], why: object, stderr: Optional[bytes]) -> Import
 # The compiled kernels, built at import, so that no caller's first kernel
 # call pays for the compile.
 _KERNELS = _load_kernels()
+# Outputs of one fc row panel; see _operands.
+FC_PANEL = _KERNELS.FC_PANEL
 
 
 def _float32(a: np.ndarray) -> np.ndarray:
@@ -326,41 +349,48 @@ def _float32(a: np.ndarray) -> np.ndarray:
 
 
 def _kernel_operands(params: LayerParams) -> tuple:
-    """``_operands(params)``.  The caller holds the tuple during the
-    call: its arrays keep both addresses valid.
+    """``_operands(params)``.
 
-    The operands ``freeze`` laid out serve while ``w`` and ``b`` are
-    still the arrays it froze.  Otherwise they are laid out here at
-    every call; an address costs about 2 µs.
+    The weights ``freeze`` laid out serve while ``w`` is still what it
+    left there, also in a copy that ``dataclasses.replace`` made with
+    another bias, which is checked and taken at each call.  Weights
+    that were not frozen are laid out here at every call.
     """
     kept = params.operands
-    if kept is None or kept[0] is not params.w or kept[1] is not params.b:
-        kept = _operands(params)
+    if kept is None or kept[0] is not params.w:
+        return _operands(params)
+    if kept[1] is not params.b:
+        return (kept[0], _bias(params.b, kept[1].size)) + kept[2:]
     return kept
 
 
-def forward_fc(x: np.ndarray, params: LayerParams, rows: Optional[tuple[int, int]] = None) -> np.ndarray:
+def forward_fc(x: np.ndarray, params: LayerParams, rows: Optional[tuple[int, int]] = None,
+               out: Optional[np.ndarray] = None) -> np.ndarray:
     """Dense layer: out[i] = sum_j w[i, j] * x[j] + b[i].
 
     Accumulation runs in ascending j, so any row subset (``rows``) of a
     sharded layer reproduces the corresponding rows of the full layer
     exactly.  ``fc_rows`` of ``_kernels.c`` computes the sums, leaving
-    out zero inputs on wide row ranges when every weight is finite.
+    out zero inputs when every weight is finite.  ``x`` is read as a
+    flat vector.  The rows go to ``out`` if given, a C-contiguous
+    float32 vector of as many floats, which is returned; else to a new
+    vector.  A row range or ``out`` that does not fit the layer, or an
+    input size other than the weights', raises ``EngineError``.
     """
-    x = _float32(x)
-    if x.ndim != 1:
-        x = x.reshape(-1)
     operands = _kernel_operands(params)
-    inputs, ws = operands[2].shape
-    outputs = operands[1].size
-    lo, hi = (0, outputs) if rows is None else rows
-    if rows is not None and not 0 <= lo < hi <= outputs:
-        raise EngineError(f"fc row range {rows} is empty or outside [0, {outputs})")
-    if inputs != x.size:
-        raise EngineError(f"fc input size {x.size} != weight columns {inputs}")
-    out = np.empty(hi - lo, dtype=np.float32)
-    _KERNELS.fc_rows(x.ctypes.data, operands[3], operands[4], out.ctypes.data,
-                     inputs, ws, lo, hi, operands[5])
+    b = operands[1]
+    if rows is None:
+        lo, hi = 0, b.size
+    else:
+        lo, hi = rows
+        if not 0 <= lo < hi <= b.size:
+            raise EngineError(f"fc row range {rows} is empty or outside [0, {b.size})")
+    if out is None:
+        out = np.empty(hi - lo, dtype=np.float32)
+    try:
+        _KERNELS.fc_rows(_float32(x), operands[2], b, out, lo, hi, operands[3])
+    except ValueError as exc:
+        raise EngineError(str(exc)) from exc
     return out
 
 
@@ -431,8 +461,7 @@ def forward_conv(x: np.ndarray, params: LayerParams, stride: int = 1, padding: s
         xp[:, pt:pt + h, pl:pl + w] = batch
     else:
         xp = _float32(batch)
-    _KERNELS.conv_nhwc(xp.ctypes.data, operands[3], operands[4], out.ctypes.data,
-                       n, xp.shape[1], xp.shape[2], c, kh, kw, stride, oh, ow, f, operands[2].shape[1])
+    _KERNELS.conv_nhwc(xp, operands[2], operands[1], out, kh, kw, stride)
     return out if x.ndim == 4 else out[0]
 
 
@@ -554,13 +583,20 @@ def flow_stack(frames: list[np.ndarray], window_len: int, flow_fn: Optional[Flow
 
     Takes window_len + 1 frames and emits an (H, W, 2*window_len) tensor;
     channels 2t and 2t+1 hold the (dx, dy) field of pair t.  ``flow_fn``
-    is called once per pair, in ascending pair order.
+    is called once per pair, in ascending pair order, and returns an
+    (H, W, 2) field, taken in float32.  The fields are stacked pair-major
+    and transposed with each pixel's (dx, dy) moved as one 8-byte item:
+    a concatenate along the last axis moved two floats at a time, and
+    took twice as long on two_stream's (16, 12, 2) fields at 1/8.
     """
     if len(frames) != window_len + 1:
         raise EngineError(f"flow stack needs {window_len + 1} frames, got {len(frames)}")
     fn = flow_fn or flow_diff_stub
-    fields = [fn(frames[t], frames[t + 1]) for t in range(window_len)]
-    return np.concatenate(fields, axis=-1, dtype=np.float32)
+    fields = np.array([fn(frames[t], frames[t + 1]) for t in range(window_len)], dtype=np.float32)
+    if fields.ndim != 4 or fields.shape[-1] != 2:
+        raise EngineError(f"flow fields must be (h, w, 2), got {fields.shape[1:]}")
+    pixels = fields.view(np.uint64)[..., 0].transpose(1, 2, 0)
+    return np.ascontiguousarray(pixels).view(np.float32)
 
 
 class Pending:
@@ -826,15 +862,17 @@ class TaskExecutor:
         ``consumer`` fire.  _PASS: a chain member past the head, which
         fires with its head, or a sink, which passes the value through;
         _WINDOW (arg: the window and the plan); _JOIN (arg: the join
-        buffers, the input slots ``via`` fills, the input count and the
-        plan); _FIRE, one firing per value (arg: the plan)."""
+        buffers, the input slots ``via`` fills, the input count, the
+        first tag that every input reaches and the plan); _FIRE, one
+        firing per value (arg: the plan)."""
         plan = self._plans.get(consumer)
         if consumer in self._windows:
             return consumer, _WINDOW, (self._windows[consumer], plan)
         if consumer in self._joins:
             inputs = self.graph.layer(consumer).inputs
             slots = tuple(i for i, inp in enumerate(inputs) if inp == via)
-            return consumer, _JOIN, (self._joins[consumer], slots, len(inputs), plan)
+            first = max(self.graph.first_valid[inp] for inp in inputs)
+            return consumer, _JOIN, (self._joins[consumer], slots, len(inputs), first, plan)
         if plan is None:
             return consumer, _PASS, None
         return consumer, _FIRE, plan
@@ -920,10 +958,13 @@ class TaskExecutor:
     def _step(self, name: str, x: np.ndarray) -> np.ndarray:
         """Chain member ``name`` over a (tags, ...) batch ``x``.  conv,
         relu, norm and maxpool take the batch in one call, and softmax
-        takes it as (tags, size) rows; fc, on a row shard's rows, runs
-        once per frame.  A row-local norm reads its statistics of the
-        shard's rows.  Each kernel is looked up in this module's globals
-        at the call."""
+        takes it as (tags, size) rows.  fc computes its rows (a row
+        shard's, or all of them) one row panel at a time: for each panel
+        that the rows meet, one ``forward_fc`` call per frame writes that
+        panel's rows of the frame, so every frame after the first reads
+        the panel's weights from cache (see ``_operands``).  A row-local
+        norm reads its statistics of the shard's rows.  Each kernel is
+        looked up in this module's globals at the call."""
         spec = self.graph.layer(name)
         k = spec.kind
         if k == ir.CONV:
@@ -942,9 +983,15 @@ class TaskExecutor:
             return forward_maxpool(x, int(spec.attrs["window"]),
                                    int(spec.attrs.get("stride", spec.attrs["window"])))
         if k == ir.FC:
-            rows = self.part[1:] if self.part is not None and self.part[0] == name else None
             params = self.params(name)
-            return _stacked([forward_fc(v, params, rows=rows) for v in x])
+            lo, hi = self.part[1:] if name in self._row_local else (0, params.b.size)
+            out = np.empty((len(x), hi - lo), dtype=np.float32)
+            for p0 in range(lo - lo % FC_PANEL, hi, FC_PANEL):
+                rows = (max(lo, p0), min(hi, p0 + FC_PANEL))
+                cols = slice(rows[0] - lo, rows[1] - lo)
+                for v, o in zip(x, out):
+                    forward_fc(v, params, rows=rows, out=o[cols])
+            return out
         return forward_softmax(x.reshape(len(x), -1))
 
     def _flow_fields(self, name: str, firings: list[Pending], window_len: int) -> dict[int, np.ndarray]:
@@ -1063,7 +1110,9 @@ class TaskExecutor:
                     fired.append(consumer)
                     queue.append((consumer, end, self._fire(plan, end, items)))
             else:
-                joins, slots, n_inputs, plan = arg
+                joins, slots, n_inputs, first, plan = arg
+                if tag < first:
+                    continue   # an input that starts later never reaches this tag
                 pend = joins.setdefault(tag, {})
                 for slot in slots:
                     if slot not in pend:

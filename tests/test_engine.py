@@ -52,6 +52,18 @@ def fc_oracle(w, b, x):
     return out
 
 
+def fc_matrix(wt, outputs):
+    """The (outputs, inputs) weights that an fc's row panels ``wt`` hold."""
+    ws = -(-outputs // 16) * 16
+    inputs = (wt.size - 16) // ws
+    panels = []
+    for p0 in range(0, outputs, engine.FC_PANEL):
+        pw = min(engine.FC_PANEL, ws - p0)
+        panel = wt[inputs * p0:inputs * (p0 + pw)].reshape(inputs, pw)
+        panels.append(panel[:, :min(pw, outputs - p0)].T)
+    return np.concatenate(panels)
+
+
 def conv_oracle(x, w, b, stride, padding):
     """Naive six-loop cross-correlation over the zero-padded input."""
     f, kh, kw, c = w.shape
@@ -186,12 +198,12 @@ class TestDense:
 
     @pytest.mark.parametrize("special", ["signed zeros", "nan weights", "nan input"])
     @pytest.mark.parametrize("rows", [
-        (700, 2300),    # starts mid-chunk, spans two chunk boundaries
-        (0, 2500),      # every row: two full chunks and a tail
+        (700, 2300),    # starts mid-panel, spans six panel boundaries
+        (0, 2500),      # every row: nine full panels and a last of 196 rows
         (700, 701), (1023, 1024), (1024, 1025), (2047, 2048), (2499, 2500),  # one row
     ])
     def test_rows_across_chunks(self, rows, special):
-        # 2500 outputs: chunks of ROWS = 1024 rows at 0, 1024 and 2048
+        # 2500 outputs: row panels of FC_PANEL = 256 rows, the last of 196
         r = np.random.default_rng(rows[0] * 7 + len(special))
         w = with_zeros(r, r.uniform(-0.05, 0.05, (2500, 7)), 0.3, 0.5)
         b = with_zeros(r, r.uniform(-0.05, 0.05, 2500), 0.3, 0.5)
@@ -243,10 +255,11 @@ def fc_oracle_cases(draw, narrow):
 
 class TestFcOracle:
     """``forward_fc`` byte for byte against ``fc_sequential``, signs of
-    zero and NaNs included, on both of the kernel's paths: row ranges of
-    at most 64 rows, summed in registers and read into the weights'
-    padding and slack, and wider ones, which leave out zero inputs when
-    every weight is finite."""
+    zero and NaNs included, on row ranges of at most 64 rows and wider
+    ones, at any offset in the layer's row panels: each panel's rows are
+    summed in registers and read into the weights' padding, the next
+    panel and the slack, and zero inputs are left out when every weight
+    is finite."""
 
     def check(self, case):
         out, inp, (lo, hi), seed, specials, bad = case
@@ -272,13 +285,19 @@ class TestFcOracle:
     @given(fc_oracle_cases(narrow=True))
     @example((1100, 7, (1045, 1100), 1, {"zero"}, None))  # four vectors, into the slack
     @example((1, 3, (0, 1), 2, {"nan", "zero"}, np.inf))
+    @example((1100, 40, (255, 257), 5, {"zero", "nan"}, None))  # one row in each of two panels
+    @example((300, 33, (256, 300), 6, {"zero"}, None))  # the whole last panel, 44 rows
+    @example((600, 20, (200, 257), 7, {"zero", "inf"}, -np.inf))  # ends one row into panel 1
     @settings(max_examples=60, deadline=None)
     def test_narrow_rows_match_the_oracle(self, case):
         self.check(case)
 
     @given(fc_oracle_cases(narrow=False))
-    @example((1100, 300, (1, 1100), 3, {"zero", "subnormal"}, None))  # two blocks, two input lists
+    @example((1100, 300, (1, 1100), 3, {"zero", "subnormal"}, None))  # five panels, two input lists
     @example((1030, 5, (965, 1030), 4, {"zero", "inf"}, -np.inf))
+    @example((600, 30, (1, 256), 8, {"zero"}, None))  # ends at panel 0's last row
+    @example((600, 30, (255, 600), 9, {"zero", "nan"}, None))  # starts at panel 0's last row
+    @example((1030, 12, (257, 1030), 10, {"zero"}, DEFAULT_NAN))  # starts one row into panel 1
     @settings(max_examples=40, deadline=None)
     def test_wide_rows_match_the_oracle(self, case):
         self.check(case)
@@ -290,13 +309,188 @@ class TestFcOracle:
     def test_every_product_negative_zero_sums_to_positive_zero(self, out, rows, inf_row):
         # -0.0 inputs against positive weights, and -0.0 biases: a sum
         # from -0.0 would give -0.0.  An infinite weight in a row outside
-        # the range keeps the wide path from leaving the zeros out.
+        # the range keeps the kernel from leaving the zeros out.
         w = np.random.default_rng(out).uniform(0.01, 0.05, (out, 9)).astype(np.float32)
         if inf_row is not None:
             w[inf_row, 4] = np.inf
         p = freeze(LayerParams(w=w, b=np.full(out, -0.0, np.float32)))
         got = forward_fc(np.full(9, -0.0, np.float32), p, rows=rows)
         assert got.tobytes() == np.zeros(rows[1] - rows[0], np.float32).tobytes()
+
+    @pytest.mark.parametrize("rows", [(lo, hi) for lo in (0, 1, 255, 256, 257)
+                                      for hi in (255, 256, 257, 300, 512, 513, 1030) if lo < hi])
+    def test_ranges_at_panel_edges(self, rows):
+        # 1030 outputs: panels of 256 rows at 0, 256, 512 and 768, and a
+        # last panel of 6 rows read 16 at a time
+        bad = None if sum(rows) % 2 else np.inf
+        self.check((1030, 37, rows, sum(rows), {"zero", "nan", "subnormal"}, bad))
+
+    def test_three_way_uneven_split_of_1024_rows(self):
+        rows = split_fc_rows(1024, 3)
+        assert rows == [(0, 342), (342, 683), (683, 1024)]
+        for i, r in enumerate(rows):
+            self.check((1024, 96, r, i, {"zero", "subnormal"}, None))
+
+
+class TestFcPanels:
+    """The fc branch of ``TaskExecutor._step`` computes a group's rows one
+    row panel at a time, frames inner, with one ``forward_fc`` call per
+    (frame, panel); the bytes are those of one call per frame over the
+    whole row range."""
+
+    @staticmethod
+    def graph(outputs, inputs):
+        layers = {
+            "src": LayerSpec("src", "source", {"shape": [inputs]}),
+            "fc": LayerSpec("fc", "fc", {"out_size": outputs}, ["src"], weights_seed=1),
+            "out": LayerSpec("out", "sink", {}, ["fc"]),
+        }
+        return validate_graph(ModelGraph(layers, ["src"], ["out"], seed=9))
+
+    @pytest.mark.parametrize("rows", [(200, 500), (256, 512), (0, 700), (255, 257), (600, 700)])
+    def test_panel_outer_step_equals_per_frame_calls(self, rows, monkeypatch):
+        g = self.graph(700, 96)
+        r = np.random.default_rng(sum(rows))
+        frames = with_zeros(r, r.uniform(-1, 1, (6, 96)), 0.4, 0.5)
+        part = None if rows == (0, 700) else ("fc", *rows)
+        ex = engine.TaskExecutor(g, owned=["src", "fc"], part=part)
+        calls = []
+        real = engine.forward_fc
+
+        def counted(x, params, rows=None, out=None):
+            calls.append(rows)
+            return real(x, params, rows=rows, out=out)
+        monkeypatch.setattr(engine, "forward_fc", counted)
+        pushed = [ex.push("src", t, frame) for t, frame in enumerate(frames)]
+        ex.batch.flush()
+        lo, hi = rows
+        panels = [(max(lo, p0), min(hi, p0 + engine.FC_PANEL))
+                  for p0 in range(lo - lo % engine.FC_PANEL, hi, engine.FC_PANEL)]
+        assert calls == [p for p in panels for _frame in frames]
+        shared, generated = engine.shared_params(g, "fc"), engine.params_for(g, "fc")
+        for (em,), frame in zip(pushed, frames):
+            assert em.layer == "fc"
+            got = np.asarray(em.value).tobytes()
+            assert got == real(frame, shared, rows=rows).tobytes()
+            assert got == fc_sequential(generated.w[lo:hi], generated.b[lo:hi], frame).tobytes()
+
+
+SENTINEL = np.float32(1234.5)
+
+
+def sentinel(n, dtype=np.float32):
+    return np.full(n, SENTINEL, dtype)
+
+
+class TestKernelCalls:
+    """The compiled functions take the arrays themselves and check each
+    one's format, contiguity and writability and every size before they
+    touch memory: a bad call raises and writes nothing."""
+
+    @staticmethod
+    def fc_operands(outputs=40, inputs=9):
+        r = np.random.default_rng(outputs)
+        p = freeze(LayerParams(w=r.uniform(-0.05, 0.05, (outputs, inputs)).astype(np.float32),
+                               b=r.uniform(-0.05, 0.05, outputs).astype(np.float32)))
+        return r.uniform(-1, 1, inputs).astype(np.float32), p.operands[2], p.operands[1], p
+
+    def test_a_good_fc_call_writes_its_rows(self):
+        x, wt, b, p = self.fc_operands()
+        out = sentinel(30)
+        assert engine._KERNELS.fc_rows(x, wt, b, out, 5, 35, True) is None
+        assert out.tobytes() == forward_fc(x, p, rows=(5, 35)).tobytes()
+
+    @pytest.mark.parametrize("bad", [
+        "short out", "long out", "read-only out", "strided out", "float64 out",
+        "strided x", "float64 x", "float64 bias", "short weights", "strided weights",
+        "rows (-1, 3)", "rows (5, 5)", "rows (6, 2)", "rows (35, 41)", "six arguments",
+    ])
+    def test_a_bad_fc_call_raises_and_writes_nothing(self, bad):
+        x, wt, b, _p = self.fc_operands()
+        lo, hi = {"rows (-1, 3)": (-1, 3), "rows (5, 5)": (5, 5), "rows (6, 2)": (6, 2),
+                  "rows (35, 41)": (35, 41)}.get(bad, (5, 35))
+        store = sentinel(2 * max(hi - lo, 1))
+        out = store[:max(hi - lo, 0)]
+        if bad == "short out":
+            out = store[:hi - lo - 1]
+        elif bad == "long out":
+            out = store[:hi - lo + 1]
+        elif bad == "read-only out":
+            out.setflags(write=False)
+        elif bad == "strided out":
+            out = store[::2]
+        elif bad == "float64 out":
+            store = out = sentinel(hi - lo, np.float64)
+        elif bad == "strided x":
+            x = np.repeat(x, 2)[::2]
+        elif bad == "float64 x":
+            x = x.astype(np.float64)
+        elif bad == "float64 bias":
+            b = b.astype(np.float64)
+        elif bad == "short weights":
+            wt = wt[:-1]
+        elif bad == "strided weights":
+            wt = np.repeat(wt, 2)[::2]
+        before = store.tobytes()
+        args = (x, wt, b, out, lo, hi, True)[:6 if bad == "six arguments" else 7]
+        with pytest.raises((TypeError, ValueError, BufferError)):
+            engine._KERNELS.fc_rows(*args)
+        assert store.tobytes() == before
+
+    @staticmethod
+    def conv_operands():
+        r = np.random.default_rng(12)
+        p = freeze(LayerParams(w=r.uniform(-0.05, 0.05, (5, 3, 2, 4)).astype(np.float32),
+                               b=r.uniform(-0.05, 0.05, 5).astype(np.float32)))
+        return r.uniform(-1, 1, (2, 7, 6, 4)).astype(np.float32), p.operands[2], p.operands[1], p
+
+    def test_a_good_conv_call_writes_every_output(self):
+        xp, wt, b, p = self.conv_operands()
+        out = sentinel(2 * 3 * 3 * 5).reshape(2, 3, 3, 5)
+        assert engine._KERNELS.conv_nhwc(xp, wt, b, out, 3, 2, 2) is None
+        assert out.tobytes() == forward_conv(xp, p, stride=2, padding="valid").tobytes()
+
+    @pytest.mark.parametrize("bad", [
+        "out shape", "read-only out", "float64 out", "strided out", "float64 xp", "strided xp",
+        "xp of rank 3", "kernel taller than xp", "stride 0", "ws not a multiple of 8",
+        "taps of another kernel", "more filters than ws",
+    ])
+    def test_a_bad_conv_call_raises_and_writes_nothing(self, bad):
+        xp, wt, b, _p = self.conv_operands()
+        kh, kw, stride = 3, 2, 2
+        store = sentinel(2 * 2 * 3 * 3 * 9)
+        out = store[:2 * 3 * 3 * 5].reshape(2, 3, 3, 5)
+        if bad == "out shape":
+            out = store[:2 * 3 * 2 * 5].reshape(2, 3, 2, 5)
+        elif bad == "read-only out":
+            out.setflags(write=False)
+        elif bad == "float64 out":
+            store = sentinel(2 * 3 * 3 * 5, np.float64)
+            out = store.reshape(2, 3, 3, 5)
+        elif bad == "strided out":
+            out = store[:2 * 2 * 3 * 3 * 5:2].reshape(2, 3, 3, 5)
+        elif bad == "float64 xp":
+            xp = xp.astype(np.float64)
+        elif bad == "strided xp":
+            xp = xp[:, :, ::2]
+            out = store[:2 * 3 * 1 * 5].reshape(2, 3, 1, 5)
+        elif bad == "xp of rank 3":
+            xp = xp[0]
+        elif bad == "kernel taller than xp":
+            kh = 8
+        elif bad == "stride 0":
+            stride = 0
+        elif bad == "ws not a multiple of 8":
+            wt = np.ascontiguousarray(wt[:, :6])
+        elif bad == "taps of another kernel":
+            kw = 1
+        elif bad == "more filters than ws":
+            b = sentinel(9)
+            out = store[:2 * 3 * 3 * 9].reshape(2, 3, 3, 9)
+        before = store.tobytes()
+        with pytest.raises((TypeError, ValueError, BufferError)):
+            engine._KERNELS.conv_nhwc(xp, wt, b, out, kh, kw, stride)
+        assert store.tobytes() == before
 
 
 class TestConv:
@@ -427,7 +621,7 @@ class TestKernelContract:
     or dtype of operand taken as its float32 values."""
 
     def test_fc_rounds_each_product(self):
-        # 70 equal rows: one full block of rows and a tail in the C kernel
+        # 70 equal rows: four full vectors of 16 rows and a tail of 6
         w = np.tile(np.array([1, ONE_PLUS], np.float32), (70, 1))
         p = LayerParams(w=w, b=np.zeros(70, np.float32))
         x = np.array([-1, ONE_PLUS], np.float32)
@@ -490,8 +684,8 @@ class TestKernelContract:
         shared = engine.shared_params
 
         def fortran(graph, name):
-            p = shared(graph, name)
-            return p if p.w is None else replace(p, w=np.asfortranarray(p.w))
+            p, w = shared(graph, name), engine.params_for(graph, name).w
+            return p if w is None else replace(p, w=np.asfortranarray(w))
         monkeypatch.setattr(engine, "shared_params", fortran)
         ex = engine.TaskExecutor(g)
         got = {}
@@ -518,7 +712,7 @@ class TestKernelSplits:
     """Every way the compiled kernels split their work, each case pinned
     against the scalar oracles: conv filters into tiles of 32, 16 and 8
     and a zero-padded tail, conv positions into groups of MAXP = 8 that
-    may run across rows and frames, fc rows into blocks of ROWS = 1024."""
+    may run across rows and frames, fc rows into panels of FC_PANEL = 256."""
 
     @pytest.mark.parametrize("filters", TIER_SEQUENCES)
     def test_each_sequence_of_filter_tiers(self, filters):
@@ -552,13 +746,14 @@ class TestKernelSplits:
             assert out.tobytes() == conv_oracle(frame, w, b, stride, "valid").tobytes()
 
     @pytest.mark.parametrize("outputs,rows", [
-        (1024, (0, 1024)),     # one full block
-        (1025, (0, 1025)),     # a full block and a tail of one row
-        (2050, (1023, 1025)),  # two rows, one block
-        (2050, (1024, 2048)),  # one full block that starts at row 1024
-        (2050, (1, 2050)),     # blocks that start one row past the first
+        (1024, (0, 1024)),     # four full panels
+        (1025, (0, 1025)),     # four full panels and a last panel of one row
+        (2050, (1023, 1025)),  # one row in each of two panels
+        (2050, (1024, 2048)),  # four full panels from row 1024
+        (2050, (1, 2050)),     # panels from one row past the first
         (2048, (2047, 2048)),  # the last row alone
-        (100, (3, 97)),        # fewer rows than a block
+        (100, (3, 97)),        # fewer rows than a panel
+        (300, (250, 300)),     # the end of a full panel and a last panel of 44 rows
     ])
     def test_each_blocking_of_rows(self, outputs, rows):
         r = np.random.default_rng(outputs + rows[0])
@@ -750,6 +945,32 @@ class TestFlowStack:
         with pytest.raises(EngineError):
             flow_stack([np.zeros((2, 2))] * 3, 10)
 
+    @pytest.mark.parametrize("window_len", [1, 3, 10])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bytes_equal_a_concatenate_along_channels(self, window_len, dtype):
+        """The stack holds the bytes of the fields concatenated along
+        their last axis in float32: signed zeros, and NaNs of several
+        payloads, included."""
+        r = np.random.default_rng(window_len)
+        fields = r.uniform(-1, 1, (window_len, 5, 4, 2)).astype(dtype)
+        fields[r.random(fields.shape) < 0.3] = 0.0
+        fields[r.random(fields.shape) < 0.2] = -0.0
+        nans = np.array([0x7FC00000, 0xFFC00001, 0x7FA5A5A5, 0xFFFFFFFF], np.uint32).view(np.float32)
+        hit = r.random(fields.shape) < 0.2
+        with np.errstate(invalid="ignore"):
+            fields[hit] = r.choice(nans, fields.shape)[hit]
+        given = iter(fields)
+        got = flow_stack([np.zeros((5, 4))] * (window_len + 1), window_len,
+                         lambda _prev, _cur: next(given))
+        want = np.concatenate(list(fields), axis=-1, dtype=np.float32)
+        assert got.shape == (5, 4, 2 * window_len) and got.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(5, 4), (5, 4, 3), (5, 4, 1)])
+    def test_a_field_that_is_not_two_channels_is_rejected(self, shape):
+        with pytest.raises(EngineError):
+            flow_stack([np.zeros((5, 4))] * 3, 2, lambda _prev, _cur: np.zeros(shape, np.float32))
+
     def test_mismatched_shapes(self):
         with pytest.raises(EngineError):
             flow_diff_stub(np.zeros((2, 2)), np.zeros((3, 2)))
@@ -900,23 +1121,30 @@ class TestReference:
     @pytest.mark.parametrize("model", ["two_stream", "alexnet", "vgg16"])
     @pytest.mark.parametrize("scale", [1 / 32, 1 / 8])
     def test_shared_weights_are_held_once_tap_major(self, model, scale):
-        """Each weighted layer's shared ``w`` is a read-only view of the
-        tap-major matrix the kernels read, and ``params_for`` draws the
-        values of one full-size float64 draw rounded to float32."""
+        """Each weighted layer's shared weights are held once, read-only,
+        in the layout the kernels read: a conv's ``w`` is a view of its
+        tap-major matrix, and an fc's are only its row panels.  They hold
+        the generated values, and ``params_for`` draws the values of one
+        full-size float64 draw rounded to float32."""
         g = build_model(model, scale, seed=4711)
         weighted = [n for n in g.topo_order if g.layer(n).kind in ("fc", "conv")]
         assert weighted
         for name in weighted:
             p = engine.shared_params(g, name)
             wt = p.operands[2]
-            assert np.shares_memory(p.w, wt), name
-            assert not p.w.flags.writeable and not wt.flags.writeable, name
+            assert not wt.flags.writeable, name
+            if g.layer(name).kind == "fc":
+                assert p.w is None, name
+                held = fc_matrix(wt, p.b.size)
+            else:
+                assert np.shares_memory(p.w, wt) and not p.w.flags.writeable, name
+                held = p.w
             generated = engine.params_for(g, name)
             draw = np.random.default_rng([g.seed, g.layer(name).weights_seed])
             for got in (generated.w, generated.b):
                 want = draw.uniform(-0.05, 0.05, got.shape).astype(np.float32)
                 assert got.tobytes() == want.tobytes(), name
-            assert np.array_equal(p.w, generated.w) and np.array_equal(p.b, generated.b), name
+            assert np.array_equal(held, generated.w) and np.array_equal(p.b, generated.b), name
 
 
 def replay(ex, script, run_lengths):

@@ -519,7 +519,8 @@ class TestEndlessStream:
         the executors hold at most: a window's length less one item per
         window, the window plus one flush group of flow fields, and the
         sink's lag of concat inputs waiting on a branch that starts
-        later.  Nothing is left queued.  The first and last calls are
+        later, none of them at a tag below the first that every input
+        of the concat reaches.  Nothing is left queued.  The first and last calls are
         each bit-equal to the reference over their frames, with the lag
         of frames before them (paced, so a tag is its raw index)."""
         graph = build_model("two_stream", 1 / 32, seed=1)
@@ -541,6 +542,9 @@ class TestEndlessStream:
                 ex = w.executor
                 assert not ex._parts
                 assert all(len(join) <= lag for join in ex._joins.values())
+                for name, join in ex._joins.items():
+                    first = max(graph.first_valid[i] for i in graph.layer(name).inputs)
+                    assert all(t >= first for t in join), (name, sorted(join))
                 assert all(len(win.pending) < win.length for win in ex._windows.values())
                 for name, fields in ex._flows.items():
                     assert len(fields) <= graph.layer(name).attrs["window_len"] + engine.RUN_TAGS
