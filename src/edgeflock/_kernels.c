@@ -27,16 +27,25 @@
  * floats of slack follow the last panel.  A layer of at most FC_PANEL
  * outputs is one panel: an (inputs, ws) matrix, ws its outputs rounded
  * up to 16.  fc_rows walks the panels that a row range meets, and sums
- * the range's rows of one panel at a time in up to 16 vectors of 16
- * floats held in registers.  It reads whole vectors: the lanes past the
- * last row asked for read padding, the panel's next weight row, the
- * next panel or the slack, and are discarded.  At 1024 inputs a panel
- * is 1 MiB, so when engine calls fc_rows for one panel of several frames
- * in a row, every frame after the first reads that panel from L2, where
- * the rows of a strided (inputs, outputs) matrix lay 4 KiB apart and
- * came again from L3 for every frame.  The panels change no sum: each
- * row's sum still takes its inputs in ascending order from +0.0, in
- * whichever panel the row lies.
+ * the range's rows of one panel, nv vectors of 16 floats with nv at
+ * most 16, in registers.  Kernels exist for 1, 2, 4, 8 and 16 vectors
+ * only: nv splits into the powers of two that make it up, largest
+ * first, each chunk one call at its offset into the panel's rows.  The
+ * row ranges of two_stream's plans all come to one of those five
+ * widths and run in one call; the 232-row last panel of a 1000-output
+ * layer, 15 vectors, runs as 8, 4, 2 and 1.  The chunks change no bit:
+ * each row is summed by exactly one chunk, from +0.0, in the same order
+ * and under the same zero rule as by one kernel of nv vectors, and
+ * together the chunks read exactly the vectors that kernel would.
+ * fc_rows reads whole vectors: the lanes past the last row asked for
+ * read padding, the panel's next weight row, the next panel or the
+ * slack, and are discarded.  At 1024 inputs a panel is 1 MiB, so when
+ * engine calls fc_rows for one panel of several frames in a row, every
+ * frame after the first reads that panel from L2, where the rows of a
+ * strided (inputs, outputs) matrix lay 4 KiB apart and came again from
+ * L3 for every frame.  The panels change no sum: each row's sum still
+ * takes its inputs in ascending order from +0.0, in whichever panel the
+ * row lies.
  *
  * fc_rows leaves out every input equal to +-0.0 when engine says that
  * every weight of the layer is finite, and changes no bit by it.  A sum
@@ -77,7 +86,9 @@ typedef float v8 __attribute__((vector_size(32)));
 typedef float v4 __attribute__((vector_size(16)));
 
 /* FC_PANEL rows make a panel: 16 vectors of 16 sums, which fit the 32
- * vector registers of AVX-512 with room for a weight and an input.
+ * vector registers of AVX-512 with room for a weight and an input.  A
+ * panel's rows of a range run in chunks of 16, 8, 4, 2 and 1 vectors,
+ * the powers of two that make up their vector count.
  * fc_rows lists the inputs it takes SKIP_BLOCK at a time, without a
  * branch per input.
  * MAXP is the number of conv positions whose input pointers a conv tile
@@ -260,32 +271,20 @@ static void NAME(const float *x, const float *w, int64_t pw, int64_t inputs,   \
 
 FC_SUMS(fc_sums1, 1)
 FC_SUMS(fc_sums2, 2)
-FC_SUMS(fc_sums3, 3)
 FC_SUMS(fc_sums4, 4)
-FC_SUMS(fc_sums5, 5)
-FC_SUMS(fc_sums6, 6)
-FC_SUMS(fc_sums7, 7)
 FC_SUMS(fc_sums8, 8)
-FC_SUMS(fc_sums9, 9)
-FC_SUMS(fc_sums10, 10)
-FC_SUMS(fc_sums11, 11)
-FC_SUMS(fc_sums12, 12)
-FC_SUMS(fc_sums13, 13)
-FC_SUMS(fc_sums14, 14)
-FC_SUMS(fc_sums15, 15)
 FC_SUMS(fc_sums16, 16)
 
 typedef void (*fc_sums_fn)(const float *, const float *, int64_t, int64_t, int64_t, float *);
 
-/* fc_sums[nv] sums 16 * nv rows of one panel. */
-static const fc_sums_fn fc_sums[FC_PANEL / 16 + 1] = {
-    NULL, fc_sums1, fc_sums2, fc_sums3, fc_sums4, fc_sums5, fc_sums6, fc_sums7, fc_sums8,
-    fc_sums9, fc_sums10, fc_sums11, fc_sums12, fc_sums13, fc_sums14, fc_sums15, fc_sums16,
-};
+/* fc_sums_pow2[b] sums 16 << b rows of one panel. */
+static const fc_sums_fn fc_sums_pow2[] = {fc_sums1, fc_sums2, fc_sums4, fc_sums8, fc_sums16};
 
 /* out[r - lo] for rows [lo, hi) of x (inputs) against the panels wt of
  * an fc layer with outputs rows, ws = outputs rounded up to 16, plus
- * bias.  The range is summed one panel at a time. */
+ * bias.  The range is summed one panel at a time, and a panel's nv
+ * vectors in chunks of the powers of two that make up nv, largest
+ * first: each chunk is the highest set bit of the vectors left. */
 static void fc_rows(const float *restrict x, const float *restrict wt, const float *restrict bias,
                     float *restrict out, int64_t inputs, int64_t ws, int64_t lo, int64_t hi,
                     int64_t skip_zeros)
@@ -295,7 +294,12 @@ static void fc_rows(const float *restrict x, const float *restrict wt, const flo
         int64_t p0 = r0 / FC_PANEL * FC_PANEL;
         int64_t pw = ws - p0 < FC_PANEL ? ws - p0 : FC_PANEL;
         r1 = hi < p0 + FC_PANEL ? hi : p0 + FC_PANEL;
-        fc_sums[(r1 - r0 + 15) / 16](x, wt + inputs * p0 + (r0 - p0), pw, inputs, skip_zeros, sums);
+        const float *w = wt + inputs * p0 + (r0 - p0);
+        for (int64_t v0 = 0, nv = (r1 - r0 + 15) / 16; v0 < nv; ) {
+            int b = 63 - __builtin_clzll((unsigned long long)(nv - v0));
+            fc_sums_pow2[b](x, w + v0 * 16, pw, inputs, skip_zeros, sums + v0 * 16);
+            v0 += (int64_t)1 << b;
+        }
         for (int64_t r = r0; r < r1; r++)
             out[r - lo] = sums[r - r0] + bias[r];
     }

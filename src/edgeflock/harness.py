@@ -65,11 +65,10 @@ def frames_needed(graph: ir.ModelGraph, n_outputs: int) -> int:
 
 
 def plan_for(graph: ir.ModelGraph, n_max: int, device: Optional[DeviceProfile] = None,
-             comm: Optional[CommModel] = None, scale: float = 1.0,
-             overhead_factor: float = 2.0) -> AssignmentSet:
+             comm: Optional[CommModel] = None, scale: float = 1.0) -> AssignmentSet:
     """Plan with the memory budget shrunk to match a scaled-down model."""
     device = (device or DeviceProfile()).scaled_mem(scale)
-    return task_assign(graph, n_max, comm or CommModel(), device, overhead_factor)
+    return task_assign(graph, n_max, comm or CommModel(), device)
 
 
 def stream(aset: AssignmentSet, n: int, frames: np.ndarray,

@@ -318,9 +318,13 @@ class ClusterCore:
         self.sample_cooldown_until = 0.0
 
     def begin_call(self) -> None:
-        """A call's results start empty."""
+        """A call's results start empty, and so do the workers' path
+        states: once ``run_stream`` has drained or a loopback ``feed``
+        has ended, no message of an earlier tag is in flight."""
         self.outputs: dict[str, dict[int, object]] = {s: {} for s in self.graph.outputs}
         self.kept_raw: list[int] = []
+        for w in self.workers.values():
+            w.path_state.clear()
 
     def end_call(self) -> dict[int, np.ndarray]:
         """Make the call's computed outputs arrays; returns the first sink's."""

@@ -288,6 +288,7 @@ class TestFcOracle:
     @example((1100, 40, (255, 257), 5, {"zero", "nan"}, None))  # one row in each of two panels
     @example((300, 33, (256, 300), 6, {"zero"}, None))  # the whole last panel, 44 rows
     @example((600, 20, (200, 257), 7, {"zero", "inf"}, -np.inf))  # ends one row into panel 1
+    @example((1000, 45, (300, 348), 11, {"zero"}, None))  # 48 rows: chunks of 2 and 1 vectors
     @settings(max_examples=60, deadline=None)
     def test_narrow_rows_match_the_oracle(self, case):
         self.check(case)
@@ -298,6 +299,7 @@ class TestFcOracle:
     @example((600, 30, (1, 256), 8, {"zero"}, None))  # ends at panel 0's last row
     @example((600, 30, (255, 600), 9, {"zero", "nan"}, None))  # starts at panel 0's last row
     @example((1030, 12, (257, 1030), 10, {"zero"}, DEFAULT_NAN))  # starts one row into panel 1
+    @example((1000, 70, (512, 752), 12, {"zero", "subnormal"}, None))  # 240 rows: 8 + 4 + 2 + 1
     @settings(max_examples=40, deadline=None)
     def test_wide_rows_match_the_oracle(self, case):
         self.check(case)
@@ -712,7 +714,8 @@ class TestKernelSplits:
     """Every way the compiled kernels split their work, each case pinned
     against the scalar oracles: conv filters into tiles of 32, 16 and 8
     and a zero-padded tail, conv positions into groups of MAXP = 8 that
-    may run across rows and frames, fc rows into panels of FC_PANEL = 256."""
+    may run across rows and frames, fc rows into panels of FC_PANEL = 256
+    and a panel's vectors into chunks of 16, 8, 4, 2 and 1."""
 
     @pytest.mark.parametrize("filters", TIER_SEQUENCES)
     def test_each_sequence_of_filter_tiers(self, filters):
@@ -754,6 +757,15 @@ class TestKernelSplits:
         (2048, (2047, 2048)),  # the last row alone
         (100, (3, 97)),        # fewer rows than a panel
         (300, (250, 300)),     # the end of a full panel and a last panel of 44 rows
+        # A panel's rows of a range are 1 to 16 vectors, run in chunks of
+        # 16, 8, 4, 2 and 1.  1000 outputs: full panels at rows 0, 256 and
+        # 512, and a last panel of 232 rows, 15 vectors (8 + 4 + 2 + 1).
+        *((1000, (256 + off, 256 + off + min(16 * nv, 256 - off)))
+          for nv in range(1, 17) for off in (0, 1, 15)),   # nv vectors at offset 0, 1, 15
+        *((1000, (261 - 16 * nv, 251 + 16 * nv))
+          for nv in range(1, 17)),                         # nv vectors on each side of row 256
+        (1000, (768, 1000)),
+        (1000, (769, 1000)),
     ])
     def test_each_blocking_of_rows(self, outputs, rows):
         r = np.random.default_rng(outputs + rows[0])

@@ -404,8 +404,8 @@ def sweep_digest(model, scale):
             for comm in (CommModel(), CommModel(per_kb_seconds=0.002, base_seconds=0.01)):
                 for overhead in (2.0, 1.5):
                     device = DeviceProfile(mem_bytes=mem, swap_threshold=swap)
-                    digest = _plan_digest(lambda: plan_for(graph, 12, device, comm, scale=scale,
-                                                           overhead_factor=overhead))
+                    digest = _plan_digest(lambda: task_assign(graph, 12, comm,
+                                                              device.scaled_mem(scale), overhead))
                     lines.append(f"{mem} {swap} {comm} {overhead} {digest}")
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 

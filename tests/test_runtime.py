@@ -515,19 +515,19 @@ class TestEndlessStream:
     def test_memory_stays_bounded_and_the_stream_exact(self):
         """20 paced calls of 1000 two_stream frames at 1/32 on 5 devices.
         After each call the per-call lists hold that call's entries, each
-        worker's path state stays at most 4096 tags (its trim runs), and
-        the executors hold at most: a window's length less one item per
-        window, the window plus one flush group of flow fields, and the
-        sink's lag of concat inputs waiting on a branch that starts
-        later, none of them at a tag below the first that every input
-        of the concat reaches.  Nothing is left queued.  The first and last calls are
-        each bit-equal to the reference over their frames, with the lag
-        of frames before them (paced, so a tag is its raw index)."""
+        worker's path state at most that call's tags, and the executors
+        hold at most: a window's length less one item per window, the
+        window plus one flush group of flow fields, and the sink's lag of
+        concat inputs waiting on a branch that starts later, none of them
+        at a tag below the first that every input of the concat reaches.
+        Nothing is left queued.  The first and last calls are each
+        bit-equal to the reference over their frames, with the lag of
+        frames before them (paced, so a tag is its raw index)."""
         graph = build_model("two_stream", 1 / 32, seed=1)
         aset = task_assign(graph, 5, CommModel(), DeviceProfile().scaled_mem(1 / 32))
         cluster = start_cluster(aset, 5)
         lag, calls, size = graph.first_valid["out"], 20, 1000
-        path_sizes, trimmed, clip = {}, False, None
+        clip = None
         for k in range(calls):
             before, clip = clip, make_clip(graph, size, k)
             outs, _ = run_stream(cluster, clip)
@@ -535,10 +535,8 @@ class TestEndlessStream:
             assert len(cluster.completions) <= size and len(cluster.kept_raw) <= size
             assert cluster.kept_raw == list(range(k * size, (k + 1) * size))
             assert all(isinstance(v, np.ndarray) for v in outs.values())
-            for d, w in cluster.workers.items():
-                assert len(w.path_state) <= 4096
-                trimmed |= len(w.path_state) < path_sizes.get(d, 0)
-                path_sizes[d] = len(w.path_state)
+            for w in cluster.workers.values():
+                assert len(w.path_state) <= size
                 ex = w.executor
                 assert not ex._parts
                 assert all(len(join) <= lag for join in ex._joins.values())
@@ -555,7 +553,19 @@ class TestEndlessStream:
                 ref = run_reference(graph, {"camera": np.concatenate([lead, clip])})["out"]
                 base = k * size - len(lead)
                 assert_exact(outs, {base + t: v for t, v in ref.items()})
-        assert trimmed
+
+    def test_path_state_trims_within_a_long_call(self):
+        """One paced call of 4200 two_stream frames at 1/32 on one device:
+        the worker's path state passes 4096 tags at tag 4096 and drops
+        the oldest 2048, so it ends holding tags 2048 to 4199, and the
+        outputs are bit-equal to the reference."""
+        graph = build_model("two_stream", 1 / 32, seed=1)
+        aset = task_assign(graph, 1, CommModel(), DeviceProfile().scaled_mem(1 / 32))
+        cluster = start_cluster(aset, 1)
+        clip = make_clip(graph, 4200, 3)
+        outs, _ = run_stream(cluster, clip)
+        assert sorted(cluster.workers[0].path_state) == list(range(2048, 4200))
+        assert_exact(outs, run_reference(graph, {"camera": clip})["out"])
 
 
 class TestFeeding:
