@@ -14,9 +14,9 @@
  * contiguous floats of that batch, in the order the weights hold them.
  * A register tile sums 32, 16 or 8 filters at a few positions at once,
  * in vectors of the target's width.  engine lays the weights out with
- * zero columns up to the next multiple of 8 filters, so the last
- * filters % 8 filters run as 8 in place, and the padded lanes are
- * discarded.
+ * zero columns up to the next multiple of 8 filters, so a last 9 to 15
+ * filters run as one tile of 16 and a last 1 to 7 as one of 8, in
+ * place, and the padded lanes are discarded.
  *
  * fc reads its weights as row panels.  engine lays an (outputs, inputs)
  * layer out as panels of FC_PANEL outputs, one after another: panel p
@@ -194,7 +194,8 @@ static void conv_nhwc(const float *xp, const float *wt, const float *bias, float
         float sums[MAXP * 32];
         for (int64_t f0 = 0, width; f0 < filters; f0 += width) {
             int64_t left = filters - f0;
-            width = left >= 32 ? 32 : left >= 16 ? 16 : 8;
+            /* f0 and ws are multiples of 8, so left > 8 leaves ws >= f0 + 16 */
+            width = left >= 32 ? 32 : left > 8 ? 16 : 8;
             if (width == 32)
                 for (int64_t p0 = 0; p0 < np; p0 += P32)
                     tile32(x + p0, wt + f0, ws, kh, run, row, sums + p0 * 32);
@@ -472,7 +473,13 @@ static struct PyModuleDef module = {
 PyMODINIT_FUNC PyInit__kernels(void)
 {
     PyObject *m = PyModule_Create(&module);
-    if (m != NULL && PyModule_AddIntConstant(m, "FC_PANEL", FC_PANEL) < 0) {
+#if defined(__AVX512F__)
+    const int avx512f = 1;
+#else
+    const int avx512f = 0;
+#endif
+    if (m != NULL && (PyModule_AddIntConstant(m, "FC_PANEL", FC_PANEL) < 0
+                      || PyModule_AddIntConstant(m, "AVX512F", avx512f) < 0)) {
         Py_DECREF(m);
         return NULL;
     }

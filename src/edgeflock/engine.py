@@ -39,7 +39,9 @@ multiply-add would add the product unrounded and change the last bit of
 a sum; no flag that lets the compiler reassociate a sum (``-Ofast``,
 ``-ffast-math``) is used.  A C compiler is required: without a working
 one, or if the compile or the load fails, importing this module raises
-``ImportError``.
+``ImportError``.  The built module's ``AVX512F`` is 1 when the compiler
+targeted AVX-512 (``__AVX512F__``), which sets conv's vector width and
+how fc builds its list of nonzero inputs, and 0 otherwise.
 
 The streaming ``TaskExecutor`` consumes tagged items and drives layers
 ordered by the graph topology; windowed layers (flow stacking, temporal
@@ -465,8 +467,10 @@ def forward_conv(x: np.ndarray, params: LayerParams, stride: int = 1, padding: s
     return out if x.ndim == 4 else out[0]
 
 
-def forward_relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(np.asarray(x, dtype=np.float32), np.float32(0))
+def forward_relu(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """max(x, +0.0) per element, into ``out`` if given: a float32 array
+    of x's shape, which may be x itself."""
+    return np.maximum(np.asarray(x, dtype=np.float32), np.float32(0), out=out)
 
 
 def forward_norm(x: np.ndarray, params: LayerParams) -> np.ndarray:
@@ -905,9 +909,12 @@ class TaskExecutor:
 
         A chain stacks its head's inputs into one (tags, ...) batch once
         and runs each member's ``_step`` over it in turn; only the tail's
-        output is kept.  A pyramid takes its windows as one batch; concat
-        and assemblies run once per firing, and flow stacks once per
-        window, on the fields ``_flow_fields`` computes for the group.
+        output is kept.  A member's input is the chain's own array, which
+        a relu may overwrite, unless it is the head's input of a single
+        firing: ``_stacked`` returns that as a view of another value.  A
+        pyramid takes its windows as one batch; concat and assemblies run
+        once per firing, and flow stacks once per window, on the fields
+        ``_flow_fields`` computes for the group.
         """
         spec = self.graph.layer(name)
         k = spec.kind
@@ -917,8 +924,10 @@ class TaskExecutor:
                                       for v in p.args]) for p in firings]
         elif chain:
             values = _stacked([value_of(p.args) for p in firings])
+            owned = len(firings) > 1
             for member, shape in chain:
-                values = self._step(member, values)
+                values = self._step(member, values, owned)
+                owned = True
                 if values.shape[1:] != shape:
                     raise EngineError(f"layer {member!r}: computed shape {values.shape[1:]}, "
                                       f"scheduled as {shape}")
@@ -955,23 +964,26 @@ class TaskExecutor:
                                   f"scheduled as {p.shape}")
             p.value, p.args = v, None
 
-    def _step(self, name: str, x: np.ndarray) -> np.ndarray:
+    def _step(self, name: str, x: np.ndarray, owned: bool) -> np.ndarray:
         """Chain member ``name`` over a (tags, ...) batch ``x``.  conv,
         relu, norm and maxpool take the batch in one call, and softmax
-        takes it as (tags, size) rows.  fc computes its rows (a row
-        shard's, or all of them) one row panel at a time: for each panel
-        that the rows meet, one ``forward_fc`` call per frame writes that
-        panel's rows of the frame, so every frame after the first reads
-        the panel's weights from cache (see ``_operands``).  A row-local
-        norm reads its statistics of the shard's rows.  Each kernel is
-        looked up in this module's globals at the call."""
+        takes it as (tags, size) rows.  relu writes over ``x`` when the
+        chain owns it (``owned``) and it is float32: the same ufunc on
+        the same operands, so the same bits, without a new array.  fc
+        computes its rows (a row shard's, or all of them) one row panel
+        at a time: for each panel that the rows meet, one ``forward_fc``
+        call per frame writes that panel's rows of the frame, so every
+        frame after the first reads the panel's weights from cache (see
+        ``_operands``).  A row-local norm reads its statistics of the
+        shard's rows.  Each kernel is looked up in this module's globals
+        at the call."""
         spec = self.graph.layer(name)
         k = spec.kind
         if k == ir.CONV:
             return forward_conv(x, self.params(name), stride=int(spec.attrs.get("stride", 1)),
                                 padding=spec.attrs.get("padding", "same"))
         if k == ir.RELU:
-            return forward_relu(x)
+            return forward_relu(x, out=x if owned and x.dtype == np.float32 else None)
         if k == ir.NORM:
             p = self.params(name)
             if name in self._row_local:

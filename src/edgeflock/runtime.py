@@ -28,7 +28,11 @@ On both transports the core holds the camera stream's tag cursor and
 sampler: it admits or samples every camera frame, tags it and hands it
 to the source devices that take the tag, so a second feed, or a feed
 after a role rotation, continues the stream's tags.  In the virtual
-cluster paced feeding waits only for those devices.  Results are per
+cluster paced feeding waits only for those devices, and feeds a frame
+only once the pipeline can take it: with at most
+``FRAMES_IN_FLIGHT_PER_DEVICE`` data frames per device queued or in
+flight toward devices, a constant number of frames in process, which
+keeps the bottleneck fed without a queue in front of it.  Results are per
 call: ``run_stream`` and a loopback ``feed`` each start ``outputs``,
 ``kept_raw`` and the completions empty (``ClusterCore.begin_call``), so
 an endless stream keeps no history.
@@ -77,6 +81,10 @@ DEFAULT_INBOX_CAPACITY = 64
 THROTTLE_SECONDS = 0.25           # mid-pipeline pause on almost-full
 SAMPLING_COOLDOWN_SECONDS = 2.0
 MAX_SAMPLING_INTERVAL = 1024
+# Paced feeding admits a camera frame only while at most this many data
+# frames per device that holds a task are queued or in flight toward
+# devices: one computing, one queued and one on the inbound link.
+FRAMES_IN_FLIGHT_PER_DEVICE = 3
 
 _PART_SEP = "#p"
 
@@ -108,14 +116,24 @@ _ZERO_PATH = {"compute": 0.0, "comm": 0.0, "reload": 0.0, "total": 0.0}
 @dataclass
 class RunMetrics:
     """One call's report.  ``outputs`` (completions, every sink), ``ips``,
-    ``t_forward_seconds``, ``breakdown`` and ``kept_raw_indices`` describe
-    the call; ``drops``, ``per_device_busy_seconds`` and ``wall_seconds``
-    run from cluster start."""
+    ``steady_ips``, ``t_forward_seconds``, ``breakdown``,
+    ``per_device_queue_seconds`` and ``kept_raw_indices`` describe the
+    call; ``drops``, ``per_device_busy_seconds`` and ``wall_seconds`` run
+    from cluster start.
+
+    ``ips`` is the completion spacing over the last three quarters of the
+    call's completions, which on a short clip measures a burst.
+    ``steady_ips`` is the call's admitted frames over the largest busy
+    seconds that one device accrued in the call: the rate its busiest
+    device sustains.  ``per_device_queue_seconds`` sums, per device, the
+    seconds each item it took in the call waited in its inbox."""
 
     ips: float = 0.0
+    steady_ips: float = 0.0
     t_forward_seconds: float = 0.0
     breakdown: dict = field(default_factory=lambda: {"compute": 0.0, "comm": 0.0, "reload": 0.0})
     per_device_busy_seconds: dict = field(default_factory=dict)
+    per_device_queue_seconds: dict = field(default_factory=dict)
     drops: int = 0
     routing_drops: int = 0        # no route can name a missing device yet
     setup_seconds: float = 0.0
@@ -140,6 +158,8 @@ class Worker:
         self.batch = batch if batch is not None else Batch()
         self.free_at = 0.0
         self.busy_seconds = 0.0
+        # seconds the items taken in the current call waited in the inbox
+        self.queue_seconds = 0.0
         self.throttled_until = 0.0
         self.reload_count = 0
         self.path_state: dict[int, dict] = {}
@@ -479,12 +499,15 @@ class VirtualCluster(ClusterCore):
         self._waiting: dict[int, list] = {d: [] for d in self.workers}
         self._stalled: dict[int, set[int]] = {}
         # Data frames in each device's inbox or sent toward it and not yet
-        # delivered, and how many devices hold more than half their inbox
-        # capacity so; see feed_paced.
+        # delivered, how many devices hold more than half their inbox
+        # capacity so, and the data frames so toward any device, which
+        # paced feeding keeps at most _in_flight_cap; see feed_paced.
         self._load: dict[int, int] = {d: 0 for d in self.workers}
         self._half: dict[int, int] = {d: max(1, w.inbox.capacity // 2)
                                       for d, w in self.workers.items()}
         self._over_half = 0
+        self._in_flight = 0
+        self._in_flight_cap = FRAMES_IN_FLIGHT_PER_DEVICE * len(self.workers)
         # device -> (time, token) of its one live _process wake-up
         self._wakes: dict[int, tuple[float, int]] = {}
         # Almost-full crossings signalled so far, and the last one that
@@ -531,16 +554,24 @@ class VirtualCluster(ClusterCore):
         self._schedule(t + latency, self._deliver, dst, msg)
 
     def _add_load(self, device: int, k: int) -> None:
-        """Add k data frames to the load of ``device`` and keep the count
-        of devices over half their inbox capacity."""
+        """Add k data frames to the load of ``device``, and keep the count
+        of devices over half their inbox capacity and the frames in
+        flight."""
         before = self._load[device]
         after = self._load[device] = before + k
         half = self._half[device]
         self._over_half += (after > half) - (before > half)
+        self._in_flight += k
 
     def begin_call(self) -> None:
+        """Also start the call's completions empty and each worker's queue
+        seconds at 0, and note each device's busy seconds, from which
+        ``run_stream`` takes the busy seconds accrued in the call."""
         super().begin_call()
         self.completions: list[tuple[float, int, dict]] = []
+        for w in self.workers.values():
+            w.queue_seconds = 0.0
+        self.busy_at_call = {d: w.busy_seconds for d, w in self.workers.items()}
 
     def _output(self, w: Worker, em, path: dict, t: float) -> None:
         super()._output(w, em, path, t)
@@ -605,8 +636,8 @@ class VirtualCluster(ClusterCore):
         wake-up would be the very next event, so it runs now instead of
         through the heap.  ``drain_until`` and ``feed_paced`` would step
         to it next too: the event that asks is due by their horizon, and
-        a delivery changes no device's load, which ``feed_paced`` steps
-        on.
+        a delivery changes neither a device's load nor the frames in
+        flight, on which ``feed_paced`` steps.
         """
         live = self._wakes.get(device)
         if live is not None and live[0] <= t:
@@ -646,7 +677,8 @@ class VirtualCluster(ClusterCore):
             if inbox.full:
                 self._stalled.setdefault(dst, set()).add(device)
                 return
-        msg, _arrival = w.inbox.take()
+        msg, arrival = w.inbox.take()
+        w.queue_seconds += t - arrival
         self._after_take(t, device)
         w.free_at = max(t, w.free_at)
         self._on_data(w, msg)
@@ -739,15 +771,20 @@ class VirtualCluster(ClusterCore):
 
     def feed_paced(self, value: np.ndarray) -> None:
         """Inject one raw camera frame once the source devices that take
-        its tag are free, then run events while any inbox, counting the
-        data in flight toward it, is more than half full (``_over_half``
-        counts those devices): below the almost-full watermark, where the
-        camera would be sampled."""
+        its tag are free, then run events until the pipeline can take the
+        next one: at most ``FRAMES_IN_FLIGHT_PER_DEVICE`` data frames per
+        device queued or in flight toward devices (``_in_flight``), and no
+        inbox, counting the data in flight toward it, more than half full
+        (``_over_half`` counts those devices), which keeps small inboxes
+        below the almost-full watermark, where the camera would be
+        sampled.  A closed loop with a constant number of frames in
+        flight: the bottleneck stays fed, and a frame waits in few queues
+        on its way to recognition."""
         targets = self._source_targets(self.kept_counter)
         start = max([self.vnow] + [self.workers[d].free_at for d in targets])
         self.feed_frame(value, t=start)
         self.drain_until(start)
-        while self._heap and self._over_half:
+        while self._heap and (self._over_half or self._in_flight > self._in_flight_cap):
             self._step()
 
     def _camera_arrival(self, t: float, value: np.ndarray) -> None:
@@ -801,7 +838,11 @@ def run_stream(cluster: VirtualCluster, frames: Iterable[np.ndarray], fps: float
         outputs=len(completions), setup_seconds=cluster.setup_seconds, drops=cluster.sample_drops,
         wall_seconds=max([cluster.vnow] + [w.free_at for w in cluster.workers.values()]),
         per_device_busy_seconds={d: w.busy_seconds for d, w in cluster.workers.items()},
+        per_device_queue_seconds={d: w.queue_seconds for d, w in cluster.workers.items()},
         kept_raw_indices=[i - base for i in cluster.kept_raw])
+    busiest = max(w.busy_seconds - cluster.busy_at_call[d] for d, w in cluster.workers.items())
+    if busiest > 0:
+        metrics.steady_ips = len(cluster.kept_raw) / busiest
     if completions:
         paths = [p for _t, _tag, p in completions]
         metrics.t_forward_seconds = sum(p["total"] for p in paths) / len(paths)

@@ -14,6 +14,7 @@ from edgeflock.costs import CommModel, DeviceProfile, comm_latency, energy
 from edgeflock.engine import (
     LayerParams,
     forward_fc,
+    freeze,
     pyramid_ranges,
     run_reference,
     temporal_pyramid,
@@ -162,7 +163,8 @@ def test_criterion_6_dense_shard_exactness():
         w = rng.uniform(-0.05, 0.05, (out, inp)).astype(np.float32)
         b = rng.uniform(-0.05, 0.05, out).astype(np.float32)
         x = rng.uniform(-1, 1, inp).astype(np.float32)
-        p = LayerParams(w=w, b=b)
+        # laid out once, as shared weights are, not again at every call
+        p = freeze(LayerParams(w=w, b=b))
         full = forward_fc(x, p)
         parts = np.concatenate([forward_fc(x, p, rows=r) for r in split_fc_rows(out, k)])
         diff = float(np.max(np.abs(parts - full))) if out else 0.0

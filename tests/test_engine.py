@@ -120,8 +120,9 @@ NEG_ZEROS = st.sampled_from([0.0, 0.5, 1.0])
 # zero_borders argument that leaves the input as it is
 NO_BORDERS = ((0, 0, 0, 0), (False,) * 4)
 # Filter counts that reach every tier of the compiled conv (32, 16 and 8
-# filters, and a zero-padded tail) alone and together.
-FILTERS = st.sampled_from([1, 3, 5, 8, 12, 16, 24, 33, 48, 59])
+# filters, and a zero-padded tail of 1 to 7 in a tile of 8 or of 9 to 15
+# in a tile of 16) alone and together.
+FILTERS = st.sampled_from([1, 3, 5, 8, 12, 16, 24, 29, 33, 48, 59])
 
 
 @st.composite
@@ -531,10 +532,10 @@ class TestConv:
     @example((7, 5, 2, 2, 4, 3, 2, "same", 5, 0.3, 0.5, ((2, 1, 1, 2), (True, False, False, True))))
     # stride-4 "valid" with an 11x11 kernel, the shape class of alexnet conv_1
     @example((15, 19, 3, 2, 11, 11, 4, "valid", 6, 0.3, 0.5, ((1, 2, 2, 1), (True, True, False, True))))
-    # ... with its 12 filters: 8 and a zero-padded tail of 4
+    # ... with its 12 filters: one tile of 16, 4 of them zero-padded
     @example((23, 27, 3, 12, 11, 11, 4, "valid", 7, 0.3, 0.5, ((1, 2, 2, 1), (True, True, False, True))))
     # 15 positions, not a multiple of the 8 a compiled tile sums at once,
-    # and 59 filters: 32, 16, 8 and a tail of 3
+    # and 59 filters: 32, 16 and a tail of 11 in a tile of 16
     @example((5, 3, 20, 59, 3, 3, 1, "same", 8, 0.3, 0.5, ((1, 0, 0, 1), (True, False, False, True))))
     @settings(max_examples=60, deadline=None)
     def test_matches_oracle_on_any_shape(self, case):
@@ -634,8 +635,8 @@ class TestKernelContract:
 
     def test_conv_rounds_each_product(self):
         # a 1x1 conv over two channels sums the same two products; 9x9
-        # positions and 59 filters (32, 16, 8 and a tail of 3) span full
-        # tiles and tails of both
+        # positions and 59 filters (32, 16 and a tail of 11 in a tile of
+        # 16) span full tiles and tails of both
         x = np.broadcast_to(np.array([-1, ONE_PLUS], np.float32), (9, 9, 2))
         w = np.broadcast_to(np.array([1, ONE_PLUS], np.float32), (59, 1, 1, 2))
         out = forward_conv(x, LayerParams(w=w.copy(), b=np.zeros(59, np.float32)))
@@ -703,8 +704,9 @@ class TestKernelContract:
 
 
 # Filter counts 32a + 16b + 8c + tail for every a, b, c in {0, 1} and a
-# tail of 0 or 5, which reach every sequence of the compiled conv's tiers,
-# and two 32-filter tiles with and without more after them.
+# tail of 0 or 5, which reach every sequence of the compiled conv's tiers
+# (8c + 5 = 13 runs as one tile of 16, and 16 + 8 + 5 = 29 as two), and
+# two 32-filter tiles with and without more after them.
 TIER_SEQUENCES = sorted({32 * a + 16 * b + 8 * c + t
                          for a, b, c, t in itertools.product((0, 1), (0, 1), (0, 1), (0, 5))} - {0})
 TIER_SEQUENCES += [64, 77]
@@ -712,8 +714,8 @@ TIER_SEQUENCES += [64, 77]
 
 class TestKernelSplits:
     """Every way the compiled kernels split their work, each case pinned
-    against the scalar oracles: conv filters into tiles of 32, 16 and 8
-    and a zero-padded tail, conv positions into groups of MAXP = 8 that
+    against the scalar oracles: conv filters into tiles of 32, 16 and 8,
+    a last 9 to 15 zero-padded to 16 and 1 to 7 to 8, conv positions into groups of MAXP = 8 that
     may run across rows and frames, fc rows into panels of FC_PANEL = 256
     and a panel's vectors into chunks of 16, 8, 4, 2 and 1."""
 
@@ -726,6 +728,27 @@ class TestKernelSplits:
         b = with_zeros(r, r.uniform(-0.05, 0.05, filters), 0.3, 0.5)
         got = forward_conv(x, LayerParams(w=w, b=b), stride=1, padding="same")
         assert got.tobytes() == conv_oracle(x, w, b, 1, "same").tobytes()
+
+    @pytest.mark.parametrize("filters", [*range(9, 16), *range(25, 32)])
+    def test_a_last_nine_to_fifteen_filters_with_special_inputs(self, filters):
+        """A last 9 to 15 filters run as one tile of 16, whose padded lanes
+        read zero weight columns: NaN, infinite and -0.0 inputs, which
+        make NaN in those lanes, leave every filter's bytes the oracle's.
+        Every NaN is the machine's default one, so no sum's NaN depends
+        on which operand of an addition a machine propagates."""
+        r = np.random.default_rng(filters)
+        x = with_zeros(r, r.uniform(-1, 1, (2, 3, 4, 3)), 0.2, 0.5)
+        specials = np.array([DEFAULT_NAN, np.inf, -np.inf, -0.0], np.float32)
+        hit = r.random(x.shape) < 0.05
+        x[hit] = r.choice(specials, x.shape)[hit]
+        w = with_zeros(r, r.uniform(-0.05, 0.05, (filters, 2, 2, 3)), 0.3, 0.5)
+        b = with_zeros(r, r.uniform(-0.05, 0.05, filters), 0.3, 0.5)
+        with np.errstate(invalid="ignore"):
+            want = [conv_oracle(frame, w, b, 1, "same").tobytes() for frame in x]
+        for p in (LayerParams(w=w, b=b), freeze(LayerParams(w=w.copy(), b=b.copy()))):
+            got = forward_conv(x, p, stride=1, padding="same")
+            assert [out.tobytes() for out in got] == want
+        assert np.isnan(got).any() and np.isfinite(got).any()
 
     @pytest.mark.parametrize("frames,oh,ow,stride", [
         (1, 1, 1, 1),   # a single position
@@ -1391,6 +1414,36 @@ class TestChains:
         shards = [ex for ex in executors if ex.part]
         assert len(shards) == 2
         assert all(interior(ex) == {"fc_d1"} and "act_d1" in ex.emit for ex in shards)
+
+    def test_relu_overwrites_only_arrays_its_chain_owns(self, monkeypatch):
+        """A relu writes over its input past a chain's head, and at the
+        head over the stacked input of several firings, never over the
+        input of a single firing, which is the array of another value.
+        The bits are those of a relu into a new array."""
+        b = ir._Builder(1)
+        b.add("x", ir.SOURCE, {"shape": [6]})
+        b.add("r1", ir.RELU, {}, ["x"])
+        b.add("r2", ir.RELU, {}, ["r1"])
+        b.add("o", ir.SINK, {}, ["r2"])
+        graph = b.graph(["x"], ["o"])
+        relu, in_place = engine.forward_relu, []
+
+        def spied_relu(x, out=None):
+            in_place.append(out is x)
+            return relu(x, out=out)
+
+        monkeypatch.setattr(engine, "forward_relu", spied_relu)
+        values = [np.array([-1.5, -0.0, 0.0, np.nan, 2.0, -np.inf], np.float32),
+                  np.array([np.inf, 3.0, -0.0, -2.0, 0.0, np.nan], np.float32)]
+        for firings in (1, 2):
+            ex = engine.TaskExecutor(graph)
+            held = [v.copy() for v in values[:firings]]
+            emitted = [e for tag in range(firings) for e in ex.push("x", tag, values[tag])]
+            ex.batch.flush()
+            assert [v.tobytes() for v in values[:firings]] == [v.tobytes() for v in held]
+            assert [np.asarray(e.value).tobytes() for e in emitted] == [
+                np.maximum(np.maximum(v, np.float32(0)), np.float32(0)).tobytes() for v in held]
+        assert in_place == [False, True, True, True]
 
     def test_a_value_inside_a_chain_is_never_pushed(self):
         ex = engine.TaskExecutor(self.graph)

@@ -649,6 +649,173 @@ class TestFeeding:
         assert all(after <= 2 * before for before, after in slow_downs)
 
 
+# A paced sweep under the admission rule before the bound on frames in
+# flight, when paced feeding only kept every inbox at most half full:
+# (model, scale, n) -> (RunMetrics.ips, median and largest latency, the
+# modeled wall, the clip's frames over the busiest device's busy seconds,
+# and the summed per_device_queue_seconds, which that rule gives with
+# FRAMES_IN_FLIGHT_PER_DEVICE infinite).  Latency runs from the feed of
+# the frame that closes an output's window to the output, as perfbench
+# measures it.  Graphs and clips take seed 1.
+ADMISSION_SWEEP = {
+    ("two_stream", 1 / 8, 1): (0.3591709197319112, 2.78418976888889, 2.7841897688888935,
+        116.68201194666672, 0.5484992839277855, 0.0),
+    ("two_stream", 1 / 8, 2): (2.155502759043526, 0.5842373688888909, 0.5842373688888927,
+        25.106509226666702, 2.561413823929913, 0.0),
+    ("two_stream", 1 / 8, 3): (8.511588698244413, 0.8589425288888868, 1.4007287955555583,
+        6.506149880000008, 12.319243841527863, 33.69952533333312),
+    ("two_stream", 1 / 8, 4): (8.511588698244418, 2.1948574533333325, 3.798586333333339,
+        6.01770185333334, 13.618541917191092, 93.2080728),
+    ("two_stream", 1 / 8, 5): (8.51158869824442, 3.0275324666666656, 4.5953378355555605,
+        5.689713346666672, 13.618541917191092, 198.6471828088889),
+    ("two_stream", 1 / 8, 6): (9.51416666853307, 2.687397666666663, 4.013120235555549,
+        5.10749574666666, 15.217426591134139, 189.01711880888877),
+    ("two_stream", 1 / 8, 7): (9.519283451015909, 2.6868856666666643, 4.049901346666664,
+        5.105857346666663, 15.217426591134132, 145.9144818311111),
+    ("two_stream", 1 / 8, 8): (18.36257416847737, 1.5509857333333348, 1.8897395555555547,
+        2.9841150666666656, 21.76305086634353, 115.72618208000003),
+    ("two_stream", 1 / 8, 9): (28.476744751166418, 1.2321039999999983, 1.2321039999999994,
+        2.288059999999999, 28.476744751166414, 76.14431552),
+    ("two_stream", 1 / 8, 10): (37.91677707325141, 1.0048698688888886, 1.5209368266666674,
+        1.5277208266666673, 43.52610173268704, 73.51728015999998),
+    ("two_stream", 1 / 8, 11): (58.69948339326849, 0.8392240466666663, 1.1715398933333327,
+        1.1783238933333327, 56.95348950233285, 60.29122197333332),
+    ("two_stream", 1 / 8, 12): (58.69948339326849, 0.8392240466666663, 1.1715398933333327,
+        1.1783238933333327, 56.95348950233285, 53.70489857777777),
+    ("two_stream", 1 / 32, 1): (0.4826951327790259, 2.0717010222222214, 2.0717010222222285,
+        82.5766865066667, 0.7750371528268218, 0.0),
+    ("two_stream", 1 / 32, 2): (20.194064058084276, 0.06013710222222213, 0.06013710222222224,
+        2.7075025066666627, 23.73108316257504, 0.0),
+    ("two_stream", 1 / 32, 3): (93.237813610566, 0.02996991555555556, 0.029969915555555615,
+        0.6272173466666665, 105.26788571556901, 0.0012799999999997258),
+    ("two_stream", 1 / 32, 4): (118.90040901740724, 0.20625585333333318, 0.30864260888888856,
+        0.499863773333333, 153.59284380222138, 7.314140959999987),
+    ("two_stream", 1 / 32, 5): (118.90040901740718, 0.27145782666666673, 0.3086426088888887,
+        0.46817438666666644, 153.59284380222138, 13.451676346666666),
+    ("two_stream", 1 / 32, 6): (118.90040901740711, 0.22499422666666685, 0.3328203866666665,
+        0.42171078666666656, 190.24065442785124, 14.450432693333333),
+    ("two_stream", 1 / 32, 7): (151.0927024239301, 0.19010246666666658, 0.26290886666666635,
+        0.3517992666666664, 241.51478070457927, 13.054403893333326),
+    ("two_stream", 1 / 32, 8): (151.31470564663374, 0.1901664666666666, 0.2627040666666663,
+        0.3515944666666663, 241.51478070457918, 10.840724319999993),
+    ("two_stream", 1 / 32, 9): (240.41161120656304, 0.13865810666666673, 0.1638206933333335,
+        0.2527110933333335, 307.18568760444316, 9.463212124444448),
+    ("two_stream", 1 / 32, 10): (240.41161120656304, 0.13865810666666673, 0.1638206933333335,
+        0.2527110933333335, 347.119372037915, 8.464901333333337),
+    ("two_stream", 1 / 32, 11): (347.1193720379155, 0.11349551999999993, 0.1134955200000001,
+        0.20238591999999983, 347.119372037915, 6.451894399999998),
+    ("two_stream", 1 / 32, 12): (374.98991406438, 0.11363341333333332, 0.1628311733333334,
+        0.1696151733333334, 460.77853140666474, 6.41229674666667),
+    ("alexnet", 1 / 8, 1): (0.9898259616726717, 1.0102786133333335, 1.010278613333334,
+        12.123343360000002, 0.9898259616726717, 0.0),
+    ("alexnet", 1 / 8, 2): (1.9796519233453442, 1.010278613333333, 1.0102786133333335,
+        6.061671679999999, 1.9796519233453438, 0.0),
+    ("alexnet", 1 / 8, 3): (4.627126411366096, 0.33338272, 0.3333827200000006,
+        2.710668106666667, 4.627126411366098, 0.25674720000000073),
+    ("alexnet", 1 / 8, 4): (8.745825326044372, 0.43769751999999984, 0.5105413866666662,
+        1.591125653333333, 8.74582532604437, 2.074260799999998),
+    ("alexnet", 1 / 8, 5): (9.392093610370878, 0.66954984, 0.9427750933333329,
+        1.591125653333333, 8.745825326044368, 6.952674879999998),
+    ("alexnet", 1 / 8, 6): (8.745825326044372, 0.7933437333333332, 1.1588919466666663,
+        1.591125653333333, 8.74582532604437, 9.23768672),
+    ("alexnet", 1 / 8, 7): (9.057445945162607, 0.8562855999999998, 1.158891946666666,
+        1.5911256533333327, 8.74582532604437, 10.380192639999997),
+    ("alexnet", 1 / 8, 8): (9.39209361037088, 0.9328730933333333, 1.3750087999999996,
+        1.591125653333333, 8.745825326044372, 11.21430816),
+    ("alexnet", 1 / 8, 9): (9.752418599812755, 0.9779896533333334, 1.3750088,
+        1.5911256533333333, 8.745825326044372, 11.595143466666672),
+    ("alexnet", 1 / 8, 10): (10.141494126046606, 1.0094605866666666, 1.3750087999999998,
+        1.5911256533333331, 8.74582532604437, 11.873181973333335),
+    ("alexnet", 1 / 8, 11): (10.56290420713433, 1.04093152, 1.3750087999999998,
+        1.5911256533333331, 8.745825326044368, 12.04842368),
+    ("alexnet", 1 / 8, 12): (11.02085439541063, 1.0724024533333334, 1.3750087999999996,
+        1.591125653333333, 8.745825326044368, 12.120868586666665),
+    ("vgg16", 1 / 8, 1): (0.0914158061741524, 10.939027306666663, 10.939027306666667,
+        86.49377301333331, 0.0924922074883561, 0.0),
+    ("vgg16", 1 / 8, 2): (0.10117087781767367, 9.900399306666664, 9.900399306666685,
+        78.07182501333334, 0.10249092271377894, 0.0),
+    ("vgg16", 1 / 8, 3): (0.13303119619154177, 7.736962666666666, 7.73696266666667,
+        60.35619936, 0.13303119619154177, 0.0),
+    ("vgg16", 1 / 8, 4): (0.32822717580692007, 7.836604693333331, 7.936246719999999,
+        30.487348159999993, 0.2660623923830836, 0.7971362133333324),
+    ("vgg16", 1 / 8, 5): (0.3370456990682281, 7.936246719999998, 8.13553077333333,
+        22.97031434666666, 0.3547498565107781, 1.3949883733333328),
+    ("vgg16", 1 / 8, 6): (0.6479774532875648, 8.035888746666664, 8.334814826666664,
+        15.851848639999995, 0.5321247847661672, 2.391408639999999),
+    ("vgg16", 1 / 8, 7): (0.665155980957709, 8.035888746666664, 8.534098879999997,
+        15.652564586666662, 0.5321247847661672, 2.5906926933333336),
+    ("vgg16", 1 / 8, 8): (0.6832701532554184, 8.035888746666664, 8.73338293333333,
+        15.453280533333329, 0.5321247847661672, 3.188544853333334),
+    ("vgg16", 1 / 8, 9): (0.7023985513222806, 8.235172799999997, 8.932666986666662,
+        15.253996479999996, 0.5321247847661672, 4.18496512),
+    ("vgg16", 1 / 8, 10): (5.017962969306671, 8.43445685333333, 9.131951039999995,
+        9.131951039999995, 1.0642495695323344, 5.579953493333332),
+    ("vgg16", 1 / 8, 11): (5.017962969306671, 8.43445685333333, 9.131951039999995,
+        9.131951039999995, 1.0642495695323344, 5.579953493333332),
+    ("vgg16", 1 / 8, 12): (5.017962969306671, 8.43445685333333, 9.131951039999995,
+        9.131951039999995, 1.0642495695323344, 5.579953493333332),
+}
+ADMISSION_FRAMES = {"two_stream": 64, "alexnet": 12, "vgg16": 8}
+
+
+class TestAdmission:
+    """Paced feeding keeps at most FRAMES_IN_FLIGHT_PER_DEVICE data frames
+    per device in flight: the same outputs and rate as feeding until an
+    inbox passes half full, in less time per frame."""
+
+    @pytest.mark.parametrize("model,scale", sorted({k[:2] for k in ADMISSION_SWEEP}))
+    def test_bound_keeps_the_rate_and_cuts_latency(self, model, scale):
+        graph = build_model(model, scale, seed=1)
+        aset = task_assign(graph, 12, CommModel(), DeviceProfile().scaled_mem(scale))
+        clip = make_clip(graph, ADMISSION_FRAMES[model], 1)
+        ref = run_reference(graph, {graph.inputs[0]: clip})[graph.outputs[0]]
+        for n in range(1, 13):
+            ips, p50, longest, wall, steady, queue = ADMISSION_SWEEP[(model, scale, n)]
+            cluster = start_cluster(aset, n)
+            feeds, feed_frame, feed_paced = [], cluster.feed_frame, cluster.feed_paced
+
+            def record(value, t=None, feed_frame=feed_frame, cluster=cluster, feeds=feeds):
+                feeds.append(cluster.vnow if t is None else t)
+                feed_frame(value, t)
+
+            def bounded(value, feed_paced=feed_paced, cluster=cluster):
+                feed_paced(value)
+                cap = runtime.FRAMES_IN_FLIGHT_PER_DEVICE * len(cluster.workers)
+                assert not cluster._heap or (cluster._in_flight <= cap
+                                             and not cluster._over_half), n
+
+            cluster.feed_frame, cluster.feed_paced = record, bounded
+            outs, metrics = run_stream(cluster, clip)
+            assert_exact(outs, ref)
+            assert metrics.drops == 0
+            latencies = sorted(t - feeds[tag] for t, tag, _path in cluster.completions)
+            assert metrics.wall_seconds <= wall * (1 + 1e-12), n
+            assert metrics.ips >= ips * 0.999, n
+            assert np.median(latencies) <= p50 and latencies[-1] <= longest, n
+            assert metrics.steady_ips == pytest.approx(steady, rel=1e-12), n
+            queued = sum(metrics.per_device_queue_seconds.values())
+            assert queued <= queue * (1 + 1e-12), n
+            if (model, scale, n) == ("two_stream", 1 / 8, 4):
+                assert queued < queue
+
+    def test_steady_rate_and_queue_seconds_are_per_call(self, ts):
+        """A second call reports its own admitted frames over the busy
+        seconds accrued in it, and only its own queue seconds: none for
+        a call of no frames."""
+        graph, aset, frames, _ = ts
+        cluster = start_cluster(aset, 4)
+        _, first = run_stream(cluster, frames)
+        busy = dict(first.per_device_busy_seconds)
+        assert first.steady_ips == len(frames) / max(busy.values())
+        assert sum(first.per_device_queue_seconds.values()) > 0
+        _, second = run_stream(cluster, frames[:10])
+        accrued = max(b - busy[d] for d, b in second.per_device_busy_seconds.items())
+        assert second.steady_ips == 10 / accrued
+        _, empty = run_stream(cluster, frames[:0])
+        assert empty.steady_ips == 0.0
+        assert empty.per_device_queue_seconds == {d: 0.0 for d in cluster.workers}
+
+
 # sha256 of a recorder rotation's modeled plane: outputs, completion
 # times and paths, each worker's task, role version, clock, busy
 # seconds, reload count and tag cursor (the stream's on the recorder,
@@ -658,13 +825,13 @@ class TestFeeding:
 # device and "identity" names the current recorder.
 GOLDEN_ROTATIONS = {
     ("two_stream", 5, "swap"):
-        "d8a75fb7f0eb4de92f6e286c1c76a133b3efd7f2dc2d8c83fecce3b711277884",
+        "022cbfb883154507712f3d8ed81b2c6c6b37c6fbebd36dd1bc5c32ee46891e7c",
     ("two_stream", 5, "identity"):
-        "96f283f9fb300b8e9a8e0c50847d01a7b359bc29a1c5b43c93356bb63e09d8d0",
+        "c41e71b52b36e21357c82b993bcf47ea6b46d8def7d10f86bc5f4ec8930ef52f",
     ("two_stream", 8, "swap"):
-        "9ef4aef75921d262443f190c3d96c78cd1ce7ea72ed024698e1b6054b33ed062",
+        "58cff43f25ef8f107efacf6e18fc9377ccb8ff81dbb82c18b9a844cd11c01150",
     ("two_stream", 12, "swap"):
-        "fe6a2d0322b0d2cdb5b0078bf8ab05dc96975200bdd11032bd941d5ee19f3cee",
+        "543efe8da76dec9a5bcd3a961c84e933852e08084758d52afd6d63036b6e4711",
     ("alexnet", 4, "swap"):
         "768b67262b53513b535750e88ed818a640a109a14b5c2b5c4d3ce714de70847f",
 }
@@ -707,7 +874,7 @@ def rotation_digest(cluster, produced, completions=None) -> str:
 # replicates its source task.
 GOLDEN_PACED = {
     ("two_stream", 10):
-        "71f437a33a268ee11ee219e62a688e901fd7ce67e04f23353f7e1ed30d968c86",
+        "792426eac653fecb2b4873d99c5d7edc30d27a36fc92ae0e863e344f832529c4",
     ("alexnet", 3):
         "07746238181155d29dbbb3e0135c718180ad25c2b77e0246fbb14c49daaf167e",
     ("alexnet", 4):
