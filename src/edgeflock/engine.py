@@ -52,9 +52,11 @@ emits them; ``push_part`` parks the shards of such a value per tag and
 pushes their assembly once they hold all of its rows.
 An executor computes the flow field of each consecutive frame pair once
 and reuses it in every flow stack window holding that pair, as
-``flow_diff_stub`` is a pure function of its two frames.  Generated
-parameters are shared read-only by every executor of a graph
-(``shared_params``).
+``flow_diff_stub`` is a pure function of its two frames.  An executor
+holds all of its task's stream state: window items, flow fields, concat
+inputs and parked row shards (``held_bytes``), so a role rotation moves
+it with its task.  Generated parameters are shared read-only by every
+executor of a graph (``shared_params``).
 
 Pushing an item only schedules the math.  An executor fires each *chain*
 of its layers once per tag: a maximal run of owned conv, relu, norm,
@@ -708,14 +710,6 @@ class Emission:
     value: Any
 
 
-@dataclass
-class SkipNotice:
-    """Declares that a layer's outputs below next_tag will never arrive."""
-
-    layer: str
-    next_tag: int
-
-
 # Kinds that form chains; see TaskExecutor.
 _CHAIN_KINDS = {ir.CONV, ir.RELU, ir.NORM, ir.MAXPOOL, ir.FC, ir.SOFTMAX}
 
@@ -804,7 +798,6 @@ class TaskExecutor:
         # Windows for flowstack/pyramid; join buffers for concat.
         self._windows: dict[str, SlidingWindow] = {}
         self._joins: dict[str, dict[int, dict[int, Any]]] = {}
-        self._skip: dict[str, int] = {}
         # (layer, tag) -> {part index: row shard} until all rows arrived
         self._parts: dict[tuple[str, int], dict[int, Any]] = {}
         # flowstack layer -> {tag of a pair's later frame: that pair's field}
@@ -833,7 +826,6 @@ class TaskExecutor:
         self._jumps = {head: (tuple(m for m, _shape in chain[1:]), chain[-1][0])
                        for head, chain in self._chains.items() if len(chain) > 1}
         self.fired_log: list[str] = []
-        self.pending_notices: list[SkipNotice] = []
 
     def params(self, name: str) -> LayerParams:
         return shared_params(self.graph, name)
@@ -958,6 +950,11 @@ class TaskExecutor:
                 window = iter([fields[t] for t in range(p.tag - window_len + 1, p.tag + 1)])
                 values.append(flow_stack([value_of(v) for v in p.args], window_len,
                                          lambda _prev, _cur, window=window: next(window)))
+            # A later window ends after this group's last, so it reads no
+            # pair at or before that window's first.
+            last = firings[-1].tag - window_len + 1
+            for t in [t for t in fields if t <= last]:
+                del fields[t]
         for p, v in zip(firings, values):
             if v.shape != p.shape:
                 raise EngineError(f"layer {name!r} at tag {p.tag}: computed shape {v.shape}, "
@@ -1013,14 +1010,12 @@ class TaskExecutor:
 
         Windows hold consecutive tags, and a tag's frame never changes
         once it sits in a window, so a pair's field is reused by every
-        overlapping window.  Fields of pairs before the group's first
-        window are dropped.  A flush computes an executor's windows in the
-        order they fired, so this holds across flushes.
+        overlapping window.  A flush computes an executor's windows in
+        the order they fired, so this holds across flushes, and once a
+        group is computed ``_compute`` keeps only the fields of pairs that
+        a later window reads.
         """
         fields = self._flows[name]
-        first = firings[0].tag - window_len
-        for t in [t for t in fields if t <= first]:
-            del fields[t]
         new: dict[int, tuple] = {}
         for p in firings:
             for i, t in enumerate(range(p.tag - window_len + 1, p.tag + 1)):
@@ -1042,21 +1037,18 @@ class TaskExecutor:
         externally produced value (an array or a ``Pending``): it feeds
         owned consumers but is never re-emitted.
 
-        Side channels read by callers after each push: ``fired_log``
-        lists owned layers that fired, once per tag, and
-        ``pending_notices`` collects skip notices raised by window
-        resyncs.  Layers are visited breadth first, item by item, each
-        feeding its owned consumers as the table ``_walk`` says.  A chain
-        member past the head is visited with the chain's output, and only
-        logged; a chain's head visited with nothing else queued logs its
-        other members and hands on to its tail in one step, as the
-        breadth-first walk would visit them one after another.  A value
-        computed inside one of this executor's chains is never pushed to
-        it (``EngineError``).
+        Side channel read by callers after each push: ``fired_log``
+        lists owned layers that fired, once per tag.  Layers are visited
+        breadth first, item by item, each feeding its owned consumers as
+        the table ``_walk`` says.  A chain member past the head is visited
+        with the chain's output, and only logged; a chain's head visited
+        with nothing else queued logs its other members and hands on to
+        its tail in one step, as the breadth-first walk would visit them
+        one after another.  A value computed inside one of this
+        executor's chains is never pushed to it (``EngineError``).
         """
         out: list[Emission] = []
         self.fired_log = fired = []
-        self.pending_notices = []
         tag = int(tag)
         queue: deque = deque()
         if origin in self._sources:
@@ -1085,13 +1077,12 @@ class TaskExecutor:
 
         Parts park until their sizes add up to the layer's size; then
         their assembly (``join_rows``, in index order) is pushed.  A part
-        that completes nothing returns [] and leaves ``fired_log`` and
-        ``pending_notices`` empty.
+        that completes nothing returns [] and leaves ``fired_log`` empty.
         """
         parts = self._parts.setdefault((layer, tag), {})
         parts[index] = value
         if sum(p.size for p in parts.values()) < self.graph.shapes[layer].size:
-            self.fired_log, self.pending_notices = [], []
+            self.fired_log = []
             return []
         del self._parts[(layer, tag)]
         joined = self.join_rows(layer, tag, [parts[i] for i in sorted(parts)])
@@ -1111,14 +1102,7 @@ class TaskExecutor:
                 queue.append((consumer, tag, self._fire(arg, tag, value)))
             elif how is _WINDOW:
                 win, plan = arg
-                pre = win.resync_on_next
-                ready = win.push(tag, value)
-                if pre and not win.resync_on_next and win.last_resync == tag:
-                    # Buffer was lost in a handoff; declare the resulting
-                    # output gap so downstream windows advance too.
-                    self.pending_notices.extend(
-                        self._skip_from(consumer, win.last_resync + win.length - 1))
-                for end, items in ready:
+                for end, items in win.push(tag, value):
                     fired.append(consumer)
                     queue.append((consumer, end, self._fire(plan, end, items)))
             else:
@@ -1136,49 +1120,15 @@ class TaskExecutor:
                 fired.append(consumer)
                 queue.append((consumer, tag, self._fire(plan, tag, [pend[i] for i in range(n_inputs)])))
 
-    def skip(self, origin: str, next_tag: int) -> list[SkipNotice]:
-        """Propagate a declared tag gap; returns boundary skip notices.
-
-        Windowed consumers advance past the gap and resume once a full
-        run of post-gap tags accumulates, so their first valid output
-        tag shifts by window - 1.  Parked row shards of ``origin`` below
-        ``next_tag`` are dropped.
-        """
-        for key in [k for k in self._parts if k[0] == origin and k[1] < next_tag]:
-            del self._parts[key]
-        return self._traverse_skip([(origin, int(next_tag), origin in self._sources)])
-
-    def _skip_from(self, layer: str, next_tag: int) -> list[SkipNotice]:
-        """Declare a gap starting at an owned layer's own output."""
-        return self._traverse_skip([(layer, int(next_tag), True)])
-
-    def _traverse_skip(self, queue: list[tuple[str, int, bool]]) -> list[SkipNotice]:
-        notices: list[SkipNotice] = []
-        while queue:
-            layer, nxt, is_local = queue.pop(0)
-            if is_local:
-                if self._skip.get(layer, -1) >= nxt:
-                    continue
-                self._skip[layer] = nxt
-                if layer in self.emit:
-                    notices.append(SkipNotice(layer, nxt))
-            if not (is_local and layer == self._terminal):
-                for consumer in self.consumers.get(layer, ()):
-                    spec = self.graph.layer(consumer)
-                    out_next = nxt + (spec.window - 1)
-                    if consumer in self._windows:
-                        self._windows[consumer].skip_below(nxt)
-                    if consumer in self._joins:
-                        for t in [t for t in self._joins[consumer] if t < out_next]:
-                            del self._joins[consumer][t]
-                    queue.append((consumer, out_next, True))
-        return notices
-
-    def mark_handoff(self) -> None:
-        """Flag all windows to realign on their next arrival (task moved
-        between devices and buffered items were lost)."""
-        for win in self._windows.values():
-            win.resync_on_next = True
+    def held_bytes(self) -> int:
+        """Bytes of the state the executor holds between pushes: its
+        window items, flow fields, concat inputs and parked row shards,
+        each counted where it is held, at 4 bytes a value."""
+        held = [v for win in self._windows.values() for v in win.pending.values()]
+        held += [f for fields in self._flows.values() for f in fields.values()]
+        held += [v for joins in self._joins.values() for pend in joins.values() for v in pend.values()]
+        held += [v for parts in self._parts.values() for v in parts.values()]
+        return 4 * sum(v.size for v in held)
 
 
 def run_reference(graph: ir.ModelGraph,

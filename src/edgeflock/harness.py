@@ -41,12 +41,13 @@ def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
 
 
 def load_model(spec: str, scale: float, seed: int) -> ir.ModelGraph:
-    """Model by stock name or path to a model JSON file."""
+    """Model by stock name or path to a model JSON file; either way the
+    weights take ``seed``, 0 too, as the clip of the same seed does."""
     if spec in ir.MODEL_NAMES:
         return ir.build_model(spec, scale, seed)
     path = Path(spec)
     graph = ir.ModelGraph.from_json(path.read_text())
-    graph.seed = seed if seed else graph.seed
+    graph.seed = seed
     return ir.validate_graph(graph)
 
 

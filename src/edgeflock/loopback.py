@@ -156,9 +156,10 @@ class LoopbackCluster(ClusterCore):
 
     def _consume(self, w: Worker, msg: Message):
         """Consume a message and compute what it fired: the wire needs
-        bytes.  Each worker has its own batch, flushed on its own thread."""
+        bytes.  Each worker's executor has its own batch, flushed on the
+        worker's own thread."""
         consumed = w.consume_data(msg)
-        w.batch.flush()
+        w.executor.batch.flush()
         return consumed
 
     def _send(self, src: int, msg: Message, dst: int, t: float) -> None:
@@ -166,8 +167,8 @@ class LoopbackCluster(ClusterCore):
 
     def handle(self, w: Worker, msg: Message) -> None:
         """Handle one data frame on a node's processor thread.  Any other
-        kind, SKIP too (no window is handed off without ``reassign``),
-        raises ``RuntimeFault``: dropped, it would look like a finished run."""
+        kind raises ``RuntimeFault``: dropped, it would look like a
+        finished run."""
         if msg.kind != Kind.DATA:
             raise RuntimeFault(f"device {w.device} has no handler for {msg.kind.name} frames")
         self._on_data(w, msg)

@@ -17,11 +17,10 @@ firings at once when it reaches its caps (``engine.RUN_TAGS``,
 runs the same workers over real TCP frames; each of its workers flushes
 its own batch after every message, since the wire needs bytes.  Both
 transports share ``ClusterCore``: the plan index (routes, predecessors,
-source devices), the camera stream, the handling of data and skip
-frames (emission routing, skip notices) and the outputs; a transport
-only moves frames.  A row shard's terminal travels as wire parts
-``layer#pN``, which the consuming worker's executor assembles
-(``TaskExecutor.push_part``).  A worker prices its task with
+source devices), the camera stream, the handling of data frames
+(emission routing) and the outputs; a transport only moves frames.  A
+row shard's terminal travels as wire parts ``layer#pN``, which the
+consuming worker's executor assembles (``TaskExecutor.push_part``).  A worker prices its task with
 ``costs.price_task``, as the planner does.
 
 On both transports the core holds the camera stream's tag cursor and
@@ -49,8 +48,10 @@ Dynamic behavior follows the planned assignment set.  The recorder is
 the source device in replica slot 0.  When the recording viewpoint
 moves, the master swaps the recorder's task with the target device's
 and commits the new binding in one step: only devices whose task
-changed adopt it and reload weights, the plan is re-indexed, and the
-master's role version goes up by one.
+changed adopt it and reload weights, each with the task's executor and
+so its window state, the plan is re-indexed, and the master's role
+version goes up by one.  Tags stay gap-free from the camera on, so a
+rotation loses no output.
 Nearly full inboxes signal their upstream devices: one crossing of the
 watermark halves the camera's raw sampling rate once for a cooldown
 period, however many source replicas it signals (frames are dropped
@@ -153,9 +154,6 @@ class Worker:
         self.graph = graph
         self.profile = profile
         self.inbox = BoundedInbox(capacity=inbox_capacity)
-        # Where the executor records its firings; every task this worker
-        # adopts records into the same batch.
-        self.batch = batch if batch is not None else Batch()
         self.free_at = 0.0
         self.busy_seconds = 0.0
         # seconds the items taken in the current call waited in the inbox
@@ -165,21 +163,22 @@ class Worker:
         self.path_state: dict[int, dict] = {}
         # wire name -> parse_wire_name(wire name), filled as names arrive
         self._wire_names: dict[str, tuple[str, Optional[int]]] = {}
-        self.adopt(task, handoff=False)
+        split = task.split
+        part = (split.origin, split.rows[0], split.rows[1]) if split else None
+        self.adopt(task, TaskExecutor(graph, owned=task.layers, part=part, batch=batch))
 
     # -- task binding ------------------------------------------------------
 
-    def adopt(self, task: Task, handoff: bool = True) -> None:
+    def adopt(self, task: Task, executor: TaskExecutor) -> None:
+        """Bind ``task`` and ``executor``, which runs it and holds its
+        stream state: a new one at start, the task's own after a
+        rotation."""
         self.task = task
         # the source layer this task owns, if any
         self.source = next((n for n in task.layers if self.graph.layer(n).kind == ir.SOURCE), None)
-        split = task.split
-        part = (split.origin, split.rows[0], split.rows[1]) if split else None
-        self.executor = TaskExecutor(self.graph, owned=task.layers, part=part, batch=self.batch)
-        if handoff:
-            self.executor.mark_handoff()
+        self.executor = executor
         self.price = costs.price_task(self.graph, task.resident_groups or (task.layers,),
-                                      self.profile, part)
+                                      self.profile, executor.part)
         self.group_of = {n: gi for gi, group in enumerate(self.price.groups) for n in group}
         # per-item seconds of each layer, its group's swap slowdown included
         self.layer_seconds = {n: self.price.layer_seconds[n] * self.price.swap[gi]
@@ -238,9 +237,9 @@ class Worker:
     # -- stream consumption -------------------------------------------------
 
     def consume_data(self, msg: Message):
-        """Feed one data frame and charge it: (emissions, notices, the
-        item's new path).  The path so far is the longest that a data
-        frame of its tag brought to this worker.
+        """Feed one data frame and charge it: (emissions, the item's new
+        path).  The path so far is the longest that a data frame of its
+        tag brought to this worker.
 
         A row shard (wire name ``layer#pN``) goes to the executor's
         ``push_part``; a shard of a value the executor does not consume
@@ -266,8 +265,8 @@ class Worker:
             emissions = self.executor.push_part(layer, tag, part_index, msg.tensor)
         else:
             raise RuntimeFault(f"device {self.device}: unexpected shard for {layer!r}")
-        return emissions, self.executor.pending_notices, self._charge(
-            self.executor.fired_log, self.path_state.get(tag, _ZERO_PATH))
+        return emissions, self._charge(self.executor.fired_log,
+                                       self.path_state.get(tag, _ZERO_PATH))
 
 
 def _replica_slot(task: Task) -> tuple[int, int]:
@@ -294,10 +293,10 @@ class ClusterCore:
     ``outputs``; other emissions to each consumer whose replica slot
     takes the tag, a row shard's terminal as its wire part ``layer#pN``,
     which the shard first feeds back to ``_on_data`` when its own
-    executor reads the value; and skip notices to every consumer of the
-    skipped value.  The worker charges each data frame it consumes
-    (``Worker.consume_data``): the modeled compute and reload seconds go
-    to its busy time, its clock ``free_at`` and the item's path.
+    executor reads the value.  The worker charges each data frame it
+    consumes (``Worker.consume_data``): the modeled compute and reload
+    seconds go to its busy time, its clock ``free_at`` and the item's
+    path.
 
     A transport subclass moves the messages, ``_send(src, msg, dst, t)``
     where ``t`` is the sender's clock.  Every worker records its firings
@@ -422,7 +421,7 @@ class ClusterCore:
         self.outputs[em.layer][em.tag] = em.value
 
     def _consume(self, w: Worker, msg: Message):
-        """``w.consume_data(msg)``: (emissions, notices, the item's path)."""
+        """``w.consume_data(msg)``: (emissions, the item's path)."""
         return w.consume_data(msg)
 
     def _on_data(self, w: Worker, msg: Message) -> dict:
@@ -430,7 +429,7 @@ class ClusterCore:
         returns the item's path after the last charge on ``w``."""
         return self._dispatch(w, *self._consume(w, msg))
 
-    def _dispatch(self, w: Worker, emissions, notices, path: dict) -> dict:
+    def _dispatch(self, w: Worker, emissions, path: dict) -> dict:
         """Route what one consumption on ``w`` yielded; returns the path.
         A shard consumes its own part first: later frames carry its path."""
         split = w.task.split
@@ -450,18 +449,7 @@ class ClusterCore:
                     msg = Message(kind=_DATA, tag=em.tag, layer=name,
                                   tensor=em.value, meta={"path": path})
                     self._send(w.device, msg, dst, w.free_at)
-        if notices:
-            self._notices(w, notices, w.free_at)
         return path
-
-    def _on_skip(self, w: Worker, msg: Message, t: float) -> None:
-        self._notices(w, w.executor.skip(msg.layer, int(msg.body["next_tag"])), t)
-
-    def _notices(self, w: Worker, notices, t: float) -> None:
-        for no in notices:
-            for dst, _i, _c in self._routes[w.device].get(no.layer, ()):
-                msg = Message(kind=Kind.SKIP, layer=no.layer, body={"next_tag": no.next_tag})
-                self._send(w.device, msg, dst, t)
 
 
 class VirtualCluster(ClusterCore):
@@ -578,22 +566,20 @@ class VirtualCluster(ClusterCore):
         self.completions.append((t, em.tag, path))
 
     def _deliver(self, t: float, dst: int, msg: Message) -> None:
-        """A message sent by ``_send`` arrives at ``dst``."""
+        """A message sent by ``_send`` arrives at ``dst``: a data frame or
+        an almost-full notice."""
         if msg.kind == _DATA:
             self._offer(t, dst, msg, delivered=True)
             return
         w = self.workers[dst]
-        if msg.kind == Kind.ALMOST_FULL:
-            if w.owns_source:
-                # Every source replica upstream hears of the crossing; the
-                # camera's sampling rate halves once for it.
-                if msg.meta["crossing"] != self._slowed_crossing:
-                    self._slowed_crossing = msg.meta["crossing"]
-                    self._slow_down(t)
-            else:
-                w.throttled_until = max(w.throttled_until, t + THROTTLE_SECONDS)
-        elif msg.kind == Kind.SKIP:
-            self._on_skip(w, msg, t)
+        if w.owns_source:
+            # Every source replica upstream hears of the crossing; the
+            # camera's sampling rate halves once for it.
+            if msg.meta["crossing"] != self._slowed_crossing:
+                self._slowed_crossing = msg.meta["crossing"]
+                self._slow_down(t)
+        else:
+            w.throttled_until = max(w.throttled_until, t + THROTTLE_SECONDS)
 
     def _offer(self, t: float, dst: int, msg: Message, delivered: bool = False) -> None:
         """Queue a data frame in the inbox of ``dst`` and schedule it.
@@ -735,22 +721,32 @@ class VirtualCluster(ClusterCore):
         """Bind every device to ``tasks[device]``; returns the new version.
 
         At ``vnow``, in ascending device order, a device whose task
-        changed adopts it and pays its load.  Every other device keeps
-        its task and state.  The edges follow their tasks, the plan is
-        re-indexed and the version goes up by one.  The camera stream's
-        cursor and sampler live in the core, so the new recorder tags on
-        where the old one stopped.
+        changed adopts it with the executor that ran it, and so with its
+        windows, flow fields, concat inputs and row shards: the cluster
+        has drained, so nothing of the task is in flight, and no tag is
+        lost.  The adopter's clock first waits one link latency of the
+        bytes that executor holds (``TaskExecutor.held_bytes``; nothing
+        when it holds none), then pays the task's load; its busy seconds
+        take only the load.  Every other device keeps its task and
+        executor.  The edges follow their tasks, the plan is re-indexed
+        and the version goes up by one.  The camera stream's cursor and
+        sampler live in the core, so the new recorder tags on where the
+        old one stopped.
         """
         old = self.assignment
         rebound = {d: replace(t, device=d) for d, t in tasks.items()}
+        executors = {w.task.task_id: w.executor for w in self.workers.values()}
         self.last_reassign_reloads = 0
         for d in sorted(self.workers):
             w = self.workers[d]
             if rebound[d].task_id == w.task.task_id:
                 continue
-            w.adopt(rebound[d], handoff=True)
+            executor = executors[rebound[d].task_id]
+            held = executor.held_bytes()
+            w.adopt(rebound[d], executor)
             load = w.setup_load_seconds()
-            w.free_at = max(w.free_at, self.vnow) + load
+            move = comm_latency(held, self.comm) if held else 0.0
+            w.free_at = max(w.free_at, self.vnow) + move + load
             w.busy_seconds += load
             self.last_reassign_reloads += 1
         device_of = {t.task_id: d for d, t in rebound.items()}

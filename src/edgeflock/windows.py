@@ -23,21 +23,13 @@ class SlidingWindow:
     length) is emitted (tagged by its newest item) once every member tag
     is present.  A push tests the window's last tag first, and only then
     gathers the window's items, in one pass that stops at the first tag
-    missing.  Items older than the current window are counted and
-    dropped; duplicate tags are an error.  ``skip_below`` declares that
-    tags below a bound will never arrive, letting the window advance
-    past a gap.
+    missing.  Tags arrive gap-free, each once, so a tag below
+    ``next_tag`` or already pending is a duplicate: ``WindowError``.
     """
 
     length: int
     next_tag: int = 0
     pending: dict[int, Any] = field(default_factory=dict)
-    late_drops: int = 0
-    skipped: int = 0
-    # Set after a task handoff: the buffer was lost, so realign to the
-    # next arriving tag instead of stalling on tags already consumed.
-    resync_on_next: bool = False
-    last_resync: int = -1
 
     def __post_init__(self):
         if self.length < 1:
@@ -46,15 +38,7 @@ class SlidingWindow:
     def push(self, tag: int, item) -> list[tuple[int, list]]:
         """Add one item; return ready windows as (end_tag, items) pairs."""
         tag = int(tag)
-        if self.resync_on_next:
-            self.resync_on_next = False
-            if tag > self.next_tag:
-                self.next_tag = tag
-                self.last_resync = tag
-        if tag < self.next_tag:
-            self.late_drops += 1
-            return []
-        if tag in self.pending:
+        if tag < self.next_tag or tag in self.pending:
             raise WindowError(f"duplicate tag {tag}")
         pending = self.pending
         pending[tag] = item
@@ -72,15 +56,6 @@ class SlidingWindow:
             self.next_tag += 1
             last += 1
         return emitted
-
-    def skip_below(self, tag: int) -> None:
-        """Declare tags below ``tag`` permanently absent; advance past the gap."""
-        if tag <= self.next_tag:
-            return
-        for t in [t for t in self.pending if t < tag]:
-            del self.pending[t]
-            self.skipped += 1
-        self.next_tag = tag
 
 
 @dataclass

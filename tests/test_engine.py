@@ -1070,22 +1070,21 @@ class TestFlowCache:
         for end, value in stacks.items():
             assert value.tobytes() == flow_stack(list(self.frames[end - 10:end + 1]), 10).tobytes()
 
-    @pytest.mark.parametrize("gap", ["handoff", "skip"])
-    def test_no_field_survives_a_gap(self, gap, monkeypatch):
+    def test_holds_only_what_a_later_window_reads(self, monkeypatch):
+        """After a flush the executor holds the frames and the pair fields
+        that the next window reads, and nothing older; the next window
+        computes only its new pair."""
         counting = count_flows(monkeypatch)
         ex = flow_executor()
         before = push_flows(ex, self.frames, range(15))
         assert len(before) == 5 and len(counting.pairs) == 14
-        if gap == "handoff":
-            ex.mark_handoff()
-        else:
-            ex.skip("camera", 20)
+        assert sorted(ex._windows["flow"].pending) == list(range(5, 15))
+        assert sorted(ex._flows["flow"]) == list(range(6, 15))
+        assert ex.held_bytes() == 4 * (10 * self.frames[0].size + 9 * 16 * 12 * 2)
         counting.pairs.clear()
-        after = push_flows(ex, self.frames, range(20, 36))
-        # windows restart at tag 20: every pair after the gap is computed
-        # once, and none from before it is reused
-        assert sorted(after) == list(range(30, 36))
-        assert len(counting.pairs) == 15
+        after = push_flows(ex, self.frames, range(15, 20))
+        assert sorted(after) == list(range(15, 20))
+        assert len(counting.pairs) == 5
         for end, value in after.items():
             assert value.tobytes() == flow_stack(list(self.frames[end - 10:end + 1]), 10).tobytes()
 
@@ -1095,10 +1094,9 @@ class TestFlowGroups:
            st.lists(st.integers(1, 20), min_size=1, max_size=6), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_grouped_fields_equal_each_pair_alone(self, shape, window_len, run_lengths, seed):
-        """Colour and grey frames with signed zeros and NaNs, pushed across
-        a declared gap and a handoff and flushed at any points: each flow
-        stack holds the bytes of ``flow_diff_stub`` on each of its pairs
-        alone."""
+        """Colour and grey frames with signed zeros and NaNs, flushed at
+        any points: each flow stack holds the bytes of ``flow_diff_stub``
+        on each of its pairs alone."""
         b = ir._Builder(seed % 1000)
         b.add("camera", ir.SOURCE, {"shape": list(shape)})
         b.add("flow", ir.FLOWSTACK, {"window_len": window_len}, ["camera"])
@@ -1108,11 +1106,8 @@ class TestFlowGroups:
         pool = np.array([0.0, -0.0, np.nan, -np.nan, 1.0], np.float32)
         frames = np.where(r.random((60, *shape)) < 0.4, r.choice(pool, (60, *shape)),
                           r.uniform(-1, 1, (60, *shape))).astype(np.float32)
-        script = [("push", 0, frames[:20]), ("skip", 26), ("push", 26, frames[26:40]),
-                  ("handoff",), ("push", 43, frames[43:60])]
-        emitted, _fired, _notices = replay(engine.TaskExecutor(graph), script, run_lengths)
-        ends = [tag for layer, tag, *_ in emitted if layer == "out"]
-        assert ends and max(ends) == 59 and any(t < 20 for t in ends)
+        emitted, _fired = replay(engine.TaskExecutor(graph), frames, run_lengths)
+        assert [tag for layer, tag, *_ in emitted if layer == "out"] == list(range(window_len, 60))
         for layer, tag, dtype, got_shape, data in emitted:
             window = list(frames[tag - window_len:tag + 1])
             fields = [flow_diff_stub(window[t], window[t + 1]) for t in range(window_len)]
@@ -1182,38 +1177,29 @@ class TestReference:
             assert np.array_equal(held, generated.w) and np.array_equal(p.b, generated.b), name
 
 
-def replay(ex, script, run_lengths):
-    """Drive ``ex`` through ``script`` and collect what it reports.
+def replay(ex, frames, run_lengths):
+    """Push ``frames`` into ``ex`` at tags 0, 1, ... and collect what it
+    reports.
 
-    ``script`` holds ("push", first tag, frames), ("skip", next tag) and
-    ("handoff",) steps.  The pushes go in runs whose lengths cycle
-    through ``run_lengths``, and the batch is flushed after each run and
-    at the end; after a length of 0 only the batch's own caps flush it.
-    Returns the emissions as (layer, tag, dtype, shape, bytes), the
-    fired_log and the skip notices, each in the order they came.
+    The pushes go in runs whose lengths cycle through ``run_lengths``,
+    and the batch is flushed after each run and at the end; after a
+    length of 0 only the batch's own caps flush it.  Returns the
+    emissions as (layer, tag, dtype, shape, bytes) and the fired_log,
+    each in the order they came.
     """
-    emitted, fired, notices = [], [], []
+    emitted, fired = [], []
     lengths = iter(run_lengths * 1000)
     left = next(lengths)
-    for step in script:
-        if step[0] == "skip":
-            notices += [(no.layer, no.next_tag) for no in ex.skip("camera", step[1])]
-            continue
-        if step[0] == "handoff":
-            ex.mark_handoff()
-            continue
-        _, first, frames = step
-        for i, frame in enumerate(frames):
-            emitted += ex.push("camera", first + i, frame)
-            fired += ex.fired_log
-            notices += [(no.layer, no.next_tag) for no in ex.pending_notices]
-            left -= 1
-            if left == 0:
-                ex.batch.flush()
-                left = next(lengths)
+    for tag, frame in enumerate(frames):
+        emitted += ex.push("camera", tag, frame)
+        fired += ex.fired_log
+        left -= 1
+        if left == 0:
+            ex.batch.flush()
+            left = next(lengths)
     ex.batch.flush()
     values = [(em.layer, em.tag, np.asarray(em.value)) for em in emitted]
-    return [(layer, tag, v.dtype.str, v.shape, v.tobytes()) for layer, tag, v in values], fired, notices
+    return [(layer, tag, v.dtype.str, v.shape, v.tobytes()) for layer, tag, v in values], fired
 
 
 @contextmanager
@@ -1230,25 +1216,21 @@ def caps(run_tags, run_bytes):
 class TestRuns:
     graph = build_model("two_stream", 1 / 32, seed=3)
     frames = make_clip(graph, 100, 3)
-    # windows fill, a declared gap, more tags, a handoff, more tags
-    script = [("push", 0, frames[:40]), ("skip", 45), ("push", 45, frames[45:70]),
-              ("handoff",), ("push", 75, frames[75:100])]
 
     def executor(self):
         return engine.TaskExecutor(self.graph, emit=self.graph.topo_order)
 
     @pytest.fixture(scope="class")
     def single(self):
-        """The script flushed after every push."""
-        return replay(self.executor(), self.script, [1])
+        """The frames flushed after every push."""
+        return replay(self.executor(), self.frames, [1])
 
     @pytest.mark.parametrize("run_lengths", [[16], [3, 1, 7], [2, 16, 5, 1]])
     def test_runs_equal_single_pushes(self, single, run_lengths):
-        got = replay(self.executor(), self.script, run_lengths)
+        got = replay(self.executor(), self.frames, run_lengths)
         assert got == single
         layers = {e[0] for e in single[0]}
         assert {"flow", "pyr_s", "pyr_t", "fuse", "out"} <= layers
-        assert single[2], "the gap and the handoff declare skips"
 
     @given(st.lists(st.integers(0, 20), min_size=1, max_size=8), st.integers(1, 16),
            st.sampled_from([1, 5000, 2 << 20]))
@@ -1256,7 +1238,7 @@ class TestRuns:
     def test_any_flush_points_give_the_same_values(self, single, run_lengths, run_tags,
                                                      run_bytes):
         with caps(run_tags, run_bytes):
-            got = replay(self.executor(), self.script, run_lengths)
+            got = replay(self.executor(), self.frames, run_lengths)
         assert got == single
 
     def test_reference_runs_stay_under_their_caps(self, monkeypatch):
@@ -1311,21 +1293,17 @@ class TestRuns:
 class Synchronous(runtime.ClusterCore):
     """The workers of one plan entry on one shared batch, with every
     message delivered the moment it is sent.  It offers ``replay`` what
-    one executor does: ``push`` and ``skip`` at the source devices,
-    ``mark_handoff`` on every executor, ``batch``; and, for the last
-    push or skip, the graph outputs, every fired_log and every routed
-    skip notice, in the order they came."""
+    one executor does: ``push`` at the source devices, ``batch``; and,
+    for the last push, the graph outputs and every fired_log, in the
+    order they came."""
 
     def __init__(self, aset, n):
         self.batch = engine.Batch()
         super().__init__(aset, n, inbox_capacity=1 << 20, batch=self.batch)
-        self.outputs, self.fired_log, self.pending_notices = [], [], []
+        self.outputs, self.fired_log = [], []
 
     def _send(self, src, msg, dst, t):
-        if msg.kind == Kind.DATA:
-            self._on_data(self.workers[dst], msg)
-        else:
-            self._on_skip(self.workers[dst], msg, t)
+        self._on_data(self.workers[dst], msg)
 
     def _output(self, w, em, path, t):
         self.outputs.append(em)
@@ -1335,26 +1313,12 @@ class Synchronous(runtime.ClusterCore):
         self.fired_log += w.executor.fired_log
         return got
 
-    def _notices(self, w, notices, t):
-        self.pending_notices += notices
-        super()._notices(w, notices, t)
-
     def push(self, origin, tag, value):
-        self.outputs, self.fired_log, self.pending_notices = [], [], []
+        self.outputs, self.fired_log = [], []
         for d in self._source_targets(tag):
             self._on_data(self.workers[d], Message(kind=Kind.DATA, tag=tag, layer=origin,
                                                    tensor=value, meta={}))
         return self.outputs
-
-    def skip(self, origin, next_tag):
-        self.pending_notices = []
-        for d, _idx, _count in self.sources:
-            self._notices(self.workers[d], self.workers[d].executor.skip(origin, next_tag), 0.0)
-        return self.pending_notices
-
-    def mark_handoff(self):
-        for w in self.workers.values():
-            w.executor.mark_handoff()
 
 
 CHAIN_KINDS = {"conv", "relu", "norm", "maxpool", "fc", "softmax"}
@@ -1374,11 +1338,11 @@ class TestChains:
     every layer, where no chain forms (``TestRuns``), and against the
     graph."""
 
-    graph, frames, script = TestRuns.graph, TestRuns.frames, TestRuns.script
+    graph, frames = TestRuns.graph, TestRuns.frames
 
     @pytest.fixture(scope="class")
     def single(self):
-        return replay(TestRuns().executor(), self.script, [1])
+        return replay(TestRuns().executor(), self.frames, [1])
 
     @pytest.fixture(scope="class")
     def aset(self):
@@ -1391,7 +1355,7 @@ class TestChains:
 
     @pytest.fixture(scope="class")
     def plan_single(self, aset):
-        return replay(self.plan_executors(aset), self.script, [1])
+        return replay(self.plan_executors(aset), self.frames, [1])
 
     def test_chains_are_the_runs_of_single_consumer_layers(self, aset):
         g = self.graph
@@ -1454,8 +1418,7 @@ class TestChains:
 
     @pytest.mark.parametrize("run_lengths", [[1], [16], [3, 1, 7], [2, 16, 5, 1]])
     def test_default_emit_gives_the_sink_bytes_and_fired_log(self, single, run_lengths):
-        emitted, fired, _notices = replay(engine.TaskExecutor(self.graph), self.script,
-                                          run_lengths)
+        emitted, fired = replay(engine.TaskExecutor(self.graph), self.frames, run_lengths)
         assert emitted == [e for e in single[0] if e[0] == "out"]
         assert fired == single[1]
 
@@ -1464,17 +1427,17 @@ class TestChains:
     @settings(max_examples=15, deadline=None)
     def test_default_emit_any_flush_points(self, single, run_lengths, run_tags, run_bytes):
         with caps(run_tags, run_bytes):
-            emitted, fired, _ = replay(engine.TaskExecutor(self.graph), self.script, run_lengths)
+            emitted, fired = replay(engine.TaskExecutor(self.graph), self.frames, run_lengths)
         assert emitted == [e for e in single[0] if e[0] == "out"]
         assert fired == single[1]
 
     def test_plan_entry_with_a_row_shard_gives_the_sink_bytes(self, single, plan_single):
-        assert {e[1] for e in plan_single[0]} >= {24, 39, 69, 99}   # across the gap and handoff
+        assert [e[1] for e in plan_single[0]] == list(range(24, 100))
         assert plan_single[0] == [e for e in single[0] if e[0] == "out"]
 
     @pytest.mark.parametrize("run_lengths", [[16], [3, 1, 7], [2, 16, 5, 1]])
     def test_plan_entry_runs_equal_single_pushes(self, aset, plan_single, run_lengths):
-        assert replay(self.plan_executors(aset), self.script, run_lengths) == plan_single
+        assert replay(self.plan_executors(aset), self.frames, run_lengths) == plan_single
 
     @given(st.lists(st.integers(0, 20), min_size=1, max_size=8), st.integers(1, 16),
            st.sampled_from([1, 5000, 2 << 20]))
@@ -1482,7 +1445,7 @@ class TestChains:
     def test_plan_entry_any_flush_points(self, aset, plan_single, run_lengths, run_tags,
                                          run_bytes):
         with caps(run_tags, run_bytes):
-            got = replay(self.plan_executors(aset), self.script, run_lengths)
+            got = replay(self.plan_executors(aset), self.frames, run_lengths)
         assert got == plan_single
 
     def test_fired_log_is_a_breadth_first_walk(self):
@@ -1586,7 +1549,7 @@ class TestRowShards:
         for tag, order in enumerate(orders):
             for i in order[:-1]:
                 assert ex.push_part("act_d2", tag, i, parts[tag][i]) == []
-                assert ex.fired_log == [] and ex.pending_notices == []
+                assert ex.fired_log == []
             out = ex.push_part("act_d2", tag, order[-1], parts[tag][order[-1]])
             assert [(em.layer, em.tag) for em in out] == [("fc_d3", tag)]
             assert ex.fired_log == ["fc_d3"]
@@ -1623,17 +1586,27 @@ class TestRowShards:
         for tag, value in ref.items():
             assert np.asarray(got[tag]).tobytes() == value.tobytes()
 
-    def test_skip_drops_parts_below_next_tag(self):
-        parts, _full = self.parts([0, 1, 2, 3])
-        ex, joined = self.consumer()
-        for tag in range(4):
-            assert ex.push_part("act_d2", tag, 0, parts[tag][0]) == []
-        ex.skip("act_d2", 2)
-        for tag in range(4):
-            assert ex.push_part("act_d2", tag, 1, parts[tag][1]) == []
-            out = ex.push_part("act_d2", tag, 2, parts[tag][2])
-            assert [em.tag for em in out] == ([] if tag < 2 else [tag])
-        assert [p.tag for p in joined] == [2, 3]
+    def test_parked_parts_are_held_until_assembled(self):
+        parts, _full = self.parts([0, 1])
+        ex, _joined = self.consumer()
+        assert ex.push_part("act_d2", 0, 2, parts[0][2]) == []
+        assert ex.push_part("act_d2", 1, 0, parts[1][0]) == []
+        assert ex.held_bytes() == 4 * (85 + 86)
+        ex.push_part("act_d2", 0, 0, parts[0][0])
+        ex.push_part("act_d2", 0, 1, parts[0][1])
+        assert ex.held_bytes() == 4 * 86
+
+
+class TestHeldBytes:
+    def test_concat_inputs_count_until_their_join_fires(self):
+        g = build_model("two_stream", 1 / 32, seed=3)
+        ex = engine.TaskExecutor(g, owned=["fuse"])
+        pyr = np.zeros(g.shapes["pyr_s"].dims, np.float32)
+        assert ex.held_bytes() == 0
+        assert ex.push("pyr_s", 24, pyr) == []
+        assert ex.held_bytes() == 4 * pyr.size
+        assert [em.tag for em in ex.push("pyr_t", 24, pyr)] == [24]
+        assert ex.held_bytes() == 0
 
 
 # sha256 of run_reference's outputs (sink, tag, dtype, shape, bytes) for

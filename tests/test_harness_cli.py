@@ -226,11 +226,15 @@ class TestHarness:
         a = build_model("alexnet", 0.125, seed=1)
         assert frames_needed(a, 4) == 4
 
-    def test_load_model_roundtrip_via_file(self, tmp_path):
-        g = build_model("two_stream", 0.25, seed=5)
+    @pytest.mark.parametrize("seed", [5, 0])
+    def test_load_model_roundtrip_via_file(self, tmp_path, seed):
+        """A model file takes the seed asked for, 0 too, as a stock model
+        does; the file was written with seed 7."""
+        g = build_model("two_stream", 0.25, seed=seed)
         p = tmp_path / "model.json"
-        p.write_text(g.to_json())
-        loaded = load_model(str(p), scale=0.25, seed=5)
+        p.write_text(build_model("two_stream", 0.25, seed=7).to_json())
+        loaded = load_model(str(p), scale=0.25, seed=seed)
+        assert loaded.seed == seed
         assert loaded.to_json() == g.to_json()
 
 

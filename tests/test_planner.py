@@ -255,6 +255,36 @@ class TestAssignments:
         assert "replica 1/2" in table
         assert "reloads" in table
 
+    def test_an_fc_of_one_output_is_never_sharded(self):
+        """An fc with one output row has no split: each added device
+        becomes a replica of the one task."""
+        layers = {
+            "src": LayerSpec("src", ir.SOURCE, {"shape": [8]}),
+            "fc": LayerSpec("fc", ir.FC, {"out_size": 1}, ["src"]),
+            "out": LayerSpec("out", ir.SINK, {}, ["fc"]),
+        }
+        plan = task_assign(validate_graph(ModelGraph(layers, ["src"], ["out"])), 3)
+        for n in (1, 2, 3):
+            tasks = plan.assignments[n].tasks
+            assert sorted(tasks) == list(range(n))
+            for t in tasks.values():
+                assert t.split is None and list(t.layers) == ["src", "fc", "out"]
+                assert (t.replica.count if t.replica else 1) == n
+
+    def test_an_idle_spare_is_listed_with_its_note(self):
+        """A flow stack alone cannot be replicated or split: the second
+        device stays idle, and the table says so."""
+        layers = {
+            "cam": LayerSpec("cam", ir.SOURCE, {"shape": [4, 4, 1]}),
+            "flow": LayerSpec("flow", ir.FLOWSTACK, {"window_len": 2}, ["cam"]),
+            "out": LayerSpec("out", ir.SINK, {}, ["flow"]),
+        }
+        plan = task_assign(validate_graph(ModelGraph(layers, ["cam"], ["out"])), 2)
+        assert sorted(plan.assignments[2].tasks) == [0]
+        lines = render_plan(plan, [2]).splitlines()
+        assert lines[1:] == ["  device  0: cam, flow, out", "  device  1: (idle spare)",
+                             "  note: no beneficial split for 1 remaining device(s); left idle"]
+
     def test_task_assign_deterministic(self, two_stream):
         a = task_assign(two_stream, 6).to_json()
         b = task_assign(two_stream, 6).to_json()

@@ -103,8 +103,9 @@ def _paced(graph, aset, n: int, clip: np.ndarray) -> None:
 
 def _unpaced_with_rotation(graph, aset, n: int, clip: np.ndarray, capacity: int) -> None:
     """Two unpaced calls with the recorder moved between them.  The first
-    call yields every output of its admitted frames; after the move,
-    what comes out equals the reference over all admitted frames."""
+    call yields every output of its admitted frames; the move loses none,
+    so the two calls together yield every output of the reference over
+    all admitted frames, each once and equal to it."""
     cluster = start_cluster(aset, n, inbox_capacity=capacity)
     half = len(clip) // 2
     first, m1 = run_stream(cluster, clip[:half], fps=UNPACED_FPS, paced=False)
@@ -116,6 +117,7 @@ def _unpaced_with_rotation(graph, aset, n: int, clip: np.ndarray, capacity: int)
     second, m2 = run_stream(cluster, clip[half:], fps=UNPACED_FPS, paced=False)
     ref = _reference(graph, np.concatenate([admitted, clip[half:][m2.kept_raw_indices]]))
     assert not set(first) & set(second)
+    assert set(first) | set(second) == set(ref)
     _assert_equal(second, ref)
 
 

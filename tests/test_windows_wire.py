@@ -41,29 +41,15 @@ class TestSlidingWindow:
         with pytest.raises(WindowError, match="duplicate"):
             w.push(3, "y")
 
-    def test_late_tag_counted_and_dropped(self):
+    def test_late_tag_is_a_duplicate(self):
+        """Tags arrive gap-free, each once: a tag below the window's start
+        has arrived before."""
         w = SlidingWindow(length=2)
         w.push(0, "a")
         w.push(1, "b")  # window emitted, next_tag -> 1
-        assert w.push(0, "stale") == []
-        assert w.late_drops == 1
-
-    def test_skip_below_advances_past_gap(self):
-        w = SlidingWindow(length=3)
-        w.push(0, 0)
-        w.skip_below(5)
-        assert w.next_tag == 5
-        assert w.skipped == 1
-        out = []
-        for t in (5, 6, 7):
-            out += w.push(t, t)
-        assert out == [(7, [5, 6, 7])]
-
-    def test_resync_on_next_realigns(self):
-        w = SlidingWindow(length=2, resync_on_next=True)
-        assert w.push(40, "x") == []
-        assert w.next_tag == 40 and w.last_resync == 40
-        assert w.push(41, "y") == [(41, ["x", "y"])]
+        with pytest.raises(WindowError, match="duplicate tag 0"):
+            w.push(0, "stale")
+        assert w.next_tag == 1 and w.pending == {1: "b"}
 
     @given(st.permutations(list(range(12))))
     @settings(max_examples=40, deadline=None)
@@ -121,11 +107,12 @@ class TestWire:
         assert back.tensor.dtype == np.float32
 
     def test_control_roundtrip(self):
-        msg = Message(kind=Kind.SKIP, layer="flow", body={"next_tag": 12})
+        """A control body travels as it is; only data frames name a value."""
+        msg = Message(kind=Kind.ALMOST_FULL, body={"device": 3, "layer": "flow"})
         back = decode(encode(msg))
-        assert back.kind == Kind.SKIP
-        assert back.layer == "flow"
-        assert back.body == {"next_tag": 12}
+        assert back.kind == Kind.ALMOST_FULL
+        assert back.layer == ""
+        assert back.body == {"device": 3, "layer": "flow"}
 
     def test_header_is_sixteen_bytes(self):
         assert HEADER_LEN == 16
@@ -173,7 +160,6 @@ def _valid_frames():
         encode(Message(kind=Kind.DATA, tag=9, source=2, layer="fc_d1#p0",
                        tensor=rng.uniform(-1, 1, (3, 4)).astype(np.float32))),
         encode(Message(kind=Kind.DATA, layer="out", tensor=np.float32(0.5).reshape(()))),
-        encode(Message(kind=Kind.SKIP, layer="flow", body={"next_tag": 12})),
         encode(Message(kind=Kind.ALMOST_FULL, body={"device": 3})),
         encode(Message(kind=Kind.HEARTBEAT)),
     ]
@@ -215,12 +201,12 @@ class TestWireDecodingIsTotal:
         (Kind.DATA, b"\x01v\x01\x00\x00"),            # dims truncated
         (Kind.DATA, b"\x01v\x01\xff\xff\xff\xff"),  # far more values than bytes
         (Kind.DATA, b"\x01v\x00\x00\x00\x80?\x00"),  # trailing byte after the values
-        (Kind.SKIP, b"{\"next_tag\": 1"),          # truncated JSON
-        (Kind.SKIP, b"[1, 2]"),                     # JSON that is not an object
-        (Kind.SKIP, b"{\"layer\": 7}"),             # layer that is not a string
+        (Kind.ALMOST_FULL, b"{\"device\": 1"),     # truncated JSON
+        (Kind.ALMOST_FULL, b"[1, 2]"),              # JSON that is not an object
         (Kind.HEARTBEAT, b"\xc3\x28"),             # not UTF-8
         (99, b""),                                  # unknown kind
         (2, b""),                                   # kind 2, retired
+        (4, b"{\"next_tag\": 1}"),                  # kind 4, retired
         (5, b""),                                   # kind 5, no longer defined
     ])
     def test_each_malformation_is_a_wire_error(self, kind, payload):
